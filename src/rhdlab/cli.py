@@ -111,8 +111,7 @@ def main(argv=None) -> int:
 
         cfg, out_dir = _load(args)
         if args.command == "run":
-            summary = run_single(cfg, out_dir, seed=args.seed,
-                                 threads=args.threads)
+            summary = run_single(cfg, out_dir, seed=args.seed)
             print(json.dumps({"status": summary["status"],
                               "out": str(out_dir)}, indent=2))
         elif args.command == "reference":

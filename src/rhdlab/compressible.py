@@ -9,10 +9,18 @@ exchange are integrated implicitly with a cached per-mode factorization, so
 the stable time step does not shrink as delta does; advection and every
 nonlinear remainder stay explicit.
 
+The implicit part is the symbol built by
+:func:`rhdlab.steppers.acoustic_exchange_matrix` from the background
+coefficients in :class:`rhdlab.model.Background`.  :func:`rhs_perturbation`
+is that same symbol applied to the state plus the explicit remainders, so
+the identity suite, which checks it against :func:`rhs_primitive`, covers
+the operator the solver factors.
+
 The momentum perturbation form (relative density + scaled momentum) is not
 stepped - one dynamical formulation is enough - but its full right-hand side
-is assembled by :func:`rhs_momentum_form` so the change-of-variables algebra
-can be verified against the primitive equations.
+is assembled by :func:`rhs_momentum_form`, with the relative-density symbol
+the linearized probe factors, so the change-of-variables algebra can be
+verified against the primitive equations.
 """
 
 from __future__ import annotations
@@ -24,9 +32,10 @@ import numpy as np
 
 from . import model
 from .fields import SpectralGrid
-from .model import PhysParams, DomainError
+from .model import Background, PhysParams, DomainError
 from .steppers import (ARS_GAMMA, ImexOperator, SolverError,
-                       acoustic_exchange_matrix, ars222_step, imex_euler_step)
+                       acoustic_exchange_matrix, ars222_step, imex_euler_step,
+                       pack_state, unpack_state)
 
 __all__ = [
     "SolverConfig", "CompressibleState", "PerturbationState", "Trajectory",
@@ -147,19 +156,47 @@ def default_dt(grid: SpectralGrid, u0: np.ndarray) -> float:
 
 # -- right-hand sides -------------------------------------------------------
 
-def _scalar_derivs(grid, fhat):
-    grad = grid.ifft(grid.ik * fhat[np.newaxis])
-    lap = grid.ifft(-grid.ksq * fhat)
-    return grad, lap
+def _derivatives(grid, X):
+    """Derivative fields of a packed spectral state, shared by every assembly.
+
+    Returns ``(grad_n, jac_v, lap_v, grad_div_v, div_v, grad_z, lap_z)`` for
+    the density-like slot ``n``, the vector slot ``v`` (``jac[i, j] = d v_i
+    / d x_j``) and the temperature-like slot ``z``.
+    """
+    g, d = grid, grid.dim
+    grad_n = g.ifft(g.ik * X[0][np.newaxis])
+    jac_v = g.ifft(g.ik[np.newaxis, :] * X[1:1 + d][:, np.newaxis])
+    div_v = np.trace(jac_v, axis1=0, axis2=1)
+    lap_v = g.ifft(-g.ksq * X[1:1 + d])
+    dhat = np.sum(g.ik * X[1:1 + d], axis=0)
+    grad_div_v = g.ifft(g.ik * dhat[np.newaxis])
+    grad_z = g.ifft(g.ik * X[d + 1][np.newaxis])
+    lap_z = g.ifft(-g.ksq * X[d + 1])
+    return grad_n, jac_v, lap_v, grad_div_v, div_v, grad_z, lap_z
 
 
-def _vector_derivs(grid, vhat):
-    jac = grid.ifft(grid.ik[np.newaxis, :] * vhat[:, np.newaxis])
-    div = np.trace(jac, axis1=0, axis2=1)
-    lap = grid.ifft(-grid.ksq * vhat)
-    dhat = np.sum(grid.ik * vhat, axis=0)
-    grad_div = grid.ifft(grid.ik * dhat[np.newaxis])
-    return jac, div, lap, grad_div
+def _velocity_form_remainders(grid, X, params: PhysParams, eos):
+    """Spectral nonlinear remainders of the velocity form at packed state ``X``.
+
+    The radiation row carries its ``1/delta`` weight; nothing is dealiased.
+    """
+    drho, u, dtheta, drad = unpack_state(grid, X)
+    grad_drho, jac_u, lap_u, grad_div_u, div_u, grad_dtheta, lap_dtheta = \
+        _derivatives(grid, X)
+    r_mass, r_vel, r_temp, r_rad = model.velocity_form_remainders(
+        drho, u, dtheta, drad, grad_drho, jac_u, lap_u, grad_div_u,
+        div_u, grad_dtheta, lap_dtheta, params, eos)
+    N = pack_state(grid, r_mass, r_vel, r_temp, r_rad)
+    N[grid.dim + 2] /= params.delta
+    return N
+
+
+def _apply_symbol(M, X):
+    return np.einsum("ij...,j...->i...", M, X)
+
+
+def _physical(grid, F, mask):
+    return unpack_state(grid, grid.mask_spectral(F) if mask else F)
 
 
 def rhs_primitive(grid: SpectralGrid, state: CompressibleState,
@@ -175,10 +212,10 @@ def rhs_primitive(grid: SpectralGrid, state: CompressibleState,
     rho, u, theta, rad = state.rho, state.u, state.theta, state.rad
     d2 = params.delta ** 2
 
-    grad_rho, _ = _scalar_derivs(grid, grid.fft(rho))
-    grad_theta, lap_theta = _scalar_derivs(grid, grid.fft(theta))
-    _, lap_rad = _scalar_derivs(grid, grid.fft(rad))
-    jac_u, div_u, lap_u, grad_div_u = _vector_derivs(grid, grid.fft(u))
+    X = pack_state(grid, rho, u, theta, rad)
+    grad_rho, jac_u, lap_u, grad_div_u, div_u, grad_theta, lap_theta = \
+        _derivatives(grid, X)
+    lap_rad = grid.ifft(-grid.ksq * X[grid.dim + 2])
 
     rho_t = -(rho * div_u + np.sum(u * grad_rho, axis=0))
 
@@ -209,43 +246,12 @@ def rhs_primitive(grid: SpectralGrid, state: CompressibleState,
 def rhs_perturbation(grid: SpectralGrid, pert: PerturbationState,
                      params: PhysParams, eos, mask: bool = True):
     """Tendencies ``(drho_t, u_t, dtheta_t, drad_t)`` of the velocity
-    perturbation form: constant-coefficient principal part plus the
-    nonlinear remainders from :mod:`rhdlab.model`."""
-    drho, u, dtheta, drad = pert.drho, pert.u, pert.dtheta, pert.drad
-    pr = params
-    pb = pr.rho_bar, pr.theta_bar
-    p_rho_b = float(eos.p_rho(*pb))
-    p_theta_b = float(eos.p_theta(*pb))
-    e_theta_b = float(eos.e_theta(*pb))
-    recip_b = 1.0 / (pr.rho_bar * e_theta_b)
-    d2 = pr.delta ** 2
-
-    grad_drho, _ = _scalar_derivs(grid, grid.fft(drho))
-    grad_dtheta, lap_dtheta = _scalar_derivs(grid, grid.fft(dtheta))
-    _, lap_drad = _scalar_derivs(grid, grid.fft(drad))
-    jac_u, div_u, lap_u, grad_div_u = _vector_derivs(grid, grid.fft(u))
-
-    r_mass, r_vel, r_temp, r_rad = model.velocity_form_remainders(
-        drho, u, dtheta, drad, grad_drho, jac_u, lap_u, grad_div_u, div_u,
-        grad_dtheta, lap_dtheta, pr, eos)
-    linear_exchange, _ = model.planck_split(dtheta, drad, pr)
-
-    drho_t = -pr.rho_bar * div_u + r_mass
-    u_t = (pr.mu_bar * lap_u + (pr.mu_bar + pr.lam_bar) * grad_div_u
-           - (p_rho_b / (pr.rho_bar * d2)) * grad_drho
-           - (p_theta_b / (pr.rho_bar * d2)) * grad_dtheta
-           + r_vel)
-    dtheta_t = (-(pr.theta_bar * p_theta_b * recip_b) * div_u
-                + pr.kappa * recip_b * lap_dtheta
-                - linear_exchange * recip_b
-                + r_temp)
-    drad_t = (pr.nu * lap_drad + linear_exchange + r_rad) / pr.delta
-
-    if mask:
-        drho_t, dtheta_t, drad_t = (grid.mask(drho_t), grid.mask(dtheta_t),
-                                    grid.mask(drad_t))
-        u_t = grid.mask(u_t)
-    return drho_t, u_t, dtheta_t, drad_t
+    perturbation form: the symbol the IMEX solver factors, applied to the
+    state, plus the nonlinear remainders the solver treats explicitly."""
+    X = pack_state(grid, pert.drho, pert.u, pert.dtheta, pert.drad)
+    M = acoustic_exchange_matrix(grid, Background.of(params, eos))
+    F = _apply_symbol(M, X) + _velocity_form_remainders(grid, X, params, eos)
+    return _physical(grid, F, mask)
 
 
 def rhs_momentum_form(grid: SpectralGrid, nrel, mom, dtheta, drad,
@@ -253,52 +259,39 @@ def rhs_momentum_form(grid: SpectralGrid, nrel, mom, dtheta, drad,
     """Tendencies ``(nrel_t, mom_t, dtheta_t, drad_t)`` of the momentum
     perturbation form (relative density, scaled momentum).
 
-    Assembled for verification only: derivatives of the composite
-    ``1/(1 + nrel)`` are chain-expanded so the result equals the mapped
-    primitive right-hand side exactly on resolved fields.
+    Assembled for verification only: the linear part is the
+    relative-density symbol the linearized probe factors, and derivatives
+    of the composite ``1/(1 + nrel)`` are chain-expanded so the result
+    equals the mapped primitive right-hand side exactly on resolved fields.
     """
     pr = params
-    pb = pr.rho_bar, pr.theta_bar
-    p_rho_b = float(eos.p_rho(*pb))
-    p_theta_b = float(eos.p_theta(*pb))
-    e_theta_b = float(eos.e_theta(*pb))
-    recip_b = 1.0 / (pr.rho_bar * e_theta_b)
-    d2 = pr.delta ** 2
-
-    nrel_hat = grid.fft(nrel)
-    grad_nrel = grid.ifft(grid.ik * nrel_hat[np.newaxis])
+    d = grid.dim
+    X = pack_state(grid, nrel, mom, dtheta, drad)
+    grad_nrel, jac_m, lap_m, grad_div_m, div_m, grad_dtheta, lap_dtheta = \
+        _derivatives(grid, X)
     hess_nrel = grid.hessian(nrel)
-    grad_dtheta, lap_dtheta = _scalar_derivs(grid, grid.fft(dtheta))
-    _, lap_drad = _scalar_derivs(grid, grid.fft(drad))
-    jac_m, div_m, lap_m, grad_div_m = _vector_derivs(grid, grid.fft(mom))
 
     r_mom, r_temp, r_rad = model.momentum_form_remainders(
         nrel, mom, dtheta, drad, grad_nrel, hess_nrel, jac_m, lap_m,
         grad_div_m, div_m, grad_dtheta, lap_dtheta, pr, eos)
-    linear_exchange, _ = model.planck_split(dtheta, drad, pr)
 
+    # Viscosity acts on u = f*m; the symbol carries its constant part on m.
     f = 1.0 / (1.0 + np.asarray(nrel))
+    f_minus_1 = -np.asarray(nrel) * f
     grad_f = -(f ** 2) * grad_nrel
-
-    nrel_t = -div_m
-    visc_shear = (f * lap_m
+    visc_shear = (f_minus_1 * lap_m
                   + np.einsum("ij...,j...->i...", jac_m, grad_f))
-    visc_bulk = grad_f * div_m + f * grad_div_m
-    mom_t = (pr.mu_bar * visc_shear + (pr.lam_bar + pr.mu_bar) * visc_bulk
-             - (p_rho_b / d2) * grad_nrel
-             - (p_theta_b / (pr.rho_bar * d2)) * grad_dtheta
-             + r_mom)
-    dtheta_t = (-(pr.theta_bar * p_theta_b * recip_b) * div_m
-                + pr.kappa * recip_b * lap_dtheta
-                - linear_exchange * recip_b
-                + r_temp)
-    drad_t = (pr.nu * lap_drad + linear_exchange + r_rad) / pr.delta
+    visc_bulk = grad_f * div_m + f_minus_1 * grad_div_m
+    r_mom = (r_mom + pr.mu_bar * visc_shear
+             + (pr.lam_bar + pr.mu_bar) * visc_bulk)
 
-    if mask:
-        nrel_t, dtheta_t, drad_t = (grid.mask(nrel_t), grid.mask(dtheta_t),
-                                    grid.mask(drad_t))
-        mom_t = grid.mask(mom_t)
-    return nrel_t, mom_t, dtheta_t, drad_t
+    M = acoustic_exchange_matrix(grid, Background.of(pr, eos),
+                                 relative_density=True)
+    F = _apply_symbol(M, X)
+    F[1:1 + d] += grid.fft(r_mom)
+    F[d + 1] += grid.fft(r_temp)
+    F[d + 2] += grid.fft(r_rad) / pr.delta
+    return _physical(grid, F, mask)
 
 
 # -- the IMEX solver ---------------------------------------------------------
@@ -316,29 +309,8 @@ class CompressibleSolver:
         self.params = params
         self.eos = eos
         self.config = config
-        self._s = grid.dim + 3
 
-        pb = params.rho_bar, params.theta_bar
-        p_rho_b = float(eos.p_rho(*pb))
-        p_theta_b = float(eos.p_theta(*pb))
-        e_theta_b = float(eos.e_theta(*pb))
-        recip_b = 1.0 / (params.rho_bar * e_theta_b)
-        d2 = params.delta ** 2
-        M = acoustic_exchange_matrix(
-            grid,
-            cont=params.rho_bar,
-            grad_n=p_rho_b / (params.rho_bar * d2),
-            grad_t=p_theta_b / (params.rho_bar * d2),
-            visc_shear=params.mu_bar,
-            visc_bulk=params.mu_bar + params.lam_bar,
-            div_t=params.theta_bar * p_theta_b * recip_b,
-            heat_diff=params.kappa * recip_b,
-            exch_t=4.0 * params.sigma_tilde * params.theta_bar ** 3 * recip_b,
-            exch_g=params.sigma_a * recip_b,
-            rad_diff=params.nu / params.delta,
-            rad_t=4.0 * params.sigma_tilde * params.theta_bar ** 3 / params.delta,
-            rad_g=params.sigma_a / params.delta,
-        )
+        M = acoustic_exchange_matrix(grid, Background.of(params, eos))
         coeff = config.dt if config.scheme == "imex1" else ARS_GAMMA * config.dt
         self._op = ImexOperator(M, coeff)
         self._explicit = (self._explicit_perturbation
@@ -348,62 +320,24 @@ class CompressibleSolver:
     # spectral packing --------------------------------------------------
 
     def pack(self, pert: PerturbationState) -> np.ndarray:
-        X = np.empty((self._s,) + self.grid.shape, dtype=np.complex128)
-        X[0] = self.grid.fft(pert.drho)
-        X[1:1 + self.grid.dim] = self.grid.fft(pert.u)
-        X[self.grid.dim + 1] = self.grid.fft(pert.dtheta)
-        X[self.grid.dim + 2] = self.grid.fft(pert.drad)
-        return self.grid.mask_spectral(X)
+        return self.grid.mask_spectral(
+            pack_state(self.grid, pert.drho, pert.u, pert.dtheta, pert.drad))
 
     def unpack(self, X: np.ndarray, time: float) -> PerturbationState:
-        d = self.grid.dim
-        return PerturbationState(self.grid.ifft(X[0]), self.grid.ifft(X[1:1 + d]),
-                                 self.grid.ifft(X[d + 1]), self.grid.ifft(X[d + 2]),
-                                 time)
+        return PerturbationState(*unpack_state(self.grid, X), time)
 
     # explicit tendencies ------------------------------------------------
 
     def _explicit_perturbation(self, X: np.ndarray) -> np.ndarray:
-        g, pr = self.grid, self.params
-        d = g.dim
-        drho = g.ifft(X[0])
-        u = g.ifft(X[1:1 + d])
-        dtheta = g.ifft(X[d + 1])
-        drad = g.ifft(X[d + 2])
-
-        grad_drho = g.ifft(g.ik * X[0][np.newaxis])
-        jac_u = g.ifft(g.ik[np.newaxis, :] * X[1:1 + d][:, np.newaxis])
-        div_u = np.trace(jac_u, axis1=0, axis2=1)
-        lap_u = g.ifft(-g.ksq * X[1:1 + d])
-        dhat = np.sum(g.ik * X[1:1 + d], axis=0)
-        grad_div_u = g.ifft(g.ik * dhat[np.newaxis])
-        grad_dtheta = g.ifft(g.ik * X[d + 1][np.newaxis])
-        lap_dtheta = g.ifft(-g.ksq * X[d + 1])
-
-        r_mass, r_vel, r_temp, r_rad = model.velocity_form_remainders(
-            drho, u, dtheta, drad, grad_drho, jac_u, lap_u, grad_div_u,
-            div_u, grad_dtheta, lap_dtheta, pr, self.eos)
-
-        N = np.empty_like(X)
-        N[0] = g.fft(r_mass)
-        N[1:1 + d] = g.fft(r_vel)
-        N[d + 1] = g.fft(r_temp)
-        N[d + 2] = g.fft(r_rad) / pr.delta
-        return g.mask_spectral(N)
+        return self.grid.mask_spectral(
+            _velocity_form_remainders(self.grid, X, self.params, self.eos))
 
     def _explicit_primitive(self, X: np.ndarray) -> np.ndarray:
         g, pr = self.grid, self.params
         pert = self.unpack(X, 0.0)
         state = pert.to_primitive(pr)
         state.validate(g)
-        rho_t, u_t, theta_t, rad_t = rhs_primitive(g, state, pr, self.eos,
-                                                   mask=False)
-        d = g.dim
-        F = np.empty_like(X)
-        F[0] = g.fft(rho_t)
-        F[1:1 + d] = g.fft(u_t)
-        F[d + 1] = g.fft(theta_t)
-        F[d + 2] = g.fft(rad_t)
+        F = pack_state(g, *rhs_primitive(g, state, pr, self.eos, mask=False))
         return g.mask_spectral(F - self._op.apply(X))
 
     # stepping -------------------------------------------------------------
@@ -412,14 +346,6 @@ class CompressibleSolver:
         if self.config.scheme == "imex1":
             return imex_euler_step(self._op, X, self.config.dt, self._explicit)
         return ars222_step(self._op, X, self.config.dt, self._explicit)
-
-    def step(self, state):
-        """Advance one state (primitive or perturbation) by one time step."""
-        primitive_in = isinstance(state, CompressibleState)
-        pert = state.to_perturbation(self.params) if primitive_in else state
-        X = self.step_spectral(self.pack(pert))
-        out = self.unpack(X, pert.time + self.config.dt)
-        return out.to_primitive(self.params) if primitive_in else out
 
     def run(self, state0, cadence: int = 10,
             observer: Optional[Callable] = None,

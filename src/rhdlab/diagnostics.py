@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .fields import SpectralGrid
-from .model import DomainError, PhysParams
+from .model import Background, DomainError, PhysParams, planck_split
 
 __all__ = [
     "DiagnosticsRecord", "Collector", "CadenceMismatchError",
@@ -75,9 +75,14 @@ def scaled_bundle(grid: SpectralGrid, u, drho, dtheta, drad, delta: float,
 
 
 def grad_sobolev_sq(grid: SpectralGrid, f, order: int) -> float:
-    """``sum_i |d_i f|^2`` in H^order, via the ``|k|^2 (1+|k|^2)^order`` multiplier."""
+    """``sum_i |d_i f|^2`` in H^order.
+
+    The multiplier is ``|k|^2 (1+|k|^2)^order`` with the derivative's
+    Nyquist-zeroed ``|k|^2`` and the norm's full one, so the value equals
+    the sum of ``grid.sobolev_norm(grid.deriv(f, i), order)**2``.
+    """
     chat = grid.coeffs(f)
-    w = grid.ksq * (1.0 + grid.ksq) ** order
+    w = grid.ksq * (1.0 + grid.ksq_full) ** order
     return float(grid.volume * np.sum(w * np.abs(chat) ** 2))
 
 
@@ -111,9 +116,9 @@ def energy_functional(grid: SpectralGrid, u, drho, dtheta, drad, delta: float,
         raise DomainError(f"beta must lie in [0, 1], got {beta}")
     if order < 0:
         raise DomainError("order must be >= 0")
-    pb = params.rho_bar, params.theta_bar
-    w_rho = float(eos.p_rho(*pb)) / (params.rho_bar ** 2 * delta ** 2)
-    w_theta = float(eos.e_theta(*pb)) / (params.theta_bar * delta ** 2)
+    bg = Background.of(params, eos)
+    w_rho = bg.p_rho / (params.rho_bar ** 2 * delta ** 2)
+    w_theta = bg.e_theta / (params.theta_bar * delta ** 2)
     w_rad = params.sigma_a / (4.0 * params.sigma_tilde * delta
                               * params.rho_bar * params.theta_bar ** 4)
     n = grid.sobolev_norm
@@ -127,9 +132,8 @@ def energy_functional(grid: SpectralGrid, u, drho, dtheta, drad, delta: float,
 def exchange_residual(grid: SpectralGrid, dtheta, drad, order: int,
                       params: PhysParams) -> float:
     """H^order norm of the linear matter-radiation disequilibrium."""
-    lin = (4.0 * params.sigma_tilde * params.theta_bar ** 3 * dtheta
-           - params.sigma_a * drad)
-    return grid.sobolev_norm(lin, order)
+    linear_exchange, _ = planck_split(dtheta, drad, params)
+    return grid.sobolev_norm(linear_exchange, order)
 
 
 # -- per-run collection ------------------------------------------------------
@@ -303,7 +307,7 @@ def cross_term_probe(records, params: PhysParams, eos) -> ProbeResult:
     """
     pr = params
     d2 = pr.delta ** 2
-    p_rho_b = float(eos.p_rho(pr.rho_bar, pr.theta_bar))
+    p_rho_b = Background.of(pr, eos).p_rho
     times = [r.time for r in records]
 
     def num(i):

@@ -27,7 +27,7 @@ import numpy as np
 
 from .compressible import CompressibleState
 from .fields import SpectralGrid
-from .model import PhysParams
+from .model import Background, PhysParams
 
 __all__ = ["InitSpec", "InitError", "make_well_prepared", "random_band_scalar"]
 
@@ -110,9 +110,7 @@ def make_well_prepared(spec: InitSpec, grid: SpectralGrid, params: PhysParams,
     N = spec.norm_order
     delta = spec.delta
     rng = np.random.default_rng(spec.seed)
-    pb = params.rho_bar, params.theta_bar
-    p_rho_b = float(eos.p_rho(*pb))
-    p_theta_b = float(eos.p_theta(*pb))
+    bg = Background.of(params, eos)
 
     if spec.budget == 0.0:
         state = CompressibleState(
@@ -131,11 +129,11 @@ def make_well_prepared(spec: InitSpec, grid: SpectralGrid, params: PhysParams,
     w_u = np.stack([random_band_scalar(grid, rng, spec.spectrum_peak)
                     for _ in range(grid.dim)])
 
-    balanced = spec.balanced_pressure and abs(p_theta_b) > 1e-14
+    balanced = spec.balanced_pressure and abs(bg.p_theta) > 1e-14
     if balanced:
         # Slave dtheta to drho so the linearized pressure vanishes
         # (entropy-mode data); budget the pair jointly.
-        ratio = p_rho_b / p_theta_b
+        ratio = bg.p_rho / bg.p_theta
         amp_rho = 2.0 * share * delta / (1.0 + abs(ratio))
         drho = amp_rho * w_rho
         dtheta = -ratio * drho
@@ -144,8 +142,7 @@ def make_well_prepared(spec: InitSpec, grid: SpectralGrid, params: PhysParams,
         dtheta = share * delta * w_theta
 
     if spec.slaved_radiation:
-        drad = (4.0 * params.sigma_tilde * params.theta_bar ** 3
-                / params.sigma_a) * dtheta
+        drad = (bg.emission / params.sigma_a) * dtheta
     else:
         drad = share * np.sqrt(delta) * w_rad
 

@@ -6,7 +6,10 @@ coefficient ``A(x, t)`` weighting the viscosity and prescribed forcings on
 the momentum, temperature, and radiation equations.  The solver treats the
 ``A``-averaged stiff linear part implicitly per Fourier mode and the bounded
 fluctuation ``A - A_mean`` explicitly, so the admissible step is set by the
-fluctuation amplitude and never by the Mach parameter.
+fluctuation amplitude and never by the Mach parameter.  The implicit part is
+the momentum-form symbol of :func:`rhdlab.steppers.acoustic_exchange_matrix`
+(relative-density slot, viscosity scaled by ``A_mean``), the linear part of
+:func:`rhdlab.compressible.rhs_momentum_form`.
 
 :func:`check_estimate` accumulates both sides of the a priori bound (scaled
 norms plus dissipation integrals against initial data plus forcing load,
@@ -22,11 +25,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .diagnostics import scaled_bundle
+from .diagnostics import grad_sobolev_sq, scaled_bundle
 from .fields import SpectralGrid
-from .model import DomainError, PhysParams
+from .model import Background, DomainError, PhysParams
 from .steppers import (ARS_GAMMA, ImexOperator, acoustic_exchange_matrix,
-                       ars222_step, imex_euler_step)
+                       ars222_step, imex_euler_step, pack_state, unpack_state)
 
 __all__ = ["CoefficientField", "constant_coefficient", "standing_wave",
            "LinearizedProblem", "LinearizedTrajectory", "solve_linearized",
@@ -106,12 +109,6 @@ class LinearizedTrajectory:
     delta: float = 0.0
 
 
-def _grad_sq_hk(grid, f, order):
-    chat = grid.coeffs(f)
-    w = grid.ksq * (1.0 + grid.ksq_full) ** order
-    return float(grid.volume * np.sum(w * np.abs(chat) ** 2))
-
-
 def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
                      params: PhysParams, eos, dt: float,
                      scheme: str = "imex1", cadence: int = 1,
@@ -127,30 +124,12 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
         raise DomainError(f"unknown scheme {scheme!r}")
     pr = params
     d = grid.dim
-    s = d + 3
-    pb = pr.rho_bar, pr.theta_bar
-    p_rho_b = float(eos.p_rho(*pb))
-    p_theta_b = float(eos.p_theta(*pb))
-    e_theta_b = float(eos.e_theta(*pb))
-    recip_b = 1.0 / (pr.rho_bar * e_theta_b)
     d2 = pr.delta ** 2
+    bg = Background.of(pr, eos)
 
     a_mid = problem.coeff.midpoint
-    M = acoustic_exchange_matrix(
-        grid,
-        cont=1.0,
-        grad_n=pr.rho_bar * p_rho_b / d2,
-        grad_t=p_theta_b / d2,
-        visc_shear=pr.mu_bar * a_mid,
-        visc_bulk=(pr.mu_bar + pr.lam_bar) * a_mid,
-        div_t=pr.theta_bar * p_theta_b * recip_b,
-        heat_diff=pr.kappa * recip_b,
-        exch_t=4.0 * pr.sigma_tilde * pr.theta_bar ** 3 * recip_b,
-        exch_g=pr.sigma_a * recip_b,
-        rad_diff=pr.nu / pr.delta,
-        rad_t=4.0 * pr.sigma_tilde * pr.theta_bar ** 3 / pr.delta,
-        rad_g=pr.sigma_a / pr.delta,
-    )
+    M = acoustic_exchange_matrix(grid, bg, viscosity=a_mid,
+                                 relative_density=True)
     coeff = dt if scheme == "imex1" else ARS_GAMMA * dt
     op = ImexOperator(M, coeff)
     a_constant = problem.coeff.upper == problem.coeff.lower
@@ -197,24 +176,18 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
         return 1.0 + grid.sobolev_norm(A, problem.norm_order) ** 2
 
     def diss_rate(X):
-        nrel = grid.ifft(X[0])
-        mom = grid.ifft(X[1:1 + d])
-        dth = grid.ifft(X[d + 1])
-        dG = grid.ifft(X[d + 2])
+        nrel, mom, dth, dG = unpack_state(grid, X)
         no = problem.norm_order
-        exch = (4.0 * pr.sigma_tilde * pr.theta_bar ** 3 * dth
-                - pr.sigma_a * dG)
-        return (_grad_sq_hk(grid, nrel, max(no - 1, 0)) / d2
-                + sum(_grad_sq_hk(grid, mom[i], no) for i in range(d))
-                + (_grad_sq_hk(grid, dth, no) + _grad_sq_hk(grid, dG, no)
+        exch = bg.emission * dth - pr.sigma_a * dG
+        return (grad_sobolev_sq(grid, nrel, max(no - 1, 0)) / d2
+                + sum(grad_sobolev_sq(grid, mom[i], no) for i in range(d))
+                + (grad_sobolev_sq(grid, dth, no)
+                   + grad_sobolev_sq(grid, dG, no)
                    + grid.sobolev_norm(exch, no) ** 2) / d2)
 
-    X = np.empty((s,) + grid.shape, dtype=np.complex128)
-    X[0] = grid.fft(problem.init_nrel)
-    X[1:1 + d] = grid.fft(problem.init_mom)
-    X[d + 1] = grid.fft(problem.init_dtheta)
-    X[d + 2] = grid.fft(problem.init_drad)
-    X = grid.mask_spectral(X)
+    X = grid.mask_spectral(pack_state(
+        grid, problem.init_nrel, problem.init_mom, problem.init_dtheta,
+        problem.init_drad))
 
     traj = LinearizedTrajectory(dt=dt, norm_order=problem.norm_order,
                                 delta=pr.delta)
@@ -223,10 +196,7 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
     prev = (diss_rate(X), forcing_load(0.0), coeff_load(0.0))
 
     def observe(t):
-        nrel = grid.ifft(X[0])
-        mom = grid.ifft(X[1:1 + d])
-        dth = grid.ifft(X[d + 1])
-        dG = grid.ifft(X[d + 2])
+        nrel, mom, dth, dG = unpack_state(grid, X)
         traj.times.append(t)
         traj.bundles.append(scaled_bundle(grid, mom, nrel, dth, dG,
                                           pr.delta, problem.norm_order))

@@ -13,6 +13,12 @@ perturbation forms around the constant state ``(rho_bar, 0, theta_bar,
 n_bar)`` are provided: the velocity form in ``(rho-rho_bar, u,
 theta-theta_bar, n-n_bar)`` and the momentum form in the relative density
 ``(rho-rho_bar)/rho_bar`` and scaled momentum ``rho*u/rho_bar``.
+
+The constant coefficients of the linear part around the background live in
+one place, :class:`Background`; every solver, right-hand side and
+diagnostic reads them from there.  The ``gap_*`` evaluators below keep
+their own background evaluation: they are the pointwise reference the
+remainders are checked against.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ import numpy as np
 
 __all__ = [
     "ModelError", "ParameterError", "DomainError",
-    "PhysParams", "IdealGasEOS", "CallableEOS", "validate_eos",
+    "PhysParams", "Background", "IdealGasEOS", "CallableEOS", "validate_eos",
     "equilibrium_radiation", "radiation_source",
     "planck_cubic", "planck_split", "thermo_consistency_residual",
     "gap_p_rho", "gap_p_theta", "gap_inv_rho_e_theta", "gap_adiabatic",
@@ -108,6 +114,37 @@ class PhysParams:
     @property
     def lam_bar(self) -> float:
         return self.lam / self.rho_bar
+
+
+@dataclass(frozen=True)
+class Background:
+    """Gas-law and emission coefficients at the background state.
+
+    The state is ``(rho_bar, theta_bar)`` of ``params``.
+
+    These are the constants of the linear part shared by both perturbation
+    forms: the acoustic coupling (weighted by ``1/delta^2``), diffusion and
+    the linearized matter-radiation exchange.  Build with :meth:`of`.
+    """
+
+    params: PhysParams
+    p_rho: float        # P_rho at the background
+    p_theta: float      # P_theta at the background
+    e_theta: float      # e_theta at the background
+    recip: float        # 1/(rho_bar*e_theta), the heat-capacity reciprocal
+    emission: float     # 4*sigma_tilde*theta_bar^3, slope of the emission term
+
+    @classmethod
+    def of(cls, params: PhysParams, eos) -> "Background":
+        pb = params.rho_bar, params.theta_bar
+        e_theta = float(eos.e_theta(*pb))
+        return cls(params, float(eos.p_rho(*pb)), float(eos.p_theta(*pb)),
+                   e_theta, 1.0 / (params.rho_bar * e_theta),
+                   4.0 * params.sigma_tilde * params.theta_bar ** 3)
+
+    @property
+    def delta(self) -> float:
+        return self.params.delta
 
 
 class IdealGasEOS:

@@ -3,14 +3,17 @@
 The stiff linear part of every system here (acoustic coupling, diffusion,
 matter-radiation exchange) is block-diagonal over Fourier modes, so the
 implicit solve is a batched dense solve with one small complex matrix per
-mode, factored once per (matrix, dt) pair.
+mode, factored once per (matrix, dt) pair.  :func:`acoustic_exchange_matrix`
+is the single builder of that linear part: the IMEX solver, the linearized
+probe and the verification right-hand sides all take their symbol from it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SolverError", "acoustic_exchange_matrix", "ImexOperator",
+__all__ = ["SolverError", "acoustic_exchange_matrix", "pack_state",
+           "unpack_state", "ImexOperator",
            "imex_euler_step", "ars222_step", "ARS_GAMMA", "ARS_DHAT"]
 
 # Two-stage, second-order, L-stable IMEX pair (stiff part SDIRK).
@@ -22,23 +25,43 @@ class SolverError(Exception):
     """Implicit factorization or stepping failure."""
 
 
-def acoustic_exchange_matrix(grid, *, cont, grad_n, grad_t, visc_shear,
-                             visc_bulk, div_t, heat_diff, exch_t, exch_g,
-                             rad_diff, rad_t, rad_g):
+def acoustic_exchange_matrix(grid, bg, viscosity=1.0, relative_density=False):
     """Linear symbol of the coupled system at every mode.
 
-    State layout per mode: ``(density-like, velocity-like x dim,
-    temperature-like, radiation-like)``.  The rows are::
+    ``bg`` is the :class:`rhdlab.model.Background` the coefficients come from.
 
-        n_t   = -cont * i k . v
-        v_t   = -grad_n * i k n - grad_t * i k z
-                - visc_shear |k|^2 v - visc_bulk k (k . v)
-        z_t   = -div_t * i k . v - heat_diff |k|^2 z - exch_t z + exch_g g
-        g_t   = rad_t z - rad_diff |k|^2 g - rad_g g
+    State layout per mode: ``(density-like, velocity-like x dim,
+    temperature-like, radiation-like)``.  In the velocity form the density
+    slot holds ``drho`` and the rows are::
+
+        n_t   = -rho_bar * i k . v
+        v_t   = -P_rho/(rho_bar delta^2) * i k n
+                - P_theta/(rho_bar delta^2) * i k z
+                - a mu_bar |k|^2 v - a (mu_bar + lam_bar) k (k . v)
+        z_t   = -theta_bar P_theta recip * i k . v - kappa recip |k|^2 z
+                - emission recip z + sigma_a recip g
+        g_t   = (emission z - nu |k|^2 g - sigma_a g) / delta
+
+    with ``a = viscosity`` and ``recip``, ``emission`` from ``bg``.  With
+    ``relative_density`` the slot holds ``nrel = drho/rho_bar`` (the
+    momentum form), and the symbol is the one above conjugated by
+    ``diag(1/rho_bar, 1, ..., 1)``.
 
     Returns a complex array of shape ``(s, s, *grid.shape)`` with
     ``s = dim + 3``.
     """
+    pr = bg.params
+    d2 = bg.delta ** 2
+    cont = pr.rho_bar
+    grad_n = bg.p_rho / (pr.rho_bar * d2)
+    if relative_density:
+        cont = cont / pr.rho_bar
+        grad_n = grad_n * pr.rho_bar
+    grad_t = bg.p_theta / (pr.rho_bar * d2)
+    visc_shear = pr.mu_bar * viscosity
+    visc_bulk = (pr.mu_bar + pr.lam_bar) * viscosity
+    div_t = pr.theta_bar * bg.p_theta * bg.recip
+
     d = grid.dim
     s = d + 3
     kvec = grid.ik.imag  # Nyquist-zeroed wavenumbers
@@ -52,11 +75,33 @@ def acoustic_exchange_matrix(grid, *, cont, grad_n, grad_t, visc_shear,
             M[1 + i, 1 + j] -= visc_bulk * kvec[i] * kvec[j]
         M[1 + i, 1 + i] -= visc_shear * ksq
         M[d + 1, 1 + i] = -div_t * 1j * kvec[i]
-    M[d + 1, d + 1] = -heat_diff * ksq - exch_t
-    M[d + 1, d + 2] = exch_g + 0j
-    M[d + 2, d + 1] = rad_t + 0j
-    M[d + 2, d + 2] = -rad_diff * ksq - rad_g
+    M[d + 1, d + 1] = -pr.kappa * bg.recip * ksq - bg.emission * bg.recip
+    M[d + 1, d + 2] = pr.sigma_a * bg.recip + 0j
+    M[d + 2, d + 1] = bg.emission / bg.delta + 0j
+    M[d + 2, d + 2] = -pr.nu / bg.delta * ksq - pr.sigma_a / bg.delta
     return M
+
+
+def pack_state(grid, n, v, z, g) -> np.ndarray:
+    """Spectral state ``(s, *grid.shape)`` in the layout of the symbol.
+
+    ``n``, ``z`` and ``g`` are scalar fields, ``v`` a vector field; no
+    dealiasing is applied.
+    """
+    d = grid.dim
+    X = np.empty((d + 3,) + grid.shape, dtype=np.complex128)
+    X[0] = grid.fft(n)
+    X[1:1 + d] = grid.fft(v)
+    X[d + 1] = grid.fft(z)
+    X[d + 2] = grid.fft(g)
+    return X
+
+
+def unpack_state(grid, X: np.ndarray):
+    """Point values ``(n, v, z, g)`` of a state built by :func:`pack_state`."""
+    d = grid.dim
+    return (grid.ifft(X[0]), grid.ifft(X[1:1 + d]), grid.ifft(X[d + 1]),
+            grid.ifft(X[d + 2]))
 
 
 class ImexOperator:

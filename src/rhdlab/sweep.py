@@ -115,9 +115,15 @@ def _reference_velocity(cfg, grid, params, eos, seed):
     return grid.leray_project(state.u)
 
 
-def _run_one_compressible(cfg, grid, params, eos, seed, dt, kind="run"):
+def _prepare(cfg, grid, params, eos, seed):
+    """Well-prepared initial state and its report at ``params.delta``."""
     spec = cfg.build_init_spec(delta=params.delta, seed=seed)
-    state0, init_report = make_well_prepared(spec, grid, params, eos)
+    return make_well_prepared(spec, grid, params, eos)
+
+
+def _run_one_compressible(cfg, grid, params, eos, seed, dt, prepared,
+                          kind="run"):
+    state0, init_report = prepared
     solver_cfg = SolverConfig(
         dt=dt,
         t_end=cfg.getfloat("solver", "t_end"),
@@ -171,7 +177,7 @@ def _traj_summary(traj: Trajectory, init_report, solver_cfg):
     }
 
 
-def run_single(cfg: ExperimentConfig, out_dir, seed=None, threads: int = 1):
+def run_single(cfg: ExperimentConfig, out_dir, seed=None):
     """One experiment: init, compressible run, optional reference, reports.
 
     Writes ``diagnostics.csv`` and ``summary.json`` into ``out_dir``;
@@ -184,12 +190,11 @@ def run_single(cfg: ExperimentConfig, out_dir, seed=None, threads: int = 1):
     eos = cfg.build_eos()
     seed = seed if seed is not None else cfg.getint("init", "seed")
 
-    spec = cfg.build_init_spec(seed=seed)
-    probe_state, _ = make_well_prepared(spec, grid, params, eos)
-    dt = _resolve_dt(cfg, grid, probe_state.u)
+    prepared = _prepare(cfg, grid, params, eos, seed)
+    dt = _resolve_dt(cfg, grid, prepared[0].u)
 
     traj, init_report, solver_cfg = _run_one_compressible(
-        cfg, grid, params, eos, seed, dt)
+        cfg, grid, params, eos, seed, dt, prepared)
     summary = {"kind": "run", "seed": seed}
     if cfg.getbool("solver", "with_reference"):
         ref = _run_reference_traj(cfg, grid, params, eos, seed, dt)
@@ -265,17 +270,17 @@ def run_sweep(cfg: ExperimentConfig, out_dir, seed=None, threads: int = 1):
     # One dt for every member: the split must absorb the 1/delta^2
     # stiffness, so no member may need a smaller step.
     params0 = cfg.build_params(delta=deltas[0])
-    spec0 = cfg.build_init_spec(delta=deltas[0], seed=seed)
-    state0, _ = make_well_prepared(spec0, grid, params0, eos)
-    dt = _resolve_dt(cfg, grid, state0.u)
+    prepared0 = _prepare(cfg, grid, params0, eos, seed)
+    dt = _resolve_dt(cfg, grid, prepared0[0].u)
 
     ref = _run_reference_traj(cfg, grid, params0, eos, seed, dt)
 
     def member(delta):
         params = cfg.build_params(delta=delta)
-        traj, init_report, solver_cfg = _run_one_compressible(
-            cfg, grid, params, eos, seed, dt, kind="run")
-        return traj, init_report, solver_cfg
+        prepared = (prepared0 if delta == deltas[0]
+                    else _prepare(cfg, grid, params, eos, seed))
+        return _run_one_compressible(cfg, grid, params, eos, seed, dt,
+                                     prepared, kind="run")
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -52,6 +52,17 @@ def test_bundle_invariant_under_generator_rescaling(grid):
     assert vals[1] == pytest.approx(vals[0], rel=1e-10)
 
 
+@pytest.mark.parametrize("order", [0, 2, 3])
+def test_grad_sobolev_sq_is_sum_of_derivative_norms(order):
+    # Nyquist content included: the weight must match sobolev_norm's
+    g = SpectralGrid(dim=2, points_per_axis=16, dealias=False)
+    f = np.random.default_rng(order).standard_normal(g.shape)
+    expected = sum(g.sobolev_norm(g.deriv(f, i), order) ** 2
+                   for i in range(g.dim))
+    assert diag.grad_sobolev_sq(g, f, order) == pytest.approx(expected,
+                                                               rel=1e-12)
+
+
 def test_exchange_residual_values(grid):
     params = PhysParams()
     x = grid.grid_points()

@@ -304,3 +304,25 @@ def test_cli_seed_override(tmp_path):
     summary = json.loads((tmp_path / "o" / "summary.json").read_text())
     assert summary["seed"] == 123
     assert summary["init"]["seed"] == 123
+
+
+def test_initial_state_built_once_per_member(tmp_path, monkeypatch):
+    # run: one state; sweep: one per member plus the shared reference
+    import rhdlab.sweep as sweep
+    calls = []
+    real = sweep.make_well_prepared
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].delta)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sweep, "make_well_prepared", counted)
+    cfg = load_config(write_config(tmp_path / "run.ini", SMALL_RUN))
+    cfg.raw["solver"]["t_end"] = "0.004"
+    run_single(cfg, tmp_path / "run")
+    assert len(calls) == 1
+    calls.clear()
+    cfg = load_config(write_config(tmp_path / "sw.ini", SMALL_SWEEP))
+    cfg.raw["solver"]["t_end"] = "0.004"
+    sweep.run_sweep(cfg, tmp_path / "sweep")
+    assert len(calls) == 1 + len(cfg.sweep_deltas())
