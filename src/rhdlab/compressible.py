@@ -1,13 +1,13 @@
 """Time integration of the scaled compressible radiation-hydrodynamics system.
 
-Two formulations of the same dynamics are available: ``primitive`` steps
-``(rho, u, theta, n)`` directly, ``perturbation`` steps the deviations
-``(rho - rho_bar, u, theta - theta_bar, n - n_bar)``.  Both share one IMEX
-split: the constant-coefficient acoustic subsystem (whose pressure gradients
-carry the 1/delta^2 weight), all diffusion, and the linear matter-radiation
-exchange are integrated implicitly with a cached per-mode factorization, so
-the stable time step does not shrink as delta does; advection and every
-nonlinear remainder stay explicit.
+The solver steps the perturbation form: the deviations
+``(rho - rho_bar, u, theta - theta_bar, n - n_bar)`` from the radiative
+equilibrium.  Its IMEX split integrates the constant-coefficient acoustic
+subsystem (whose pressure gradients carry the 1/delta^2 weight), all
+diffusion, and the linear matter-radiation exchange implicitly with a cached
+per-mode factorization, so the stable time step does not shrink as delta
+does; advection and every nonlinear remainder stay explicit.  The time
+schemes come from :data:`rhdlab.steppers.SCHEMES`.
 
 The implicit part is the symbol built by
 :func:`rhdlab.steppers.acoustic_exchange_matrix` from the background
@@ -16,11 +16,12 @@ is that same symbol applied to the state plus the explicit remainders, so
 the identity suite, which checks it against :func:`rhs_primitive`, covers
 the operator the solver factors.
 
-The momentum perturbation form (relative density + scaled momentum) is not
-stepped - one dynamical formulation is enough - but its full right-hand side
-is assembled by :func:`rhs_momentum_form`, with the relative-density symbol
-the linearized probe factors, so the change-of-variables algebra can be
-verified against the primitive equations.
+Neither the primitive equations nor the momentum perturbation form
+(relative density + scaled momentum) is stepped.  :func:`rhs_primitive` is
+the reference the perturbation forms are checked against, and
+:func:`rhs_momentum_form` assembles the momentum form with the
+relative-density symbol the linearized probe factors, so that
+change-of-variables algebra is verified against the primitive equations too.
 """
 
 from __future__ import annotations
@@ -33,20 +34,14 @@ import numpy as np
 from . import model
 from .fields import SpectralGrid
 from .model import Background, PhysParams, DomainError
-from .steppers import (ARS_GAMMA, ImexOperator, SolverError,
-                       acoustic_exchange_matrix, ars222_step, imex_euler_step,
-                       pack_state, unpack_state)
+from .steppers import (SCHEMES, ImexStepper, SolverError,
+                       acoustic_exchange_matrix, pack_state, unpack_state)
 
 __all__ = [
     "SolverConfig", "CompressibleState", "PerturbationState", "Trajectory",
     "StateInvalidError", "CompressibleSolver", "default_dt",
     "rhs_primitive", "rhs_perturbation", "rhs_momentum_form",
 ]
-
-_FORMULATIONS = ("perturbation", "primitive")
-_SCHEMES = ("imex1", "imex2")
-_IMEX_SPLIT = "acoustic+diffusion+exchange"
-
 
 class StateInvalidError(Exception):
     """A state violated positivity or finiteness invariants."""
@@ -56,10 +51,7 @@ class StateInvalidError(Exception):
 class SolverConfig:
     dt: float
     t_end: float
-    formulation: str = "perturbation"
     scheme: str = "imex1"               # "imex2" enables the 2nd-order pair
-    imex_split: str = _IMEX_SPLIT
-    cfl_check: bool = True
     positivity_interval: int = 10       # steps between invariant checks
 
     def __post_init__(self):
@@ -67,13 +59,11 @@ class SolverConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
         if self.t_end < 0:
             raise ValueError(f"t_end must be >= 0, got {self.t_end}")
-        if self.formulation not in _FORMULATIONS:
-            raise ValueError(f"formulation must be one of {_FORMULATIONS}")
-        if self.scheme not in _SCHEMES:
-            raise ValueError(f"scheme must be one of {_SCHEMES}")
-        if self.imex_split != _IMEX_SPLIT:
-            raise ValueError(f"unsupported imex_split {self.imex_split!r}; "
-                             f"only {_IMEX_SPLIT!r} is implemented")
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"scheme must be one of {tuple(SCHEMES)}")
+        if self.positivity_interval < 1:
+            raise ValueError(f"positivity_interval must be >= 1, got "
+                             f"{self.positivity_interval}")
 
 
 @dataclass
@@ -139,10 +129,6 @@ class Trajectory:
     sup_l2_velocity: float = 0.0
     sup_bundle: float = 0.0
 
-    @property
-    def completed(self) -> bool:
-        return self.status == "ok"
-
 
 def default_dt(grid: SpectralGrid, u0: np.ndarray) -> float:
     """Advective step ``0.25*dx / max(1, |u0|_inf)``.
@@ -195,10 +181,6 @@ def _apply_symbol(M, X):
     return np.einsum("ij...,j...->i...", M, X)
 
 
-def _physical(grid, F, mask):
-    return unpack_state(grid, grid.mask_spectral(F) if mask else F)
-
-
 def rhs_primitive(grid: SpectralGrid, state: CompressibleState,
                   params: PhysParams, eos, mask: bool = True):
     """Tendencies ``(rho_t, u_t, theta_t, rad_t)`` of the primitive system.
@@ -244,18 +226,18 @@ def rhs_primitive(grid: SpectralGrid, state: CompressibleState,
 
 
 def rhs_perturbation(grid: SpectralGrid, pert: PerturbationState,
-                     params: PhysParams, eos, mask: bool = True):
+                     params: PhysParams, eos):
     """Tendencies ``(drho_t, u_t, dtheta_t, drad_t)`` of the velocity
     perturbation form: the symbol the IMEX solver factors, applied to the
     state, plus the nonlinear remainders the solver treats explicitly."""
     X = pack_state(grid, pert.drho, pert.u, pert.dtheta, pert.drad)
     M = acoustic_exchange_matrix(grid, Background.of(params, eos))
     F = _apply_symbol(M, X) + _velocity_form_remainders(grid, X, params, eos)
-    return _physical(grid, F, mask)
+    return unpack_state(grid, grid.mask_spectral(F))
 
 
 def rhs_momentum_form(grid: SpectralGrid, nrel, mom, dtheta, drad,
-                      params: PhysParams, eos, mask: bool = True):
+                      params: PhysParams, eos):
     """Tendencies ``(nrel_t, mom_t, dtheta_t, drad_t)`` of the momentum
     perturbation form (relative density, scaled momentum).
 
@@ -291,7 +273,7 @@ def rhs_momentum_form(grid: SpectralGrid, nrel, mom, dtheta, drad,
     F[1:1 + d] += grid.fft(r_mom)
     F[d + 1] += grid.fft(r_temp)
     F[d + 2] += grid.fft(r_rad) / pr.delta
-    return _physical(grid, F, mask)
+    return unpack_state(grid, grid.mask_spectral(F))
 
 
 # -- the IMEX solver ---------------------------------------------------------
@@ -311,11 +293,7 @@ class CompressibleSolver:
         self.config = config
 
         M = acoustic_exchange_matrix(grid, Background.of(params, eos))
-        coeff = config.dt if config.scheme == "imex1" else ARS_GAMMA * config.dt
-        self._op = ImexOperator(M, coeff)
-        self._explicit = (self._explicit_perturbation
-                          if config.formulation == "perturbation"
-                          else self._explicit_primitive)
+        self._stepper = ImexStepper(config.scheme, M, config.dt)
 
     # spectral packing --------------------------------------------------
 
@@ -326,26 +304,14 @@ class CompressibleSolver:
     def unpack(self, X: np.ndarray, time: float) -> PerturbationState:
         return PerturbationState(*unpack_state(self.grid, X), time)
 
-    # explicit tendencies ------------------------------------------------
+    # stepping -------------------------------------------------------------
 
-    def _explicit_perturbation(self, X: np.ndarray) -> np.ndarray:
+    def _explicit(self, X: np.ndarray) -> np.ndarray:
         return self.grid.mask_spectral(
             _velocity_form_remainders(self.grid, X, self.params, self.eos))
 
-    def _explicit_primitive(self, X: np.ndarray) -> np.ndarray:
-        g, pr = self.grid, self.params
-        pert = self.unpack(X, 0.0)
-        state = pert.to_primitive(pr)
-        state.validate(g)
-        F = pack_state(g, *rhs_primitive(g, state, pr, self.eos, mask=False))
-        return g.mask_spectral(F - self._op.apply(X))
-
-    # stepping -------------------------------------------------------------
-
     def step_spectral(self, X: np.ndarray) -> np.ndarray:
-        if self.config.scheme == "imex1":
-            return imex_euler_step(self._op, X, self.config.dt, self._explicit)
-        return ars222_step(self._op, X, self.config.dt, self._explicit)
+        return self._stepper.step(X, self._explicit)
 
     def run(self, state0, cadence: int = 10,
             observer: Optional[Callable] = None,
@@ -370,9 +336,8 @@ class CompressibleSolver:
         t = pert.time
         last_valid = t
 
-        def observe(Xs, ts):
-            p = self.unpack(Xs, ts)
-            traj.times.append(ts)
+        def observe(p):
+            traj.times.append(p.time)
             if snapshot_velocity:
                 traj.u_snapshots.append(p.u.copy())
             l2 = grid.sobolev_norm
@@ -388,32 +353,35 @@ class CompressibleSolver:
                 traj.records.append(rec)
                 traj.sup_bundle = max(traj.sup_bundle,
                                       getattr(rec, "bundle_sup", 0.0))
-            return p
 
-        def check_invariants(Xs, ts):
-            p = self.unpack(Xs, ts)
+        def check_invariants(p):
             prim = p.to_primitive(self.params)
             prim.validate(grid)
-            if cfg.cfl_check:
-                bound = default_dt(grid, prim.u)
-                if cfg.dt > 4.0 * bound:
-                    raise StateInvalidError(
-                        f"dt={cfg.dt} exceeds 4x advective bound {bound:.3e}")
+            bound = default_dt(grid, prim.u)
+            if cfg.dt > 4.0 * bound:
+                raise StateInvalidError(
+                    f"dt={cfg.dt} exceeds 4x advective bound {bound:.3e}")
 
+        # point values of X, unpacked at most once per state
+        p = self.unpack(X, t)
         try:
-            check_invariants(X, t)
-            observe(X, t)
+            check_invariants(p)
+            observe(p)
             for istep in range(1, nsteps + 1):
                 X = self.step_spectral(X)
                 t = pert.time + istep * cfg.dt
-                if istep % max(1, cfg.positivity_interval) == 0 or istep == nsteps:
-                    check_invariants(X, t)
+                last = istep == nsteps
+                check = istep % cfg.positivity_interval == 0 or last
+                seen = istep % max(1, cadence) == 0 or last
+                p = self.unpack(X, t) if check or seen else None
+                if check:
+                    check_invariants(p)
                 last_valid = t
-                if istep % max(1, cadence) == 0 or istep == nsteps:
-                    observe(X, t)
+                if seen:
+                    observe(p)
         except (StateInvalidError, SolverError, DomainError) as exc:
             traj.status = "aborted"
             traj.abort_reason = str(exc)
             traj.abort_time = last_valid
-        traj.final_state = self.unpack(X, t)
+        traj.final_state = p if p is not None else self.unpack(X, t)
         return traj

@@ -64,10 +64,7 @@ _SCHEMA = {
     "solver": {
         "dt": ("auto", "time step; 'auto' uses 0.25*dx/max(1, |u0|)"),
         "t_end": ("0.5", "final time"),
-        "formulation": ("perturbation", "'perturbation' or 'primitive'"),
         "scheme": ("imex1", "'imex1' (first order) or 'imex2' (second order)"),
-        "imex_split": ("acoustic+diffusion+exchange", "implicit term set"),
-        "cfl_check": ("true", "abort when dt exceeds 4x the advective bound"),
         "with_reference": ("false", "also run the incompressible reference"),
         "ns_scheme": ("cn", "reference diffusion: 'cn' or 'be'"),
     },
@@ -129,6 +126,19 @@ class ExperimentConfig:
             return float(val)
         except (TypeError, ValueError):
             raise ConfigError(f"{section}.{key}: expected number, got {val!r}") from None
+
+    def getpositive(self, section, key) -> float:
+        val = self.getfloat(section, key)
+        if not val > 0.0:
+            raise ConfigError(f"{section}.{key} must be positive, got {val}")
+        return val
+
+    def getchoice(self, section, key, choices) -> str:
+        val = self.getstr(section, key)
+        if val not in choices:
+            raise ConfigError(f"{section}.{key}: expected one of "
+                              f"{', '.join(choices)}, got {val!r}")
+        return val
 
     def getbool(self, section, key) -> bool:
         val = str(self._get(section, key)).strip().lower()

@@ -122,11 +122,6 @@ class SpectralGrid:
         """Laplacian of a scalar or vector field."""
         return self.ifft(-self.ksq * self.fft(f))
 
-    def grad_div(self, v: np.ndarray) -> np.ndarray:
-        """Gradient of the divergence of a vector field."""
-        dhat = np.sum(self.ik * self.fft(v), axis=0)
-        return self.ifft(self.ik * dhat[np.newaxis])
-
     def jacobian(self, v: np.ndarray) -> np.ndarray:
         """All first derivatives of a vector field; ``jac[i, j] = d v_i / d x_j``."""
         vhat = self.fft(v)
@@ -227,13 +222,19 @@ def load_field(path):
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
             raise ValueError(f"{path}: not a field snapshot (bad magic)")
-        header = fh.readline().decode("ascii").strip()
-        meta = {}
-        for item in header.split():
-            key, val = item.split("=")
-            meta[key] = float(val) if key == "extent" else int(val)
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    shape = (meta["n"],) * meta["dim"]
-    if meta["ncomp"] > 1:
-        shape = (meta["ncomp"],) + shape
-    return data.reshape(shape).copy(), meta
+        header = fh.readline().decode("ascii", "replace").strip()
+        payload = fh.read()
+    try:
+        meta = {key: float(val) if key == "extent" else int(val)
+                for key, val in (item.split("=") for item in header.split())}
+        shape = (meta["n"],) * meta["dim"]
+        if meta["ncomp"] > 1:
+            shape = (meta["ncomp"],) + shape
+    except (ValueError, KeyError) as exc:
+        raise ValueError(f"{path}: malformed header {header!r}: "
+                         f"{type(exc).__name__} {exc}") from None
+    expected = int(np.prod(shape))
+    if len(payload) != 8 * expected:
+        raise ValueError(f"{path}: payload holds {len(payload) / 8:g} float64 "
+                         f"values, expected {expected}")
+    return np.frombuffer(payload, dtype="<f8").reshape(shape).copy(), meta

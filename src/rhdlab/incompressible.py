@@ -19,7 +19,7 @@ from .fields import SpectralGrid
 __all__ = ["IncompressibleSolver", "IncompressibleTrajectory",
            "taylor_green_velocity", "taylor_green_pressure"]
 
-_SCHEMES = ("cn", "be")
+SCHEMES = ("cn", "be")
 
 
 @dataclass
@@ -39,8 +39,8 @@ class IncompressibleSolver:
                  scheme: str = "cn"):
         if mu_bar < 0:
             raise ValueError("mu_bar must be >= 0")
-        if scheme not in _SCHEMES:
-            raise ValueError(f"scheme must be one of {_SCHEMES}")
+        if scheme not in SCHEMES:
+            raise ValueError(f"scheme must be one of {SCHEMES}")
         self.grid = grid
         self.mu_bar = float(mu_bar)
         self.rho_bar = float(rho_bar)

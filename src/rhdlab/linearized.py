@@ -28,8 +28,8 @@ import numpy as np
 from .diagnostics import grad_sobolev_sq, scaled_bundle
 from .fields import SpectralGrid
 from .model import Background, DomainError, PhysParams
-from .steppers import (ARS_GAMMA, ImexOperator, acoustic_exchange_matrix,
-                       ars222_step, imex_euler_step, pack_state, unpack_state)
+from .steppers import (SCHEMES, ImexStepper, acoustic_exchange_matrix,
+                       pack_state, unpack_state)
 
 __all__ = ["CoefficientField", "constant_coefficient", "standing_wave",
            "LinearizedProblem", "LinearizedTrajectory", "solve_linearized",
@@ -120,7 +120,7 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
     """
     if dt <= 0:
         raise DomainError("dt must be positive")
-    if scheme not in ("imex1", "imex2"):
+    if scheme not in SCHEMES:
         raise DomainError(f"unknown scheme {scheme!r}")
     pr = params
     d = grid.dim
@@ -130,8 +130,7 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
     a_mid = problem.coeff.midpoint
     M = acoustic_exchange_matrix(grid, bg, viscosity=a_mid,
                                  relative_density=True)
-    coeff = dt if scheme == "imex1" else ARS_GAMMA * dt
-    op = ImexOperator(M, coeff)
+    stepper = ImexStepper(scheme, M, dt)
     a_constant = problem.coeff.upper == problem.coeff.lower
 
     def explicit_at(t):
@@ -210,10 +209,7 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
     for istep in range(1, nsteps + 1):
         t0 = (istep - 1) * dt
         t1 = istep * dt
-        if scheme == "imex1":
-            X = imex_euler_step(op, X, dt, explicit_at(t0))
-        else:
-            X = ars222_step(op, X, dt, explicit_at(t0))
+        X = stepper.step(X, explicit_at(t0))
         cur = (diss_rate(X), forcing_load(t1), coeff_load(t1))
         cum_d += 0.5 * dt * (prev[0] + cur[0])
         cum_f += 0.5 * dt * (prev[1] + cur[1])

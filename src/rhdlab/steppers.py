@@ -6,6 +6,8 @@ implicit solve is a batched dense solve with one small complex matrix per
 mode, factored once per (matrix, dt) pair.  :func:`acoustic_exchange_matrix`
 is the single builder of that linear part: the IMEX solver, the linearized
 probe and the verification right-hand sides all take their symbol from it.
+:data:`SCHEMES` is the single table of time schemes, and :class:`ImexStepper`
+factors a symbol for the scheme it is given.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["SolverError", "acoustic_exchange_matrix", "pack_state",
-           "unpack_state", "ImexOperator",
+           "unpack_state", "ImexOperator", "ImexStepper", "SCHEMES",
            "imex_euler_step", "ars222_step", "ARS_GAMMA", "ARS_DHAT"]
 
 # Two-stage, second-order, L-stable IMEX pair (stiff part SDIRK).
@@ -150,3 +152,25 @@ def ars222_step(op: ImexOperator, X, dt, explicit_fn):
     rhs = (X + dt * (ARS_DHAT * n1 + (1.0 - ARS_DHAT) * n2)
            + dt * (1.0 - ARS_GAMMA) * op.apply(y))
     return op.solve(rhs)
+
+
+# Scheme name -> (implicit coefficient in units of dt, step).  A step looks its
+# function up in the module on each call, so a wrapper bound to the module
+# attribute (a profiler's, say) sees every step.
+SCHEMES = {
+    "imex1": (1.0, lambda *args: imex_euler_step(*args)),
+    "imex2": (ARS_GAMMA, lambda *args: ars222_step(*args)),
+}
+
+
+class ImexStepper:
+    """The scheme ``SCHEMES[scheme]`` at ``dt`` for the symbol ``M``; ``op``
+    is ``M`` factored at the scheme's implicit coefficient."""
+
+    def __init__(self, scheme: str, M: np.ndarray, dt: float):
+        gamma, self._step = SCHEMES[scheme]
+        self.dt = dt
+        self.op = ImexOperator(M, gamma * dt)
+
+    def step(self, X: np.ndarray, explicit_fn) -> np.ndarray:
+        return self._step(self.op, X, self.dt, explicit_fn)

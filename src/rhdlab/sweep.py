@@ -22,11 +22,11 @@ from .compressible import (CompressibleSolver, SolverConfig, Trajectory,
                            default_dt)
 from .config import ConfigError, ExperimentConfig, dump_config_text
 from .fields import save_field
-from .incompressible import IncompressibleSolver
-from .initial import InitSpec, make_well_prepared
+from .incompressible import SCHEMES as NS_SCHEMES, IncompressibleSolver
+from .initial import InitSpec, make_well_prepared, random_band_scalar
 from .linearized import (LinearizedProblem, check_estimate,
                          constant_coefficient, solve_linearized, standing_wave)
-from .initial import random_band_scalar
+from .steppers import SCHEMES
 
 __all__ = ["RateFit", "fit_rate", "run_single", "run_reference", "run_sweep",
            "run_linearized_probe", "write_diagnostics_csv", "RunError"]
@@ -93,10 +93,9 @@ def _write_json(path, payload):
 
 
 def _resolve_dt(cfg: ExperimentConfig, grid, u0) -> float:
-    raw = cfg.getstr("solver", "dt")
-    if raw == "auto":
+    if cfg.getstr("solver", "dt") == "auto":
         return default_dt(grid, u0)
-    return cfg.getfloat("solver", "dt")
+    return cfg.getpositive("solver", "dt")
 
 
 def _reference_velocity(cfg, grid, params, eos, seed):
@@ -127,10 +126,7 @@ def _run_one_compressible(cfg, grid, params, eos, seed, dt, prepared,
     solver_cfg = SolverConfig(
         dt=dt,
         t_end=cfg.getfloat("solver", "t_end"),
-        formulation=cfg.getstr("solver", "formulation"),
-        scheme=cfg.getstr("solver", "scheme"),
-        imex_split=cfg.getstr("solver", "imex_split"),
-        cfl_check=cfg.getbool("solver", "cfl_check"))
+        scheme=cfg.getchoice("solver", "scheme", SCHEMES))
     solver = CompressibleSolver(grid, params, eos, solver_cfg)
     collector = diag.Collector(grid, params, eos,
                                order=cfg.getint("diagnostics", "order"),
@@ -144,7 +140,8 @@ def _run_one_compressible(cfg, grid, params, eos, seed, dt, prepared,
 def _run_reference_traj(cfg, grid, params, eos, seed, dt):
     u0 = _reference_velocity(cfg, grid, params, eos, seed)
     ns = IncompressibleSolver(grid, params.mu_bar, params.rho_bar,
-                              scheme=cfg.getstr("solver", "ns_scheme"))
+                              scheme=cfg.getchoice("solver", "ns_scheme",
+                                                   NS_SCHEMES))
     return ns.run(u0, dt, cfg.getfloat("solver", "t_end"),
                   cadence=cfg.output_cadence())
 
@@ -171,9 +168,10 @@ def _traj_summary(traj: Trajectory, init_report, solver_cfg):
         "sup_l2_velocity": traj.sup_l2_velocity,
         "sup_bundle": traj.sup_bundle,
         "init": init_report,
-        "solver": {"formulation": solver_cfg.formulation,
+        # fixed values, kept because they describe the method that ran
+        "solver": {"formulation": "perturbation",
                    "scheme": solver_cfg.scheme,
-                   "imex_split": solver_cfg.imex_split},
+                   "imex_split": "acoustic+diffusion+exchange"},
     }
 
 
@@ -193,11 +191,12 @@ def run_single(cfg: ExperimentConfig, out_dir, seed=None):
     prepared = _prepare(cfg, grid, params, eos, seed)
     dt = _resolve_dt(cfg, grid, prepared[0].u)
 
+    ref = (_run_reference_traj(cfg, grid, params, eos, seed, dt)
+           if cfg.getbool("solver", "with_reference") else None)
     traj, init_report, solver_cfg = _run_one_compressible(
         cfg, grid, params, eos, seed, dt, prepared)
     summary = {"kind": "run", "seed": seed}
-    if cfg.getbool("solver", "with_reference"):
-        ref = _run_reference_traj(cfg, grid, params, eos, seed, dt)
+    if ref is not None:
         errs = _attach_ref_errors(traj, ref, grid)
         summary["ref_error"] = {"sup_L2": errs.sup_l2, "sup_H1": errs.sup_h1}
     summary.update(_traj_summary(traj, init_report, solver_cfg))
@@ -340,6 +339,7 @@ def run_linearized_probe(cfg: ExperimentConfig, out_dir, seed=None):
     c0 = cfg.getfloat("linearized", "c0")
     norm_order = cfg.getint("linearized", "norm_order")
     names = [f.strip() for f in cfg.getstr("linearized", "families").split(",")]
+    dt = cfg.getpositive("linearized", "dt")
 
     def family(name):
         if name == "constant":
@@ -365,8 +365,7 @@ def run_linearized_probe(cfg: ExperimentConfig, out_dir, seed=None):
                 init_drad=np.sqrt(delta) * amp * shapes[2 + grid.dim],
                 horizon=cfg.getfloat("linearized", "t_end"),
                 norm_order=norm_order)
-            traj = solve_linearized(grid, problem, params, eos,
-                                    dt=cfg.getfloat("linearized", "dt"))
+            traj = solve_linearized(grid, problem, params, eos, dt=dt)
             rep = check_estimate(traj, c0=c0)
             constants[delta] = rep.constant
             records.append(diag.DiagnosticsRecord(

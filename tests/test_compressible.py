@@ -45,11 +45,10 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(dt=-1.0, t_end=1.0)
     with pytest.raises(ValueError):
-        SolverConfig(dt=0.1, t_end=1.0, formulation="spectral")
-    with pytest.raises(ValueError):
         SolverConfig(dt=0.1, t_end=1.0, scheme="rk4")
-    with pytest.raises(ValueError):
-        SolverConfig(dt=0.1, t_end=1.0, imex_split="everything")
+    for interval in (0, -3):
+        with pytest.raises(ValueError, match="positivity_interval"):
+            SolverConfig(dt=0.1, t_end=1.0, positivity_interval=interval)
 
 
 def test_state_validation(grid):
@@ -122,12 +121,10 @@ def test_reformulation_equivalences(grid, background):
 
 
 @pytest.mark.parametrize("scheme", ["imex1", "imex2"])
-@pytest.mark.parametrize("formulation", ["perturbation", "primitive"])
-def test_equilibrium_fixed_point(grid, scheme, formulation):
+def test_equilibrium_fixed_point(grid, scheme):
     params = PhysParams(delta=0.05)
     solver = CompressibleSolver(grid, params, EOS,
                                 SolverConfig(dt=0.01, t_end=1.0,
-                                             formulation=formulation,
                                              scheme=scheme))
     traj = solver.run(equilibrium_state(grid, params), cadence=100)
     assert traj.status == "ok"
@@ -147,28 +144,6 @@ def test_mass_conservation(grid):
     traj = solver.run(st, cadence=10)
     mass1 = grid.integral(traj.final_state.to_primitive(params).rho)
     assert abs(mass1 - mass0) < 1e-12 * mass0
-
-
-def test_formulation_equivalence_over_unit_horizon(grid):
-    # both formulations discretize the same dynamics: trajectories from the
-    # same data stay within 1e-8 in max norm over t in [0, 1]
-    params = PhysParams(delta=0.1)
-    st, _ = make_well_prepared(InitSpec(budget=0.5, delta=0.1, seed=11),
-                               grid, params, EOS)
-    trajs = {}
-    for form in ("perturbation", "primitive"):
-        solver = CompressibleSolver(grid, params, EOS,
-                                    SolverConfig(dt=1e-3, t_end=1.0,
-                                                 formulation=form))
-        trajs[form] = solver.run(st, cadence=100)
-    worst = 0.0
-    for ua, ub in zip(trajs["perturbation"].u_snapshots,
-                      trajs["primitive"].u_snapshots):
-        worst = max(worst, np.max(np.abs(ua - ub)))
-    fa, fb = trajs["perturbation"].final_state, trajs["primitive"].final_state
-    for a, b in ((fa.drho, fb.drho), (fa.dtheta, fb.dtheta), (fa.drad, fb.drad)):
-        worst = max(worst, np.max(np.abs(a - b)))
-    assert worst < 1e-8
 
 
 def test_delta_uniform_stability(grid):
@@ -217,25 +192,25 @@ def test_operator_amplification_all_modes(grid):
     params = PhysParams(delta=0.05)
     dt = 10.0 * params.delta * grid.dx
     solver = CompressibleSolver(grid, params, EOS,
-                                SolverConfig(dt=dt, t_end=dt, cfl_check=False))
-    eigs = np.linalg.eigvals(solver._op._inv)
+                                SolverConfig(dt=dt, t_end=dt))
+    eigs = np.linalg.eigvals(solver._stepper.op._inv)
     assert np.max(np.abs(eigs)) <= 1.0 + 1e-12
 
 
 def test_linearized_operator_matches_momentum_form(grid, monkeypatch):
     # the symbol the linearized probe factors is the linear part of the
     # momentum form: on data of size 1e-7 the remainders are 1e-7 relative
-    from rhdlab import linearized
+    from rhdlab import linearized, steppers
 
     params = PhysParams.equilibrium(delta=0.1, **OFF_UNIT)
     ops = []
 
-    class RecordingOperator(linearized.ImexOperator):
+    class RecordingOperator(steppers.ImexOperator):
         def __init__(self, M, coeff):
             super().__init__(M, coeff)
             ops.append(self)
 
-    monkeypatch.setattr(linearized, "ImexOperator", RecordingOperator)
+    monkeypatch.setattr(steppers, "ImexOperator", RecordingOperator)
     st = smooth_state(grid, params, seed=4, amp=1e-7)
     nrel = (st.rho - params.rho_bar) / params.rho_bar
     mom = st.rho * st.u / params.rho_bar
@@ -321,12 +296,36 @@ def test_run_aborts_and_reports_last_valid_time(grid):
                              np.zeros(grid.shape), np.zeros(grid.shape))
     solver = CompressibleSolver(grid, params, EOS,
                                 SolverConfig(dt=0.05, t_end=1.0,
-                                             positivity_interval=1,
-                                             cfl_check=True))
+                                             positivity_interval=1))
     traj = solver.run(pert, cadence=1)
     assert traj.status == "aborted"
     assert traj.abort_time is not None
     assert "advective" in traj.abort_reason
+
+
+def test_run_unpacks_each_state_once(grid):
+    # checking and observing the same step share one unpacked state, and the
+    # final state reuses the last one
+    params = PhysParams(delta=0.1)
+    st, _ = make_well_prepared(InitSpec(budget=0.5, delta=0.1, seed=2),
+                               grid, params, EOS)
+    nsteps = 5
+    solver = CompressibleSolver(grid, params, EOS,
+                                SolverConfig(dt=1e-3, t_end=nsteps * 1e-3,
+                                             positivity_interval=1))
+    calls = [0]
+    unpack = solver.unpack
+
+    def counted(X, time):
+        calls[0] += 1
+        return unpack(X, time)
+
+    solver.unpack = counted
+    traj = solver.run(st, cadence=1)
+    assert traj.status == "ok"
+    assert len(traj.times) == nsteps + 1
+    assert calls[0] == nsteps + 1
+    assert traj.final_state.time == pytest.approx(nsteps * 1e-3)
 
 
 def test_bundle_stays_bounded_by_initial(grid):

@@ -127,6 +127,28 @@ def test_snapshot_roundtrip(tmp_path, grid):
     np.testing.assert_array_equal(back, s)
 
 
+def test_truncated_snapshot_names_file_and_counts(tmp_path, grid):
+    path = tmp_path / "cut.dat"
+    save_field(path, band_limited(grid, 17), grid)
+    path.write_bytes(path.read_bytes()[:-100])
+    expected = grid.n ** grid.dim
+    with pytest.raises(ValueError) as err:
+        load_field(path)
+    msg = str(err.value)
+    assert str(path) in msg and str(expected) in msg
+    assert f"{expected - 12.5:g}" in msg
+
+
+def test_snapshot_header_missing_key_names_file(tmp_path, grid):
+    path = tmp_path / "nohdr.dat"
+    save_field(path, band_limited(grid, 18), grid)
+    raw = path.read_bytes()
+    path.write_bytes(raw.replace(b" ncomp=1", b"", 1))
+    with pytest.raises(ValueError, match="ncomp") as err:
+        load_field(path)
+    assert str(path) in str(err.value)
+
+
 def test_operations_do_not_mutate(grid):
     f = band_limited(grid, 16)
     f0 = f.copy()

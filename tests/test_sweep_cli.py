@@ -188,6 +188,18 @@ def test_cli_exit_codes_and_commands(tmp_path, capsys):
     assert cli_main(["run", "--config", bad]) == 2
     assert "solver.dt" in capsys.readouterr().err
 
+    # out-of-range solver and probe values are usage errors naming the key
+    for command, body, key in [
+            ("run", "[solver]\nscheme = rk4\n", "solver.scheme"),
+            ("run", "[solver]\ndt = -1\n", "solver.dt"),
+            ("run", "[solver]\nt_end = 0.004\nwith_reference = true\n"
+                    "ns_scheme = rk4\n", "solver.ns_scheme"),
+            ("linearized", "[linearized]\ndt = -1\n", "linearized.dt")]:
+        cfg = write_config(tmp_path / "range.ini", body)
+        assert cli_main([command, "--config", cfg,
+                         "--out", str(tmp_path / "range")]) == 2, key
+        assert key in capsys.readouterr().err
+
     # sweep without sweep.deltas is a usage error naming the key
     empty = write_config(tmp_path / "empty.ini", "[output]\ncadence = 5\n")
     assert cli_main(["sweep", "--config", empty]) == 2
@@ -206,6 +218,18 @@ def test_cli_exit_codes_and_commands(tmp_path, capsys):
     assert cli_main(["fit", str(pts)]) == 0
     fit = json.loads(capsys.readouterr().out)
     assert fit["slope"] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("formulation", "perturbation"),
+    ("imex_split", "acoustic+diffusion+exchange"),
+    ("cfl_check", "true")])
+def test_removed_solver_keys_are_rejected(tmp_path, capsys, key, value):
+    # the stepping formulation, the implicit term set and the advective-bound
+    # switch are no longer options: a file that sets one fails to load
+    cfg = write_config(tmp_path / "old.ini", f"[solver]\n{key} = {value}\n")
+    assert cli_main(["run", "--config", cfg]) == 2
+    assert f"solver.{key}" in capsys.readouterr().err
 
 
 SMALL_SWEEP = """
