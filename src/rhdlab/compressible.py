@@ -35,7 +35,8 @@ from . import model
 from .fields import SpectralGrid
 from .model import Background, PhysParams, DomainError
 from .steppers import (SCHEMES, ImexStepper, SolverError,
-                       acoustic_exchange_matrix, pack_state, unpack_state)
+                       acoustic_exchange_matrix, field_sums, pack_state,
+                       unpack_state)
 
 __all__ = [
     "SolverConfig", "CompressibleState", "PerturbationState", "Trajectory",
@@ -336,16 +337,15 @@ class CompressibleSolver:
         t = pert.time
         last_valid = t
 
-        def observe(p):
+        def observe(p, X):
             traj.times.append(p.time)
             if snapshot_velocity:
                 traj.u_snapshots.append(p.u.copy())
-            l2 = grid.sobolev_norm
-            drho_l2, dth_l2 = l2(p.drho, 0), l2(p.dtheta, 0)
+            n, v, z, g = np.sqrt(field_sums(grid.norm_sq(X), grid.dim))
             traj.sup_l2_density_temperature = max(
-                traj.sup_l2_density_temperature, drho_l2 + dth_l2)
-            traj.sup_l2_radiation = max(traj.sup_l2_radiation, l2(p.drad, 0))
-            traj.sup_l2_velocity = max(traj.sup_l2_velocity, l2(p.u, 0))
+                traj.sup_l2_density_temperature, n + z)
+            traj.sup_l2_radiation = max(traj.sup_l2_radiation, g)
+            traj.sup_l2_velocity = max(traj.sup_l2_velocity, v)
             if np.min(self.params.n_bar + p.drad) < 0.0:
                 traj.negative_radiation_points += 1
             if observer is not None:
@@ -366,7 +366,7 @@ class CompressibleSolver:
         p = self.unpack(X, t)
         try:
             check_invariants(p)
-            observe(p)
+            observe(p, X)
             for istep in range(1, nsteps + 1):
                 X = self.step_spectral(X)
                 t = pert.time + istep * cfg.dt
@@ -378,7 +378,7 @@ class CompressibleSolver:
                     check_invariants(p)
                 last_valid = t
                 if seen:
-                    observe(p)
+                    observe(p, X)
         except (StateInvalidError, SolverError, DomainError) as exc:
             traj.status = "aborted"
             traj.abort_reason = str(exc)

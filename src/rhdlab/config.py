@@ -127,10 +127,16 @@ class ExperimentConfig:
         except (TypeError, ValueError):
             raise ConfigError(f"{section}.{key}: expected number, got {val!r}") from None
 
-    def getpositive(self, section, key) -> float:
-        val = self.getfloat(section, key)
-        if not val > 0.0:
+    def getpositive(self, section, key, integer: bool = False):
+        val = (self.getint if integer else self.getfloat)(section, key)
+        if not val > 0:
             raise ConfigError(f"{section}.{key} must be positive, got {val}")
+        return val
+
+    def getnonnegative(self, section, key, integer: bool = False):
+        val = (self.getint if integer else self.getfloat)(section, key)
+        if not val >= 0:
+            raise ConfigError(f"{section}.{key} must be >= 0, got {val}")
         return val
 
     def getchoice(self, section, key, choices) -> str:
@@ -215,10 +221,7 @@ class ExperimentConfig:
             raise ConfigError(f"init: {exc}") from None
 
     def output_cadence(self) -> int:
-        cadence = self.getint("output", "cadence")
-        if cadence <= 0:
-            raise ConfigError(f"output.cadence must be positive, got {cadence}")
-        return cadence
+        return self.getpositive("output", "cadence", integer=True)
 
     def sweep_deltas(self):
         if "deltas" not in self.raw.get("sweep", {}) or \

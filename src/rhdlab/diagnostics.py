@@ -17,12 +17,13 @@ from typing import Optional
 import numpy as np
 
 from .fields import SpectralGrid
-from .model import Background, DomainError, PhysParams, planck_split
+from .model import Background, DomainError, PhysParams, planck_linear
+from .steppers import field_sums, pack_state
 
 __all__ = [
     "DiagnosticsRecord", "Collector", "CadenceMismatchError",
     "scaled_bundle", "energy_functional", "exchange_residual",
-    "velocity_density_cross_term", "grad_sobolev_sq",
+    "velocity_density_cross_term", "grad_sobolev_sq", "bundle_factors",
     "compare_to_reference", "RefErrorSeries",
     "energy_dissipation_probe", "cross_term_probe", "ProbeResult",
 ]
@@ -60,7 +61,43 @@ class DiagnosticsRecord:
         return ["%.17g" % v for v in vals] + [str(self.seed), self.kind]
 
 
-# -- pointwise functionals ---------------------------------------------------
+# -- functionals of the packed state (Parseval sums) --------------------------
+
+def bundle_factors(dim: int, delta: float) -> np.ndarray:
+    """Per-slot factors of the scaled bundle on a packed ``(n, v, z, g)``
+    state: 1 on velocity, 1/delta^2 on density and temperature, 1/delta on
+    radiation."""
+    return np.array([1.0 / delta ** 2] + [1.0] * dim
+                    + [1.0 / delta ** 2, 1.0 / delta])
+
+
+def _energy_factors(dim, params, eos, delta):
+    pr, bg = params, Background.of(params, eos)
+    return np.array([bg.p_rho / (pr.rho_bar ** 2 * delta ** 2)] + [1.0] * dim
+                    + [bg.e_theta / (pr.theta_bar * delta ** 2),
+                       pr.sigma_a / (4.0 * pr.sigma_tilde * delta * pr.rho_bar
+                                     * pr.theta_bar ** 4)])
+
+
+def _dissipation_factors(pr):
+    """Weights of the velocity, temperature and radiation gradient norms and
+    of the squared exchange residual in the a priori dissipation."""
+    heat = 4.0 * pr.sigma_tilde * pr.rho_bar * pr.theta_bar ** 4 * pr.delta ** 2
+    return np.array([pr.mu / pr.rho_bar,
+                     pr.kappa / (pr.rho_bar * pr.theta_bar * pr.delta ** 2),
+                     pr.nu * pr.sigma_a / heat, 1.0 / heat])
+
+
+def _cross_weight(grid, order):
+    return sum((grid.ksq ** k for k in range(order)), np.zeros(grid.shape))
+
+
+def _cross(grid, rhat, uhat, weight):
+    """:func:`velocity_density_cross_term` from transformed fields."""
+    pair = np.sum(np.conj(uhat) * (grid.ik * rhat), axis=0).real
+    return float(grid.volume / float(grid.n ** grid.dim) ** 2
+                 * np.sum(weight * pair))
+
 
 def scaled_bundle(grid: SpectralGrid, u, drho, dtheta, drad, delta: float,
                   order: int = 3) -> float:
@@ -68,10 +105,9 @@ def scaled_bundle(grid: SpectralGrid, u, drho, dtheta, drad, delta: float,
     1/delta)."""
     if order < 0:
         raise DomainError("order must be >= 0")
-    n = grid.sobolev_norm
-    return (n(u, order) ** 2
-            + (n(drho, order) ** 2 + n(dtheta, order) ** 2) / delta ** 2
-            + n(drad, order) ** 2 / delta)
+    X = pack_state(grid, drho, u, dtheta, drad)
+    return float(bundle_factors(grid.dim, delta)
+                 @ grid.norm_sq(X, grid.sobolev_weight(order)))
 
 
 def grad_sobolev_sq(grid: SpectralGrid, f, order: int) -> float:
@@ -81,9 +117,8 @@ def grad_sobolev_sq(grid: SpectralGrid, f, order: int) -> float:
     Nyquist-zeroed ``|k|^2`` and the norm's full one, so the value equals
     the sum of ``grid.sobolev_norm(grid.deriv(f, i), order)**2``.
     """
-    chat = grid.coeffs(f)
-    w = grid.ksq * (1.0 + grid.ksq_full) ** order
-    return float(grid.volume * np.sum(w * np.abs(chat) ** 2))
+    w = grid.ksq * grid.sobolev_weight(order)
+    return float(np.sum(grid.norm_sq(grid.fft(f), w)))
 
 
 def velocity_density_cross_term(grid: SpectralGrid, u, drho,
@@ -94,13 +129,8 @@ def velocity_density_cross_term(grid: SpectralGrid, u, drho,
     pairing contracts every velocity component with the matching gradient
     component of the density perturbation.
     """
-    uhat = grid.coeffs(u)
-    rhat = grid.coeffs(drho)
-    w = np.zeros(grid.shape)
-    for k in range(order):
-        w += grid.ksq ** k
-    pair = np.sum(np.conj(uhat) * (grid.ik * rhat[np.newaxis]), axis=0)
-    return float(grid.volume * np.sum(w * pair.real))
+    return _cross(grid, grid.fft(drho), grid.fft(u),
+                  _cross_weight(grid, order))
 
 
 def energy_functional(grid: SpectralGrid, u, drho, dtheta, drad, delta: float,
@@ -116,24 +146,17 @@ def energy_functional(grid: SpectralGrid, u, drho, dtheta, drad, delta: float,
         raise DomainError(f"beta must lie in [0, 1], got {beta}")
     if order < 0:
         raise DomainError("order must be >= 0")
-    bg = Background.of(params, eos)
-    w_rho = bg.p_rho / (params.rho_bar ** 2 * delta ** 2)
-    w_theta = bg.e_theta / (params.theta_bar * delta ** 2)
-    w_rad = params.sigma_a / (4.0 * params.sigma_tilde * delta
-                              * params.rho_bar * params.theta_bar ** 4)
-    n = grid.sobolev_norm
-    return (n(u, order) ** 2
-            + beta * velocity_density_cross_term(grid, u, drho, order)
-            + w_rho * n(drho, order) ** 2
-            + w_theta * n(dtheta, order) ** 2
-            + w_rad * n(drad, order) ** 2)
+    X = pack_state(grid, drho, u, dtheta, drad)
+    d = grid.dim
+    return (float(_energy_factors(d, params, eos, delta)
+                  @ grid.norm_sq(X, grid.sobolev_weight(order)))
+            + beta * _cross(grid, X[0], X[1:1 + d], _cross_weight(grid, order)))
 
 
 def exchange_residual(grid: SpectralGrid, dtheta, drad, order: int,
                       params: PhysParams) -> float:
     """H^order norm of the linear matter-radiation disequilibrium."""
-    linear_exchange, _ = planck_split(dtheta, drad, params)
-    return grid.sobolev_norm(linear_exchange, order)
+    return grid.sobolev_norm(planck_linear(dtheta, drad, params), order)
 
 
 # -- per-run collection ------------------------------------------------------
@@ -141,6 +164,8 @@ def exchange_residual(grid: SpectralGrid, dtheta, drad, order: int,
 class Collector:
     """Builds one :class:`DiagnosticsRecord` per observation.
 
+    Each observation transforms the ``dim + 3`` perturbation fields once and
+    takes every quantity from those coefficients, with weights built here.
     Dissipation integrals are accumulated with the trapezoid rule at
     cadence resolution, weighted as in the a priori energy inequality:
     ``mu/rho_bar`` on velocity gradients, ``kappa/(rho_bar theta_bar
@@ -153,8 +178,6 @@ class Collector:
                  kind: str = "run"):
         self.grid = grid
         self.params = params
-        self.eos = eos
-        self.order = order
         self.beta = beta
         self.seed = seed
         self.kind = kind
@@ -162,51 +185,51 @@ class Collector:
         self._prev_time: Optional[float] = None
         self._prev_rates: Optional[np.ndarray] = None
 
-    def observe(self, pert) -> DiagnosticsRecord:
-        g, pr = self.grid, self.params
-        el = self.order
-        delta = pr.delta
-        d2 = delta ** 2
-        tb4 = pr.theta_bar ** 4
+        self._w = grid.sobolev_weight(order)
+        self._w3 = grid.sobolev_weight(3)
+        self._w_grad = grid.ksq * self._w
+        self._w_grad_lm1 = grid.ksq * grid.sobolev_weight(max(order - 1, 0))
+        self._w_cross = _cross_weight(grid, order)
+        self._bundle = bundle_factors(grid.dim, params.delta)
+        self._energy = _energy_factors(grid.dim, params, eos, params.delta)
+        self._dissipation = _dissipation_factors(params)
 
-        gu = grad_sobolev_sq(g, pert.u, el)
-        gth = grad_sobolev_sq(g, pert.dtheta, el)
-        gG = grad_sobolev_sq(g, pert.drad, el)
-        rates = np.array([
-            (pr.mu / pr.rho_bar) * gu,
-            pr.kappa / (pr.rho_bar * pr.theta_bar * d2) * gth,
-            pr.nu * pr.sigma_a / (4.0 * pr.sigma_tilde * pr.rho_bar * tb4 * d2) * gG,
-        ])
+    def observe(self, pert) -> DiagnosticsRecord:
+        g, pr, d = self.grid, self.params, self.grid.dim
+        delta = pr.delta
+        X = pack_state(g, pert.drho, pert.u, pert.dtheta, pert.drad)
+
+        _, gu, gth, gG = field_sums(g.norm_sq(X, self._w_grad), d)
+        rates = self._dissipation[:3] * np.array([gu, gth, gG])
         if self._prev_time is not None:
             dt = pert.time - self._prev_time
             self._cum += 0.5 * dt * (rates + self._prev_rates)
         self._prev_time, self._prev_rates = pert.time, rates
 
-        bundle = scaled_bundle(g, pert.u, pert.drho, pert.dtheta, pert.drad,
-                               delta, el)
-        energy = energy_functional(g, pert.u, pert.drho, pert.dtheta,
-                                   pert.drad, delta, self.beta, el, pr, self.eos)
-        exch = exchange_residual(g, pert.dtheta, pert.drad, el, pr)
-
-        nrm = g.sobolev_norm
-        smallness = (nrm(pert.u, 3) + (nrm(pert.drho, 3) + nrm(pert.dtheta, 3)) / delta
-                     + nrm(pert.drad, 3) / np.sqrt(delta))
+        sq = g.norm_sq(X, self._w)
+        cross = _cross(g, X[0], X[1:1 + d], self._w_cross)
+        bundle = float(self._bundle @ sq)
+        energy = float(self._energy @ sq) + self.beta * cross
+        exch_sq = float(g.norm_sq(planck_linear(X[d + 1], X[d + 2], pr),
+                                  self._w))
+        grad_lm1 = g.norm_sq(X, self._w_grad_lm1)
+        n3, u3, th3, rad3 = np.sqrt(field_sums(g.norm_sq(X, self._w3), d))
+        smallness = u3 + (n3 + th3) / delta + rad3 / np.sqrt(delta)
         extras = {
-            "cross": velocity_density_cross_term(g, pert.u, pert.drho, el),
-            "grad_u_sq": gu,
-            "grad_drho_sq_lm1": grad_sobolev_sq(g, pert.drho, max(el - 1, 0)),
-            "grad_dtheta_sq_lm1": grad_sobolev_sq(g, pert.dtheta, max(el - 1, 0)),
-            "grad_dtheta_sq": gth,
-            "grad_drad_sq": gG,
-            "exchange_sq": exch ** 2,
-            "smallness": smallness,
+            "cross": cross,
+            "grad_u_sq": float(gu),
+            "grad_drho_sq_lm1": float(grad_lm1[0]),
+            "grad_dtheta_sq_lm1": float(grad_lm1[d + 1]),
+            "grad_dtheta_sq": float(gth),
+            "grad_drad_sq": float(gG),
+            "exchange_sq": exch_sq,
+            "smallness": float(smallness),
         }
-        rec = DiagnosticsRecord(
+        return DiagnosticsRecord(
             time=pert.time, bundle_sup=bundle, energy_E=energy,
             diss_u=self._cum[0], diss_theta=self._cum[1], diss_G=self._cum[2],
-            exchange_residual=exch, delta=delta, seed=self.seed,
-            kind=self.kind, extras=extras)
-        return rec
+            exchange_residual=float(np.sqrt(exch_sq)), delta=delta,
+            seed=self.seed, kind=self.kind, extras=extras)
 
 
 # -- limit comparison --------------------------------------------------------
@@ -231,10 +254,11 @@ def compare_to_reference(comp_traj, ref_traj, grid: SpectralGrid) -> RefErrorSer
     if not comp_traj.u_snapshots or not ref_traj.u_snapshots:
         raise CadenceMismatchError("velocity snapshots missing from a trajectory")
     err_l2, err_h1 = [], []
+    w1 = grid.sobolev_weight(1)
     for uc, ur in zip(comp_traj.u_snapshots, ref_traj.u_snapshots):
-        diff = uc - ur
-        err_l2.append(grid.sobolev_norm(diff, 0))
-        err_h1.append(grid.sobolev_norm(diff, 1))
+        diff_hat = grid.fft(uc - ur)
+        err_l2.append(float(np.sqrt(np.sum(grid.norm_sq(diff_hat)))))
+        err_h1.append(float(np.sqrt(np.sum(grid.norm_sq(diff_hat, w1)))))
     return RefErrorSeries(list(tc), err_l2, err_h1,
                           max(err_l2), max(err_h1))
 
@@ -275,22 +299,17 @@ def energy_dissipation_probe(records, params: PhysParams) -> ProbeResult:
     ``C * smallness * (1/delta^2) * |grad drho|^2_{H^{l-1}}`` and returns
     the largest measured C.
     """
-    pr = params
-    d2 = pr.delta ** 2
-    tb4 = pr.theta_bar ** 4
+    d2 = params.delta ** 2
+    factors = _dissipation_factors(params)
     times = [r.time for r in records]
     smallness = max(r.extras["smallness"] for r in records)
 
     def num(i):
         dt2 = times[i + 1] - times[i - 1]
         dE = (records[i + 1].energy_E - records[i - 1].energy_E) / dt2
-        r = records[i]
-        diss = ((pr.mu / pr.rho_bar) * r.extras["grad_u_sq"]
-                + pr.kappa / (pr.rho_bar * pr.theta_bar * d2) * r.extras["grad_dtheta_sq"]
-                + pr.nu * pr.sigma_a / (4.0 * pr.sigma_tilde * pr.rho_bar * tb4 * d2)
-                * r.extras["grad_drad_sq"]
-                + r.extras["exchange_sq"] / (4.0 * pr.sigma_tilde * pr.rho_bar * tb4 * d2))
-        return dE + diss
+        x = records[i].extras
+        return dE + float(factors @ [x["grad_u_sq"], x["grad_dtheta_sq"],
+                                     x["grad_drad_sq"], x["exchange_sq"]])
 
     def den(i):
         return smallness * records[i].extras["grad_drho_sq_lm1"] / d2

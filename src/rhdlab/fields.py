@@ -9,7 +9,8 @@ the trigonometric interpolant; the Nyquist mode is dropped from first
 derivatives so that ``div(grad(f))`` and ``laplacian(f)`` agree bit-for-bit.
 
 Every public operation returns a fresh array and never mutates its inputs,
-so grids and fields are safe to share across worker threads.
+so grids and fields are safe to share across worker threads.  Every norm
+is a Parseval sum over Fourier coefficients (:meth:`SpectralGrid.norm_sq`).
 """
 
 from __future__ import annotations
@@ -145,18 +146,32 @@ class SpectralGrid:
         """Discrete L2 inner product (component axes summed over)."""
         return self.integral(f * g)
 
+    def norm_sq(self, fhat: np.ndarray, weight=1.0):
+        """Parseval sum ``volume * sum(weight * |fhat / n**dim|^2)`` of
+        transformed fields over the spatial axes; component axes are kept.
+
+        ``weight`` must broadcast to the shape of ``fhat``.
+        """
+        sq = np.abs(fhat)
+        sq *= sq
+        sq *= weight
+        return (self.volume / float(self.n ** self.dim) ** 2
+                * np.sum(sq, axis=self._fft_axes))
+
+    def sobolev_weight(self, order: int) -> np.ndarray:
+        """The ``(1 + |k|^2)^order`` multiplier of :meth:`sobolev_norm`."""
+        if order < 0:
+            raise ValueError(f"order must be >= 0, got {order}")
+        return (1.0 + self.ksq_full) ** order
+
     def sobolev_norm(self, f: np.ndarray, order: int = 0) -> float:
         """Discrete Sobolev norm via the ``(1 + |k|^2)^order`` multiplier.
 
         Matches the continuum L2 norm at ``order=0`` (Parseval); vector
         fields contribute the sum of squared component norms.
         """
-        if order < 0:
-            raise ValueError(f"order must be >= 0, got {order}")
-        chat = self.coeffs(f)
-        w = (1.0 + self.ksq_full) ** order
-        total = np.sum(w * np.abs(chat) ** 2)
-        return float(np.sqrt(self.volume * total))
+        w = self.sobolev_weight(order)
+        return float(np.sqrt(np.sum(self.norm_sq(self.fft(f), w))))
 
     def leray_project(self, v: np.ndarray) -> np.ndarray:
         """Project a vector field onto its divergence-free part.

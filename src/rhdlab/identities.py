@@ -112,8 +112,7 @@ def run_identity_suite(grid: SpectralGrid, params: PhysParams, eos,
     _, _, zeta_t, g_t = rhs_perturbation(grid, pert, pr, eos)
     e_theta_b = float(eos.e_theta(pr.rho_bar, pr.theta_bar))
     balance = pr.delta * g_t + pr.rho_bar * e_theta_b * zeta_t
-    lin_scale = np.max(np.abs(4.0 * pr.sigma_tilde * pr.theta_bar ** 3
-                              * pert.dtheta - pr.sigma_a * pert.drad))
+    lin_scale = np.max(np.abs(model.planck_linear(pert.dtheta, pert.drad, pr)))
     results.append(IdentityResult(
         "exchange-antisymmetry",
         float(np.max(np.abs(balance)) / lin_scale), 100.0 * eps))
@@ -133,8 +132,7 @@ def run_identity_suite(grid: SpectralGrid, params: PhysParams, eos,
             # flip the exchange-gap contribution the same way a wrong-signed
             # assembly would
             h9 = model.gap_inv_rho_e_theta(state.rho, state.theta, pr, eos)
-            lin_ex, _ = model.planck_split(dth, drad, pr)
-            th_t = th_t - 2.0 * h9 * lin_ex
+            th_t = th_t - 2.0 * h9 * model.planck_linear(dth, drad, pr)
 
         per = rhs_perturbation(grid, PerturbationState(drho, u, dth, drad),
                                pr, eos)

@@ -25,9 +25,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .diagnostics import grad_sobolev_sq, scaled_bundle
+from .diagnostics import bundle_factors
 from .fields import SpectralGrid
-from .model import Background, DomainError, PhysParams
+from .model import Background, DomainError, PhysParams, planck_linear
 from .steppers import (SCHEMES, ImexStepper, acoustic_exchange_matrix,
                        pack_state, unpack_state)
 
@@ -125,6 +125,7 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
     pr = params
     d = grid.dim
     d2 = pr.delta ** 2
+    no = problem.norm_order
     bg = Background.of(pr, eos)
 
     a_mid = problem.coeff.midpoint
@@ -156,33 +157,29 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
             return grid.mask_spectral(N)
         return explicit
 
+    # momentum, temperature and radiation forcings with their load divisors
+    forcings = ((problem.forcing_mom, 1.0), (problem.forcing_temp, d2),
+                (problem.forcing_rad, d2))
+
     def forcing_load(t):
-        load = 0.0
-        no = problem.norm_order
-        if problem.forcing_mom is not None:
-            load += grid.sobolev_norm(problem.forcing_mom(grid, t),
-                                      max(no - 1, 0)) ** 2
-        if problem.forcing_temp is not None:
-            load += grid.sobolev_norm(problem.forcing_temp(grid, t),
-                                      max(no - 1, 0)) ** 2 / d2
-        if problem.forcing_rad is not None:
-            load += grid.sobolev_norm(problem.forcing_rad(grid, t),
-                                      max(no - 1, 0)) ** 2 / d2
-        return load
+        return sum((grid.sobolev_norm(f(grid, t), max(no - 1, 0)) ** 2 / c
+                    for f, c in forcings if f is not None), 0.0)
 
     def coeff_load(t):
         A = problem.coeff.sample(grid, t)
-        return 1.0 + grid.sobolev_norm(A, problem.norm_order) ** 2
+        return 1.0 + grid.sobolev_norm(A, no) ** 2
+
+    # Parseval weights per slot of X: the dissipation rate takes gradients
+    # of nrel in H^(no-1), of the rest in H^no, and the exchange term in H^no
+    w_no = grid.sobolev_weight(no)
+    w_diss = grid.ksq * np.stack([grid.sobolev_weight(max(no - 1, 0)) / d2]
+                                 + [w_no] * d + [w_no / d2] * 2)
+    bundle = bundle_factors(d, pr.delta)
 
     def diss_rate(X):
-        nrel, mom, dth, dG = unpack_state(grid, X)
-        no = problem.norm_order
-        exch = bg.emission * dth - pr.sigma_a * dG
-        return (grad_sobolev_sq(grid, nrel, max(no - 1, 0)) / d2
-                + sum(grad_sobolev_sq(grid, mom[i], no) for i in range(d))
-                + (grad_sobolev_sq(grid, dth, no)
-                   + grad_sobolev_sq(grid, dG, no)
-                   + grid.sobolev_norm(exch, no) ** 2) / d2)
+        exch = planck_linear(X[d + 1], X[d + 2], pr)
+        return float(np.sum(grid.norm_sq(X, w_diss))
+                     + grid.norm_sq(exch, w_no) / d2)
 
     X = grid.mask_spectral(pack_state(
         grid, problem.init_nrel, problem.init_mom, problem.init_dtheta,
@@ -195,15 +192,13 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
     prev = (diss_rate(X), forcing_load(0.0), coeff_load(0.0))
 
     def observe(t):
-        nrel, mom, dth, dG = unpack_state(grid, X)
         traj.times.append(t)
-        traj.bundles.append(scaled_bundle(grid, mom, nrel, dth, dG,
-                                          pr.delta, problem.norm_order))
+        traj.bundles.append(float(bundle @ grid.norm_sq(X, w_no)))
         traj.cum_dissipation.append(cum_d)
         traj.cum_forcing.append(cum_f)
         traj.cum_coeff_load.append(cum_a)
         if keep_states:
-            traj.states.append((nrel, mom, dth, dG))
+            traj.states.append(unpack_state(grid, X))
 
     observe(0.0)
     for istep in range(1, nsteps + 1):

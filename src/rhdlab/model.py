@@ -31,7 +31,8 @@ __all__ = [
     "ModelError", "ParameterError", "DomainError",
     "PhysParams", "Background", "IdealGasEOS", "CallableEOS", "validate_eos",
     "equilibrium_radiation", "radiation_source",
-    "planck_cubic", "planck_split", "thermo_consistency_residual",
+    "planck_cubic", "planck_split", "planck_linear",
+    "thermo_consistency_residual",
     "gap_p_rho", "gap_p_theta", "gap_inv_rho_e_theta", "gap_adiabatic",
     "gap_p_rho_over_rho", "gap_p_theta_over_rho", "gap_inv_rho",
     "all_background_gaps",
@@ -290,9 +291,14 @@ def planck_split(dtheta, drad, params: PhysParams):
     because the background is a radiative equilibrium.
     """
     z = np.asarray(dtheta)
-    linear = (4.0 * params.sigma_tilde * params.theta_bar ** 3 * z
-              - params.sigma_a * np.asarray(drad))
-    return linear, planck_cubic(z, params) * z
+    return planck_linear(z, drad, params), planck_cubic(z, params) * z
+
+
+def planck_linear(dtheta, drad, params: PhysParams):
+    """Linear part ``4*sigma_tilde*theta_bar^3*dtheta - sigma_a*drad`` of the
+    exchange source; being linear, it applies to Fourier coefficients too."""
+    return (4.0 * params.sigma_tilde * params.theta_bar ** 3
+            * np.asarray(dtheta) - params.sigma_a * np.asarray(drad))
 
 
 # -- background coefficient gaps -------------------------------------------

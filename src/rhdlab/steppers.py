@@ -15,8 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["SolverError", "acoustic_exchange_matrix", "pack_state",
-           "unpack_state", "ImexOperator", "ImexStepper", "SCHEMES",
-           "imex_euler_step", "ars222_step", "ARS_GAMMA", "ARS_DHAT"]
+           "unpack_state", "field_sums", "ImexOperator", "ImexStepper",
+           "SCHEMES", "imex_euler_step", "ars222_step", "ARS_GAMMA",
+           "ARS_DHAT"]
 
 # Two-stage, second-order, L-stable IMEX pair (stiff part SDIRK).
 ARS_GAMMA = 1.0 - np.sqrt(0.5)
@@ -104,6 +105,13 @@ def unpack_state(grid, X: np.ndarray):
     d = grid.dim
     return (grid.ifft(X[0]), grid.ifft(X[1:1 + d]), grid.ifft(X[d + 1]),
             grid.ifft(X[d + 2]))
+
+
+def field_sums(values, dim):
+    """Per-field ``(n, v, z, g)`` totals of per-slot values of a packed
+    state; the velocity slots are summed."""
+    return (values[0], np.sum(values[1:1 + dim]), values[dim + 1],
+            values[dim + 2])
 
 
 class ImexOperator:

@@ -125,11 +125,12 @@ def _run_one_compressible(cfg, grid, params, eos, seed, dt, prepared,
     state0, init_report = prepared
     solver_cfg = SolverConfig(
         dt=dt,
-        t_end=cfg.getfloat("solver", "t_end"),
+        t_end=cfg.getnonnegative("solver", "t_end"),
         scheme=cfg.getchoice("solver", "scheme", SCHEMES))
     solver = CompressibleSolver(grid, params, eos, solver_cfg)
     collector = diag.Collector(grid, params, eos,
-                               order=cfg.getint("diagnostics", "order"),
+                               order=cfg.getnonnegative(
+                                   "diagnostics", "order", integer=True),
                                beta=cfg.getfloat("diagnostics", "beta"),
                                seed=seed, kind=kind)
     traj = solver.run(state0, cadence=cfg.output_cadence(),
@@ -142,7 +143,7 @@ def _run_reference_traj(cfg, grid, params, eos, seed, dt):
     ns = IncompressibleSolver(grid, params.mu_bar, params.rho_bar,
                               scheme=cfg.getchoice("solver", "ns_scheme",
                                                    NS_SCHEMES))
-    return ns.run(u0, dt, cfg.getfloat("solver", "t_end"),
+    return ns.run(u0, dt, cfg.getnonnegative("solver", "t_end"),
                   cadence=cfg.output_cadence())
 
 
@@ -228,7 +229,7 @@ def run_reference(cfg: ExperimentConfig, out_dir, seed=None):
     dt = _resolve_dt(cfg, grid, u0)
     ref = _run_reference_traj(cfg, grid, params, eos, seed, dt)
 
-    order = cfg.getint("diagnostics", "order")
+    order = cfg.getnonnegative("diagnostics", "order", integer=True)
     records = []
     cum = 0.0
     prev = None
@@ -337,7 +338,7 @@ def run_linearized_probe(cfg: ExperimentConfig, out_dir, seed=None):
     deltas = cfg.getfloatlist("linearized", "deltas")
     amp = cfg.getfloat("linearized", "forcing")
     c0 = cfg.getfloat("linearized", "c0")
-    norm_order = cfg.getint("linearized", "norm_order")
+    norm_order = cfg.getnonnegative("linearized", "norm_order", integer=True)
     names = [f.strip() for f in cfg.getstr("linearized", "families").split(",")]
     dt = cfg.getpositive("linearized", "dt")
 
@@ -363,7 +364,7 @@ def run_linearized_probe(cfg: ExperimentConfig, out_dir, seed=None):
                 init_mom=amp * np.stack(shapes[1:1 + grid.dim]),
                 init_dtheta=delta * amp * shapes[1 + grid.dim],
                 init_drad=np.sqrt(delta) * amp * shapes[2 + grid.dim],
-                horizon=cfg.getfloat("linearized", "t_end"),
+                horizon=cfg.getnonnegative("linearized", "t_end"),
                 norm_order=norm_order)
             traj = solve_linearized(grid, problem, params, eos, dt=dt)
             rep = check_estimate(traj, c0=c0)

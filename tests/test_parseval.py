@@ -1,0 +1,252 @@
+"""Diagnostics as Parseval sums over Fourier coefficients.
+
+The references below are the point-value definitions the spectral forms
+replaced: each transforms its own fields and sums ``|fft(f)/n^dim|^2``
+against a multiplier rebuilt on the spot.  The rewritten forms must match
+them to round-off, with energy at the Nyquist mode, in 2D and 3D.
+"""
+
+import numpy as np
+import pytest
+
+from rhdlab import diagnostics as diag
+from rhdlab.compressible import PerturbationState
+from rhdlab.fields import SpectralGrid
+from rhdlab.linearized import (LinearizedProblem, constant_coefficient,
+                               solve_linearized, standing_wave)
+from rhdlab.model import Background, IdealGasEOS, PhysParams
+
+EOS = IdealGasEOS(R=1.2, c_v=0.8)
+PARAMS = PhysParams.equilibrium(delta=0.07, rho_bar=1.37, theta_bar=0.9, sigma_a=1.3,
+                                sigma_tilde=0.8, mu=0.13, lam=0.05,
+                                kappa=0.17, nu=0.11)
+RTOL = 1e-12
+
+
+# -- point-value references ---------------------------------------------------
+
+def ref_sobolev_sq(g, f, order):
+    chat = g.fft(f) / float(g.n ** g.dim)
+    return g.volume * np.sum((1.0 + g.ksq_full) ** order * np.abs(chat) ** 2)
+
+
+def ref_grad_sq(g, f, order):
+    # sum_i |d_i f|^2 in H^order, from the point values of each derivative
+    return sum(ref_sobolev_sq(g, g.deriv(f, i), order) for i in range(g.dim))
+
+
+def ref_cross(g, u, drho, order):
+    uhat = g.fft(u) / float(g.n ** g.dim)
+    rhat = g.fft(drho) / float(g.n ** g.dim)
+    w = np.zeros(g.shape)
+    for k in range(order):
+        w += g.ksq ** k
+    pair = np.sum(np.conj(uhat) * (g.ik * rhat[np.newaxis]), axis=0)
+    return g.volume * np.sum(w * pair.real)
+
+
+def ref_exchange_sq(g, dtheta, drad, order, pr):
+    linear = (4.0 * pr.sigma_tilde * pr.theta_bar ** 3 * dtheta
+              - pr.sigma_a * drad)
+    return ref_sobolev_sq(g, linear, order)
+
+
+def ref_bundle(g, u, drho, dtheta, drad, delta, order):
+    n = lambda f: ref_sobolev_sq(g, f, order)
+    return n(u) + (n(drho) + n(dtheta)) / delta ** 2 + n(drad) / delta
+
+
+def ref_energy(g, u, drho, dtheta, drad, delta, beta, order, pr, eos):
+    bg = Background.of(pr, eos)
+    n = lambda f: ref_sobolev_sq(g, f, order)
+    return (n(u) + beta * ref_cross(g, u, drho, order)
+            + bg.p_rho / (pr.rho_bar ** 2 * delta ** 2) * n(drho)
+            + bg.e_theta / (pr.theta_bar * delta ** 2) * n(dtheta)
+            + pr.sigma_a / (4.0 * pr.sigma_tilde * delta * pr.rho_bar
+                            * pr.theta_bar ** 4) * n(drad))
+
+
+def ref_extras(g, p, order, pr):
+    lm1 = max(order - 1, 0)
+    s3 = lambda f: np.sqrt(ref_sobolev_sq(g, f, 3))
+    return {
+        "cross": ref_cross(g, p.u, p.drho, order),
+        "grad_u_sq": ref_grad_sq(g, p.u, order),
+        "grad_drho_sq_lm1": ref_grad_sq(g, p.drho, lm1),
+        "grad_dtheta_sq_lm1": ref_grad_sq(g, p.dtheta, lm1),
+        "grad_dtheta_sq": ref_grad_sq(g, p.dtheta, order),
+        "grad_drad_sq": ref_grad_sq(g, p.drad, order),
+        "exchange_sq": ref_exchange_sq(g, p.dtheta, p.drad, order, pr),
+        "smallness": (s3(p.u) + (s3(p.drho) + s3(p.dtheta)) / pr.delta
+                      + s3(p.drad) / np.sqrt(pr.delta)),
+    }
+
+
+def close(a, b, scale=None):
+    return abs(a - b) <= RTOL * (abs(b) if scale is None else scale)
+
+
+# -- fixtures -----------------------------------------------------------------
+
+@pytest.fixture(params=[(2, 16), (3, 8)], ids=["2d", "3d"])
+def grid(request):
+    # no dealiasing: white-noise fields keep their Nyquist content
+    dim, n = request.param
+    return SpectralGrid(dim=dim, points_per_axis=n, dealias=False)
+
+
+def random_state(g, seed, time=0.0):
+    rng = np.random.default_rng(seed)
+    f = lambda: rng.standard_normal(g.shape)
+    return PerturbationState(f(), np.stack([f() for _ in range(g.dim)]),
+                             f(), f(), time)
+
+
+# -- point-value functionals --------------------------------------------------
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_sobolev_norm_matches_reference(grid, order):
+    p = random_state(grid, order)
+    chat = np.abs(grid.fft(p.drho))
+    assert chat[(grid.n // 2,) + (0,) * (grid.dim - 1)] > 1e-3 * np.max(chat)
+    for f in (p.drho, p.u):
+        got = grid.sobolev_norm(f, order) ** 2
+        assert close(got, ref_sobolev_sq(grid, f, order))
+    if order == 0:
+        # L2 is also the exact quadrature of f^2 on the nodes
+        quad = grid.volume * np.mean(p.drho ** 2)
+        assert close(grid.sobolev_norm(p.drho, 0) ** 2, quad)
+
+
+@pytest.mark.parametrize("order", [0, 2, 3])
+def test_functionals_match_reference(grid, order):
+    p = random_state(grid, 10 + order)
+    pr, delta, beta = PARAMS, PARAMS.delta, 0.3
+    assert close(diag.grad_sobolev_sq(grid, p.dtheta, order),
+                 ref_grad_sq(grid, p.dtheta, order))
+    assert close(diag.grad_sobolev_sq(grid, p.u, order),
+                 ref_grad_sq(grid, p.u, order))
+    # the cross term has no sign: compare against the size of its parts
+    scale = np.sqrt(ref_sobolev_sq(grid, p.u, order)
+                    * ref_sobolev_sq(grid, p.drho, order + 1))
+    assert close(diag.velocity_density_cross_term(grid, p.u, p.drho, order),
+                 ref_cross(grid, p.u, p.drho, order), scale)
+    assert close(diag.exchange_residual(grid, p.dtheta, p.drad, order, pr) ** 2,
+                 ref_exchange_sq(grid, p.dtheta, p.drad, order, pr))
+    assert close(diag.scaled_bundle(grid, p.u, p.drho, p.dtheta, p.drad,
+                                    delta, order),
+                 ref_bundle(grid, p.u, p.drho, p.dtheta, p.drad, delta, order))
+    assert close(diag.energy_functional(grid, p.u, p.drho, p.dtheta, p.drad,
+                                        delta, beta, order, pr, EOS),
+                 ref_energy(grid, p.u, p.drho, p.dtheta, p.drad, delta, beta,
+                            order, pr, EOS))
+
+
+# -- Collector ------------------------------------------------------------------
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_collector_matches_reference(grid, order):
+    pr, beta = PARAMS, 0.3
+    coll = diag.Collector(grid, pr, EOS, order=order, beta=beta)
+    states = [random_state(grid, 20 + i, time=0.1 * i) for i in range(2)]
+    recs = [coll.observe(p) for p in states]
+    for p, rec in zip(states, recs):
+        ref = ref_extras(grid, p, order, pr)
+        assert set(rec.extras) == set(ref)
+        scale = np.sqrt(ref_sobolev_sq(grid, p.u, order)
+                        * ref_sobolev_sq(grid, p.drho, order + 1))
+        assert close(rec.extras["cross"], ref["cross"], scale)
+        for key in set(ref) - {"cross"}:
+            assert close(rec.extras[key], ref[key]), key
+        assert close(rec.bundle_sup, ref_bundle(grid, p.u, p.drho, p.dtheta,
+                                                p.drad, pr.delta, order))
+        assert close(rec.energy_E, ref_energy(grid, p.u, p.drho, p.dtheta,
+                                              p.drad, pr.delta, beta, order,
+                                              pr, EOS))
+        assert close(rec.exchange_residual ** 2, ref["exchange_sq"])
+    # trapezoid of the weighted gradient norms between the two observations
+    tb4, d2 = pr.theta_bar ** 4, pr.delta ** 2
+    rates = [np.array([
+        pr.mu / pr.rho_bar * ref_extras(grid, p, order, pr)["grad_u_sq"],
+        pr.kappa / (pr.rho_bar * pr.theta_bar * d2)
+        * ref_grad_sq(grid, p.dtheta, order),
+        pr.nu * pr.sigma_a / (4.0 * pr.sigma_tilde * pr.rho_bar * tb4 * d2)
+        * ref_grad_sq(grid, p.drad, order)]) for p in states]
+    cum = 0.5 * 0.1 * (rates[0] + rates[1])
+    got = [recs[1].diss_u, recs[1].diss_theta, recs[1].diss_G]
+    assert all(close(a, b) for a, b in zip(got, cum))
+
+
+def count_transforms(monkeypatch):
+    count = [0]
+    for name in ("fft", "ifft"):
+        def counted(self, f, _transform=getattr(SpectralGrid, name)):
+            count[0] += np.asarray(f).size // self.n ** self.dim
+            return _transform(self, f)
+        monkeypatch.setattr(SpectralGrid, name, counted)
+    return count
+
+
+def test_observe_transforms_each_field_once(grid, monkeypatch):
+    coll = diag.Collector(grid, PARAMS, EOS)
+    p = random_state(grid, 30)
+    count = count_transforms(monkeypatch)
+    coll.observe(p)
+    assert count[0] <= grid.dim + 3
+
+
+# -- linearized probe -----------------------------------------------------------
+
+def linearized_problem(g, coeff, horizon, seed=0):
+    rng = np.random.default_rng(seed)
+    f = lambda: g.mask(rng.standard_normal(g.shape)) * 1e-2
+    return LinearizedProblem(
+        coeff=coeff, init_nrel=f(),
+        init_mom=np.stack([f() for _ in range(g.dim)]), init_dtheta=f(),
+        init_drad=f(), horizon=horizon,
+        forcing_temp=lambda grid, t: np.cos(t) * np.sin(grid.grid_points()[0]))
+
+
+def test_linearized_integrals_match_kept_states():
+    # bundles and the dissipation integral against the point-value
+    # definitions evaluated on the kept states
+    g = SpectralGrid(dim=2, points_per_axis=16)
+    pr, dt = PARAMS, 2e-3
+    problem = linearized_problem(g, standing_wave(0.5), horizon=10 * dt)
+    no = problem.norm_order
+    traj = solve_linearized(g, problem, pr, EOS, dt=dt, keep_states=True)
+    assert len(traj.states) == 11
+    bg, d2 = Background.of(pr, EOS), pr.delta ** 2
+
+    def diss(state):
+        nrel, mom, dth, dG = state
+        exch = bg.emission * dth - pr.sigma_a * dG
+        return (ref_grad_sq(g, nrel, max(no - 1, 0)) / d2
+                + sum(ref_grad_sq(g, m, no) for m in mom)
+                + (ref_grad_sq(g, dth, no) + ref_grad_sq(g, dG, no)
+                   + ref_sobolev_sq(g, exch, no)) / d2)
+
+    rates = [diss(s) for s in traj.states]
+    cum = np.concatenate([[0.0], np.cumsum(
+        [0.5 * dt * (a + b) for a, b in zip(rates, rates[1:])])])
+    for state, bundle, got, want in zip(traj.states, traj.bundles,
+                                        traj.cum_dissipation, cum):
+        nrel, mom, dth, dG = state
+        assert close(bundle, ref_bundle(g, mom, nrel, dth, dG, pr.delta, no))
+        assert close(got, want, scale=cum[-1])
+
+
+def test_linearized_constant_step_transforms(monkeypatch):
+    # a constant-coefficient step without forcing transforms only the
+    # sampled coefficient of its load integral
+    g = SpectralGrid(dim=2, points_per_axis=16)
+    counts = []
+    for nsteps in (2, 5):
+        problem = linearized_problem(g, constant_coefficient(1.0),
+                                     horizon=nsteps * 1e-3)
+        problem.forcing_temp = None
+        count = count_transforms(monkeypatch)
+        solve_linearized(g, problem, PARAMS, EOS, dt=1e-3)
+        counts.append(count[0])
+        monkeypatch.undo()
+    assert (counts[1] - counts[0]) / 3 <= 1

@@ -194,7 +194,12 @@ def test_cli_exit_codes_and_commands(tmp_path, capsys):
             ("run", "[solver]\ndt = -1\n", "solver.dt"),
             ("run", "[solver]\nt_end = 0.004\nwith_reference = true\n"
                     "ns_scheme = rk4\n", "solver.ns_scheme"),
-            ("linearized", "[linearized]\ndt = -1\n", "linearized.dt")]:
+            ("run", "[solver]\nt_end = -1\n", "solver.t_end"),
+            ("run", "[diagnostics]\norder = -1\n", "diagnostics.order"),
+            ("linearized", "[linearized]\ndt = -1\n", "linearized.dt"),
+            ("linearized", "[linearized]\nnorm_order = -1\n",
+             "linearized.norm_order"),
+            ("linearized", "[linearized]\nt_end = -1\n", "linearized.t_end")]:
         cfg = write_config(tmp_path / "range.ini", body)
         assert cli_main([command, "--config", cfg,
                          "--out", str(tmp_path / "range")]) == 2, key
