@@ -252,7 +252,8 @@ def rhs_momentum_form(grid: SpectralGrid, nrel, mom, dtheta, drad,
     X = pack_state(grid, nrel, mom, dtheta, drad)
     grad_nrel, jac_m, lap_m, grad_div_m, div_m, grad_dtheta, lap_dtheta = \
         _derivatives(grid, X)
-    hess_nrel = grid.hessian(nrel)
+    hess_nrel = grid.ifft(grid.ik[:, np.newaxis] * grid.ik[np.newaxis, :]
+                          * X[0])
 
     r_mom, r_temp, r_rad = model.momentum_form_remainders(
         nrel, mom, dtheta, drad, grad_nrel, hess_nrel, jac_m, lap_m,
@@ -319,10 +320,11 @@ class CompressibleSolver:
             snapshot_velocity: bool = True) -> Trajectory:
         """Advance to ``t_end``, observing every ``cadence`` steps.
 
-        ``observer(pert_state)`` is called at observation points and its
-        return value appended to ``trajectory.records``.  Invariant
-        violations abort the run and are reported in the trajectory rather
-        than raised.
+        ``observer(X, t)`` is called at observation points with the packed
+        spectral state (:func:`rhdlab.steppers.pack_state` layout) and its
+        time, and its return value appended to ``trajectory.records``.
+        Invariant violations abort the run and are reported in the
+        trajectory rather than raised.
         """
         cfg = self.config
         grid = self.grid
@@ -337,19 +339,22 @@ class CompressibleSolver:
         t = pert.time
         last_valid = t
 
-        def observe(p, X):
-            traj.times.append(p.time)
+        def observe(X, t):
+            d = grid.dim
+            traj.times.append(t)
             if snapshot_velocity:
-                traj.u_snapshots.append(p.u.copy())
-            n, v, z, g = np.sqrt(field_sums(grid.norm_sq(X), grid.dim))
+                # ifft returns a real view of a complex buffer; keep the
+                # real values only
+                traj.u_snapshots.append(grid.ifft(X[1:1 + d]).copy())
+            n, v, z, g = np.sqrt(field_sums(grid.norm_sq(X), d))
             traj.sup_l2_density_temperature = max(
                 traj.sup_l2_density_temperature, n + z)
             traj.sup_l2_radiation = max(traj.sup_l2_radiation, g)
             traj.sup_l2_velocity = max(traj.sup_l2_velocity, v)
-            if np.min(self.params.n_bar + p.drad) < 0.0:
+            if np.min(self.params.n_bar + grid.ifft(X[d + 2])) < 0.0:
                 traj.negative_radiation_points += 1
             if observer is not None:
-                rec = observer(p)
+                rec = observer(X, t)
                 traj.records.append(rec)
                 traj.sup_bundle = max(traj.sup_bundle,
                                       getattr(rec, "bundle_sup", 0.0))
@@ -362,23 +367,23 @@ class CompressibleSolver:
                 raise StateInvalidError(
                     f"dt={cfg.dt} exceeds 4x advective bound {bound:.3e}")
 
-        # point values of X, unpacked at most once per state
+        # point values of X, unpacked only for the invariant checks
         p = self.unpack(X, t)
         try:
             check_invariants(p)
-            observe(p, X)
+            observe(X, t)
             for istep in range(1, nsteps + 1):
                 X = self.step_spectral(X)
                 t = pert.time + istep * cfg.dt
                 last = istep == nsteps
                 check = istep % cfg.positivity_interval == 0 or last
                 seen = istep % max(1, cadence) == 0 or last
-                p = self.unpack(X, t) if check or seen else None
+                p = self.unpack(X, t) if check else None
                 if check:
                     check_invariants(p)
                 last_valid = t
                 if seen:
-                    observe(p, X)
+                    observe(X, t)
         except (StateInvalidError, SolverError, DomainError) as exc:
             traj.status = "aborted"
             traj.abort_reason = str(exc)

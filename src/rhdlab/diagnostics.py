@@ -164,8 +164,10 @@ def exchange_residual(grid: SpectralGrid, dtheta, drad, order: int,
 class Collector:
     """Builds one :class:`DiagnosticsRecord` per observation.
 
-    Each observation transforms the ``dim + 3`` perturbation fields once and
-    takes every quantity from those coefficients, with weights built here.
+    Each observation takes every quantity from the Fourier coefficients of
+    the perturbation fields, packed as :func:`rhdlab.steppers.pack_state`
+    lays them out (the solver's own state), with weights built here; it
+    transforms nothing.
     Dissipation integrals are accumulated with the trapezoid rule at
     cadence resolution, weighted as in the a priori energy inequality:
     ``mu/rho_bar`` on velocity gradients, ``kappa/(rho_bar theta_bar
@@ -194,17 +196,17 @@ class Collector:
         self._energy = _energy_factors(grid.dim, params, eos, params.delta)
         self._dissipation = _dissipation_factors(params)
 
-    def observe(self, pert) -> DiagnosticsRecord:
+    def observe(self, X: np.ndarray, time: float) -> DiagnosticsRecord:
+        """Record of the packed spectral state ``X`` at ``time``."""
         g, pr, d = self.grid, self.params, self.grid.dim
         delta = pr.delta
-        X = pack_state(g, pert.drho, pert.u, pert.dtheta, pert.drad)
 
         _, gu, gth, gG = field_sums(g.norm_sq(X, self._w_grad), d)
         rates = self._dissipation[:3] * np.array([gu, gth, gG])
         if self._prev_time is not None:
-            dt = pert.time - self._prev_time
+            dt = time - self._prev_time
             self._cum += 0.5 * dt * (rates + self._prev_rates)
-        self._prev_time, self._prev_rates = pert.time, rates
+        self._prev_time, self._prev_rates = time, rates
 
         sq = g.norm_sq(X, self._w)
         cross = _cross(g, X[0], X[1:1 + d], self._w_cross)
@@ -226,7 +228,7 @@ class Collector:
             "smallness": float(smallness),
         }
         return DiagnosticsRecord(
-            time=pert.time, bundle_sup=bundle, energy_E=energy,
+            time=time, bundle_sup=bundle, energy_E=energy,
             diss_u=self._cum[0], diss_theta=self._cum[1], diss_G=self._cum[2],
             exchange_residual=float(np.sqrt(exch_sq)), delta=delta,
             seed=self.seed, kind=self.kind, extras=extras)

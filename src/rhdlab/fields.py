@@ -128,11 +128,6 @@ class SpectralGrid:
         vhat = self.fft(v)
         return self.ifft(self.ik[np.newaxis, :] * vhat[:, np.newaxis])
 
-    def hessian(self, f: np.ndarray) -> np.ndarray:
-        """Second derivatives of a scalar field; ``hess[i, j] = d^2 f / dx_i dx_j``."""
-        fhat = self.fft(f)
-        return self.ifft(self.ik[:, np.newaxis] * self.ik[np.newaxis, :] * fhat)
-
     # -- norms and projections --------------------------------------------
 
     def integral(self, f: np.ndarray) -> float:

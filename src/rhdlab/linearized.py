@@ -134,12 +134,17 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
     stepper = ImexStepper(scheme, M, dt)
     a_constant = problem.coeff.upper == problem.coeff.lower
 
-    def explicit_at(t):
+    def level(t):
+        """Fluctuation ``A - A_mean`` and load ``1 + |A|^2_{H^no}`` of the
+        coefficient sampled once at time level ``t``: the load closes the
+        step ending at ``t`` and the fluctuation drives the next one."""
+        A = problem.coeff.sample(grid, t)
+        return A - a_mid, 1.0 + grid.sobolev_norm(A, no) ** 2
+
+    def explicit_at(t, ap):
         def explicit(X):
             N = np.zeros_like(X)
             if not a_constant:
-                A = problem.coeff.sample(grid, t)
-                ap = A - a_mid
                 jac = grid.ifft(grid.ik[np.newaxis, :] * X[1:1 + d][:, np.newaxis])
                 div_m = np.trace(jac, axis1=0, axis2=1)
                 for i in range(d):
@@ -165,10 +170,6 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
         return sum((grid.sobolev_norm(f(grid, t), max(no - 1, 0)) ** 2 / c
                     for f, c in forcings if f is not None), 0.0)
 
-    def coeff_load(t):
-        A = problem.coeff.sample(grid, t)
-        return 1.0 + grid.sobolev_norm(A, no) ** 2
-
     # Parseval weights per slot of X: the dissipation rate takes gradients
     # of nrel in H^(no-1), of the rest in H^no, and the exchange term in H^no
     w_no = grid.sobolev_weight(no)
@@ -189,7 +190,8 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
                                 delta=pr.delta)
     nsteps = max(0, int(np.ceil(problem.horizon / dt - 1e-12)))
     cum_d = cum_f = cum_a = 0.0
-    prev = (diss_rate(X), forcing_load(0.0), coeff_load(0.0))
+    ap, load = level(0.0)
+    prev = (diss_rate(X), forcing_load(0.0), load)
 
     def observe(t):
         traj.times.append(t)
@@ -204,8 +206,10 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
     for istep in range(1, nsteps + 1):
         t0 = (istep - 1) * dt
         t1 = istep * dt
-        X = stepper.step(X, explicit_at(t0))
-        cur = (diss_rate(X), forcing_load(t1), coeff_load(t1))
+        X = stepper.step(X, explicit_at(t0, ap))
+        if not a_constant:  # a constant family keeps its level-0 load
+            ap, load = level(t1)
+        cur = (diss_rate(X), forcing_load(t1), load)
         cum_d += 0.5 * dt * (prev[0] + cur[0])
         cum_f += 0.5 * dt * (prev[1] + cur[1])
         cum_a += 0.5 * dt * (prev[2] + cur[2])

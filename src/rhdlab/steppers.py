@@ -6,6 +6,8 @@ implicit solve is a batched dense solve with one small complex matrix per
 mode, factored once per (matrix, dt) pair.  :func:`acoustic_exchange_matrix`
 is the single builder of that linear part: the IMEX solver, the linearized
 probe and the verification right-hand sides all take their symbol from it.
+The solvers only factor the symbol; only the verification right-hand sides
+apply it.
 :data:`SCHEMES` is the single table of time schemes, and :class:`ImexStepper`
 factors a symbol for the scheme it is given.
 """
@@ -115,36 +117,29 @@ def field_sums(values, dim):
 
 
 class ImexOperator:
-    """Batched per-mode application of ``M`` and solve with ``(I - c*M)``.
+    """Batched per-mode solve with ``(I - c*M)``, factored once at
+    construction and reused every step.
 
-    Spectral states have shape ``(s, *grid.shape)``; the factorization is
-    computed once at construction and reused every step.
+    Construction overwrites ``M`` with ``I - c*M`` and keeps only its
+    inverse, so the operator holds one ``(s, s)`` matrix per mode and never
+    the symbol itself.  Spectral states have shape ``(s, *grid.shape)``.
     """
 
     def __init__(self, M: np.ndarray, solve_coeff: float):
         s = M.shape[0]
-        self._s = s
-        self._field_shape = M.shape[2:]
-        Mm = M.reshape(s, s, -1).transpose(2, 0, 1)
+        A = M.reshape(s, s, -1).transpose(2, 0, 1)
+        A *= -solve_coeff
+        A[:, range(s), range(s)] += 1.0
         try:
-            self._inv = np.linalg.inv(np.eye(s)[None] - solve_coeff * Mm)
+            self._inv = np.linalg.inv(A)
         except np.linalg.LinAlgError as exc:
             raise SolverError(
                 f"implicit operator I - {solve_coeff!r}*M is singular") from exc
-        self._M = Mm
-
-    def _contract(self, mats, X):
-        flat = X.reshape(self._s, -1)
-        out = np.einsum("mij,jm->im", mats, flat)
-        return out.reshape((self._s,) + self._field_shape)
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        """``M @ X`` per mode."""
-        return self._contract(self._M, X)
 
     def solve(self, X: np.ndarray) -> np.ndarray:
         """``(I - c*M)^{-1} @ X`` per mode."""
-        return self._contract(self._inv, X)
+        out = np.einsum("mij,jm->im", self._inv, X.reshape(len(X), -1))
+        return out.reshape(X.shape)
 
 
 def imex_euler_step(op: ImexOperator, X, dt, explicit_fn):
@@ -153,12 +148,18 @@ def imex_euler_step(op: ImexOperator, X, dt, explicit_fn):
 
 
 def ars222_step(op: ImexOperator, X, dt, explicit_fn):
-    """Second-order two-stage IMEX step; ``op`` factored with ``ARS_GAMMA*dt``."""
+    """Second-order two-stage IMEX step; ``op`` factored with ``ARS_GAMMA*dt``.
+
+    The stage derivative ``M @ y`` comes from the solve relation
+    ``y - ARS_GAMMA*dt * M @ y = r`` as ``(y - r)/(ARS_GAMMA*dt)``, so the
+    symbol is never applied.
+    """
     n1 = explicit_fn(X)
-    y = op.solve(X + dt * ARS_GAMMA * n1)
+    r = X + dt * ARS_GAMMA * n1
+    y = op.solve(r)
     n2 = explicit_fn(y)
     rhs = (X + dt * (ARS_DHAT * n1 + (1.0 - ARS_DHAT) * n2)
-           + dt * (1.0 - ARS_GAMMA) * op.apply(y))
+           + (1.0 - ARS_GAMMA) / ARS_GAMMA * (y - r))
     return op.solve(rhs)
 
 
@@ -173,7 +174,11 @@ SCHEMES = {
 
 class ImexStepper:
     """The scheme ``SCHEMES[scheme]`` at ``dt`` for the symbol ``M``; ``op``
-    is ``M`` factored at the scheme's implicit coefficient."""
+    is ``M`` factored at the scheme's implicit coefficient.
+
+    The stepper consumes ``M``: :class:`ImexOperator` overwrites it while
+    factoring, and no reference to it is kept.
+    """
 
     def __init__(self, scheme: str, M: np.ndarray, dt: float):
         gamma, self._step = SCHEMES[scheme]

@@ -12,7 +12,7 @@ import json
 import math
 import time as _time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ from .compressible import (CompressibleSolver, SolverConfig, Trajectory,
 from .config import ConfigError, ExperimentConfig, dump_config_text
 from .fields import save_field
 from .incompressible import SCHEMES as NS_SCHEMES, IncompressibleSolver
-from .initial import InitSpec, make_well_prepared, random_band_scalar
+from .initial import make_well_prepared, random_band_scalar
 from .linearized import (LinearizedProblem, check_estimate,
                          constant_coefficient, solve_linearized, standing_wave)
 from .steppers import SCHEMES
@@ -104,12 +104,8 @@ def _reference_velocity(cfg, grid, params, eos, seed):
     Uses the velocity-budget normalization (the Mach-free variant), so in
     global-thm mode it coincides with every sweep member's initial velocity.
     """
-    spec = cfg.build_init_spec(delta=params.delta, seed=seed)
-    spec = InitSpec(budget=spec.budget, delta=spec.delta, seed=spec.seed,
-                    spectrum_peak=spec.spectrum_peak, mode="global-thm",
-                    norm_order=spec.norm_order,
-                    slaved_radiation=spec.slaved_radiation,
-                    balanced_pressure=spec.balanced_pressure)
+    spec = replace(cfg.build_init_spec(delta=params.delta, seed=seed),
+                   mode="global-thm")
     state, _ = make_well_prepared(spec, grid, params, eos)
     return grid.leray_project(state.u)
 
