@@ -152,7 +152,7 @@ def _derivatives(grid, X):
     """
     g, d = grid, grid.dim
     grad_n = g.ifft(g.ik * X[0][np.newaxis])
-    jac_v = g.ifft(g.ik[np.newaxis, :] * X[1:1 + d][:, np.newaxis])
+    jac_v = g.jacobian(X[1:1 + d])
     div_v = np.trace(jac_v, axis1=0, axis2=1)
     lap_v = g.ifft(-g.ksq * X[1:1 + d])
     dhat = np.sum(g.ik * X[1:1 + d], axis=0)
@@ -339,19 +339,22 @@ class CompressibleSolver:
         t = pert.time
         last_valid = t
 
-        def observe(X, t):
+        def observe(X, t, p):
+            """``p`` is the unpacked ``X`` of an invariant check, or None."""
             d = grid.dim
             traj.times.append(t)
             if snapshot_velocity:
+                u = p.u if p is not None else grid.ifft(X[1:1 + d])
                 # ifft returns a real view of a complex buffer; keep the
                 # real values only
-                traj.u_snapshots.append(grid.ifft(X[1:1 + d]).copy())
+                traj.u_snapshots.append(u.copy())
             n, v, z, g = np.sqrt(field_sums(grid.norm_sq(X), d))
             traj.sup_l2_density_temperature = max(
                 traj.sup_l2_density_temperature, n + z)
             traj.sup_l2_radiation = max(traj.sup_l2_radiation, g)
             traj.sup_l2_velocity = max(traj.sup_l2_velocity, v)
-            if np.min(self.params.n_bar + grid.ifft(X[d + 2])) < 0.0:
+            drad = p.drad if p is not None else grid.ifft(X[d + 2])
+            if np.min(self.params.n_bar + drad) < 0.0:
                 traj.negative_radiation_points += 1
             if observer is not None:
                 rec = observer(X, t)
@@ -371,7 +374,7 @@ class CompressibleSolver:
         p = self.unpack(X, t)
         try:
             check_invariants(p)
-            observe(X, t)
+            observe(X, t, p)
             for istep in range(1, nsteps + 1):
                 X = self.step_spectral(X)
                 t = pert.time + istep * cfg.dt
@@ -383,7 +386,7 @@ class CompressibleSolver:
                     check_invariants(p)
                 last_valid = t
                 if seen:
-                    observe(X, t)
+                    observe(X, t, p)
         except (StateInvalidError, SolverError, DomainError) as exc:
             traj.status = "aborted"
             traj.abort_reason = str(exc)

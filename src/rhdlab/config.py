@@ -1,13 +1,15 @@
 """Experiment configuration: one INI file, strict keys, documented defaults.
 
 Every key has a default except ``sweep.deltas``, which the sweep command
-requires.  Unknown sections or keys are rejected so typos fail fast with
-exit code 2.  ``rhdlab config-reference`` prints the annotated defaults.
+requires.  Unknown sections or keys, non-finite numbers and unknown
+``output.formats`` entries are rejected so typos fail fast with exit code
+2.  ``rhdlab config-reference`` prints the annotated defaults.
 """
 
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -123,9 +125,13 @@ class ExperimentConfig:
     def getfloat(self, section, key) -> float:
         val = self._get(section, key)
         try:
-            return float(val)
+            num = float(val)
         except (TypeError, ValueError):
             raise ConfigError(f"{section}.{key}: expected number, got {val!r}") from None
+        if not math.isfinite(num):
+            raise ConfigError(f"{section}.{key}: expected a finite number, "
+                              f"got {val!r}")
+        return num
 
     def getpositive(self, section, key, integer: bool = False):
         val = (self.getint if integer else self.getfloat)(section, key)
@@ -163,6 +169,9 @@ class ExperimentConfig:
                               f"numbers, got {val!r}") from None
         if not items:
             raise ConfigError(f"{section}.{key}: empty list")
+        if not all(math.isfinite(x) for x in items):
+            raise ConfigError(f"{section}.{key}: expected finite numbers, "
+                              f"got {val!r}")
         return items
 
     # -- object builders ----------------------------------------------------
@@ -222,6 +231,15 @@ class ExperimentConfig:
 
     def output_cadence(self) -> int:
         return self.getpositive("output", "cadence", integer=True)
+
+    def output_formats(self) -> set:
+        """The comma-separated ``output.formats`` entries, each csv or json."""
+        val = self.getstr("output", "formats")
+        formats = {f.strip() for f in val.split(",") if f.strip()}
+        if not formats <= {"csv", "json"}:
+            raise ConfigError(f"output.formats: expected entries csv or json, "
+                              f"got {val!r}")
+        return formats
 
     def sweep_deltas(self):
         if "deltas" not in self.raw.get("sweep", {}) or \

@@ -115,7 +115,8 @@ def grad_sobolev_sq(grid: SpectralGrid, f, order: int) -> float:
 
     The multiplier is ``|k|^2 (1+|k|^2)^order`` with the derivative's
     Nyquist-zeroed ``|k|^2`` and the norm's full one, so the value equals
-    the sum of ``grid.sobolev_norm(grid.deriv(f, i), order)**2``.
+    the sum over ``i`` of ``grid.sobolev_norm(d_i f, order)**2`` with the
+    spectral derivative ``d_i f = grid.ifft(grid.ik[i] * grid.fft(f))``.
     """
     w = grid.ksq * grid.sobolev_weight(order)
     return float(np.sum(grid.norm_sq(grid.fft(f), w)))

@@ -2,11 +2,15 @@
 
 Conventions
 -----------
-Scalar fields are real ``float64`` arrays of shape ``grid.shape``
-(``points_per_axis`` repeated ``dim`` times).  Vector fields carry a leading
-component axis of length ``grid.dim``.  Derivatives are exact derivatives of
-the trigonometric interpolant; the Nyquist mode is dropped from first
-derivatives so that ``div(grad(f))`` and ``laplacian(f)`` agree bit-for-bit.
+Scalar fields are point values: real ``float64`` arrays of shape
+``grid.shape`` (``points_per_axis`` repeated ``dim`` times).  Vector fields
+carry a leading component axis of length ``grid.dim``.  Their Fourier
+coefficients are ``grid.fft(f)``, unnormalized, on the same layout.
+Methods take coefficients unless they say otherwise: derivatives are
+multiplications by ``grid.ik`` (``grid.ksq`` for ``-laplacian``), exact
+derivatives of the trigonometric interpolant.  The Nyquist mode is dropped
+from ``ik`` and ``ksq`` alike, so ``div(grad(f))`` and ``laplacian(f)``
+agree bit-for-bit.
 
 Every public operation returns a fresh array and never mutates its inputs,
 so grids and fields are safe to share across worker threads.  Every norm
@@ -24,7 +28,7 @@ _MAGIC = b"SPECF1\n"
 
 
 class SpectralGrid:
-    """Uniform periodic grid with Fourier transforms and calculus.
+    """Uniform periodic grid with Fourier transforms, wavenumbers and norms.
 
     Parameters
     ----------
@@ -94,52 +98,31 @@ class SpectralGrid:
         """Inverse transform back to a real field."""
         return _fft.ifftn(fhat, axes=self._fft_axes).real
 
-    def coeffs(self, f: np.ndarray) -> np.ndarray:
-        """Trig-interpolant coefficients, i.e. ``fft(f)`` normalized by point count."""
-        return self.fft(f) / float(self.n ** self.dim)
-
     def grid_points(self) -> np.ndarray:
         """Node coordinates, shape ``(dim, *shape)``."""
         x1 = np.arange(self.n) * self.dx
         return np.stack(np.meshgrid(*([x1] * self.dim), indexing="ij"))
 
-    # -- calculus ---------------------------------------------------------
+    # -- calculus on coefficients ----------------------------------------
 
-    def deriv(self, f: np.ndarray, axis: int) -> np.ndarray:
-        """Spectral partial derivative along ``axis`` (0-based spatial axis)."""
-        return self.ifft(self.ik[axis] * self.fft(f))
-
-    def grad(self, f: np.ndarray) -> np.ndarray:
-        """Gradient of a scalar field, shape ``(dim, *shape)``."""
-        fhat = self.fft(f)
-        return self.ifft(self.ik * fhat[np.newaxis])
-
-    def div(self, v: np.ndarray) -> np.ndarray:
-        """Divergence of a vector field."""
-        vhat = self.fft(v)
-        return self.ifft(np.sum(self.ik * vhat, axis=0))
-
-    def laplacian(self, f: np.ndarray) -> np.ndarray:
-        """Laplacian of a scalar or vector field."""
-        return self.ifft(-self.ksq * self.fft(f))
-
-    def jacobian(self, v: np.ndarray) -> np.ndarray:
-        """All first derivatives of a vector field; ``jac[i, j] = d v_i / d x_j``."""
-        vhat = self.fft(v)
+    def jacobian(self, vhat: np.ndarray) -> np.ndarray:
+        """Point values of all first derivatives of a vector field given by
+        its coefficients; ``jac[i, j] = d v_i / d x_j``."""
         return self.ifft(self.ik[np.newaxis, :] * vhat[:, np.newaxis])
 
-    # -- norms and projections --------------------------------------------
+    def leray(self, vhat: np.ndarray) -> np.ndarray:
+        """Coefficients of the divergence-free part of a vector field.
 
-    def integral(self, f: np.ndarray) -> float:
-        """Exact quadrature of a band-limited field over the box.
-
-        Component axes of a vector field are summed.
+        Gradient parts are removed exactly; the mean (k = 0) passes.
         """
-        return float(np.sum(np.mean(f, axis=self._fft_axes)) * self.volume)
+        if vhat.shape[0] != self.dim:
+            raise ValueError("leray expects a vector field")
+        ksq = np.where(self.ksq == 0.0, 1.0, self.ksq)
+        k = self.ik.imag  # zeroed-Nyquist wavenumbers
+        proj = np.sum(k * vhat, axis=0) / ksq
+        return vhat - k * proj[np.newaxis]
 
-    def inner(self, f: np.ndarray, g: np.ndarray) -> float:
-        """Discrete L2 inner product (component axes summed over)."""
-        return self.integral(f * g)
+    # -- norms and masks --------------------------------------------------
 
     def norm_sq(self, fhat: np.ndarray, weight=1.0):
         """Parseval sum ``volume * sum(weight * |fhat / n**dim|^2)`` of
@@ -160,7 +143,8 @@ class SpectralGrid:
         return (1.0 + self.ksq_full) ** order
 
     def sobolev_norm(self, f: np.ndarray, order: int = 0) -> float:
-        """Discrete Sobolev norm via the ``(1 + |k|^2)^order`` multiplier.
+        """Discrete Sobolev norm of point values ``f`` via the
+        ``(1 + |k|^2)^order`` multiplier.
 
         Matches the continuum L2 norm at ``order=0`` (Parseval); vector
         fields contribute the sum of squared component norms.
@@ -168,37 +152,15 @@ class SpectralGrid:
         w = self.sobolev_weight(order)
         return float(np.sqrt(np.sum(self.norm_sq(self.fft(f), w))))
 
-    def leray_project(self, v: np.ndarray) -> np.ndarray:
-        """Project a vector field onto its divergence-free part.
-
-        Gradient parts are removed exactly in spectral space; the mean
-        (k = 0) component is untouched.
-        """
-        if v.shape[0] != self.dim:
-            raise ValueError("leray_project expects a vector field")
-        vhat = self.fft(v)
-        ksq = np.where(self.ksq == 0.0, 1.0, self.ksq)
-        k = self.ik.imag  # zeroed-Nyquist wavenumbers
-        proj = np.sum(k * vhat, axis=0) / ksq
-        vhat = vhat - k * proj[np.newaxis]
-        return self.ifft(vhat)
-
-    def helmholtz_solve(self, a: float, b: float, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``(a*I - b*Laplacian) x = rhs`` exactly in Fourier space."""
-        if a <= 0:
-            raise ValueError(f"helmholtz_solve requires a > 0, got a={a}")
-        if b < 0:
-            raise ValueError(f"helmholtz_solve requires b >= 0, got b={b}")
-        return self.ifft(self.fft(rhs) / (a + b * self.ksq))
-
     def mask(self, f: np.ndarray) -> np.ndarray:
-        """Apply the 2/3-rule filter (identity when ``dealias`` is off)."""
+        """Apply the 2/3-rule filter to point values (identity when
+        ``dealias`` is off)."""
         if not self.dealias:
             return np.array(f, copy=True)
         return self.ifft(self.fft(f) * self.dealias_mask)
 
     def mask_spectral(self, fhat: np.ndarray) -> np.ndarray:
-        """Spectral-space version of :meth:`mask`."""
+        """The 2/3-rule filter on coefficients (:meth:`mask` on point values)."""
         if not self.dealias:
             return fhat
         return fhat * self.dealias_mask

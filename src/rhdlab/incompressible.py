@@ -1,10 +1,11 @@
 """Reference solver for the incompressible Navier-Stokes limit system.
 
-Projection method on the same spectral grid as the compressible runs:
-dealiased explicit advection, implicit diffusion (Crank-Nicolson by default,
-backward Euler as the first-order variant), and an exact Leray projection in
-place of the pressure gradient.  Pressure is recovered diagnostically from
-its Poisson equation rather than evolved.
+Projection method on the same spectral grid as the compressible runs,
+stepping Fourier coefficients: dealiased explicit advection, implicit
+diffusion (Crank-Nicolson by default, backward Euler as the first-order
+variant), and an exact Leray projection in place of the pressure gradient.
+Only the advection leaves spectral space.  Pressure is recovered
+diagnostically from its Poisson equation rather than evolved.
 """
 
 from __future__ import annotations
@@ -46,50 +47,55 @@ class IncompressibleSolver:
         self.rho_bar = float(rho_bar)
         self.scheme = scheme
 
-    def _advection(self, u: np.ndarray) -> np.ndarray:
-        jac = self.grid.jacobian(u)
-        adv = -np.einsum("j...,ij...->i...", u, jac)
-        return self.grid.mask(adv)
+    def _advection(self, uhat: np.ndarray) -> np.ndarray:
+        """Dealiased coefficients of ``-(u.grad)u``."""
+        g = self.grid
+        adv = -np.einsum("j...,ij...->i...", g.ifft(uhat), g.jacobian(uhat))
+        return g.mask_spectral(g.fft(adv))
 
-    def step(self, u: np.ndarray, dt: float) -> np.ndarray:
-        """One step; output is divergence-free to spectral round-off."""
+    def step(self, uhat: np.ndarray, dt: float) -> np.ndarray:
+        """One step on velocity coefficients; the new coefficients are
+        divergence-free to spectral round-off."""
         if dt <= 0:
             raise ValueError("dt must be positive")
         g = self.grid
-        adv = g.leray_project(self._advection(u))
+        rhs = uhat + dt * g.leray(self._advection(uhat))
         if self.scheme == "cn":
             half = 0.5 * dt * self.mu_bar
-            rhs = u + dt * adv + half * g.laplacian(u)
-            unew = g.helmholtz_solve(1.0, half, rhs)
+            unew = (rhs - half * g.ksq * uhat) / (1.0 + half * g.ksq)
         else:
-            unew = g.helmholtz_solve(1.0, dt * self.mu_bar, u + dt * adv)
-        return g.leray_project(unew)
+            unew = rhs / (1.0 + dt * self.mu_bar * g.ksq)
+        return g.leray(unew)
 
     def run(self, u0: np.ndarray, dt: float, t_end: float,
             cadence: int = 10) -> IncompressibleTrajectory:
+        """Advance the point values ``u0`` to ``t_end``; snapshots are point
+        values.  The stepped coefficients are masked and Leray-projected."""
         g = self.grid
-        u = g.leray_project(np.array(u0, dtype=float))
+        uhat = g.leray(g.mask_spectral(g.fft(np.asarray(u0, dtype=float))))
         traj = IncompressibleTrajectory(dt=dt)
         nsteps = max(0, int(np.ceil(t_end / dt - 1e-12)))
 
         def observe(t):
             traj.times.append(t)
-            traj.u_snapshots.append(u.copy())
-            traj.kinetic_energy.append(g.sobolev_norm(u, 0) ** 2)
+            # ifft returns a real view of a complex buffer; keep the real
+            # values only
+            traj.u_snapshots.append(g.ifft(uhat).copy())
+            traj.kinetic_energy.append(float(np.sum(g.norm_sq(uhat))))
 
         observe(0.0)
         for istep in range(1, nsteps + 1):
-            u = self.step(u, dt)
+            uhat = self.step(uhat, dt)
             if istep % max(1, cadence) == 0 or istep == nsteps:
                 observe(istep * dt)
-        traj.final_u = u
+        traj.final_u = g.ifft(uhat).copy()
         return traj
 
     def pressure_recover(self, u: np.ndarray) -> np.ndarray:
-        """Zero-mean pressure from ``lap(P) = -rho_bar * div((u.grad)u)``."""
+        """Zero-mean pressure from ``lap(P) = -rho_bar * div((u.grad)u)``
+        for the point values ``u``."""
         g = self.grid
-        conv = -self._advection(u)  # +(u.grad)u, dealiased
-        dhat = np.sum(g.ik * g.fft(conv), axis=0)
+        dhat = -np.sum(g.ik * self._advection(g.fft(u)), axis=0)
         ksq = np.where(g.ksq == 0.0, 1.0, g.ksq)
         phat = self.rho_bar * dhat / ksq
         phat[(0,) * g.dim] = 0.0

@@ -157,7 +157,7 @@ def make_well_prepared(spec: InitSpec, grid: SpectralGrid, params: PhysParams,
             f"budget {spec.budget} unreachable: temperature perturbation "
             f"would push min theta to {np.min(theta0):.4g} < theta_bar/2")
 
-    u_dir = grid.leray_project(w_u)
+    u_dir = grid.ifft(grid.leray(grid.fft(w_u)))
     if spec.mode == "local-thm":
         norm = grid.sobolev_norm(rho0 * u_dir, N)
     else:
@@ -188,7 +188,8 @@ def _report(grid, state, params, spec):
         "bundle": bundle,
         "budget": spec.budget,
         "mode": spec.mode,
-        "div_u": float(np.max(np.abs(grid.div(state.u)))),
+        "div_u": float(np.max(np.abs(
+            grid.ifft(np.sum(grid.ik * grid.fft(state.u), axis=0))))),
         "min_rho": float(np.min(state.rho)),
         "min_theta": float(np.min(state.theta)),
         "seed": spec.seed,

@@ -75,9 +75,12 @@ def standing_wave(amplitude: float = 0.5, base: float = 1.0) -> CoefficientField
     """``base + amplitude*sin(x_0)*sin(t)``; requires ``|amplitude| < base``."""
     if not abs(amplitude) < base:
         raise DomainError("standing wave needs |amplitude| < base for positivity")
+    shapes = {}  # spatial factor per grid, built on first use
+
     def fn(grid, t):
-        x = grid.grid_points()
-        return base + amplitude * np.sin(x[0]) * np.sin(t)
+        if grid not in shapes:
+            shapes[grid] = amplitude * np.sin(grid.grid_points()[0])
+        return base + shapes[grid] * np.sin(t)
     return CoefficientField(base - abs(amplitude), base + abs(amplitude), fn,
                             label=f"standing-wave({amplitude})")
 
@@ -145,7 +148,7 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
         def explicit(X):
             N = np.zeros_like(X)
             if not a_constant:
-                jac = grid.ifft(grid.ik[np.newaxis, :] * X[1:1 + d][:, np.newaxis])
+                jac = grid.jacobian(X[1:1 + d])
                 div_m = np.trace(jac, axis1=0, axis2=1)
                 for i in range(d):
                     # mu_bar * div(ap * grad m_i) + (lam+mu)_bar * d_i(ap * div m)

@@ -103,11 +103,13 @@ def _reference_velocity(cfg, grid, params, eos, seed):
 
     Uses the velocity-budget normalization (the Mach-free variant), so in
     global-thm mode it coincides with every sweep member's initial velocity.
+    The datum is divergence-free already; the reference masks and projects
+    it on entry.
     """
     spec = replace(cfg.build_init_spec(delta=params.delta, seed=seed),
                    mode="global-thm")
     state, _ = make_well_prepared(spec, grid, params, eos)
-    return grid.leray_project(state.u)
+    return state.u
 
 
 def _prepare(cfg, grid, params, eos, seed):
@@ -184,6 +186,7 @@ def run_single(cfg: ExperimentConfig, out_dir, seed=None):
     params = cfg.build_params()
     eos = cfg.build_eos()
     seed = seed if seed is not None else cfg.getint("init", "seed")
+    formats = cfg.output_formats()
 
     prepared = _prepare(cfg, grid, params, eos, seed)
     dt = _resolve_dt(cfg, grid, prepared[0].u)
@@ -199,7 +202,6 @@ def run_single(cfg: ExperimentConfig, out_dir, seed=None):
     summary.update(_traj_summary(traj, init_report, solver_cfg))
 
     (out / "effective_config.ini").write_text(dump_config_text(cfg))
-    formats = cfg.getstr("output", "formats").split(",")
     if "csv" in formats:
         write_diagnostics_csv(out / "diagnostics.csv", traj.records)
     if "json" in formats:

@@ -76,9 +76,8 @@ def test_single_mode_matches_matrix_exponential_oracle():
     c_exact = expm(M * 0.1) @ c0
 
     nrel, mom, dth, drad = traj.states[-1]
-    got = np.array([grid.coeffs(nrel)[1, 0], grid.coeffs(mom[0])[1, 0],
-                    grid.coeffs(mom[1])[1, 0], grid.coeffs(dth)[1, 0],
-                    grid.coeffs(drad)[1, 0]])
+    got = np.array([grid.fft(f)[1, 0] / grid.n ** grid.dim
+                    for f in (nrel, mom[0], mom[1], dth, drad)])
     assert np.max(np.abs(got - c_exact)) < 1e-8
 
 
@@ -175,3 +174,25 @@ def test_constant_uniformity_small_grid():
         consts[delta] = check_estimate(traj).constant
     vals = list(consts.values())
     assert max(vals) / min(vals) < 4.0
+
+
+def test_standing_wave_builds_nodes_once(monkeypatch):
+    # the spatial factor is built once per grid, not at every step, and the
+    # sampled values keep the formula's evaluation order
+    grid = SpectralGrid(dim=2, points_per_axis=16)
+    x = grid.grid_points()
+    calls = [0]
+    grid_points = SpectralGrid.grid_points
+
+    def counted(self):
+        calls[0] += 1
+        return grid_points(self)
+
+    monkeypatch.setattr(SpectralGrid, "grid_points", counted)
+    coeff = standing_wave(0.5)
+    solve_linearized(grid, make_problem(grid, coeff, 0.01),
+                     PhysParams(delta=0.1), EOS, dt=1e-3)
+    assert calls[0] <= 1
+    for t in (0.0, 0.3):
+        np.testing.assert_array_equal(
+            coeff.fn(grid, t), 1.0 + 0.5 * np.sin(x[0]) * np.sin(t))

@@ -196,6 +196,9 @@ def test_cli_exit_codes_and_commands(tmp_path, capsys):
                     "ns_scheme = rk4\n", "solver.ns_scheme"),
             ("run", "[solver]\nt_end = -1\n", "solver.t_end"),
             ("run", "[diagnostics]\norder = -1\n", "diagnostics.order"),
+            ("run", "[diagnostics]\nbeta = nan\n", "diagnostics.beta"),
+            ("run", "[init]\nbudget = nan\n", "init.budget"),
+            ("run", "[solver]\ndt = inf\n", "solver.dt"),
             ("linearized", "[linearized]\ndt = -1\n", "linearized.dt"),
             ("linearized", "[linearized]\nnorm_order = -1\n",
              "linearized.norm_order"),
@@ -223,6 +226,25 @@ def test_cli_exit_codes_and_commands(tmp_path, capsys):
     assert cli_main(["fit", str(pts)]) == 0
     fit = json.loads(capsys.readouterr().out)
     assert fit["slope"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_output_formats_entries_are_stripped_and_checked(tmp_path, capsys):
+    # spaces around an entry still select it; an unknown entry is a usage
+    # error naming the key, raised before anything is written
+    spaced = write_config(tmp_path / "spaced.ini",
+                          SMALL_RUN + "formats = csv, json\n")
+    assert cli_main(["run", "--config", spaced,
+                     "--out", str(tmp_path / "spaced")]) == 0
+    assert (tmp_path / "spaced" / "diagnostics.csv").exists()
+    assert (tmp_path / "spaced" / "summary.json").exists()
+    capsys.readouterr()
+    for value in ("xml", "csv,jsn"):
+        bad = write_config(tmp_path / "bad.ini",
+                           SMALL_RUN + f"formats = {value}\n")
+        out = tmp_path / f"bad-{value}"
+        assert cli_main(["run", "--config", bad, "--out", str(out)]) == 2
+        assert "output.formats" in capsys.readouterr().err
+        assert not (out / "effective_config.ini").exists()
 
 
 @pytest.mark.parametrize("key, value", [
