@@ -49,8 +49,8 @@ _SCHEMA = {
     },
     "eos": {
         "kind": ("ideal", "equation of state family ('ideal')"),
-        "gas_constant": ("1.0", "R in P = R*rho*theta"),
-        "heat_capacity": ("1.0", "c_v in e = c_v*theta"),
+        "gas_constant": ("1.0", "R in P = R*rho*theta, > 0"),
+        "heat_capacity": ("1.0", "c_v in e = c_v*theta, > 0"),
     },
     "init": {
         "budget": ("0.5", "weighted-norm bundle budget (M0 / delta0)"),
@@ -72,7 +72,8 @@ _SCHEMA = {
     },
     "diagnostics": {
         "order": ("3", "Sobolev order of the norm bundle"),
-        "beta": ("0.05", "cross-term weight in the energy functional"),
+        "beta": ("0.05", "cross-term weight in the energy functional, "
+                         "in [0, 1]"),
     },
     "sweep": {
         "deltas": (None, "comma-separated, strictly decreasing, in (0, 1]"),
@@ -90,7 +91,9 @@ _SCHEMA = {
     "output": {
         "dir": ("out", "output directory"),
         "cadence": ("10", "steps between diagnostics rows"),
-        "formats": ("csv,json", "outputs to write"),
+        "formats": ("csv,json", "csv and/or json, comma-separated: which "
+                                "outputs every command writes "
+                                "(effective_config.ini always)"),
         "snapshots": ("false", "write field snapshots of the final state"),
     },
 }
@@ -189,8 +192,8 @@ class ExperimentConfig:
         kind = self.getstr("eos", "kind")
         if kind != "ideal":
             raise ConfigError(f"eos.kind: unknown family {kind!r}")
-        return IdealGasEOS(R=self.getfloat("eos", "gas_constant"),
-                           c_v=self.getfloat("eos", "heat_capacity"))
+        return IdealGasEOS(R=self.getpositive("eos", "gas_constant"),
+                           c_v=self.getpositive("eos", "heat_capacity"))
 
     def build_params(self, delta: Optional[float] = None) -> PhysParams:
         d = delta if delta is not None else self.getfloat("params", "delta")

@@ -18,12 +18,10 @@ import numpy as np
 
 from .fields import SpectralGrid
 from .model import Background, DomainError, PhysParams, planck_linear
-from .steppers import field_sums, pack_state
+from .steppers import field_sums
 
 __all__ = [
-    "DiagnosticsRecord", "Collector", "CadenceMismatchError",
-    "scaled_bundle", "energy_functional", "exchange_residual",
-    "velocity_density_cross_term", "grad_sobolev_sq", "bundle_factors",
+    "DiagnosticsRecord", "Collector", "CadenceMismatchError", "bundle_factors",
     "compare_to_reference", "RefErrorSeries",
     "energy_dissipation_probe", "cross_term_probe", "ProbeResult",
 ]
@@ -93,71 +91,16 @@ def _cross_weight(grid, order):
 
 
 def _cross(grid, rhat, uhat, weight):
-    """:func:`velocity_density_cross_term` from transformed fields."""
-    pair = np.sum(np.conj(uhat) * (grid.ik * rhat), axis=0).real
-    return float(grid.volume / float(grid.n ** grid.dim) ** 2
-                 * np.sum(weight * pair))
-
-
-def scaled_bundle(grid: SpectralGrid, u, drho, dtheta, drad, delta: float,
-                  order: int = 3) -> float:
-    """Sum of squared H^order norms with weights (1, 1/delta^2, 1/delta^2,
-    1/delta)."""
-    if order < 0:
-        raise DomainError("order must be >= 0")
-    X = pack_state(grid, drho, u, dtheta, drad)
-    return float(bundle_factors(grid.dim, delta)
-                 @ grid.norm_sq(X, grid.sobolev_weight(order)))
-
-
-def grad_sobolev_sq(grid: SpectralGrid, f, order: int) -> float:
-    """``sum_i |d_i f|^2`` in H^order.
-
-    The multiplier is ``|k|^2 (1+|k|^2)^order`` with the derivative's
-    Nyquist-zeroed ``|k|^2`` and the norm's full one, so the value equals
-    the sum over ``i`` of ``grid.sobolev_norm(d_i f, order)**2`` with the
-    spectral derivative ``d_i f = grid.ifft(grid.ik[i] * grid.fft(f))``.
-    """
-    w = grid.ksq * grid.sobolev_weight(order)
-    return float(np.sum(grid.norm_sq(grid.fft(f), w)))
-
-
-def velocity_density_cross_term(grid: SpectralGrid, u, drho,
-                                order: int) -> float:
-    """Spectral realization of ``sum_{k<order} <grad^k u, grad^{k+1} drho>``.
+    """Spectral realization of ``sum_{k<order} <grad^k u, grad^{k+1} drho>``
+    from the coefficients ``uhat``, ``rhat`` and :func:`_cross_weight`.
 
     Each derivative level is represented by the ``|k|^(2k)`` multiplier, the
     pairing contracts every velocity component with the matching gradient
     component of the density perturbation.
     """
-    return _cross(grid, grid.fft(drho), grid.fft(u),
-                  _cross_weight(grid, order))
-
-
-def energy_functional(grid: SpectralGrid, u, drho, dtheta, drad, delta: float,
-                      beta: float, order: int, params: PhysParams, eos) -> float:
-    """Weighted norm sum plus the beta cross term.
-
-    Weights: 1 on velocity, ``P_rho(bar)/(rho_bar^2 delta^2)`` on density,
-    ``e_theta(bar)/(theta_bar delta^2)`` on temperature, and
-    ``sigma_a/(4 sigma_tilde delta rho_bar theta_bar^4)`` on radiation.
-    ``beta`` must lie in [0, 1]; beta = 0 drops the cross term.
-    """
-    if not 0.0 <= beta <= 1.0:
-        raise DomainError(f"beta must lie in [0, 1], got {beta}")
-    if order < 0:
-        raise DomainError("order must be >= 0")
-    X = pack_state(grid, drho, u, dtheta, drad)
-    d = grid.dim
-    return (float(_energy_factors(d, params, eos, delta)
-                  @ grid.norm_sq(X, grid.sobolev_weight(order)))
-            + beta * _cross(grid, X[0], X[1:1 + d], _cross_weight(grid, order)))
-
-
-def exchange_residual(grid: SpectralGrid, dtheta, drad, order: int,
-                      params: PhysParams) -> float:
-    """H^order norm of the linear matter-radiation disequilibrium."""
-    return grid.sobolev_norm(planck_linear(dtheta, drad, params), order)
+    pair = np.sum(np.conj(uhat) * (grid.ik * rhat), axis=0).real
+    return float(grid.volume / float(grid.n ** grid.dim) ** 2
+                 * np.sum(weight * pair))
 
 
 # -- per-run collection ------------------------------------------------------
@@ -169,6 +112,12 @@ class Collector:
     the perturbation fields, packed as :func:`rhdlab.steppers.pack_state`
     lays them out (the solver's own state), with weights built here; it
     transforms nothing.
+    The bundle weighs the squared ``H^order`` norms by ``(1, 1/delta^2,
+    1/delta^2, 1/delta)`` on velocity, density, temperature and radiation.
+    The energy functional weighs them by ``1``, ``P_rho(bar)/(rho_bar^2
+    delta^2)``, ``e_theta(bar)/(theta_bar delta^2)`` and ``sigma_a/(4
+    sigma_tilde delta rho_bar theta_bar^4)``, and adds ``beta`` times the
+    velocity/density-gradient cross term; ``beta`` must lie in [0, 1].
     Dissipation integrals are accumulated with the trapezoid rule at
     cadence resolution, weighted as in the a priori energy inequality:
     ``mu/rho_bar`` on velocity gradients, ``kappa/(rho_bar theta_bar
@@ -179,6 +128,8 @@ class Collector:
     def __init__(self, grid: SpectralGrid, params: PhysParams, eos,
                  order: int = 3, beta: float = 0.05, seed: int = -1,
                  kind: str = "run"):
+        if not 0.0 <= beta <= 1.0:
+            raise DomainError(f"beta must lie in [0, 1], got {beta}")
         self.grid = grid
         self.params = params
         self.beta = beta

@@ -21,7 +21,7 @@ from . import diagnostics as diag
 from .compressible import (CompressibleSolver, SolverConfig, Trajectory,
                            default_dt)
 from .config import ConfigError, ExperimentConfig, dump_config_text
-from .fields import save_field
+from .fields import SpectralGrid, save_field
 from .incompressible import SCHEMES as NS_SCHEMES, IncompressibleSolver
 from .initial import make_well_prepared, random_band_scalar
 from .linearized import (LinearizedProblem, check_estimate,
@@ -70,12 +70,10 @@ def fit_rate(points) -> RateFit:
     return RateFit(pts, float(slope), float(intercept), r2)
 
 
-def write_diagnostics_csv(path, records, timestamp: bool = True) -> None:
+def write_diagnostics_csv(path, records) -> None:
     """Frozen CSV contract; first line is a timestamp comment."""
-    lines = []
-    if timestamp:
-        lines.append("# generated " + _time.strftime("%Y-%m-%dT%H:%M:%S"))
-    lines.append(",".join(diag.CSV_COLUMNS))
+    lines = ["# generated " + _time.strftime("%Y-%m-%dT%H:%M:%S"),
+             ",".join(diag.CSV_COLUMNS)]
     for rec in records:
         lines.append(",".join(rec.csv_row()))
     Path(path).write_text("\n".join(lines) + "\n")
@@ -92,57 +90,95 @@ def _write_json(path, payload):
                                      default=_json_default) + "\n")
 
 
-def _resolve_dt(cfg: ExperimentConfig, grid, u0) -> float:
-    if cfg.getstr("solver", "dt") == "auto":
-        return default_dt(grid, u0)
-    return cfg.getpositive("solver", "dt")
+@dataclass
+class _Setup:
+    """What every command resolves before any work: the configuration, the
+    output directory and the formats written there, the grid, the gas law,
+    the seed and the observer's Sobolev order and cross-term weight."""
+    cfg: ExperimentConfig
+    out: Path
+    formats: set
+    grid: SpectralGrid
+    eos: object
+    seed: int
+    order: int
+    beta: float
+
+    def collector(self, params, kind):
+        """The observer of one run at ``params``; its rows carry ``kind``."""
+        return diag.Collector(self.grid, params, self.eos, order=self.order,
+                              beta=self.beta, seed=self.seed, kind=kind)
+
+    def write(self, csv_name, records, json_name, payload):
+        """``effective_config.ini``, then the CSV of ``records`` and the JSON
+        of ``payload`` as ``output.formats`` selects them."""
+        (self.out / "effective_config.ini").write_text(
+            dump_config_text(self.cfg))
+        if "csv" in self.formats:
+            write_diagnostics_csv(self.out / csv_name, records)
+        if "json" in self.formats:
+            _write_json(self.out / json_name, payload)
 
 
-def _reference_velocity(cfg, grid, params, eos, seed):
-    """Initial datum of the shared incompressible reference.
+def _setup(cfg: ExperimentConfig, out_dir, seed) -> _Setup:
+    """Check the output and observer settings, build the grid and the gas
+    law, resolve the seed, and create the output directory."""
+    formats = cfg.output_formats()
+    beta = cfg.getfloat("diagnostics", "beta")
+    if not 0.0 <= beta <= 1.0:
+        raise ConfigError(f"diagnostics.beta must lie in [0, 1], got {beta}")
+    setup = _Setup(
+        cfg, Path(out_dir), formats, cfg.build_grid(), cfg.build_eos(),
+        seed if seed is not None else cfg.getint("init", "seed"),
+        cfg.getnonnegative("diagnostics", "order", integer=True), beta)
+    setup.out.mkdir(parents=True, exist_ok=True)
+    return setup
+
+
+def _resolve_dt(s: _Setup, u0) -> float:
+    if s.cfg.getstr("solver", "dt") == "auto":
+        return default_dt(s.grid, u0)
+    return s.cfg.getpositive("solver", "dt")
+
+
+def _reference_velocity(s: _Setup, params):
+    """Initial datum of the incompressible reference.
 
     Uses the velocity-budget normalization (the Mach-free variant), so in
     global-thm mode it coincides with every sweep member's initial velocity.
     The datum is divergence-free already; the reference masks and projects
     it on entry.
     """
-    spec = replace(cfg.build_init_spec(delta=params.delta, seed=seed),
+    spec = replace(s.cfg.build_init_spec(delta=params.delta, seed=s.seed),
                    mode="global-thm")
-    state, _ = make_well_prepared(spec, grid, params, eos)
+    state, _ = make_well_prepared(spec, s.grid, params, s.eos)
     return state.u
 
 
-def _prepare(cfg, grid, params, eos, seed):
+def _prepare(s: _Setup, params):
     """Well-prepared initial state and its report at ``params.delta``."""
-    spec = cfg.build_init_spec(delta=params.delta, seed=seed)
-    return make_well_prepared(spec, grid, params, eos)
+    spec = s.cfg.build_init_spec(delta=params.delta, seed=s.seed)
+    return make_well_prepared(spec, s.grid, params, s.eos)
 
 
-def _run_one_compressible(cfg, grid, params, eos, seed, dt, prepared,
-                          kind="run"):
+def _run_one_compressible(s: _Setup, params, dt, prepared):
     state0, init_report = prepared
     solver_cfg = SolverConfig(
         dt=dt,
-        t_end=cfg.getnonnegative("solver", "t_end"),
-        scheme=cfg.getchoice("solver", "scheme", SCHEMES))
-    solver = CompressibleSolver(grid, params, eos, solver_cfg)
-    collector = diag.Collector(grid, params, eos,
-                               order=cfg.getnonnegative(
-                                   "diagnostics", "order", integer=True),
-                               beta=cfg.getfloat("diagnostics", "beta"),
-                               seed=seed, kind=kind)
-    traj = solver.run(state0, cadence=cfg.output_cadence(),
-                      observer=collector.observe)
+        t_end=s.cfg.getnonnegative("solver", "t_end"),
+        scheme=s.cfg.getchoice("solver", "scheme", SCHEMES))
+    solver = CompressibleSolver(s.grid, params, s.eos, solver_cfg)
+    traj = solver.run(state0, cadence=s.cfg.output_cadence(),
+                      observer=s.collector(params, "run").observe)
     return traj, init_report, solver_cfg
 
 
-def _run_reference_traj(cfg, grid, params, eos, seed, dt):
-    u0 = _reference_velocity(cfg, grid, params, eos, seed)
-    ns = IncompressibleSolver(grid, params.mu_bar, params.rho_bar,
-                              scheme=cfg.getchoice("solver", "ns_scheme",
-                                                   NS_SCHEMES))
-    return ns.run(u0, dt, cfg.getnonnegative("solver", "t_end"),
-                  cadence=cfg.output_cadence())
+def _run_reference_traj(s: _Setup, params, u0, dt):
+    ns = IncompressibleSolver(s.grid, params.mu_bar, params.rho_bar,
+                              scheme=s.cfg.getchoice("solver", "ns_scheme",
+                                                     NS_SCHEMES))
+    return ns.run(u0, dt, s.cfg.getnonnegative("solver", "t_end"),
+                  cadence=s.cfg.output_cadence())
 
 
 def _attach_ref_errors(traj: Trajectory, ref_traj, grid):
@@ -180,72 +216,56 @@ def run_single(cfg: ExperimentConfig, out_dir, seed=None):
     Writes ``diagnostics.csv`` and ``summary.json`` into ``out_dir``;
     returns the summary dict.  Raises :class:`RunError` if the run aborts.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    grid = cfg.build_grid()
+    s = _setup(cfg, out_dir, seed)
     params = cfg.build_params()
-    eos = cfg.build_eos()
-    seed = seed if seed is not None else cfg.getint("init", "seed")
-    formats = cfg.output_formats()
+    prepared = _prepare(s, params)
+    dt = _resolve_dt(s, prepared[0].u)
 
-    prepared = _prepare(cfg, grid, params, eos, seed)
-    dt = _resolve_dt(cfg, grid, prepared[0].u)
-
-    ref = (_run_reference_traj(cfg, grid, params, eos, seed, dt)
+    ref = (_run_reference_traj(s, params, _reference_velocity(s, params), dt)
            if cfg.getbool("solver", "with_reference") else None)
-    traj, init_report, solver_cfg = _run_one_compressible(
-        cfg, grid, params, eos, seed, dt, prepared)
-    summary = {"kind": "run", "seed": seed}
+    traj, init_report, solver_cfg = _run_one_compressible(s, params, dt,
+                                                          prepared)
+    summary = {"kind": "run", "seed": s.seed}
     if ref is not None:
-        errs = _attach_ref_errors(traj, ref, grid)
+        errs = _attach_ref_errors(traj, ref, s.grid)
         summary["ref_error"] = {"sup_L2": errs.sup_l2, "sup_H1": errs.sup_h1}
     summary.update(_traj_summary(traj, init_report, solver_cfg))
 
-    (out / "effective_config.ini").write_text(dump_config_text(cfg))
-    if "csv" in formats:
-        write_diagnostics_csv(out / "diagnostics.csv", traj.records)
-    if "json" in formats:
-        _write_json(out / "summary.json", summary)
+    s.write("diagnostics.csv", traj.records, "summary.json", summary)
     if cfg.getbool("output", "snapshots") and traj.final_state is not None:
         fs = traj.final_state
-        save_field(out / "final_velocity.dat", fs.u, grid)
-        save_field(out / "final_density_pert.dat", fs.drho, grid)
+        save_field(s.out / "final_velocity.dat", fs.u, s.grid)
+        save_field(s.out / "final_density_pert.dat", fs.drho, s.grid)
     if traj.status != "ok":
         raise RunError(f"run aborted at t={traj.abort_time}: {traj.abort_reason}")
     return summary
 
 
 def run_reference(cfg: ExperimentConfig, out_dir, seed=None):
-    """Incompressible reference run alone, same CSV surface."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    grid = cfg.build_grid()
-    params = cfg.build_params()
-    eos = cfg.build_eos()
-    seed = seed if seed is not None else cfg.getint("init", "seed")
-    u0 = _reference_velocity(cfg, grid, params, eos, seed)
-    dt = _resolve_dt(cfg, grid, u0)
-    ref = _run_reference_traj(cfg, grid, params, eos, seed, dt)
+    """Incompressible reference run alone, same CSV surface.
 
-    order = cfg.getnonnegative("diagnostics", "order", integer=True)
+    The rows come from the run observer on a state whose only non-zero
+    fields are the reference velocity: ``bundle_sup`` and ``energy_E`` are
+    its squared ``H^order`` norm, ``diss_u`` the trapezoid of
+    ``mu_bar |grad u|^2`` in ``H^order``, and the other fields' columns 0.
+    """
+    s = _setup(cfg, out_dir, seed)
+    params = cfg.build_params()
+    u0 = _reference_velocity(s, params)
+    dt = _resolve_dt(s, u0)
+    ref = _run_reference_traj(s, params, u0, dt)
+
+    collector = s.collector(params, "reference")
+    d = s.grid.dim
+    X = np.zeros((d + 3,) + s.grid.shape, dtype=np.complex128)
     records = []
-    cum = 0.0
-    prev = None
     for t, u in zip(ref.times, ref.u_snapshots):
-        rate = params.mu_bar * diag.grad_sobolev_sq(grid, u, order)
-        if prev is not None:
-            cum += 0.5 * (t - prev[0]) * (rate + prev[1])
-        prev = (t, rate)
-        nsq = grid.sobolev_norm(u, order) ** 2
-        records.append(diag.DiagnosticsRecord(
-            time=t, bundle_sup=nsq, energy_E=nsq, diss_u=cum,
-            diss_theta=0.0, diss_G=0.0, exchange_residual=0.0,
-            delta=params.delta, seed=seed, kind="reference"))
-    write_diagnostics_csv(out / "reference.csv", records)
-    summary = {"kind": "reference", "seed": seed, "dt": ref.dt,
+        X[1:1 + d] = s.grid.fft(u)
+        records.append(collector.observe(X, t))
+    summary = {"kind": "reference", "seed": s.seed, "dt": ref.dt,
                "final_time": ref.times[-1],
                "final_kinetic_energy": ref.kinetic_energy[-1]}
-    _write_json(out / "reference_summary.json", summary)
+    s.write("reference.csv", records, "reference_summary.json", summary)
     return summary
 
 
@@ -258,27 +278,21 @@ def run_sweep(cfg: ExperimentConfig, out_dir, seed=None, threads: int = 1):
     monotonicity of the limit error.  Member failures leave a partial
     report flagged ``incomplete``.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     deltas = cfg.sweep_deltas()
-    grid = cfg.build_grid()
-    eos = cfg.build_eos()
-    seed = seed if seed is not None else cfg.getint("init", "seed")
+    s = _setup(cfg, out_dir, seed)
 
     # One dt for every member: the split must absorb the 1/delta^2
     # stiffness, so no member may need a smaller step.
     params0 = cfg.build_params(delta=deltas[0])
-    prepared0 = _prepare(cfg, grid, params0, eos, seed)
-    dt = _resolve_dt(cfg, grid, prepared0[0].u)
+    prepared0 = _prepare(s, params0)
+    dt = _resolve_dt(s, prepared0[0].u)
 
-    ref = _run_reference_traj(cfg, grid, params0, eos, seed, dt)
+    ref = _run_reference_traj(s, params0, _reference_velocity(s, params0), dt)
 
     def member(delta):
         params = cfg.build_params(delta=delta)
-        prepared = (prepared0 if delta == deltas[0]
-                    else _prepare(cfg, grid, params, eos, seed))
-        return _run_one_compressible(cfg, grid, params, eos, seed, dt,
-                                     prepared, kind="run")
+        prepared = prepared0 if delta == deltas[0] else _prepare(s, params)
+        return _run_one_compressible(s, params, dt, prepared)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -298,14 +312,14 @@ def run_sweep(cfg: ExperimentConfig, out_dir, seed=None, threads: int = 1):
             entry["energy_bundle_ratio"] = {"min": min(ratios),
                                             "max": max(ratios)}
         if traj.status == "ok":
-            errs = _attach_ref_errors(traj, ref, grid)
+            errs = _attach_ref_errors(traj, ref, s.grid)
             entry["ref_error"] = {"sup_L2": errs.sup_l2, "sup_H1": errs.sup_h1}
         else:
             incomplete = True
         members.append(entry)
         all_records.extend(traj.records)
 
-    report = {"kind": "sweep", "seed": seed, "dt": dt, "deltas": deltas,
+    report = {"kind": "sweep", "seed": s.seed, "dt": dt, "deltas": deltas,
               "incomplete": incomplete, "members": members}
     ok = [m for m in members if m["status"] == "ok"]
     if len(ok) >= 3:
@@ -319,8 +333,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir, seed=None, threads: int = 1):
         report["ref_error_ratios"] = [b / a for a, b in zip(sups, sups[1:])]
         report["ref_error_monotone"] = all(r < 1.0 for r in report["ref_error_ratios"])
 
-    write_diagnostics_csv(out / "sweep_diagnostics.csv", all_records)
-    _write_json(out / "sweep_report.json", report)
+    s.write("sweep_diagnostics.csv", all_records, "sweep_report.json", report)
     if incomplete:
         raise RunError("sweep incomplete: at least one member run aborted")
     return report
@@ -328,11 +341,8 @@ def run_sweep(cfg: ExperimentConfig, out_dir, seed=None, threads: int = 1):
 
 def run_linearized_probe(cfg: ExperimentConfig, out_dir, seed=None):
     """Uniform-estimate probe over coefficient families and Mach values."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    grid = cfg.build_grid()
-    eos = cfg.build_eos()
-    seed = seed if seed is not None else cfg.getint("init", "seed")
+    s = _setup(cfg, out_dir, seed)
+    grid = s.grid
     deltas = cfg.getfloatlist("linearized", "deltas")
     amp = cfg.getfloat("linearized", "forcing")
     c0 = cfg.getfloat("linearized", "c0")
@@ -347,12 +357,13 @@ def run_linearized_probe(cfg: ExperimentConfig, out_dir, seed=None):
             return standing_wave(cfg.getfloat("linearized", "wave_amplitude"))
         raise ConfigError(f"linearized.families: unknown family {name!r}")
 
-    rng = np.random.default_rng(seed)
+    # every family is built, so every name checked, before the first solve
+    families = [(name, family(name)) for name in names]
+    rng = np.random.default_rng(s.seed)
     shapes = [random_band_scalar(grid, rng, 2.0) for _ in range(3 + grid.dim)]
     records = []
     results = {}
-    for name in names:
-        coeff = family(name)
+    for name, coeff in families:
         constants = {}
         for delta in deltas:
             params = cfg.build_params(delta=delta)
@@ -364,14 +375,14 @@ def run_linearized_probe(cfg: ExperimentConfig, out_dir, seed=None):
                 init_drad=np.sqrt(delta) * amp * shapes[2 + grid.dim],
                 horizon=cfg.getnonnegative("linearized", "t_end"),
                 norm_order=norm_order)
-            traj = solve_linearized(grid, problem, params, eos, dt=dt)
+            traj = solve_linearized(grid, problem, params, s.eos, dt=dt)
             rep = check_estimate(traj, c0=c0)
             constants[delta] = rep.constant
             records.append(diag.DiagnosticsRecord(
                 time=traj.times[-1], bundle_sup=max(traj.bundles),
                 energy_E=rep.lhs_sup, diss_u=traj.cum_dissipation[-1],
                 diss_theta=0.0, diss_G=0.0,
-                exchange_residual=rep.constant, delta=delta, seed=seed,
+                exchange_residual=rep.constant, delta=delta, seed=s.seed,
                 kind="linearized"))
         vals = list(constants.values())
         results[name] = {
@@ -379,7 +390,6 @@ def run_linearized_probe(cfg: ExperimentConfig, out_dir, seed=None):
             "max_over_min": max(vals) / min(vals) if min(vals) > 0 else math.inf,
             "c0": c0,
         }
-    write_diagnostics_csv(out / "linearized.csv", records)
-    _write_json(out / "linearized_report.json",
-                {"kind": "linearized", "seed": seed, "families": results})
+    s.write("linearized.csv", records, "linearized_report.json",
+            {"kind": "linearized", "seed": s.seed, "families": results})
     return results

@@ -7,6 +7,7 @@ from rhdlab.fields import SpectralGrid
 from rhdlab.incompressible import IncompressibleSolver
 from rhdlab.initial import InitSpec, make_well_prepared
 from rhdlab.model import DomainError, IdealGasEOS, PhysParams
+from rhdlab.steppers import pack_state
 
 
 @pytest.fixture(scope="module")
@@ -22,9 +23,15 @@ def zeros(grid):
             np.zeros(grid.shape), np.zeros(grid.shape))
 
 
+def observe(grid, params, u, drho, dtheta, drad, order=3, beta=0.05):
+    """Record of one point-value state, observed at t = 0."""
+    coll = diag.Collector(grid, params, EOS, order=order, beta=beta)
+    return coll.observe(pack_state(grid, drho, u, dtheta, drad), 0.0)
+
+
 def test_bundle_zero_at_equilibrium(grid):
     u, a, b, c = zeros(grid)
-    assert diag.scaled_bundle(grid, u, a, b, c, 0.1, 3) == 0.0
+    assert observe(grid, PhysParams(delta=0.1), u, a, b, c).bundle_sup == 0.0
 
 
 def test_bundle_weight_cancellation(grid):
@@ -34,7 +41,8 @@ def test_bundle_weight_cancellation(grid):
     for delta in (0.2, 0.05):
         u, drho, _, drad = zeros(grid)
         dtheta = delta * np.sin(x[0])
-        val = diag.scaled_bundle(grid, u, drho, dtheta, drad, delta, 0)
+        val = observe(grid, PhysParams(delta=delta), u, drho, dtheta, drad,
+                      order=0).bundle_sup
         assert val == pytest.approx(2 * np.pi ** 2, rel=1e-12)
 
 
@@ -45,8 +53,8 @@ def test_bundle_invariant_under_generator_rescaling(grid):
         st, _ = make_well_prepared(InitSpec(budget=0.5, delta=delta, seed=8),
                                    grid, params, EOS)
         p = st.to_perturbation(params)
-        vals.append(diag.scaled_bundle(grid, p.u, p.drho, p.dtheta, p.drad,
-                                       delta, 3))
+        vals.append(observe(grid, params, p.u, p.drho, p.dtheta,
+                            p.drad).bundle_sup)
     # velocity and radiation components are delta-independent by
     # construction; density/temperature weights cancel the delta scaling
     assert vals[1] == pytest.approx(vals[0], rel=1e-10)
@@ -59,19 +67,23 @@ def test_grad_sobolev_sq_is_sum_of_derivative_norms(order):
     f = np.random.default_rng(order).standard_normal(g.shape)
     expected = sum(g.sobolev_norm(g.ifft(g.ik[i] * g.fft(f)), order) ** 2
                    for i in range(g.dim))
-    assert diag.grad_sobolev_sq(g, f, order) == pytest.approx(expected,
-                                                               rel=1e-12)
+    u, drho, _, drad = zeros(g)
+    rec = observe(g, PhysParams(), u, drho, f, drad, order=order)
+    assert rec.extras["grad_dtheta_sq"] == pytest.approx(expected, rel=1e-12)
 
 
 def test_exchange_residual_values(grid):
     params = PhysParams()
     x = grid.grid_points()
+    u, drho, _, zero = zeros(grid)
     dtheta = np.sin(x[0])
     # slaved pair: residual vanishes
     drad = 4.0 * dtheta
-    assert diag.exchange_residual(grid, dtheta, drad, 0, params) < 1e-12
+    rec = observe(grid, params, u, drho, dtheta, drad, order=0)
+    assert rec.exchange_residual < 1e-12
     # dtheta = sin x alone: |4 sin x|_L2 = 4*pi*sqrt(2)
-    val = diag.exchange_residual(grid, dtheta, np.zeros(grid.shape), 0, params)
+    val = observe(grid, params, u, drho, dtheta, zero,
+                  order=0).exchange_residual
     assert val == pytest.approx(4 * np.pi * np.sqrt(2), rel=1e-12)
 
 
@@ -82,29 +94,38 @@ def test_energy_zero_beta_is_weighted_norm_sum(grid):
     drho = grid.mask(rng.standard_normal(grid.shape))
     dtheta = grid.mask(rng.standard_normal(grid.shape))
     drad = grid.mask(rng.standard_normal(grid.shape))
-    delta, el = 0.1, 2
-    e0 = diag.energy_functional(grid, u, drho, dtheta, drad, delta, 0.0, el,
-                                params, EOS)
+    delta, el = params.delta, 2
+    e0 = observe(grid, params, u, drho, dtheta, drad, order=el,
+                 beta=0.0).energy_E
     n = grid.sobolev_norm
     expected = (n(u, el) ** 2 + n(drho, el) ** 2 / delta ** 2
                 + n(dtheta, el) ** 2 / delta ** 2
                 + n(drad, el) ** 2 / (4 * delta))
     assert e0 == pytest.approx(expected, rel=1e-12)
     with pytest.raises(DomainError):
-        diag.energy_functional(grid, u, drho, dtheta, drad, delta, 1.5, el,
-                               params, EOS)
+        observe(grid, params, u, drho, dtheta, drad, order=el, beta=1.5)
+
+
+@pytest.mark.parametrize("beta, ok", [(0.0, True), (1.0, True),
+                                      (-1e-3, False), (1.0 + 1e-3, False)])
+def test_collector_beta_must_lie_in_unit_interval(grid, beta, ok):
+    # the energy functional is defined only for beta in [0, 1]
+    if ok:
+        diag.Collector(grid, PhysParams(), EOS, beta=beta)
+    else:
+        with pytest.raises(DomainError, match="beta"):
+            diag.Collector(grid, PhysParams(), EOS, beta=beta)
 
 
 def test_energy_zero_iff_zero_state(grid):
-    params = PhysParams()
     u, a, b, c = zeros(grid)
-    assert diag.energy_functional(grid, u, a, b, c, 0.1, 0.05, 3, params,
-                                  EOS) == 0.0
+    assert observe(grid, PhysParams(), u, a, b, c).energy_E == 0.0
 
 
 def test_energy_bundle_sandwich_on_random_states(grid):
     # 1000 seeded generator states: 0.5*bundle <= E <= 2*bundle at beta=0.05
     eos = EOS
+    collectors = {}
     lo, hi = np.inf, 0.0
     for seed in range(1000):
         delta = float(np.random.default_rng(seed + 10 ** 6).choice([0.2, 0.1, 0.05]))
@@ -112,11 +133,12 @@ def test_energy_bundle_sandwich_on_random_states(grid):
         st, _ = make_well_prepared(InitSpec(budget=0.5, delta=delta, seed=seed),
                                    grid, params, eos)
         p = st.to_perturbation(params)
-        bundle = diag.scaled_bundle(grid, p.u, p.drho, p.dtheta, p.drad,
-                                    delta, 3)
-        energy = diag.energy_functional(grid, p.u, p.drho, p.dtheta, p.drad,
-                                        delta, 0.05, 3, params, eos)
-        ratio = energy / bundle
+        if delta not in collectors:
+            collectors[delta] = diag.Collector(grid, params, eos, order=3,
+                                               beta=0.05)
+        rec = collectors[delta].observe(
+            pack_state(grid, p.drho, p.u, p.dtheta, p.drad), 0.0)
+        ratio = rec.energy_E / rec.bundle_sup
         lo, hi = min(lo, ratio), max(hi, ratio)
     assert lo >= 0.5 and hi <= 2.0, (lo, hi)
 
@@ -161,9 +183,9 @@ def test_bundle_and_energy_positive_off_equilibrium(grid):
     st, _ = make_well_prepared(InitSpec(budget=0.5, delta=0.1, seed=21),
                                grid, params, EOS)
     p = st.to_perturbation(params)
-    assert diag.scaled_bundle(grid, p.u, p.drho, p.dtheta, p.drad, 0.1, 3) > 0
-    assert diag.energy_functional(grid, p.u, p.drho, p.dtheta, p.drad, 0.1,
-                                  0.05, 3, params, EOS) > 0
+    rec = observe(grid, params, p.u, p.drho, p.dtheta, p.drad)
+    assert rec.bundle_sup > 0
+    assert rec.energy_E > 0
 
 
 def test_ref_error_grid_converged():

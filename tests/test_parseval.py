@@ -108,7 +108,7 @@ def packed(g, p):
     return pack_state(g, p.drho, p.u, p.dtheta, p.drad)
 
 
-# -- point-value functionals --------------------------------------------------
+# -- point-value norm ---------------------------------------------------------
 
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
 def test_sobolev_norm_matches_reference(grid, order):
@@ -124,33 +124,9 @@ def test_sobolev_norm_matches_reference(grid, order):
         assert close(grid.sobolev_norm(p.drho, 0) ** 2, quad)
 
 
-@pytest.mark.parametrize("order", [0, 2, 3])
-def test_functionals_match_reference(grid, order):
-    p = random_state(grid, 10 + order)
-    pr, delta, beta = PARAMS, PARAMS.delta, 0.3
-    assert close(diag.grad_sobolev_sq(grid, p.dtheta, order),
-                 ref_grad_sq(grid, p.dtheta, order))
-    assert close(diag.grad_sobolev_sq(grid, p.u, order),
-                 ref_grad_sq(grid, p.u, order))
-    # the cross term has no sign: compare against the size of its parts
-    scale = np.sqrt(ref_sobolev_sq(grid, p.u, order)
-                    * ref_sobolev_sq(grid, p.drho, order + 1))
-    assert close(diag.velocity_density_cross_term(grid, p.u, p.drho, order),
-                 ref_cross(grid, p.u, p.drho, order), scale)
-    assert close(diag.exchange_residual(grid, p.dtheta, p.drad, order, pr) ** 2,
-                 ref_exchange_sq(grid, p.dtheta, p.drad, order, pr))
-    assert close(diag.scaled_bundle(grid, p.u, p.drho, p.dtheta, p.drad,
-                                    delta, order),
-                 ref_bundle(grid, p.u, p.drho, p.dtheta, p.drad, delta, order))
-    assert close(diag.energy_functional(grid, p.u, p.drho, p.dtheta, p.drad,
-                                        delta, beta, order, pr, EOS),
-                 ref_energy(grid, p.u, p.drho, p.dtheta, p.drad, delta, beta,
-                            order, pr, EOS))
-
-
 # -- Collector ------------------------------------------------------------------
 
-@pytest.mark.parametrize("order", [1, 3])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
 def test_collector_matches_reference(grid, order):
     pr, beta = PARAMS, 0.3
     coll = diag.Collector(grid, pr, EOS, order=order, beta=beta)
@@ -191,6 +167,48 @@ def test_observe_transforms_each_field_once(grid, transforms):
     transforms[0] = 0
     coll.observe(X, p.time)
     assert transforms[0] == 0
+
+
+def test_reference_rows_match_point_value_oracle(tmp_path, monkeypatch):
+    # reference.csv: squared H^order norms of each velocity snapshot and
+    # the trapezoid of mu_bar * sum_i |d_i u|^2 in H^order between them
+    from rhdlab import sweep
+    from rhdlab.config import default_config
+    runs = []
+
+    class Recorded(sweep.IncompressibleSolver):
+        def run(self, *args, **kwargs):
+            runs.append(super().run(*args, **kwargs))
+            return runs[-1]
+
+    monkeypatch.setattr(sweep, "IncompressibleSolver", Recorded)
+    cfg = default_config()
+    cfg.raw["grid"]["points_per_axis"] = "32"
+    cfg.raw["solver"].update(dt="0.002", t_end="0.02")
+    cfg.raw["output"]["cadence"] = "2"
+    cfg.raw["diagnostics"]["order"] = "2"
+    sweep.run_reference(cfg, tmp_path)
+    (traj,) = runs
+    g, params = cfg.build_grid(), cfg.build_params()
+    lines = (tmp_path / "reference.csv").read_text().splitlines()
+    rows = [dict(zip(lines[1].split(","), line.split(",")))
+            for line in lines[2:]]
+    assert len(rows) == len(traj.times) == 6
+
+    norms = [ref_sobolev_sq(g, u, 2) for u in traj.u_snapshots]
+    rates = [params.mu_bar * ref_grad_sq(g, u, 2) for u in traj.u_snapshots]
+    cum = np.concatenate([[0.0], np.cumsum(
+        [0.5 * (t1 - t0) * (a + b) for t0, t1, a, b in zip(
+            traj.times, traj.times[1:], rates, rates[1:])])])
+    for row, t, nsq, want in zip(rows, traj.times, norms, cum):
+        assert float(row["time"]) == t
+        assert close(float(row["bundle_sup"]), nsq)
+        assert close(float(row["energy_E"]), nsq)
+        assert close(float(row["diss_u"]), want, scale=cum[-1])
+        for key in ("diss_theta", "diss_G", "exchange_residual"):
+            assert float(row[key]) == 0.0
+        assert (row["delta"], row["seed"], row["kind"]) == (
+            "%.17g" % params.delta, "0", "reference")
 
 
 # -- linearized probe -----------------------------------------------------------

@@ -199,6 +199,9 @@ def test_cli_exit_codes_and_commands(tmp_path, capsys):
             ("run", "[diagnostics]\nbeta = nan\n", "diagnostics.beta"),
             ("run", "[init]\nbudget = nan\n", "init.budget"),
             ("run", "[solver]\ndt = inf\n", "solver.dt"),
+            ("run", "[diagnostics]\nbeta = 1.5\n", "diagnostics.beta"),
+            ("run", "[eos]\ngas_constant = 0\n", "eos.gas_constant"),
+            ("run", "[eos]\nheat_capacity = -1\n", "eos.heat_capacity"),
             ("linearized", "[linearized]\ndt = -1\n", "linearized.dt"),
             ("linearized", "[linearized]\nnorm_order = -1\n",
              "linearized.norm_order"),
@@ -245,6 +248,63 @@ def test_output_formats_entries_are_stripped_and_checked(tmp_path, capsys):
         assert cli_main(["run", "--config", bad, "--out", str(out)]) == 2
         assert "output.formats" in capsys.readouterr().err
         assert not (out / "effective_config.ini").exists()
+
+
+TINY_ALL = """
+[grid]
+points_per_axis = 16
+
+[solver]
+dt = 0.002
+t_end = 0.004
+
+[sweep]
+deltas = 0.2,0.1,0.05
+
+[linearized]
+deltas = 0.2,0.1
+t_end = 0.004
+dt = 0.002
+
+[output]
+cadence = 1
+"""
+
+OUTPUTS = {"run": ("diagnostics.csv", "summary.json"),
+           "sweep": ("sweep_diagnostics.csv", "sweep_report.json"),
+           "reference": ("reference.csv", "reference_summary.json"),
+           "linearized": ("linearized.csv", "linearized_report.json")}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("command", sorted(OUTPUTS))
+def test_every_command_honours_output_formats(tmp_path, capsys, command,
+                                              fmt):
+    # each command writes the selected file and effective_config.ini, which
+    # loads back to the configuration that ran
+    cfgfile = write_config(tmp_path / "all.ini",
+                           TINY_ALL + f"formats = {fmt}\n")
+    out = tmp_path / "out"
+    assert cli_main([command, "--config", cfgfile, "--out", str(out)]) == 0
+    csv_name, json_name = OUTPUTS[command]
+    selected = csv_name if fmt == "csv" else json_name
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["effective_config.ini", selected])
+    back = load_config(out / "effective_config.ini")
+    assert back.raw == load_config(cfgfile).raw
+
+
+def test_unknown_linearized_family_fails_before_any_solve(tmp_path,
+                                                          monkeypatch):
+    import rhdlab.sweep as sweep
+    calls = []
+    monkeypatch.setattr(sweep, "solve_linearized",
+                        lambda *args, **kwargs: calls.append(args))
+    cfg = load_config(write_config(tmp_path / "lin.ini", TINY_ALL))
+    cfg.raw["linearized"]["families"] = "constant,bogus"
+    with pytest.raises(ConfigError, match="bogus"):
+        sweep.run_linearized_probe(cfg, tmp_path / "out")
+    assert calls == []
 
 
 @pytest.mark.parametrize("key, value", [
