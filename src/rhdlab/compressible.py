@@ -162,7 +162,7 @@ def _derivatives(grid, X):
     return grad_n, jac_v, lap_v, grad_div_v, div_v, grad_z, lap_z
 
 
-def _velocity_form_remainders(grid, X, params: PhysParams, eos):
+def _velocity_form_remainders(grid, X, bg: Background, eos):
     """Spectral nonlinear remainders of the velocity form at packed state ``X``.
 
     The radiation row carries its ``1/delta`` weight; nothing is dealiased.
@@ -172,9 +172,9 @@ def _velocity_form_remainders(grid, X, params: PhysParams, eos):
         _derivatives(grid, X)
     r_mass, r_vel, r_temp, r_rad = model.velocity_form_remainders(
         drho, u, dtheta, drad, grad_drho, jac_u, lap_u, grad_div_u,
-        div_u, grad_dtheta, lap_dtheta, params, eos)
+        div_u, grad_dtheta, lap_dtheta, bg, eos)
     N = pack_state(grid, r_mass, r_vel, r_temp, r_rad)
-    N[grid.dim + 2] /= params.delta
+    N[grid.dim + 2] /= bg.delta
     return N
 
 
@@ -183,13 +183,14 @@ def _apply_symbol(M, X):
 
 
 def rhs_primitive(grid: SpectralGrid, state: CompressibleState,
-                  params: PhysParams, eos, mask: bool = True):
+                  params: PhysParams, eos):
     """Tendencies ``(rho_t, u_t, theta_t, rad_t)`` of the primitive system.
 
     The pressure gradient is assembled in chain-rule form
     ``P_rho grad(rho) + P_theta grad(theta)``; for resolved fields this is
     the exact nodal gradient of the interpolated pressure, and it is the
     grouping under which the perturbation assemblies match to round-off.
+    Nothing is dealiased: a caller comparing the tendencies masks them.
     """
     state.validate(grid)
     rho, u, theta, rad = state.rho, state.u, state.theta, state.rad
@@ -219,10 +220,6 @@ def rhs_primitive(grid: SpectralGrid, state: CompressibleState,
                - source * recip)
 
     rad_t = (params.nu * lap_rad + source) / params.delta
-
-    if mask:
-        rho_t, theta_t, rad_t = grid.mask(rho_t), grid.mask(theta_t), grid.mask(rad_t)
-        u_t = grid.mask(u_t)
     return rho_t, u_t, theta_t, rad_t
 
 
@@ -232,8 +229,9 @@ def rhs_perturbation(grid: SpectralGrid, pert: PerturbationState,
     perturbation form: the symbol the IMEX solver factors, applied to the
     state, plus the nonlinear remainders the solver treats explicitly."""
     X = pack_state(grid, pert.drho, pert.u, pert.dtheta, pert.drad)
-    M = acoustic_exchange_matrix(grid, Background.of(params, eos))
-    F = _apply_symbol(M, X) + _velocity_form_remainders(grid, X, params, eos)
+    bg = Background.of(params, eos)
+    F = (_apply_symbol(acoustic_exchange_matrix(grid, bg), X)
+         + _velocity_form_remainders(grid, X, bg, eos))
     return unpack_state(grid, grid.mask_spectral(F))
 
 
@@ -248,6 +246,7 @@ def rhs_momentum_form(grid: SpectralGrid, nrel, mom, dtheta, drad,
     equals the mapped primitive right-hand side exactly on resolved fields.
     """
     pr = params
+    bg = Background.of(pr, eos)
     d = grid.dim
     X = pack_state(grid, nrel, mom, dtheta, drad)
     grad_nrel, jac_m, lap_m, grad_div_m, div_m, grad_dtheta, lap_dtheta = \
@@ -257,7 +256,7 @@ def rhs_momentum_form(grid: SpectralGrid, nrel, mom, dtheta, drad,
 
     r_mom, r_temp, r_rad = model.momentum_form_remainders(
         nrel, mom, dtheta, drad, grad_nrel, hess_nrel, jac_m, lap_m,
-        grad_div_m, div_m, grad_dtheta, lap_dtheta, pr, eos)
+        grad_div_m, div_m, grad_dtheta, lap_dtheta, bg, eos)
 
     # Viscosity acts on u = f*m; the symbol carries its constant part on m.
     f = 1.0 / (1.0 + np.asarray(nrel))
@@ -269,9 +268,8 @@ def rhs_momentum_form(grid: SpectralGrid, nrel, mom, dtheta, drad,
     r_mom = (r_mom + pr.mu_bar * visc_shear
              + (pr.lam_bar + pr.mu_bar) * visc_bulk)
 
-    M = acoustic_exchange_matrix(grid, Background.of(pr, eos),
-                                 relative_density=True)
-    F = _apply_symbol(M, X)
+    F = _apply_symbol(acoustic_exchange_matrix(grid, bg, relative_density=True),
+                      X)
     F[1:1 + d] += grid.fft(r_mom)
     F[d + 1] += grid.fft(r_temp)
     F[d + 2] += grid.fft(r_rad) / pr.delta
@@ -294,8 +292,9 @@ class CompressibleSolver:
         self.eos = eos
         self.config = config
 
-        M = acoustic_exchange_matrix(grid, Background.of(params, eos))
-        self._stepper = ImexStepper(config.scheme, M, config.dt)
+        self._bg = Background.of(params, eos)
+        self._stepper = ImexStepper(
+            config.scheme, acoustic_exchange_matrix(grid, self._bg), config.dt)
 
     # spectral packing --------------------------------------------------
 
@@ -310,7 +309,7 @@ class CompressibleSolver:
 
     def _explicit(self, X: np.ndarray) -> np.ndarray:
         return self.grid.mask_spectral(
-            _velocity_form_remainders(self.grid, X, self.params, self.eos))
+            _velocity_form_remainders(self.grid, X, self._bg, self.eos))
 
     def step_spectral(self, X: np.ndarray) -> np.ndarray:
         return self._stepper.step(X, self._explicit)

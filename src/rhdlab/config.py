@@ -86,7 +86,7 @@ _SCHEMA = {
         "dt": ("0.001", "probe time step"),
         "norm_order": ("2", "Sobolev order of the probe norms"),
         "c0": ("1.0", "exponent constant reported with the estimate"),
-        "forcing": ("0.05", "amplitude of the random probe data/forcing"),
+        "forcing": ("0.05", "amplitude of the random probe data"),
     },
     "output": {
         "dir": ("out", "output directory"),

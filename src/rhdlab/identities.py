@@ -17,7 +17,7 @@ from .compressible import (CompressibleState, PerturbationState,
                            rhs_momentum_form, rhs_perturbation, rhs_primitive)
 from .fields import SpectralGrid
 from .initial import random_band_scalar
-from .model import PhysParams
+from .model import Background, PhysParams
 
 __all__ = ["IdentityResult", "run_identity_suite", "FAULTS"]
 
@@ -59,6 +59,7 @@ def run_identity_suite(grid: SpectralGrid, params: PhysParams, eos,
         raise ValueError(f"unknown fault {fault!r}; known: {FAULTS}")
     rng = np.random.default_rng(seed)
     pr = params
+    bg = Background.of(pr, eos)
     results = []
 
     cubic_factor = 1.0 + (1e-6 if fault == "planck-cubic-coeff" else 0.0)
@@ -96,9 +97,16 @@ def run_identity_suite(grid: SpectralGrid, params: PhysParams, eos,
     results.append(IdentityResult(
         "thermo-relation", float(np.max(np.abs(res)) / scale), 1e-10))
 
-    # every coefficient gap vanishes at the background
-    gaps = model.all_background_gaps(pr.rho_bar, pr.theta_bar, 0.0, pr, eos)
-    worst = max(abs(float(gv)) for gv in gaps)
+    # both remainder sets vanish at the background with zero derivatives
+    d = grid.dim
+    z = np.zeros(grid.shape)
+    zv = np.zeros((d,) + grid.shape)
+    zj = np.zeros((d, d) + grid.shape)
+    rems = (model.velocity_form_remainders(z, zv, z, z, zv, zj, zv, zv, z,
+                                           zv, z, bg, eos)
+            + model.momentum_form_remainders(z, zv, z, z, zv, zj, zj, zv, zv,
+                                             z, zv, z, bg, eos))
+    worst = max(float(np.max(np.abs(r))) for r in rems)
     results.append(IdentityResult("background-zero", worst, 1e-14))
 
     # exchange antisymmetry: on a uniform state the linear exchange cancels
@@ -110,8 +118,7 @@ def run_identity_suite(grid: SpectralGrid, params: PhysParams, eos,
                              np.full(grid.shape, 0.7 * eps * pr.theta_bar),
                              np.full(grid.shape, -0.4 * eps * pr.n_bar))
     _, _, zeta_t, g_t = rhs_perturbation(grid, pert, pr, eos)
-    e_theta_b = float(eos.e_theta(pr.rho_bar, pr.theta_bar))
-    balance = pr.delta * g_t + pr.rho_bar * e_theta_b * zeta_t
+    balance = pr.delta * g_t + pr.rho_bar * bg.e_theta * zeta_t
     lin_scale = np.max(np.abs(model.planck_linear(pert.dtheta, pert.drad, pr)))
     results.append(IdentityResult(
         "exchange-antisymmetry",
@@ -127,11 +134,12 @@ def run_identity_suite(grid: SpectralGrid, params: PhysParams, eos,
         u = np.stack([f() for _ in range(grid.dim)])
         state = CompressibleState(pr.rho_bar + drho, u, pr.theta_bar + dth,
                                   pr.n_bar + drad)
-        rho_t, u_t, th_t, n_t = rhs_primitive(grid, state, pr, eos, mask=False)
+        rho_t, u_t, th_t, n_t = rhs_primitive(grid, state, pr, eos)
         if fault == "exchange-gap-sign":
             # flip the exchange-gap contribution the same way a wrong-signed
             # assembly would
-            h9 = model.gap_inv_rho_e_theta(state.rho, state.theta, pr, eos)
+            h9 = bg.recip - 1.0 / (state.rho * eos.e_theta(state.rho,
+                                                           state.theta))
             th_t = th_t - 2.0 * h9 * model.planck_linear(dth, drad, pr)
 
         per = rhs_perturbation(grid, PerturbationState(drho, u, dth, drad),

@@ -14,11 +14,12 @@ n_bar)`` are provided: the velocity form in ``(rho-rho_bar, u,
 theta-theta_bar, n-n_bar)`` and the momentum form in the relative density
 ``(rho-rho_bar)/rho_bar`` and scaled momentum ``rho*u/rho_bar``.
 
-The constant coefficients of the linear part around the background live in
-one place, :class:`Background`; every solver, right-hand side and
-diagnostic reads them from there.  The ``gap_*`` evaluators below keep
-their own background evaluation: they are the pointwise reference the
-remainders are checked against.
+The gas-law and emission coefficients at the background live in one
+place, :class:`Background`, and :meth:`Background.of` is the only code that
+evaluates the gas law there.  Every solver, right-hand side and diagnostic
+reads them from it, and so do the nonlinear remainders: each coefficient
+gap in them is a ``Background`` value minus the value at the current
+state.
 """
 
 from __future__ import annotations
@@ -33,9 +34,6 @@ __all__ = [
     "equilibrium_radiation", "radiation_source",
     "planck_cubic", "planck_split", "planck_linear",
     "thermo_consistency_residual",
-    "gap_p_rho", "gap_p_theta", "gap_inv_rho_e_theta", "gap_adiabatic",
-    "gap_p_rho_over_rho", "gap_p_theta_over_rho", "gap_inv_rho",
-    "all_background_gaps",
     "velocity_form_remainders", "momentum_form_remainders",
     "deformation_contraction",
 ]
@@ -301,86 +299,6 @@ def planck_linear(dtheta, drad, params: PhysParams):
             * np.asarray(dtheta) - params.sigma_a * np.asarray(drad))
 
 
-# -- background coefficient gaps -------------------------------------------
-#
-# Each gap is "coefficient at the background minus coefficient at the actual
-# state", so every gap vanishes identically at (rho_bar, theta_bar).  The
-# temperature-equation gaps appear twice in the two perturbation forms with
-# identical definitions.
-
-def _states(rho, theta):
-    _check_positive("rho", rho)
-    _check_positive("theta", theta)
-    return np.asarray(rho, dtype=float), np.asarray(theta, dtype=float)
-
-
-def gap_p_rho(rho, theta, params, eos):
-    rho, theta = _states(rho, theta)
-    return eos.p_rho(params.rho_bar, params.theta_bar) - eos.p_rho(rho, theta)
-
-
-def gap_p_theta(rho, theta, params, eos):
-    rho, theta = _states(rho, theta)
-    return eos.p_theta(params.rho_bar, params.theta_bar) - eos.p_theta(rho, theta)
-
-
-def gap_inv_rho_e_theta(rho, theta, params, eos):
-    """Gap of ``1/(rho*e_theta)``, the specific-heat reciprocal in the heat equation."""
-    rho, theta = _states(rho, theta)
-    bar = 1.0 / (params.rho_bar * eos.e_theta(params.rho_bar, params.theta_bar))
-    return bar - 1.0 / (rho * eos.e_theta(rho, theta))
-
-
-def gap_adiabatic(rho, theta, params, eos):
-    """Gap of ``theta*P_theta/(rho*e_theta)``, the adiabatic compression coefficient."""
-    rho, theta = _states(rho, theta)
-    pb = params.rho_bar, params.theta_bar
-    bar = (params.theta_bar * eos.p_theta(*pb)
-           / (params.rho_bar * eos.e_theta(*pb)))
-    return bar - theta * eos.p_theta(rho, theta) / (rho * eos.e_theta(rho, theta))
-
-
-def gap_p_rho_over_rho(rho, theta, params, eos):
-    rho, theta = _states(rho, theta)
-    bar = eos.p_rho(params.rho_bar, params.theta_bar) / params.rho_bar
-    return bar - eos.p_rho(rho, theta) / rho
-
-
-def gap_p_theta_over_rho(rho, theta, params, eos):
-    rho, theta = _states(rho, theta)
-    bar = eos.p_theta(params.rho_bar, params.theta_bar) / params.rho_bar
-    return bar - eos.p_theta(rho, theta) / rho
-
-
-def gap_inv_rho(rho, params):
-    _check_positive("rho", rho)
-    return 1.0 / params.rho_bar - 1.0 / np.asarray(rho, dtype=float)
-
-
-def all_background_gaps(rho, theta, dtheta, params, eos):
-    """All coefficient gaps at a state, in a fixed documented order.
-
-    Order: (p_rho, p_theta, inv_rho_e_theta, adiabatic, planck_cubic,
-    p_rho_over_rho, p_theta_over_rho, inv_rho, inv_rho_e_theta,
-    adiabatic) -- the last two repeat because the velocity and momentum
-    perturbation forms use the same temperature-equation gaps.
-    """
-    h3 = gap_inv_rho_e_theta(rho, theta, params, eos)
-    h4 = gap_adiabatic(rho, theta, params, eos)
-    return (
-        gap_p_rho(rho, theta, params, eos),
-        gap_p_theta(rho, theta, params, eos),
-        h3,
-        h4,
-        planck_cubic(dtheta, params),
-        gap_p_rho_over_rho(rho, theta, params, eos),
-        gap_p_theta_over_rho(rho, theta, params, eos),
-        gap_inv_rho(rho, params),
-        h3,
-        h4,
-    )
-
-
 # -- nonlinear remainders of the two perturbation forms ---------------------
 
 def deformation_contraction(jac_u):
@@ -391,8 +309,7 @@ def deformation_contraction(jac_u):
 
 def velocity_form_remainders(drho, u, dtheta, drad,
                              grad_drho, jac_u, lap_u, grad_div_u, div_u,
-                             grad_dtheta, lap_dtheta,
-                             params: PhysParams, eos):
+                             grad_dtheta, lap_dtheta, bg: Background, eos):
     """Nonlinear remainder terms of the velocity perturbation form.
 
     Arguments are point values of the perturbations ``(drho, u, dtheta,
@@ -400,30 +317,35 @@ def velocity_form_remainders(drho, u, dtheta, drad,
     Returns ``(r_mass, r_velocity, r_temperature, r_radiation)``; all four
     vanish at the background state with zero derivatives.
 
-    The exchange-gap term enters ``r_temperature`` with a plus sign: that is
-    the sign produced by expanding ``1/(rho*e_theta)`` around the
-    background, and the one under which the assembled form reproduces the
-    primitive equations exactly.
+    Each coefficient gap is the value in ``bg`` minus the value at the
+    state; the gas law is evaluated once, at the state.  The exchange-gap
+    term enters ``r_temperature`` with a plus sign: that is the sign
+    produced by expanding ``1/(rho*e_theta)`` around the background, and
+    the one under which the assembled form reproduces the primitive
+    equations exactly.
     """
+    params = bg.params
     rho = params.rho_bar + np.asarray(drho)
     theta = params.theta_bar + np.asarray(dtheta)
     _check_positive("rho", rho)
     _check_positive("theta", theta)
     d2 = params.delta ** 2
+    p_theta = eos.p_theta(rho, theta)
+    e_theta = eos.e_theta(rho, theta)
 
     r_mass = -drho * div_u - np.sum(u * grad_drho, axis=0)
 
-    h6 = gap_p_rho_over_rho(rho, theta, params, eos)
-    h7 = gap_p_theta_over_rho(rho, theta, params, eos)
-    h8 = gap_inv_rho(rho, params)
-    advect = np.einsum("j...,ij...->i...", u, jac_u)
-    r_velocity = (-advect
+    h6 = bg.p_rho / params.rho_bar - eos.p_rho(rho, theta) / rho
+    h7 = bg.p_theta / params.rho_bar - p_theta / rho
+    h8 = 1.0 / params.rho_bar - 1.0 / rho
+    r_velocity = (-np.einsum("j...,ij...->i...", u, jac_u)
                   + (h6 / d2) * grad_drho + (h7 / d2) * grad_dtheta
                   - h8 * (params.mu * lap_u + (params.mu + params.lam) * grad_div_u))
 
-    recip = 1.0 / (rho * eos.e_theta(rho, theta))
-    h9 = gap_inv_rho_e_theta(rho, theta, params, eos)
-    h10 = gap_adiabatic(rho, theta, params, eos)
+    recip = 1.0 / (rho * e_theta)
+    h9 = bg.recip - recip
+    h10 = (params.theta_bar * bg.p_theta / (params.rho_bar * bg.e_theta)
+           - theta * p_theta / (rho * e_theta))
     linear_exchange, quartic_rem = planck_split(dtheta, drad, params)
     dd = deformation_contraction(jac_u)
     r_temperature = (-np.sum(u * grad_dtheta, axis=0)
@@ -440,27 +362,31 @@ def velocity_form_remainders(drho, u, dtheta, drad,
 def momentum_form_remainders(nrel, mom, dtheta, drad,
                              grad_nrel, hess_nrel, jac_m, lap_m,
                              grad_div_m, div_m, grad_dtheta, lap_dtheta,
-                             params: PhysParams, eos):
+                             bg: Background, eos):
     """Nonlinear remainder terms of the momentum perturbation form.
 
     ``nrel = (rho - rho_bar)/rho_bar`` and ``mom = rho*u/rho_bar``; the
     required derivatives go up to second order in ``nrel`` (its Hessian
     feeds the gradient of ``m . grad(1/(1+nrel))``).  Returns
     ``(r_momentum, r_temperature, r_radiation)``; the continuity equation
-    of this form is exact and has no remainder.
+    of this form is exact and has no remainder.  As in
+    :func:`velocity_form_remainders`, the gaps read ``bg`` and the gas law
+    is evaluated once, at the state.
 
     Derivatives of the composite ``1/(1 + nrel)`` are expanded through the
     chain rule on the supplied derivatives of ``nrel``, so all outputs are
     exact nodal values of the continuum expressions.
     """
+    params = bg.params
     nrel = np.asarray(nrel)
-    if np.any(1.0 + nrel <= 0.0):
-        raise DomainError("momentum form requires 1 + nrel > 0")
+    rho = params.rho_bar * (1.0 + nrel)
+    _check_positive("rho", rho)
     theta = params.theta_bar + np.asarray(dtheta)
     _check_positive("theta", theta)
-    rho = params.rho_bar * (1.0 + nrel)
     d2 = params.delta ** 2
     mu_b, lam_b = params.mu_bar, params.lam_bar
+    p_theta = eos.p_theta(rho, theta)
+    e_theta = eos.e_theta(rho, theta)
 
     f = 1.0 / (1.0 + nrel)
     grad_f = -(f ** 2) * grad_nrel
@@ -475,8 +401,8 @@ def momentum_form_remainders(nrel, mom, dtheta, drad,
     visc_shear = np.einsum("ij...,j...->i...", jac_m, grad_f) + mom * lap_f
     visc_bulk = (np.einsum("ji...,j...->i...", jac_m, grad_f)
                  + np.einsum("j...,ji...->i...", mom, hess_f))
-    h1 = gap_p_rho(rho, theta, params, eos)
-    h2 = gap_p_theta(rho, theta, params, eos)
+    h1 = bg.p_rho - eos.p_rho(rho, theta)
+    h2 = bg.p_theta - p_theta
     r_momentum = (-adv + mu_b * visc_shear + (lam_b + mu_b) * visc_bulk
                   + (h1 / d2) * grad_nrel
                   + (h2 / (params.rho_bar * d2)) * grad_dtheta)
@@ -485,14 +411,12 @@ def momentum_form_remainders(nrel, mom, dtheta, drad,
     u = f * mom
     div_u = f * div_m + m_dot_gf
     jac_u = f * jac_m + np.einsum("i...,j...->ij...", mom, grad_f)
-    recip = 1.0 / (rho * eos.e_theta(rho, theta))
-    h3 = gap_inv_rho_e_theta(rho, theta, params, eos)
-    h4 = gap_adiabatic(rho, theta, params, eos)
+    recip = 1.0 / (rho * e_theta)
+    h3 = bg.recip - recip
+    adiab_bar = params.theta_bar * bg.p_theta / (params.rho_bar * bg.e_theta)
+    h4 = adiab_bar - theta * p_theta / (rho * e_theta)
     linear_exchange, quartic_rem = planck_split(dtheta, drad, params)
     dd = deformation_contraction(jac_u)
-    pb = params.rho_bar, params.theta_bar
-    adiab_bar = (params.theta_bar * eos.p_theta(*pb)
-                 / (params.rho_bar * eos.e_theta(*pb)))
     r_temperature = (-np.sum(u * grad_dtheta, axis=0)
                      - params.kappa * h3 * lap_dtheta
                      + h3 * linear_exchange

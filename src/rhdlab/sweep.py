@@ -122,14 +122,20 @@ class _Setup:
 
 def _setup(cfg: ExperimentConfig, out_dir, seed) -> _Setup:
     """Check the output and observer settings, build the grid and the gas
-    law, resolve the seed, and create the output directory."""
+    law, resolve the seed, and create the output directory.
+
+    A ``seed`` given here replaces ``init.seed`` in the set-up's copy of the
+    configuration, so ``effective_config.ini`` reproduces the run."""
+    if seed is not None:
+        cfg = ExperimentConfig({sec: dict(keys) for sec, keys in cfg.raw.items()})
+        cfg.raw["init"]["seed"] = str(seed)
     formats = cfg.output_formats()
     beta = cfg.getfloat("diagnostics", "beta")
     if not 0.0 <= beta <= 1.0:
         raise ConfigError(f"diagnostics.beta must lie in [0, 1], got {beta}")
     setup = _Setup(
         cfg, Path(out_dir), formats, cfg.build_grid(), cfg.build_eos(),
-        seed if seed is not None else cfg.getint("init", "seed"),
+        cfg.getint("init", "seed"),
         cfg.getnonnegative("diagnostics", "order", integer=True), beta)
     setup.out.mkdir(parents=True, exist_ok=True)
     return setup
@@ -141,14 +147,17 @@ def _resolve_dt(s: _Setup, u0) -> float:
     return s.cfg.getpositive("solver", "dt")
 
 
-def _reference_velocity(s: _Setup, params):
+def _reference_velocity(s: _Setup, params, prepared=None):
     """Initial datum of the incompressible reference.
 
     Uses the velocity-budget normalization (the Mach-free variant), so in
-    global-thm mode it coincides with every sweep member's initial velocity.
-    The datum is divergence-free already; the reference masks and projects
-    it on entry.
+    global-thm mode it coincides with every sweep member's initial velocity:
+    then the velocity of ``prepared``, a :func:`_prepare` result at
+    ``params``, is reused.  The datum is divergence-free already; the
+    reference masks and projects it on entry.
     """
+    if prepared is not None and prepared[1]["mode"] == "global-thm":
+        return prepared[0].u
     spec = replace(s.cfg.build_init_spec(delta=params.delta, seed=s.seed),
                    mode="global-thm")
     state, _ = make_well_prepared(spec, s.grid, params, s.eos)
@@ -221,7 +230,8 @@ def run_single(cfg: ExperimentConfig, out_dir, seed=None):
     prepared = _prepare(s, params)
     dt = _resolve_dt(s, prepared[0].u)
 
-    ref = (_run_reference_traj(s, params, _reference_velocity(s, params), dt)
+    ref = (_run_reference_traj(s, params,
+                               _reference_velocity(s, params, prepared), dt)
            if cfg.getbool("solver", "with_reference") else None)
     traj, init_report, solver_cfg = _run_one_compressible(s, params, dt,
                                                           prepared)
@@ -287,7 +297,8 @@ def run_sweep(cfg: ExperimentConfig, out_dir, seed=None, threads: int = 1):
     prepared0 = _prepare(s, params0)
     dt = _resolve_dt(s, prepared0[0].u)
 
-    ref = _run_reference_traj(s, params0, _reference_velocity(s, params0), dt)
+    ref = _run_reference_traj(s, params0,
+                              _reference_velocity(s, params0, prepared0), dt)
 
     def member(delta):
         params = cfg.build_params(delta=delta)

@@ -38,7 +38,7 @@ def test_reformulation_equivalence_3d(grid3):
     u = np.stack([f(), f(), f()])
     state = CompressibleState(params.rho_bar + drho, u,
                               params.theta_bar + dth, params.n_bar + drad)
-    rho_t, u_t, th_t, n_t = rhs_primitive(grid3, state, params, EOS, mask=False)
+    rho_t, u_t, th_t, n_t = rhs_primitive(grid3, state, params, EOS)
     assembled = rhs_perturbation(grid3, state.to_perturbation(params),
                                  params, EOS)
     mapped = [grid3.mask(rho_t), grid3.mask(u_t), grid3.mask(th_t),

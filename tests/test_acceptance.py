@@ -67,8 +67,7 @@ def test_criterion_01_reformulation_equivalence(grid64):
         u = np.stack([f(), f()])
         state = CompressibleState(params.rho_bar + drho, u,
                                   params.theta_bar + dth, params.n_bar + drad)
-        rho_t, u_t, th_t, n_t = rhs_primitive(grid64, state, params, EOS,
-                                              mask=False)
+        rho_t, u_t, th_t, n_t = rhs_primitive(grid64, state, params, EOS)
         mapped_v = [grid64.mask(rho_t), grid64.mask(u_t), grid64.mask(th_t),
                     grid64.mask(n_t)]
         assembled_v = rhs_perturbation(

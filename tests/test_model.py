@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from rhdlab import model
-from rhdlab.model import (CallableEOS, DomainError, IdealGasEOS,
-                          ParameterError, PhysParams)
+from rhdlab.model import (Background, CallableEOS, DomainError,
+                          IdealGasEOS, ParameterError, PhysParams)
 
 UNIT = PhysParams()  # all constants 1 except viscosities/diffusivities
 
@@ -74,65 +74,109 @@ def test_quartic_factor_identity():
     assert np.max(np.abs(lhs - rhs)) < 1e-13 * scale
 
 
+def zero_fields(shape, dim=2):
+    """Zero scalar, vector and Jacobian-shaped point values."""
+    return (np.zeros(shape), np.zeros((dim,) + shape),
+            np.zeros((dim, dim) + shape))
+
+
 def test_coefficient_gap_values():
     # planck_cubic at dtheta=1 with unit constants
     assert model.planck_cubic(1.0, UNIT) == 11.0
-    # inverse-density gap at rho=2
-    assert model.gap_inv_rho(2.0, UNIT) == 0.5
-
-
-def test_all_gaps_vanish_at_background():
-    p = PhysParams.equilibrium(rho_bar=1.4, theta_bar=0.8)
-    eos = IdealGasEOS(R=1.1, c_v=0.7)
-    gaps = model.all_background_gaps(p.rho_bar, p.theta_bar, 0.0, p, eos)
-    assert len(gaps) == 10
-    assert max(abs(float(gv)) for gv in gaps) == 0.0
+    # inverse-density gap 1/rho_bar - 1/rho = 0.5 at rho=2: with u = 0 and
+    # lap u = 1 it is the whole velocity remainder, -0.5*mu
+    z, zv, zj = zero_fields((3, 3))
+    bg = Background.of(UNIT, IdealGasEOS())
+    out = model.velocity_form_remainders(z + 1.0, zv, z, z, zv, zj, zv + 1.0,
+                                         zv, z, zv, z, bg, IdealGasEOS())
+    assert np.all(out[1] == -0.5 * UNIT.mu)
 
 
 def test_remainders_vanish_at_background():
-    p = PhysParams.equilibrium(rho_bar=1.2, theta_bar=1.1)
-    eos = IdealGasEOS()
+    for p, eos in ((PhysParams.equilibrium(rho_bar=1.2, theta_bar=1.1),
+                    IdealGasEOS()),
+                   (PhysParams.equilibrium(rho_bar=1.4, theta_bar=0.8),
+                    IdealGasEOS(R=1.1, c_v=0.7))):
+        bg = Background.of(p, eos)
+        z, zv, zj = zero_fields((4, 4))
+        out = model.velocity_form_remainders(z, zv, z, z, zv, zj, zv, zv, z,
+                                             zv, z, bg, eos)
+        assert all(np.all(o == 0.0) for o in out)
+        out = model.momentum_form_remainders(z, zv, z, z, zv, zj, zj, zv, zv,
+                                             z, zv, z, bg, eos)
+        assert all(np.all(o == 0.0) for o in out)
+
+
+class CountingEOS(IdealGasEOS):
+    """Ideal gas that records the name and argument shape of every
+    ``p_rho``, ``p_theta`` and ``e_theta`` call."""
+
+    def __init__(self):
+        super().__init__(R=1.1, c_v=0.7)
+        self.calls = []
+
+    def p_rho(self, rho, theta):
+        self.calls.append(("p_rho", np.shape(rho)))
+        return super().p_rho(rho, theta)
+
+    def p_theta(self, rho, theta):
+        self.calls.append(("p_theta", np.shape(rho)))
+        return super().p_theta(rho, theta)
+
+    def e_theta(self, rho, theta):
+        self.calls.append(("e_theta", np.shape(rho)))
+        return super().e_theta(rho, theta)
+
+
+def test_remainders_evaluate_gas_law_once_at_state():
+    # the background coefficients come from the Background alone: no call
+    # at the scalar (rho_bar, theta_bar), one call of each at the state
+    p = PhysParams.equilibrium(rho_bar=1.4, theta_bar=0.8)
+    eos = CountingEOS()
+    bg = Background.of(p, eos)
     shape = (4, 4)
-    z = np.zeros(shape)
-    zv = np.zeros((2,) + shape)
-    zj = np.zeros((2, 2) + shape)
-    out = model.velocity_form_remainders(z, zv, z, z, zv, zj, zv, zv, z, zv, z,
-                                         p, eos)
-    assert all(np.all(o == 0.0) for o in out)
-    out = model.momentum_form_remainders(z, zv, z, z, zv, zj, zj, zv, zv, z,
-                                         zv, z, p, eos)
-    assert all(np.all(o == 0.0) for o in out)
+    z, zv, zj = zero_fields(shape)
+    pert = 0.01 * np.ones(shape)
+    expected = sorted((name, shape) for name in ("p_rho", "p_theta", "e_theta"))
+    eos.calls.clear()
+    model.velocity_form_remainders(pert, zv, pert, z, zv, zj, zv, zv, z, zv,
+                                   z, bg, eos)
+    assert sorted(eos.calls) == expected
+    eos.calls.clear()
+    model.momentum_form_remainders(pert, zv, pert, z, zv, zj, zj, zv, zv, z,
+                                   zv, z, bg, eos)
+    assert sorted(eos.calls) == expected
 
 
 def test_velocity_remainder_point_values():
     # r_radiation = planck_cubic(dtheta)*dtheta; 11 at dtheta=1, unit constants
     shape = (3, 3)
-    z = np.zeros(shape)
-    zv = np.zeros((2,) + shape)
-    zj = np.zeros((2, 2) + shape)
+    z, zv, zj = zero_fields(shape)
     ones = np.ones(shape)
+    bg = Background.of(UNIT, IdealGasEOS())
     out = model.velocity_form_remainders(z, zv, ones, z, zv, zj, zv, zv, z,
-                                         zv, z, UNIT, IdealGasEOS())
+                                         zv, z, bg, IdealGasEOS())
     assert np.allclose(out[3], 11.0)
     # constant u, constant drho: mass remainder vanishes (all derivatives zero)
     out = model.velocity_form_remainders(0.1 * ones, 0.2 + zv, z, z, zv, zj,
-                                         zv, zv, z, zv, z, UNIT, IdealGasEOS())
+                                         zv, zv, z, zv, z, bg, IdealGasEOS())
     assert np.all(out[0] == 0.0)
 
 
 def test_domain_errors_on_nonpositive_state():
     eos = IdealGasEOS()
+    bg = Background.of(UNIT, eos)
+    shape = (2, 2)
+    z, zv, zj = zero_fields(shape)
     with pytest.raises(DomainError):
-        model.gap_p_rho(-1.0, 1.0, UNIT, eos)
+        # drho = -rho_bar: rho = 0
+        model.velocity_form_remainders(-np.ones(shape), zv, z, z, zv, zj, zv,
+                                       zv, z, zv, z, bg, eos)
     with pytest.raises(DomainError):
         model.thermo_consistency_residual(eos, 1.0, 0.0)
-    shape = (2, 2)
-    z = np.zeros(shape)
-    zv = np.zeros((2,) + shape)
-    zj = np.zeros((2, 2) + shape)
     with pytest.raises(DomainError):
         model.momentum_form_remainders(-2.0 * np.ones(shape), zv, z, z, zv, zj,
-                                       zj, zv, zv, z, zv, z, UNIT, eos)
+                                       zj, zv, zv, z, zv, z, bg, eos)
 
 
 def test_thermo_relation_ideal_gas():

@@ -417,8 +417,27 @@ def test_cli_seed_override(tmp_path):
     assert summary["init"]["seed"] == 123
 
 
-def test_initial_state_built_once_per_member(tmp_path, monkeypatch):
-    # run: one state; sweep: one per member plus the shared reference
+def test_effective_config_records_seed_override(tmp_path):
+    # --seed lands in effective_config.ini, and a re-run from that file
+    # without --seed reproduces the run
+    cfgfile = write_config(tmp_path / "s.ini", TINY_ALL)
+    first = tmp_path / "first"
+    assert cli_main(["run", "--config", cfgfile, "--seed", "123",
+                     "--out", str(first)]) == 0
+    dumped = first / "effective_config.ini"
+    assert "seed = 123" in dumped.read_text().splitlines()
+    assert load_config(dumped).getint("init", "seed") == 123
+    again = tmp_path / "again"
+    assert cli_main(["run", "--config", str(dumped), "--out", str(again)]) == 0
+    rows = [(d / "diagnostics.csv").read_text().splitlines()[1:]
+            for d in (first, again)]
+    assert rows[0] == rows[1]
+    assert rows[0][1].split(",")[-2] == "123"
+
+
+def count_initial_states(tmp_path, monkeypatch, mode):
+    """``make_well_prepared`` calls of a run with its reference and of a
+    sweep, and the sweep's member count, in init mode ``mode``."""
     import rhdlab.sweep as sweep
     calls = []
     real = sweep.make_well_prepared
@@ -430,10 +449,31 @@ def test_initial_state_built_once_per_member(tmp_path, monkeypatch):
     monkeypatch.setattr(sweep, "make_well_prepared", counted)
     cfg = load_config(write_config(tmp_path / "run.ini", SMALL_RUN))
     cfg.raw["solver"]["t_end"] = "0.004"
+    cfg.raw["solver"]["with_reference"] = "true"
+    cfg.raw["init"]["mode"] = mode
     run_single(cfg, tmp_path / "run")
-    assert len(calls) == 1
+    run_calls = len(calls)
     calls.clear()
     cfg = load_config(write_config(tmp_path / "sw.ini", SMALL_SWEEP))
     cfg.raw["solver"]["t_end"] = "0.004"
+    cfg.raw["init"]["mode"] = mode
     sweep.run_sweep(cfg, tmp_path / "sweep")
-    assert len(calls) == 1 + len(cfg.sweep_deltas())
+    return run_calls, len(calls), len(cfg.sweep_deltas())
+
+
+def test_initial_state_built_once_per_member(tmp_path, monkeypatch):
+    # global-thm: the reference reuses the first member's velocity, so a
+    # run builds one state and a sweep one per member
+    run_calls, sweep_calls, members = count_initial_states(
+        tmp_path, monkeypatch, "global-thm")
+    assert run_calls == 1
+    assert sweep_calls == members
+
+
+def test_local_thm_reference_builds_its_own_datum(tmp_path, monkeypatch):
+    # local-thm budgets the momentum, so the reference's velocity-budgeted
+    # datum is one more state
+    run_calls, sweep_calls, members = count_initial_states(
+        tmp_path, monkeypatch, "local-thm")
+    assert run_calls == 2
+    assert sweep_calls == 1 + members

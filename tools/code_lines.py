@@ -1,8 +1,10 @@
 """Count the code lines of ``src/rhdlab``: lines that hold code, not counting
-docstrings, comments or blank lines.
+docstrings, comments or blank lines; and the public names each module
+lists in ``__all__``.
 
 Usage: ``python3 tools/code_lines.py [PACKAGE_DIR]`` from the repository
-root.  Prints one ``<lines>  <module>`` row per module and the total last.
+root.  Prints a header, one ``<lines>  <names>  <module>`` row per module
+and the totals last.
 """
 
 from __future__ import annotations
@@ -42,14 +44,28 @@ def code_lines(source: str) -> int:
     return len(lines - docstring_lines(ast.parse(source)))
 
 
+def public_names(source: str) -> int:
+    """Entries of the module-level ``__all__`` list of ``source`` (0 if none)."""
+    for node in ast.parse(source).body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)
+                and isinstance(node.value, (ast.List, ast.Tuple))):
+            return len(node.value.elts)
+    return 0
+
+
 def main(argv) -> int:
     package = Path(argv[1]) if len(argv) > 1 else ROOT / "src" / "rhdlab"
-    total = 0
+    total = total_names = 0
+    print("  code  __all__  module")
     for path in sorted(package.glob("*.py")):
-        count = code_lines(path.read_text())
+        source = path.read_text()
+        count, names = code_lines(source), public_names(source)
         total += count
-        print(f"{count:6d}  {path.name}")
-    print(f"{total:6d}  total")
+        total_names += names
+        print(f"{count:6d}  {names:7d}  {path.name}")
+    print(f"{total:6d}  {total_names:7d}  total")
     return 0
 
 
