@@ -92,19 +92,40 @@ def test_coefficient_gap_values():
     assert np.all(out[1] == -0.5 * UNIT.mu)
 
 
+def assert_remainders_vanish(bg, eos):
+    z, zv, zj = zero_fields((4, 4))
+    out = model.velocity_form_remainders(z, zv, z, z, zv, zj, zv, zv, z,
+                                         zv, z, bg, eos)
+    assert all(np.all(o == 0.0) for o in out)
+    out = model.momentum_form_remainders(z, zv, z, z, zv, zj, zj, zv, zv,
+                                         z, zv, z, bg, eos)
+    assert all(np.all(o == 0.0) for o in out)
+
+
+def test_all_gaps_vanish_at_background():
+    # every coefficient gap is a Background value minus the gas law at the
+    # state; at the background state each one is exactly zero
+    p = PhysParams.equilibrium(rho_bar=1.4, theta_bar=0.8)
+    eos = IdealGasEOS(R=1.1, c_v=0.7)
+    bg = Background.of(p, eos)
+    rho, theta = p.rho_bar, p.theta_bar
+    p_rho, p_theta = eos.p_rho(rho, theta), eos.p_theta(rho, theta)
+    e_theta = eos.e_theta(rho, theta)
+    gaps = (bg.p_rho - p_rho, bg.p_theta - p_theta,
+            bg.recip - 1.0 / (rho * e_theta),
+            bg.p_rho / p.rho_bar - p_rho / rho,
+            bg.p_theta / p.rho_bar - p_theta / rho,
+            p.theta_bar * bg.p_theta / (p.rho_bar * bg.e_theta)
+            - theta * p_theta / (rho * e_theta),
+            bg.emission - 4.0 * p.sigma_tilde * theta ** 3)
+    assert max(abs(float(gv)) for gv in gaps) == 0.0
+    assert_remainders_vanish(bg, eos)
+
+
 def test_remainders_vanish_at_background():
-    for p, eos in ((PhysParams.equilibrium(rho_bar=1.2, theta_bar=1.1),
-                    IdealGasEOS()),
-                   (PhysParams.equilibrium(rho_bar=1.4, theta_bar=0.8),
-                    IdealGasEOS(R=1.1, c_v=0.7))):
-        bg = Background.of(p, eos)
-        z, zv, zj = zero_fields((4, 4))
-        out = model.velocity_form_remainders(z, zv, z, z, zv, zj, zv, zv, z,
-                                             zv, z, bg, eos)
-        assert all(np.all(o == 0.0) for o in out)
-        out = model.momentum_form_remainders(z, zv, z, z, zv, zj, zj, zv, zv,
-                                             z, zv, z, bg, eos)
-        assert all(np.all(o == 0.0) for o in out)
+    eos = IdealGasEOS()
+    bg = Background.of(PhysParams.equilibrium(rho_bar=1.2, theta_bar=1.1), eos)
+    assert_remainders_vanish(bg, eos)
 
 
 class CountingEOS(IdealGasEOS):
