@@ -117,7 +117,6 @@ class Trajectory:
     """Result of a run: cadence-resolved diagnostics plus summary scalars."""
     times: list = field(default_factory=list)
     records: list = field(default_factory=list)
-    u_snapshots: list = field(default_factory=list)
     final_state: Optional[PerturbationState] = None
     status: str = "ok"
     abort_reason: Optional[str] = None
@@ -315,8 +314,7 @@ class CompressibleSolver:
         return self._stepper.step(X, self._explicit)
 
     def run(self, state0, cadence: int = 10,
-            observer: Optional[Callable] = None,
-            snapshot_velocity: bool = True) -> Trajectory:
+            observer: Optional[Callable] = None) -> Trajectory:
         """Advance to ``t_end``, observing every ``cadence`` steps.
 
         ``observer(X, t)`` is called at observation points with the packed
@@ -342,11 +340,6 @@ class CompressibleSolver:
             """``p`` is the unpacked ``X`` of an invariant check, or None."""
             d = grid.dim
             traj.times.append(t)
-            if snapshot_velocity:
-                u = p.u if p is not None else grid.ifft(X[1:1 + d])
-                # ifft returns a real view of a complex buffer; keep the
-                # real values only
-                traj.u_snapshots.append(u.copy())
             n, v, z, g = np.sqrt(field_sums(grid.norm_sq(X), d))
             traj.sup_l2_density_temperature = max(
                 traj.sup_l2_density_temperature, n + z)

@@ -198,9 +198,9 @@ class ExperimentConfig:
     def build_params(self, delta: Optional[float] = None) -> PhysParams:
         d = delta if delta is not None else self.getfloat("params", "delta")
         n_bar_raw = self.getstr("params", "n_bar")
-        theta_bar = self.getfloat("params", "theta_bar")
-        sigma_a = self.getfloat("params", "sigma_a")
-        sigma_tilde = self.getfloat("params", "sigma_tilde")
+        theta_bar = self.getpositive("params", "theta_bar")
+        sigma_a = self.getpositive("params", "sigma_a")
+        sigma_tilde = self.getpositive("params", "sigma_tilde")
         if n_bar_raw == "auto":
             n_bar = equilibrium_radiation(theta_bar, sigma_a, sigma_tilde)
         else:

@@ -4,7 +4,7 @@ Everything the scaling claims quantify lives here: the weighted norm bundle
 (velocity, density/temperature over delta, radiation over sqrt(delta)), the
 energy functional with its beta-weighted velocity/density-gradient cross
 term, cumulative dissipation integrals, the matter-radiation disequilibrium,
-and compressible-vs-incompressible velocity errors.  The measured
+and the velocity errors against an incompressible reference.  The measured
 dissipation-inequality constants are exposed as probes (cadence-resolution
 finite differences, not proofs).
 """
@@ -22,7 +22,6 @@ from .steppers import field_sums
 
 __all__ = [
     "DiagnosticsRecord", "Collector", "CadenceMismatchError", "bundle_factors",
-    "compare_to_reference", "RefErrorSeries",
     "energy_dissipation_probe", "cross_term_probe", "ProbeResult",
 ]
 
@@ -32,7 +31,7 @@ CSV_COLUMNS = ["time", "bundle_sup", "energy_E", "diss_u", "diss_theta",
 
 
 class CadenceMismatchError(Exception):
-    """Two trajectories do not share observation times."""
+    """A run and its reference do not share observation times."""
 
 
 @dataclass
@@ -123,11 +122,17 @@ class Collector:
     ``mu/rho_bar`` on velocity gradients, ``kappa/(rho_bar theta_bar
     delta^2)`` on temperature gradients, ``nu sigma_a/(4 sigma_tilde
     rho_bar theta_bar^4 delta^2)`` on radiation gradients.
+
+    With a ``reference`` (an
+    :class:`rhdlab.incompressible.IncompressibleTrajectory` observed at the
+    same times), observation ``i`` also records the L2 and H1 norms of the
+    velocity coefficients minus ``reference.uhats[i]``; a time that differs
+    from ``reference.times[i]`` raises :class:`CadenceMismatchError`.
     """
 
     def __init__(self, grid: SpectralGrid, params: PhysParams, eos,
                  order: int = 3, beta: float = 0.05, seed: int = -1,
-                 kind: str = "run"):
+                 kind: str = "run", reference=None):
         if not 0.0 <= beta <= 1.0:
             raise DomainError(f"beta must lie in [0, 1], got {beta}")
         self.grid = grid
@@ -135,11 +140,14 @@ class Collector:
         self.beta = beta
         self.seed = seed
         self.kind = kind
+        self.reference = reference
+        self._observed = 0
         self._cum = np.zeros(3)
         self._prev_time: Optional[float] = None
         self._prev_rates: Optional[np.ndarray] = None
 
         self._w = grid.sobolev_weight(order)
+        self._w1 = grid.sobolev_weight(1)
         self._w3 = grid.sobolev_weight(3)
         self._w_grad = grid.ksq * self._w
         self._w_grad_lm1 = grid.ksq * grid.sobolev_weight(max(order - 1, 0))
@@ -179,42 +187,22 @@ class Collector:
             "exchange_sq": exch_sq,
             "smallness": float(smallness),
         }
-        return DiagnosticsRecord(
+        rec = DiagnosticsRecord(
             time=time, bundle_sup=bundle, energy_E=energy,
             diss_u=self._cum[0], diss_theta=self._cum[1], diss_G=self._cum[2],
             exchange_residual=float(np.sqrt(exch_sq)), delta=delta,
             seed=self.seed, kind=self.kind, extras=extras)
-
-
-# -- limit comparison --------------------------------------------------------
-
-@dataclass
-class RefErrorSeries:
-    times: list
-    err_l2: list
-    err_h1: list
-    sup_l2: float
-    sup_h1: float
-
-
-def compare_to_reference(comp_traj, ref_traj, grid: SpectralGrid) -> RefErrorSeries:
-    """Velocity error of a compressible run against its incompressible
-    reference at shared observation times (L2 and H1)."""
-    tc, tr = comp_traj.times, ref_traj.times
-    if len(tc) != len(tr) or any(abs(a - b) > 1e-9 * max(1.0, abs(a))
-                                 for a, b in zip(tc, tr)):
-        raise CadenceMismatchError(
-            f"observation times differ: {len(tc)} vs {len(tr)} points")
-    if not comp_traj.u_snapshots or not ref_traj.u_snapshots:
-        raise CadenceMismatchError("velocity snapshots missing from a trajectory")
-    err_l2, err_h1 = [], []
-    w1 = grid.sobolev_weight(1)
-    for uc, ur in zip(comp_traj.u_snapshots, ref_traj.u_snapshots):
-        diff_hat = grid.fft(uc - ur)
-        err_l2.append(float(np.sqrt(np.sum(grid.norm_sq(diff_hat)))))
-        err_h1.append(float(np.sqrt(np.sum(grid.norm_sq(diff_hat, w1)))))
-    return RefErrorSeries(list(tc), err_l2, err_h1,
-                          max(err_l2), max(err_h1))
+        if self.reference is not None:
+            i, ref = self._observed, self.reference
+            if i >= len(ref.times) or abs(ref.times[i] - time) > 1e-9 * max(
+                    1.0, abs(time)):
+                raise CadenceMismatchError(
+                    f"observation {i} at t={time} has no reference point")
+            diff = X[1:1 + d] - ref.uhats[i]
+            rec.ref_error_L2 = float(np.sqrt(np.sum(g.norm_sq(diff))))
+            rec.ref_error_H1 = float(np.sqrt(np.sum(g.norm_sq(diff, self._w1))))
+        self._observed += 1
+        return rec
 
 
 # -- dissipation-inequality probes -------------------------------------------

@@ -8,7 +8,7 @@ can be injected to verify that the suite actually catches broken algebra.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .model import Background, PhysParams
 
 __all__ = ["IdentityResult", "run_identity_suite", "FAULTS"]
 
-FAULTS = ("planck-cubic-coeff", "exchange-gap-sign")
+FAULTS = ("planck-cubic-coeff", "exchange-gap-sign", "background-coefficient")
 
 
 @dataclass
@@ -43,6 +43,35 @@ def _rel(a, b, scale=None):
     scale = np.max(np.abs(a)) if scale is None else scale
     scale = max(float(scale), 1e-300)
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))) / scale)
+
+
+def _remainder_checks(grid, bg: Background, eos, noise):
+    """``background-zero`` and ``remainders-quadratic`` for both remainder
+    sets, reading the coefficients in ``bg``; ``noise`` draws the fields."""
+    s, v = grid.shape, (grid.dim,) + grid.shape
+    j = (grid.dim,) + v
+    shapes = ((s, v, s, s, v, j, v, v, s, v, s)         # velocity form
+              + (s, v, s, s, v, j, j, v, v, s, v, s))   # momentum form
+
+    def remainders(fields):
+        return (model.velocity_form_remainders(*fields[:11], bg, eos)
+                + model.momentum_form_remainders(*fields[11:], bg, eos))
+
+    # both vanish at the background with zero derivatives
+    zero = IdentityResult("background-zero", max(
+        float(np.max(np.abs(r)))
+        for r in remainders([np.zeros(sh) for sh in shapes])), 1e-14)
+
+    # ... and are quadratic in the perturbation: with every field and
+    # derivative input eps times a random field, doubling eps quadruples
+    # them.  A wrong background coefficient leaves a part linear in eps,
+    # and R(2 eps) - 4 R(eps) then has the size of R itself.
+    fields = [noise.standard_normal(sh) for sh in shapes]
+    small, double = (remainders([e * f for f in fields])
+                     for e in (1e-6, 2e-6))
+    quadratic = IdentityResult("remainders-quadratic", max(
+        _rel(4.0 * r1, r2) for r1, r2 in zip(small, double)), 1e-4)
+    return [zero, quadratic]
 
 
 def run_identity_suite(grid: SpectralGrid, params: PhysParams, eos,
@@ -97,17 +126,12 @@ def run_identity_suite(grid: SpectralGrid, params: PhysParams, eos,
     results.append(IdentityResult(
         "thermo-relation", float(np.max(np.abs(res)) / scale), 1e-10))
 
-    # both remainder sets vanish at the background with zero derivatives
-    d = grid.dim
-    z = np.zeros(grid.shape)
-    zv = np.zeros((d,) + grid.shape)
-    zj = np.zeros((d, d) + grid.shape)
-    rems = (model.velocity_form_remainders(z, zv, z, z, zv, zj, zv, zv, z,
-                                           zv, z, bg, eos)
-            + model.momentum_form_remainders(z, zv, z, z, zv, zj, zj, zv, zv,
-                                             z, zv, z, bg, eos))
-    worst = max(float(np.max(np.abs(r))) for r in rems)
-    results.append(IdentityResult("background-zero", worst, 1e-14))
+    # the "background-coefficient" fault hands the remainder checks a
+    # Background with P_rho off by 1 %
+    bg_rem = (replace(bg, p_rho=1.01 * bg.p_rho)
+              if fault == "background-coefficient" else bg)
+    results.extend(_remainder_checks(grid, bg_rem, eos,
+                                     np.random.default_rng([seed, 1])))
 
     # exchange antisymmetry: on a uniform state the linear exchange cancels
     # between delta * (radiation eq) and rho_bar*e_theta * (temperature eq),

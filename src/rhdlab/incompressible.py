@@ -11,7 +11,6 @@ diagnostically from its Poisson equation rather than evolved.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -25,12 +24,10 @@ SCHEMES = ("cn", "be")
 
 @dataclass
 class IncompressibleTrajectory:
+    """Observation times and, at each, the stepped velocity coefficients."""
     times: list = field(default_factory=list)
-    u_snapshots: list = field(default_factory=list)
-    kinetic_energy: list = field(default_factory=list)
-    final_u: Optional[np.ndarray] = None
+    uhats: list = field(default_factory=list)
     dt: float = 0.0
-    status: str = "ok"
 
 
 class IncompressibleSolver:
@@ -69,26 +66,20 @@ class IncompressibleSolver:
 
     def run(self, u0: np.ndarray, dt: float, t_end: float,
             cadence: int = 10) -> IncompressibleTrajectory:
-        """Advance the point values ``u0`` to ``t_end``; snapshots are point
-        values.  The stepped coefficients are masked and Leray-projected."""
+        """Advance the point values ``u0`` to ``t_end``.
+
+        The datum is transformed once.  At 0, every ``cadence`` steps and
+        at the end, the trajectory keeps the stepped coefficients, masked
+        and Leray-projected."""
         g = self.grid
         uhat = g.leray(g.mask_spectral(g.fft(np.asarray(u0, dtype=float))))
-        traj = IncompressibleTrajectory(dt=dt)
+        traj = IncompressibleTrajectory(times=[0.0], uhats=[uhat], dt=dt)
         nsteps = max(0, int(np.ceil(t_end / dt - 1e-12)))
-
-        def observe(t):
-            traj.times.append(t)
-            # ifft returns a real view of a complex buffer; keep the real
-            # values only
-            traj.u_snapshots.append(g.ifft(uhat).copy())
-            traj.kinetic_energy.append(float(np.sum(g.norm_sq(uhat))))
-
-        observe(0.0)
         for istep in range(1, nsteps + 1):
             uhat = self.step(uhat, dt)
             if istep % max(1, cadence) == 0 or istep == nsteps:
-                observe(istep * dt)
-        traj.final_u = g.ifft(uhat).copy()
+                traj.times.append(istep * dt)
+                traj.uhats.append(uhat)
         return traj
 
     def pressure_recover(self, u: np.ndarray) -> np.ndarray:

@@ -36,7 +36,12 @@ _SHARE = 0.2  # weighted-norm budget share per component
 
 
 class InitError(Exception):
-    """Initial data cannot be constructed as requested."""
+    """Initial data cannot be constructed as requested; ``key`` names the
+    :class:`InitSpec` field at fault, where one is."""
+
+    def __init__(self, message, key=None):
+        super().__init__(message)
+        self.key = key
 
 
 @dataclass
@@ -106,7 +111,7 @@ def make_well_prepared(spec: InitSpec, grid: SpectralGrid, params: PhysParams,
     if spec.spectrum_peak + 3.0 > grid.n // 3:
         raise InitError(
             f"spectrum_peak={spec.spectrum_peak} too close to the dealias "
-            f"cut {grid.n // 3} at n={grid.n}")
+            f"cut {grid.n // 3} at n={grid.n}", key="spectrum_peak")
     N = spec.norm_order
     delta = spec.delta
     rng = np.random.default_rng(spec.seed)
@@ -151,11 +156,12 @@ def make_well_prepared(spec: InitSpec, grid: SpectralGrid, params: PhysParams,
     if np.min(rho0) < 0.5 * params.rho_bar:
         raise InitError(
             f"budget {spec.budget} unreachable: density perturbation would "
-            f"push min rho to {np.min(rho0):.4g} < rho_bar/2")
+            f"push min rho to {np.min(rho0):.4g} < rho_bar/2", key="budget")
     if np.min(theta0) < 0.5 * params.theta_bar:
         raise InitError(
             f"budget {spec.budget} unreachable: temperature perturbation "
-            f"would push min theta to {np.min(theta0):.4g} < theta_bar/2")
+            f"would push min theta to {np.min(theta0):.4g} < theta_bar/2",
+            key="budget")
 
     u_dir = grid.ifft(grid.leray(grid.fft(w_u)))
     if spec.mode == "local-thm":

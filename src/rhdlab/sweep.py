@@ -23,9 +23,10 @@ from .compressible import (CompressibleSolver, SolverConfig, Trajectory,
 from .config import ConfigError, ExperimentConfig, dump_config_text
 from .fields import SpectralGrid, save_field
 from .incompressible import SCHEMES as NS_SCHEMES, IncompressibleSolver
-from .initial import make_well_prepared, random_band_scalar
+from .initial import InitError, make_well_prepared, random_band_scalar
 from .linearized import (LinearizedProblem, check_estimate,
                          constant_coefficient, solve_linearized, standing_wave)
+from .model import DomainError
 from .steppers import SCHEMES
 
 __all__ = ["RateFit", "fit_rate", "run_single", "run_reference", "run_sweep",
@@ -104,10 +105,12 @@ class _Setup:
     order: int
     beta: float
 
-    def collector(self, params, kind):
-        """The observer of one run at ``params``; its rows carry ``kind``."""
+    def collector(self, params, kind, reference=None):
+        """The observer of one run at ``params``; its rows carry ``kind``
+        and, given the ``reference`` trajectory, the limit errors."""
         return diag.Collector(self.grid, params, self.eos, order=self.order,
-                              beta=self.beta, seed=self.seed, kind=kind)
+                              beta=self.beta, seed=self.seed, kind=kind,
+                              reference=reference)
 
     def write(self, csv_name, records, json_name, payload):
         """``effective_config.ini``, then the CSV of ``records`` and the JSON
@@ -158,19 +161,24 @@ def _reference_velocity(s: _Setup, params, prepared=None):
     """
     if prepared is not None and prepared[1]["mode"] == "global-thm":
         return prepared[0].u
+    return _prepare(s, params, mode="global-thm")[0].u
+
+
+def _prepare(s: _Setup, params, **changes):
+    """Well-prepared initial state and its report at ``params.delta``.
+
+    ``changes`` replace fields of the configured :class:`InitSpec`.  Data
+    the ``init`` settings cannot produce is a configuration error."""
     spec = replace(s.cfg.build_init_spec(delta=params.delta, seed=s.seed),
-                   mode="global-thm")
-    state, _ = make_well_prepared(spec, s.grid, params, s.eos)
-    return state.u
+                   **changes)
+    try:
+        return make_well_prepared(spec, s.grid, params, s.eos)
+    except InitError as exc:
+        key = f"init.{exc.key}" if exc.key else "init"
+        raise ConfigError(f"{key}: {exc}") from None
 
 
-def _prepare(s: _Setup, params):
-    """Well-prepared initial state and its report at ``params.delta``."""
-    spec = s.cfg.build_init_spec(delta=params.delta, seed=s.seed)
-    return make_well_prepared(spec, s.grid, params, s.eos)
-
-
-def _run_one_compressible(s: _Setup, params, dt, prepared):
+def _run_one_compressible(s: _Setup, params, dt, prepared, reference):
     state0, init_report = prepared
     solver_cfg = SolverConfig(
         dt=dt,
@@ -178,7 +186,7 @@ def _run_one_compressible(s: _Setup, params, dt, prepared):
         scheme=s.cfg.getchoice("solver", "scheme", SCHEMES))
     solver = CompressibleSolver(s.grid, params, s.eos, solver_cfg)
     traj = solver.run(state0, cadence=s.cfg.output_cadence(),
-                      observer=s.collector(params, "run").observe)
+                      observer=s.collector(params, "run", reference).observe)
     return traj, init_report, solver_cfg
 
 
@@ -190,12 +198,11 @@ def _run_reference_traj(s: _Setup, params, u0, dt):
                   cadence=s.cfg.output_cadence())
 
 
-def _attach_ref_errors(traj: Trajectory, ref_traj, grid):
-    errs = diag.compare_to_reference(traj, ref_traj, grid)
-    for rec, l2, h1 in zip(traj.records, errs.err_l2, errs.err_h1):
-        rec.ref_error_L2 = l2
-        rec.ref_error_H1 = h1
-    return errs
+def _ref_error(traj: Trajectory):
+    """Sup in time of the limit errors in the rows of a run observed
+    against a reference."""
+    return {"sup_L2": max(r.ref_error_L2 for r in traj.records),
+            "sup_H1": max(r.ref_error_H1 for r in traj.records)}
 
 
 def _traj_summary(traj: Trajectory, init_report, solver_cfg):
@@ -234,11 +241,10 @@ def run_single(cfg: ExperimentConfig, out_dir, seed=None):
                                _reference_velocity(s, params, prepared), dt)
            if cfg.getbool("solver", "with_reference") else None)
     traj, init_report, solver_cfg = _run_one_compressible(s, params, dt,
-                                                          prepared)
+                                                          prepared, ref)
     summary = {"kind": "run", "seed": s.seed}
-    if ref is not None:
-        errs = _attach_ref_errors(traj, ref, s.grid)
-        summary["ref_error"] = {"sup_L2": errs.sup_l2, "sup_H1": errs.sup_h1}
+    if ref is not None and traj.status == "ok":
+        summary["ref_error"] = _ref_error(traj)
     summary.update(_traj_summary(traj, init_report, solver_cfg))
 
     s.write("diagnostics.csv", traj.records, "summary.json", summary)
@@ -269,12 +275,13 @@ def run_reference(cfg: ExperimentConfig, out_dir, seed=None):
     d = s.grid.dim
     X = np.zeros((d + 3,) + s.grid.shape, dtype=np.complex128)
     records = []
-    for t, u in zip(ref.times, ref.u_snapshots):
-        X[1:1 + d] = s.grid.fft(u)
+    for t, uhat in zip(ref.times, ref.uhats):
+        X[1:1 + d] = uhat
         records.append(collector.observe(X, t))
     summary = {"kind": "reference", "seed": s.seed, "dt": ref.dt,
                "final_time": ref.times[-1],
-               "final_kinetic_energy": ref.kinetic_energy[-1]}
+               "final_kinetic_energy": float(np.sum(
+                   s.grid.norm_sq(ref.uhats[-1])))}
     s.write("reference.csv", records, "reference_summary.json", summary)
     return summary
 
@@ -303,7 +310,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir, seed=None, threads: int = 1):
     def member(delta):
         params = cfg.build_params(delta=delta)
         prepared = prepared0 if delta == deltas[0] else _prepare(s, params)
-        return _run_one_compressible(s, params, dt, prepared)
+        return _run_one_compressible(s, params, dt, prepared, ref)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -323,8 +330,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir, seed=None, threads: int = 1):
             entry["energy_bundle_ratio"] = {"min": min(ratios),
                                             "max": max(ratios)}
         if traj.status == "ok":
-            errs = _attach_ref_errors(traj, ref, s.grid)
-            entry["ref_error"] = {"sup_L2": errs.sup_l2, "sup_H1": errs.sup_h1}
+            entry["ref_error"] = _ref_error(traj)
         else:
             incomplete = True
         members.append(entry)
@@ -365,7 +371,11 @@ def run_linearized_probe(cfg: ExperimentConfig, out_dir, seed=None):
         if name == "constant":
             return constant_coefficient(1.0)
         if name == "standing-wave":
-            return standing_wave(cfg.getfloat("linearized", "wave_amplitude"))
+            try:
+                return standing_wave(cfg.getfloat("linearized",
+                                                  "wave_amplitude"))
+            except DomainError as exc:
+                raise ConfigError(f"linearized.wave_amplitude: {exc}") from None
         raise ConfigError(f"linearized.families: unknown family {name!r}")
 
     # every family is built, so every name checked, before the first solve

@@ -308,7 +308,7 @@ def test_radiation_relaxation_against_ode_oracle(grid):
     dt, t_end = 1e-3, 0.3
     solver = CompressibleSolver(grid, params, EOS,
                                 SolverConfig(dt=dt, t_end=t_end, scheme="imex2"))
-    traj = solver.run(pert, cadence=20, snapshot_velocity=False,
+    traj = solver.run(pert, cadence=20,
                       observer=lambda X, t: (t, float(grid.ifft(X[3])[0, 0]),
                                              float(grid.ifft(X[4])[0, 0])))
     e_theta = 1.0
@@ -392,7 +392,7 @@ def test_run_observes_checked_state_without_transforms(grid, transforms):
     solver.step_spectral = counted_step
     transforms[0] = 0
     traj = solver.run(st, cadence=1)
-    assert traj.status == "ok" and len(traj.u_snapshots) == nsteps + 1
+    assert traj.status == "ok" and len(traj.times) == nsteps + 1
     assert transforms[0] - in_steps[0] == fields * (nsteps + 2)
 
 
@@ -411,8 +411,7 @@ def test_bundle_stays_bounded_by_initial(grid):
         solver = CompressibleSolver(g, params, EOS,
                                     SolverConfig(dt=1e-3, t_end=1.0))
         coll = Collector(g, params, EOS)
-        traj = solver.run(st, cadence=20, observer=coll.observe,
-                          snapshot_velocity=False)
+        traj = solver.run(st, cadence=20, observer=coll.observe)
         assert traj.status == "ok"
         cs[n] = traj.sup_bundle / traj.records[0].bundle_sup
         assert cs[n] <= 10.0

@@ -164,18 +164,54 @@ def test_collector_and_probe_shapes(grid):
     assert np.isfinite(p1.constant) and np.isfinite(p2.constant)
 
 
-def test_compare_to_reference_identical_and_mismatch(grid):
-    ns = IncompressibleSolver(grid, mu_bar=0.1)
-    rng = np.random.default_rng(3)
-    u0 = grid.ifft(grid.leray(grid.mask_spectral(grid.fft(np.stack(
-        [rng.standard_normal(grid.shape) for _ in range(2)])))))
-    tr1 = ns.run(u0, 1e-3, 0.02, cadence=5)
-    tr2 = ns.run(u0, 1e-3, 0.02, cadence=5)
-    errs = diag.compare_to_reference(tr1, tr2, grid)
-    assert errs.sup_l2 == 0.0 and errs.sup_h1 == 0.0
-    tr3 = ns.run(u0, 1e-3, 0.02, cadence=7)
+def test_collector_reference_errors_and_mismatch(grid):
+    # with a reference, each row carries the L2 and H1 norms of the
+    # velocity minus the reference's: 0 against itself, the point-value
+    # oracle norm_sq(fft(uc - ur)) against a compressible run, and a
+    # cadence the reference does not share raises
+    params = PhysParams(delta=0.1)
+    st, _ = make_well_prepared(InitSpec(budget=0.5, delta=0.1, seed=4),
+                               grid, params, EOS)
+    ns = IncompressibleSolver(grid, mu_bar=params.mu_bar)
+    ref = ns.run(st.u, 1e-3, 0.02, cadence=5)
+    assert len(ref.times) == 5
+
+    X = np.zeros((5,) + grid.shape, dtype=complex)
+    coll = diag.Collector(grid, params, EOS, reference=ref)
+    for t, uhat in zip(ref.times, ref.uhats):
+        X[1:3] = uhat
+        rec = coll.observe(X, t)
+        assert rec.ref_error_L2 == 0.0 and rec.ref_error_H1 == 0.0
     with pytest.raises(diag.CadenceMismatchError):
-        diag.compare_to_reference(tr1, tr3, grid)
+        coll.observe(X, ref.times[-1] + 5e-3)  # past the reference's end
+
+    velocities = []
+
+    def observer(X, t):
+        velocities.append(grid.ifft(X[1:3]))
+        return coll.observe(X, t)
+
+    coll = diag.Collector(grid, params, EOS, reference=ref)
+    solver = CompressibleSolver(grid, params, EOS,
+                                SolverConfig(dt=1e-3, t_end=0.02))
+    traj = solver.run(st, cadence=5, observer=observer)
+    assert traj.status == "ok" and len(traj.records) == 5
+    w1 = grid.sobolev_weight(1)
+    want = []
+    for u, uhat in zip(velocities, ref.uhats):
+        diff = grid.fft(u - grid.ifft(uhat))
+        want.append((np.sqrt(np.sum(grid.norm_sq(diff))),
+                     np.sqrt(np.sum(grid.norm_sq(diff, w1)))))
+    want = np.array(want)
+    got = np.array([(r.ref_error_L2, r.ref_error_H1) for r in traj.records])
+    assert np.all(want[1:] > 0.0)
+    assert np.all(np.abs(got - want) <= 1e-12 * want.max(axis=0))
+
+    sparse = ns.run(st.u, 1e-3, 0.02, cadence=7)
+    coll = diag.Collector(grid, params, EOS, reference=sparse)
+    coll.observe(X, 0.0)
+    with pytest.raises(diag.CadenceMismatchError):
+        coll.observe(X, 5e-3)
 
 
 def test_bundle_and_energy_positive_off_equilibrium(grid):

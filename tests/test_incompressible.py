@@ -34,7 +34,7 @@ def test_taylor_green_decay(grid):
     traj = ns.run(taylor_green_velocity(grid, 0.1, 0.0), dt=1e-3, t_end=0.25,
                   cadence=250)
     exact = taylor_green_velocity(grid, 0.1, 0.25)
-    assert np.max(np.abs(traj.final_u - exact)) < 1e-7
+    assert np.max(np.abs(grid.ifft(traj.uhats[-1]) - exact)) < 1e-7
 
 
 def test_taylor_green_pressure(grid):
@@ -100,7 +100,8 @@ def test_divergence_free_preservation(grid):
 
 
 def test_run_holds_masked_projected_coefficients(grid, monkeypatch):
-    # run masks and projects its datum once; snapshots are point values
+    # run masks and projects its datum once and keeps the coefficients it
+    # steps at every observation
     ns = IncompressibleSolver(grid, mu_bar=0.05)
     rng = np.random.default_rng(5)
     u0 = np.stack([rng.standard_normal(grid.shape) for _ in range(2)])
@@ -114,15 +115,39 @@ def test_run_holds_masked_projected_coefficients(grid, monkeypatch):
     monkeypatch.setattr(ns, "step", recorded)
     traj = ns.run(u0, dt=2e-3, t_end=6e-3, cadence=1)
     assert len(steps) == 3
-    for uhat in steps:
+    for uhat in steps + traj.uhats:
         assert np.all(uhat[:, ~grid.dealias_mask] == 0.0)
         assert np.max(np.abs(divergence(grid, uhat))) < 1e-11
     expected = grid.leray(grid.mask_spectral(grid.fft(u0)))
     np.testing.assert_array_equal(steps[0], expected)
-    np.testing.assert_array_equal(traj.u_snapshots[0], grid.ifft(expected))
-    np.testing.assert_array_equal(traj.final_u, traj.u_snapshots[-1])
-    for ke, u in zip(traj.kinetic_energy, traj.u_snapshots):
-        assert ke == pytest.approx(grid.sobolev_norm(u, 0) ** 2, rel=1e-12)
+    assert traj.times == pytest.approx([0.0, 2e-3, 4e-3, 6e-3])
+    assert len(traj.uhats) == 4
+    for kept, stepped in zip(traj.uhats, steps):
+        np.testing.assert_array_equal(kept, stepped)
+    np.testing.assert_array_equal(traj.uhats[-1], step(steps[-1], 2e-3))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_run_transforms_only_the_datum(dim, transforms, monkeypatch):
+    # outside its steps, run makes one transform: the forward transform of
+    # the datum's d components; the observations keep coefficients
+    g = SpectralGrid(dim=dim, points_per_axis=16)
+    ns = IncompressibleSolver(g, mu_bar=0.1)
+    in_steps = [0]
+    step = ns.step
+
+    def counted(uhat, dt):
+        before = transforms[0]
+        out = step(uhat, dt)
+        in_steps[0] += transforms[0] - before
+        return out
+
+    monkeypatch.setattr(ns, "step", counted)
+    u0 = g.ifft(random_divfree(g, 7))
+    transforms[0] = 0
+    traj = ns.run(u0, dt=1e-3, t_end=5e-3, cadence=1)
+    assert len(traj.uhats) == 6
+    assert transforms[0] - in_steps[0] == dim
 
 
 @pytest.mark.parametrize("dim,expected", [(2, 8), (3, 15)])
@@ -174,7 +199,7 @@ def test_first_order_variant_convergence_order(grid):
         traj = ns.run(taylor_green_velocity(grid, 0.1, 0.0), dt=dt,
                       t_end=0.2, cadence=10 ** 6)
         exact = taylor_green_velocity(grid, 0.1, 0.2)
-        errors.append(np.max(np.abs(traj.final_u - exact)))
+        errors.append(np.max(np.abs(grid.ifft(traj.uhats[-1]) - exact)))
     slope = np.polyfit(np.log(dts), np.log(errors), 1)[0]
     assert slope >= 0.9
 

@@ -170,7 +170,7 @@ def test_observe_transforms_each_field_once(grid, transforms):
 
 
 def test_reference_rows_match_point_value_oracle(tmp_path, monkeypatch):
-    # reference.csv: squared H^order norms of each velocity snapshot and
+    # reference.csv: squared H^order norms of each kept velocity and
     # the trapezoid of mu_bar * sum_i |d_i u|^2 in H^order between them
     from rhdlab import sweep
     from rhdlab.config import default_config
@@ -195,8 +195,9 @@ def test_reference_rows_match_point_value_oracle(tmp_path, monkeypatch):
             for line in lines[2:]]
     assert len(rows) == len(traj.times) == 6
 
-    norms = [ref_sobolev_sq(g, u, 2) for u in traj.u_snapshots]
-    rates = [params.mu_bar * ref_grad_sq(g, u, 2) for u in traj.u_snapshots]
+    velocities = [g.ifft(uhat) for uhat in traj.uhats]
+    norms = [ref_sobolev_sq(g, u, 2) for u in velocities]
+    rates = [params.mu_bar * ref_grad_sq(g, u, 2) for u in velocities]
     cum = np.concatenate([[0.0], np.cumsum(
         [0.5 * (t1 - t0) * (a + b) for t0, t1, a, b in zip(
             traj.times, traj.times[1:], rates, rates[1:])])])

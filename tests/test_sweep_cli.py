@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -6,8 +7,8 @@ import pytest
 
 from rhdlab.cli import main as cli_main
 from rhdlab.config import ConfigError, default_config, load_config
-from rhdlab.identities import run_identity_suite
-from rhdlab.model import CallableEOS, IdealGasEOS, PhysParams
+from rhdlab.identities import _remainder_checks, run_identity_suite
+from rhdlab.model import Background, CallableEOS, IdealGasEOS, PhysParams
 from rhdlab.fields import SpectralGrid
 from rhdlab.sweep import RunError, fit_rate, run_single
 
@@ -124,6 +125,26 @@ cadence = 2
     assert np.isfinite(float(last[7])) and np.isfinite(float(last[8]))
 
 
+def test_aborted_run_with_reference_writes_outputs(tmp_path, capsys):
+    # the reference is observed with the run, so an abort keeps its rows
+    # and reports cleanly instead of failing to compare cadences
+    cfgfile = write_config(tmp_path / "abort.ini", """
+[grid]
+points_per_axis = 16
+
+[solver]
+dt = 5
+t_end = 10
+with_reference = true
+""")
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", cfgfile, "--out", str(out)]) == 1
+    assert "error: run aborted" in capsys.readouterr().err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "aborted" and "ref_error" not in summary
+    assert (out / "diagnostics.csv").exists()
+
+
 def test_snapshots_flag(tmp_path):
     body = """
 [solver]
@@ -154,8 +175,33 @@ def test_identity_suite_fault_injection():
                                 fault="exchange-gap-sign")
     failed = {r.name for r in faulty if not r.passed}
     assert "velocity-form-rhs" in failed
+    faulty = run_identity_suite(grid, params, eos, seed=0, n_fields=2,
+                                fault="background-coefficient")
+    assert {r.name for r in faulty if not r.passed} == {"remainders-quadratic"}
     with pytest.raises(ValueError):
         run_identity_suite(grid, params, eos, fault="no-such-fault")
+
+
+@pytest.mark.parametrize("changes", [
+    {"p_rho": 5.0, "recip": 3.0, "e_theta": 9.0},
+    "p_rho", "p_theta", "e_theta", "recip"])
+def test_remainders_quadratic_catches_wrong_background(changes):
+    # at the background every gap multiplies a zero field, so
+    # background-zero reads 0 whatever the Background holds; with eps-small
+    # inputs a wrong coefficient leaves a part linear in eps, which
+    # remainders-quadratic sees (a string names a coefficient off by 1 %)
+    grid = SpectralGrid(dim=2, points_per_axis=16)
+    params, eos = PhysParams.equilibrium(delta=0.1, lam=0.05), IdealGasEOS()
+    bg = Background.of(params, eos)
+    zero, quadratic = _remainder_checks(grid, bg, eos,
+                                        np.random.default_rng(0))
+    assert zero.passed and quadratic.passed
+    if isinstance(changes, str):
+        changes = {changes: 1.01 * getattr(bg, changes)}
+    zero, quadratic = _remainder_checks(grid, replace(bg, **changes), eos,
+                                        np.random.default_rng(0))
+    assert zero.max_rel_err == 0.0
+    assert not quadratic.passed
 
 
 def test_identity_suite_catches_broken_eos():
@@ -205,7 +251,15 @@ def test_cli_exit_codes_and_commands(tmp_path, capsys):
             ("linearized", "[linearized]\ndt = -1\n", "linearized.dt"),
             ("linearized", "[linearized]\nnorm_order = -1\n",
              "linearized.norm_order"),
-            ("linearized", "[linearized]\nt_end = -1\n", "linearized.t_end")]:
+            ("linearized", "[linearized]\nt_end = -1\n", "linearized.t_end"),
+            ("linearized", "[grid]\npoints_per_axis = 16\n[linearized]\n"
+                           "wave_amplitude = 1.5\n", "linearized.wave_amplitude"),
+            ("run", "[grid]\npoints_per_axis = 16\n[init]\n"
+                    "spectrum_peak = 9\n", "init.spectrum_peak"),
+            ("run", "[grid]\npoints_per_axis = 16\n[init]\nbudget = 1e6\n",
+             "init.budget"),
+            ("run", "[grid]\npoints_per_axis = 16\n[params]\n"
+                    "theta_bar = -1\n", "params.theta_bar")]:
         cfg = write_config(tmp_path / "range.ini", body)
         assert cli_main([command, "--config", cfg,
                          "--out", str(tmp_path / "range")]) == 2, key
