@@ -15,6 +15,7 @@ from pathlib import Path
 from .config import (ConfigError, config_reference_text, default_config,
                      load_config)
 from .identities import run_identity_suite
+from .steppers import SolverError
 from .sweep import (RunError, fit_rate, run_linearized_probe, run_reference,
                     run_single, run_sweep)
 
@@ -86,7 +87,8 @@ def _cmd_verify(args) -> int:
     grid = cfg.build_grid()
     params = cfg.build_params()
     eos = cfg.build_eos()
-    seed = args.seed if args.seed is not None else cfg.getint("init", "seed")
+    seed = (args.seed if args.seed is not None
+            else cfg.getnonnegative("init", "seed", integer=True))
     results = run_identity_suite(grid, params, eos, seed=seed)
     failed = [r for r in results if not r.passed]
     for r in results:
@@ -101,6 +103,8 @@ def _cmd_verify(args) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         if args.command == "config-reference":
             print(config_reference_text())
             return 0
@@ -134,7 +138,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (RunError, OSError) as exc:
+    except (RunError, SolverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -142,23 +142,35 @@ def default_dt(grid: SpectralGrid, u0: np.ndarray) -> float:
 
 # -- right-hand sides -------------------------------------------------------
 
-def _derivatives(grid, X):
-    """Derivative fields of a packed spectral state, shared by every assembly.
+def _derivatives(grid, X, a, b):
+    """Point values of a packed spectral state and of the derivative fields
+    every assembly shares, from one inverse transform of them all.
 
-    Returns ``(grad_n, jac_v, lap_v, grad_div_v, div_v, grad_z, lap_z)`` for
-    the density-like slot ``n``, the vector slot ``v`` (``jac[i, j] = d v_i
-    / d x_j``) and the temperature-like slot ``z``.
+    Returns ``(n, v, z, g, grad_n, jac_v, visc_v, div_v, grad_z, lap_z)``
+    for the slots ``(n, v, z, g)`` of ``X``, with ``jac[i, j] = d v_i /
+    d x_j`` and the viscous term ``visc_v = a lap(v) + b grad(div v)``
+    formed on the coefficients.
     """
-    g, d = grid, grid.dim
-    grad_n = g.ifft(g.ik * X[0][np.newaxis])
-    jac_v = g.jacobian(X[1:1 + d])
-    div_v = np.trace(jac_v, axis1=0, axis2=1)
-    lap_v = g.ifft(-g.ksq * X[1:1 + d])
-    dhat = np.sum(g.ik * X[1:1 + d], axis=0)
-    grad_div_v = g.ifft(g.ik * dhat[np.newaxis])
-    grad_z = g.ifft(g.ik * X[d + 1][np.newaxis])
-    lap_z = g.ifft(-g.ksq * X[d + 1])
-    return grad_n, jac_v, lap_v, grad_div_v, div_v, grad_z, lap_z
+    g, d, s = grid, grid.dim, len(X)
+    ik, vhat, zhat = g.ik, X[1:1 + d], X[d + 1]
+    # coefficients of (n, v, z, g, grad n, jac v, visc v, grad z, lap z),
+    # written in place into the one array that is transformed
+    Y = np.empty((s + d * d + 3 * d + 1,) + g.spectral_shape, dtype=X.dtype)
+    Y[:s] = X
+    np.multiply(ik, X[0], out=Y[s:s + d])
+    jac = Y[s + d:s + d + d * d].reshape((d, d) + g.spectral_shape)
+    np.multiply(ik, vhat[:, np.newaxis], out=jac)
+    visc = Y[s + d + d * d:s + 2 * d + d * d]
+    np.multiply(b * ik, np.trace(jac, axis1=0, axis2=1), out=visc)
+    visc -= a * g.ksq * vhat
+    np.multiply(ik, zhat, out=Y[s + 2 * d + d * d:-1])
+    np.multiply(-g.ksq, zhat, out=Y[-1])
+    x = g.ifft(Y)
+    n, v, z, gg, grad_n, jac, visc, grad_z, lap_z = np.split(
+        x, np.cumsum([1, d, 1, 1, d, d * d, d, d]))
+    jac = jac.reshape((d, d) + g.shape)
+    return (n[0], v, z[0], gg[0], grad_n, jac, visc,
+            np.trace(jac, axis1=0, axis2=1), grad_z, lap_z[0])
 
 
 def _velocity_form_remainders(grid, X, bg: Background, eos):
@@ -166,15 +178,10 @@ def _velocity_form_remainders(grid, X, bg: Background, eos):
 
     The radiation row carries its ``1/delta`` weight; nothing is dealiased.
     """
-    drho, u, dtheta, drad = unpack_state(grid, X)
-    grad_drho, jac_u, lap_u, grad_div_u, div_u, grad_dtheta, lap_dtheta = \
-        _derivatives(grid, X)
+    pr = bg.params
     r_mass, r_vel, r_temp, r_rad = model.velocity_form_remainders(
-        drho, u, dtheta, drad, grad_drho, jac_u, lap_u, grad_div_u,
-        div_u, grad_dtheta, lap_dtheta, bg, eos)
-    N = pack_state(grid, r_mass, r_vel, r_temp, r_rad)
-    N[grid.dim + 2] /= bg.delta
-    return N
+        *_derivatives(grid, X, pr.mu, pr.mu + pr.lam), bg, eos)
+    return pack_state(grid, r_mass, r_vel, r_temp, r_rad / bg.delta)
 
 
 def _apply_symbol(M, X):
@@ -196,8 +203,8 @@ def rhs_primitive(grid: SpectralGrid, state: CompressibleState,
     d2 = params.delta ** 2
 
     X = pack_state(grid, rho, u, theta, rad)
-    grad_rho, jac_u, lap_u, grad_div_u, div_u, grad_theta, lap_theta = \
-        _derivatives(grid, X)
+    grad_rho, jac_u, visc_u, div_u, grad_theta, lap_theta = _derivatives(
+        grid, X, params.mu, params.mu + params.lam)[4:]
     lap_rad = grid.ifft(-grid.ksq * X[grid.dim + 2])
 
     rho_t = -(rho * div_u + np.sum(u * grad_rho, axis=0))
@@ -207,7 +214,7 @@ def rhs_primitive(grid: SpectralGrid, state: CompressibleState,
     advect = np.einsum("j...,ij...->i...", u, jac_u)
     u_t = (-advect
            - (p_rho * grad_rho + p_theta * grad_theta) / (rho * d2)
-           + (params.mu * lap_u + (params.mu + params.lam) * grad_div_u) / rho)
+           + visc_u / rho)
 
     recip = 1.0 / (rho * eos.e_theta(rho, theta))
     dd = model.deformation_contraction(jac_u)
@@ -246,32 +253,27 @@ def rhs_momentum_form(grid: SpectralGrid, nrel, mom, dtheta, drad,
     """
     pr = params
     bg = Background.of(pr, eos)
-    d = grid.dim
     X = pack_state(grid, nrel, mom, dtheta, drad)
-    grad_nrel, jac_m, lap_m, grad_div_m, div_m, grad_dtheta, lap_dtheta = \
-        _derivatives(grid, X)
+    grad_nrel, jac_m, visc_m, div_m, grad_dtheta, lap_dtheta = _derivatives(
+        grid, X, pr.mu_bar, pr.mu_bar + pr.lam_bar)[4:]
     hess_nrel = grid.ifft(grid.ik[:, np.newaxis] * grid.ik[np.newaxis, :]
                           * X[0])
 
     r_mom, r_temp, r_rad = model.momentum_form_remainders(
-        nrel, mom, dtheta, drad, grad_nrel, hess_nrel, jac_m, lap_m,
-        grad_div_m, div_m, grad_dtheta, lap_dtheta, bg, eos)
+        nrel, mom, dtheta, drad, grad_nrel, hess_nrel, jac_m, div_m,
+        grad_dtheta, lap_dtheta, bg, eos)
 
     # Viscosity acts on u = f*m; the symbol carries its constant part on m.
     f = 1.0 / (1.0 + np.asarray(nrel))
-    f_minus_1 = -np.asarray(nrel) * f
     grad_f = -(f ** 2) * grad_nrel
-    visc_shear = (f_minus_1 * lap_m
-                  + np.einsum("ij...,j...->i...", jac_m, grad_f))
-    visc_bulk = grad_f * div_m + f_minus_1 * grad_div_m
-    r_mom = (r_mom + pr.mu_bar * visc_shear
-             + (pr.lam_bar + pr.mu_bar) * visc_bulk)
+    r_mom = (r_mom - np.asarray(nrel) * f * visc_m
+             + pr.mu_bar * np.einsum("ij...,j...->i...", jac_m, grad_f)
+             + (pr.lam_bar + pr.mu_bar) * grad_f * div_m)
 
     F = _apply_symbol(acoustic_exchange_matrix(grid, bg, relative_density=True),
                       X)
-    F[1:1 + d] += grid.fft(r_mom)
-    F[d + 1] += grid.fft(r_temp)
-    F[d + 2] += grid.fft(r_rad) / pr.delta
+    F += pack_state(grid, np.zeros_like(r_temp), r_mom, r_temp,
+                    r_rad / pr.delta)
     return unpack_state(grid, grid.mask_spectral(F))
 
 
@@ -280,8 +282,9 @@ def rhs_momentum_form(grid: SpectralGrid, nrel, mom, dtheta, drad,
 class CompressibleSolver:
     """IMEX integrator with delta-uniform stability.
 
-    Construction factors the per-mode implicit operator once; stepping then
-    costs a handful of transforms and one batched triangular-free solve.
+    Construction factors the per-mode implicit operator once, on the half
+    spectrum; each explicit evaluation then costs one inverse and one
+    forward transform, and each stage one batched per-mode solve.
     """
 
     def __init__(self, grid: SpectralGrid, params: PhysParams, eos,

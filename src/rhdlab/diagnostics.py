@@ -86,7 +86,8 @@ def _dissipation_factors(pr):
 
 
 def _cross_weight(grid, order):
-    return sum((grid.ksq ** k for k in range(order)), np.zeros(grid.shape))
+    return sum((grid.ksq ** k for k in range(order)),
+               np.zeros(grid.spectral_shape))
 
 
 def _cross(grid, rhat, uhat, weight):
@@ -98,8 +99,7 @@ def _cross(grid, rhat, uhat, weight):
     component of the density perturbation.
     """
     pair = np.sum(np.conj(uhat) * (grid.ik * rhat), axis=0).real
-    return float(grid.volume / float(grid.n ** grid.dim) ** 2
-                 * np.sum(weight * pair))
+    return float(grid.parseval(weight * pair))
 
 
 # -- per-run collection ------------------------------------------------------

@@ -4,8 +4,14 @@ Conventions
 -----------
 Scalar fields are point values: real ``float64`` arrays of shape
 ``grid.shape`` (``points_per_axis`` repeated ``dim`` times).  Vector fields
-carry a leading component axis of length ``grid.dim``.  Their Fourier
-coefficients are ``grid.fft(f)``, unnormalized, on the same layout.
+carry a leading component axis of length ``grid.dim``.  Every field is real,
+so only half of its spectrum is kept: its Fourier coefficients are
+``grid.fft(f)``, unnormalized, in the ``rfftn`` layout of shape
+``grid.spectral_shape``, ``(n,) * (dim - 1) + (n // 2 + 1,)``, which holds
+the modes with ``k_last >= 0``.  Each other mode is the complex conjugate
+of a kept one, so a Parseval sum counts a kept mode twice
+(``grid.multiplicity``), except on the ``k_last = 0`` and ``k_last = n/2``
+planes, which hold their own conjugates and count once.
 Methods take coefficients unless they say otherwise: derivatives are
 multiplications by ``grid.ik`` (``grid.ksq`` for ``-laplacian``), exact
 derivatives of the trigonometric interpolant.  The Nyquist mode is dropped
@@ -14,7 +20,7 @@ agree bit-for-bit.
 
 Every public operation returns a fresh array and never mutates its inputs,
 so grids and fields are safe to share across worker threads.  Every norm
-is a Parseval sum over Fourier coefficients (:meth:`SpectralGrid.norm_sq`).
+is a Parseval sum over Fourier coefficients (:meth:`SpectralGrid.parseval`).
 """
 
 from __future__ import annotations
@@ -58,14 +64,19 @@ class SpectralGrid:
         self.extent = float(extent)
         self.dealias = bool(dealias)
         self.shape = (n,) * dim
+        self.spectral_shape = (n,) * (dim - 1) + (n // 2 + 1,)
         self.dx = self.extent / n
         self.volume = self.extent ** dim
 
-        # Integer mode numbers per axis in FFT layout; scaled to wavenumbers.
-        ints = np.fft.fftfreq(n, d=1.0 / n)  # 0, 1, ..., n/2-1, -n/2, ..., -1
-        scale = 2.0 * np.pi / self.extent
-        axes = np.meshgrid(*([ints] * dim), indexing="ij")
-        self.k = np.stack([scale * a for a in axes])          # (dim, *shape)
+        # Integer mode numbers per axis in rfftn layout (0, 1, ..., n/2-1,
+        # -n/2, ..., -1, and 0, 1, ..., n/2 on the last axis); scaled to
+        # wavenumbers.
+        ints = np.fft.fftfreq(n, d=1.0 / n)
+        axes = np.meshgrid(*([ints] * (dim - 1)), np.arange(n // 2 + 1),
+                           indexing="ij")
+        self.k = (2.0 * np.pi / self.extent) * np.stack(axes)  # (dim, *spectral_shape)
+        self.multiplicity = np.full(n // 2 + 1, 2.0)
+        self.multiplicity[[0, -1]] = 1.0
 
         # First-derivative multipliers zero the Nyquist mode (odd derivative
         # of the symmetric interpolant); |k|^2 is built from the same vectors
@@ -82,7 +93,7 @@ class SpectralGrid:
         self.ksq_full = np.sum(self.k * self.k, axis=0)
 
         cut = n // 3
-        keep = np.ones(self.shape, dtype=bool)
+        keep = np.ones(self.spectral_shape, dtype=bool)
         for a in axes:
             keep &= np.abs(a) <= cut
         self.dealias_mask = keep
@@ -91,12 +102,13 @@ class SpectralGrid:
     # -- transforms -------------------------------------------------------
 
     def fft(self, f: np.ndarray) -> np.ndarray:
-        """Forward transform over the spatial axes (component axes pass through)."""
-        return _fft.fftn(f, axes=self._fft_axes)
+        """Half-spectrum forward transform over the spatial axes (component
+        axes pass through)."""
+        return _fft.rfftn(f, axes=self._fft_axes)
 
     def ifft(self, fhat: np.ndarray) -> np.ndarray:
-        """Inverse transform back to a real field."""
-        return _fft.ifftn(fhat, axes=self._fft_axes).real
+        """Inverse transform of half-spectrum coefficients to a real field."""
+        return _fft.irfftn(fhat, s=self.shape, axes=self._fft_axes)
 
     def grid_points(self) -> np.ndarray:
         """Node coordinates, shape ``(dim, *shape)``."""
@@ -124,17 +136,25 @@ class SpectralGrid:
 
     # -- norms and masks --------------------------------------------------
 
+    def parseval(self, density: np.ndarray):
+        """``volume * sum(density) / n**(2 dim)`` over the whole spectrum of a
+        density given on the half layout and even in ``k``: each kept mode
+        counts ``multiplicity`` times.  Spatial axes are summed, component
+        axes kept."""
+        return (self.volume / float(self.n ** self.dim) ** 2
+                * np.sum(density * self.multiplicity, axis=self._fft_axes))
+
     def norm_sq(self, fhat: np.ndarray, weight=1.0):
         """Parseval sum ``volume * sum(weight * |fhat / n**dim|^2)`` of
         transformed fields over the spatial axes; component axes are kept.
 
-        ``weight`` must broadcast to the shape of ``fhat``.
+        ``weight`` must broadcast to the shape of ``fhat`` and be even in
+        ``k``.
         """
         sq = np.abs(fhat)
         sq *= sq
         sq *= weight
-        return (self.volume / float(self.n ** self.dim) ** 2
-                * np.sum(sq, axis=self._fft_axes))
+        return self.parseval(sq)
 
     def sobolev_weight(self, order: int) -> np.ndarray:
         """The ``(1 + |k|^2)^order`` multiplier of :meth:`sobolev_norm`."""

@@ -50,12 +50,12 @@ def _remainder_checks(grid, bg: Background, eos, noise):
     sets, reading the coefficients in ``bg``; ``noise`` draws the fields."""
     s, v = grid.shape, (grid.dim,) + grid.shape
     j = (grid.dim,) + v
-    shapes = ((s, v, s, s, v, j, v, v, s, v, s)         # velocity form
-              + (s, v, s, s, v, j, j, v, v, s, v, s))   # momentum form
+    shapes = ((s, v, s, s, v, j, v, s, v, s)            # velocity form
+              + (s, v, s, s, v, j, j, s, v, s))         # momentum form
 
     def remainders(fields):
-        return (model.velocity_form_remainders(*fields[:11], bg, eos)
-                + model.momentum_form_remainders(*fields[11:], bg, eos))
+        return (model.velocity_form_remainders(*fields[:10], bg, eos)
+                + model.momentum_form_remainders(*fields[10:], bg, eos))
 
     # both vanish at the background with zero derivatives
     zero = IdentityResult("background-zero", max(

@@ -144,24 +144,34 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
         A = problem.coeff.sample(grid, t)
         return A - a_mid, 1.0 + grid.sobolev_norm(A, no) ** 2
 
+    # (forcing, first slot of X it drives, divisor)
+    forced = [(f, slot, c) for f, slot, c in (
+        (problem.forcing_mom, 1, 1.0), (problem.forcing_temp, d + 1, 1.0),
+        (problem.forcing_rad, d + 2, pr.delta)) if f is not None]
+
     def explicit_at(t, ap):
         def explicit(X):
-            N = np.zeros_like(X)
+            # point values of the forcings, then of the momentum flux,
+            # forward-transformed in one call
+            terms = [np.reshape(f(grid, t) / c, (-1,) + grid.shape)
+                     for f, _, c in forced]
             if not a_constant:
+                # ap * (mu_bar d_j m_i + (lam+mu)_bar div(m) delta_ij), whose
+                # divergence over j is the momentum tendency
                 jac = grid.jacobian(X[1:1 + d])
-                div_m = np.trace(jac, axis1=0, axis2=1)
-                for i in range(d):
-                    # mu_bar * div(ap * grad m_i) + (lam+mu)_bar * d_i(ap * div m)
-                    shear = np.sum(grid.ik * grid.fft(ap * jac[i]), axis=0)
-                    bulk = grid.ik[i] * grid.fft(ap * div_m)
-                    N[1 + i] += (pr.mu_bar * shear
-                                 + (pr.mu_bar + pr.lam_bar) * bulk)
-            if problem.forcing_mom is not None:
-                N[1:1 + d] += grid.fft(problem.forcing_mom(grid, t))
-            if problem.forcing_temp is not None:
-                N[d + 1] += grid.fft(problem.forcing_temp(grid, t))
-            if problem.forcing_rad is not None:
-                N[d + 2] += grid.fft(problem.forcing_rad(grid, t)) / pr.delta
+                flux = pr.mu_bar * jac
+                flux[range(d), range(d)] += ((pr.mu_bar + pr.lam_bar)
+                                             * np.trace(jac, axis1=0, axis2=1))
+                terms.append((ap * flux).reshape((d * d,) + grid.shape))
+            N = np.zeros_like(X)
+            if terms:
+                F = np.split(grid.fft(np.concatenate(terms)),
+                             np.cumsum([len(v) for v in terms])[:-1])
+                for (_, slot, _), Fs in zip(forced, F):
+                    N[slot:slot + len(Fs)] += Fs
+                if not a_constant:
+                    N[1:1 + d] += np.sum(grid.ik * F[-1].reshape(
+                        (d, d) + grid.spectral_shape), axis=1)
             return grid.mask_spectral(N)
         return explicit
 

@@ -87,8 +87,9 @@ class PhysParams:
                 raise ParameterError(f"{name} must be > 0, got {getattr(self, name)}")
         if 3.0 * self.lam + 2.0 * self.mu < 0.0:
             raise ParameterError("viscosities must satisfy 3*lam + 2*mu >= 0")
-        if not 0.0 < self.delta <= 1.0:
-            raise ParameterError(f"delta must lie in (0, 1], got {self.delta}")
+        if not (0.0 < self.delta <= 1.0 and self.delta ** 2 > 0.0):
+            raise ParameterError(f"delta must lie in (0, 1] and have a "
+                                 f"nonzero square, got {self.delta}")
         target = self.sigma_tilde * self.theta_bar ** 4
         if abs(self.sigma_a * self.n_bar - target) > _COMPAT_RTOL * abs(target):
             raise ParameterError(
@@ -308,12 +309,13 @@ def deformation_contraction(jac_u):
 
 
 def velocity_form_remainders(drho, u, dtheta, drad,
-                             grad_drho, jac_u, lap_u, grad_div_u, div_u,
+                             grad_drho, jac_u, visc_u, div_u,
                              grad_dtheta, lap_dtheta, bg: Background, eos):
     """Nonlinear remainder terms of the velocity perturbation form.
 
     Arguments are point values of the perturbations ``(drho, u, dtheta,
-    drad)`` and their spatial derivatives (``jac_u[i, j] = d u_i / d x_j``).
+    drad)`` and their spatial derivatives (``jac_u[i, j] = d u_i / d x_j``);
+    ``visc_u`` is the viscous term ``mu lap(u) + (mu + lam) grad(div u)``.
     Returns ``(r_mass, r_velocity, r_temperature, r_radiation)``; all four
     vanish at the background state with zero derivatives.
 
@@ -340,7 +342,7 @@ def velocity_form_remainders(drho, u, dtheta, drad,
     h8 = 1.0 / params.rho_bar - 1.0 / rho
     r_velocity = (-np.einsum("j...,ij...->i...", u, jac_u)
                   + (h6 / d2) * grad_drho + (h7 / d2) * grad_dtheta
-                  - h8 * (params.mu * lap_u + (params.mu + params.lam) * grad_div_u))
+                  - h8 * visc_u)
 
     recip = 1.0 / (rho * e_theta)
     h9 = bg.recip - recip
@@ -360,9 +362,8 @@ def velocity_form_remainders(drho, u, dtheta, drad,
 
 
 def momentum_form_remainders(nrel, mom, dtheta, drad,
-                             grad_nrel, hess_nrel, jac_m, lap_m,
-                             grad_div_m, div_m, grad_dtheta, lap_dtheta,
-                             bg: Background, eos):
+                             grad_nrel, hess_nrel, jac_m, div_m,
+                             grad_dtheta, lap_dtheta, bg: Background, eos):
     """Nonlinear remainder terms of the momentum perturbation form.
 
     ``nrel = (rho - rho_bar)/rho_bar`` and ``mom = rho*u/rho_bar``; the

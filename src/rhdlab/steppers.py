@@ -3,7 +3,12 @@
 The stiff linear part of every system here (acoustic coupling, diffusion,
 matter-radiation exchange) is block-diagonal over Fourier modes, so the
 implicit solve is a batched dense solve with one small complex matrix per
-mode, factored once per (matrix, dt) pair.  :func:`acoustic_exchange_matrix`
+mode, factored once per (matrix, dt) pair.  Every field is real, so a
+spectral state holds only the half spectrum of
+:attr:`rhdlab.fields.SpectralGrid.spectral_shape` (the ``rfftn`` layout),
+and the symbol and its factor cover those ``n^(dim-1) * (n/2 + 1)`` modes:
+the symbol at ``-k`` is the complex conjugate of the one at ``k``, so the
+modes left out follow from the kept ones.  :func:`acoustic_exchange_matrix`
 is the single builder of that linear part: the IMEX solver, the linearized
 probe and the verification right-hand sides all take their symbol from it.
 The solvers only factor the symbol; only the verification right-hand sides
@@ -52,7 +57,7 @@ def acoustic_exchange_matrix(grid, bg, viscosity=1.0, relative_density=False):
     momentum form), and the symbol is the one above conjugated by
     ``diag(1/rho_bar, 1, ..., 1)``.
 
-    Returns a complex array of shape ``(s, s, *grid.shape)`` with
+    Returns a complex array of shape ``(s, s, *grid.spectral_shape)`` with
     ``s = dim + 3``.
     """
     pr = bg.params
@@ -71,7 +76,7 @@ def acoustic_exchange_matrix(grid, bg, viscosity=1.0, relative_density=False):
     s = d + 3
     kvec = grid.ik.imag  # Nyquist-zeroed wavenumbers
     ksq = grid.ksq
-    M = np.zeros((s, s) + grid.shape, dtype=np.complex128)
+    M = np.zeros((s, s) + grid.spectral_shape, dtype=np.complex128)
     for i in range(d):
         M[0, 1 + i] = -cont * 1j * kvec[i]
         M[1 + i, 0] = -grad_n * 1j * kvec[i]
@@ -88,25 +93,21 @@ def acoustic_exchange_matrix(grid, bg, viscosity=1.0, relative_density=False):
 
 
 def pack_state(grid, n, v, z, g) -> np.ndarray:
-    """Spectral state ``(s, *grid.shape)`` in the layout of the symbol.
+    """Spectral state ``(s, *grid.spectral_shape)`` in the layout of the
+    symbol, from one forward transform.
 
     ``n``, ``z`` and ``g`` are scalar fields, ``v`` a vector field; no
     dealiasing is applied.
     """
-    d = grid.dim
-    X = np.empty((d + 3,) + grid.shape, dtype=np.complex128)
-    X[0] = grid.fft(n)
-    X[1:1 + d] = grid.fft(v)
-    X[d + 1] = grid.fft(z)
-    X[d + 2] = grid.fft(g)
-    return X
+    return grid.fft(np.stack([n, *v, z, g]))
 
 
 def unpack_state(grid, X: np.ndarray):
-    """Point values ``(n, v, z, g)`` of a state built by :func:`pack_state`."""
+    """Point values ``(n, v, z, g)`` of a state built by :func:`pack_state`,
+    from one inverse transform."""
     d = grid.dim
-    return (grid.ifft(X[0]), grid.ifft(X[1:1 + d]), grid.ifft(X[d + 1]),
-            grid.ifft(X[d + 2]))
+    x = grid.ifft(X)
+    return x[0], x[1:1 + d], x[d + 1], x[d + 2]
 
 
 def field_sums(values, dim):
@@ -122,7 +123,8 @@ class ImexOperator:
 
     Construction overwrites ``M`` with ``I - c*M`` and keeps only its
     inverse, so the operator holds one ``(s, s)`` matrix per mode and never
-    the symbol itself.  Spectral states have shape ``(s, *grid.shape)``.
+    the symbol itself.  Spectral states have shape
+    ``(s, *grid.spectral_shape)``.
     """
 
     def __init__(self, M: np.ndarray, solve_coeff: float):
@@ -135,6 +137,9 @@ class ImexOperator:
         except np.linalg.LinAlgError as exc:
             raise SolverError(
                 f"implicit operator I - {solve_coeff!r}*M is singular") from exc
+        if not np.isfinite(self._inv).all():
+            raise SolverError(f"implicit operator I - {solve_coeff!r}*M has "
+                              f"no finite inverse")
 
     def solve(self, X: np.ndarray) -> np.ndarray:
         """``(I - c*M)^{-1} @ X`` per mode."""

@@ -138,7 +138,7 @@ def _setup(cfg: ExperimentConfig, out_dir, seed) -> _Setup:
         raise ConfigError(f"diagnostics.beta must lie in [0, 1], got {beta}")
     setup = _Setup(
         cfg, Path(out_dir), formats, cfg.build_grid(), cfg.build_eos(),
-        cfg.getint("init", "seed"),
+        cfg.getnonnegative("init", "seed", integer=True),
         cfg.getnonnegative("diagnostics", "order", integer=True), beta)
     setup.out.mkdir(parents=True, exist_ok=True)
     return setup
@@ -273,7 +273,7 @@ def run_reference(cfg: ExperimentConfig, out_dir, seed=None):
 
     collector = s.collector(params, "reference")
     d = s.grid.dim
-    X = np.zeros((d + 3,) + s.grid.shape, dtype=np.complex128)
+    X = np.zeros((d + 3,) + s.grid.spectral_shape, dtype=np.complex128)
     records = []
     for t, uhat in zip(ref.times, ref.uhats):
         X[1:1 + d] = uhat
@@ -296,6 +296,7 @@ def run_sweep(cfg: ExperimentConfig, out_dir, seed=None, threads: int = 1):
     report flagged ``incomplete``.
     """
     deltas = cfg.sweep_deltas()
+    cfg.getpositive("init", "budget")  # zero data leave nothing to fit
     s = _setup(cfg, out_dir, seed)
 
     # One dt for every member: the split must absorb the 1/delta^2

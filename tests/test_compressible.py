@@ -228,13 +228,15 @@ def test_ars222_implicit_update_against_dense_solve(delta):
     stepper = ImexStepper("imex2", acoustic_exchange_matrix(g, bg), dt)
     M = acoustic_exchange_matrix(g, bg)
     rng = np.random.default_rng(5)
-    X = (rng.standard_normal((g.dim + 3,) + g.shape)
-         + 1j * rng.standard_normal((g.dim + 3,) + g.shape))
+    X = (rng.standard_normal((g.dim + 3,) + g.spectral_shape)
+         + 1j * rng.standard_normal((g.dim + 3,) + g.spectral_shape))
     got = stepper.step(X, np.zeros_like)
 
+    # half-spectrum indices: (13, 2) and (9, 7) are the stored conjugates of
+    # the modes (3, -2) and (7, -7), which the half layout leaves out
     A = np.eye(g.dim + 3) - ARS_GAMMA * dt * M.transpose(2, 3, 0, 1)
-    for mode in [(0, 0), (1, 0), (0, 1), (3, 14), (5, 5), (12, 2), (7, 9),
-                 (8, 3)]:
+    for mode in [(0, 0), (1, 0), (0, 1), (13, 2), (5, 5), (12, 2), (9, 7),
+                 (8, 3), (8, 8)]:
         Mk, Ak, Xk = M[(...,) + mode], A[mode], X[(...,) + mode]
         y = np.linalg.solve(Ak, Xk)
         want = np.linalg.solve(Ak, Xk + (1.0 - ARS_GAMMA) * dt * (Mk @ y))
@@ -292,6 +294,33 @@ def test_transforms_per_step(dim, scheme, limit, transforms):
     transforms[0] = 0
     solver.step_spectral(X)
     assert 0 < transforms[0] <= limit
+
+
+@pytest.mark.parametrize("dim,scheme,fields", [
+    (2, "imex1", 21), (2, "imex2", 42), (3, "imex1", 31), (3, "imex2", 62)])
+def test_one_transform_each_way_per_explicit_evaluation(dim, scheme, fields,
+                                                         transforms):
+    # every explicit evaluation stacks the state and its derivative fields
+    # (with the viscous term formed on the coefficients) into one inverse
+    # transform and the remainders into one forward transform
+    g = SpectralGrid(dim=dim, points_per_axis=16)
+    params = PhysParams(delta=0.1)
+    st, _ = make_well_prepared(InitSpec(budget=0.5, delta=0.1, seed=3),
+                               g, params, EOS)
+    solver = CompressibleSolver(g, params, EOS,
+                                SolverConfig(dt=1e-3, t_end=1e-3,
+                                             scheme=scheme))
+    X = solver.pack(st.to_perturbation(params))
+    transforms[0] = 0
+    transforms[1].clear()
+    N = solver._explicit(X)
+    assert N.shape == (dim + 3,) + g.spectral_shape
+    assert dict(transforms[1]) == {"ifft": 1, "fft": 1}
+    transforms[0] = 0
+    solver.step_spectral(X)
+    assert transforms[0] == fields
+    assert solver._stepper.op._inv.shape == (
+        g.n ** (dim - 1) * (g.n // 2 + 1), dim + 3, dim + 3)
 
 
 def test_radiation_relaxation_against_ode_oracle(grid):

@@ -176,7 +176,7 @@ def test_collector_reference_errors_and_mismatch(grid):
     ref = ns.run(st.u, 1e-3, 0.02, cadence=5)
     assert len(ref.times) == 5
 
-    X = np.zeros((5,) + grid.shape, dtype=complex)
+    X = np.zeros((5,) + grid.spectral_shape, dtype=complex)
     coll = diag.Collector(grid, params, EOS, reference=ref)
     for t, uhat in zip(ref.times, ref.uhats):
         X[1:3] = uhat

@@ -202,3 +202,26 @@ def test_3d_grid_basics():
     v = np.stack([np.sin(x[1]), np.sin(x[2]), np.sin(x[0])])
     pv = leray(g3, v)
     assert np.max(np.abs(div(g3, pv))) < 1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_half_spectrum_layout(dim):
+    # coefficients, wavenumbers and the dealias mask are the k_last >= 0
+    # part of the whole-spectrum fftn layout; the inverse recovers the field
+    g = SpectralGrid(dim=dim, points_per_axis=8)
+    f = np.random.default_rng(20).standard_normal(g.shape)
+    half = (Ellipsis, slice(0, g.n // 2 + 1))
+    full = np.fft.fftn(f)
+    assert g.spectral_shape == g.shape[:-1] + (g.n // 2 + 1,)
+    np.testing.assert_allclose(g.fft(f), full[half], atol=1e-12)
+    assert np.max(np.abs(g.ifft(g.fft(f)) - f)) < 1e-14
+    ints = np.fft.fftfreq(g.n, d=1.0 / g.n)
+    k = np.stack(np.meshgrid(*([ints] * dim), indexing="ij"))
+    nyq = np.abs(k) == g.n // 2
+    kd = np.where(nyq, 0.0, k)
+    np.testing.assert_array_equal(g.ik, 1j * kd[(slice(None),) + half])
+    np.testing.assert_array_equal(g.ksq, np.sum(kd * kd, axis=0)[half])
+    np.testing.assert_array_equal(g.ksq_full, np.sum(k * k, axis=0)[half])
+    keep = np.all(np.abs(k) <= g.n // 3, axis=0)
+    np.testing.assert_array_equal(g.dealias_mask, keep[half])
+    np.testing.assert_array_equal(g.multiplicity, [1, 2, 2, 2, 1])

@@ -17,6 +17,8 @@ def test_params_validation():
         PhysParams(delta=0.0)
     with pytest.raises(ParameterError):
         PhysParams(delta=1.5)
+    with pytest.raises(ParameterError, match="nonzero square"):
+        PhysParams(delta=1e-300)  # delta**2 underflows to 0
     with pytest.raises(ParameterError):
         PhysParams(n_bar=2.0)  # breaks radiative equilibrium
     p = PhysParams.equilibrium(theta_bar=2.0, sigma_a=2.0, sigma_tilde=1.0)
@@ -84,21 +86,23 @@ def test_coefficient_gap_values():
     # planck_cubic at dtheta=1 with unit constants
     assert model.planck_cubic(1.0, UNIT) == 11.0
     # inverse-density gap 1/rho_bar - 1/rho = 0.5 at rho=2: with u = 0 and
-    # lap u = 1 it is the whole velocity remainder, -0.5*mu
+    # lap u = 1, so a viscous term mu, it is the whole velocity remainder,
+    # -0.5*mu
     z, zv, zj = zero_fields((3, 3))
     bg = Background.of(UNIT, IdealGasEOS())
-    out = model.velocity_form_remainders(z + 1.0, zv, z, z, zv, zj, zv + 1.0,
-                                         zv, z, zv, z, bg, IdealGasEOS())
+    out = model.velocity_form_remainders(z + 1.0, zv, z, z, zv, zj,
+                                         zv + UNIT.mu, z, zv, z, bg,
+                                         IdealGasEOS())
     assert np.all(out[1] == -0.5 * UNIT.mu)
 
 
 def assert_remainders_vanish(bg, eos):
     z, zv, zj = zero_fields((4, 4))
-    out = model.velocity_form_remainders(z, zv, z, z, zv, zj, zv, zv, z,
-                                         zv, z, bg, eos)
+    out = model.velocity_form_remainders(z, zv, z, z, zv, zj, zv, z, zv, z,
+                                         bg, eos)
     assert all(np.all(o == 0.0) for o in out)
-    out = model.momentum_form_remainders(z, zv, z, z, zv, zj, zj, zv, zv,
-                                         z, zv, z, bg, eos)
+    out = model.momentum_form_remainders(z, zv, z, z, zv, zj, zj, z, zv, z,
+                                         bg, eos)
     assert all(np.all(o == 0.0) for o in out)
 
 
@@ -160,12 +164,12 @@ def test_remainders_evaluate_gas_law_once_at_state():
     pert = 0.01 * np.ones(shape)
     expected = sorted((name, shape) for name in ("p_rho", "p_theta", "e_theta"))
     eos.calls.clear()
-    model.velocity_form_remainders(pert, zv, pert, z, zv, zj, zv, zv, z, zv,
-                                   z, bg, eos)
+    model.velocity_form_remainders(pert, zv, pert, z, zv, zj, zv, z, zv, z,
+                                   bg, eos)
     assert sorted(eos.calls) == expected
     eos.calls.clear()
-    model.momentum_form_remainders(pert, zv, pert, z, zv, zj, zj, zv, zv, z,
-                                   zv, z, bg, eos)
+    model.momentum_form_remainders(pert, zv, pert, z, zv, zj, zj, z, zv, z,
+                                   bg, eos)
     assert sorted(eos.calls) == expected
 
 
@@ -175,12 +179,12 @@ def test_velocity_remainder_point_values():
     z, zv, zj = zero_fields(shape)
     ones = np.ones(shape)
     bg = Background.of(UNIT, IdealGasEOS())
-    out = model.velocity_form_remainders(z, zv, ones, z, zv, zj, zv, zv, z,
-                                         zv, z, bg, IdealGasEOS())
+    out = model.velocity_form_remainders(z, zv, ones, z, zv, zj, zv, z, zv,
+                                         z, bg, IdealGasEOS())
     assert np.allclose(out[3], 11.0)
     # constant u, constant drho: mass remainder vanishes (all derivatives zero)
     out = model.velocity_form_remainders(0.1 * ones, 0.2 + zv, z, z, zv, zj,
-                                         zv, zv, z, zv, z, bg, IdealGasEOS())
+                                         zv, z, zv, z, bg, IdealGasEOS())
     assert np.all(out[0] == 0.0)
 
 
@@ -192,12 +196,12 @@ def test_domain_errors_on_nonpositive_state():
     with pytest.raises(DomainError):
         # drho = -rho_bar: rho = 0
         model.velocity_form_remainders(-np.ones(shape), zv, z, z, zv, zj, zv,
-                                       zv, z, zv, z, bg, eos)
+                                       z, zv, z, bg, eos)
     with pytest.raises(DomainError):
         model.thermo_consistency_residual(eos, 1.0, 0.0)
     with pytest.raises(DomainError):
         model.momentum_form_remainders(-2.0 * np.ones(shape), zv, z, z, zv, zj,
-                                       zj, zv, zv, z, zv, z, bg, eos)
+                                       zj, z, zv, z, bg, eos)
 
 
 def test_thermo_relation_ideal_gas():

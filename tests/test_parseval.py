@@ -1,9 +1,11 @@
 """Diagnostics as Parseval sums over Fourier coefficients.
 
 The references below are the point-value definitions the spectral forms
-replaced: each transforms its own fields and sums ``|fft(f)/n^dim|^2``
-against a multiplier rebuilt on the spot.  The rewritten forms must match
-them to round-off, with energy at the Nyquist mode, in 2D and 3D.
+replaced: each transforms its own fields over the whole spectrum with
+``numpy.fft`` and sums ``|fftn(f)/n^dim|^2`` against a multiplier rebuilt
+on the spot, or pairs point values of derivatives on the nodes.  The
+spectral forms, which keep only the half spectrum of each real field, must
+match them to round-off, with energy at the Nyquist mode, in 2D and 3D.
 """
 
 import numpy as np
@@ -26,25 +28,51 @@ RTOL = 1e-12
 
 # -- point-value references ---------------------------------------------------
 
+def full_wavenumbers(g):
+    """Whole-spectrum ``(k, kd)`` in ``fftn`` layout; ``kd`` zeroes the
+    Nyquist mode of each axis, as first derivatives do."""
+    ints = np.fft.fftfreq(g.n, d=1.0 / g.n)
+    k = (2.0 * np.pi / g.extent) * np.stack(
+        np.meshgrid(*([ints] * g.dim), indexing="ij"))
+    kd = np.stack([np.where(a == -(g.n // 2), 0.0, kk) for a, kk in zip(
+        np.meshgrid(*([ints] * g.dim), indexing="ij"), k)])
+    return k, kd
+
+
+def full_fft(g, f):
+    return np.fft.fftn(f, axes=tuple(range(-g.dim, 0)))
+
+
+def deriv(g, f, axis):
+    """Point values of ``d f / d x_axis`` through the whole spectrum."""
+    kd = full_wavenumbers(g)[1]
+    return np.fft.ifftn(1j * kd[axis] * full_fft(g, f),
+                        axes=tuple(range(-g.dim, 0))).real
+
+
 def ref_sobolev_sq(g, f, order):
-    chat = g.fft(f) / float(g.n ** g.dim)
-    return g.volume * np.sum((1.0 + g.ksq_full) ** order * np.abs(chat) ** 2)
+    k = full_wavenumbers(g)[0]
+    chat = full_fft(g, f) / float(g.n ** g.dim)
+    w = (1.0 + np.sum(k * k, axis=0)) ** order
+    return g.volume * np.sum(w * np.abs(chat) ** 2)
 
 
 def ref_grad_sq(g, f, order):
     # sum_i |d_i f|^2 in H^order, from the point values of each derivative
-    return sum(ref_sobolev_sq(g, g.ifft(g.ik[i] * g.fft(f)), order)
-               for i in range(g.dim))
+    return sum(ref_sobolev_sq(g, deriv(g, f, i), order) for i in range(g.dim))
 
 
 def ref_cross(g, u, drho, order):
-    uhat = g.fft(u) / float(g.n ** g.dim)
-    rhat = g.fft(drho) / float(g.n ** g.dim)
-    w = np.zeros(g.shape)
-    for k in range(order):
-        w += g.ksq ** k
-    pair = np.sum(np.conj(uhat) * (g.ik * rhat[np.newaxis]), axis=0)
-    return g.volume * np.sum(w * pair.real)
+    # sum_{k<order} <grad^k u, grad^k grad drho>: node quadrature of the
+    # products of point-value derivatives, every index pair contracted
+    a = list(u)
+    b = [deriv(g, drho, i) for i in range(g.dim)]
+    total = 0.0
+    for _ in range(order):
+        total += sum(np.sum(x * y) for x, y in zip(a, b)) * g.dx ** g.dim
+        a = [deriv(g, x, j) for x in a for j in range(g.dim)]
+        b = [deriv(g, y, j) for y in b for j in range(g.dim)]
+    return total
 
 
 def ref_exchange_sq(g, dtheta, drad, order, pr):
@@ -122,6 +150,39 @@ def test_sobolev_norm_matches_reference(grid, order):
         # L2 is also the exact quadrature of f^2 on the nodes
         quad = grid.volume * np.mean(p.drho ** 2)
         assert close(grid.sobolev_norm(p.drho, 0) ** 2, quad)
+
+
+def test_norm_sq_counts_the_half_spectrum(grid):
+    # energy on the k_last = 0 and k_last = n/2 planes, which hold their own
+    # conjugates, and on modes in between, whose conjugates are not stored
+    rng = np.random.default_rng(40)
+    x = grid.grid_points()
+    f = (rng.standard_normal(grid.shape) + 3.0 * np.cos(3.0 * x[0])
+         + 2.0 * np.cos(grid.n / 2 * x[-1]) + np.sin(x[0] + 2.0 * x[-1]))
+    fhat = grid.fft(f)
+    assert fhat.shape == grid.spectral_shape
+    for plane in (0, -1):
+        assert np.max(np.abs(fhat[..., plane])) > 0.1 * np.max(np.abs(fhat))
+    # point-value L2, the exact quadrature of f^2 on the nodes
+    assert close(float(grid.norm_sq(fhat)), grid.volume * np.mean(f ** 2))
+    # a vector field keeps its component axis; weights count by |k|^2
+    v = np.stack([f, 2.0 * f])
+    got = grid.norm_sq(grid.fft(v), grid.ksq_full)
+    assert got.shape == (2,)
+    want = ref_sobolev_sq(grid, f, 1) - ref_sobolev_sq(grid, f, 0)
+    assert close(got[0], want) and close(got[1], 4.0 * want)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_cross_matches_point_value_oracle(grid, order):
+    p = random_state(grid, 50 + order)
+    X = packed(grid, p)
+    d = grid.dim
+    got = diag._cross(grid, X[0], X[1:1 + d], diag._cross_weight(grid, order))
+    want = ref_cross(grid, p.u, p.drho, order)
+    scale = np.sqrt(ref_sobolev_sq(grid, np.stack(list(p.u)), order)
+                    * ref_sobolev_sq(grid, p.drho, order + 1))
+    assert close(got, want, scale)
 
 
 # -- Collector ------------------------------------------------------------------

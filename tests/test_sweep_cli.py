@@ -259,11 +259,30 @@ def test_cli_exit_codes_and_commands(tmp_path, capsys):
             ("run", "[grid]\npoints_per_axis = 16\n[init]\nbudget = 1e6\n",
              "init.budget"),
             ("run", "[grid]\npoints_per_axis = 16\n[params]\n"
-                    "theta_bar = -1\n", "params.theta_bar")]:
+                    "theta_bar = -1\n", "params.theta_bar"),
+            ("run", "[grid]\npoints_per_axis = 16\n[init]\nseed = -1\n",
+             "init.seed"),
+            ("sweep", "[grid]\npoints_per_axis = 16\n[init]\nseed = -1\n"
+                      "[sweep]\ndeltas = 0.1,0.05\n", "init.seed"),
+            ("verify-identities", "[grid]\npoints_per_axis = 16\n[init]\n"
+                                  "seed = -1\n", "init.seed"),
+            ("sweep", "[grid]\npoints_per_axis = 16\n[init]\nbudget = 0\n"
+                      "[sweep]\ndeltas = 0.1,0.05\n", "init.budget"),
+            ("sweep", "[grid]\npoints_per_axis = 16\n[init]\nbudget = 0\n"
+                      "[sweep]\ndeltas = 0.1,0.05,0.025\n", "init.budget"),
+            ("run", "[grid]\npoints_per_axis = 16\n[params]\n"
+                    "delta = 1e-300\n", "params:")]:
         cfg = write_config(tmp_path / "range.ini", body)
         assert cli_main([command, "--config", cfg,
                          "--out", str(tmp_path / "range")]) == 2, key
         assert key in capsys.readouterr().err
+
+    # a negative --seed is a usage error naming the flag
+    for command in ("run", "sweep", "verify-identities"):
+        assert cli_main([command, "--seed", "-1",
+                         "--out", str(tmp_path / "neg")]) == 2, command
+        assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "neg").exists()
 
     # sweep without sweep.deltas is a usage error naming the key
     empty = write_config(tmp_path / "empty.ini", "[output]\ncadence = 5\n")
@@ -283,6 +302,22 @@ def test_cli_exit_codes_and_commands(tmp_path, capsys):
     assert cli_main(["fit", str(pts)]) == 0
     fit = json.loads(capsys.readouterr().out)
     assert fit["slope"] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_failed_factorization_is_a_clean_error(tmp_path, capsys):
+    # a viscosity whose symbol overflows leaves the implicit operator without
+    # a finite inverse: exit 1 with the reason, in run and sweep alike
+    body = ("[grid]\npoints_per_axis = 16\n[params]\nmu = 1e308\n"
+            "[solver]\nt_end = 0.01\n[sweep]\ndeltas = 0.1,0.05\n")
+    cfg = write_config(tmp_path / "mu.ini", body)
+    for command in ("run", "sweep"):
+        assert cli_main([command, "--config", cfg,
+                         "--out", str(tmp_path / command)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: implicit operator"), err
+        assert "no finite inverse" in err
 
 
 def test_output_formats_entries_are_stripped_and_checked(tmp_path, capsys):
