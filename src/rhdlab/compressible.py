@@ -10,11 +10,13 @@ does; advection and every nonlinear remainder stay explicit.  The time
 schemes come from :data:`rhdlab.steppers.SCHEMES`.
 
 The implicit part is the symbol built by
-:func:`rhdlab.steppers.acoustic_exchange_matrix` from the background
-coefficients in :class:`rhdlab.model.Background`.  :func:`rhs_perturbation`
-is that same symbol applied to the state plus the explicit remainders, so
-the identity suite, which checks it against :func:`rhs_primitive`, covers
-the operator the solver factors.
+:func:`rhdlab.steppers.split_symbol` from the background coefficients in
+:class:`rhdlab.model.Background`: per ``|k|^2`` shell, a diffusion rate
+for the transverse velocity and one 4x4 block coupling density, the
+longitudinal velocity, temperature and radiation.  :func:`rhs_perturbation`
+is that same split symbol applied to the state plus the explicit
+remainders, so the identity suite, which checks it against
+:func:`rhs_primitive`, covers the operator the solver factors.
 
 Neither the primitive equations nor the momentum perturbation form
 (relative density + scaled momentum) is stepped.  :func:`rhs_primitive` is
@@ -34,9 +36,8 @@ import numpy as np
 from . import model
 from .fields import SpectralGrid
 from .model import Background, PhysParams, DomainError
-from .steppers import (SCHEMES, ImexStepper, SolverError,
-                       acoustic_exchange_matrix, field_sums, pack_state,
-                       unpack_state)
+from .steppers import (SCHEMES, ImexStepper, SolverError, field_sums,
+                       pack_state, split_symbol, unpack_state)
 
 __all__ = [
     "SolverConfig", "CompressibleState", "PerturbationState", "Trajectory",
@@ -184,10 +185,6 @@ def _velocity_form_remainders(grid, X, bg: Background, eos):
     return pack_state(grid, r_mass, r_vel, r_temp, r_rad / bg.delta)
 
 
-def _apply_symbol(M, X):
-    return np.einsum("ij...,j...->i...", M, X)
-
-
 def rhs_primitive(grid: SpectralGrid, state: CompressibleState,
                   params: PhysParams, eos):
     """Tendencies ``(rho_t, u_t, theta_t, rad_t)`` of the primitive system.
@@ -236,7 +233,7 @@ def rhs_perturbation(grid: SpectralGrid, pert: PerturbationState,
     state, plus the nonlinear remainders the solver treats explicitly."""
     X = pack_state(grid, pert.drho, pert.u, pert.dtheta, pert.drad)
     bg = Background.of(params, eos)
-    F = (_apply_symbol(acoustic_exchange_matrix(grid, bg), X)
+    F = (split_symbol(grid, bg).apply(X)
          + _velocity_form_remainders(grid, X, bg, eos))
     return unpack_state(grid, grid.mask_spectral(F))
 
@@ -270,8 +267,7 @@ def rhs_momentum_form(grid: SpectralGrid, nrel, mom, dtheta, drad,
              + pr.mu_bar * np.einsum("ij...,j...->i...", jac_m, grad_f)
              + (pr.lam_bar + pr.mu_bar) * grad_f * div_m)
 
-    F = _apply_symbol(acoustic_exchange_matrix(grid, bg, relative_density=True),
-                      X)
+    F = split_symbol(grid, bg, relative_density=True).apply(X)
     F += pack_state(grid, np.zeros_like(r_temp), r_mom, r_temp,
                     r_rad / pr.delta)
     return unpack_state(grid, grid.mask_spectral(F))
@@ -282,9 +278,10 @@ def rhs_momentum_form(grid: SpectralGrid, nrel, mom, dtheta, drad,
 class CompressibleSolver:
     """IMEX integrator with delta-uniform stability.
 
-    Construction factors the per-mode implicit operator once, on the half
-    spectrum; each explicit evaluation then costs one inverse and one
-    forward transform, and each stage one batched per-mode solve.
+    Construction factors the implicit operator once, per ``|k|^2`` shell,
+    and spreads it onto the half spectrum; each explicit evaluation then
+    costs one inverse and one forward transform, and each stage one
+    transverse scale plus one 4x4 contraction per mode.
     """
 
     def __init__(self, grid: SpectralGrid, params: PhysParams, eos,
@@ -295,8 +292,8 @@ class CompressibleSolver:
         self.config = config
 
         self._bg = Background.of(params, eos)
-        self._stepper = ImexStepper(
-            config.scheme, acoustic_exchange_matrix(grid, self._bg), config.dt)
+        self._stepper = ImexStepper(config.scheme, split_symbol(grid, self._bg),
+                                    config.dt)
 
     # spectral packing --------------------------------------------------
 

@@ -7,9 +7,10 @@ the momentum, temperature, and radiation equations.  The solver treats the
 ``A``-averaged stiff linear part implicitly per Fourier mode and the bounded
 fluctuation ``A - A_mean`` explicitly, so the admissible step is set by the
 fluctuation amplitude and never by the Mach parameter.  The implicit part is
-the momentum-form symbol of :func:`rhdlab.steppers.acoustic_exchange_matrix`
+the momentum-form symbol of :func:`rhdlab.steppers.split_symbol`
 (relative-density slot, viscosity scaled by ``A_mean``), the linear part of
-:func:`rhdlab.compressible.rhs_momentum_form`.
+:func:`rhdlab.compressible.rhs_momentum_form`: a transverse diffusion rate
+and one 4x4 longitudinal block per ``|k|^2`` shell.
 
 :func:`check_estimate` accumulates both sides of the a priori bound (scaled
 norms plus dissipation integrals against initial data plus forcing load,
@@ -28,8 +29,8 @@ import numpy as np
 from .diagnostics import bundle_factors
 from .fields import SpectralGrid
 from .model import Background, DomainError, PhysParams, planck_linear
-from .steppers import (SCHEMES, ImexStepper, acoustic_exchange_matrix,
-                       pack_state, unpack_state)
+from .steppers import (SCHEMES, ImexStepper, pack_state, split_symbol,
+                       unpack_state)
 
 __all__ = ["CoefficientField", "constant_coefficient", "standing_wave",
            "LinearizedProblem", "LinearizedTrajectory", "solve_linearized",
@@ -132,9 +133,8 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
     bg = Background.of(pr, eos)
 
     a_mid = problem.coeff.midpoint
-    M = acoustic_exchange_matrix(grid, bg, viscosity=a_mid,
-                                 relative_density=True)
-    stepper = ImexStepper(scheme, M, dt)
+    stepper = ImexStepper(scheme, split_symbol(grid, bg, viscosity=a_mid,
+                                               relative_density=True), dt)
     a_constant = problem.coeff.upper == problem.coeff.lower
 
     def level(t):

@@ -1,27 +1,35 @@
 """Per-Fourier-mode implicit machinery shared by the time integrators.
 
 The stiff linear part of every system here (acoustic coupling, diffusion,
-matter-radiation exchange) is block-diagonal over Fourier modes, so the
-implicit solve is a batched dense solve with one small complex matrix per
-mode, factored once per (matrix, dt) pair.  Every field is real, so a
-spectral state holds only the half spectrum of
-:attr:`rhdlab.fields.SpectralGrid.spectral_shape` (the ``rfftn`` layout),
-and the symbol and its factor cover those ``n^(dim-1) * (n/2 + 1)`` modes:
+matter-radiation exchange) is block-diagonal over Fourier modes, and its
+symbol splits exactly along the Helmholtz decomposition of the velocity:
+the ``dim - 1`` transverse (solenoidal) components are only diffused, and
+the acoustic coupling acts on the longitudinal component ``k^ . v`` alone,
+in one 4x4 block over ``(n, k^ . v, z, g)``.  Both parts depend on the mode
+only through ``|k|^2``, so :func:`split_symbol`, the single builder of that
+linear part, stores one block and one transverse rate per distinct
+``|k|^2`` (a *shell*) with a map from mode to shell; the IMEX solver, the
+linearized probe and the verification right-hand sides all take their
+symbol from it.  :class:`ImexOperator` inverts the per-shell blocks once,
+spreads the inverse onto the modes, and solves with a transverse scale plus
+one 4x4 contraction per mode.
+
+Every field is real, so a spectral state holds only the half spectrum of
+:attr:`rhdlab.fields.SpectralGrid.spectral_shape` (the ``rfftn`` layout):
 the symbol at ``-k`` is the complex conjugate of the one at ``k``, so the
-modes left out follow from the kept ones.  :func:`acoustic_exchange_matrix`
-is the single builder of that linear part: the IMEX solver, the linearized
-probe and the verification right-hand sides all take their symbol from it.
-The solvers only factor the symbol; only the verification right-hand sides
-apply it.
+modes left out follow from the kept ones.  The solvers only factor the
+symbol; only the verification right-hand sides apply it.
 :data:`SCHEMES` is the single table of time schemes, and :class:`ImexStepper`
 factors a symbol for the scheme it is given.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-__all__ = ["SolverError", "acoustic_exchange_matrix", "pack_state",
+__all__ = ["SolverError", "SplitSymbol", "split_symbol", "pack_state",
            "unpack_state", "field_sums", "ImexOperator", "ImexStepper",
            "SCHEMES", "imex_euler_step", "ars222_step", "ARS_GAMMA",
            "ARS_DHAT"]
@@ -35,8 +43,79 @@ class SolverError(Exception):
     """Implicit factorization or stepping failure."""
 
 
-def acoustic_exchange_matrix(grid, bg, viscosity=1.0, relative_density=False):
-    """Linear symbol of the coupled system at every mode.
+# Modes per pass of _contract: a pass's temporaries stay in cache.
+_CHUNK = 4096
+
+
+def _planar(per_shell, shell):
+    """Per-shell ``(n_shells, 4, 4)`` entries spread onto the modes as one
+    contiguous ``(4, 4, *shell.shape)`` array."""
+    return np.take(np.moveaxis(per_shell, 0, -1), shell, axis=-1)
+
+
+def _contract(P, t, khat, X):
+    """Per mode, ``P @ (n, k^ . v, z, g)`` on the longitudinal part of ``X``
+    and ``t * v`` on its transverse velocity.
+
+    ``P`` is planar ``(4, 4, *spectral_shape)``, ``t`` has the spectral
+    shape and ``khat`` is ``(dim, *spectral_shape)``; the new velocity is
+    ``t*v + k^ (zL - t*vL)`` with ``vL = k^ . v`` and ``zL`` the second row
+    of the product.  The modes go in equal chunks of at most ``_CHUNK``, so
+    the temporaries of the 16 multiply-adds stay in cache.
+    """
+    d, m, shape = len(khat), t.size, X.shape
+    P, t, khat = P.reshape(4, 4, m), t.reshape(m), khat.reshape(d, m)
+    X = X.reshape(len(X), m)
+    out = np.empty_like(X)
+    step = -(-m // -(-m // _CHUNK))
+    vL, zL, tmp = np.empty((3, step), dtype=X.dtype)
+    for lo in range(0, m, step):
+        c = slice(lo, lo + step)
+        x, o, k, tc, pc = X[:, c], out[:, c], khat[:, c], t[c], P[..., c]
+        w = x.shape[1]
+        vl, zl, tp = vL[:w], zL[:w], tmp[:w]
+        np.multiply(k[0], x[1], out=vl)
+        for i in range(1, d):
+            np.multiply(k[i], x[1 + i], out=tp)
+            vl += tp
+        y = (x[0], vl, x[d + 1], x[d + 2])
+        for row, dst in zip(pc, (o[0], zl, o[d + 1], o[d + 2])):
+            np.multiply(row[0], y[0], out=dst)
+            for p, yj in zip(row[1:], y[1:]):
+                np.multiply(p, yj, out=tp)
+                dst += tp
+        np.multiply(tc, vl, out=tp)
+        zl -= tp
+        for i in range(d):
+            np.multiply(tc, x[1 + i], out=o[1 + i])
+            np.multiply(k[i], zl, out=tp)
+            o[1 + i] += tp
+    return out.reshape(shape)
+
+
+@dataclass(frozen=True)
+class SplitSymbol:
+    """The linear symbol per ``|k|^2`` shell (see :func:`split_symbol`).
+
+    ``blocks`` is ``(n_shells, 4, 4)`` complex in the basis
+    ``(n, k^ . v, z, g)``, ``transverse`` the ``(n_shells,)`` rate of each
+    transverse velocity component, ``shell`` the int32 shell of every mode
+    (``grid.spectral_shape``), and ``khat`` the ``(dim, *spectral_shape)``
+    unit wavevectors, zero where ``|k| = 0``.
+    """
+    blocks: np.ndarray
+    transverse: np.ndarray
+    shell: np.ndarray
+    khat: np.ndarray
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """``M @ X`` per mode for a state ``(s, *spectral_shape)``."""
+        return _contract(_planar(self.blocks, self.shell),
+                         self.transverse[self.shell], self.khat, X)
+
+
+def split_symbol(grid, bg, viscosity=1.0, relative_density=False):
+    """Linear symbol of the coupled system, one block per ``|k|^2`` shell.
 
     ``bg`` is the :class:`rhdlab.model.Background` the coefficients come from.
 
@@ -57,8 +136,13 @@ def acoustic_exchange_matrix(grid, bg, viscosity=1.0, relative_density=False):
     momentum form), and the symbol is the one above conjugated by
     ``diag(1/rho_bar, 1, ..., 1)``.
 
-    Returns a complex array of shape ``(s, s, *grid.spectral_shape)`` with
-    ``s = dim + 3``.
+    With ``k = |k| k^`` and ``v = vL k^ + vT`` (``vT . k^ = 0``), ``vT``
+    only decays at the rate ``-a mu_bar |k|^2``, and ``(n, vL, z, g)``
+    follow one 4x4 block in which ``i k`` becomes ``i |k|`` and the
+    viscosity ``-a (2 mu_bar + lam_bar) |k|^2``.  ``|k|^2`` and ``k^`` come
+    from the Nyquist-zeroed wavenumbers of ``grid.ik``, so the split is
+    exact on every mode; at ``|k| = 0`` every component decouples.
+    Returns a :class:`SplitSymbol`.
     """
     pr = bg.params
     d2 = bg.delta ** 2
@@ -72,24 +156,24 @@ def acoustic_exchange_matrix(grid, bg, viscosity=1.0, relative_density=False):
     visc_bulk = (pr.mu_bar + pr.lam_bar) * viscosity
     div_t = pr.theta_bar * bg.p_theta * bg.recip
 
-    d = grid.dim
-    s = d + 3
+    ksq, shell = np.unique(grid.ksq, return_inverse=True)
+    kmag = np.sqrt(grid.ksq)
     kvec = grid.ik.imag  # Nyquist-zeroed wavenumbers
-    ksq = grid.ksq
-    M = np.zeros((s, s) + grid.spectral_shape, dtype=np.complex128)
-    for i in range(d):
-        M[0, 1 + i] = -cont * 1j * kvec[i]
-        M[1 + i, 0] = -grad_n * 1j * kvec[i]
-        M[1 + i, d + 1] = -grad_t * 1j * kvec[i]
-        for j in range(d):
-            M[1 + i, 1 + j] -= visc_bulk * kvec[i] * kvec[j]
-        M[1 + i, 1 + i] -= visc_shear * ksq
-        M[d + 1, 1 + i] = -div_t * 1j * kvec[i]
-    M[d + 1, d + 1] = -pr.kappa * bg.recip * ksq - bg.emission * bg.recip
-    M[d + 1, d + 2] = pr.sigma_a * bg.recip + 0j
-    M[d + 2, d + 1] = bg.emission / bg.delta + 0j
-    M[d + 2, d + 2] = -pr.nu / bg.delta * ksq - pr.sigma_a / bg.delta
-    return M
+    khat = np.divide(kvec, kmag, out=np.zeros_like(kvec), where=kmag > 0.0)
+    ik = 1j * np.sqrt(ksq)  # i|k| of each shell
+    B = np.zeros((len(ksq), 4, 4), dtype=np.complex128)
+    B[:, 0, 1] = -cont * ik
+    B[:, 1, 0] = -grad_n * ik
+    B[:, 1, 1] = -(visc_shear + visc_bulk) * ksq
+    B[:, 1, 2] = -grad_t * ik
+    B[:, 2, 1] = -div_t * ik
+    B[:, 2, 2] = -pr.kappa * bg.recip * ksq - bg.emission * bg.recip
+    B[:, 2, 3] = pr.sigma_a * bg.recip
+    B[:, 3, 2] = bg.emission / bg.delta
+    B[:, 3, 3] = -pr.nu / bg.delta * ksq - pr.sigma_a / bg.delta
+    return SplitSymbol(B, -visc_shear * ksq,
+                       shell.reshape(grid.spectral_shape).astype(np.int32),
+                       khat)
 
 
 def pack_state(grid, n, v, z, g) -> np.ndarray:
@@ -118,33 +202,34 @@ def field_sums(values, dim):
 
 
 class ImexOperator:
-    """Batched per-mode solve with ``(I - c*M)``, factored once at
-    construction and reused every step.
+    """Per-mode solve with ``(I - c*M)``, factored once at construction and
+    reused every step.
 
-    Construction overwrites ``M`` with ``I - c*M`` and keeps only its
-    inverse, so the operator holds one ``(s, s)`` matrix per mode and never
-    the symbol itself.  Spectral states have shape
-    ``(s, *grid.spectral_shape)``.
+    Construction inverts the ``I - c*B`` of each shell's longitudinal block
+    ``B`` and the scalar ``1 - c*rate`` of its transverse rate, then spreads
+    both onto the modes: the operator holds a planar ``(4, 4,
+    *spectral_shape)`` inverse, one transverse factor per mode and the
+    symbol's ``khat``, never the symbol's blocks.  Spectral states have
+    shape ``(s, *grid.spectral_shape)``.
     """
 
-    def __init__(self, M: np.ndarray, solve_coeff: float):
-        s = M.shape[0]
-        A = M.reshape(s, s, -1).transpose(2, 0, 1)
-        A *= -solve_coeff
-        A[:, range(s), range(s)] += 1.0
+    def __init__(self, symbol: SplitSymbol, solve_coeff: float):
         try:
-            self._inv = np.linalg.inv(A)
+            inv = np.linalg.inv(np.eye(4) - solve_coeff * symbol.blocks)
         except np.linalg.LinAlgError as exc:
             raise SolverError(
                 f"implicit operator I - {solve_coeff!r}*M is singular") from exc
-        if not np.isfinite(self._inv).all():
+        scale = 1.0 / (1.0 - solve_coeff * symbol.transverse)
+        if not (np.isfinite(inv).all() and np.isfinite(scale).all()):
             raise SolverError(f"implicit operator I - {solve_coeff!r}*M has "
                               f"no finite inverse")
+        self._inv = _planar(inv, symbol.shell)
+        self._scale = scale[symbol.shell]
+        self._khat = symbol.khat
 
     def solve(self, X: np.ndarray) -> np.ndarray:
         """``(I - c*M)^{-1} @ X`` per mode."""
-        out = np.einsum("mij,jm->im", self._inv, X.reshape(len(X), -1))
-        return out.reshape(X.shape)
+        return _contract(self._inv, self._scale, self._khat, X)
 
 
 def imex_euler_step(op: ImexOperator, X, dt, explicit_fn):
@@ -178,17 +263,13 @@ SCHEMES = {
 
 
 class ImexStepper:
-    """The scheme ``SCHEMES[scheme]`` at ``dt`` for the symbol ``M``; ``op``
-    is ``M`` factored at the scheme's implicit coefficient.
+    """The scheme ``SCHEMES[scheme]`` at ``dt`` for a :class:`SplitSymbol`;
+    ``op`` is the symbol factored at the scheme's implicit coefficient."""
 
-    The stepper consumes ``M``: :class:`ImexOperator` overwrites it while
-    factoring, and no reference to it is kept.
-    """
-
-    def __init__(self, scheme: str, M: np.ndarray, dt: float):
+    def __init__(self, scheme: str, symbol: SplitSymbol, dt: float):
         gamma, self._step = SCHEMES[scheme]
         self.dt = dt
-        self.op = ImexOperator(M, gamma * dt)
+        self.op = ImexOperator(symbol, gamma * dt)
 
     def step(self, X: np.ndarray, explicit_fn) -> np.ndarray:
         return self._step(self.op, X, self.dt, explicit_fn)

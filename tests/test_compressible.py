@@ -188,45 +188,50 @@ def test_single_mode_amplification_oracle(grid):
 
 
 def test_operator_amplification_all_modes(grid):
-    # the factored per-mode implicit update never amplifies any mode
+    # the factored implicit update never amplifies any mode: neither the
+    # inverse 4x4 longitudinal block nor the transverse factor of any shell,
+    # read where the operator spreads them onto the modes
     params = PhysParams(delta=0.05)
     dt = 10.0 * params.delta * grid.dx
     solver = CompressibleSolver(grid, params, EOS,
                                 SolverConfig(dt=dt, t_end=dt))
-    eigs = np.linalg.eigvals(solver._stepper.op._inv)
+    op = solver._stepper.op
+    eigs = np.linalg.eigvals(np.moveaxis(op._inv, (0, 1), (-2, -1)))
     assert np.max(np.abs(eigs)) <= 1.0 + 1e-12
+    assert np.max(np.abs(op._scale)) <= 1.0 + 1e-12
 
 
 def test_imex_stepper_releases_symbol(grid):
-    # the stepper keeps the factor only: one per-mode array, and the symbol
-    # it was built from is freed once the caller drops it
+    # the stepper keeps the factor only: no array of s^2 entries per mode,
+    # and the symbol it was built from is freed once the caller drops it
     import weakref
     from rhdlab.model import Background
-    from rhdlab.steppers import ImexStepper, acoustic_exchange_matrix
+    from rhdlab.steppers import ImexStepper, split_symbol
 
-    M = acoustic_exchange_matrix(grid, Background.of(PhysParams(), EOS))
-    stepper = ImexStepper("imex2", M, 1e-3)
-    ref = weakref.ref(M)
-    del M
+    symbol = split_symbol(grid, Background.of(PhysParams(), EOS))
+    stepper = ImexStepper("imex2", symbol, 1e-3)
+    ref = weakref.ref(symbol)
+    del symbol
     assert ref() is None
     arrays = [v for v in vars(stepper.op).values() if isinstance(v, np.ndarray)]
-    assert len(arrays) == 1
+    modes = np.prod(grid.spectral_shape)
+    assert arrays and all(a.size < (grid.dim + 3) ** 2 * modes for a in arrays)
 
 
 @pytest.mark.parametrize("delta", [0.1, 0.01, 0.001])
-def test_ars222_implicit_update_against_dense_solve(delta):
+def test_ars222_implicit_update_against_dense_solve(delta, dense_symbol):
     # zero explicit part: one imex2 step is the two-stage SDIRK update
     # y = (I - g dt M)^{-1} X, x = (I - g dt M)^{-1} (X + (1-g) dt M y),
     # solved here densely per mode
     from rhdlab.model import Background
-    from rhdlab.steppers import ARS_GAMMA, ImexStepper, acoustic_exchange_matrix
+    from rhdlab.steppers import ARS_GAMMA, ImexStepper, split_symbol
 
     g = SpectralGrid(dim=2, points_per_axis=16)
     params = PhysParams.equilibrium(delta=delta, **OFF_UNIT)
     bg = Background.of(params, OFF_UNIT_EOS)
     dt = 1e-2
-    stepper = ImexStepper("imex2", acoustic_exchange_matrix(g, bg), dt)
-    M = acoustic_exchange_matrix(g, bg)
+    stepper = ImexStepper("imex2", split_symbol(g, bg), dt)
+    M = dense_symbol(g, bg)
     rng = np.random.default_rng(5)
     X = (rng.standard_normal((g.dim + 3,) + g.spectral_shape)
          + 1j * rng.standard_normal((g.dim + 3,) + g.spectral_shape))
@@ -252,11 +257,11 @@ def test_linearized_operator_matches_momentum_form(grid, monkeypatch):
     params = PhysParams.equilibrium(delta=0.1, **OFF_UNIT)
     ops = []
 
-    # the operator overwrites the symbol it factors, so record a copy
+    # record the split symbol the probe factors
     class RecordingOperator(steppers.ImexOperator):
-        def __init__(self, M, coeff):
-            ops.append(M.copy())
-            super().__init__(M, coeff)
+        def __init__(self, symbol, coeff):
+            ops.append(symbol)
+            super().__init__(symbol, coeff)
 
     monkeypatch.setattr(steppers, "ImexOperator", RecordingOperator)
     st = smooth_state(grid, params, seed=4, amp=1e-7)
@@ -271,7 +276,7 @@ def test_linearized_operator_matches_momentum_form(grid, monkeypatch):
     d = grid.dim
     X = np.concatenate([grid.fft(nrel)[None], grid.fft(mom),
                         grid.fft(dth)[None], grid.fft(drad)[None]])
-    LX = np.einsum("ij...,j...->i...", ops[0], grid.mask_spectral(X))
+    LX = ops[0].apply(grid.mask_spectral(X))
     linear = (grid.ifft(LX[0]), grid.ifft(LX[1:1 + d]), grid.ifft(LX[d + 1]),
               grid.ifft(LX[d + 2]))
     full = rhs_momentum_form(grid, nrel, mom, dth, drad, params, OFF_UNIT_EOS)
@@ -319,8 +324,7 @@ def test_one_transform_each_way_per_explicit_evaluation(dim, scheme, fields,
     transforms[0] = 0
     solver.step_spectral(X)
     assert transforms[0] == fields
-    assert solver._stepper.op._inv.shape == (
-        g.n ** (dim - 1) * (g.n // 2 + 1), dim + 3, dim + 3)
+    assert solver._stepper.op._inv.shape == (4, 4) + g.spectral_shape
 
 
 def test_radiation_relaxation_against_ode_oracle(grid):

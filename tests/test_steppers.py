@@ -1,0 +1,70 @@
+import numpy as np
+import pytest
+from scipy.linalg import expm
+
+from rhdlab.fields import SpectralGrid
+from rhdlab.model import Background, IdealGasEOS, PhysParams
+from rhdlab.steppers import (ARS_GAMMA, ImexOperator, ars222_step,
+                             split_symbol)
+
+# A background away from rho_bar = 1, where a misplaced rho_bar factor shows.
+OFF_UNIT = dict(rho_bar=1.37, theta_bar=0.9, sigma_a=1.3, sigma_tilde=0.8,
+                mu=0.13, lam=0.05, kappa=0.17, nu=0.11)
+OFF_UNIT_EOS = IdealGasEOS(R=1.2, c_v=0.8)
+
+
+@pytest.mark.parametrize("relative_density", [False, True])
+@pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+def test_split_symbol_matches_dense_oracle(dim, n, relative_density,
+                                           dense_symbol):
+    # on every mode (k = 0, the Nyquist planes and the modes outside the
+    # dealias band included) the split apply is M @ X and the split solve
+    # is the dense solve with I - c M, at both implicit coefficients
+    g = SpectralGrid(dim=dim, points_per_axis=n, dealias=False)
+    bg = Background.of(PhysParams.equilibrium(delta=0.05, **OFF_UNIT),
+                       OFF_UNIT_EOS)
+    a, dt, s = 0.7, 1e-2, dim + 3
+    symbol = split_symbol(g, bg, viscosity=a,
+                          relative_density=relative_density)
+    M = np.moveaxis(dense_symbol(g, bg, viscosity=a,
+                                 relative_density=relative_density),
+                    (0, 1), (-2, -1))
+    rng = np.random.default_rng(11)
+    X = (rng.standard_normal((s,) + g.spectral_shape)
+         + 1j * rng.standard_normal((s,) + g.spectral_shape))
+    Xm = np.moveaxis(X, 0, -1)[..., np.newaxis]
+
+    def mode_err(got, want):
+        return np.max(np.linalg.norm(np.moveaxis(got, 0, -1) - want, axis=-1)
+                      / np.linalg.norm(want, axis=-1))
+
+    assert mode_err(symbol.apply(X), (M @ Xm)[..., 0]) <= 1e-12
+    for coeff in (dt, ARS_GAMMA * dt):
+        want = np.linalg.solve(np.eye(s) - coeff * M, Xm)[..., 0]
+        assert mode_err(ImexOperator(symbol, coeff).solve(X), want) <= 1e-12
+
+
+def test_ars222_is_second_order_with_explicit_part(dense_symbol):
+    # one mode, explicit part b*X: the imex2 step must converge at second
+    # order to expm((M_k + b I) T) X; a wrong explicit weight (ARS_DHAT off
+    # by 1e-3) reads 1.90 and 1.73 over the last two halvings
+    g = SpectralGrid(dim=2, points_per_axis=8)
+    bg = Background.of(PhysParams.equilibrium(delta=1.0, **OFF_UNIT),
+                       OFF_UNIT_EOS)
+    symbol = split_symbol(g, bg)
+    mode, b, T, s = (1, 1), 1.5j, 1.0, g.dim + 3
+    Mk = dense_symbol(g, bg)[(...,) + mode]
+    rng = np.random.default_rng(1)
+    x0 = rng.standard_normal(s) + 1j * rng.standard_normal(s)
+    want = expm((Mk + b * np.eye(s)) * T) @ x0
+    errs = []
+    for steps in (20, 40, 80, 160, 320, 640):
+        dt = T / steps
+        op = ImexOperator(symbol, ARS_GAMMA * dt)
+        X = np.zeros((s,) + g.spectral_shape, dtype=complex)
+        X[(...,) + mode] = x0
+        for _ in range(steps):
+            X = ars222_step(op, X, dt, lambda Y: b * Y)
+        errs.append(np.linalg.norm(X[(...,) + mode] - want))
+    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert np.all(orders[-2:] >= 1.9), orders

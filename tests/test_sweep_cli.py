@@ -182,6 +182,23 @@ def test_identity_suite_fault_injection():
         run_identity_suite(grid, params, eos, fault="no-such-fault")
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_identity_suite_passes_at_16_points(dim):
+    # the random fields peak at |k| = 2 on 16 points per axis, so both
+    # reformulations hold at the 1e-10 tolerance there, and every injected
+    # fault still fails its identities
+    grid = SpectralGrid(dim=dim, points_per_axis=16)
+    params, eos = PhysParams(), IdealGasEOS()
+    assert all(r.passed for r in run_identity_suite(grid, params, eos))
+    for fault, names in (("planck-cubic-coeff", {"planck-split",
+                                                 "quartic-factor"}),
+                         ("exchange-gap-sign", {"velocity-form-rhs"}),
+                         ("background-coefficient",
+                          {"remainders-quadratic"})):
+        faulty = run_identity_suite(grid, params, eos, fault=fault)
+        assert names <= {r.name for r in faulty if not r.passed}, fault
+
+
 @pytest.mark.parametrize("changes", [
     {"p_rho": 5.0, "recip": 3.0, "e_theta": 9.0},
     "p_rho", "p_theta", "e_theta", "recip"])
