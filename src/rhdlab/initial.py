@@ -33,6 +33,7 @@ __all__ = ["InitSpec", "InitError", "make_well_prepared", "random_band_scalar"]
 
 _MODES = ("local-thm", "global-thm")
 _SHARE = 0.2  # weighted-norm budget share per component
+_BUNDLE_RTOL = 1e-6  # achieved bundle against its target
 
 
 class InitError(Exception):
@@ -103,8 +104,10 @@ def make_well_prepared(spec: InitSpec, grid: SpectralGrid, params: PhysParams,
     norms, both bundle variants, ``div u0``, and the positivity margins.
     Raises :class:`InitError` when the budget cannot be met without
     violating ``rho >= rho_bar/2`` or ``theta >= theta_bar/2`` (the
-    positivity clamp), or when the spectrum peak is not inside the
-    dealiased band.
+    positivity clamp), when the spectrum peak is not inside the
+    dealiased band, or when the achieved bundle misses 0.8 times the
+    budget by more than 1e-6 relative (``norm_order`` too high for the
+    grid).
     """
     if abs(spec.delta - params.delta) > 1e-14:
         raise InitError(f"spec.delta={spec.delta} != params.delta={params.delta}")
@@ -171,7 +174,20 @@ def make_well_prepared(spec: InitSpec, grid: SpectralGrid, params: PhysParams,
     u0 = (share / norm) * u_dir
 
     state = CompressibleState(rho0, u0, theta0, params.n_bar + drad)
-    return state, _report(grid, state, params, spec)
+    report = _report(grid, state, params, spec)
+    # At a high order the H^N weight amplifies the round-off of
+    # ``rho - rho_bar`` (and of the other perturbations) past the data.
+    achieved, target = report["bundle"], 4.0 * share
+    if spec.slaved_radiation:  # the radiation norm follows dtheta instead
+        achieved -= report["weighted_norms"]["radiation"]
+        target -= share
+    if not abs(achieved - target) <= _BUNDLE_RTOL * target:
+        raise InitError(
+            f"norm_order={N}: the achieved bundle {achieved:.6g} misses its "
+            f"target {target:.6g} by more than {_BUNDLE_RTOL:g} relative: "
+            f"the H^{N} weight is too steep for this grid",
+            key="norm_order")
+    return state, report
 
 
 def _report(grid, state, params, spec):

@@ -54,8 +54,9 @@ class DomainError(ModelError):
 
 
 def _check_positive(name, value):
+    # a NaN minimum fails the first test, an infinite maximum the second
     arr = np.asarray(value)
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+    if not (np.min(arr) > 0.0 and np.max(arr) < np.inf):
         raise DomainError(f"{name} must be positive and finite")
 
 
@@ -275,10 +276,17 @@ def planck_cubic(dtheta, params: PhysParams):
 
     ``planck_cubic(z) * z`` equals ``sigma_tilde*((theta_bar + z)^4 -
     theta_bar^4) - 4*sigma_tilde*theta_bar^3*z`` for every ``z``.
+    Evaluated in Horner form, ``z*(6 st tb^2 + z*(4 st tb + st*z))``: no
+    ``pow`` call, five passes over ``z``.
     """
     z = np.asarray(dtheta)
     st, tb = params.sigma_tilde, params.theta_bar
-    return 6.0 * st * tb ** 2 * z + 4.0 * st * tb * z ** 2 + st * z ** 3
+    c = st * z
+    c += 4.0 * st * tb
+    c *= z
+    c += 6.0 * st * tb ** 2
+    c *= z
+    return c
 
 
 def planck_split(dtheta, drad, params: PhysParams):
@@ -303,9 +311,36 @@ def planck_linear(dtheta, drad, params: PhysParams):
 # -- nonlinear remainders of the two perturbation forms ---------------------
 
 def deformation_contraction(jac_u):
-    """``D(u):D(u)`` from the velocity Jacobian ``jac[i, j] = d u_i / d x_j``."""
-    sym = 0.5 * (jac_u + np.swapaxes(jac_u, 0, 1))
-    return np.sum(sym * sym, axis=(0, 1))
+    """``D(u):D(u)`` from the velocity Jacobian ``jac[i, j] = d u_i / d x_j``.
+
+    Summed over the distinct index pairs, ``sum_i J_ii^2 + 1/2 sum_{i<j}
+    (J_ij + J_ji)^2``, without forming the symmetric part.
+    """
+    shape = np.shape(jac_u[0, 0])
+    return _contract_deformation(jac_u, np.empty(shape), np.empty(shape))
+
+
+def _contract_deformation(jac_u, out, tmp):
+    """:func:`deformation_contraction` into ``out``, with scratch ``tmp``."""
+    d = len(jac_u)
+    np.square(jac_u[0, 0], out=out)
+    for i in range(1, d):
+        out += np.square(jac_u[i, i], out=tmp)
+    for i in range(d):
+        for j in range(i + 1, d):
+            np.add(jac_u[i, j], jac_u[j, i], out=tmp)
+            np.square(tmp, out=tmp)
+            tmp *= 0.5
+            out += tmp
+    return out
+
+
+def _dot(a, b, out, tmp):
+    """``out = sum_i a[i]*b[i]``, accumulated one component at a time."""
+    np.multiply(a[0], b[0], out=out)
+    for ai, bi in zip(a[1:], b[1:]):
+        out += np.multiply(ai, bi, out=tmp)
+    return out
 
 
 def velocity_form_remainders(drho, u, dtheta, drad,
@@ -316,8 +351,10 @@ def velocity_form_remainders(drho, u, dtheta, drad,
     Arguments are point values of the perturbations ``(drho, u, dtheta,
     drad)`` and their spatial derivatives (``jac_u[i, j] = d u_i / d x_j``);
     ``visc_u`` is the viscous term ``mu lap(u) + (mu + lam) grad(div u)``.
-    Returns ``(r_mass, r_velocity, r_temperature, r_radiation)``; all four
-    vanish at the background state with zero derivatives.
+    Scalar fields share the shape of ``drho``; vector fields add a leading
+    axis of length d.  Returns ``(r_mass, r_velocity, r_temperature,
+    r_radiation)``; all four vanish at the background state with zero
+    derivatives.
 
     Each coefficient gap is the value in ``bg`` minus the value at the
     state; the gas law is evaluated once, at the state.  The exchange-gap
@@ -325,37 +362,70 @@ def velocity_form_remainders(drho, u, dtheta, drad,
     produced by expanding ``1/(rho*e_theta)`` around the background, and
     the one under which the assembled form reproduces the primitive
     equations exactly.
+
+    Every term is written with in-place ufuncs into the outputs and a few
+    scratch fields.  The gaps ``P_rho/rho`` and ``P_theta/rho`` divide by
+    ``rho`` as written: a reciprocal multiply would change their rounding,
+    which the ``1/delta^2`` weight amplifies.
     """
     params = bg.params
-    rho = params.rho_bar + np.asarray(drho)
-    theta = params.theta_bar + np.asarray(dtheta)
+    shape = np.shape(drho)
+    rho = np.add(drho, params.rho_bar, out=np.empty(shape))
+    theta = np.add(dtheta, params.theta_bar, out=np.empty(shape))
     _check_positive("rho", rho)
     _check_positive("theta", theta)
     d2 = params.delta ** 2
     p_theta = eos.p_theta(rho, theta)
     e_theta = eos.e_theta(rho, theta)
+    tmp = np.empty(shape)
 
-    r_mass = -drho * div_u - np.sum(u * grad_drho, axis=0)
+    r_mass = _dot(u, grad_drho, np.empty(shape), tmp)
+    r_mass += np.multiply(drho, div_u, out=tmp)
+    np.negative(r_mass, out=r_mass)
 
-    h6 = bg.p_rho / params.rho_bar - eos.p_rho(rho, theta) / rho
-    h7 = bg.p_theta / params.rho_bar - p_theta / rho
-    h8 = 1.0 / params.rho_bar - 1.0 / rho
-    r_velocity = (-np.einsum("j...,ij...->i...", u, jac_u)
-                  + (h6 / d2) * grad_drho + (h7 / d2) * grad_dtheta
-                  - h8 * visc_u)
+    h6 = np.divide(eos.p_rho(rho, theta), rho, out=np.empty(shape))
+    np.subtract(bg.p_rho / params.rho_bar, h6, out=h6)
+    h6 /= d2
+    h7 = np.divide(p_theta, rho, out=np.empty(shape))
+    np.subtract(bg.p_theta / params.rho_bar, h7, out=h7)
+    h7 /= d2
+    h8 = np.divide(1.0, rho, out=np.empty(shape))
+    np.subtract(1.0 / params.rho_bar, h8, out=h8)
+    r_velocity = np.empty((len(u),) + shape)
+    for i in range(len(u)):
+        r = r_velocity[i, ...]
+        np.negative(_dot(u, jac_u[i], r, tmp), out=r)
+        r += np.multiply(h6, grad_drho[i], out=tmp)
+        r += np.multiply(h7, grad_dtheta[i], out=tmp)
+        r -= np.multiply(h8, visc_u[i], out=tmp)
 
-    recip = 1.0 / (rho * e_theta)
-    h9 = bg.recip - recip
-    h10 = (params.theta_bar * bg.p_theta / (params.rho_bar * bg.e_theta)
-           - theta * p_theta / (rho * e_theta))
-    linear_exchange, quartic_rem = planck_split(dtheta, drad, params)
-    dd = deformation_contraction(jac_u)
-    r_temperature = (-np.sum(u * grad_dtheta, axis=0)
-                     - params.kappa * h9 * lap_dtheta
-                     + d2 * (2.0 * params.mu * dd + params.lam * div_u ** 2) * recip
-                     + h10 * div_u
-                     + h9 * linear_exchange
-                     - quartic_rem * recip)
+    re, recip, h9, h10 = tmp, h8, h6, h7
+    np.multiply(rho, e_theta, out=re)
+    np.divide(1.0, re, out=recip)
+    np.subtract(bg.recip, recip, out=h9)
+    np.multiply(theta, p_theta, out=h10)
+    h10 /= re
+    np.subtract(params.theta_bar * bg.p_theta / (params.rho_bar * bg.e_theta),
+                h10, out=h10)
+    # a gas law may hand back rho or theta itself, so these two become
+    # scratch only after the last read of p_theta and e_theta
+    linear_exchange, dissipation = rho, theta
+    quartic_rem = planck_cubic(dtheta, params)
+    quartic_rem *= dtheta
+    r_temperature = _dot(u, grad_dtheta, np.empty(shape), tmp)
+    np.negative(r_temperature, out=r_temperature)
+    np.multiply(params.kappa, h9, out=tmp)
+    r_temperature -= np.multiply(tmp, lap_dtheta, out=tmp)
+    _contract_deformation(jac_u, dissipation, tmp)
+    dissipation *= 2.0 * params.mu
+    dissipation += np.multiply(params.lam, np.square(div_u, out=tmp), out=tmp)
+    dissipation *= d2
+    r_temperature += np.multiply(dissipation, recip, out=dissipation)
+    r_temperature += np.multiply(h10, div_u, out=tmp)
+    np.multiply(bg.emission, dtheta, out=linear_exchange)
+    linear_exchange -= np.multiply(params.sigma_a, drad, out=tmp)
+    r_temperature += np.multiply(h9, linear_exchange, out=tmp)
+    r_temperature -= np.multiply(quartic_rem, recip, out=tmp)
 
     r_radiation = quartic_rem
     return r_mass, r_velocity, r_temperature, r_radiation

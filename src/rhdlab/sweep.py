@@ -136,10 +136,16 @@ def _setup(cfg: ExperimentConfig, out_dir, seed) -> _Setup:
     beta = cfg.getfloat("diagnostics", "beta")
     if not 0.0 <= beta <= 1.0:
         raise ConfigError(f"diagnostics.beta must lie in [0, 1], got {beta}")
+    grid = cfg.build_grid()
+    order = cfg.getnonnegative("diagnostics", "order", integer=True)
+    with np.errstate(over="ignore"):
+        weight = grid.sobolev_weight(order)
+    if not np.all(np.isfinite(weight)):
+        raise ConfigError(f"diagnostics.order = {order}: the weight "
+                          f"(1 + |k|^2)^{order} overflows on this grid")
     setup = _Setup(
-        cfg, Path(out_dir), formats, cfg.build_grid(), cfg.build_eos(),
-        cfg.getnonnegative("init", "seed", integer=True),
-        cfg.getnonnegative("diagnostics", "order", integer=True), beta)
+        cfg, Path(out_dir), formats, grid, cfg.build_eos(),
+        cfg.getnonnegative("init", "seed", integer=True), order, beta)
     setup.out.mkdir(parents=True, exist_ok=True)
     return setup
 

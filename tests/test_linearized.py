@@ -4,8 +4,9 @@ from scipy.linalg import expm
 
 from rhdlab.fields import SpectralGrid
 from rhdlab.linearized import (CoefficientField, LinearizedProblem,
-                               check_estimate, constant_coefficient,
-                               solve_linearized, standing_wave)
+                               LinearizedTrajectory, check_estimate,
+                               constant_coefficient, solve_linearized,
+                               standing_wave)
 from rhdlab.model import DomainError, IdealGasEOS, PhysParams
 
 EOS = IdealGasEOS()
@@ -102,6 +103,27 @@ def test_constant_forcing_tracks_mean_mode_ode():
         assert abs(np.mean(dth) - state[0]) < 2e-6
         assert abs(np.mean(drad) - state[1]) < 2e-6
         assert np.max(np.abs(nrel)) < 1e-12 and np.max(np.abs(mom)) < 1e-12
+    # the load of a unit radiation forcing is |1|^2/delta^2 = (2 pi)^2/0.01
+    # per unit time; the trapezoid rule integrates the constant exactly
+    assert traj.cum_forcing[-1] == pytest.approx(0.2 * (2 * np.pi) ** 2 / 0.1 ** 2,
+                                                 rel=1e-12)
+
+
+def test_check_estimate_hand_arithmetic():
+    traj = LinearizedTrajectory(times=[0.0, 0.5, 1.0], bundles=[2.0, 3.0, 1.0],
+                                cum_dissipation=[0.0, 1.0, 4.0],
+                                cum_forcing=[0.0, 0.5, 1.5],
+                                cum_coeff_load=[0.0, 0.25, 0.5])
+    rep = check_estimate(traj, c0=2.0)
+    # LHS = bundle + dissipation = 2, 4, 5; RHS = (2 + 1.5)*(1 + e^(2*0.5)*0.5)
+    rhs = 3.5 * (1.0 + 0.5 * np.e)
+    assert rep.lhs_series == [2.0, 4.0, 5.0] and rep.lhs_sup == 5.0
+    assert (rep.bundle0, rep.forcing_integral, rep.coeff_integral) == (2.0, 1.5, 0.5)
+    assert rep.rhs == pytest.approx(rhs, rel=1e-15)
+    assert rep.constant == pytest.approx(5.0 / rhs, rel=1e-15)
+    zero = LinearizedTrajectory(times=[0.0], bundles=[0.0], cum_dissipation=[0.0],
+                                cum_forcing=[0.0], cum_coeff_load=[0.0])
+    assert check_estimate(zero).constant == 0.0
 
 
 def test_solution_map_is_additive():

@@ -173,6 +173,85 @@ def test_remainders_evaluate_gas_law_once_at_state():
     assert sorted(eos.calls) == expected
 
 
+def _velocity_remainders_oracle(drho, u, dtheta, drad, grad_drho, jac_u,
+                                visc_u, div_u, grad_dtheta, lap_dtheta, bg, eos):
+    """The velocity-form remainders written term by term, with temporaries,
+    the cubic by powers and D:D from the full symmetric part."""
+    p = bg.params
+    rho, theta = p.rho_bar + drho, p.theta_bar + dtheta
+    d2 = p.delta ** 2
+    p_theta, e_theta = eos.p_theta(rho, theta), eos.e_theta(rho, theta)
+    r_mass = -drho * div_u - np.sum(u * grad_drho, axis=0)
+    h6 = bg.p_rho / p.rho_bar - eos.p_rho(rho, theta) / rho
+    h7 = bg.p_theta / p.rho_bar - p_theta / rho
+    h8 = 1.0 / p.rho_bar - 1.0 / rho
+    r_velocity = (-np.einsum("j...,ij...->i...", u, jac_u)
+                  + (h6 / d2) * grad_drho + (h7 / d2) * grad_dtheta
+                  - h8 * visc_u)
+    recip = 1.0 / (rho * e_theta)
+    h9 = bg.recip - recip
+    h10 = (p.theta_bar * bg.p_theta / (p.rho_bar * bg.e_theta)
+           - theta * p_theta / (rho * e_theta))
+    st, tb = p.sigma_tilde, p.theta_bar
+    quartic = (6.0 * st * tb ** 2 * dtheta + 4.0 * st * tb * dtheta ** 2
+               + st * dtheta ** 3) * dtheta
+    linear = 4.0 * st * tb ** 3 * dtheta - p.sigma_a * drad
+    sym = 0.5 * (jac_u + np.swapaxes(jac_u, 0, 1))
+    dd = np.sum(sym * sym, axis=(0, 1))
+    r_temperature = (-np.sum(u * grad_dtheta, axis=0)
+                     - p.kappa * h9 * lap_dtheta
+                     + d2 * (2.0 * p.mu * dd + p.lam * div_u ** 2) * recip
+                     + h10 * div_u + h9 * linear - quartic * recip)
+    return r_mass, r_velocity, r_temperature, quartic
+
+
+# P = rho*theta + 0.3 rho^2 and e = 0.7 theta + 0.3 rho satisfy the thermodynamic
+# relation; p_theta hands back its rho argument itself
+DENSE_GAS = CallableEOS(p=lambda r, t: r * t + 0.3 * r * r,
+                        e=lambda r, t: 0.7 * t + 0.3 * r,
+                        p_rho=lambda r, t: t + 0.6 * r,
+                        p_theta=lambda r, t: r,
+                        e_rho=lambda r, t: 0.3 + 0.0 * r,
+                        e_theta=lambda r, t: 0.7 + 0.0 * r, tag="dense")
+
+
+def random_remainder_args(rng, shape, amp):
+    """Random point values for ``velocity_form_remainders``: perturbations
+    and their derivatives of size ``amp``, the viscous term of size 1."""
+    d = len(shape)
+    field = lambda *lead: amp * rng.standard_normal(lead + shape)
+    return (field(), field(d), field(), field(), field(d), field(d, d),
+            rng.standard_normal((d,) + shape), field(), field(d), field())
+
+
+@pytest.mark.parametrize("shape", [(16, 12), (6, 8, 10)])
+@pytest.mark.parametrize("eos", [IdealGasEOS(R=1.1, c_v=0.7), DENSE_GAS],
+                         ids=["ideal", "dense"])
+@pytest.mark.parametrize("delta", [0.1, 0.0125])
+@pytest.mark.parametrize("amp", [0.1, 1e-4])
+def test_velocity_remainders_match_term_by_term_oracle(shape, eos, delta, amp):
+    # at amp = 1e-4 the pressure gaps, weighted by 1/delta^2, lead the
+    # velocity row, so their cancellation has to round as in the oracle
+    p = PhysParams.equilibrium(delta=delta, lam=0.05, rho_bar=1.3,
+                               theta_bar=0.9, sigma_tilde=1.2)
+    bg = Background.of(p, eos)
+    args = random_remainder_args(np.random.default_rng(len(shape)), shape, amp)
+    got = model.velocity_form_remainders(*args, bg, eos)
+    want = _velocity_remainders_oracle(*args, bg, eos)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_deformation_contraction_matches_symmetric_part(dim):
+    jac = np.random.default_rng(dim).standard_normal((dim, dim, 5, 7))
+    sym = 0.5 * (jac + np.swapaxes(jac, 0, 1))
+    want = np.sum(sym * sym, axis=(0, 1))
+    got = model.deformation_contraction(jac)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want)
+
+
 def test_velocity_remainder_point_values():
     # r_radiation = planck_cubic(dtheta)*dtheta; 11 at dtheta=1, unit constants
     shape = (3, 3)
@@ -189,19 +268,26 @@ def test_velocity_remainder_point_values():
 
 
 def test_domain_errors_on_nonpositive_state():
+    # one bad point in rho or theta, by either remainder function: NaN,
+    # +-inf, zero and negative values are all refused
     eos = IdealGasEOS()
     bg = Background.of(UNIT, eos)
     shape = (2, 2)
     z, zv, zj = zero_fields(shape)
-    with pytest.raises(DomainError):
-        # drho = -rho_bar: rho = 0
-        model.velocity_form_remainders(-np.ones(shape), zv, z, z, zv, zj, zv,
-                                       z, zv, z, bg, eos)
+    for bad in (np.nan, np.inf, -np.inf, 0.0, -0.5):
+        for which in (0, 1):  # drho (nrel) or dtheta
+            # rho_bar = theta_bar = 1: a perturbation of bad - 1 puts bad at
+            # one point of rho or theta, and so does nrel = rho/rho_bar - 1
+            pair = [z.copy(), z.copy()]
+            pair[which][1, 0] = bad - 1.0
+            with pytest.raises(DomainError):
+                model.velocity_form_remainders(pair[0], zv, pair[1], z, zv, zj,
+                                               zv, z, zv, z, bg, eos)
+            with pytest.raises(DomainError):
+                model.momentum_form_remainders(pair[0], zv, pair[1], z, zv, zj,
+                                               zj, z, zv, z, bg, eos)
     with pytest.raises(DomainError):
         model.thermo_consistency_residual(eos, 1.0, 0.0)
-    with pytest.raises(DomainError):
-        model.momentum_form_remainders(-2.0 * np.ones(shape), zv, z, z, zv, zj,
-                                       zj, z, zv, z, bg, eos)
 
 
 def test_thermo_relation_ideal_gas():

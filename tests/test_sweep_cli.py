@@ -288,11 +288,29 @@ def test_cli_exit_codes_and_commands(tmp_path, capsys):
             ("sweep", "[grid]\npoints_per_axis = 16\n[init]\nbudget = 0\n"
                       "[sweep]\ndeltas = 0.1,0.05,0.025\n", "init.budget"),
             ("run", "[grid]\npoints_per_axis = 16\n[params]\n"
-                    "delta = 1e-300\n", "params:")]:
+                    "delta = 1e-300\n", "params:"),
+            # the H^N weight swamps the data: the bundle misses its budget
+            ("run", "[grid]\npoints_per_axis = 16\n[init]\nnorm_order = 20\n",
+             "init.norm_order"),
+            ("run", "[grid]\npoints_per_axis = 16\n[init]\nnorm_order = 30\n",
+             "init.norm_order"),
+            ("run", "[grid]\npoints_per_axis = 16\n[init]\nnorm_order = 150\n",
+             "init.norm_order"),
+            ("run", "[grid]\npoints_per_axis = 16\n[init]\nnorm_order = 200\n",
+             "init.norm_order")]:
         cfg = write_config(tmp_path / "range.ini", body)
         assert cli_main([command, "--config", cfg,
                          "--out", str(tmp_path / "range")]) == 2, key
         assert key in capsys.readouterr().err
+
+    # a diagnostics order whose weight overflows is refused before any output
+    cfg = write_config(tmp_path / "order.ini",
+                       "[grid]\npoints_per_axis = 16\n[solver]\nt_end = 0.05\n"
+                       "[diagnostics]\norder = 150\n")
+    assert cli_main(["run", "--config", cfg,
+                     "--out", str(tmp_path / "order")]) == 2
+    assert "diagnostics.order" in capsys.readouterr().err
+    assert not (tmp_path / "order").exists()
 
     # a negative --seed is a usage error naming the flag
     for command in ("run", "sweep", "verify-identities"):
