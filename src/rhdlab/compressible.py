@@ -145,31 +145,38 @@ def default_dt(grid: SpectralGrid, u0: np.ndarray) -> float:
 
 def _derivatives(grid, X, a, b):
     """Point values of a packed spectral state and of the derivative fields
-    every assembly shares, from one inverse transform of them all.
+    every assembly shares.
 
     Returns ``(n, v, z, g, grad_n, jac_v, visc_v, div_v, grad_z, lap_z)``
     for the slots ``(n, v, z, g)`` of ``X``, with ``jac[i, j] = d v_i /
     d x_j`` and the viscous term ``visc_v = a lap(v) + b grad(div v)``
-    formed on the coefficients.
+    formed on the coefficients.  Every field but ``div_v`` is a view into
+    one point-value array, filled by one inverse transform per group: the
+    state itself, ``grad n``, each row of the Jacobian, the viscous term,
+    and ``(grad z, lap z)``.  The derivative groups take turns in one
+    coefficient buffer of ``d + 1`` fields, so no group is larger than the
+    state and no coefficient copy of the whole set is made.
     """
     g, d, s = grid, grid.dim, len(X)
     ik, vhat, zhat = g.ik, X[1:1 + d], X[d + 1]
-    # coefficients of (n, v, z, g, grad n, jac v, visc v, grad z, lap z),
-    # written in place into the one array that is transformed
-    Y = np.empty((s + d * d + 3 * d + 1,) + g.spectral_shape, dtype=X.dtype)
-    Y[:s] = X
-    np.multiply(ik, X[0], out=Y[s:s + d])
-    jac = Y[s + d:s + d + d * d].reshape((d, d) + g.spectral_shape)
-    np.multiply(ik, vhat[:, np.newaxis], out=jac)
-    visc = Y[s + d + d * d:s + 2 * d + d * d]
-    np.multiply(b * ik, np.trace(jac, axis1=0, axis2=1), out=visc)
-    visc -= a * g.ksq * vhat
-    np.multiply(ik, zhat, out=Y[s + 2 * d + d * d:-1])
-    np.multiply(-g.ksq, zhat, out=Y[-1])
-    x = g.ifft(Y)
+    x = np.empty((s + d * d + 3 * d + 1,) + g.shape)
     n, v, z, gg, grad_n, jac, visc, grad_z, lap_z = np.split(
         x, np.cumsum([1, d, 1, 1, d, d * d, d, d]))
     jac = jac.reshape((d, d) + g.shape)
+    x[:s] = g.ifft(X)
+    c = np.empty((d + 1,) + g.spectral_shape, dtype=X.dtype)
+    grad_n[:] = g.ifft(np.multiply(ik, X[0], out=c[:d]))
+    for i in range(d):
+        jac[i] = g.ifft(np.multiply(ik, vhat[i], out=c[:d]))
+    # the Jacobian's diagonal summed from 0 in index order, as np.trace
+    # sums it, so div v and the viscous term keep their last bit
+    div = sum(ik[i] * vhat[i] for i in range(d))
+    np.multiply(b * ik, div, out=c[:d])
+    c[:d] -= a * g.ksq * vhat
+    visc[:] = g.ifft(c[:d])
+    np.multiply(ik, zhat, out=c[:d])
+    np.multiply(-g.ksq, zhat, out=c[d])
+    x[-(d + 1):] = g.ifft(c)
     return (n[0], v, z[0], gg[0], grad_n, jac, visc,
             np.trace(jac, axis1=0, axis2=1), grad_z, lap_z[0])
 
@@ -280,7 +287,8 @@ class CompressibleSolver:
 
     Construction factors the implicit operator once, per ``|k|^2`` shell,
     and spreads it onto the half spectrum; each explicit evaluation then
-    costs one inverse and one forward transform, and each stage one
+    costs ``d + 4`` inverse transforms of at most ``d + 3`` fields each
+    (see ``_derivatives``) and one forward transform, and each stage one
     transverse scale plus one 4x4 contraction per mode.
     """
 

@@ -105,9 +105,9 @@ def make_well_prepared(spec: InitSpec, grid: SpectralGrid, params: PhysParams,
     Raises :class:`InitError` when the budget cannot be met without
     violating ``rho >= rho_bar/2`` or ``theta >= theta_bar/2`` (the
     positivity clamp), when the spectrum peak is not inside the
-    dealiased band, or when the achieved bundle misses 0.8 times the
-    budget by more than 1e-6 relative (``norm_order`` too high for the
-    grid).
+    dealiased band, when the ``H^norm_order`` weight overflows on the
+    grid, or when the achieved bundle misses 0.8 times the budget by more
+    than 1e-6 relative (``norm_order`` too high for the grid).
     """
     if abs(spec.delta - params.delta) > 1e-14:
         raise InitError(f"spec.delta={spec.delta} != params.delta={params.delta}")
@@ -116,6 +116,11 @@ def make_well_prepared(spec: InitSpec, grid: SpectralGrid, params: PhysParams,
             f"spectrum_peak={spec.spectrum_peak} too close to the dealias "
             f"cut {grid.n // 3} at n={grid.n}", key="spectrum_peak")
     N = spec.norm_order
+    with np.errstate(over="ignore"):
+        weight = grid.sobolev_weight(N)
+    if not np.all(np.isfinite(weight)):
+        raise InitError(f"norm_order={N}: the weight (1 + |k|^2)^{N} "
+                        f"overflows on this grid", key="norm_order")
     delta = spec.delta
     rng = np.random.default_rng(spec.seed)
     bg = Background.of(params, eos)

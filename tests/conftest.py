@@ -12,13 +12,16 @@ def transforms(monkeypatch):
     """Running count, in ``transforms[0]``, of the fields transformed by
     ``SpectralGrid.fft`` (point values in) and ``SpectralGrid.ifft``
     (half-spectrum coefficients in); ``transforms[1]`` counts the calls
-    by method name."""
-    count = [0, Counter()]
+    and ``transforms[2]`` holds the most fields of one call, by method
+    name."""
+    count = [0, Counter(), Counter()]
     for name, shape in (("fft", "shape"), ("ifft", "spectral_shape")):
         def counted(self, f, _name=name, _shape=shape,
                     _transform=getattr(SpectralGrid, name)):
-            count[0] += np.asarray(f).size // math.prod(getattr(self, _shape))
+            fields = np.asarray(f).size // math.prod(getattr(self, _shape))
+            count[0] += fields
             count[1][_name] += 1
+            count[2][_name] = max(count[2][_name], fields)
             return _transform(self, f)
         monkeypatch.setattr(SpectralGrid, name, counted)
     return count

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rhdlab.compressible import (CompressibleSolver, CompressibleState,
                                  PerturbationState, SolverConfig,
-                                 StateInvalidError, default_dt,
+                                 StateInvalidError, _derivatives, default_dt,
                                  rhs_momentum_form, rhs_perturbation,
                                  rhs_primitive)
 from rhdlab.fields import SpectralGrid
@@ -305,9 +307,11 @@ def test_transforms_per_step(dim, scheme, limit, transforms):
     (2, "imex1", 21), (2, "imex2", 42), (3, "imex1", 31), (3, "imex2", 62)])
 def test_one_transform_each_way_per_explicit_evaluation(dim, scheme, fields,
                                                          transforms):
-    # every explicit evaluation stacks the state and its derivative fields
-    # (with the viscous term formed on the coefficients) into one inverse
-    # transform and the remainders into one forward transform
+    # every explicit evaluation transforms the state and its derivative
+    # fields (with the viscous term formed on the coefficients) back in
+    # d + 4 groups, none larger than the state (grad n, each Jacobian row,
+    # the viscous term, grad z with lap z), and the remainders forward in
+    # one transform
     g = SpectralGrid(dim=dim, points_per_axis=16)
     params = PhysParams(delta=0.1)
     st, _ = make_well_prepared(InitSpec(budget=0.5, delta=0.1, seed=3),
@@ -318,13 +322,79 @@ def test_one_transform_each_way_per_explicit_evaluation(dim, scheme, fields,
     X = solver.pack(st.to_perturbation(params))
     transforms[0] = 0
     transforms[1].clear()
+    transforms[2].clear()
     N = solver._explicit(X)
     assert N.shape == (dim + 3,) + g.spectral_shape
-    assert dict(transforms[1]) == {"ifft": 1, "fft": 1}
+    assert dict(transforms[1]) == {"ifft": dim + 4, "fft": 1}
+    assert transforms[2]["ifft"] == dim + 3
     transforms[0] = 0
     solver.step_spectral(X)
     assert transforms[0] == fields
     assert solver._stepper.op._inv.shape == (4, 4) + g.spectral_shape
+
+
+def _stacked_derivatives(grid, X, a, b):
+    """The fields of ``compressible._derivatives`` from one stacked inverse
+    transform of the state and every derivative coefficient."""
+    g, d, s = grid, grid.dim, len(X)
+    ik, vhat, zhat = g.ik, X[1:1 + d], X[d + 1]
+    Y = np.empty((s + d * d + 3 * d + 1,) + g.spectral_shape, dtype=X.dtype)
+    Y[:s] = X
+    np.multiply(ik, X[0], out=Y[s:s + d])
+    jac = Y[s + d:s + d + d * d].reshape((d, d) + g.spectral_shape)
+    np.multiply(ik, vhat[:, np.newaxis], out=jac)
+    visc = Y[s + d + d * d:s + 2 * d + d * d]
+    np.multiply(b * ik, np.trace(jac, axis1=0, axis2=1), out=visc)
+    visc -= a * g.ksq * vhat
+    np.multiply(ik, zhat, out=Y[s + 2 * d + d * d:-1])
+    np.multiply(-g.ksq, zhat, out=Y[-1])
+    x = g.ifft(Y)
+    n, v, z, gg, grad_n, jac, visc, grad_z, lap_z = np.split(
+        x, np.cumsum([1, d, 1, 1, d, d * d, d, d]))
+    jac = jac.reshape((d, d) + g.shape)
+    return (n[0], v, z[0], gg[0], grad_n, jac, visc,
+            np.trace(jac, axis1=0, axis2=1), grad_z, lap_z[0])
+
+
+@pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+@pytest.mark.parametrize("dealias", [True, False])
+@pytest.mark.parametrize("form", ["velocity", "momentum"])
+def test_grouped_derivatives_match_stacked_transform(dim, n, dealias, form):
+    # transforming the derivative fields group by group changes no bit of
+    # any returned field
+    g = SpectralGrid(dim=dim, points_per_axis=n, dealias=dealias)
+    pr = PhysParams.equilibrium(delta=0.1, **OFF_UNIT)
+    a, b = ((pr.mu, pr.mu + pr.lam) if form == "velocity"
+            else (pr.mu_bar, pr.mu_bar + pr.lam_bar))
+    rng = np.random.default_rng(dim)
+    X = g.mask_spectral(g.fft(rng.standard_normal((dim + 3,) + g.shape)))
+    got = _derivatives(g, X, a, b)
+    want = _stacked_derivatives(g, X, a, b)
+    assert len(got) == len(want)
+    for f, f0 in zip(got, want):
+        assert f.shape == f0.shape
+        assert np.array_equal(f, f0)
+
+
+def test_explicit_evaluation_traced_peak_3d():
+    # one explicit evaluation at 16^3 holds at most 1.8 times its point
+    # values (the stacked transform held 2.17 times)
+    g = SpectralGrid(dim=3, points_per_axis=16)
+    params = PhysParams(delta=0.1)
+    st, _ = make_well_prepared(InitSpec(budget=0.5, delta=0.1, seed=3),
+                               g, params, EOS)
+    solver = CompressibleSolver(g, params, EOS,
+                                SolverConfig(dt=1e-3, t_end=1e-3))
+    X = solver.pack(st.to_perturbation(params))
+    d = g.dim
+    point_bytes = (d + 3 + d * d + 3 * d + 1) * np.zeros(g.shape).nbytes
+    tracemalloc.start()
+    try:
+        solver._explicit(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.8 * point_bytes
 
 
 def test_radiation_relaxation_against_ode_oracle(grid):

@@ -1,4 +1,5 @@
 import json
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -299,9 +300,12 @@ def test_cli_exit_codes_and_commands(tmp_path, capsys):
             ("run", "[grid]\npoints_per_axis = 16\n[init]\nnorm_order = 200\n",
              "init.norm_order")]:
         cfg = write_config(tmp_path / "range.ini", body)
-        assert cli_main([command, "--config", cfg,
-                         "--out", str(tmp_path / "range")]) == 2, key
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli_main([command, "--config", cfg,
+                             "--out", str(tmp_path / "range")]) == 2, key
         assert key in capsys.readouterr().err
+        assert not caught, (key, [str(w.message) for w in caught])
 
     # a diagnostics order whose weight overflows is refused before any output
     cfg = write_config(tmp_path / "order.ini",
