@@ -63,7 +63,7 @@ def _build_parser():
 
 def _load(args):
     cfg = load_config(args.config) if args.config else default_config()
-    out_dir = args.out if args.out else cfg.getstr("output", "dir")
+    out_dir = args.out if args.out else cfg.get("output", "dir")
     return cfg, Path(out_dir)
 
 
@@ -87,8 +87,7 @@ def _cmd_verify(args) -> int:
     grid = cfg.build_grid()
     params = cfg.build_params()
     eos = cfg.build_eos()
-    seed = (args.seed if args.seed is not None
-            else cfg.getnonnegative("init", "seed", integer=True))
+    seed = args.seed if args.seed is not None else cfg.get("init", "seed")
     results = run_identity_suite(grid, params, eos, seed=seed)
     failed = [r for r in results if not r.passed]
     for r in results:

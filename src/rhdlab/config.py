@@ -1,9 +1,13 @@
 """Experiment configuration: one INI file, strict keys, documented defaults.
 
 Every key has a default except ``sweep.deltas``, which the sweep command
-requires.  Unknown sections or keys, non-finite numbers and unknown
-``output.formats`` entries are rejected so typos fail fast with exit code
-2.  ``rhdlab config-reference`` prints the annotated defaults.
+requires.  Every key's schema entry holds a parser that declares its type
+and domain, and :func:`load_config` parses and range-checks every value
+before any work, so an unknown section or key, or a value outside its
+domain, fails with exit code 2 and the key's name whichever command reads
+it.  Checks that span keys or depend on the grid stay with the objects
+built from the values.  ``rhdlab config-reference`` prints the annotated
+defaults.
 """
 
 from __future__ import annotations
@@ -13,9 +17,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from . import incompressible, steppers
 from .fields import SpectralGrid
-from .initial import InitSpec
-from .model import IdealGasEOS, PhysParams, equilibrium_radiation
+from .initial import _MODES, InitSpec
+from .model import (IdealGasEOS, ParameterError, PhysParams,
+                    equilibrium_radiation)
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "default_config",
            "config_reference_text"]
@@ -25,245 +31,232 @@ class ConfigError(Exception):
     """Malformed or inconsistent configuration (CLI exit code 2)."""
 
 
-# (default, help) per section/key; defaults are stored as strings exactly as
-# they would appear in the file.
+# -- value parsers: text -> value, or ValueError saying what was expected ---
+
+def _number(domain: str, test=lambda x: True, cast=float):
+    """Parser of a finite ``cast`` (float or int) for which ``test`` holds;
+    ``domain`` describes the admitted values in errors."""
+    def parse(text):
+        try:
+            value = cast(text)
+            valid = math.isfinite(value) and test(value)
+        except (ValueError, OverflowError):  # not a number; an int past float
+            valid = False
+        if not valid:
+            raise ValueError(f"expected {domain}, got {text!r}")
+        return value
+    return parse
+
+
+def _choice(*options):
+    def parse(text):
+        if text not in options:
+            raise ValueError(f"expected one of {', '.join(options)}, "
+                             f"got {text!r}")
+        return text
+    return parse
+
+
+def _boolean(text):
+    val = text.strip().lower()
+    if val in ("true", "1", "yes", "on"):
+        return True
+    if val in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(f"expected boolean, got {text!r}")
+
+
+def _auto_or(parse):
+    return lambda text: text if text == "auto" else parse(text)
+
+
+def _list(parse):
+    """Parser of a non-empty comma-separated list of distinct ``parse``
+    values."""
+    def parse_list(text):
+        items = [parse(x.strip()) for x in text.split(",") if x.strip()]
+        if not items:
+            raise ValueError("expected at least one entry")
+        if len(set(items)) < len(items):
+            raise ValueError(f"expected distinct entries, got {text!r}")
+        return items
+    return parse_list
+
+
+def _deltas(text):
+    """Mach values: in (0, 1] and strictly decreasing."""
+    deltas = _list(_number("numbers in (0, 1]",
+                           lambda x: 0.0 < x <= 1.0))(text)
+    if any(b >= a for a, b in zip(deltas, deltas[1:])):
+        raise ValueError(f"values must be strictly decreasing, got {text!r}")
+    return deltas
+
+
+_FINITE = _number("a finite number")
+_POSITIVE = _number("a finite number > 0", lambda x: x > 0.0)
+_NONNEGATIVE = _number("a finite number >= 0", lambda x: x >= 0.0)
+_NONNEGATIVE_INT = _number("an integer >= 0", lambda x: x >= 0, int)
+
+# (default, help, parser) per section/key; defaults are stored as strings
+# exactly as they would appear in the file.
 _SCHEMA = {
     "grid": {
-        "dim": ("2", "spatial dimension, 2 or 3"),
-        "points_per_axis": ("64", "even grid points per axis, >= 8"),
-        "extent": ("6.283185307179586", "box period per axis"),
-        "dealias": ("true", "2/3-rule filtering of nonlinear tendencies"),
+        "dim": ("2", "spatial dimension, 2 or 3",
+                _number("2 or 3", lambda x: x in (2, 3), int)),
+        "points_per_axis": ("64", "even grid points per axis, >= 8",
+                            _number("an even integer >= 8",
+                                    lambda x: x >= 8 and x % 2 == 0, int)),
+        "extent": ("6.283185307179586", "box period per axis, > 0",
+                   _POSITIVE),
+        "dealias": ("true", "2/3-rule filtering of nonlinear tendencies",
+                    _boolean),
     },
     "params": {
-        "mu": ("0.1", "shear viscosity > 0"),
-        "lam": ("0.0", "second viscosity, 3*lam + 2*mu >= 0"),
-        "kappa": ("0.1", "heat conduction > 0"),
-        "nu": ("0.1", "radiation diffusion > 0"),
-        "sigma_a": ("1.0", "absorption > 0"),
-        "sigma_tilde": ("1.0", "scaled Stefan constant > 0"),
-        "delta": ("0.1", "Mach parameter in (0, 1]"),
-        "rho_bar": ("1.0", "background density"),
-        "theta_bar": ("1.0", "background temperature"),
-        "n_bar": ("auto", "background radiation; 'auto' derives the "
-                          "radiative-equilibrium value"),
+        "mu": ("0.1", "shear viscosity > 0", _POSITIVE),
+        "lam": ("0.0", "second viscosity, 3*lam + 2*mu >= 0", _FINITE),
+        "kappa": ("0.1", "heat conduction > 0", _POSITIVE),
+        "nu": ("0.1", "radiation diffusion > 0", _POSITIVE),
+        "sigma_a": ("1.0", "absorption > 0", _POSITIVE),
+        "sigma_tilde": ("1.0", "scaled Stefan constant > 0", _POSITIVE),
+        "delta": ("0.1", "Mach parameter in (0, 1]",
+                  _number("a number in (0, 1]", lambda x: 0.0 < x <= 1.0)),
+        "rho_bar": ("1.0", "background density > 0", _POSITIVE),
+        "theta_bar": ("1.0", "background temperature > 0", _POSITIVE),
+        "n_bar": ("auto", "background radiation > 0; 'auto' derives the "
+                          "radiative-equilibrium value", _auto_or(_POSITIVE)),
     },
     "eos": {
-        "kind": ("ideal", "equation of state family ('ideal')"),
-        "gas_constant": ("1.0", "R in P = R*rho*theta, > 0"),
-        "heat_capacity": ("1.0", "c_v in e = c_v*theta, > 0"),
+        "kind": ("ideal", "equation of state family ('ideal')",
+                 _choice("ideal")),
+        "gas_constant": ("1.0", "R in P = R*rho*theta, > 0", _POSITIVE),
+        "heat_capacity": ("1.0", "c_v in e = c_v*theta, > 0", _POSITIVE),
     },
     "init": {
-        "budget": ("0.5", "weighted-norm bundle budget (M0 / delta0)"),
-        "seed": ("0", "random seed"),
-        "spectrum_peak": ("2.0", "wavenumber of the random-field energy peak"),
+        "budget": ("0.5", "weighted-norm bundle budget (M0 / delta0), >= 0",
+                   _NONNEGATIVE),
+        "seed": ("0", "random seed, >= 0", _NONNEGATIVE_INT),
+        "spectrum_peak": ("2.0", "wavenumber of the random-field energy "
+                                 "peak, > 0", _POSITIVE),
         "mode": ("global-thm", "'global-thm' budgets |u0|, 'local-thm' "
-                               "budgets |rho0 u0|"),
-        "norm_order": ("3", "Sobolev order of the budgeted norms"),
-        "slaved_radiation": ("false", "slave radiation data to temperature"),
+                               "budgets |rho0 u0|", _choice(*_MODES)),
+        "norm_order": ("3", "Sobolev order of the budgeted norms",
+                       _NONNEGATIVE_INT),
+        "slaved_radiation": ("false", "slave radiation data to temperature",
+                             _boolean),
         "balanced_pressure": ("true", "slave temperature data to density so "
-                                      "the linearized pressure vanishes"),
+                                      "the linearized pressure vanishes",
+                              _boolean),
     },
     "solver": {
-        "dt": ("auto", "time step; 'auto' uses 0.25*dx/max(1, |u0|)"),
-        "t_end": ("0.5", "final time"),
-        "scheme": ("imex1", "'imex1' (first order) or 'imex2' (second order)"),
-        "with_reference": ("false", "also run the incompressible reference"),
-        "ns_scheme": ("cn", "reference diffusion: 'cn' or 'be'"),
+        "dt": ("auto", "time step > 0; 'auto' uses 0.25*dx/max(1, |u0|)",
+               _auto_or(_POSITIVE)),
+        "t_end": ("0.5", "final time, >= 0", _NONNEGATIVE),
+        "scheme": ("imex1", "'imex1' (first order) or 'imex2' (second order)",
+                   _choice(*steppers.SCHEMES)),
+        "with_reference": ("false", "also run the incompressible reference",
+                           _boolean),
+        "ns_scheme": ("cn", "reference diffusion: 'cn' or 'be'",
+                      _choice(*incompressible.SCHEMES)),
     },
     "diagnostics": {
-        "order": ("3", "Sobolev order of the norm bundle"),
+        "order": ("3", "Sobolev order of the norm bundle", _NONNEGATIVE_INT),
         "beta": ("0.05", "cross-term weight in the energy functional, "
-                         "in [0, 1]"),
+                         "in [0, 1]",
+                 _number("a number in [0, 1]", lambda x: 0.0 <= x <= 1.0)),
     },
     "sweep": {
-        "deltas": (None, "comma-separated, strictly decreasing, in (0, 1]"),
+        "deltas": (None, "comma-separated, strictly decreasing, in (0, 1]",
+                   _deltas),
     },
     "linearized": {
-        "deltas": ("0.2,0.1,0.05", "Mach values for the estimate probe"),
-        "families": ("constant,standing-wave", "coefficient families"),
-        "wave_amplitude": ("0.5", "standing-wave amplitude (|a| < 1)"),
-        "t_end": ("0.5", "probe horizon"),
-        "dt": ("0.001", "probe time step"),
-        "norm_order": ("2", "Sobolev order of the probe norms"),
-        "c0": ("1.0", "exponent constant reported with the estimate"),
-        "forcing": ("0.05", "amplitude of the random probe data"),
+        "deltas": ("0.2,0.1,0.05", "Mach values for the estimate probe, "
+                                   "as sweep.deltas", _deltas),
+        "families": ("constant,standing-wave", "coefficient families",
+                     _list(_choice("constant", "standing-wave"))),
+        "wave_amplitude": ("0.5", "standing-wave amplitude (|a| < 1)",
+                           _number("a number in (-1, 1)",
+                                   lambda x: abs(x) < 1.0)),
+        "t_end": ("0.5", "probe horizon, >= 0", _NONNEGATIVE),
+        "dt": ("0.001", "probe time step, > 0", _POSITIVE),
+        "norm_order": ("2", "Sobolev order of the probe norms",
+                       _NONNEGATIVE_INT),
+        "c0": ("1.0", "exponent constant reported with the estimate",
+               _FINITE),
+        "forcing": ("0.05", "amplitude of the random probe data, > 0",
+                    _POSITIVE),
     },
     "output": {
-        "dir": ("out", "output directory"),
-        "cadence": ("10", "steps between diagnostics rows"),
+        "dir": ("out", "output directory", str),
+        "cadence": ("10", "steps between diagnostics rows, > 0",
+                    _number("an integer > 0", lambda x: x > 0, int)),
         "formats": ("csv,json", "csv and/or json, comma-separated: which "
                                 "outputs every command writes "
-                                "(effective_config.ini always)"),
-        "snapshots": ("false", "write field snapshots of the final state"),
+                                "(effective_config.ini always)",
+                    _list(_choice("csv", "json"))),
+        "snapshots": ("false", "write field snapshots of the final state",
+                      _boolean),
     },
 }
 
 
 @dataclass
 class ExperimentConfig:
-    """Typed view of one configuration file."""
+    """Typed view of one configuration file: ``raw`` holds the text of each
+    value, :meth:`get` its parsed value."""
     raw: dict
 
-    def section(self, name) -> dict:
-        return self.raw[name]
-
-    # -- typed getters ------------------------------------------------------
-
-    def _get(self, section, key):
+    def get(self, section, key):
+        """The value of ``section.key``, parsed and range-checked by its
+        schema entry."""
+        text = self.raw[section].get(key)
+        if text is None:
+            raise ConfigError(f"missing required key {section}.{key}")
         try:
-            return self.raw[section][key]
-        except KeyError:
-            raise ConfigError(f"missing required key {section}.{key}") from None
-
-    def getstr(self, section, key) -> str:
-        return str(self._get(section, key))
-
-    def getint(self, section, key) -> int:
-        val = self._get(section, key)
-        try:
-            return int(val)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{section}.{key}: expected integer, got {val!r}") from None
-
-    def getfloat(self, section, key) -> float:
-        val = self._get(section, key)
-        try:
-            num = float(val)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{section}.{key}: expected number, got {val!r}") from None
-        if not math.isfinite(num):
-            raise ConfigError(f"{section}.{key}: expected a finite number, "
-                              f"got {val!r}")
-        return num
-
-    def getpositive(self, section, key, integer: bool = False):
-        val = (self.getint if integer else self.getfloat)(section, key)
-        if not val > 0:
-            raise ConfigError(f"{section}.{key} must be positive, got {val}")
-        return val
-
-    def getnonnegative(self, section, key, integer: bool = False):
-        val = (self.getint if integer else self.getfloat)(section, key)
-        if not val >= 0:
-            raise ConfigError(f"{section}.{key} must be >= 0, got {val}")
-        return val
-
-    def getchoice(self, section, key, choices) -> str:
-        val = self.getstr(section, key)
-        if val not in choices:
-            raise ConfigError(f"{section}.{key}: expected one of "
-                              f"{', '.join(choices)}, got {val!r}")
-        return val
-
-    def getbool(self, section, key) -> bool:
-        val = str(self._get(section, key)).strip().lower()
-        if val in ("true", "1", "yes", "on"):
-            return True
-        if val in ("false", "0", "no", "off"):
-            return False
-        raise ConfigError(f"{section}.{key}: expected boolean, got {val!r}")
-
-    def getfloatlist(self, section, key):
-        val = self.getstr(section, key)
-        try:
-            items = [float(x) for x in val.split(",") if x.strip()]
-        except ValueError:
-            raise ConfigError(f"{section}.{key}: expected comma-separated "
-                              f"numbers, got {val!r}") from None
-        if not items:
-            raise ConfigError(f"{section}.{key}: empty list")
-        if not all(math.isfinite(x) for x in items):
-            raise ConfigError(f"{section}.{key}: expected finite numbers, "
-                              f"got {val!r}")
-        return items
+            return _SCHEMA[section][key][2](text)
+        except ValueError as exc:
+            raise ConfigError(f"{section}.{key}: {exc}") from None
 
     # -- object builders ----------------------------------------------------
 
     def build_grid(self) -> SpectralGrid:
-        try:
-            return SpectralGrid(dim=self.getint("grid", "dim"),
-                                points_per_axis=self.getint("grid", "points_per_axis"),
-                                extent=self.getfloat("grid", "extent"),
-                                dealias=self.getbool("grid", "dealias"))
-        except ValueError as exc:
-            raise ConfigError(f"grid: {exc}") from None
+        return SpectralGrid(**{key: self.get("grid", key)
+                               for key in _SCHEMA["grid"]})
 
     def build_eos(self):
-        kind = self.getstr("eos", "kind")
-        if kind != "ideal":
-            raise ConfigError(f"eos.kind: unknown family {kind!r}")
-        return IdealGasEOS(R=self.getpositive("eos", "gas_constant"),
-                           c_v=self.getpositive("eos", "heat_capacity"))
+        return IdealGasEOS(R=self.get("eos", "gas_constant"),
+                           c_v=self.get("eos", "heat_capacity"))
 
     def build_params(self, delta: Optional[float] = None) -> PhysParams:
-        d = delta if delta is not None else self.getfloat("params", "delta")
-        n_bar_raw = self.getstr("params", "n_bar")
-        theta_bar = self.getpositive("params", "theta_bar")
-        sigma_a = self.getpositive("params", "sigma_a")
-        sigma_tilde = self.getpositive("params", "sigma_tilde")
-        if n_bar_raw == "auto":
-            n_bar = equilibrium_radiation(theta_bar, sigma_a, sigma_tilde)
-        else:
-            n_bar = self.getfloat("params", "n_bar")
+        values = {key: self.get("params", key) for key in _SCHEMA["params"]}
+        if delta is not None:
+            values["delta"] = delta
         try:
-            return PhysParams(
-                mu=self.getfloat("params", "mu"),
-                lam=self.getfloat("params", "lam"),
-                kappa=self.getfloat("params", "kappa"),
-                nu=self.getfloat("params", "nu"),
-                sigma_a=sigma_a, sigma_tilde=sigma_tilde, delta=d,
-                rho_bar=self.getfloat("params", "rho_bar"),
-                theta_bar=theta_bar, n_bar=n_bar)
-        except Exception as exc:
+            if values["n_bar"] == "auto":
+                values["n_bar"] = equilibrium_radiation(
+                    values["theta_bar"], values["sigma_a"],
+                    values["sigma_tilde"])
+            return PhysParams(**values)
+        except (ParameterError, OverflowError) as exc:
             raise ConfigError(f"params: {exc}") from None
 
     def build_init_spec(self, delta: Optional[float] = None,
                         seed: Optional[int] = None) -> InitSpec:
-        try:
-            return InitSpec(
-                budget=self.getfloat("init", "budget"),
-                delta=delta if delta is not None else self.getfloat("params", "delta"),
-                seed=seed if seed is not None else self.getint("init", "seed"),
-                spectrum_peak=self.getfloat("init", "spectrum_peak"),
-                mode=self.getstr("init", "mode"),
-                norm_order=self.getint("init", "norm_order"),
-                slaved_radiation=self.getbool("init", "slaved_radiation"),
-                balanced_pressure=self.getbool("init", "balanced_pressure"))
-        except Exception as exc:
-            raise ConfigError(f"init: {exc}") from None
-
-    def output_cadence(self) -> int:
-        return self.getpositive("output", "cadence", integer=True)
-
-    def output_formats(self) -> set:
-        """The comma-separated ``output.formats`` entries, each csv or json."""
-        val = self.getstr("output", "formats")
-        formats = {f.strip() for f in val.split(",") if f.strip()}
-        if not formats <= {"csv", "json"}:
-            raise ConfigError(f"output.formats: expected entries csv or json, "
-                              f"got {val!r}")
-        return formats
-
-    def sweep_deltas(self):
-        if "deltas" not in self.raw.get("sweep", {}) or \
-                self.raw["sweep"]["deltas"] is None:
-            raise ConfigError("missing required key sweep.deltas")
-        deltas = self.getfloatlist("sweep", "deltas")
-        if any(not 0.0 < d <= 1.0 for d in deltas):
-            raise ConfigError("sweep.deltas: all values must lie in (0, 1]")
-        if any(b >= a for a, b in zip(deltas, deltas[1:])):
-            raise ConfigError("sweep.deltas: values must be strictly decreasing")
-        return deltas
+        values = {key: self.get("init", key) for key in _SCHEMA["init"]}
+        if seed is not None:
+            values["seed"] = seed
+        return InitSpec(
+            delta=delta if delta is not None else self.get("params", "delta"),
+            **values)
 
 
 def default_config() -> ExperimentConfig:
-    raw = {sec: {k: v for k, (v, _) in keys.items() if v is not None}
+    raw = {sec: {k: v for k, (v, _, _) in keys.items() if v is not None}
            for sec, keys in _SCHEMA.items()}
     return ExperimentConfig(raw)
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse and validate one INI file against the schema."""
+    """Parse one INI file against the schema and range-check every value."""
     parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path)
@@ -279,6 +272,9 @@ def load_config(path) -> ExperimentConfig:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"{path}: unknown key {section}.{key}")
             cfg.raw[section][key] = value
+    for section, keys in cfg.raw.items():
+        for key in keys:
+            cfg.get(section, key)
     return cfg
 
 
@@ -300,15 +296,16 @@ def dump_config_text(cfg: ExperimentConfig) -> str:
 
 
 def config_reference_text() -> str:
-    """Annotated INI listing of every key and its default."""
+    """Annotated INI listing of every key and its default; it loads as is,
+    since the one key without a default is commented out."""
     lines = ["# rhdlab configuration reference (defaults shown; all keys",
              "# optional except sweep.deltas, required by the sweep command)",
              ""]
     for sec, keys in _SCHEMA.items():
         lines.append(f"[{sec}]")
-        for key, (default, help_text) in keys.items():
+        for key, (default, help_text, _) in keys.items():
             lines.append(f"# {help_text}")
-            shown = default if default is not None else "<required>"
-            lines.append(f"{key} = {shown}")
+            lines.append(f"# {key} = <required>" if default is None
+                         else f"{key} = {default}")
         lines.append("")
     return "\n".join(lines)

@@ -22,12 +22,10 @@ from .compressible import (CompressibleSolver, SolverConfig, Trajectory,
                            default_dt)
 from .config import ConfigError, ExperimentConfig, dump_config_text
 from .fields import SpectralGrid, save_field
-from .incompressible import SCHEMES as NS_SCHEMES, IncompressibleSolver
+from .incompressible import IncompressibleSolver
 from .initial import InitError, make_well_prepared, random_band_scalar
 from .linearized import (LinearizedProblem, check_estimate,
                          constant_coefficient, solve_linearized, standing_wave)
-from .model import DomainError
-from .steppers import SCHEMES
 
 __all__ = ["RateFit", "fit_rate", "run_single", "run_reference", "run_sweep",
            "run_linearized_probe", "write_diagnostics_csv", "RunError"]
@@ -94,66 +92,58 @@ def _write_json(path, payload):
 @dataclass
 class _Setup:
     """What every command resolves before any work: the configuration, the
-    output directory and the formats written there, the grid, the gas law,
-    the seed and the observer's Sobolev order and cross-term weight."""
+    output directory, the grid, the gas law and the seed."""
     cfg: ExperimentConfig
     out: Path
-    formats: set
     grid: SpectralGrid
     eos: object
     seed: int
-    order: int
-    beta: float
 
     def collector(self, params, kind, reference=None):
         """The observer of one run at ``params``; its rows carry ``kind``
         and, given the ``reference`` trajectory, the limit errors."""
-        return diag.Collector(self.grid, params, self.eos, order=self.order,
-                              beta=self.beta, seed=self.seed, kind=kind,
-                              reference=reference)
+        return diag.Collector(self.grid, params, self.eos,
+                              order=self.cfg.get("diagnostics", "order"),
+                              beta=self.cfg.get("diagnostics", "beta"),
+                              seed=self.seed, kind=kind, reference=reference)
 
     def write(self, csv_name, records, json_name, payload):
         """``effective_config.ini``, then the CSV of ``records`` and the JSON
         of ``payload`` as ``output.formats`` selects them."""
         (self.out / "effective_config.ini").write_text(
             dump_config_text(self.cfg))
-        if "csv" in self.formats:
+        formats = self.cfg.get("output", "formats")
+        if "csv" in formats:
             write_diagnostics_csv(self.out / csv_name, records)
-        if "json" in self.formats:
+        if "json" in formats:
             _write_json(self.out / json_name, payload)
 
 
 def _setup(cfg: ExperimentConfig, out_dir, seed) -> _Setup:
-    """Check the output and observer settings, build the grid and the gas
-    law, resolve the seed, and create the output directory.
+    """Build the grid and the gas law, check that the observer's weight is
+    finite on the grid, resolve the seed, and create the output directory.
 
     A ``seed`` given here replaces ``init.seed`` in the set-up's copy of the
     configuration, so ``effective_config.ini`` reproduces the run."""
     if seed is not None:
         cfg = ExperimentConfig({sec: dict(keys) for sec, keys in cfg.raw.items()})
         cfg.raw["init"]["seed"] = str(seed)
-    formats = cfg.output_formats()
-    beta = cfg.getfloat("diagnostics", "beta")
-    if not 0.0 <= beta <= 1.0:
-        raise ConfigError(f"diagnostics.beta must lie in [0, 1], got {beta}")
     grid = cfg.build_grid()
-    order = cfg.getnonnegative("diagnostics", "order", integer=True)
+    order = cfg.get("diagnostics", "order")
     with np.errstate(over="ignore"):
         weight = grid.sobolev_weight(order)
     if not np.all(np.isfinite(weight)):
         raise ConfigError(f"diagnostics.order = {order}: the weight "
                           f"(1 + |k|^2)^{order} overflows on this grid")
-    setup = _Setup(
-        cfg, Path(out_dir), formats, grid, cfg.build_eos(),
-        cfg.getnonnegative("init", "seed", integer=True), order, beta)
+    setup = _Setup(cfg, Path(out_dir), grid, cfg.build_eos(),
+                   cfg.get("init", "seed"))
     setup.out.mkdir(parents=True, exist_ok=True)
     return setup
 
 
 def _resolve_dt(s: _Setup, u0) -> float:
-    if s.cfg.getstr("solver", "dt") == "auto":
-        return default_dt(s.grid, u0)
-    return s.cfg.getpositive("solver", "dt")
+    dt = s.cfg.get("solver", "dt")
+    return default_dt(s.grid, u0) if dt == "auto" else dt
 
 
 def _reference_velocity(s: _Setup, params, prepared=None):
@@ -188,20 +178,19 @@ def _run_one_compressible(s: _Setup, params, dt, prepared, reference):
     state0, init_report = prepared
     solver_cfg = SolverConfig(
         dt=dt,
-        t_end=s.cfg.getnonnegative("solver", "t_end"),
-        scheme=s.cfg.getchoice("solver", "scheme", SCHEMES))
+        t_end=s.cfg.get("solver", "t_end"),
+        scheme=s.cfg.get("solver", "scheme"))
     solver = CompressibleSolver(s.grid, params, s.eos, solver_cfg)
-    traj = solver.run(state0, cadence=s.cfg.output_cadence(),
+    traj = solver.run(state0, cadence=s.cfg.get("output", "cadence"),
                       observer=s.collector(params, "run", reference).observe)
     return traj, init_report, solver_cfg
 
 
 def _run_reference_traj(s: _Setup, params, u0, dt):
     ns = IncompressibleSolver(s.grid, params.mu_bar, params.rho_bar,
-                              scheme=s.cfg.getchoice("solver", "ns_scheme",
-                                                     NS_SCHEMES))
-    return ns.run(u0, dt, s.cfg.getnonnegative("solver", "t_end"),
-                  cadence=s.cfg.output_cadence())
+                              scheme=s.cfg.get("solver", "ns_scheme"))
+    return ns.run(u0, dt, s.cfg.get("solver", "t_end"),
+                  cadence=s.cfg.get("output", "cadence"))
 
 
 def _ref_error(traj: Trajectory):
@@ -245,7 +234,7 @@ def run_single(cfg: ExperimentConfig, out_dir, seed=None):
 
     ref = (_run_reference_traj(s, params,
                                _reference_velocity(s, params, prepared), dt)
-           if cfg.getbool("solver", "with_reference") else None)
+           if cfg.get("solver", "with_reference") else None)
     traj, init_report, solver_cfg = _run_one_compressible(s, params, dt,
                                                           prepared, ref)
     summary = {"kind": "run", "seed": s.seed}
@@ -254,7 +243,7 @@ def run_single(cfg: ExperimentConfig, out_dir, seed=None):
     summary.update(_traj_summary(traj, init_report, solver_cfg))
 
     s.write("diagnostics.csv", traj.records, "summary.json", summary)
-    if cfg.getbool("output", "snapshots") and traj.final_state is not None:
+    if cfg.get("output", "snapshots") and traj.final_state is not None:
         fs = traj.final_state
         save_field(s.out / "final_velocity.dat", fs.u, s.grid)
         save_field(s.out / "final_density_pert.dat", fs.drho, s.grid)
@@ -301,8 +290,10 @@ def run_sweep(cfg: ExperimentConfig, out_dir, seed=None, threads: int = 1):
     monotonicity of the limit error.  Member failures leave a partial
     report flagged ``incomplete``.
     """
-    deltas = cfg.sweep_deltas()
-    cfg.getpositive("init", "budget")  # zero data leave nothing to fit
+    deltas = cfg.get("sweep", "deltas")
+    budget = cfg.get("init", "budget")
+    if not budget > 0.0:  # zero data leave nothing to fit
+        raise ConfigError(f"init.budget must be positive, got {budget}")
     s = _setup(cfg, out_dir, seed)
 
     # One dt for every member: the split must absorb the 1/delta^2
@@ -367,26 +358,14 @@ def run_linearized_probe(cfg: ExperimentConfig, out_dir, seed=None):
     """Uniform-estimate probe over coefficient families and Mach values."""
     s = _setup(cfg, out_dir, seed)
     grid = s.grid
-    deltas = cfg.getfloatlist("linearized", "deltas")
-    amp = cfg.getfloat("linearized", "forcing")
-    c0 = cfg.getfloat("linearized", "c0")
-    norm_order = cfg.getnonnegative("linearized", "norm_order", integer=True)
-    names = [f.strip() for f in cfg.getstr("linearized", "families").split(",")]
-    dt = cfg.getpositive("linearized", "dt")
-
-    def family(name):
-        if name == "constant":
-            return constant_coefficient(1.0)
-        if name == "standing-wave":
-            try:
-                return standing_wave(cfg.getfloat("linearized",
-                                                  "wave_amplitude"))
-            except DomainError as exc:
-                raise ConfigError(f"linearized.wave_amplitude: {exc}") from None
-        raise ConfigError(f"linearized.families: unknown family {name!r}")
-
-    # every family is built, so every name checked, before the first solve
-    families = [(name, family(name)) for name in names]
+    deltas = cfg.get("linearized", "deltas")
+    amp = cfg.get("linearized", "forcing")
+    c0 = cfg.get("linearized", "c0")
+    dt = cfg.get("linearized", "dt")
+    wave = cfg.get("linearized", "wave_amplitude")
+    families = [(name, standing_wave(wave) if name == "standing-wave"
+                 else constant_coefficient(1.0))
+                for name in cfg.get("linearized", "families")]
     rng = np.random.default_rng(s.seed)
     shapes = [random_band_scalar(grid, rng, 2.0) for _ in range(3 + grid.dim)]
     records = []
@@ -401,8 +380,8 @@ def run_linearized_probe(cfg: ExperimentConfig, out_dir, seed=None):
                 init_mom=amp * np.stack(shapes[1:1 + grid.dim]),
                 init_dtheta=delta * amp * shapes[1 + grid.dim],
                 init_drad=np.sqrt(delta) * amp * shapes[2 + grid.dim],
-                horizon=cfg.getnonnegative("linearized", "t_end"),
-                norm_order=norm_order)
+                horizon=cfg.get("linearized", "t_end"),
+                norm_order=cfg.get("linearized", "norm_order"))
             traj = solve_linearized(grid, problem, params, s.eos, dt=dt)
             rep = check_estimate(traj, c0=c0)
             constants[delta] = rep.constant

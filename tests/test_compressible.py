@@ -447,6 +447,26 @@ def test_run_aborts_and_reports_last_valid_time(grid):
     assert "advective" in traj.abort_reason
 
 
+def test_negative_radiation_points_counts_observations_below_zero():
+    # a radiation dip below -n_bar fills in under diffusion and exchange;
+    # the run counts the observations whose radiation n_bar + drad has a
+    # negative point, checked or not, as an oracle on the observed state does
+    grid = SpectralGrid(dim=2, points_per_axis=16)
+    params = PhysParams(delta=0.1)
+    x = grid.grid_points()
+    bump = np.exp(np.cos(x[0]) + np.cos(x[1]) - 2.0)
+    zero = np.zeros(grid.shape)
+    pert = PerturbationState(zero, np.zeros((2,) + grid.shape), zero,
+                             -1.3 * bump)
+    solver = CompressibleSolver(grid, params, EOS,
+                                SolverConfig(dt=1e-3, t_end=0.3))
+    traj = solver.run(pert, cadence=1, observer=lambda X, t: bool(
+        np.min(params.n_bar + grid.ifft(X[grid.dim + 2])) < 0.0))
+    assert traj.status == "ok" and len(traj.records) == 301
+    assert traj.negative_radiation_points == sum(traj.records)
+    assert 0 < traj.negative_radiation_points < len(traj.records)
+
+
 def test_run_unpacks_each_state_once(grid):
     # checking and observing the same step share one unpacked state, and the
     # final state reuses the last one

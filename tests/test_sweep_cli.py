@@ -45,9 +45,9 @@ def test_fit_rate_examples():
 
 def test_config_defaults_and_errors(tmp_path):
     cfg = default_config()
-    assert cfg.getint("grid", "points_per_axis") == 64
+    assert cfg.get("grid", "points_per_axis") == 64
     with pytest.raises(ConfigError, match="sweep.deltas"):
-        cfg.sweep_deltas()
+        cfg.get("sweep", "deltas")
     bad = write_config(tmp_path / "bad.ini", "[grid]\nresolution = 3\n")
     with pytest.raises(ConfigError, match="grid.resolution"):
         load_config(bad)
@@ -57,8 +57,8 @@ def test_config_defaults_and_errors(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.ini")
     sweep = write_config(tmp_path / "s.ini", "[sweep]\ndeltas = 0.1,0.2\n")
-    with pytest.raises(ConfigError, match="decreasing"):
-        load_config(sweep).sweep_deltas()
+    with pytest.raises(ConfigError, match="sweep.deltas: .*decreasing"):
+        load_config(sweep)
 
 
 def test_effective_config_roundtrip(tmp_path):
@@ -74,10 +74,10 @@ def test_effective_config_roundtrip(tmp_path):
 
 
 def test_cadence_must_be_positive(tmp_path):
+    # refused at load, whichever command would read it
     cfgfile = write_config(tmp_path / "c.ini", "[output]\ncadence = 0\n")
-    cfg = load_config(cfgfile)
-    with pytest.raises(ConfigError, match="cadence"):
-        run_single(cfg, tmp_path / "out")
+    with pytest.raises(ConfigError, match="output.cadence"):
+        load_config(cfgfile)
 
 
 def test_budget_zero_run(tmp_path):
@@ -270,6 +270,15 @@ def test_cli_exit_codes_and_commands(tmp_path, capsys):
             ("linearized", "[linearized]\nnorm_order = -1\n",
              "linearized.norm_order"),
             ("linearized", "[linearized]\nt_end = -1\n", "linearized.t_end"),
+            # keys a command does not read are checked all the same
+            ("linearized", "[output]\ncadence = 0\n", "output.cadence"),
+            ("linearized", "[linearized]\nforcing = 0\n",
+             "linearized.forcing"),
+            ("linearized", "[linearized]\ndeltas = 2\n", "linearized.deltas"),
+            ("linearized", "[linearized]\ndeltas = 0.1,0.1\n",
+             "linearized.deltas"),
+            ("linearized", "[linearized]\nfamilies = constant,constant\n",
+             "linearized.families"),
             ("linearized", "[grid]\npoints_per_axis = 16\n[linearized]\n"
                            "wave_amplitude = 1.5\n", "linearized.wave_amplitude"),
             ("run", "[grid]\npoints_per_axis = 16\n[init]\n"
@@ -290,6 +299,9 @@ def test_cli_exit_codes_and_commands(tmp_path, capsys):
                       "[sweep]\ndeltas = 0.1,0.05,0.025\n", "init.budget"),
             ("run", "[grid]\npoints_per_axis = 16\n[params]\n"
                     "delta = 1e-300\n", "params:"),
+            # the equilibrium radiation theta_bar**4 overflows
+            ("run", "[grid]\npoints_per_axis = 16\n[params]\n"
+                    "theta_bar = 1e100\n", "params:"),
             # the H^N weight swamps the data: the bundle misses its budget
             ("run", "[grid]\npoints_per_axis = 16\n[init]\nnorm_order = 20\n",
              "init.norm_order"),
@@ -554,7 +566,7 @@ def test_effective_config_records_seed_override(tmp_path):
                      "--out", str(first)]) == 0
     dumped = first / "effective_config.ini"
     assert "seed = 123" in dumped.read_text().splitlines()
-    assert load_config(dumped).getint("init", "seed") == 123
+    assert load_config(dumped).get("init", "seed") == 123
     again = tmp_path / "again"
     assert cli_main(["run", "--config", str(dumped), "--out", str(again)]) == 0
     rows = [(d / "diagnostics.csv").read_text().splitlines()[1:]
@@ -586,7 +598,7 @@ def count_initial_states(tmp_path, monkeypatch, mode):
     cfg.raw["solver"]["t_end"] = "0.004"
     cfg.raw["init"]["mode"] = mode
     sweep.run_sweep(cfg, tmp_path / "sweep")
-    return run_calls, len(calls), len(cfg.sweep_deltas())
+    return run_calls, len(calls), len(cfg.get("sweep", "deltas"))
 
 
 def test_initial_state_built_once_per_member(tmp_path, monkeypatch):
