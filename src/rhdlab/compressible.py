@@ -36,8 +36,8 @@ import numpy as np
 from . import model
 from .fields import SpectralGrid
 from .model import Background, PhysParams, DomainError
-from .steppers import (SCHEMES, ImexStepper, SolverError, field_sums,
-                       pack_state, split_symbol, unpack_state)
+from .steppers import (SCHEMES, ImexStepper, SolverError, pack_state,
+                       split_symbol, unpack_state)
 
 __all__ = [
     "SolverConfig", "CompressibleState", "PerturbationState", "Trajectory",
@@ -115,7 +115,10 @@ class PerturbationState:
 
 @dataclass
 class Trajectory:
-    """Result of a run: cadence-resolved diagnostics plus summary scalars."""
+    """Result of a run: the observation times, the observer's records,
+    the final state, how the run ended, and the count of observations with
+    negative radiation.  Every norm of the run is in ``records``; the run
+    summaries take their sups in time from there."""
     times: list = field(default_factory=list)
     records: list = field(default_factory=list)
     final_state: Optional[PerturbationState] = None
@@ -125,10 +128,6 @@ class Trajectory:
     dt: float = 0.0
     delta: float = 0.0
     negative_radiation_points: int = 0
-    sup_l2_density_temperature: float = 0.0
-    sup_l2_radiation: float = 0.0
-    sup_l2_velocity: float = 0.0
-    sup_bundle: float = 0.0
 
 
 def default_dt(grid: SpectralGrid, u0: np.ndarray) -> float:
@@ -327,7 +326,9 @@ class CompressibleSolver:
 
         ``observer(X, t)`` is called at observation points with the packed
         spectral state (:func:`rhdlab.steppers.pack_state` layout) and its
-        time, and its return value appended to ``trajectory.records``.
+        time, and its return value appended to ``trajectory.records``.  The
+        loop itself takes no norm: it records the observation times and
+        counts the observations with a negative radiation point value.
         Invariant violations abort the run and are reported in the
         trajectory rather than raised.
         """
@@ -346,21 +347,12 @@ class CompressibleSolver:
 
         def observe(X, t, p):
             """``p`` is the unpacked ``X`` of an invariant check, or None."""
-            d = grid.dim
             traj.times.append(t)
-            n, v, z, g = np.sqrt(field_sums(grid.norm_sq(X), d))
-            traj.sup_l2_density_temperature = max(
-                traj.sup_l2_density_temperature, n + z)
-            traj.sup_l2_radiation = max(traj.sup_l2_radiation, g)
-            traj.sup_l2_velocity = max(traj.sup_l2_velocity, v)
-            drad = p.drad if p is not None else grid.ifft(X[d + 2])
+            drad = p.drad if p is not None else grid.ifft(X[grid.dim + 2])
             if np.min(self.params.n_bar + drad) < 0.0:
                 traj.negative_radiation_points += 1
             if observer is not None:
-                rec = observer(X, t)
-                traj.records.append(rec)
-                traj.sup_bundle = max(traj.sup_bundle,
-                                      getattr(rec, "bundle_sup", 0.0))
+                traj.records.append(observer(X, t))
 
         def check_invariants(p):
             prim = p.to_primitive(self.params)

@@ -121,7 +121,9 @@ _SCHEMA = {
         "delta": ("0.1", "Mach parameter in (0, 1]",
                   _number("a number in (0, 1]", lambda x: 0.0 < x <= 1.0)),
         "rho_bar": ("1.0", "background density > 0", _POSITIVE),
-        "theta_bar": ("1.0", "background temperature > 0", _POSITIVE),
+        "theta_bar": ("1.0", "background temperature > 0, theta_bar**4 finite",
+                      _number("a finite number > 0 with a finite fourth power",
+                              lambda x: x > 0.0 and math.isfinite(x ** 4))),
         "n_bar": ("auto", "background radiation > 0; 'auto' derives the "
                           "radiative-equilibrium value", _auto_or(_POSITIVE)),
     },
@@ -219,8 +221,13 @@ class ExperimentConfig:
     # -- object builders ----------------------------------------------------
 
     def build_grid(self) -> SpectralGrid:
-        return SpectralGrid(**{key: self.get("grid", key)
-                               for key in _SCHEMA["grid"]})
+        try:
+            return SpectralGrid(**{key: self.get("grid", key)
+                                   for key in _SCHEMA["grid"]})
+        except ValueError as exc:
+            # dim and points_per_axis passed the schema: only the extent
+            # can put the volume or the largest |k|^2 out of float range
+            raise ConfigError(f"grid.extent: {exc}") from None
 
     def build_eos(self):
         return IdealGasEOS(R=self.get("eos", "gas_constant"),
@@ -236,7 +243,7 @@ class ExperimentConfig:
                     values["theta_bar"], values["sigma_a"],
                     values["sigma_tilde"])
             return PhysParams(**values)
-        except (ParameterError, OverflowError) as exc:
+        except ParameterError as exc:
             raise ConfigError(f"params: {exc}") from None
 
     def build_init_spec(self, delta: Optional[float] = None,

@@ -18,7 +18,6 @@ import numpy as np
 
 from .fields import SpectralGrid
 from .model import Background, DomainError, PhysParams, planck_linear
-from .steppers import field_sums
 
 __all__ = [
     "DiagnosticsRecord", "Collector", "CadenceMismatchError", "bundle_factors",
@@ -85,21 +84,11 @@ def _dissipation_factors(pr):
                      pr.nu * pr.sigma_a / heat, 1.0 / heat])
 
 
-def _cross_weight(grid, order):
-    return sum((grid.ksq ** k for k in range(order)),
-               np.zeros(grid.spectral_shape))
-
-
-def _cross(grid, rhat, uhat, weight):
-    """Spectral realization of ``sum_{k<order} <grad^k u, grad^{k+1} drho>``
-    from the coefficients ``uhat``, ``rhat`` and :func:`_cross_weight`.
-
-    Each derivative level is represented by the ``|k|^(2k)`` multiplier, the
-    pairing contracts every velocity component with the matching gradient
-    component of the density perturbation.
-    """
-    pair = np.sum(np.conj(uhat) * (grid.ik * rhat), axis=0).real
-    return float(grid.parseval(weight * pair))
+def _field_sums(values, dim):
+    """Per-field ``(n, v, z, g)`` totals of per-slot values of a packed
+    state; the velocity slots are summed."""
+    return (values[0], np.sum(values[1:1 + dim]), values[dim + 1],
+            values[dim + 2])
 
 
 # -- per-run collection ------------------------------------------------------
@@ -109,14 +98,23 @@ class Collector:
 
     Each observation takes every quantity from the Fourier coefficients of
     the perturbation fields, packed as :func:`rhdlab.steppers.pack_state`
-    lays them out (the solver's own state), with weights built here; it
-    transforms nothing.
+    lays them out (the solver's own state); it transforms nothing.  It
+    forms the Parseval density of ``|X|^2``
+    (:meth:`rhdlab.fields.SpectralGrid.parseval_density`) once, and takes
+    every weighted norm of the state as one product with a stack of
+    weights built here: ``H^order``, ``|k|^2 H^order``, ``|k|^2
+    H^(order-1)``, ``H^3``, ``sum_{k<order} |k|^(2k)`` (the cross term) and
+    ``H^1`` (the limit errors).  The unweighted L2 norms are row sums of
+    the same density; ``extras`` records ``l2_density_temperature`` (the
+    sum of the density and temperature norms), ``l2_radiation`` and
+    ``l2_velocity``, whose sups in time the run summaries report.
     The bundle weighs the squared ``H^order`` norms by ``(1, 1/delta^2,
     1/delta^2, 1/delta)`` on velocity, density, temperature and radiation.
     The energy functional weighs them by ``1``, ``P_rho(bar)/(rho_bar^2
     delta^2)``, ``e_theta(bar)/(theta_bar delta^2)`` and ``sigma_a/(4
     sigma_tilde delta rho_bar theta_bar^4)``, and adds ``beta`` times the
-    velocity/density-gradient cross term; ``beta`` must lie in [0, 1].
+    velocity/density-gradient cross term ``sum_{k<order} <grad^k u,
+    grad^{k+1} drho>``; ``beta`` must lie in [0, 1].
     Dissipation integrals are accumulated with the trapezoid rule at
     cadence resolution, weighted as in the a priori energy inequality:
     ``mu/rho_bar`` on velocity gradients, ``kappa/(rho_bar theta_bar
@@ -146,37 +144,47 @@ class Collector:
         self._prev_time: Optional[float] = None
         self._prev_rates: Optional[np.ndarray] = None
 
-        self._w = grid.sobolev_weight(order)
-        self._w1 = grid.sobolev_weight(1)
-        self._w3 = grid.sobolev_weight(3)
-        self._w_grad = grid.ksq * self._w
-        self._w_grad_lm1 = grid.ksq * grid.sobolev_weight(max(order - 1, 0))
-        self._w_cross = _cross_weight(grid, order)
+        w, ksq = grid.sobolev_weight(order), grid.ksq
+        self._weights = np.stack([
+            w, ksq * w, ksq * grid.sobolev_weight(max(order - 1, 0)),
+            grid.sobolev_weight(3),
+            sum((ksq ** k for k in range(order)), np.zeros(grid.spectral_shape)),
+            grid.sobolev_weight(1)]).reshape(6, -1)
         self._bundle = bundle_factors(grid.dim, params.delta)
         self._energy = _energy_factors(grid.dim, params, eos, params.delta)
         self._dissipation = _dissipation_factors(params)
 
+    def _density(self, fhat):
+        """Parseval density of ``|fhat|^2``, one row per field."""
+        sq = np.abs(fhat)
+        sq *= sq
+        return self.grid.parseval_density(sq).reshape(-1, self._weights.shape[1])
+
     def observe(self, X: np.ndarray, time: float) -> DiagnosticsRecord:
         """Record of the packed spectral state ``X`` at ``time``."""
         g, pr, d = self.grid, self.params, self.grid.dim
-        delta = pr.delta
+        delta, w = pr.delta, self._weights
 
-        _, gu, gth, gG = field_sums(g.norm_sq(X, self._w_grad), d)
+        sq = self._density(X)
+        h, grad, grad_lm1, h3 = w[:4] @ sq.T
+        _, gu, gth, gG = _field_sums(grad, d)
         rates = self._dissipation[:3] * np.array([gu, gth, gG])
         if self._prev_time is not None:
             dt = time - self._prev_time
             self._cum += 0.5 * dt * (rates + self._prev_rates)
         self._prev_time, self._prev_rates = time, rates
 
-        sq = g.norm_sq(X, self._w)
-        cross = _cross(g, X[0], X[1:1 + d], self._w_cross)
-        bundle = float(self._bundle @ sq)
-        energy = float(self._energy @ sq) + self.beta * cross
-        exch_sq = float(g.norm_sq(planck_linear(X[d + 1], X[d + 2], pr),
-                                  self._w))
-        grad_lm1 = g.norm_sq(X, self._w_grad_lm1)
-        n3, u3, th3, rad3 = np.sqrt(field_sums(g.norm_sq(X, self._w3), d))
+        # u against grad drho, component by component; the cross row's
+        # |k|^(2k) terms stand for the k-th derivative levels of both
+        pair = np.sum(np.conj(X[1:1 + d]) * (g.ik * X[0]), axis=0).real
+        cross = float(w[4] @ g.parseval_density(pair).ravel())
+        bundle = float(self._bundle @ h)
+        energy = float(self._energy @ h) + self.beta * cross
+        exch_sq = float(w[0] @ self._density(
+            planck_linear(X[d + 1], X[d + 2], pr))[0])
+        n3, u3, th3, rad3 = np.sqrt(_field_sums(h3, d))
         smallness = u3 + (n3 + th3) / delta + rad3 / np.sqrt(delta)
+        n, v, z, rad = np.sqrt(_field_sums(np.sum(sq, axis=1), d))
         extras = {
             "cross": cross,
             "grad_u_sq": float(gu),
@@ -186,6 +194,9 @@ class Collector:
             "grad_drad_sq": float(gG),
             "exchange_sq": exch_sq,
             "smallness": float(smallness),
+            "l2_density_temperature": float(n + z),
+            "l2_radiation": float(rad),
+            "l2_velocity": float(v),
         }
         rec = DiagnosticsRecord(
             time=time, bundle_sup=bundle, energy_E=energy,
@@ -198,9 +209,9 @@ class Collector:
                     1.0, abs(time)):
                 raise CadenceMismatchError(
                     f"observation {i} at t={time} has no reference point")
-            diff = X[1:1 + d] - ref.uhats[i]
-            rec.ref_error_L2 = float(np.sqrt(np.sum(g.norm_sq(diff))))
-            rec.ref_error_H1 = float(np.sqrt(np.sum(g.norm_sq(diff, self._w1))))
+            diff = np.sum(self._density(X[1:1 + d] - ref.uhats[i]), axis=0)
+            rec.ref_error_L2 = float(np.sqrt(np.sum(diff)))
+            rec.ref_error_H1 = float(np.sqrt(w[5] @ diff))
         self._observed += 1
         return rec
 

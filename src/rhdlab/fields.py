@@ -20,7 +20,8 @@ agree bit-for-bit.
 
 Every public operation returns a fresh array and never mutates its inputs,
 so grids and fields are safe to share across worker threads.  Every norm
-is a Parseval sum over Fourier coefficients (:meth:`SpectralGrid.parseval`).
+is a Parseval sum over Fourier coefficients
+(:meth:`SpectralGrid.parseval_density`).
 """
 
 from __future__ import annotations
@@ -57,8 +58,12 @@ class SpectralGrid:
         n = int(points_per_axis)
         if n < 8 or n % 2 != 0:
             raise ValueError(f"points_per_axis must be even and >= 8, got {points_per_axis}")
-        if extent <= 0:
-            raise ValueError("extent must be positive")
+        with np.errstate(all="ignore"):
+            volume = float(np.float64(extent) ** dim)
+            ksq_max = float(dim * (np.pi * n / np.float64(extent)) ** 2)
+        if not (extent > 0 and 0.0 < volume < np.inf and ksq_max < np.inf):
+            raise ValueError(f"extent must be > 0 with a finite, nonzero box "
+                             f"volume and a finite largest |k|^2, got {extent!r}")
         self.dim = dim
         self.n = n
         self.extent = float(extent)
@@ -66,7 +71,7 @@ class SpectralGrid:
         self.shape = (n,) * dim
         self.spectral_shape = (n,) * (dim - 1) + (n // 2 + 1,)
         self.dx = self.extent / n
-        self.volume = self.extent ** dim
+        self.volume = volume
 
         # Integer mode numbers per axis in rfftn layout (0, 1, ..., n/2-1,
         # -n/2, ..., -1, and 0, 1, ..., n/2 on the last axis); scaled to
@@ -136,13 +141,13 @@ class SpectralGrid:
 
     # -- norms and masks --------------------------------------------------
 
-    def parseval(self, density: np.ndarray):
-        """``volume * sum(density) / n**(2 dim)`` over the whole spectrum of a
-        density given on the half layout and even in ``k``: each kept mode
-        counts ``multiplicity`` times.  Spatial axes are summed, component
-        axes kept."""
-        return (self.volume / float(self.n ** self.dim) ** 2
-                * np.sum(density * self.multiplicity, axis=self._fft_axes))
+    def parseval_density(self, density: np.ndarray) -> np.ndarray:
+        """``density`` on the half layout, even in ``k``, times
+        ``multiplicity * volume / n**(2 dim)``: summed over the spatial
+        axes, it is ``volume * sum(density) / n**(2 dim)`` over the whole
+        spectrum, the Parseval sum."""
+        return density * (self.volume / float(self.n ** self.dim) ** 2
+                          * self.multiplicity)
 
     def norm_sq(self, fhat: np.ndarray, weight=1.0):
         """Parseval sum ``volume * sum(weight * |fhat / n**dim|^2)`` of
@@ -154,7 +159,7 @@ class SpectralGrid:
         sq = np.abs(fhat)
         sq *= sq
         sq *= weight
-        return self.parseval(sq)
+        return np.sum(self.parseval_density(sq), axis=self._fft_axes)
 
     def sobolev_weight(self, order: int) -> np.ndarray:
         """The ``(1 + |k|^2)^order`` multiplier of :meth:`sobolev_norm`."""

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["SolverError", "SplitSymbol", "split_symbol", "pack_state",
-           "unpack_state", "field_sums", "ImexOperator", "ImexStepper",
+           "unpack_state", "ImexOperator", "ImexStepper",
            "SCHEMES", "imex_euler_step", "ars222_step", "ARS_GAMMA",
            "ARS_DHAT"]
 
@@ -192,13 +192,6 @@ def unpack_state(grid, X: np.ndarray):
     d = grid.dim
     x = grid.ifft(X)
     return x[0], x[1:1 + d], x[d + 1], x[d + 2]
-
-
-def field_sums(values, dim):
-    """Per-field ``(n, v, z, g)`` totals of per-slot values of a packed
-    state; the velocity slots are summed."""
-    return (values[0], np.sum(values[1:1 + dim]), values[dim + 1],
-            values[dim + 2])
 
 
 class ImexOperator:

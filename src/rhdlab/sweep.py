@@ -209,10 +209,11 @@ def _traj_summary(traj: Trajectory, init_report, solver_cfg):
         "delta": traj.delta,
         "final_time": traj.times[-1] if traj.times else 0.0,
         "negative_radiation_points": traj.negative_radiation_points,
-        "sup_l2_density_temperature": traj.sup_l2_density_temperature,
-        "sup_l2_radiation": traj.sup_l2_radiation,
-        "sup_l2_velocity": traj.sup_l2_velocity,
-        "sup_bundle": traj.sup_bundle,
+        # sups in time over the rows, from 0.0: a NaN row never replaces one
+        **{"sup_" + key: max([0.0, *(r.extras[key] for r in traj.records)])
+           for key in ("l2_density_temperature", "l2_radiation",
+                       "l2_velocity")},
+        "sup_bundle": max([0.0, *(r.bundle_sup for r in traj.records)]),
         "init": init_report,
         # fixed values, kept because they describe the method that ran
         "solver": {"formulation": "perturbation",

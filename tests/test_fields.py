@@ -53,6 +53,10 @@ def test_grid_validation():
         SpectralGrid(points_per_axis=63)
     with pytest.raises(ValueError):
         SpectralGrid(extent=-1.0)
+    # the box volume overflows, or the largest |k|^2 does
+    for extent in (1e308, 1e-300):
+        with pytest.raises(ValueError, match="extent"):
+            SpectralGrid(extent=extent)
 
 
 def test_derivative_exactness(grid):

@@ -99,6 +99,7 @@ def ref_energy(g, u, drho, dtheta, drad, delta, beta, order, pr, eos):
 def ref_extras(g, p, order, pr):
     lm1 = max(order - 1, 0)
     s3 = lambda f: np.sqrt(ref_sobolev_sq(g, f, 3))
+    s0 = lambda f: np.sqrt(ref_sobolev_sq(g, f, 0))
     return {
         "cross": ref_cross(g, p.u, p.drho, order),
         "grad_u_sq": ref_grad_sq(g, p.u, order),
@@ -109,6 +110,9 @@ def ref_extras(g, p, order, pr):
         "exchange_sq": ref_exchange_sq(g, p.dtheta, p.drad, order, pr),
         "smallness": (s3(p.u) + (s3(p.drho) + s3(p.dtheta)) / pr.delta
                       + s3(p.drad) / np.sqrt(pr.delta)),
+        "l2_density_temperature": s0(p.drho) + s0(p.dtheta),
+        "l2_radiation": s0(p.drad),
+        "l2_velocity": s0(p.u),
     }
 
 
@@ -176,9 +180,8 @@ def test_norm_sq_counts_the_half_spectrum(grid):
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
 def test_cross_matches_point_value_oracle(grid, order):
     p = random_state(grid, 50 + order)
-    X = packed(grid, p)
-    d = grid.dim
-    got = diag._cross(grid, X[0], X[1:1 + d], diag._cross_weight(grid, order))
+    coll = diag.Collector(grid, PARAMS, EOS, order=order)
+    got = coll.observe(packed(grid, p), p.time).extras["cross"]
     want = ref_cross(grid, p.u, p.drho, order)
     scale = np.sqrt(ref_sobolev_sq(grid, np.stack(list(p.u)), order)
                     * ref_sobolev_sq(grid, p.drho, order + 1))

@@ -92,6 +92,40 @@ def test_budget_zero_run(tmp_path):
     assert (tmp_path / "out" / "summary.json").exists()
 
 
+def test_summary_sups_match_point_value_oracle():
+    # the summary's sups in time against the L2 norms of the point values
+    # of every observed state, and against the rows' bundles
+    from rhdlab.compressible import CompressibleSolver, SolverConfig
+    from rhdlab.diagnostics import Collector
+    from rhdlab.initial import InitSpec, make_well_prepared
+    from rhdlab.sweep import _traj_summary
+
+    grid, params, eos = SpectralGrid(2, 16), PhysParams(delta=0.1), IdealGasEOS()
+    d = grid.dim
+    st, _ = make_well_prepared(InitSpec(budget=0.5, delta=0.1, seed=3),
+                               grid, params, eos)
+    cfg = SolverConfig(dt=2e-3, t_end=0.012)
+    coll, norms = Collector(grid, params, eos), []
+
+    def observer(X, t):
+        x = grid.ifft(X)
+        l2 = lambda f: grid.sobolev_norm(f, 0)
+        norms.append((l2(x[0]) + l2(x[d + 1]), l2(x[d + 2]), l2(x[1:1 + d])))
+        return coll.observe(X, t)
+
+    traj = CompressibleSolver(grid, params, eos, cfg).run(
+        st, cadence=1, observer=observer)
+    assert traj.status == "ok" and len(traj.records) >= 5
+    summary = _traj_summary(traj, None, cfg)
+    want = np.max(norms, axis=0)
+    for key, value in zip(("density_temperature", "radiation", "velocity"),
+                          want):
+        assert value > 0.0
+        assert summary["sup_l2_" + key] == pytest.approx(value, rel=1e-12)
+    assert summary["sup_bundle"] == pytest.approx(
+        max(r.bundle_sup for r in traj.records), rel=1e-12)
+
+
 def test_csv_determinism(tmp_path):
     cfgfile = write_config(tmp_path / "run.ini", SMALL_RUN)
     cfg = load_config(cfgfile)
@@ -301,7 +335,12 @@ def test_cli_exit_codes_and_commands(tmp_path, capsys):
                     "delta = 1e-300\n", "params:"),
             # the equilibrium radiation theta_bar**4 overflows
             ("run", "[grid]\npoints_per_axis = 16\n[params]\n"
-                    "theta_bar = 1e100\n", "params:"),
+                    "theta_bar = 1e100\n", "params.theta_bar"),
+            # the box volume overflows, or the largest |k|^2 does
+            ("run", "[grid]\npoints_per_axis = 16\nextent = 1e308\n"
+                    "[solver]\nt_end = 0.01\n", "grid.extent"),
+            ("run", "[grid]\npoints_per_axis = 16\nextent = 1e-300\n"
+                    "[solver]\nt_end = 0.01\n", "grid.extent"),
             # the H^N weight swamps the data: the bundle misses its budget
             ("run", "[grid]\npoints_per_axis = 16\n[init]\nnorm_order = 20\n",
              "init.norm_order"),
