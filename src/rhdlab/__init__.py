@@ -7,9 +7,9 @@ the solution bundle and the approach to the incompressible limit.
 """
 
 from .fields import SpectralGrid, load_field, save_field
-from .model import CallableEOS, IdealGasEOS, PhysParams
+from .model import IdealGasEOS, PhysParams
 
 __version__ = "0.1.0"
 
 __all__ = ["SpectralGrid", "save_field", "load_field",
-           "PhysParams", "IdealGasEOS", "CallableEOS", "__version__"]
+           "PhysParams", "IdealGasEOS", "__version__"]

@@ -320,9 +320,10 @@ class CompressibleSolver:
     def step_spectral(self, X: np.ndarray) -> np.ndarray:
         return self._stepper.step(X, self._explicit)
 
-    def run(self, state0, cadence: int = 10,
+    def run(self, state0: CompressibleState, cadence: int = 10,
             observer: Optional[Callable] = None) -> Trajectory:
-        """Advance to ``t_end``, observing every ``cadence`` steps.
+        """Advance ``state0``, validated on entry, to ``t_end``, observing
+        every ``cadence`` steps.
 
         ``observer(X, t)`` is called at observation points with the packed
         spectral state (:func:`rhdlab.steppers.pack_state` layout) and its
@@ -334,11 +335,8 @@ class CompressibleSolver:
         """
         cfg = self.config
         grid = self.grid
-        if isinstance(state0, CompressibleState):
-            state0.validate(grid)
-            pert = state0.to_perturbation(self.params)
-        else:
-            pert = state0
+        state0.validate(grid)
+        pert = state0.to_perturbation(self.params)
         traj = Trajectory(dt=cfg.dt, delta=self.params.delta)
         nsteps = max(0, int(np.ceil((cfg.t_end - pert.time) / cfg.dt - 1e-12)))
         X = self.pack(pert)

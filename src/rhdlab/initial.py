@@ -27,7 +27,7 @@ import numpy as np
 
 from .compressible import CompressibleState
 from .fields import SpectralGrid
-from .model import Background, PhysParams
+from .model import Background, ParameterError, PhysParams
 
 __all__ = ["InitSpec", "InitError", "make_well_prepared", "random_band_scalar"]
 
@@ -105,9 +105,11 @@ def make_well_prepared(spec: InitSpec, grid: SpectralGrid, params: PhysParams,
     Raises :class:`InitError` when the budget cannot be met without
     violating ``rho >= rho_bar/2`` or ``theta >= theta_bar/2`` (the
     positivity clamp), when the spectrum peak is not inside the
-    dealiased band, when the ``H^norm_order`` weight overflows on the
-    grid, or when the achieved bundle misses 0.8 times the budget by more
-    than 1e-6 relative (``norm_order`` too high for the grid).
+    dealiased band, or when a component's achieved norm misses its share
+    of 0.8 times the budget by more than 1e-6 relative (``norm_order``
+    too high for the grid; the caller checks that its weight is finite).
+    Raises :class:`rhdlab.model.ParameterError` instead when the missed
+    component's perturbation is below the round-off of its background.
     """
     if abs(spec.delta - params.delta) > 1e-14:
         raise InitError(f"spec.delta={spec.delta} != params.delta={params.delta}")
@@ -116,11 +118,6 @@ def make_well_prepared(spec: InitSpec, grid: SpectralGrid, params: PhysParams,
             f"spectrum_peak={spec.spectrum_peak} too close to the dealias "
             f"cut {grid.n // 3} at n={grid.n}", key="spectrum_peak")
     N = spec.norm_order
-    with np.errstate(over="ignore"):
-        weight = grid.sobolev_weight(N)
-    if not np.all(np.isfinite(weight)):
-        raise InitError(f"norm_order={N}: the weight (1 + |k|^2)^{N} "
-                        f"overflows on this grid", key="norm_order")
     delta = spec.delta
     rng = np.random.default_rng(spec.seed)
     bg = Background.of(params, eos)
@@ -134,6 +131,10 @@ def make_well_prepared(spec: InitSpec, grid: SpectralGrid, params: PhysParams,
         return state, _report(grid, state, params, spec)
 
     share = _SHARE * spec.budget
+    # the norm each component is scaled to; a slaved radiation follows
+    # dtheta and has none of its own
+    lead = "momentum" if spec.mode == "local-thm" else "velocity"
+    shares = {lead: share, "density": share, "temperature": share}
 
     # Fixed draw order keeps a given seed comparable across flag settings.
     w_rho = _unit_shape(grid, rng, spec.spectrum_peak, N)
@@ -150,6 +151,8 @@ def make_well_prepared(spec: InitSpec, grid: SpectralGrid, params: PhysParams,
         amp_rho = 2.0 * share * delta / (1.0 + abs(ratio))
         drho = amp_rho * w_rho
         dtheta = -ratio * drho
+        shares["density"] = amp_rho / delta
+        shares["temperature"] = abs(ratio) * amp_rho / delta
     else:
         drho = share * delta * w_rho
         dtheta = share * delta * w_theta
@@ -158,6 +161,7 @@ def make_well_prepared(spec: InitSpec, grid: SpectralGrid, params: PhysParams,
         drad = (bg.emission / params.sigma_a) * dtheta
     else:
         drad = share * np.sqrt(delta) * w_rad
+        shares["radiation"] = share
 
     rho0 = params.rho_bar + drho
     theta0 = params.theta_bar + dtheta
@@ -172,27 +176,41 @@ def make_well_prepared(spec: InitSpec, grid: SpectralGrid, params: PhysParams,
             key="budget")
 
     u_dir = grid.ifft(grid.leray(grid.fft(w_u)))
-    if spec.mode == "local-thm":
-        norm = grid.sobolev_norm(rho0 * u_dir, N)
-    else:
-        norm = grid.sobolev_norm(u_dir, N)
+    norm = grid.sobolev_norm(rho0 * u_dir if lead == "momentum" else u_dir, N)
     u0 = (share / norm) * u_dir
 
     state = CompressibleState(rho0, u0, theta0, params.n_bar + drad)
     report = _report(grid, state, params, spec)
-    # At a high order the H^N weight amplifies the round-off of
-    # ``rho - rho_bar`` (and of the other perturbations) past the data.
-    achieved, target = report["bundle"], 4.0 * share
-    if spec.slaved_radiation:  # the radiation norm follows dtheta instead
-        achieved -= report["weighted_norms"]["radiation"]
-        target -= share
-    if not abs(achieved - target) <= _BUNDLE_RTOL * target:
-        raise InitError(
-            f"norm_order={N}: the achieved bundle {achieved:.6g} misses its "
-            f"target {target:.6g} by more than {_BUNDLE_RTOL:g} relative: "
-            f"the H^{N} weight is too steep for this grid",
-            key="norm_order")
-    return state, report
+    got = report["weighted_norms"]
+    missed = [name for name, want in shares.items()
+              if not abs(got[name] - want) <= _BUNDLE_RTOL * want]
+    if not missed:
+        return state, report
+    # the H^N weight shrinks a rough shape until the round-off of its
+    # background swamps it; blame the background only if the perturbation
+    # drowns there even at the L2 size its H^N norm stands for
+    fields = {"density": (drho, "rho_bar"), "radiation": (drad, "n_bar"),
+              "temperature": (dtheta, "theta_bar")}
+    lost = [f"the {name} perturbation is below the round-off of {bar} = "
+            f"{getattr(params, bar):.6g}"
+            for name, (pert, bar) in fields.items() if name in missed
+            and _drowned(grid, pert, getattr(params, bar), N)]
+    if lost:
+        raise ParameterError("; ".join(lost))
+    misses = ", ".join(f"{name} {got[name]:.6g} for {shares[name]:.6g}"
+                       for name in missed)
+    raise InitError(f"norm_order={N}: achieved norms miss their shares by "
+                    f"more than {_BUNDLE_RTOL:g} relative ({misses}): the "
+                    f"H^{N} weight is too steep for the grid", key="norm_order")
+
+
+def _drowned(grid, pert, bar, N):
+    """Whether adding ``pert``, rescaled to the L2 norm that equals its
+    ``H^N`` norm, to the constant ``bar`` loses more than ``_BUNDLE_RTOL``
+    of it to round-off."""
+    big = pert * (grid.sobolev_norm(pert, N) / grid.sobolev_norm(pert, 0))
+    return (np.max(np.abs(bar + big - bar - big))
+            > _BUNDLE_RTOL * np.max(np.abs(big)))
 
 
 def _report(grid, state, params, spec):

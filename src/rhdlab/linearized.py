@@ -251,14 +251,19 @@ def check_estimate(traj: LinearizedTrajectory, c0: float = 1.0) -> EstimateRepor
     LHS(t) = bundle(t) + cumulative dissipation; RHS = [bundle(0) +
     forcing integral] * [1 + exp(c0 * L) * L] with L the integral of
     ``1 + |A|^2``.  The returned ``constant`` estimates the leading
-    constant; with zero data and forcing it is defined as 0.
+    constant; with zero data and forcing it is defined as 0.  A right side
+    that is not finite raises :class:`rhdlab.model.DomainError`.
     """
     lhs = [b + cd for b, cd in zip(traj.bundles, traj.cum_dissipation)]
     bundle0 = traj.bundles[0]
     forcing = traj.cum_forcing[-1]
     load = traj.cum_coeff_load[-1]
     base = bundle0 + forcing
-    rhs = base * (1.0 + np.exp(min(c0 * load, 700.0)) * load)
+    with np.errstate(over="ignore"):
+        rhs = base * (1.0 + np.exp(min(c0 * load, 700.0)) * load)
+    if not np.isfinite(rhs):
+        raise DomainError(f"the right side {base:.6g} * (1 + exp({c0:g} * "
+                          f"{load:.6g}) * {load:.6g}) is not finite")
     constant = 0.0 if rhs == 0.0 else max(lhs) / rhs
     return EstimateReport(constant, c0, max(lhs), rhs, bundle0, forcing,
                           load, list(traj.times), lhs)

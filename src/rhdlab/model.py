@@ -30,7 +30,7 @@ import numpy as np
 
 __all__ = [
     "ModelError", "ParameterError", "DomainError",
-    "PhysParams", "Background", "IdealGasEOS", "CallableEOS", "validate_eos",
+    "PhysParams", "Background", "IdealGasEOS",
     "equilibrium_radiation", "radiation_source",
     "planck_cubic", "planck_split", "planck_linear",
     "thermo_consistency_residual",
@@ -67,7 +67,8 @@ class PhysParams:
     ``delta`` is the Mach parameter (0 < delta <= 1).  The background must
     be a radiative equilibrium: ``sigma_a * n_bar == sigma_tilde *
     theta_bar**4`` within relative 1e-12; use :meth:`equilibrium` to build a
-    compatible set from the temperature.
+    compatible set from the temperature.  Every constant that must be
+    positive must also be finite, and so must ``sigma_tilde*theta_bar**4``.
     """
 
     mu: float = 0.1            # shear viscosity, > 0
@@ -82,17 +83,22 @@ class PhysParams:
     n_bar: float = 1.0
 
     def __post_init__(self):
-        for name in ("mu", "kappa", "nu", "sigma_a", "sigma_tilde",
-                     "rho_bar", "theta_bar", "n_bar"):
-            if not getattr(self, name) > 0.0:
-                raise ParameterError(f"{name} must be > 0, got {getattr(self, name)}")
+        with np.errstate(over="ignore", invalid="ignore"):
+            target = float(self.sigma_tilde * np.float64(self.theta_bar) ** 4)
+        # the emission before n_bar, so an n_bar derived from an overflowing
+        # sigma_tilde*theta_bar^4 is blamed on its cause
+        values = dict(vars(self), **{"sigma_tilde*theta_bar^4": target})
+        for name in ("mu", "kappa", "nu", "sigma_a", "sigma_tilde", "rho_bar",
+                     "theta_bar", "sigma_tilde*theta_bar^4", "n_bar"):
+            if not 0.0 < values[name] < np.inf:
+                raise ParameterError(
+                    f"{name} must be finite and > 0, got {values[name]}")
         if 3.0 * self.lam + 2.0 * self.mu < 0.0:
             raise ParameterError("viscosities must satisfy 3*lam + 2*mu >= 0")
         if not (0.0 < self.delta <= 1.0 and self.delta ** 2 > 0.0):
             raise ParameterError(f"delta must lie in (0, 1] and have a "
                                  f"nonzero square, got {self.delta}")
-        target = self.sigma_tilde * self.theta_bar ** 4
-        if abs(self.sigma_a * self.n_bar - target) > _COMPAT_RTOL * abs(target):
+        if abs(self.sigma_a * self.n_bar - target) > _COMPAT_RTOL * target:
             raise ParameterError(
                 "background is not a radiative equilibrium: "
                 f"sigma_a*n_bar={self.sigma_a * self.n_bar!r} vs "
@@ -149,14 +155,20 @@ class Background:
 
 
 class IdealGasEOS:
-    """Ideal polytropic gas: ``P = R*rho*theta``, ``e = c_v*theta``."""
+    """Ideal polytropic gas: ``P = R*rho*theta``, ``e = c_v*theta``.
+
+    The one gas law the configuration offers.  Any object with ``p``,
+    ``e`` and the analytic partials ``p_rho``, ``p_theta``, ``e_rho``,
+    ``e_theta``, each a function of ``(rho, theta)``, serves as a gas law:
+    :meth:`Background.of`, the remainders and the identity suite read
+    nothing else.
+    """
 
     def __init__(self, R: float = 1.0, c_v: float = 1.0):
         if R <= 0 or c_v <= 0:
             raise ParameterError("R and c_v must be positive")
         self.R = float(R)
         self.c_v = float(c_v)
-        self.tag = "ideal-polytropic"
 
     def p(self, rho, theta):
         return self.R * rho * theta
@@ -178,69 +190,6 @@ class IdealGasEOS:
 
     def __repr__(self):
         return f"IdealGasEOS(R={self.R}, c_v={self.c_v})"
-
-
-class CallableEOS:
-    """General gas law from user callables ``p(rho, theta)``, ``e(rho, theta)``.
-
-    Missing partial derivatives fall back to central differences with step
-    ``1e-6 * max(1, |x|)``.  Construction validates admissibility
-    (``p_rho > 0``, ``e_theta > 0``) and the thermodynamic consistency
-    relation on a sample lattice unless ``validate=False``.
-    """
-
-    _FD_REL = 1e-6
-
-    def __init__(self, p, e, p_rho=None, p_theta=None, e_rho=None,
-                 e_theta=None, tag: str = "user", validate: bool = True):
-        self.p = p
-        self.e = e
-        self.fd_backed = any(fn is None for fn in (p_rho, p_theta, e_rho, e_theta))
-        self.p_rho = p_rho if p_rho is not None else self._fd(p, 0)
-        self.p_theta = p_theta if p_theta is not None else self._fd(p, 1)
-        self.e_rho = e_rho if e_rho is not None else self._fd(e, 0)
-        self.e_theta = e_theta if e_theta is not None else self._fd(e, 1)
-        self.tag = tag
-        if validate:
-            validate_eos(self)
-
-    @classmethod
-    def _fd(cls, fn, arg):
-        def deriv(rho, theta):
-            x = rho if arg == 0 else theta
-            h = cls._FD_REL * np.maximum(1.0, np.abs(x))
-            if arg == 0:
-                return (fn(rho + h, theta) - fn(rho - h, theta)) / (2.0 * h)
-            return (fn(rho, theta + h) - fn(rho, theta - h)) / (2.0 * h)
-        return deriv
-
-
-def validate_eos(eos, rho_range=(0.5, 2.0), theta_range=(0.5, 2.0),
-                 samples: int = 8, rtol=None) -> None:
-    """Check admissibility and thermodynamic consistency on a sample lattice.
-
-    Raises :class:`ParameterError` if ``p_rho <= 0`` or ``e_theta <= 0``
-    anywhere, or if the consistency residual exceeds ``rtol`` relative to
-    the local pressure scale.  The default tolerance is 1e-10; families
-    whose partials come from the difference-quotient fallback get 1e-9,
-    the noise floor of the central differences themselves.
-    """
-    if rtol is None:
-        rtol = 1e-9 if getattr(eos, "fd_backed", False) else 1e-10
-    rho = np.linspace(*rho_range, samples)[:, None]
-    theta = np.linspace(*theta_range, samples)[None, :]
-    rho, theta = np.broadcast_arrays(rho, theta)
-    if np.any(eos.p_rho(rho, theta) <= 0.0):
-        raise ParameterError(f"EOS '{eos.tag}': p_rho must be positive")
-    if np.any(eos.e_theta(rho, theta) <= 0.0):
-        raise ParameterError(f"EOS '{eos.tag}': e_theta must be positive")
-    res = thermo_consistency_residual(eos, rho, theta)
-    scale = np.maximum(np.abs(eos.p(rho, theta)), 1.0)
-    worst = float(np.max(np.abs(res) / scale))
-    if worst > rtol:
-        raise ParameterError(
-            f"EOS '{eos.tag}': thermodynamic consistency residual {worst:.3e} "
-            f"exceeds {rtol:.1e}")
 
 
 def thermo_consistency_residual(eos, rho, theta):

@@ -26,6 +26,7 @@ from .incompressible import IncompressibleSolver
 from .initial import InitError, make_well_prepared, random_band_scalar
 from .linearized import (LinearizedProblem, check_estimate,
                          constant_coefficient, solve_linearized, standing_wave)
+from .model import DomainError, ParameterError
 
 __all__ = ["RateFit", "fit_rate", "run_single", "run_reference", "run_sweep",
            "run_linearized_probe", "write_diagnostics_csv", "RunError"]
@@ -120,8 +121,9 @@ class _Setup:
 
 
 def _setup(cfg: ExperimentConfig, out_dir, seed) -> _Setup:
-    """Build the grid and the gas law, check that the observer's weight is
-    finite on the grid, resolve the seed, and create the output directory.
+    """Build the grid and the gas law, check that every Sobolev weight the
+    configuration asks for is finite on the grid, resolve the seed, and
+    create the output directory.
 
     A ``seed`` given here replaces ``init.seed`` in the set-up's copy of the
     configuration, so ``effective_config.ini`` reproduces the run."""
@@ -129,12 +131,13 @@ def _setup(cfg: ExperimentConfig, out_dir, seed) -> _Setup:
         cfg = ExperimentConfig({sec: dict(keys) for sec, keys in cfg.raw.items()})
         cfg.raw["init"]["seed"] = str(seed)
     grid = cfg.build_grid()
-    order = cfg.get("diagnostics", "order")
     with np.errstate(over="ignore"):
-        weight = grid.sobolev_weight(order)
-    if not np.all(np.isfinite(weight)):
-        raise ConfigError(f"diagnostics.order = {order}: the weight "
-                          f"(1 + |k|^2)^{order} overflows on this grid")
+        for key in ("diagnostics.order", "init.norm_order",
+                    "linearized.norm_order"):
+            order = cfg.get(*key.split("."))
+            if not np.all(np.isfinite(grid.sobolev_weight(order))):
+                raise ConfigError(f"{key} = {order}: the weight (1 + |k|^2)"
+                                  f"^{order} overflows on this grid")
     setup = _Setup(cfg, Path(out_dir), grid, cfg.build_eos(),
                    cfg.get("init", "seed"))
     setup.out.mkdir(parents=True, exist_ok=True)
@@ -172,6 +175,8 @@ def _prepare(s: _Setup, params, **changes):
     except InitError as exc:
         key = f"init.{exc.key}" if exc.key else "init"
         raise ConfigError(f"{key}: {exc}") from None
+    except ParameterError as exc:
+        raise ConfigError(f"params: {exc}") from None
 
 
 def _run_one_compressible(s: _Setup, params, dt, prepared, reference):
@@ -384,7 +389,11 @@ def run_linearized_probe(cfg: ExperimentConfig, out_dir, seed=None):
                 horizon=cfg.get("linearized", "t_end"),
                 norm_order=cfg.get("linearized", "norm_order"))
             traj = solve_linearized(grid, problem, params, s.eos, dt=dt)
-            rep = check_estimate(traj, c0=c0)
+            try:
+                rep = check_estimate(traj, c0=c0)
+            except DomainError as exc:
+                raise ConfigError(f"linearized.norm_order = "
+                                  f"{problem.norm_order}: {exc}") from None
             constants[delta] = rep.constant
             records.append(diag.DiagnosticsRecord(
                 time=traj.times[-1], bundle_sup=max(traj.bundles),

@@ -411,7 +411,7 @@ def test_radiation_relaxation_against_ode_oracle(grid):
     dt, t_end = 1e-3, 0.3
     solver = CompressibleSolver(grid, params, EOS,
                                 SolverConfig(dt=dt, t_end=t_end, scheme="imex2"))
-    traj = solver.run(pert, cadence=20,
+    traj = solver.run(pert.to_primitive(params), cadence=20,
                       observer=lambda X, t: (t, float(grid.ifft(X[3])[0, 0]),
                                              float(grid.ifft(X[4])[0, 0])))
     e_theta = 1.0
@@ -441,7 +441,7 @@ def test_run_aborts_and_reports_last_valid_time(grid):
     solver = CompressibleSolver(grid, params, EOS,
                                 SolverConfig(dt=0.05, t_end=1.0,
                                              positivity_interval=1))
-    traj = solver.run(pert, cadence=1)
+    traj = solver.run(pert.to_primitive(params), cadence=1)
     assert traj.status == "aborted"
     assert traj.abort_time is not None
     assert "advective" in traj.abort_reason
@@ -460,8 +460,9 @@ def test_negative_radiation_points_counts_observations_below_zero():
                              -1.3 * bump)
     solver = CompressibleSolver(grid, params, EOS,
                                 SolverConfig(dt=1e-3, t_end=0.3))
-    traj = solver.run(pert, cadence=1, observer=lambda X, t: bool(
-        np.min(params.n_bar + grid.ifft(X[grid.dim + 2])) < 0.0))
+    traj = solver.run(pert.to_primitive(params), cadence=1,
+                      observer=lambda X, t: bool(np.min(
+                          params.n_bar + grid.ifft(X[grid.dim + 2])) < 0.0))
     assert traj.status == "ok" and len(traj.records) == 301
     assert traj.negative_radiation_points == sum(traj.records)
     assert 0 < traj.negative_radiation_points < len(traj.records)

@@ -3,7 +3,7 @@ import pytest
 
 from rhdlab.fields import SpectralGrid
 from rhdlab.initial import InitError, InitSpec, make_well_prepared
-from rhdlab.model import IdealGasEOS, PhysParams
+from rhdlab.model import IdealGasEOS, ParameterError, PhysParams
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +80,22 @@ def test_unreachable_budget_raises(grid):
     with pytest.raises(InitError):
         make_well_prepared(InitSpec(budget=500.0, delta=1.0, seed=0),
                            grid, params, EOS)
+
+
+def test_missed_share_blames_its_cause():
+    # at a steep order the weight shrinks every shape into the round-off of
+    # its background: the norm order is at fault; with theta_bar = 1e10 the
+    # radiation perturbation is below the round-off of n_bar = 1e40 at any
+    # order: the parameters are
+    grid = SpectralGrid(dim=2, points_per_axis=16)
+    with pytest.raises(InitError, match="density .* for 0.1") as exc:
+        make_well_prepared(InitSpec(budget=0.5, delta=0.1, norm_order=20),
+                           grid, PhysParams(delta=0.1), EOS)
+    assert exc.value.key == "norm_order"
+    params = PhysParams.equilibrium(delta=0.1, theta_bar=1e10)
+    with pytest.raises(ParameterError, match="radiation perturbation is "
+                                             "below the round-off of n_bar"):
+        make_well_prepared(InitSpec(budget=0.5, delta=0.1), grid, params, EOS)
 
 
 def test_spectrum_peak_must_fit_dealiased_band(grid):

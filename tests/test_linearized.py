@@ -126,6 +126,17 @@ def test_check_estimate_hand_arithmetic():
     assert check_estimate(zero).constant == 0.0
 
 
+def test_check_estimate_refuses_an_overflowing_right_side():
+    # a finite bundle times the capped exponential e^700 ~ 1e304 overflows:
+    # an error, not a constant of 0 against an infinite right side
+    traj = LinearizedTrajectory(times=[0.0, 1.0], bundles=[1e10, 1e10],
+                                cum_dissipation=[0.0, 1.0],
+                                cum_forcing=[0.0, 0.0],
+                                cum_coeff_load=[0.0, 1e3])
+    with pytest.raises(DomainError, match="not finite"):
+        check_estimate(traj)
+
+
 def test_solution_map_is_additive():
     grid = SpectralGrid(dim=2, points_per_axis=16)
     params = PhysParams(delta=0.1)

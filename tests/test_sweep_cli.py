@@ -2,6 +2,7 @@ import json
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from rhdlab.cli import main as cli_main
 from rhdlab.config import ConfigError, default_config, load_config
 from rhdlab.identities import _remainder_checks, run_identity_suite
-from rhdlab.model import Background, CallableEOS, IdealGasEOS, PhysParams
+from rhdlab.model import Background, IdealGasEOS, PhysParams
 from rhdlab.fields import SpectralGrid
 from rhdlab.sweep import RunError, fit_rate, run_single
 
@@ -259,8 +260,13 @@ def test_remainders_quadratic_catches_wrong_background(changes):
 def test_identity_suite_catches_broken_eos():
     grid = SpectralGrid(dim=2, points_per_axis=32)
     params = PhysParams()
-    broken = CallableEOS(p=lambda r, t: r * t, e=lambda r, t: t + 1.0 / r,
-                         validate=False)
+    # P = rho*theta with e = theta + 1/rho: analytic partials, and the
+    # thermodynamic relation fails by exactly 1
+    broken = SimpleNamespace(p=lambda r, t: r * t, e=lambda r, t: t + 1.0 / r,
+                             p_rho=lambda r, t: t + 0.0 * r,
+                             p_theta=lambda r, t: r + 0.0 * t,
+                             e_rho=lambda r, t: -1.0 / r ** 2 + 0.0 * t,
+                             e_theta=lambda r, t: 1.0 + 0.0 * r)
     results = run_identity_suite(grid, params, broken, seed=0, n_fields=1)
     failed = {r.name for r in results if not r.passed}
     assert "thermo-relation" in failed
@@ -336,6 +342,19 @@ def test_cli_exit_codes_and_commands(tmp_path, capsys):
             # the equilibrium radiation theta_bar**4 overflows
             ("run", "[grid]\npoints_per_axis = 16\n[params]\n"
                     "theta_bar = 1e100\n", "params.theta_bar"),
+            # sigma_tilde*theta_bar**4, and with it n_bar, overflows
+            ("run", "[grid]\npoints_per_axis = 16\n[params]\n"
+                    "sigma_tilde = 1e300\ntheta_bar = 1e10\n", "sigma_tilde"),
+            # the radiation perturbation is below the round-off of n_bar = 1e40
+            ("run", "[grid]\npoints_per_axis = 16\n[params]\n"
+                    "theta_bar = 1e10\n", "params: the"),
+            # the probe's weight overflows, or its estimate's right side does
+            ("linearized", "[grid]\npoints_per_axis = 16\n[linearized]\n"
+                           "t_end = 0.002\nnorm_order = 200\n",
+             "linearized.norm_order"),
+            ("linearized", "[grid]\npoints_per_axis = 16\n[linearized]\n"
+                           "t_end = 0.002\nnorm_order = 120\n",
+             "linearized.norm_order"),
             # the box volume overflows, or the largest |k|^2 does
             ("run", "[grid]\npoints_per_axis = 16\nextent = 1e308\n"
                     "[solver]\nt_end = 0.01\n", "grid.extent"),
