@@ -2,12 +2,18 @@
 
 The solver steps the perturbation form: the deviations
 ``(rho - rho_bar, u, theta - theta_bar, n - n_bar)`` from the radiative
-equilibrium.  Its IMEX split integrates the constant-coefficient acoustic
-subsystem (whose pressure gradients carry the 1/delta^2 weight), all
-diffusion, and the linear matter-radiation exchange implicitly with a cached
-per-mode factorization, so the stable time step does not shrink as delta
-does; advection and every nonlinear remainder stay explicit.  The time
-schemes come from :data:`rhdlab.steppers.SCHEMES`.
+equilibrium.  A run holds the state in one shape only: it takes a primitive
+:class:`CompressibleState`, packs its deviation into masked spectral
+coefficients once, and steps those.  Each invariant check rebuilds the
+primitive state from the coefficients' point values to validate it, and
+the run ends with those point values as its final state.
+
+The IMEX split integrates the constant-coefficient acoustic subsystem
+(whose pressure gradients carry the 1/delta^2 weight), all diffusion, and
+the linear matter-radiation exchange implicitly with a cached per-mode
+factorization, so the stable time step does not shrink as delta does;
+advection and every nonlinear remainder stay explicit.  The time schemes
+come from :data:`rhdlab.steppers.SCHEMES`.
 
 The implicit part is the symbol built by
 :func:`rhdlab.steppers.split_symbol` from the background coefficients in
@@ -40,7 +46,7 @@ from .steppers import (SCHEMES, ImexStepper, SolverError, pack_state,
                        split_symbol, unpack_state)
 
 __all__ = [
-    "SolverConfig", "CompressibleState", "PerturbationState", "Trajectory",
+    "SolverConfig", "CompressibleState", "Trajectory",
     "StateInvalidError", "CompressibleSolver", "default_dt",
     "rhs_primitive", "rhs_perturbation", "rhs_momentum_form",
 ]
@@ -75,7 +81,6 @@ class CompressibleState:
     u: np.ndarray
     theta: np.ndarray
     rad: np.ndarray
-    time: float = 0.0
 
     def validate(self, grid: SpectralGrid) -> None:
         for name, f in (("rho", self.rho), ("theta", self.theta), ("rad", self.rad)):
@@ -92,36 +97,18 @@ class CompressibleState:
         if np.min(self.theta) <= 0.0:
             raise StateInvalidError(f"min theta = {np.min(self.theta)} <= 0")
 
-    def to_perturbation(self, params: PhysParams) -> "PerturbationState":
-        return PerturbationState(self.rho - params.rho_bar, self.u.copy(),
-                                 self.theta - params.theta_bar,
-                                 self.rad - params.n_bar, self.time)
-
-
-@dataclass
-class PerturbationState:
-    """Deviations from the constant background; same layout as the primitive state."""
-    drho: np.ndarray
-    u: np.ndarray
-    dtheta: np.ndarray
-    drad: np.ndarray
-    time: float = 0.0
-
-    def to_primitive(self, params: PhysParams) -> CompressibleState:
-        return CompressibleState(params.rho_bar + self.drho, self.u.copy(),
-                                 params.theta_bar + self.dtheta,
-                                 params.n_bar + self.drad, self.time)
-
 
 @dataclass
 class Trajectory:
     """Result of a run: the observation times, the observer's records,
     the final state, how the run ended, and the count of observations with
     negative radiation.  Every norm of the run is in ``records``; the run
-    summaries take their sups in time from there."""
+    summaries take their sups in time from there.  ``final_state`` holds
+    the point values ``(drho, u, dtheta, drad)`` of the state the run ended
+    or aborted at, as :func:`rhdlab.steppers.unpack_state` returns them."""
     times: list = field(default_factory=list)
     records: list = field(default_factory=list)
-    final_state: Optional[PerturbationState] = None
+    final_state: Optional[tuple] = None
     status: str = "ok"
     abort_reason: Optional[str] = None
     abort_time: Optional[float] = None
@@ -232,12 +219,12 @@ def rhs_primitive(grid: SpectralGrid, state: CompressibleState,
     return rho_t, u_t, theta_t, rad_t
 
 
-def rhs_perturbation(grid: SpectralGrid, pert: PerturbationState,
+def rhs_perturbation(grid: SpectralGrid, drho, u, dtheta, drad,
                      params: PhysParams, eos):
     """Tendencies ``(drho_t, u_t, dtheta_t, drad_t)`` of the velocity
     perturbation form: the symbol the IMEX solver factors, applied to the
     state, plus the nonlinear remainders the solver treats explicitly."""
-    X = pack_state(grid, pert.drho, pert.u, pert.dtheta, pert.drad)
+    X = pack_state(grid, drho, u, dtheta, drad)
     bg = Background.of(params, eos)
     F = (split_symbol(grid, bg).apply(X)
          + _velocity_form_remainders(grid, X, bg, eos))
@@ -302,14 +289,13 @@ class CompressibleSolver:
         self._stepper = ImexStepper(config.scheme, split_symbol(grid, self._bg),
                                     config.dt)
 
-    # spectral packing --------------------------------------------------
-
-    def pack(self, pert: PerturbationState) -> np.ndarray:
-        return self.grid.mask_spectral(
-            pack_state(self.grid, pert.drho, pert.u, pert.dtheta, pert.drad))
-
-    def unpack(self, X: np.ndarray, time: float) -> PerturbationState:
-        return PerturbationState(*unpack_state(self.grid, X), time)
+    def pack(self, state: CompressibleState) -> np.ndarray:
+        """Masked coefficients of the deviation of ``state`` from the
+        background, in the :func:`rhdlab.steppers.pack_state` layout."""
+        pr = self.params
+        return self.grid.mask_spectral(pack_state(
+            self.grid, state.rho - pr.rho_bar, state.u,
+            state.theta - pr.theta_bar, state.rad - pr.n_bar))
 
     # stepping -------------------------------------------------------------
 
@@ -331,47 +317,46 @@ class CompressibleSolver:
         loop itself takes no norm: it records the observation times and
         counts the observations with a negative radiation point value.
         Invariant violations abort the run and are reported in the
-        trajectory rather than raised.
+        trajectory rather than raised.  The run starts at time 0.
         """
-        cfg = self.config
-        grid = self.grid
+        cfg, grid, pr = self.config, self.grid, self.params
         state0.validate(grid)
-        pert = state0.to_perturbation(self.params)
-        traj = Trajectory(dt=cfg.dt, delta=self.params.delta)
-        nsteps = max(0, int(np.ceil((cfg.t_end - pert.time) / cfg.dt - 1e-12)))
-        X = self.pack(pert)
-        t = pert.time
-        last_valid = t
+        traj = Trajectory(dt=cfg.dt, delta=pr.delta)
+        nsteps = max(0, int(np.ceil(cfg.t_end / cfg.dt - 1e-12)))
+        X = self.pack(state0)
+        t = last_valid = 0.0
 
         def observe(X, t, p):
             """``p`` is the unpacked ``X`` of an invariant check, or None."""
             traj.times.append(t)
-            drad = p.drad if p is not None else grid.ifft(X[grid.dim + 2])
-            if np.min(self.params.n_bar + drad) < 0.0:
+            drad = p[3] if p is not None else grid.ifft(X[grid.dim + 2])
+            if np.min(pr.n_bar + drad) < 0.0:
                 traj.negative_radiation_points += 1
             if observer is not None:
                 traj.records.append(observer(X, t))
 
         def check_invariants(p):
-            prim = p.to_primitive(self.params)
-            prim.validate(grid)
-            bound = default_dt(grid, prim.u)
+            drho, u, dtheta, drad = p
+            CompressibleState(pr.rho_bar + drho, u, pr.theta_bar + dtheta,
+                              pr.n_bar + drad).validate(grid)
+            bound = default_dt(grid, u)
             if cfg.dt > 4.0 * bound:
                 raise StateInvalidError(
                     f"dt={cfg.dt} exceeds 4x advective bound {bound:.3e}")
 
-        # point values of X, unpacked only for the invariant checks
-        p = self.unpack(X, t)
+        # point values of X, unpacked only for the invariant checks and
+        # before each one, so an aborted run ends on the state that failed
+        p = unpack_state(grid, X)
         try:
             check_invariants(p)
             observe(X, t, p)
             for istep in range(1, nsteps + 1):
                 X = self.step_spectral(X)
-                t = pert.time + istep * cfg.dt
+                t = istep * cfg.dt
                 last = istep == nsteps
                 check = istep % cfg.positivity_interval == 0 or last
                 seen = istep % max(1, cadence) == 0 or last
-                p = self.unpack(X, t) if check else None
+                p = unpack_state(grid, X) if check else None
                 if check:
                     check_invariants(p)
                 last_valid = t
@@ -381,5 +366,5 @@ class CompressibleSolver:
             traj.status = "aborted"
             traj.abort_reason = str(exc)
             traj.abort_time = last_valid
-        traj.final_state = p if p is not None else self.unpack(X, t)
+        traj.final_state = p if p is not None else unpack_state(grid, X)
         return traj

@@ -20,8 +20,7 @@ from typing import Optional
 from . import incompressible, steppers
 from .fields import SpectralGrid
 from .initial import _MODES, InitSpec
-from .model import (IdealGasEOS, ParameterError, PhysParams,
-                    equilibrium_radiation)
+from .model import IdealGasEOS, ParameterError, PhysParams
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "default_config",
            "config_reference_text"]
@@ -239,9 +238,7 @@ class ExperimentConfig:
             values["delta"] = delta
         try:
             if values["n_bar"] == "auto":
-                values["n_bar"] = equilibrium_radiation(
-                    values["theta_bar"], values["sigma_a"],
-                    values["sigma_tilde"])
+                return PhysParams.equilibrium(**values)
             return PhysParams(**values)
         except ParameterError as exc:
             raise ConfigError(f"params: {exc}") from None

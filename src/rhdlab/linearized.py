@@ -120,7 +120,9 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
     """Integrate the linearized system and accumulate estimate ingredients.
 
     Dissipation, forcing, and coefficient-load integrals are accumulated by
-    the trapezoid rule at every step regardless of ``cadence``.
+    the trapezoid rule at every step regardless of ``cadence``.  Dissipation
+    weights of ``H^norm_order`` that overflow raise
+    :class:`rhdlab.model.DomainError`.
     """
     if dt <= 0:
         raise DomainError("dt must be positive")
@@ -144,17 +146,18 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
         A = problem.coeff.sample(grid, t)
         return A - a_mid, 1.0 + grid.sobolev_norm(A, no) ** 2
 
-    # (forcing, first slot of X it drives, divisor)
-    forced = [(f, slot, c) for f, slot, c in (
-        (problem.forcing_mom, 1, 1.0), (problem.forcing_temp, d + 1, 1.0),
-        (problem.forcing_rad, d + 2, pr.delta)) if f is not None]
+    # (forcing, first slot of X it drives, tendency divisor, load divisor)
+    forced = [row for row in (
+        (problem.forcing_mom, 1, 1.0, 1.0),
+        (problem.forcing_temp, d + 1, 1.0, d2),
+        (problem.forcing_rad, d + 2, pr.delta, d2)) if row[0] is not None]
 
     def explicit_at(t, ap):
         def explicit(X):
             # point values of the forcings, then of the momentum flux,
             # forward-transformed in one call
             terms = [np.reshape(f(grid, t) / c, (-1,) + grid.shape)
-                     for f, _, c in forced]
+                     for f, _, c, _ in forced]
             if not a_constant:
                 # ap * (mu_bar d_j m_i + (lam+mu)_bar div(m) delta_ij), whose
                 # divergence over j is the momentum tendency
@@ -167,7 +170,7 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
             if terms:
                 F = np.split(grid.fft(np.concatenate(terms)),
                              np.cumsum([len(v) for v in terms])[:-1])
-                for (_, slot, _), Fs in zip(forced, F):
+                for (_, slot, _, _), Fs in zip(forced, F):
                     N[slot:slot + len(Fs)] += Fs
                 if not a_constant:
                     N[1:1 + d] += np.sum(grid.ik * F[-1].reshape(
@@ -175,19 +178,19 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
             return grid.mask_spectral(N)
         return explicit
 
-    # momentum, temperature and radiation forcings with their load divisors
-    forcings = ((problem.forcing_mom, 1.0), (problem.forcing_temp, d2),
-                (problem.forcing_rad, d2))
-
     def forcing_load(t):
         return sum((grid.sobolev_norm(f(grid, t), max(no - 1, 0)) ** 2 / c
-                    for f, c in forcings if f is not None), 0.0)
+                    for f, _, _, c in forced), 0.0)
 
     # Parseval weights per slot of X: the dissipation rate takes gradients
-    # of nrel in H^(no-1), of the rest in H^no, and the exchange term in H^no
+    # of nrel in H^(no-1), of the rest in H^no, and the exchange term in H^no;
+    # a finite H^no weight can still overflow once divided by delta^2
     w_no = grid.sobolev_weight(no)
-    w_diss = grid.ksq * np.stack([grid.sobolev_weight(max(no - 1, 0)) / d2]
-                                 + [w_no] * d + [w_no / d2] * 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w_diss = grid.ksq * np.stack([grid.sobolev_weight(max(no - 1, 0)) / d2]
+                                     + [w_no] * d + [w_no / d2] * 2)
+    if not np.all(np.isfinite(w_diss)):
+        raise DomainError(f"the H^{no} dissipation weights overflow")
     bundle = bundle_factors(d, pr.delta)
 
     def diss_rate(X):

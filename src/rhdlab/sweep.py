@@ -250,9 +250,9 @@ def run_single(cfg: ExperimentConfig, out_dir, seed=None):
 
     s.write("diagnostics.csv", traj.records, "summary.json", summary)
     if cfg.get("output", "snapshots") and traj.final_state is not None:
-        fs = traj.final_state
-        save_field(s.out / "final_velocity.dat", fs.u, s.grid)
-        save_field(s.out / "final_density_pert.dat", fs.drho, s.grid)
+        drho, u = traj.final_state[:2]
+        save_field(s.out / "final_velocity.dat", u, s.grid)
+        save_field(s.out / "final_density_pert.dat", drho, s.grid)
     if traj.status != "ok":
         raise RunError(f"run aborted at t={traj.abort_time}: {traj.abort_reason}")
     return summary
@@ -388,8 +388,8 @@ def run_linearized_probe(cfg: ExperimentConfig, out_dir, seed=None):
                 init_drad=np.sqrt(delta) * amp * shapes[2 + grid.dim],
                 horizon=cfg.get("linearized", "t_end"),
                 norm_order=cfg.get("linearized", "norm_order"))
-            traj = solve_linearized(grid, problem, params, s.eos, dt=dt)
             try:
+                traj = solve_linearized(grid, problem, params, s.eos, dt=dt)
                 rep = check_estimate(traj, c0=c0)
             except DomainError as exc:
                 raise ConfigError(f"linearized.norm_order = "

@@ -3,14 +3,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rhdlab import compressible
 from rhdlab.compressible import (CompressibleSolver, CompressibleState,
-                                 PerturbationState, SolverConfig,
-                                 StateInvalidError, _derivatives, default_dt,
-                                 rhs_momentum_form, rhs_perturbation,
-                                 rhs_primitive)
+                                 SolverConfig, StateInvalidError, _derivatives,
+                                 default_dt, rhs_momentum_form,
+                                 rhs_perturbation, rhs_primitive)
 from rhdlab.fields import SpectralGrid
 from rhdlab.initial import InitSpec, make_well_prepared, random_band_scalar
 from rhdlab.model import IdealGasEOS, PhysParams
+from rhdlab.steppers import unpack_state
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +33,12 @@ def equilibrium_state(grid, params):
                              np.full(grid.shape, params.n_bar))
 
 
+def primitive(params, drho, u, dtheta, drad):
+    """The primitive state at the given deviations from the background."""
+    return CompressibleState(params.rho_bar + drho, u,
+                             params.theta_bar + dtheta, params.n_bar + drad)
+
+
 def smooth_state(grid, params, seed, amp=1e-3):
     rng = np.random.default_rng(seed)
     f = lambda: amp * random_band_scalar(grid, rng, 3.0)
@@ -39,8 +46,7 @@ def smooth_state(grid, params, seed, amp=1e-3):
     dth = params.theta_bar * f()
     drad = f()
     u = np.stack([f() for _ in range(grid.dim)])
-    return CompressibleState(params.rho_bar + drho, u,
-                             params.theta_bar + dth, params.n_bar + drad)
+    return primitive(params, drho, u, dth, drad)
 
 
 def test_solver_config_validation():
@@ -85,17 +91,13 @@ def test_rhs_primitive_uniform_state_values(grid):
 
 def test_rhs_perturbation_zero_and_uniform(grid):
     params = PhysParams(delta=0.1)
-    zero = PerturbationState(np.zeros(grid.shape),
-                             np.zeros((2,) + grid.shape),
-                             np.zeros(grid.shape), np.zeros(grid.shape))
-    for f in rhs_perturbation(grid, zero, params, EOS):
+    zero, u = np.zeros(grid.shape), np.zeros((2,) + grid.shape)
+    for f in rhs_perturbation(grid, zero, u, zero, zero, params, EOS):
         assert np.max(np.abs(f)) == 0.0
     # uniform small dtheta only: leading tendency is -4*dtheta
     eps = 1e-8
-    pert = PerturbationState(np.zeros(grid.shape),
-                             np.zeros((2,) + grid.shape),
-                             np.full(grid.shape, eps), np.zeros(grid.shape))
-    _, _, th_t, _ = rhs_perturbation(grid, pert, params, EOS)
+    _, _, th_t, _ = rhs_perturbation(grid, zero, u, np.full(grid.shape, eps),
+                                     zero, params, EOS)
     assert np.allclose(th_t, -4.0 * eps, rtol=1e-6)
 
 
@@ -105,19 +107,21 @@ def test_reformulation_equivalences(grid, background):
     eos = OFF_UNIT_EOS if background else EOS
     for seed in range(3):
         st = smooth_state(grid, params, seed)
-        pert = st.to_perturbation(params)
+        drho, dtheta = st.rho - params.rho_bar, st.theta - params.theta_bar
+        drad = st.rad - params.n_bar
         rho_t, u_t, th_t, n_t = rhs_primitive(grid, st, params, eos)
         mapped = [grid.mask(rho_t), grid.mask(u_t), grid.mask(th_t), grid.mask(n_t)]
-        assembled = rhs_perturbation(grid, pert, params, eos)
+        assembled = rhs_perturbation(grid, drho, st.u, dtheta, drad, params,
+                                     eos)
         for a, b in zip(mapped, assembled):
             assert np.max(np.abs(a - b)) < 1e-10 * np.max(np.abs(a))
-        nrel = pert.drho / params.rho_bar
+        nrel = drho / params.rho_bar
         mom = st.rho * st.u / params.rho_bar
         mapped_m = [grid.mask(rho_t / params.rho_bar),
                     grid.mask((rho_t * st.u + st.rho * u_t) / params.rho_bar),
                     grid.mask(th_t), grid.mask(n_t)]
-        assembled_m = rhs_momentum_form(grid, nrel, mom, pert.dtheta,
-                                        pert.drad, params, eos)
+        assembled_m = rhs_momentum_form(grid, nrel, mom, dtheta, drad,
+                                        params, eos)
         for a, b in zip(mapped_m, assembled_m):
             assert np.max(np.abs(a - b)) < 1e-10 * np.max(np.abs(a))
 
@@ -130,9 +134,7 @@ def test_equilibrium_fixed_point(grid, scheme):
                                              scheme=scheme))
     traj = solver.run(equilibrium_state(grid, params), cadence=100)
     assert traj.status == "ok"
-    fs = traj.final_state
-    worst = max(np.max(np.abs(fs.drho)), np.max(np.abs(fs.u)),
-                np.max(np.abs(fs.dtheta)), np.max(np.abs(fs.drad)))
+    worst = max(np.max(np.abs(f)) for f in traj.final_state)
     assert worst < 1e-12
 
 
@@ -144,7 +146,7 @@ def test_mass_conservation(grid):
     solver = CompressibleSolver(grid, params, EOS,
                                 SolverConfig(dt=1e-3, t_end=0.05))
     traj = solver.run(st, cadence=10)
-    mass1 = np.mean(traj.final_state.to_primitive(params).rho) * grid.volume
+    mass1 = np.mean(params.rho_bar + traj.final_state[0]) * grid.volume
     assert abs(mass1 - mass0) < 1e-12 * mass0
 
 
@@ -297,7 +299,7 @@ def test_transforms_per_step(dim, scheme, limit, transforms):
     solver = CompressibleSolver(g, params, EOS,
                                 SolverConfig(dt=1e-3, t_end=1e-3,
                                              scheme=scheme))
-    X = solver.pack(st.to_perturbation(params))
+    X = solver.pack(st)
     transforms[0] = 0
     solver.step_spectral(X)
     assert 0 < transforms[0] <= limit
@@ -319,7 +321,7 @@ def test_one_transform_each_way_per_explicit_evaluation(dim, scheme, fields,
     solver = CompressibleSolver(g, params, EOS,
                                 SolverConfig(dt=1e-3, t_end=1e-3,
                                              scheme=scheme))
-    X = solver.pack(st.to_perturbation(params))
+    X = solver.pack(st)
     transforms[0] = 0
     transforms[1].clear()
     transforms[2].clear()
@@ -385,7 +387,7 @@ def test_explicit_evaluation_traced_peak_3d():
                                g, params, EOS)
     solver = CompressibleSolver(g, params, EOS,
                                 SolverConfig(dt=1e-3, t_end=1e-3))
-    X = solver.pack(st.to_perturbation(params))
+    X = solver.pack(st)
     d = g.dim
     point_bytes = (d + 3 + d * d + 3 * d + 1) * np.zeros(g.shape).nbytes
     tracemalloc.start()
@@ -405,13 +407,12 @@ def test_radiation_relaxation_against_ode_oracle(grid):
 
     params = PhysParams(delta=0.1)
     z0, g0 = 1e-4, -5e-5
-    pert = PerturbationState(np.zeros(grid.shape),
-                             np.zeros((2,) + grid.shape),
-                             np.full(grid.shape, z0), np.full(grid.shape, g0))
+    st = primitive(params, np.zeros(grid.shape), np.zeros((2,) + grid.shape),
+                   np.full(grid.shape, z0), np.full(grid.shape, g0))
     dt, t_end = 1e-3, 0.3
     solver = CompressibleSolver(grid, params, EOS,
                                 SolverConfig(dt=dt, t_end=t_end, scheme="imex2"))
-    traj = solver.run(pert.to_primitive(params), cadence=20,
+    traj = solver.run(st, cadence=20,
                       observer=lambda X, t: (t, float(grid.ifft(X[3])[0, 0]),
                                              float(grid.ifft(X[4])[0, 0])))
     e_theta = 1.0
@@ -436,12 +437,12 @@ def test_run_aborts_and_reports_last_valid_time(grid):
     params = PhysParams(delta=0.5)
     x = grid.grid_points()
     u = np.stack([50.0 + 0.1 * np.sin(x[0]), np.zeros(grid.shape)])
-    pert = PerturbationState(np.zeros(grid.shape), u,
-                             np.zeros(grid.shape), np.zeros(grid.shape))
+    zero = np.zeros(grid.shape)
+    st = primitive(params, zero, u, zero, zero)
     solver = CompressibleSolver(grid, params, EOS,
                                 SolverConfig(dt=0.05, t_end=1.0,
                                              positivity_interval=1))
-    traj = solver.run(pert.to_primitive(params), cadence=1)
+    traj = solver.run(st, cadence=1)
     assert traj.status == "aborted"
     assert traj.abort_time is not None
     assert "advective" in traj.abort_reason
@@ -456,11 +457,11 @@ def test_negative_radiation_points_counts_observations_below_zero():
     x = grid.grid_points()
     bump = np.exp(np.cos(x[0]) + np.cos(x[1]) - 2.0)
     zero = np.zeros(grid.shape)
-    pert = PerturbationState(zero, np.zeros((2,) + grid.shape), zero,
-                             -1.3 * bump)
+    st = primitive(params, zero, np.zeros((2,) + grid.shape), zero,
+                   -1.3 * bump)
     solver = CompressibleSolver(grid, params, EOS,
                                 SolverConfig(dt=1e-3, t_end=0.3))
-    traj = solver.run(pert.to_primitive(params), cadence=1,
+    traj = solver.run(st, cadence=1,
                       observer=lambda X, t: bool(np.min(
                           params.n_bar + grid.ifft(X[grid.dim + 2])) < 0.0))
     assert traj.status == "ok" and len(traj.records) == 301
@@ -468,7 +469,7 @@ def test_negative_radiation_points_counts_observations_below_zero():
     assert 0 < traj.negative_radiation_points < len(traj.records)
 
 
-def test_run_unpacks_each_state_once(grid):
+def test_run_unpacks_each_state_once(grid, monkeypatch):
     # checking and observing the same step share one unpacked state, and the
     # final state reuses the last one
     params = PhysParams(delta=0.1)
@@ -479,18 +480,83 @@ def test_run_unpacks_each_state_once(grid):
                                 SolverConfig(dt=1e-3, t_end=nsteps * 1e-3,
                                              positivity_interval=1))
     calls = [0]
-    unpack = solver.unpack
 
-    def counted(X, time):
+    def counted(grid, X):
         calls[0] += 1
-        return unpack(X, time)
+        return unpack_state(grid, X)
 
-    solver.unpack = counted
+    monkeypatch.setattr(compressible, "unpack_state", counted)
     traj = solver.run(st, cadence=1)
     assert traj.status == "ok"
     assert len(traj.times) == nsteps + 1
     assert calls[0] == nsteps + 1
-    assert traj.final_state.time == pytest.approx(nsteps * 1e-3)
+    assert traj.times[-1] == pytest.approx(nsteps * 1e-3)
+
+
+def test_run_validates_once_on_entry_and_once_per_check(monkeypatch):
+    # the entry check of state0, then one per invariant check: at t = 0,
+    # every positivity_interval steps and after the last step
+    g = SpectralGrid(dim=2, points_per_axis=16)
+    params = PhysParams(delta=0.1)
+    st, _ = make_well_prepared(InitSpec(budget=0.5, delta=0.1, seed=2),
+                               g, params, EOS)
+    calls = [0]
+    validate = CompressibleState.validate
+
+    def counted(self, grid):
+        calls[0] += 1
+        validate(self, grid)
+
+    monkeypatch.setattr(CompressibleState, "validate", counted)
+    for nsteps, interval, checks in ((10, 3, 5), (9, 3, 4), (4, 1, 5),
+                                     (3, 10, 2), (0, 2, 1)):
+        solver = CompressibleSolver(g, params, EOS,
+                                    SolverConfig(dt=1e-3, t_end=nsteps * 1e-3,
+                                                 positivity_interval=interval))
+        calls[0] = 0
+        traj = solver.run(st, cadence=2)
+        assert traj.status == "ok"
+        assert calls[0] == 1 + checks, (nsteps, interval)
+
+
+@pytest.mark.parametrize("fail_at", [None, 4])
+def test_final_state_is_the_unpacked_stepped_state(monkeypatch, fail_at):
+    # a finished run ends on the point values of its last state; a run whose
+    # check fails ends on the state that failed, not on the one checked
+    # before it
+    g = SpectralGrid(dim=2, points_per_axis=16)
+    params = PhysParams(delta=0.1)
+    st, _ = make_well_prepared(InitSpec(budget=0.5, delta=0.1, seed=2),
+                               g, params, EOS)
+    nsteps, interval = 6, 2
+    solver = CompressibleSolver(g, params, EOS,
+                                SolverConfig(dt=1e-3, t_end=nsteps * 1e-3,
+                                             positivity_interval=interval))
+    # validate runs on entry, at t = 0 and then at steps 2, 4, 6
+    calls = [0]
+    validate = CompressibleState.validate
+
+    def failing(self, grid):
+        calls[0] += 1
+        if fail_at is not None and calls[0] == 2 + fail_at // interval:
+            raise StateInvalidError("injected")
+        validate(self, grid)
+
+    monkeypatch.setattr(CompressibleState, "validate", failing)
+    traj = solver.run(st, cadence=1)
+    stepped = fail_at if fail_at is not None else nsteps
+    if fail_at is None:
+        assert traj.status == "ok"
+    else:
+        assert traj.status == "aborted" and traj.abort_reason == "injected"
+        assert traj.abort_time == pytest.approx((fail_at - 1) * 1e-3)
+    X = solver.pack(st)
+    for _ in range(stepped):
+        X = solver.step_spectral(X)
+    want = unpack_state(g, X)
+    assert len(traj.final_state) == len(want) == 4
+    for got, f in zip(traj.final_state, want):
+        assert np.array_equal(got, f)
 
 
 def test_run_observes_checked_state_without_transforms(grid, transforms):

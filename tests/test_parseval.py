@@ -8,11 +8,12 @@ spectral forms, which keep only the half spectrum of each real field, must
 match them to round-off, with energy at the Nyquist mode, in 2D and 3D.
 """
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
 from rhdlab import diagnostics as diag
-from rhdlab.compressible import PerturbationState
 from rhdlab.fields import SpectralGrid
 from rhdlab.linearized import (LinearizedProblem, constant_coefficient,
                                solve_linearized, standing_wave)
@@ -129,11 +130,14 @@ def grid(request):
     return SpectralGrid(dim=dim, points_per_axis=n, dealias=False)
 
 
+# deviations from the background, in the order of pack_state, and a time
+State = namedtuple("State", "drho u dtheta drad time")
+
+
 def random_state(g, seed, time=0.0):
     rng = np.random.default_rng(seed)
     f = lambda: rng.standard_normal(g.shape)
-    return PerturbationState(f(), np.stack([f() for _ in range(g.dim)]),
-                             f(), f(), time)
+    return State(f(), np.stack([f() for _ in range(g.dim)]), f(), f(), time)
 
 
 def packed(g, p):

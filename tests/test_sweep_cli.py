@@ -355,6 +355,14 @@ def test_cli_exit_codes_and_commands(tmp_path, capsys):
             ("linearized", "[grid]\npoints_per_axis = 16\n[linearized]\n"
                            "t_end = 0.002\nnorm_order = 120\n",
              "linearized.norm_order"),
+            # the weight is finite but the dissipation weights, which
+            # divide it by delta^2, overflow
+            ("linearized", "[grid]\npoints_per_axis = 16\n[linearized]\n"
+                           "t_end = 0.002\nnorm_order = 145\n",
+             "linearized.norm_order"),
+            ("linearized", "[grid]\npoints_per_axis = 16\n[linearized]\n"
+                           "t_end = 0.002\nnorm_order = 146\n",
+             "linearized.norm_order"),
             # the box volume overflows, or the largest |k|^2 does
             ("run", "[grid]\npoints_per_axis = 16\nextent = 1e308\n"
                     "[solver]\nt_end = 0.01\n", "grid.extent"),
