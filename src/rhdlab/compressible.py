@@ -3,8 +3,9 @@
 The solver steps the perturbation form: the deviations
 ``(rho - rho_bar, u, theta - theta_bar, n - n_bar)`` from the radiative
 equilibrium.  A run holds the state in one shape only: it takes a primitive
-:class:`CompressibleState`, packs its deviation into masked spectral
-coefficients once, and steps those.  Each invariant check rebuilds the
+:class:`CompressibleState`, packs its deviation into spectral
+coefficients on the dealias box once (the crop of the forward transform is
+the 2/3-rule filter), and steps those.  Each invariant check rebuilds the
 primitive state from the coefficients' point values to validate it, and
 the run ends with those point values as its final state.
 
@@ -170,7 +171,8 @@ def _derivatives(grid, X, a, b):
 def _velocity_form_remainders(grid, X, bg: Background, eos):
     """Spectral nonlinear remainders of the velocity form at packed state ``X``.
 
-    The radiation row carries its ``1/delta`` weight; nothing is dealiased.
+    The radiation row carries its ``1/delta`` weight; the forward transform
+    of :func:`rhdlab.steppers.pack_state` dealiases them.
     """
     pr = bg.params
     r_mass, r_vel, r_temp, r_rad = model.velocity_form_remainders(
@@ -186,7 +188,10 @@ def rhs_primitive(grid: SpectralGrid, state: CompressibleState,
     ``P_rho grad(rho) + P_theta grad(theta)``; for resolved fields this is
     the exact nodal gradient of the interpolated pressure, and it is the
     grouping under which the perturbation assemblies match to round-off.
-    Nothing is dealiased: a caller comparing the tendencies masks them.
+    The products are of the given point values, the derivatives of their
+    coefficients on ``grid``'s layout: for fields with modes outside the
+    dealias box, pass ``grid.whole()`` and mask the tendencies to compare
+    them, as the identity suite does.
     """
     state.validate(grid)
     rho, u, theta, rad = state.rho, state.u, state.theta, state.rad
@@ -223,12 +228,15 @@ def rhs_perturbation(grid: SpectralGrid, drho, u, dtheta, drad,
                      params: PhysParams, eos):
     """Tendencies ``(drho_t, u_t, dtheta_t, drad_t)`` of the velocity
     perturbation form: the symbol the IMEX solver factors, applied to the
-    state, plus the nonlinear remainders the solver treats explicitly."""
+    state, plus the nonlinear remainders the solver treats explicitly.
+
+    The state is packed onto ``grid``'s layout first, so on a dealiased
+    grid these are the tendencies of its part in the box, dealiased."""
     X = pack_state(grid, drho, u, dtheta, drad)
     bg = Background.of(params, eos)
     F = (split_symbol(grid, bg).apply(X)
          + _velocity_form_remainders(grid, X, bg, eos))
-    return unpack_state(grid, grid.mask_spectral(F))
+    return unpack_state(grid, F)
 
 
 def rhs_momentum_form(grid: SpectralGrid, nrel, mom, dtheta, drad,
@@ -263,7 +271,7 @@ def rhs_momentum_form(grid: SpectralGrid, nrel, mom, dtheta, drad,
     F = split_symbol(grid, bg, relative_density=True).apply(X)
     F += pack_state(grid, np.zeros_like(r_temp), r_mom, r_temp,
                     r_rad / pr.delta)
-    return unpack_state(grid, grid.mask_spectral(F))
+    return unpack_state(grid, F)
 
 
 # -- the IMEX solver ---------------------------------------------------------
@@ -272,7 +280,7 @@ class CompressibleSolver:
     """IMEX integrator with delta-uniform stability.
 
     Construction factors the implicit operator once, per ``|k|^2`` shell,
-    and spreads it onto the half spectrum; each explicit evaluation then
+    and spreads it onto the box modes; each explicit evaluation then
     costs ``d + 4`` inverse transforms of at most ``d + 3`` fields each
     (see ``_derivatives``) and one forward transform, and each stage one
     transverse scale plus one 4x4 contraction per mode.
@@ -290,18 +298,16 @@ class CompressibleSolver:
                                     config.dt)
 
     def pack(self, state: CompressibleState) -> np.ndarray:
-        """Masked coefficients of the deviation of ``state`` from the
-        background, in the :func:`rhdlab.steppers.pack_state` layout."""
+        """Coefficients of the deviation of ``state`` from the background,
+        in the :func:`rhdlab.steppers.pack_state` layout."""
         pr = self.params
-        return self.grid.mask_spectral(pack_state(
-            self.grid, state.rho - pr.rho_bar, state.u,
-            state.theta - pr.theta_bar, state.rad - pr.n_bar))
+        return pack_state(self.grid, state.rho - pr.rho_bar, state.u,
+                          state.theta - pr.theta_bar, state.rad - pr.n_bar)
 
     # stepping -------------------------------------------------------------
 
     def _explicit(self, X: np.ndarray) -> np.ndarray:
-        return self.grid.mask_spectral(
-            _velocity_form_remainders(self.grid, X, self._bg, self.eos))
+        return _velocity_form_remainders(self.grid, X, self._bg, self.eos)
 
     def step_spectral(self, X: np.ndarray) -> np.ndarray:
         return self._stepper.step(X, self._explicit)
@@ -316,8 +322,11 @@ class CompressibleSolver:
         time, and its return value appended to ``trajectory.records``.  The
         loop itself takes no norm: it records the observation times and
         counts the observations with a negative radiation point value.
-        Invariant violations abort the run and are reported in the
-        trajectory rather than raised.  The run starts at time 0.
+        Invariant violations, and any arithmetic of the run that overflows,
+        divides by zero or makes a NaN (a non-finite coefficient, say),
+        abort the run and are reported in the trajectory rather than
+        raised; ``abort_time`` is the time of the state before the one that
+        failed.  The run starts at time 0.
         """
         cfg, grid, pr = self.config, self.grid, self.params
         state0.validate(grid)
@@ -345,26 +354,30 @@ class CompressibleSolver:
                     f"dt={cfg.dt} exceeds 4x advective bound {bound:.3e}")
 
         # point values of X, unpacked only for the invariant checks and
-        # before each one, so an aborted run ends on the state that failed
+        # before each one, so an aborted run ends on the state that failed:
+        # X, at time t, whether its check, its observation or the step from
+        # it failed; last_valid is the time of the state before it
         p = unpack_state(grid, X)
         try:
-            check_invariants(p)
-            observe(X, t, p)
-            for istep in range(1, nsteps + 1):
-                X = self.step_spectral(X)
-                t = istep * cfg.dt
-                last = istep == nsteps
-                check = istep % cfg.positivity_interval == 0 or last
-                seen = istep % max(1, cadence) == 0 or last
-                p = unpack_state(grid, X) if check else None
-                if check:
-                    check_invariants(p)
-                last_valid = t
-                if seen:
-                    observe(X, t, p)
-        except (StateInvalidError, SolverError, DomainError) as exc:
-            traj.status = "aborted"
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                check_invariants(p)
+                observe(X, t, p)
+                for istep in range(1, nsteps + 1):
+                    X = self.step_spectral(X)
+                    last_valid, t = t, istep * cfg.dt
+                    last = istep == nsteps
+                    check = istep % cfg.positivity_interval == 0 or last
+                    seen = istep % max(1, cadence) == 0 or last
+                    p = unpack_state(grid, X) if check else None
+                    if check:
+                        check_invariants(p)
+                    if seen:
+                        observe(X, t, p)
+        except (StateInvalidError, SolverError, DomainError,
+                FloatingPointError) as exc:
+            traj.status, traj.abort_time = "aborted", last_valid
             traj.abort_reason = str(exc)
-            traj.abort_time = last_valid
+            if isinstance(exc, FloatingPointError):
+                traj.abort_reason = f"non-finite arithmetic: {exc}"
         traj.final_state = p if p is not None else unpack_state(grid, X)
         return traj

@@ -5,11 +5,17 @@ Conventions
 Scalar fields are point values: real ``float64`` arrays of shape
 ``grid.shape`` (``points_per_axis`` repeated ``dim`` times).  Vector fields
 carry a leading component axis of length ``grid.dim``.  Every field is real,
-so only half of its spectrum is kept: its Fourier coefficients are
-``grid.fft(f)``, unnormalized, in the ``rfftn`` layout of shape
-``grid.spectral_shape``, ``(n,) * (dim - 1) + (n // 2 + 1,)``, which holds
-the modes with ``k_last >= 0``.  Each other mode is the complex conjugate
-of a kept one, so a Parseval sum counts a kept mode twice
+so only half of its spectrum is kept, and of that half only the modes the
+2/3 rule keeps: its Fourier coefficients are ``grid.fft(f)``, unnormalized,
+on the dealias box of shape ``grid.spectral_shape``.  With ``c = n // 3``
+the box holds the modes with every ``|k_i| <= c`` and ``k_last >= 0``,
+``(2c + 1,) * (dim - 1) + (c + 1,)``, in ``rfftn`` order with the negative
+frequencies wrapped; without dealiasing it is the whole ``rfftn`` half
+spectrum, ``(n,) * (dim - 1) + (n // 2 + 1,)``.  ``fft`` crops the
+``rfftn`` output to the box and ``ifft`` zero-pads the box back, so the
+crop is the 2/3-rule filter and every coefficient array is as small as the
+rule allows.  Each mode left out with ``k_last < 0`` is the complex
+conjugate of a kept one, so a Parseval sum counts a kept mode twice
 (``grid.multiplicity``), except on the ``k_last = 0`` and ``k_last = n/2``
 planes, which hold their own conjugates and count once.
 Methods take coefficients unless they say otherwise: derivatives are
@@ -17,6 +23,10 @@ multiplications by ``grid.ik`` (``grid.ksq`` for ``-laplacian``), exact
 derivatives of the trigonometric interpolant.  The Nyquist mode is dropped
 from ``ik`` and ``ksq`` alike, so ``div(grad(f))`` and ``laplacian(f)``
 agree bit-for-bit.
+
+Point values may hold modes outside the box.  What takes their norm or
+filters them without dealiasing them works on ``grid.whole()``, the same
+grid with the whole half spectrum as its layout.
 
 Every public operation returns a fresh array and never mutates its inputs,
 so grids and fields are safe to share across worker threads.  Every norm
@@ -26,12 +36,31 @@ is a Parseval sum over Fourier coefficients
 
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 from scipy import fft as _fft
 
 __all__ = ["SpectralGrid", "save_field", "load_field"]
 
 _MAGIC = b"SPECF1\n"
+
+
+def _checked(dim, points_per_axis, extent):
+    """``(n, volume)`` of a grid, or ``ValueError`` naming the argument no
+    :class:`SpectralGrid` takes."""
+    if dim not in (2, 3):
+        raise ValueError(f"dim must be 2 or 3, got {dim}")
+    n = int(points_per_axis)
+    if n < 8 or n % 2 != 0:
+        raise ValueError(f"points_per_axis must be even and >= 8, got {points_per_axis}")
+    with np.errstate(all="ignore"):
+        volume = float(np.float64(extent) ** dim)
+        ksq_max = float(dim * (np.pi * n / np.float64(extent)) ** 2)
+    if not (extent > 0 and 0.0 < volume < np.inf and ksq_max < np.inf):
+        raise ValueError(f"extent must be > 0 with a finite, nonzero box "
+                         f"volume and a finite largest |k|^2, got {extent!r}")
+    return n, volume
 
 
 class SpectralGrid:
@@ -46,74 +75,77 @@ class SpectralGrid:
     extent : float
         Period of the box along every axis (default ``2*pi``).
     dealias : bool
-        If True (default), :meth:`mask` removes modes with any
-        ``|k_i| > points_per_axis // 3`` (the 2/3 rule); nonlinear solver
-        tendencies are filtered through this mask.
+        If True (default), the spectral layout is the 2/3-rule box: it
+        leaves out the modes with any ``|k_i| > points_per_axis // 3``, so
+        every forward transform, of a nonlinear tendency too, is
+        dealiased.  If False it is the whole ``rfftn`` half spectrum.
     """
 
     def __init__(self, dim: int = 2, points_per_axis: int = 64,
                  extent: float = 2.0 * np.pi, dealias: bool = True):
-        if dim not in (2, 3):
-            raise ValueError(f"dim must be 2 or 3, got {dim}")
-        n = int(points_per_axis)
-        if n < 8 or n % 2 != 0:
-            raise ValueError(f"points_per_axis must be even and >= 8, got {points_per_axis}")
-        with np.errstate(all="ignore"):
-            volume = float(np.float64(extent) ** dim)
-            ksq_max = float(dim * (np.pi * n / np.float64(extent)) ** 2)
-        if not (extent > 0 and 0.0 < volume < np.inf and ksq_max < np.inf):
-            raise ValueError(f"extent must be > 0 with a finite, nonzero box "
-                             f"volume and a finite largest |k|^2, got {extent!r}")
-        self.dim = dim
-        self.n = n
-        self.extent = float(extent)
-        self.dealias = bool(dealias)
-        self.shape = (n,) * dim
-        self.spectral_shape = (n,) * (dim - 1) + (n // 2 + 1,)
-        self.dx = self.extent / n
-        self.volume = volume
+        n, volume = _checked(dim, points_per_axis, extent)
+        self.dim, self.n, self.extent = dim, n, float(extent)
+        self.dealias, self.volume = bool(dealias), volume
+        self.shape, self.dx = (n,) * dim, self.extent / n
+        self._fft_axes = tuple(range(-dim, 0))
 
-        # Integer mode numbers per axis in rfftn layout (0, 1, ..., n/2-1,
-        # -n/2, ..., -1, and 0, 1, ..., n/2 on the last axis); scaled to
-        # wavenumbers.
+        # Integer mode numbers of the box per axis: |m| <= cut in fft order
+        # (0, 1, ..., -1) on the leading axes, 0, ..., cut on the last one;
+        # scaled to wavenumbers.
+        cut = n // 3 if self.dealias else n // 2
         ints = np.fft.fftfreq(n, d=1.0 / n)
-        axes = np.meshgrid(*([ints] * (dim - 1)), np.arange(n // 2 + 1),
-                           indexing="ij")
+        lead, last = ints[np.abs(ints) <= cut], np.arange(cut + 1)
+        self.spectral_shape = (len(lead),) * (dim - 1) + (cut + 1,)
+        axes = np.meshgrid(*([lead] * (dim - 1)), last, indexing="ij")
         self.k = (2.0 * np.pi / self.extent) * np.stack(axes)  # (dim, *spectral_shape)
-        self.multiplicity = np.full(n // 2 + 1, 2.0)
-        self.multiplicity[[0, -1]] = 1.0
+        self.multiplicity = np.where(last % (n // 2) == 0, 1.0, 2.0)
+
+        # The box within the rfftn half spectrum: along each leading axis
+        # the non-negative modes lead and the negative ones end both, so the
+        # same 2**(dim - 1) blocks of slices index the box and the half.
+        neg = np.count_nonzero(lead < 0)
+        self._blocks = [(Ellipsis, *b, slice(0, cut + 1)) for b in product(
+            (slice(0, len(lead) - neg), slice(-neg, None)), repeat=dim - 1)]
+        self._half_shape = (n,) * (dim - 1) + (n // 2 + 1,)
 
         # First-derivative multipliers zero the Nyquist mode (odd derivative
         # of the symmetric interpolant); |k|^2 is built from the same vectors
         # so operator identities hold exactly.
-        kd = self.k.copy()
-        for ax in range(dim):
-            idx = [slice(None)] * dim
-            idx[ax] = n // 2
-            kd[(ax, *idx)] = 0.0
+        kd = np.where(np.abs(axes) == n // 2, 0.0, self.k)
         self.ik = 1j * kd
         self.ksq = np.sum(kd * kd, axis=0)
         # True |k|^2 including the Nyquist mode: used for norms and spectral
         # envelopes, where Nyquist content must count as high-frequency.
         self.ksq_full = np.sum(self.k * self.k, axis=0)
 
-        cut = n // 3
-        keep = np.ones(self.spectral_shape, dtype=bool)
-        for a in axes:
-            keep &= np.abs(a) <= cut
-        self.dealias_mask = keep
-        self._fft_axes = tuple(range(-dim, 0))
+    def whole(self) -> "SpectralGrid":
+        """This grid without the 2/3 rule, whose layout is the whole
+        ``rfftn`` half spectrum (this grid itself when ``dealias`` is off).
+
+        Point values may hold modes outside the box: their norms, filters
+        and anything else that must not dealias them work on this grid."""
+        return (SpectralGrid(self.dim, self.n, self.extent, dealias=False)
+                if self.dealias else self)
 
     # -- transforms -------------------------------------------------------
 
     def fft(self, f: np.ndarray) -> np.ndarray:
-        """Half-spectrum forward transform over the spatial axes (component
-        axes pass through)."""
-        return _fft.rfftn(f, axes=self._fft_axes)
+        """Coefficients on the box of point values, over the spatial axes
+        (component axes pass through): the ``rfftn`` half spectrum cropped
+        to ``spectral_shape``, the 2/3-rule filter."""
+        half = _fft.rfftn(f, axes=self._fft_axes)
+        out = np.empty(half.shape[:-self.dim] + self.spectral_shape, half.dtype)
+        for block in self._blocks:
+            out[block] = half[block]
+        return out
 
     def ifft(self, fhat: np.ndarray) -> np.ndarray:
-        """Inverse transform of half-spectrum coefficients to a real field."""
-        return _fft.irfftn(fhat, s=self.shape, axes=self._fft_axes)
+        """Real point values of box coefficients, zero-padded into a fresh
+        ``rfftn`` half spectrum."""
+        half = np.zeros(fhat.shape[:-self.dim] + self._half_shape, complex)
+        for block in self._blocks:
+            half[block] = fhat[block]
+        return _fft.irfftn(half, s=self.shape, axes=self._fft_axes)
 
     def grid_points(self) -> np.ndarray:
         """Node coordinates, shape ``(dim, *shape)``."""
@@ -139,10 +171,10 @@ class SpectralGrid:
         proj = np.sum(k * vhat, axis=0) / ksq
         return vhat - k * proj[np.newaxis]
 
-    # -- norms and masks --------------------------------------------------
+    # -- norms and the filter ---------------------------------------------
 
     def parseval_density(self, density: np.ndarray) -> np.ndarray:
-        """``density`` on the half layout, even in ``k``, times
+        """``density`` on the box, even in ``k``, times
         ``multiplicity * volume / n**(2 dim)``: summed over the spatial
         axes, it is ``volume * sum(density) / n**(2 dim)`` over the whole
         spectrum, the Parseval sum."""
@@ -169,26 +201,23 @@ class SpectralGrid:
 
     def sobolev_norm(self, f: np.ndarray, order: int = 0) -> float:
         """Discrete Sobolev norm of point values ``f`` via the
-        ``(1 + |k|^2)^order`` multiplier.
+        ``(1 + |k|^2)^order`` multiplier, over the whole half spectrum of
+        ``f`` (:meth:`whole`), dealiased or not.
 
         Matches the continuum L2 norm at ``order=0`` (Parseval); vector
-        fields contribute the sum of squared component norms.
+        fields contribute the sum of squared component norms.  On a
+        dealiased grid each call builds :meth:`whole`; a caller in a loop
+        takes its norms on ``grid.whole()``.
         """
-        w = self.sobolev_weight(order)
-        return float(np.sqrt(np.sum(self.norm_sq(self.fft(f), w))))
+        g = self.whole()
+        w = g.sobolev_weight(order)
+        return float(np.sqrt(np.sum(g.norm_sq(g.fft(f), w))))
 
     def mask(self, f: np.ndarray) -> np.ndarray:
-        """Apply the 2/3-rule filter to point values (identity when
+        """The 2/3-rule filter on point values, ``ifft(fft(f))``: the
+        round trip through the box (through the whole half spectrum when
         ``dealias`` is off)."""
-        if not self.dealias:
-            return np.array(f, copy=True)
-        return self.ifft(self.fft(f) * self.dealias_mask)
-
-    def mask_spectral(self, fhat: np.ndarray) -> np.ndarray:
-        """The 2/3-rule filter on coefficients (:meth:`mask` on point values)."""
-        if not self.dealias:
-            return fhat
-        return fhat * self.dealias_mask
+        return self.ifft(self.fft(f))
 
     def __repr__(self):
         return (f"SpectralGrid(dim={self.dim}, points_per_axis={self.n}, "
@@ -214,6 +243,10 @@ def load_field(path):
     """Read a snapshot written by :func:`save_field`.
 
     Returns ``(field, meta)`` where ``meta`` has keys dim, n, ncomp, extent.
+    A header that :func:`save_field` could not have written (a ``dim``,
+    ``n`` or ``extent`` no :class:`SpectralGrid` takes, ``ncomp < 1``)
+    raises ``ValueError`` naming the file, as a malformed one or a payload
+    of the wrong size does.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
@@ -224,9 +257,9 @@ def load_field(path):
     try:
         meta = {key: float(val) if key == "extent" else int(val)
                 for key, val in (item.split("=") for item in header.split())}
-        shape = (meta["n"],) * meta["dim"]
-        if meta["ncomp"] > 1:
-            shape = (meta["ncomp"],) + shape
+        _checked(meta["dim"], meta["n"], meta["extent"])
+        # a vector field leads with its components; an ncomp < 1 holds none
+        shape = (meta["ncomp"],) * (meta["ncomp"] != 1) + (meta["n"],) * meta["dim"]
     except (ValueError, KeyError) as exc:
         raise ValueError(f"{path}: malformed header {header!r}: "
                          f"{type(exc).__name__} {exc}") from None

@@ -48,7 +48,7 @@ class IncompressibleSolver:
         """Dealiased coefficients of ``-(u.grad)u``."""
         g = self.grid
         adv = -np.einsum("j...,ij...->i...", g.ifft(uhat), g.jacobian(uhat))
-        return g.mask_spectral(g.fft(adv))
+        return g.fft(adv)
 
     def step(self, uhat: np.ndarray, dt: float) -> np.ndarray:
         """One step on velocity coefficients; the new coefficients are
@@ -69,10 +69,10 @@ class IncompressibleSolver:
         """Advance the point values ``u0`` to ``t_end``.
 
         The datum is transformed once.  At 0, every ``cadence`` steps and
-        at the end, the trajectory keeps the stepped coefficients, masked
-        and Leray-projected."""
+        at the end, the trajectory keeps the stepped coefficients, on the
+        dealias box and Leray-projected."""
         g = self.grid
-        uhat = g.leray(g.mask_spectral(g.fft(np.asarray(u0, dtype=float))))
+        uhat = g.leray(g.fft(np.asarray(u0, dtype=float)))
         traj = IncompressibleTrajectory(times=[0.0], uhats=[uhat], dt=dt)
         nsteps = max(0, int(np.ceil(t_end / dt - 1e-12)))
         for istep in range(1, nsteps + 1):

@@ -80,10 +80,13 @@ def random_band_scalar(grid: SpectralGrid, rng: np.random.Generator,
                        peak: float) -> np.ndarray:
     """Zero-mean random field with envelope ``exp(-(|k| - peak)^2)``.
 
-    Built by filtering white noise, so Hermitian symmetry (realness) is
-    automatic; the spectrum decays super-exponentially away from ``peak``,
-    keeping nonlinear products of these fields fully resolved.
+    Built by filtering white noise over the whole half spectrum
+    (:meth:`rhdlab.fields.SpectralGrid.whole`), so Hermitian symmetry
+    (realness) is automatic; the spectrum decays super-exponentially away
+    from ``peak``, keeping nonlinear products of these fields fully
+    resolved.
     """
+    grid = grid.whole()
     white = rng.standard_normal(grid.shape)
     kmag = np.sqrt(grid.ksq_full) * (grid.extent / (2.0 * np.pi))  # integer mode magnitude
     env = np.exp(-((kmag - peak) ** 2))
@@ -111,6 +114,9 @@ def make_well_prepared(spec: InitSpec, grid: SpectralGrid, params: PhysParams,
     Raises :class:`rhdlab.model.ParameterError` instead when the missed
     component's perturbation is below the round-off of its background.
     """
+    # the data are point values: every filter and norm here is over the
+    # whole half spectrum
+    grid = grid.whole()
     if abs(spec.delta - params.delta) > 1e-14:
         raise InitError(f"spec.delta={spec.delta} != params.delta={params.delta}")
     if spec.spectrum_peak + 3.0 > grid.n // 3:

@@ -134,6 +134,9 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
     no = problem.norm_order
     bg = Background.of(pr, eos)
 
+    # the coefficient and the forcings are point values, normed on the
+    # whole half spectrum
+    whole = grid.whole()
     a_mid = problem.coeff.midpoint
     stepper = ImexStepper(scheme, split_symbol(grid, bg, viscosity=a_mid,
                                                relative_density=True), dt)
@@ -144,7 +147,7 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
         coefficient sampled once at time level ``t``: the load closes the
         step ending at ``t`` and the fluctuation drives the next one."""
         A = problem.coeff.sample(grid, t)
-        return A - a_mid, 1.0 + grid.sobolev_norm(A, no) ** 2
+        return A - a_mid, 1.0 + whole.sobolev_norm(A, no) ** 2
 
     # (forcing, first slot of X it drives, tendency divisor, load divisor)
     forced = [row for row in (
@@ -175,11 +178,11 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
                 if not a_constant:
                     N[1:1 + d] += np.sum(grid.ik * F[-1].reshape(
                         (d, d) + grid.spectral_shape), axis=1)
-            return grid.mask_spectral(N)
+            return N
         return explicit
 
     def forcing_load(t):
-        return sum((grid.sobolev_norm(f(grid, t), max(no - 1, 0)) ** 2 / c
+        return sum((whole.sobolev_norm(f(grid, t), max(no - 1, 0)) ** 2 / c
                     for f, _, _, c in forced), 0.0)
 
     # Parseval weights per slot of X: the dissipation rate takes gradients
@@ -198,9 +201,8 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
         return float(np.sum(grid.norm_sq(X, w_diss))
                      + grid.norm_sq(exch, w_no) / d2)
 
-    X = grid.mask_spectral(pack_state(
-        grid, problem.init_nrel, problem.init_mom, problem.init_dtheta,
-        problem.init_drad))
+    X = pack_state(grid, problem.init_nrel, problem.init_mom,
+                   problem.init_dtheta, problem.init_drad)
 
     traj = LinearizedTrajectory(dt=dt, norm_order=problem.norm_order,
                                 delta=pr.delta)

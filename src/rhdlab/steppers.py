@@ -14,10 +14,13 @@ symbol from it.  :class:`ImexOperator` inverts the per-shell blocks once,
 spreads the inverse onto the modes, and solves with a transverse scale plus
 one 4x4 contraction per mode.
 
-Every field is real, so a spectral state holds only the half spectrum of
-:attr:`rhdlab.fields.SpectralGrid.spectral_shape` (the ``rfftn`` layout):
-the symbol at ``-k`` is the complex conjugate of the one at ``k``, so the
-modes left out follow from the kept ones.  The solvers only factor the
+Every field is real, so a spectral state holds only the modes of
+:attr:`rhdlab.fields.SpectralGrid.spectral_shape`, the half spectrum with
+``k_last >= 0`` cropped to the 2/3-rule box (all of the half spectrum
+without dealiasing): the symbol at ``-k`` is the complex conjugate of the
+one at ``k``, so the modes left out of the half follow from the kept ones,
+and the modes outside the box are zero.  The symbol, its shells, the
+factored inverse and the stage sums are all as small as the box.  The solvers only factor the
 symbol; only the verification right-hand sides apply it.
 :data:`SCHEMES` is the single table of time schemes, and :class:`ImexStepper`
 factors a symbol for the scheme it is given.
@@ -180,8 +183,8 @@ def pack_state(grid, n, v, z, g) -> np.ndarray:
     """Spectral state ``(s, *grid.spectral_shape)`` in the layout of the
     symbol, from one forward transform.
 
-    ``n``, ``z`` and ``g`` are scalar fields, ``v`` a vector field; no
-    dealiasing is applied.
+    ``n``, ``z`` and ``g`` are scalar fields, ``v`` a vector field; on a
+    dealiased grid the transform's crop to the box is the 2/3-rule filter.
     """
     return grid.fft(np.stack([n, *v, z, g]))
 

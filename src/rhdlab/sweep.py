@@ -122,7 +122,8 @@ class _Setup:
 
 def _setup(cfg: ExperimentConfig, out_dir, seed) -> _Setup:
     """Build the grid and the gas law, check that every Sobolev weight the
-    configuration asks for is finite on the grid, resolve the seed, and
+    configuration asks for is finite on the whole half spectrum of the
+    grid (point values hold every mode), resolve the seed, and
     create the output directory.
 
     A ``seed`` given here replaces ``init.seed`` in the set-up's copy of the
@@ -131,11 +132,12 @@ def _setup(cfg: ExperimentConfig, out_dir, seed) -> _Setup:
         cfg = ExperimentConfig({sec: dict(keys) for sec, keys in cfg.raw.items()})
         cfg.raw["init"]["seed"] = str(seed)
     grid = cfg.build_grid()
+    whole = grid.whole()
     with np.errstate(over="ignore"):
         for key in ("diagnostics.order", "init.norm_order",
                     "linearized.norm_order"):
             order = cfg.get(*key.split("."))
-            if not np.all(np.isfinite(grid.sobolev_weight(order))):
+            if not np.all(np.isfinite(whole.sobolev_weight(order))):
                 raise ConfigError(f"{key} = {order}: the weight (1 + |k|^2)"
                                   f"^{order} overflows on this grid")
     setup = _Setup(cfg, Path(out_dir), grid, cfg.build_eos(),
@@ -156,7 +158,7 @@ def _reference_velocity(s: _Setup, params, prepared=None):
     global-thm mode it coincides with every sweep member's initial velocity:
     then the velocity of ``prepared``, a :func:`_prepare` result at
     ``params``, is reused.  The datum is divergence-free already; the
-    reference masks and projects it on entry.
+    reference crops it to the dealias box and projects it on entry.
     """
     if prepared is not None and prepared[1]["mode"] == "global-thm":
         return prepared[0].u

@@ -172,6 +172,37 @@ def test_snapshot_header_missing_key_names_file(tmp_path, grid):
     assert str(path) in str(err.value)
 
 
+def test_snapshot_header_flips_and_truncations(tmp_path):
+    # every single-byte change of the magic and the header line, and every
+    # 7th truncation: each loads the original values with a header a grid
+    # takes, or raises ValueError naming the file.  The new byte is any
+    # printable character, any byte str.split() takes for whitespace, NUL
+    # or a non-ASCII byte; every other control byte parses as a letter does.
+    g = SpectralGrid(dim=2, points_per_axis=16)
+    f = band_limited(g, 21, cut=5)
+    path = tmp_path / "flip.dat"
+    save_field(path, f, g)
+    raw = path.read_bytes()
+    head = raw.index(b"\n", raw.index(b"\n") + 1) + 1
+    alphabet = [*range(0x1c, 0x7f), *b"\t\n\v\f\r", 0x00, 0x80, 0xff]
+    cases = [raw[:i] + bytes([b]) + raw[i + 1:]
+             for i in range(head) for b in alphabet if b != raw[i]]
+    cases += [raw[:size] for size in range(0, len(raw), 7)]
+    loaded = 0
+    for case in cases:
+        path.write_bytes(case)
+        try:
+            back, meta = load_field(path)
+        except ValueError as exc:
+            assert str(path) in str(exc), case[:head]
+            continue
+        loaded += 1
+        assert np.array_equal(back, f), case[:head]
+        assert (meta["dim"], meta["n"], meta["ncomp"]) == (2, 16, 1)
+        assert 0.0 < meta["extent"] < np.inf, case[:head]
+    assert loaded > 0
+
+
 def test_operations_do_not_mutate(grid):
     f = band_limited(grid, 16)
     f0 = f.copy()
@@ -180,7 +211,7 @@ def test_operations_do_not_mutate(grid):
     vhat = grid.fft(np.stack([f, band_limited(grid, 19)]))
     vhat0 = vhat.copy()
     grid.ifft(vhat); grid.jacobian(vhat); grid.leray(vhat)
-    grid.mask_spectral(vhat); grid.norm_sq(vhat, grid.ksq)
+    grid.norm_sq(vhat, grid.ksq)
     np.testing.assert_array_equal(vhat, vhat0)
 
 
@@ -208,24 +239,76 @@ def test_3d_grid_basics():
     assert np.max(np.abs(div(g3, pv))) < 1e-12
 
 
+def box_index(n, dim, cut):
+    """Indices into the whole-spectrum ``fftn`` layout of the modes with
+    every ``|k_i| <= cut`` and ``k_last >= 0``, negatives wrapped."""
+    lead = np.flatnonzero(np.abs(np.fft.fftfreq(n, d=1.0 / n)) <= cut)
+    return np.ix_(*([lead] * (dim - 1)), np.arange(cut + 1))
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_half_spectrum_layout(dim):
-    # coefficients, wavenumbers and the dealias mask are the k_last >= 0
-    # part of the whole-spectrum fftn layout; the inverse recovers the field
-    g = SpectralGrid(dim=dim, points_per_axis=8)
-    f = np.random.default_rng(20).standard_normal(g.shape)
-    half = (Ellipsis, slice(0, g.n // 2 + 1))
-    full = np.fft.fftn(f)
-    assert g.spectral_shape == g.shape[:-1] + (g.n // 2 + 1,)
-    np.testing.assert_allclose(g.fft(f), full[half], atol=1e-12)
-    assert np.max(np.abs(g.ifft(g.fft(f)) - f)) < 1e-14
-    ints = np.fft.fftfreq(g.n, d=1.0 / g.n)
-    k = np.stack(np.meshgrid(*([ints] * dim), indexing="ij"))
-    nyq = np.abs(k) == g.n // 2
-    kd = np.where(nyq, 0.0, k)
-    np.testing.assert_array_equal(g.ik, 1j * kd[(slice(None),) + half])
-    np.testing.assert_array_equal(g.ksq, np.sum(kd * kd, axis=0)[half])
-    np.testing.assert_array_equal(g.ksq_full, np.sum(k * k, axis=0)[half])
-    keep = np.all(np.abs(k) <= g.n // 3, axis=0)
-    np.testing.assert_array_equal(g.dealias_mask, keep[half])
-    np.testing.assert_array_equal(g.multiplicity, [1, 2, 2, 2, 1])
+    # coefficients and wavenumbers are the 2/3-rule box of the k_last >= 0
+    # part of the whole-spectrum fftn layout, or all of that part without
+    # dealiasing; the inverse recovers a field the box holds
+    for dealias, cut, mult in ((True, 2, [1, 2, 2]), (False, 4, [1, 2, 2, 2, 1])):
+        g = SpectralGrid(dim=dim, points_per_axis=8, dealias=dealias)
+        f = np.random.default_rng(20).standard_normal(g.shape)
+        box = box_index(g.n, dim, cut)
+        full = np.fft.fftn(f)
+        assert g.spectral_shape == full[box].shape
+        assert g.spectral_shape == ((5,) * (dim - 1) + (3,) if dealias
+                                    else g.shape[:-1] + (g.n // 2 + 1,))
+        np.testing.assert_allclose(g.fft(f), full[box], atol=1e-12)
+        band = g.mask(f)
+        assert np.max(np.abs(g.ifft(g.fft(band)) - band)) < 1e-14
+        ints = np.fft.fftfreq(g.n, d=1.0 / g.n)
+        k = np.stack(np.meshgrid(*([ints] * dim), indexing="ij"))
+        nyq = np.abs(k) == g.n // 2
+        kd = np.where(nyq, 0.0, k)
+        np.testing.assert_array_equal(g.ik, 1j * kd[(slice(None),) + box])
+        np.testing.assert_array_equal(g.ksq, np.sum(kd * kd, axis=0)[box])
+        np.testing.assert_array_equal(g.ksq_full, np.sum(k * k, axis=0)[box])
+        np.testing.assert_array_equal(g.multiplicity, mult)
+
+
+@pytest.mark.parametrize("dim,n", [(2, 16), (3, 16), (2, 18)])
+@pytest.mark.parametrize("dealias", [True, False])
+def test_box_transforms_against_masked_rfftn(dim, n, dealias):
+    # the box coefficients are the masked rfftn half spectrum gathered onto
+    # the box, bit for bit, and the round trip is the masked inverse of
+    # the whole half spectrum; neither transform touches its input
+    from scipy import fft as sfft
+    g = SpectralGrid(dim=dim, points_per_axis=n, dealias=dealias)
+    axes = tuple(range(-dim, 0))
+    v = np.random.default_rng(n + dim).standard_normal((2,) + g.shape)
+    ints = np.fft.fftfreq(n, d=1.0 / n)
+    modes = np.meshgrid(*([ints] * (dim - 1)), np.arange(n // 2 + 1),
+                        indexing="ij")
+    cut = n // 3 if dealias else n // 2
+    keep = np.all(np.abs(modes) <= cut, axis=0)
+    masked = sfft.rfftn(v, axes=axes) * keep
+    v0 = v.copy()
+    vhat = g.fft(v)
+    assert np.array_equal(vhat, masked[(slice(None),) + box_index(n, dim, cut)])
+    vhat0 = vhat.copy()
+    back = g.ifft(vhat)
+    assert np.array_equal(back, sfft.irfftn(masked, s=g.shape, axes=axes))
+    assert np.array_equal(g.mask(v), back)
+    assert np.array_equal(v, v0) and np.array_equal(vhat, vhat0)
+    for out, arg in ((vhat, v), (back, vhat), (g.fft(v), vhat),
+                     (g.ifft(vhat), back)):
+        assert not np.shares_memory(out, arg)
+
+
+def test_box_sizes():
+    # the modes the 2/3-rule box keeps of the rfftn half spectrum
+    for dim, n, box, half in ((3, 48, 18513, 57600), (2, 128, 3655, 8320),
+                              (2, 64, 946, 2112)):
+        g = SpectralGrid(dim=dim, points_per_axis=n)
+        assert np.prod(g.spectral_shape) == box
+        assert g.ksq.size == g.multiplicity.size * np.prod(
+            g.spectral_shape[:-1]) == box
+        whole = g.whole()
+        assert np.prod(whole.spectral_shape) == half
+        assert whole.whole() is whole and not whole.dealias

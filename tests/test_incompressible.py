@@ -15,7 +15,7 @@ def random_divfree(grid, seed, amp=1.0):
     """Coefficients of a random masked divergence-free velocity."""
     rng = np.random.default_rng(seed)
     v = np.stack([rng.standard_normal(grid.shape) for _ in range(grid.dim)])
-    return amp * grid.leray(grid.mask_spectral(grid.fft(v)))
+    return amp * grid.leray(grid.fft(v))
 
 
 def divergence(grid, uhat):
@@ -96,7 +96,7 @@ def test_divergence_free_preservation(grid):
     for _ in range(20):
         uhat = ns.step(uhat, 2e-3)
         assert np.max(np.abs(divergence(grid, uhat))) < 1e-11
-        assert np.all(uhat[:, ~grid.dealias_mask] == 0.0)
+        assert uhat.shape == (2, 43, 22)  # the 2/3-rule box at 64^2
 
 
 def test_run_holds_masked_projected_coefficients(grid, monkeypatch):
@@ -116,9 +116,9 @@ def test_run_holds_masked_projected_coefficients(grid, monkeypatch):
     traj = ns.run(u0, dt=2e-3, t_end=6e-3, cadence=1)
     assert len(steps) == 3
     for uhat in steps + traj.uhats:
-        assert np.all(uhat[:, ~grid.dealias_mask] == 0.0)
+        assert uhat.shape == (2, 43, 22)  # the 2/3-rule box at 64^2
         assert np.max(np.abs(divergence(grid, uhat))) < 1e-11
-    expected = grid.leray(grid.mask_spectral(grid.fft(u0)))
+    expected = grid.leray(grid.fft(u0))
     np.testing.assert_array_equal(steps[0], expected)
     assert traj.times == pytest.approx([0.0, 2e-3, 4e-3, 6e-3])
     assert len(traj.uhats) == 4

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from rhdlab.fields import SpectralGrid
-from rhdlab.initial import InitError, InitSpec, make_well_prepared
+from rhdlab.initial import (InitError, InitSpec, make_well_prepared,
+                            random_band_scalar)
 from rhdlab.model import IdealGasEOS, ParameterError, PhysParams
 
 
@@ -139,3 +140,13 @@ def test_mismatched_delta_raises(grid):
     params = PhysParams(delta=0.2)
     with pytest.raises(InitError):
         make_well_prepared(InitSpec(budget=0.5, delta=0.1), grid, params, EOS)
+
+
+def test_random_band_scalar_keeps_modes_outside_the_box():
+    # the envelope filters white noise over the whole half spectrum, as on
+    # the grid without the 2/3 rule, and leaves modes outside the box
+    g = SpectralGrid(dim=2, points_per_axis=16)
+    f = random_band_scalar(g, np.random.default_rng(3), 2.0)
+    whole = random_band_scalar(g.whole(), np.random.default_rng(3), 2.0)
+    assert np.array_equal(f, whole)
+    assert np.max(np.abs(g.mask(f) - f)) > 1e-9 * np.max(np.abs(f))

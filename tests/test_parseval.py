@@ -334,3 +334,19 @@ def test_linearized_constant_step_transforms(transforms):
         solve_linearized(g, problem, PARAMS, EOS, dt=1e-3)
         counts.append(transforms[0])
     assert counts[1] - counts[0] == 0
+
+
+def test_sobolev_norm_takes_modes_outside_the_box():
+    # products of point values hold modes outside the 2/3-rule box:
+    # sobolev_norm takes the whole spectrum, as the momentum norm of the
+    # initial-data report and the local-thm scaling need; the box alone
+    # misses a share of it far above the tolerance
+    from rhdlab.initial import InitSpec, make_well_prepared
+    g = SpectralGrid(dim=2, points_per_axis=16)
+    st, _ = make_well_prepared(InitSpec(delta=PARAMS.delta, mode="local-thm"),
+                               g, PARAMS, EOS)
+    m = st.rho * st.u
+    want = np.sqrt(ref_sobolev_sq(g, m, 3))
+    assert abs(g.sobolev_norm(m, 3) - want) <= 1e-13 * want
+    box = np.sqrt(np.sum(g.norm_sq(g.fft(m), g.sobolev_weight(3))))
+    assert want - box > 1e-11 * want
