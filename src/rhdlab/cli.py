@@ -15,6 +15,7 @@ from pathlib import Path
 from .config import (ConfigError, config_reference_text, default_config,
                      load_config)
 from .identities import run_identity_suite
+from .model import Background
 from .steppers import SolverError
 from .sweep import (RunError, fit_rate, run_linearized_probe, run_reference,
                     run_single, run_sweep)
@@ -70,9 +71,11 @@ def _load(args):
 def _cmd_fit(args) -> int:
     points = []
     with open(args.points_csv, newline="") as fh:
-        for row in csv.reader(fh):
+        for i, row in enumerate(csv.reader(fh), 1):
             if not row or row[0].strip().startswith("#"):
                 continue
+            if len(row) < 2:
+                raise RunError(f"row {i} has one column, need delta, value")
             try:
                 points.append((float(row[0]), float(row[1])))
             except ValueError:
@@ -85,10 +88,9 @@ def _cmd_fit(args) -> int:
 def _cmd_verify(args) -> int:
     cfg, _ = _load(args)
     grid = cfg.build_grid()
-    params = cfg.build_params()
-    eos = cfg.build_eos()
+    bg = Background.of(cfg.build_params(), cfg.build_eos())
     seed = args.seed if args.seed is not None else cfg.get("init", "seed")
-    results = run_identity_suite(grid, params, eos, seed=seed)
+    results = run_identity_suite(grid, bg, seed=seed)
     failed = [r for r in results if not r.passed]
     for r in results:
         print(r.line())
@@ -104,6 +106,8 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", None) is not None and args.seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+        if getattr(args, "threads", 1) < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         if args.command == "config-reference":
             print(config_reference_text())
             return 0

@@ -16,21 +16,25 @@ factorization, so the stable time step does not shrink as delta does;
 advection and every nonlinear remainder stay explicit.  The time schemes
 come from :data:`rhdlab.steppers.SCHEMES`.
 
-The implicit part is the symbol built by
-:func:`rhdlab.steppers.split_symbol` from the background coefficients in
-:class:`rhdlab.model.Background`: per ``|k|^2`` shell, a diffusion rate
-for the transverse velocity and one 4x4 block coupling density, the
-longitudinal velocity, temperature and radiation.  :func:`rhs_perturbation`
-is that same split symbol applied to the state plus the explicit
-remainders, so the identity suite, which checks it against
-:func:`rhs_primitive`, covers the operator the solver factors.
+The perturbation forms and the solver take one
+:class:`rhdlab.model.Background`, the model at one parameter set: its
+parameters, its gas law and the coefficients at the background.  The
+implicit part is the symbol built by :func:`rhdlab.steppers.split_symbol`
+from those coefficients: per ``|k|^2`` shell, a diffusion rate for the
+transverse velocity and one 4x4 block coupling density, the longitudinal
+velocity, temperature and radiation.  :func:`rhs_perturbation` is that
+same split symbol applied to the state plus the explicit remainders, so
+the identity suite, which checks it against :func:`rhs_primitive`, covers
+the operator the solver factors.
 
 Neither the primitive equations nor the momentum perturbation form
 (relative density + scaled momentum) is stepped.  :func:`rhs_primitive` is
-the reference the perturbation forms are checked against, and
-:func:`rhs_momentum_form` assembles the momentum form with the
-relative-density symbol the linearized probe factors, so that
-change-of-variables algebra is verified against the primitive equations too.
+the reference the perturbation forms are checked against; it takes the
+parameters and the gas law alone (``bg.params, bg.eos``), so it never
+reads a background coefficient.  :func:`rhs_momentum_form` assembles the
+momentum form with the relative-density symbol the linearized probe
+factors, so that change-of-variables algebra is verified against the
+primitive equations too.
 """
 
 from __future__ import annotations
@@ -168,7 +172,7 @@ def _derivatives(grid, X, a, b):
             np.trace(jac, axis1=0, axis2=1), grad_z, lap_z[0])
 
 
-def _velocity_form_remainders(grid, X, bg: Background, eos):
+def _velocity_form_remainders(grid, X, bg: Background):
     """Spectral nonlinear remainders of the velocity form at packed state ``X``.
 
     The radiation row carries its ``1/delta`` weight; the forward transform
@@ -176,7 +180,7 @@ def _velocity_form_remainders(grid, X, bg: Background, eos):
     """
     pr = bg.params
     r_mass, r_vel, r_temp, r_rad = model.velocity_form_remainders(
-        *_derivatives(grid, X, pr.mu, pr.mu + pr.lam), bg, eos)
+        *_derivatives(grid, X, pr.mu, pr.mu + pr.lam), bg)
     return pack_state(grid, r_mass, r_vel, r_temp, r_rad / bg.delta)
 
 
@@ -225,7 +229,7 @@ def rhs_primitive(grid: SpectralGrid, state: CompressibleState,
 
 
 def rhs_perturbation(grid: SpectralGrid, drho, u, dtheta, drad,
-                     params: PhysParams, eos):
+                     bg: Background):
     """Tendencies ``(drho_t, u_t, dtheta_t, drad_t)`` of the velocity
     perturbation form: the symbol the IMEX solver factors, applied to the
     state, plus the nonlinear remainders the solver treats explicitly.
@@ -233,14 +237,13 @@ def rhs_perturbation(grid: SpectralGrid, drho, u, dtheta, drad,
     The state is packed onto ``grid``'s layout first, so on a dealiased
     grid these are the tendencies of its part in the box, dealiased."""
     X = pack_state(grid, drho, u, dtheta, drad)
-    bg = Background.of(params, eos)
     F = (split_symbol(grid, bg).apply(X)
-         + _velocity_form_remainders(grid, X, bg, eos))
+         + _velocity_form_remainders(grid, X, bg))
     return unpack_state(grid, F)
 
 
 def rhs_momentum_form(grid: SpectralGrid, nrel, mom, dtheta, drad,
-                      params: PhysParams, eos):
+                      bg: Background):
     """Tendencies ``(nrel_t, mom_t, dtheta_t, drad_t)`` of the momentum
     perturbation form (relative density, scaled momentum).
 
@@ -249,8 +252,7 @@ def rhs_momentum_form(grid: SpectralGrid, nrel, mom, dtheta, drad,
     of the composite ``1/(1 + nrel)`` are chain-expanded so the result
     equals the mapped primitive right-hand side exactly on resolved fields.
     """
-    pr = params
-    bg = Background.of(pr, eos)
+    pr = bg.params
     X = pack_state(grid, nrel, mom, dtheta, drad)
     grad_nrel, jac_m, visc_m, div_m, grad_dtheta, lap_dtheta = _derivatives(
         grid, X, pr.mu_bar, pr.mu_bar + pr.lam_bar)[4:]
@@ -259,7 +261,7 @@ def rhs_momentum_form(grid: SpectralGrid, nrel, mom, dtheta, drad,
 
     r_mom, r_temp, r_rad = model.momentum_form_remainders(
         nrel, mom, dtheta, drad, grad_nrel, hess_nrel, jac_m, div_m,
-        grad_dtheta, lap_dtheta, bg, eos)
+        grad_dtheta, lap_dtheta, bg)
 
     # Viscosity acts on u = f*m; the symbol carries its constant part on m.
     f = 1.0 / (1.0 + np.asarray(nrel))
@@ -286,28 +288,25 @@ class CompressibleSolver:
     transverse scale plus one 4x4 contraction per mode.
     """
 
-    def __init__(self, grid: SpectralGrid, params: PhysParams, eos,
+    def __init__(self, grid: SpectralGrid, bg: Background,
                  config: SolverConfig):
         self.grid = grid
-        self.params = params
-        self.eos = eos
+        self.bg = bg
         self.config = config
-
-        self._bg = Background.of(params, eos)
-        self._stepper = ImexStepper(config.scheme, split_symbol(grid, self._bg),
+        self._stepper = ImexStepper(config.scheme, split_symbol(grid, bg),
                                     config.dt)
 
     def pack(self, state: CompressibleState) -> np.ndarray:
         """Coefficients of the deviation of ``state`` from the background,
         in the :func:`rhdlab.steppers.pack_state` layout."""
-        pr = self.params
+        pr = self.bg.params
         return pack_state(self.grid, state.rho - pr.rho_bar, state.u,
                           state.theta - pr.theta_bar, state.rad - pr.n_bar)
 
     # stepping -------------------------------------------------------------
 
     def _explicit(self, X: np.ndarray) -> np.ndarray:
-        return _velocity_form_remainders(self.grid, X, self._bg, self.eos)
+        return _velocity_form_remainders(self.grid, X, self.bg)
 
     def step_spectral(self, X: np.ndarray) -> np.ndarray:
         return self._stepper.step(X, self._explicit)
@@ -328,7 +327,7 @@ class CompressibleSolver:
         raised; ``abort_time`` is the time of the state before the one that
         failed.  The run starts at time 0.
         """
-        cfg, grid, pr = self.config, self.grid, self.params
+        cfg, grid, pr = self.config, self.grid, self.bg.params
         state0.validate(grid)
         traj = Trajectory(dt=cfg.dt, delta=pr.delta)
         nsteps = max(0, int(np.ceil(cfg.t_end / cfg.dt - 1e-12)))

@@ -67,8 +67,8 @@ def bundle_factors(dim: int, delta: float) -> np.ndarray:
                     + [1.0 / delta ** 2, 1.0 / delta])
 
 
-def _energy_factors(dim, params, eos, delta):
-    pr, bg = params, Background.of(params, eos)
+def _energy_factors(dim, bg):
+    pr, delta = bg.params, bg.delta
     return np.array([bg.p_rho / (pr.rho_bar ** 2 * delta ** 2)] + [1.0] * dim
                     + [bg.e_theta / (pr.theta_bar * delta ** 2),
                        pr.sigma_a / (4.0 * pr.sigma_tilde * delta * pr.rho_bar
@@ -128,13 +128,13 @@ class Collector:
     from ``reference.times[i]`` raises :class:`CadenceMismatchError`.
     """
 
-    def __init__(self, grid: SpectralGrid, params: PhysParams, eos,
+    def __init__(self, grid: SpectralGrid, bg: Background,
                  order: int = 3, beta: float = 0.05, seed: int = -1,
                  kind: str = "run", reference=None):
         if not 0.0 <= beta <= 1.0:
             raise DomainError(f"beta must lie in [0, 1], got {beta}")
         self.grid = grid
-        self.params = params
+        self.bg = bg
         self.beta = beta
         self.seed = seed
         self.kind = kind
@@ -150,9 +150,9 @@ class Collector:
             grid.sobolev_weight(3),
             sum((ksq ** k for k in range(order)), np.zeros(grid.spectral_shape)),
             grid.sobolev_weight(1)]).reshape(6, -1)
-        self._bundle = bundle_factors(grid.dim, params.delta)
-        self._energy = _energy_factors(grid.dim, params, eos, params.delta)
-        self._dissipation = _dissipation_factors(params)
+        self._bundle = bundle_factors(grid.dim, bg.delta)
+        self._energy = _energy_factors(grid.dim, bg)
+        self._dissipation = _dissipation_factors(bg.params)
 
     def _density(self, fhat):
         """Parseval density of ``|fhat|^2``, one row per field."""
@@ -162,7 +162,7 @@ class Collector:
 
     def observe(self, X: np.ndarray, time: float) -> DiagnosticsRecord:
         """Record of the packed spectral state ``X`` at ``time``."""
-        g, pr, d = self.grid, self.params, self.grid.dim
+        g, pr, d = self.grid, self.bg.params, self.grid.dim
         delta, w = pr.delta, self._weights
 
         sq = self._density(X)
@@ -270,22 +270,21 @@ def energy_dissipation_probe(records, params: PhysParams) -> ProbeResult:
     return _centered_ratios(times, num, den)
 
 
-def cross_term_probe(records, params: PhysParams, eos) -> ProbeResult:
+def cross_term_probe(records, bg: Background) -> ProbeResult:
     """Measured constant in the cross-term inequality.
 
     d/dt of the velocity/density-gradient cross term plus
     ``P_rho(bar)/(2 rho_bar delta^2) |grad drho|^2_{H^{l-1}}`` against
     ``|grad u|^2_{H^l} + (1/delta^2) |grad dtheta|^2_{H^{l-1}}``.
     """
-    pr = params
+    pr = bg.params
     d2 = pr.delta ** 2
-    p_rho_b = Background.of(pr, eos).p_rho
     times = [r.time for r in records]
 
     def num(i):
         dt2 = times[i + 1] - times[i - 1]
         dX = (records[i + 1].extras["cross"] - records[i - 1].extras["cross"]) / dt2
-        return dX + (p_rho_b / (2.0 * pr.rho_bar * d2)
+        return dX + (bg.p_rho / (2.0 * pr.rho_bar * d2)
                      * records[i].extras["grad_drho_sq_lm1"])
 
     def den(i):

@@ -17,7 +17,7 @@ from .compressible import (CompressibleState, rhs_momentum_form,
                            rhs_perturbation, rhs_primitive)
 from .fields import SpectralGrid
 from .initial import random_band_scalar
-from .model import Background, PhysParams
+from .model import Background
 
 __all__ = ["IdentityResult", "run_identity_suite", "FAULTS"]
 
@@ -45,7 +45,7 @@ def _rel(a, b, scale=None):
     return float(np.max(np.abs(np.asarray(a) - np.asarray(b))) / scale)
 
 
-def _remainder_checks(grid, bg: Background, eos, noise):
+def _remainder_checks(grid, bg: Background, noise):
     """``background-zero`` and ``remainders-quadratic`` for both remainder
     sets, reading the coefficients in ``bg``; ``noise`` draws the fields."""
     s, v = grid.shape, (grid.dim,) + grid.shape
@@ -54,8 +54,8 @@ def _remainder_checks(grid, bg: Background, eos, noise):
               + (s, v, s, s, v, j, j, s, v, s))         # momentum form
 
     def remainders(fields):
-        return (model.velocity_form_remainders(*fields[:10], bg, eos)
-                + model.momentum_form_remainders(*fields[10:], bg, eos))
+        return (model.velocity_form_remainders(*fields[:10], bg)
+                + model.momentum_form_remainders(*fields[10:], bg))
 
     # both vanish at the background with zero derivatives
     zero = IdentityResult("background-zero", max(
@@ -74,7 +74,7 @@ def _remainder_checks(grid, bg: Background, eos, noise):
     return [zero, quadratic]
 
 
-def run_identity_suite(grid: SpectralGrid, params: PhysParams, eos,
+def run_identity_suite(grid: SpectralGrid, bg: Background,
                        seed: int = 0, n_fields: int = 5,
                        amplitude: float = 1e-3, n_points: int = 10000,
                        fault: str | None = None):
@@ -87,8 +87,7 @@ def run_identity_suite(grid: SpectralGrid, params: PhysParams, eos,
     if fault is not None and fault not in FAULTS:
         raise ValueError(f"unknown fault {fault!r}; known: {FAULTS}")
     rng = np.random.default_rng(seed)
-    pr = params
-    bg = Background.of(pr, eos)
+    pr, eos = bg.params, bg.eos
     results = []
 
     cubic_factor = 1.0 + (1e-6 if fault == "planck-cubic-coeff" else 0.0)
@@ -130,7 +129,7 @@ def run_identity_suite(grid: SpectralGrid, params: PhysParams, eos,
     # Background with P_rho off by 1 %
     bg_rem = (replace(bg, p_rho=1.01 * bg.p_rho)
               if fault == "background-coefficient" else bg)
-    results.extend(_remainder_checks(grid, bg_rem, eos,
+    results.extend(_remainder_checks(grid, bg_rem,
                                      np.random.default_rng([seed, 1])))
 
     # exchange antisymmetry: on a uniform state the linear exchange cancels
@@ -141,7 +140,7 @@ def run_identity_suite(grid: SpectralGrid, params: PhysParams, eos,
     drad = np.full(grid.shape, -0.4 * eps * pr.n_bar)
     _, _, zeta_t, g_t = rhs_perturbation(
         grid, np.zeros(grid.shape), np.zeros((grid.dim,) + grid.shape),
-        dtheta, drad, pr, eos)
+        dtheta, drad, bg)
     balance = pr.delta * g_t + pr.rho_bar * bg.e_theta * zeta_t
     lin_scale = np.max(np.abs(model.planck_linear(dtheta, drad, pr)))
     results.append(IdentityResult(
@@ -173,13 +172,13 @@ def run_identity_suite(grid: SpectralGrid, params: PhysParams, eos,
                                                            state.theta))
             th_t = th_t - 2.0 * h9 * model.planck_linear(dth, drad, pr)
 
-        per = rhs_perturbation(whole, drho, u, dth, drad, pr, eos)
+        per = rhs_perturbation(whole, drho, u, dth, drad, bg)
         for a, b in zip((rho_t, u_t, th_t, n_t), per):
             worst_v = max(worst_v, _rel(grid.mask(a), grid.mask(b)))
 
         nrel = drho / pr.rho_bar
         mom = state.rho * u / pr.rho_bar
-        mres = rhs_momentum_form(whole, nrel, mom, dth, drad, pr, eos)
+        mres = rhs_momentum_form(whole, nrel, mom, dth, drad, bg)
         mapped_m = (rho_t / pr.rho_bar,
                     (rho_t * u + state.rho * u_t) / pr.rho_bar, th_t, n_t)
         for a, b in zip(mapped_m, mres):

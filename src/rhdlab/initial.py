@@ -27,7 +27,7 @@ import numpy as np
 
 from .compressible import CompressibleState
 from .fields import SpectralGrid
-from .model import Background, ParameterError, PhysParams
+from .model import Background, ParameterError
 
 __all__ = ["InitSpec", "InitError", "make_well_prepared", "random_band_scalar"]
 
@@ -99,9 +99,8 @@ def _unit_shape(grid, rng, peak, order):
     return f / grid.sobolev_norm(f, order)
 
 
-def make_well_prepared(spec: InitSpec, grid: SpectralGrid, params: PhysParams,
-                       eos):
-    """Generate a well-prepared state.
+def make_well_prepared(spec: InitSpec, grid: SpectralGrid, bg: Background):
+    """Generate a well-prepared state around the background of ``bg``.
 
     Returns ``(state, report)``; the report records the achieved weighted
     norms, both bundle variants, ``div u0``, and the positivity margins.
@@ -116,7 +115,7 @@ def make_well_prepared(spec: InitSpec, grid: SpectralGrid, params: PhysParams,
     """
     # the data are point values: every filter and norm here is over the
     # whole half spectrum
-    grid = grid.whole()
+    grid, params = grid.whole(), bg.params
     if abs(spec.delta - params.delta) > 1e-14:
         raise InitError(f"spec.delta={spec.delta} != params.delta={params.delta}")
     if spec.spectrum_peak + 3.0 > grid.n // 3:
@@ -126,7 +125,6 @@ def make_well_prepared(spec: InitSpec, grid: SpectralGrid, params: PhysParams,
     N = spec.norm_order
     delta = spec.delta
     rng = np.random.default_rng(spec.seed)
-    bg = Background.of(params, eos)
 
     if spec.budget == 0.0:
         state = CompressibleState(

@@ -28,7 +28,7 @@ import numpy as np
 
 from .diagnostics import bundle_factors
 from .fields import SpectralGrid
-from .model import Background, DomainError, PhysParams, planck_linear
+from .model import Background, DomainError, planck_linear
 from .steppers import (SCHEMES, ImexStepper, pack_state, split_symbol,
                        unpack_state)
 
@@ -114,7 +114,7 @@ class LinearizedTrajectory:
 
 
 def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
-                     params: PhysParams, eos, dt: float,
+                     bg: Background, dt: float,
                      scheme: str = "imex1", cadence: int = 1,
                      keep_states: bool = False) -> LinearizedTrajectory:
     """Integrate the linearized system and accumulate estimate ingredients.
@@ -128,11 +128,10 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
         raise DomainError("dt must be positive")
     if scheme not in SCHEMES:
         raise DomainError(f"unknown scheme {scheme!r}")
-    pr = params
+    pr = bg.params
     d = grid.dim
     d2 = pr.delta ** 2
     no = problem.norm_order
-    bg = Background.of(pr, eos)
 
     # the coefficient and the forcings are point values, normed on the
     # whole half spectrum

@@ -14,12 +14,13 @@ n_bar)`` are provided: the velocity form in ``(rho-rho_bar, u,
 theta-theta_bar, n-n_bar)`` and the momentum form in the relative density
 ``(rho-rho_bar)/rho_bar`` and scaled momentum ``rho*u/rho_bar``.
 
-The gas-law and emission coefficients at the background live in one
-place, :class:`Background`, and :meth:`Background.of` is the only code that
-evaluates the gas law there.  Every solver, right-hand side and diagnostic
-reads them from it, and so do the nonlinear remainders: each coefficient
-gap in them is a ``Background`` value minus the value at the current
-state.
+One :class:`Background` is the model a run works with: it holds the
+parameters, the gas law and the gas-law and emission coefficients at the
+background, and it is built once per parameter set.  :meth:`Background.of`
+is the only code that evaluates the gas law there.  Every solver,
+right-hand side and diagnostic takes that one object, and so do the
+nonlinear remainders: each coefficient gap in them is a ``Background``
+value minus the value of ``bg.eos`` at the current state.
 """
 
 from __future__ import annotations
@@ -125,16 +126,19 @@ class PhysParams:
 
 @dataclass(frozen=True)
 class Background:
-    """Gas-law and emission coefficients at the background state.
+    """The model at one parameter set: the parameters, the gas law, and
+    the gas-law and emission coefficients at the background state
+    ``(rho_bar, theta_bar)`` of ``params``.
 
-    The state is ``(rho_bar, theta_bar)`` of ``params``.
-
-    These are the constants of the linear part shared by both perturbation
-    forms: the acoustic coupling (weighted by ``1/delta^2``), diffusion and
-    the linearized matter-radiation exchange.  Build with :meth:`of`.
+    The coefficients are the constants of the linear part shared by both
+    perturbation forms: the acoustic coupling (weighted by ``1/delta^2``),
+    diffusion and the linearized matter-radiation exchange.  Build with
+    :meth:`of`, once per parameter set, and hand the one object to every
+    consumer.
     """
 
     params: PhysParams
+    eos: object         # the gas law, as IdealGasEOS describes it
     p_rho: float        # P_rho at the background
     p_theta: float      # P_theta at the background
     e_theta: float      # e_theta at the background
@@ -145,7 +149,7 @@ class Background:
     def of(cls, params: PhysParams, eos) -> "Background":
         pb = params.rho_bar, params.theta_bar
         e_theta = float(eos.e_theta(*pb))
-        return cls(params, float(eos.p_rho(*pb)), float(eos.p_theta(*pb)),
+        return cls(params, eos, float(eos.p_rho(*pb)), float(eos.p_theta(*pb)),
                    e_theta, 1.0 / (params.rho_bar * e_theta),
                    4.0 * params.sigma_tilde * params.theta_bar ** 3)
 
@@ -160,8 +164,9 @@ class IdealGasEOS:
     The one gas law the configuration offers.  Any object with ``p``,
     ``e`` and the analytic partials ``p_rho``, ``p_theta``, ``e_rho``,
     ``e_theta``, each a function of ``(rho, theta)``, serves as a gas law:
-    :meth:`Background.of`, the remainders and the identity suite read
-    nothing else.
+    :meth:`Background.of` evaluates it at the background and keeps it as
+    ``Background.eos``, where the remainders find it; they, the reference
+    right-hand side and the identity suite read nothing else.
     """
 
     def __init__(self, R: float = 1.0, c_v: float = 1.0):
@@ -294,7 +299,7 @@ def _dot(a, b, out, tmp):
 
 def velocity_form_remainders(drho, u, dtheta, drad,
                              grad_drho, jac_u, visc_u, div_u,
-                             grad_dtheta, lap_dtheta, bg: Background, eos):
+                             grad_dtheta, lap_dtheta, bg: Background):
     """Nonlinear remainder terms of the velocity perturbation form.
 
     Arguments are point values of the perturbations ``(drho, u, dtheta,
@@ -306,18 +311,18 @@ def velocity_form_remainders(drho, u, dtheta, drad,
     derivatives.
 
     Each coefficient gap is the value in ``bg`` minus the value at the
-    state; the gas law is evaluated once, at the state.  The exchange-gap
-    term enters ``r_temperature`` with a plus sign: that is the sign
-    produced by expanding ``1/(rho*e_theta)`` around the background, and
-    the one under which the assembled form reproduces the primitive
-    equations exactly.
+    state; the gas law ``bg.eos`` is evaluated once, at the state.  The
+    exchange-gap term enters ``r_temperature`` with a plus sign: that is
+    the sign produced by expanding ``1/(rho*e_theta)`` around the
+    background, and the one under which the assembled form reproduces the
+    primitive equations exactly.
 
     Every term is written with in-place ufuncs into the outputs and a few
     scratch fields.  The gaps ``P_rho/rho`` and ``P_theta/rho`` divide by
     ``rho`` as written: a reciprocal multiply would change their rounding,
     which the ``1/delta^2`` weight amplifies.
     """
-    params = bg.params
+    params, eos = bg.params, bg.eos
     shape = np.shape(drho)
     rho = np.add(drho, params.rho_bar, out=np.empty(shape))
     theta = np.add(dtheta, params.theta_bar, out=np.empty(shape))
@@ -382,7 +387,7 @@ def velocity_form_remainders(drho, u, dtheta, drad,
 
 def momentum_form_remainders(nrel, mom, dtheta, drad,
                              grad_nrel, hess_nrel, jac_m, div_m,
-                             grad_dtheta, lap_dtheta, bg: Background, eos):
+                             grad_dtheta, lap_dtheta, bg: Background):
     """Nonlinear remainder terms of the momentum perturbation form.
 
     ``nrel = (rho - rho_bar)/rho_bar`` and ``mom = rho*u/rho_bar``; the
@@ -397,7 +402,7 @@ def momentum_form_remainders(nrel, mom, dtheta, drad,
     chain rule on the supplied derivatives of ``nrel``, so all outputs are
     exact nodal values of the continuum expressions.
     """
-    params = bg.params
+    params, eos = bg.params, bg.eos
     nrel = np.asarray(nrel)
     rho = params.rho_bar * (1.0 + nrel)
     _check_positive("rho", rho)

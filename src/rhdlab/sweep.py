@@ -26,7 +26,7 @@ from .incompressible import IncompressibleSolver
 from .initial import InitError, make_well_prepared, random_band_scalar
 from .linearized import (LinearizedProblem, check_estimate,
                          constant_coefficient, solve_linearized, standing_wave)
-from .model import DomainError, ParameterError
+from .model import Background, DomainError, ParameterError
 
 __all__ = ["RateFit", "fit_rate", "run_single", "run_reference", "run_sweep",
            "run_linearized_probe", "write_diagnostics_csv", "RunError"]
@@ -53,13 +53,18 @@ class RateFit:
 def fit_rate(points) -> RateFit:
     """Fit a power law through ``(delta, value)`` pairs.
 
-    Requires at least three points with positive values.
+    Requires at least three points with finite positive deltas and values,
+    and at least two distinct deltas.
     """
     pts = [(float(d), float(v)) for d, v in points]
     if len(pts) < 3:
         raise RunError(f"rate fit needs >= 3 points, got {len(pts)}")
-    if any(d <= 0 or v <= 0 for d, v in pts):
-        raise RunError("rate fit needs positive deltas and values")
+    # a NaN fails both comparisons
+    bad = [p for p in pts if not all(0.0 < x < math.inf for x in p)]
+    if bad:
+        raise RunError(f"rate fit needs finite positive points, got {bad[0]}")
+    if len({d for d, _ in pts}) < 2:
+        raise RunError("rate fit needs >= 2 distinct deltas")
     x = np.log([d for d, _ in pts])
     y = np.log([v for _, v in pts])
     slope, intercept = np.polyfit(x, y, 1)
@@ -100,10 +105,16 @@ class _Setup:
     eos: object
     seed: int
 
-    def collector(self, params, kind, reference=None):
-        """The observer of one run at ``params``; its rows carry ``kind``
+    def background(self, delta=None) -> Background:
+        """The model at the configured parameters, with ``delta`` in place
+        of ``params.delta`` when given.  Each command builds one per
+        parameter set and hands it to every consumer."""
+        return Background.of(self.cfg.build_params(delta), self.eos)
+
+    def collector(self, bg, kind, reference=None):
+        """The observer of one run at ``bg``; its rows carry ``kind``
         and, given the ``reference`` trajectory, the limit errors."""
-        return diag.Collector(self.grid, params, self.eos,
+        return diag.Collector(self.grid, bg,
                               order=self.cfg.get("diagnostics", "order"),
                               beta=self.cfg.get("diagnostics", "beta"),
                               seed=self.seed, kind=kind, reference=reference)
@@ -151,29 +162,29 @@ def _resolve_dt(s: _Setup, u0) -> float:
     return default_dt(s.grid, u0) if dt == "auto" else dt
 
 
-def _reference_velocity(s: _Setup, params, prepared=None):
+def _reference_velocity(s: _Setup, bg, prepared=None):
     """Initial datum of the incompressible reference.
 
     Uses the velocity-budget normalization (the Mach-free variant), so in
     global-thm mode it coincides with every sweep member's initial velocity:
     then the velocity of ``prepared``, a :func:`_prepare` result at
-    ``params``, is reused.  The datum is divergence-free already; the
+    ``bg``, is reused.  The datum is divergence-free already; the
     reference crops it to the dealias box and projects it on entry.
     """
     if prepared is not None and prepared[1]["mode"] == "global-thm":
         return prepared[0].u
-    return _prepare(s, params, mode="global-thm")[0].u
+    return _prepare(s, bg, mode="global-thm")[0].u
 
 
-def _prepare(s: _Setup, params, **changes):
-    """Well-prepared initial state and its report at ``params.delta``.
+def _prepare(s: _Setup, bg, **changes):
+    """Well-prepared initial state and its report at ``bg``.
 
     ``changes`` replace fields of the configured :class:`InitSpec`.  Data
     the ``init`` settings cannot produce is a configuration error."""
-    spec = replace(s.cfg.build_init_spec(delta=params.delta, seed=s.seed),
+    spec = replace(s.cfg.build_init_spec(delta=bg.delta, seed=s.seed),
                    **changes)
     try:
-        return make_well_prepared(spec, s.grid, params, s.eos)
+        return make_well_prepared(spec, s.grid, bg)
     except InitError as exc:
         key = f"init.{exc.key}" if exc.key else "init"
         raise ConfigError(f"{key}: {exc}") from None
@@ -181,20 +192,20 @@ def _prepare(s: _Setup, params, **changes):
         raise ConfigError(f"params: {exc}") from None
 
 
-def _run_one_compressible(s: _Setup, params, dt, prepared, reference):
+def _run_one_compressible(s: _Setup, bg, dt, prepared, reference):
     state0, init_report = prepared
     solver_cfg = SolverConfig(
         dt=dt,
         t_end=s.cfg.get("solver", "t_end"),
         scheme=s.cfg.get("solver", "scheme"))
-    solver = CompressibleSolver(s.grid, params, s.eos, solver_cfg)
+    solver = CompressibleSolver(s.grid, bg, solver_cfg)
     traj = solver.run(state0, cadence=s.cfg.get("output", "cadence"),
-                      observer=s.collector(params, "run", reference).observe)
+                      observer=s.collector(bg, "run", reference).observe)
     return traj, init_report, solver_cfg
 
 
-def _run_reference_traj(s: _Setup, params, u0, dt):
-    ns = IncompressibleSolver(s.grid, params.mu_bar, params.rho_bar,
+def _run_reference_traj(s: _Setup, bg, u0, dt):
+    ns = IncompressibleSolver(s.grid, bg.params.mu_bar, bg.params.rho_bar,
                               scheme=s.cfg.get("solver", "ns_scheme"))
     return ns.run(u0, dt, s.cfg.get("solver", "t_end"),
                   cadence=s.cfg.get("output", "cadence"))
@@ -236,14 +247,13 @@ def run_single(cfg: ExperimentConfig, out_dir, seed=None):
     returns the summary dict.  Raises :class:`RunError` if the run aborts.
     """
     s = _setup(cfg, out_dir, seed)
-    params = cfg.build_params()
-    prepared = _prepare(s, params)
+    bg = s.background()
+    prepared = _prepare(s, bg)
     dt = _resolve_dt(s, prepared[0].u)
 
-    ref = (_run_reference_traj(s, params,
-                               _reference_velocity(s, params, prepared), dt)
+    ref = (_run_reference_traj(s, bg, _reference_velocity(s, bg, prepared), dt)
            if cfg.get("solver", "with_reference") else None)
-    traj, init_report, solver_cfg = _run_one_compressible(s, params, dt,
+    traj, init_report, solver_cfg = _run_one_compressible(s, bg, dt,
                                                           prepared, ref)
     summary = {"kind": "run", "seed": s.seed}
     if ref is not None and traj.status == "ok":
@@ -269,12 +279,12 @@ def run_reference(cfg: ExperimentConfig, out_dir, seed=None):
     ``mu_bar |grad u|^2`` in ``H^order``, and the other fields' columns 0.
     """
     s = _setup(cfg, out_dir, seed)
-    params = cfg.build_params()
-    u0 = _reference_velocity(s, params)
+    bg = s.background()
+    u0 = _reference_velocity(s, bg)
     dt = _resolve_dt(s, u0)
-    ref = _run_reference_traj(s, params, u0, dt)
+    ref = _run_reference_traj(s, bg, u0, dt)
 
-    collector = s.collector(params, "reference")
+    collector = s.collector(bg, "reference")
     d = s.grid.dim
     X = np.zeros((d + 3,) + s.grid.spectral_shape, dtype=np.complex128)
     records = []
@@ -305,18 +315,19 @@ def run_sweep(cfg: ExperimentConfig, out_dir, seed=None, threads: int = 1):
     s = _setup(cfg, out_dir, seed)
 
     # One dt for every member: the split must absorb the 1/delta^2
-    # stiffness, so no member may need a smaller step.
-    params0 = cfg.build_params(delta=deltas[0])
-    prepared0 = _prepare(s, params0)
+    # stiffness, so no member may need a smaller step.  The first member
+    # runs on the model and the datum that dt and the reference came from.
+    bg0 = s.background(deltas[0])
+    prepared0 = _prepare(s, bg0)
     dt = _resolve_dt(s, prepared0[0].u)
 
-    ref = _run_reference_traj(s, params0,
-                              _reference_velocity(s, params0, prepared0), dt)
+    ref = _run_reference_traj(s, bg0, _reference_velocity(s, bg0, prepared0),
+                              dt)
 
     def member(delta):
-        params = cfg.build_params(delta=delta)
-        prepared = prepared0 if delta == deltas[0] else _prepare(s, params)
-        return _run_one_compressible(s, params, dt, prepared, ref)
+        bg = bg0 if delta == deltas[0] else s.background(delta)
+        prepared = prepared0 if bg is bg0 else _prepare(s, bg)
+        return _run_one_compressible(s, bg, dt, prepared, ref)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -376,12 +387,12 @@ def run_linearized_probe(cfg: ExperimentConfig, out_dir, seed=None):
                 for name in cfg.get("linearized", "families")]
     rng = np.random.default_rng(s.seed)
     shapes = [random_band_scalar(grid, rng, 2.0) for _ in range(3 + grid.dim)]
+    backgrounds = [s.background(delta) for delta in deltas]
     records = []
     results = {}
     for name, coeff in families:
         constants = {}
-        for delta in deltas:
-            params = cfg.build_params(delta=delta)
+        for delta, bg in zip(deltas, backgrounds):
             problem = LinearizedProblem(
                 coeff=coeff,
                 init_nrel=delta * amp * shapes[0],
@@ -391,7 +402,7 @@ def run_linearized_probe(cfg: ExperimentConfig, out_dir, seed=None):
                 horizon=cfg.get("linearized", "t_end"),
                 norm_order=cfg.get("linearized", "norm_order"))
             try:
-                traj = solve_linearized(grid, problem, params, s.eos, dt=dt)
+                traj = solve_linearized(grid, problem, bg, dt=dt)
                 rep = check_estimate(traj, c0=c0)
             except DomainError as exc:
                 raise ConfigError(f"linearized.norm_order = "

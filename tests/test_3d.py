@@ -7,7 +7,7 @@ from rhdlab.compressible import (CompressibleSolver, CompressibleState,
                                  SolverConfig, rhs_perturbation, rhs_primitive)
 from rhdlab.fields import SpectralGrid
 from rhdlab.initial import InitSpec, make_well_prepared, random_band_scalar
-from rhdlab.model import IdealGasEOS, PhysParams
+from rhdlab.model import Background, IdealGasEOS, PhysParams
 
 EOS = IdealGasEOS()
 
@@ -19,7 +19,7 @@ def grid3():
 
 def test_equilibrium_fixed_point_3d(grid3):
     params = PhysParams(delta=0.1)
-    solver = CompressibleSolver(grid3, params, EOS,
+    solver = CompressibleSolver(grid3, Background.of(params, EOS),
                                 SolverConfig(dt=5e-3, t_end=0.05))
     state = CompressibleState(np.full(grid3.shape, params.rho_bar),
                               np.zeros((3,) + grid3.shape),
@@ -39,7 +39,8 @@ def test_reformulation_equivalence_3d(grid3):
     state = CompressibleState(params.rho_bar + drho, u,
                               params.theta_bar + dth, params.n_bar + drad)
     rho_t, u_t, th_t, n_t = rhs_primitive(grid3, state, params, EOS)
-    assembled = rhs_perturbation(grid3, drho, u, dth, drad, params, EOS)
+    assembled = rhs_perturbation(grid3, drho, u, dth, drad,
+                                 Background.of(params, EOS))
     mapped = [grid3.mask(rho_t), grid3.mask(u_t), grid3.mask(th_t),
               grid3.mask(n_t)]
     for a, b in zip(mapped, assembled):
@@ -47,11 +48,11 @@ def test_reformulation_equivalence_3d(grid3):
 
 
 def test_well_prepared_run_3d(grid3):
-    params = PhysParams(delta=0.1)
+    bg = Background.of(PhysParams(delta=0.1), EOS)
     st, rep = make_well_prepared(InitSpec(budget=0.3, delta=0.1, seed=1),
-                                 grid3, params, EOS)
+                                 grid3, bg)
     assert rep["div_u"] < 1e-12
-    solver = CompressibleSolver(grid3, params, EOS,
+    solver = CompressibleSolver(grid3, bg,
                                 SolverConfig(dt=2e-3, t_end=0.02))
     traj = solver.run(st, cadence=5)
     assert traj.status == "ok"

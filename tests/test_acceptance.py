@@ -22,7 +22,7 @@ from rhdlab.initial import InitSpec, make_well_prepared, random_band_scalar
 from rhdlab.linearized import (LinearizedProblem, check_estimate,
                                constant_coefficient, solve_linearized,
                                standing_wave)
-from rhdlab.model import IdealGasEOS, PhysParams
+from rhdlab.model import Background, IdealGasEOS, PhysParams
 
 EOS = IdealGasEOS()
 
@@ -58,6 +58,7 @@ def sweep_report(tmp_path_factory):
 def test_criterion_01_reformulation_equivalence(grid64):
     start = time.time()
     params = PhysParams(delta=0.1)
+    bg = Background.of(params, EOS)
     worst = 0.0
     for seed in range(20):
         rng = np.random.default_rng(seed)
@@ -69,8 +70,7 @@ def test_criterion_01_reformulation_equivalence(grid64):
         rho_t, u_t, th_t, n_t = rhs_primitive(grid64, state, params, EOS)
         mapped_v = [grid64.mask(rho_t), grid64.mask(u_t), grid64.mask(th_t),
                     grid64.mask(n_t)]
-        assembled_v = rhs_perturbation(grid64, drho, u, dth, drad, params,
-                                       EOS)
+        assembled_v = rhs_perturbation(grid64, drho, u, dth, drad, bg)
         for a, b in zip(mapped_v, assembled_v):
             worst = max(worst, np.max(np.abs(a - b)) / np.max(np.abs(a)))
         nrel = drho / params.rho_bar
@@ -78,8 +78,7 @@ def test_criterion_01_reformulation_equivalence(grid64):
         mapped_m = [grid64.mask(rho_t / params.rho_bar),
                     grid64.mask((rho_t * u + state.rho * u_t) / params.rho_bar),
                     grid64.mask(th_t), grid64.mask(n_t)]
-        assembled_m = rhs_momentum_form(grid64, nrel, mom, dth, drad,
-                                        params, EOS)
+        assembled_m = rhs_momentum_form(grid64, nrel, mom, dth, drad, bg)
         for a, b in zip(mapped_m, assembled_m):
             worst = max(worst, np.max(np.abs(a - b)) / np.max(np.abs(a)))
     wall = time.time() - start
@@ -113,7 +112,7 @@ def test_criterion_02_planck_identities():
 def test_criterion_03_equilibrium_fixed_point(grid64):
     start = time.time()
     params = PhysParams(delta=0.1)
-    solver = CompressibleSolver(grid64, params, EOS,
+    solver = CompressibleSolver(grid64, Background.of(params, EOS),
                                 SolverConfig(dt=1e-3, t_end=1.0))
     state = CompressibleState(np.full(grid64.shape, params.rho_bar),
                               np.zeros((2,) + grid64.shape),
@@ -177,18 +176,19 @@ def test_criterion_08_energy_sandwich(sweep_report):
 def test_criterion_09_dissipation_probes():
     start = time.time()
     params = PhysParams(delta=0.1)
+    bg = Background.of(params, EOS)
     consts = {}
     for n in (64, 128):
         grid = SpectralGrid(dim=2, points_per_axis=n)
         st, _ = make_well_prepared(InitSpec(budget=0.5, delta=0.1, seed=3),
-                                   grid, params, EOS)
-        solver = CompressibleSolver(grid, params, EOS,
+                                   grid, bg)
+        solver = CompressibleSolver(grid, bg,
                                     SolverConfig(dt=1e-3, t_end=0.25))
-        coll = diag.Collector(grid, params, EOS)
+        coll = diag.Collector(grid, bg)
         traj = solver.run(st, cadence=5, observer=coll.observe)
         assert traj.status == "ok"
         p1 = diag.energy_dissipation_probe(traj.records, params)
-        p2 = diag.cross_term_probe(traj.records, params, EOS)
+        p2 = diag.cross_term_probe(traj.records, bg)
         consts[n] = (p1.constant, p2.constant)
 
     def stable(a, b):
@@ -218,7 +218,7 @@ def test_criterion_10_linearized_uniformity(grid64):
                          ("standing-wave", standing_wave(0.5))):
         consts = []
         for delta in (0.2, 0.1, 0.05):
-            params = PhysParams(delta=delta)
+            bg = Background.of(PhysParams(delta=delta), EOS)
             problem = LinearizedProblem(
                 coeff=coeff,
                 init_nrel=delta * 0.05 * shapes[0],
@@ -226,7 +226,7 @@ def test_criterion_10_linearized_uniformity(grid64):
                 init_dtheta=delta * 0.05 * shapes[3],
                 init_drad=np.sqrt(delta) * 0.05 * shapes[4],
                 horizon=0.5, norm_order=2)
-            traj = solve_linearized(grid64, problem, params, EOS, dt=1e-3)
+            traj = solve_linearized(grid64, problem, bg, dt=1e-3)
             consts.append(check_estimate(traj, c0=1.0).constant)
         spread = max(consts) / min(consts)
         ok = ok and spread < 4.0

@@ -10,7 +10,7 @@ from rhdlab.compressible import (CompressibleSolver, CompressibleState,
                                  rhs_perturbation, rhs_primitive)
 from rhdlab.fields import SpectralGrid
 from rhdlab.initial import InitSpec, make_well_prepared, random_band_scalar
-from rhdlab.model import IdealGasEOS, PhysParams
+from rhdlab.model import Background, IdealGasEOS, PhysParams
 from rhdlab.steppers import unpack_state
 
 
@@ -90,14 +90,14 @@ def test_rhs_primitive_uniform_state_values(grid):
 
 
 def test_rhs_perturbation_zero_and_uniform(grid):
-    params = PhysParams(delta=0.1)
+    bg = Background.of(PhysParams(delta=0.1), EOS)
     zero, u = np.zeros(grid.shape), np.zeros((2,) + grid.shape)
-    for f in rhs_perturbation(grid, zero, u, zero, zero, params, EOS):
+    for f in rhs_perturbation(grid, zero, u, zero, zero, bg):
         assert np.max(np.abs(f)) == 0.0
     # uniform small dtheta only: leading tendency is -4*dtheta
     eps = 1e-8
     _, _, th_t, _ = rhs_perturbation(grid, zero, u, np.full(grid.shape, eps),
-                                     zero, params, EOS)
+                                     zero, bg)
     assert np.allclose(th_t, -4.0 * eps, rtol=1e-6)
 
 
@@ -105,14 +105,14 @@ def test_rhs_perturbation_zero_and_uniform(grid):
 def test_reformulation_equivalences(grid, background):
     params = PhysParams.equilibrium(delta=0.1, **background)
     eos = OFF_UNIT_EOS if background else EOS
+    bg = Background.of(params, eos)
     for seed in range(3):
         st = smooth_state(grid, params, seed)
         drho, dtheta = st.rho - params.rho_bar, st.theta - params.theta_bar
         drad = st.rad - params.n_bar
         rho_t, u_t, th_t, n_t = rhs_primitive(grid, st, params, eos)
         mapped = [grid.mask(rho_t), grid.mask(u_t), grid.mask(th_t), grid.mask(n_t)]
-        assembled = rhs_perturbation(grid, drho, st.u, dtheta, drad, params,
-                                     eos)
+        assembled = rhs_perturbation(grid, drho, st.u, dtheta, drad, bg)
         for a, b in zip(mapped, assembled):
             assert np.max(np.abs(a - b)) < 1e-10 * np.max(np.abs(a))
         nrel = drho / params.rho_bar
@@ -120,8 +120,7 @@ def test_reformulation_equivalences(grid, background):
         mapped_m = [grid.mask(rho_t / params.rho_bar),
                     grid.mask((rho_t * st.u + st.rho * u_t) / params.rho_bar),
                     grid.mask(th_t), grid.mask(n_t)]
-        assembled_m = rhs_momentum_form(grid, nrel, mom, dtheta, drad,
-                                        params, eos)
+        assembled_m = rhs_momentum_form(grid, nrel, mom, dtheta, drad, bg)
         for a, b in zip(mapped_m, assembled_m):
             assert np.max(np.abs(a - b)) < 1e-10 * np.max(np.abs(a))
 
@@ -129,7 +128,8 @@ def test_reformulation_equivalences(grid, background):
 @pytest.mark.parametrize("scheme", ["imex1", "imex2"])
 def test_equilibrium_fixed_point(grid, scheme):
     params = PhysParams(delta=0.05)
-    solver = CompressibleSolver(grid, params, EOS,
+    bg = Background.of(params, EOS)
+    solver = CompressibleSolver(grid, bg,
                                 SolverConfig(dt=0.01, t_end=1.0,
                                              scheme=scheme))
     traj = solver.run(equilibrium_state(grid, params), cadence=100)
@@ -140,10 +140,11 @@ def test_equilibrium_fixed_point(grid, scheme):
 
 def test_mass_conservation(grid):
     params = PhysParams(delta=0.1)
+    bg = Background.of(params, EOS)
     st, _ = make_well_prepared(InitSpec(budget=0.5, delta=0.1, seed=5),
-                               grid, params, EOS)
+                               grid, bg)
     mass0 = np.mean(st.rho) * grid.volume
-    solver = CompressibleSolver(grid, params, EOS,
+    solver = CompressibleSolver(grid, bg,
                                 SolverConfig(dt=1e-3, t_end=0.05))
     traj = solver.run(st, cadence=10)
     mass1 = np.mean(params.rho_bar + traj.final_state[0]) * grid.volume
@@ -154,10 +155,10 @@ def test_delta_uniform_stability(grid):
     # same grid and dt across the Mach sweep: every run completes
     st_cache = {}
     for delta in (0.2, 0.1, 0.05, 0.025):
-        params = PhysParams(delta=delta)
+        bg = Background.of(PhysParams(delta=delta), EOS)
         st, _ = make_well_prepared(InitSpec(budget=0.5, delta=delta, seed=7),
-                                   grid, params, EOS)
-        solver = CompressibleSolver(grid, params, EOS,
+                                   grid, bg)
+        solver = CompressibleSolver(grid, bg,
                                     SolverConfig(dt=1e-3, t_end=0.05))
         traj = solver.run(st, cadence=50)
         assert traj.status == "ok", traj.abort_reason
@@ -196,8 +197,9 @@ def test_operator_amplification_all_modes(grid):
     # inverse 4x4 longitudinal block nor the transverse factor of any shell,
     # read where the operator spreads them onto the modes
     params = PhysParams(delta=0.05)
+    bg = Background.of(params, EOS)
     dt = 10.0 * params.delta * grid.dx
-    solver = CompressibleSolver(grid, params, EOS,
+    solver = CompressibleSolver(grid, bg,
                                 SolverConfig(dt=dt, t_end=dt))
     op = solver._stepper.op
     eigs = np.linalg.eigvals(np.moveaxis(op._inv, (0, 1), (-2, -1)))
@@ -209,7 +211,6 @@ def test_imex_stepper_releases_symbol(grid):
     # the stepper keeps the factor only: no array of s^2 entries per mode,
     # and the symbol it was built from is freed once the caller drops it
     import weakref
-    from rhdlab.model import Background
     from rhdlab.steppers import ImexStepper, split_symbol
 
     symbol = split_symbol(grid, Background.of(PhysParams(), EOS))
@@ -227,7 +228,6 @@ def test_ars222_implicit_update_against_dense_solve(delta, dense_symbol):
     # zero explicit part: one imex2 step is the two-stage SDIRK update
     # y = (I - g dt M)^{-1} X, x = (I - g dt M)^{-1} (X + (1-g) dt M y),
     # solved here densely per mode
-    from rhdlab.model import Background
     from rhdlab.steppers import ARS_GAMMA, ImexStepper, split_symbol
 
     g = SpectralGrid(dim=2, points_per_axis=16)
@@ -260,6 +260,7 @@ def test_linearized_operator_matches_momentum_form(grid, monkeypatch):
     from rhdlab import linearized, steppers
 
     params = PhysParams.equilibrium(delta=0.1, **OFF_UNIT)
+    bg = Background.of(params, OFF_UNIT_EOS)
     ops = []
 
     # record the split symbol the probe factors
@@ -276,7 +277,7 @@ def test_linearized_operator_matches_momentum_form(grid, monkeypatch):
     problem = linearized.LinearizedProblem(
         linearized.constant_coefficient(1.0), nrel, mom, dth, drad,
         horizon=0.0)
-    linearized.solve_linearized(grid, problem, params, OFF_UNIT_EOS, dt=1e-3)
+    linearized.solve_linearized(grid, problem, bg, dt=1e-3)
 
     d = grid.dim
     X = np.concatenate([grid.fft(nrel)[None], grid.fft(mom),
@@ -284,7 +285,7 @@ def test_linearized_operator_matches_momentum_form(grid, monkeypatch):
     LX = ops[0].apply(X)
     linear = (grid.ifft(LX[0]), grid.ifft(LX[1:1 + d]), grid.ifft(LX[d + 1]),
               grid.ifft(LX[d + 2]))
-    full = rhs_momentum_form(grid, nrel, mom, dth, drad, params, OFF_UNIT_EOS)
+    full = rhs_momentum_form(grid, nrel, mom, dth, drad, bg)
     for a, b in zip(full, linear):
         assert np.max(np.abs(a - b)) <= 1e-5 * np.max(np.abs(a))
 
@@ -294,10 +295,10 @@ def test_linearized_operator_matches_momentum_form(grid, monkeypatch):
 def test_transforms_per_step(dim, scheme, limit, transforms):
     # field transforms through SpectralGrid.fft/ifft in one perturbation step
     g = SpectralGrid(dim=dim, points_per_axis=16)
-    params = PhysParams(delta=0.1)
+    bg = Background.of(PhysParams(delta=0.1), EOS)
     st, _ = make_well_prepared(InitSpec(budget=0.5, delta=0.1, seed=3),
-                               g, params, EOS)
-    solver = CompressibleSolver(g, params, EOS,
+                               g, bg)
+    solver = CompressibleSolver(g, bg,
                                 SolverConfig(dt=1e-3, t_end=1e-3,
                                              scheme=scheme))
     X = solver.pack(st)
@@ -316,10 +317,10 @@ def test_one_transform_each_way_per_explicit_evaluation(dim, scheme, fields,
     # the viscous term, grad z with lap z), and the remainders forward in
     # one transform
     g = SpectralGrid(dim=dim, points_per_axis=16)
-    params = PhysParams(delta=0.1)
+    bg = Background.of(PhysParams(delta=0.1), EOS)
     st, _ = make_well_prepared(InitSpec(budget=0.5, delta=0.1, seed=3),
-                               g, params, EOS)
-    solver = CompressibleSolver(g, params, EOS,
+                               g, bg)
+    solver = CompressibleSolver(g, bg,
                                 SolverConfig(dt=1e-3, t_end=1e-3,
                                              scheme=scheme))
     X = solver.pack(st)
@@ -383,10 +384,10 @@ def test_explicit_evaluation_traced_peak_3d():
     # one explicit evaluation at 16^3 holds at most 1.8 times its point
     # values (the stacked transform held 2.17 times)
     g = SpectralGrid(dim=3, points_per_axis=16)
-    params = PhysParams(delta=0.1)
+    bg = Background.of(PhysParams(delta=0.1), EOS)
     st, _ = make_well_prepared(InitSpec(budget=0.5, delta=0.1, seed=3),
-                               g, params, EOS)
-    solver = CompressibleSolver(g, params, EOS,
+                               g, bg)
+    solver = CompressibleSolver(g, bg,
                                 SolverConfig(dt=1e-3, t_end=1e-3))
     X = solver.pack(st)
     d = g.dim
@@ -407,11 +408,12 @@ def test_radiation_relaxation_against_ode_oracle(grid):
     from scipy.linalg import expm
 
     params = PhysParams(delta=0.1)
+    bg = Background.of(params, EOS)
     z0, g0 = 1e-4, -5e-5
     st = primitive(params, np.zeros(grid.shape), np.zeros((2,) + grid.shape),
                    np.full(grid.shape, z0), np.full(grid.shape, g0))
     dt, t_end = 1e-3, 0.3
-    solver = CompressibleSolver(grid, params, EOS,
+    solver = CompressibleSolver(grid, bg,
                                 SolverConfig(dt=dt, t_end=t_end, scheme="imex2"))
     traj = solver.run(st, cadence=20,
                       observer=lambda X, t: (t, float(grid.ifft(X[3])[0, 0]),
@@ -436,11 +438,12 @@ def test_run_aborts_and_reports_last_valid_time(grid):
     # invariant violations end the run with an aborted report carrying the
     # last valid time instead of raising
     params = PhysParams(delta=0.5)
+    bg = Background.of(params, EOS)
     x = grid.grid_points()
     u = np.stack([50.0 + 0.1 * np.sin(x[0]), np.zeros(grid.shape)])
     zero = np.zeros(grid.shape)
     st = primitive(params, zero, u, zero, zero)
-    solver = CompressibleSolver(grid, params, EOS,
+    solver = CompressibleSolver(grid, bg,
                                 SolverConfig(dt=0.05, t_end=1.0,
                                              positivity_interval=1))
     traj = solver.run(st, cadence=1)
@@ -455,12 +458,13 @@ def test_negative_radiation_points_counts_observations_below_zero():
     # negative point, checked or not, as an oracle on the observed state does
     grid = SpectralGrid(dim=2, points_per_axis=16)
     params = PhysParams(delta=0.1)
+    bg = Background.of(params, EOS)
     x = grid.grid_points()
     bump = np.exp(np.cos(x[0]) + np.cos(x[1]) - 2.0)
     zero = np.zeros(grid.shape)
     st = primitive(params, zero, np.zeros((2,) + grid.shape), zero,
                    -1.3 * bump)
-    solver = CompressibleSolver(grid, params, EOS,
+    solver = CompressibleSolver(grid, bg,
                                 SolverConfig(dt=1e-3, t_end=0.3))
     traj = solver.run(st, cadence=1,
                       observer=lambda X, t: bool(np.min(
@@ -473,11 +477,11 @@ def test_negative_radiation_points_counts_observations_below_zero():
 def test_run_unpacks_each_state_once(grid, monkeypatch):
     # checking and observing the same step share one unpacked state, and the
     # final state reuses the last one
-    params = PhysParams(delta=0.1)
+    bg = Background.of(PhysParams(delta=0.1), EOS)
     st, _ = make_well_prepared(InitSpec(budget=0.5, delta=0.1, seed=2),
-                               grid, params, EOS)
+                               grid, bg)
     nsteps = 5
-    solver = CompressibleSolver(grid, params, EOS,
+    solver = CompressibleSolver(grid, bg,
                                 SolverConfig(dt=1e-3, t_end=nsteps * 1e-3,
                                              positivity_interval=1))
     calls = [0]
@@ -498,9 +502,9 @@ def test_run_validates_once_on_entry_and_once_per_check(monkeypatch):
     # the entry check of state0, then one per invariant check: at t = 0,
     # every positivity_interval steps and after the last step
     g = SpectralGrid(dim=2, points_per_axis=16)
-    params = PhysParams(delta=0.1)
+    bg = Background.of(PhysParams(delta=0.1), EOS)
     st, _ = make_well_prepared(InitSpec(budget=0.5, delta=0.1, seed=2),
-                               g, params, EOS)
+                               g, bg)
     calls = [0]
     validate = CompressibleState.validate
 
@@ -511,7 +515,7 @@ def test_run_validates_once_on_entry_and_once_per_check(monkeypatch):
     monkeypatch.setattr(CompressibleState, "validate", counted)
     for nsteps, interval, checks in ((10, 3, 5), (9, 3, 4), (4, 1, 5),
                                      (3, 10, 2), (0, 2, 1)):
-        solver = CompressibleSolver(g, params, EOS,
+        solver = CompressibleSolver(g, bg,
                                     SolverConfig(dt=1e-3, t_end=nsteps * 1e-3,
                                                  positivity_interval=interval))
         calls[0] = 0
@@ -526,11 +530,11 @@ def test_final_state_is_the_unpacked_stepped_state(monkeypatch, fail_at):
     # check fails ends on the state that failed, not on the one checked
     # before it
     g = SpectralGrid(dim=2, points_per_axis=16)
-    params = PhysParams(delta=0.1)
+    bg = Background.of(PhysParams(delta=0.1), EOS)
     st, _ = make_well_prepared(InitSpec(budget=0.5, delta=0.1, seed=2),
-                               g, params, EOS)
+                               g, bg)
     nsteps, interval = 6, 2
-    solver = CompressibleSolver(g, params, EOS,
+    solver = CompressibleSolver(g, bg,
                                 SolverConfig(dt=1e-3, t_end=nsteps * 1e-3,
                                              positivity_interval=interval))
     # validate runs on entry, at t = 0 and then at steps 2, 4, 6
@@ -569,11 +573,11 @@ def test_non_finite_coefficient_aborts_on_the_failed_state(monkeypatch, at,
     # poisoned state; warnings are errors here
     from rhdlab.diagnostics import Collector
     g = SpectralGrid(dim=2, points_per_axis=16)
-    params = PhysParams(delta=0.1)
+    bg = Background.of(PhysParams(delta=0.1), EOS)
     st, _ = make_well_prepared(InitSpec(budget=0.5, delta=0.1, seed=2),
-                               g, params, EOS)
+                               g, bg)
     dt, interval = 1e-3, 5
-    solver = CompressibleSolver(g, params, EOS,
+    solver = CompressibleSolver(g, bg,
                                 SolverConfig(dt=dt, t_end=12 * dt,
                                              positivity_interval=interval))
     step, steps = solver.step_spectral, []
@@ -588,7 +592,7 @@ def test_non_finite_coefficient_aborts_on_the_failed_state(monkeypatch, at,
     for cadence in (1, 100):
         steps.clear()
         traj = solver.run(st, cadence=cadence,
-                          observer=Collector(g, params, EOS).observe)
+                          observer=Collector(g, bg).observe)
         assert traj.status == "aborted", cadence
         assert "finite" in traj.abort_reason, traj.abort_reason
         assert len(steps) < at + interval
@@ -602,11 +606,11 @@ def test_run_observes_checked_state_without_transforms(grid, transforms):
     # at cadence 1 with a check every step, observing reuses the checked
     # state: outside the steps, run transforms only to pack the datum and
     # to unpack each state once
-    params = PhysParams(delta=0.1)
+    bg = Background.of(PhysParams(delta=0.1), EOS)
     st, _ = make_well_prepared(InitSpec(budget=0.5, delta=0.1, seed=2),
-                               grid, params, EOS)
+                               grid, bg)
     nsteps, fields = 4, grid.dim + 3
-    solver = CompressibleSolver(grid, params, EOS,
+    solver = CompressibleSolver(grid, bg,
                                 SolverConfig(dt=1e-3, t_end=nsteps * 1e-3,
                                              positivity_interval=1))
     in_steps = [0]
@@ -635,10 +639,10 @@ def test_run_takes_no_parseval_sum(grid, monkeypatch):
             calls.append(_name)
             return _method(self, *args, **kwargs)
         monkeypatch.setattr(SpectralGrid, name, counted)
-    params = PhysParams(delta=0.1)
+    bg = Background.of(PhysParams(delta=0.1), EOS)
     st, _ = make_well_prepared(InitSpec(budget=0.5, delta=0.1, seed=2),
-                               grid, params, EOS)
-    solver = CompressibleSolver(grid, params, EOS,
+                               grid, bg)
+    solver = CompressibleSolver(grid, bg,
                                 SolverConfig(dt=1e-3, t_end=4e-3))
     calls.clear()
     traj = solver.run(st, cadence=1, observer=None)
@@ -652,15 +656,15 @@ def test_bundle_stays_bounded_by_initial(grid):
     # measured multiple is resolution-stable
     from rhdlab.diagnostics import Collector
 
-    params = PhysParams(delta=0.1)
+    bg = Background.of(PhysParams(delta=0.1), EOS)
     cs = {}
     for n in (32, 64):
         g = SpectralGrid(dim=2, points_per_axis=n)
         st, _ = make_well_prepared(InitSpec(budget=0.5, delta=0.1, seed=13),
-                                   g, params, EOS)
-        solver = CompressibleSolver(g, params, EOS,
+                                   g, bg)
+        solver = CompressibleSolver(g, bg,
                                     SolverConfig(dt=1e-3, t_end=1.0))
-        coll = Collector(g, params, EOS)
+        coll = Collector(g, bg)
         traj = solver.run(st, cadence=20, observer=coll.observe)
         assert traj.status == "ok"
         cs[n] = (max(r.bundle_sup for r in traj.records)

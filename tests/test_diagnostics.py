@@ -6,7 +6,7 @@ from rhdlab.compressible import CompressibleSolver, SolverConfig
 from rhdlab.fields import SpectralGrid
 from rhdlab.incompressible import IncompressibleSolver
 from rhdlab.initial import InitSpec, make_well_prepared
-from rhdlab.model import DomainError, IdealGasEOS, PhysParams
+from rhdlab.model import Background, DomainError, IdealGasEOS, PhysParams
 from rhdlab.steppers import pack_state
 
 
@@ -31,7 +31,8 @@ def deviations(st, params):
 
 def observe(grid, params, u, drho, dtheta, drad, order=3, beta=0.05):
     """Record of one point-value state, observed at t = 0."""
-    coll = diag.Collector(grid, params, EOS, order=order, beta=beta)
+    coll = diag.Collector(grid, Background.of(params, EOS), order=order,
+                          beta=beta)
     return coll.observe(pack_state(grid, drho, u, dtheta, drad), 0.0)
 
 
@@ -56,8 +57,9 @@ def test_bundle_invariant_under_generator_rescaling(grid):
     vals = []
     for delta in (0.2, 0.1):
         params = PhysParams(delta=delta)
+        bg = Background.of(params, EOS)
         st, _ = make_well_prepared(InitSpec(budget=0.5, delta=delta, seed=8),
-                                   grid, params, EOS)
+                                   grid, bg)
         drho, u, dtheta, drad = deviations(st, params)
         vals.append(observe(grid, params, u, drho, dtheta, drad).bundle_sup)
     # velocity and radiation components are delta-independent by
@@ -116,10 +118,10 @@ def test_energy_zero_beta_is_weighted_norm_sum(grid):
 def test_collector_beta_must_lie_in_unit_interval(grid, beta, ok):
     # the energy functional is defined only for beta in [0, 1]
     if ok:
-        diag.Collector(grid, PhysParams(), EOS, beta=beta)
+        diag.Collector(grid, Background.of(PhysParams(), EOS), beta=beta)
     else:
         with pytest.raises(DomainError, match="beta"):
-            diag.Collector(grid, PhysParams(), EOS, beta=beta)
+            diag.Collector(grid, Background.of(PhysParams(), EOS), beta=beta)
 
 
 def test_energy_zero_iff_zero_state(grid):
@@ -135,11 +137,11 @@ def test_energy_bundle_sandwich_on_random_states(grid):
     for seed in range(1000):
         delta = float(np.random.default_rng(seed + 10 ** 6).choice([0.2, 0.1, 0.05]))
         params = PhysParams(delta=delta)
+        bg = Background.of(params, eos)
         st, _ = make_well_prepared(InitSpec(budget=0.5, delta=delta, seed=seed),
-                                   grid, params, eos)
+                                   grid, bg)
         if delta not in collectors:
-            collectors[delta] = diag.Collector(grid, params, eos, order=3,
-                                               beta=0.05)
+            collectors[delta] = diag.Collector(grid, bg, order=3, beta=0.05)
         rec = collectors[delta].observe(
             pack_state(grid, *deviations(st, params)), 0.0)
         ratio = rec.energy_E / rec.bundle_sup
@@ -149,11 +151,12 @@ def test_energy_bundle_sandwich_on_random_states(grid):
 
 def test_collector_and_probe_shapes(grid):
     params = PhysParams(delta=0.1)
+    bg = Background.of(params, EOS)
     st, _ = make_well_prepared(InitSpec(budget=0.5, delta=0.1, seed=5),
-                               grid, params, EOS)
-    solver = CompressibleSolver(grid, params, EOS,
+                               grid, bg)
+    solver = CompressibleSolver(grid, bg,
                                 SolverConfig(dt=1e-3, t_end=0.05))
-    coll = diag.Collector(grid, params, EOS, seed=5)
+    coll = diag.Collector(grid, bg, seed=5)
     traj = solver.run(st, cadence=5, observer=coll.observe)
     recs = traj.records
     assert all(r.diss_u >= 0 and r.diss_theta >= 0 and r.diss_G >= 0
@@ -164,7 +167,7 @@ def test_collector_and_probe_shapes(grid):
     for a, b in zip(recs, recs[1:]):
         assert b.diss_u >= a.diss_u
     p1 = diag.energy_dissipation_probe(recs, params)
-    p2 = diag.cross_term_probe(recs, params, EOS)
+    p2 = diag.cross_term_probe(recs, bg)
     assert np.isfinite(p1.constant) and np.isfinite(p2.constant)
 
 
@@ -174,14 +177,15 @@ def test_collector_reference_errors_and_mismatch(grid):
     # oracle norm_sq(fft(uc - ur)) against a compressible run, and a
     # cadence the reference does not share raises
     params = PhysParams(delta=0.1)
+    bg = Background.of(params, EOS)
     st, _ = make_well_prepared(InitSpec(budget=0.5, delta=0.1, seed=4),
-                               grid, params, EOS)
+                               grid, bg)
     ns = IncompressibleSolver(grid, mu_bar=params.mu_bar)
     ref = ns.run(st.u, 1e-3, 0.02, cadence=5)
     assert len(ref.times) == 5
 
     X = np.zeros((5,) + grid.spectral_shape, dtype=complex)
-    coll = diag.Collector(grid, params, EOS, reference=ref)
+    coll = diag.Collector(grid, bg, reference=ref)
     for t, uhat in zip(ref.times, ref.uhats):
         X[1:3] = uhat
         rec = coll.observe(X, t)
@@ -195,8 +199,8 @@ def test_collector_reference_errors_and_mismatch(grid):
         velocities.append(grid.ifft(X[1:3]))
         return coll.observe(X, t)
 
-    coll = diag.Collector(grid, params, EOS, reference=ref)
-    solver = CompressibleSolver(grid, params, EOS,
+    coll = diag.Collector(grid, bg, reference=ref)
+    solver = CompressibleSolver(grid, bg,
                                 SolverConfig(dt=1e-3, t_end=0.02))
     traj = solver.run(st, cadence=5, observer=observer)
     assert traj.status == "ok" and len(traj.records) == 5
@@ -212,7 +216,7 @@ def test_collector_reference_errors_and_mismatch(grid):
     assert np.all(np.abs(got - want) <= 1e-12 * want.max(axis=0))
 
     sparse = ns.run(st.u, 1e-3, 0.02, cadence=7)
-    coll = diag.Collector(grid, params, EOS, reference=sparse)
+    coll = diag.Collector(grid, bg, reference=sparse)
     coll.observe(X, 0.0)
     with pytest.raises(diag.CadenceMismatchError):
         coll.observe(X, 5e-3)
@@ -220,8 +224,9 @@ def test_collector_reference_errors_and_mismatch(grid):
 
 def test_bundle_and_energy_positive_off_equilibrium(grid):
     params = PhysParams(delta=0.1)
+    bg = Background.of(params, EOS)
     st, _ = make_well_prepared(InitSpec(budget=0.5, delta=0.1, seed=21),
-                               grid, params, EOS)
+                               grid, bg)
     drho, u, dtheta, drad = deviations(st, params)
     rec = observe(grid, params, u, drho, dtheta, drad)
     assert rec.bundle_sup > 0

@@ -7,7 +7,7 @@ from rhdlab.linearized import (CoefficientField, LinearizedProblem,
                                LinearizedTrajectory, check_estimate,
                                constant_coefficient, solve_linearized,
                                standing_wave)
-from rhdlab.model import DomainError, IdealGasEOS, PhysParams
+from rhdlab.model import Background, DomainError, IdealGasEOS, PhysParams
 
 EOS = IdealGasEOS()
 
@@ -27,9 +27,9 @@ def make_problem(grid, coeff, horizon, **kw):
 
 def test_zero_problem_stays_zero():
     grid = SpectralGrid(dim=2, points_per_axis=16)
-    params = PhysParams(delta=0.1)
+    bg = Background.of(PhysParams(delta=0.1), EOS)
     traj = solve_linearized(grid, make_problem(grid, constant_coefficient(), 0.1),
-                            params, EOS, dt=1e-2, keep_states=True)
+                            bg, dt=1e-2, keep_states=True)
     for state in traj.states:
         for f in state:
             assert np.max(np.abs(f)) == 0.0
@@ -43,6 +43,7 @@ def test_single_mode_matches_matrix_exponential_oracle():
     grid = SpectralGrid(dim=2, points_per_axis=16)
     params = PhysParams(delta=0.2, mu=0.13, lam=0.07, kappa=0.15, nu=0.12)
     pr = params
+    bg = Background.of(pr, EOS)
     x = grid.grid_points()
     c0 = np.array([0.3 + 0.1j, -0.2 + 0.25j, 0.15 - 0.3j, 0.1 + 0.2j,
                    -0.25 - 0.05j]) * 1e-2
@@ -55,7 +56,7 @@ def test_single_mode_matches_matrix_exponential_oracle():
         init_nrel=mode_field(c0[0]),
         init_mom=np.stack([mode_field(c0[1]), mode_field(c0[2])]),
         init_dtheta=mode_field(c0[3]), init_drad=mode_field(c0[4]))
-    traj = solve_linearized(grid, problem, pr, EOS, dt=1e-4, scheme="imex2",
+    traj = solve_linearized(grid, problem, bg, dt=1e-4, scheme="imex2",
                             cadence=10 ** 6, keep_states=True)
 
     rb, tb = pr.rho_bar, pr.theta_bar
@@ -87,11 +88,11 @@ def test_constant_forcing_tracks_mean_mode_ode():
     # pair obeys an affine 2x2 ODE integrated exactly via an augmented
     # matrix exponential
     grid = SpectralGrid(dim=2, points_per_axis=16)
-    params = PhysParams(delta=0.1)
+    bg = Background.of(PhysParams(delta=0.1), EOS)
     problem = make_problem(
         grid, constant_coefficient(1.0), horizon=0.2,
         forcing_rad=lambda g, t: np.ones(g.shape))
-    traj = solve_linearized(grid, problem, params, EOS, dt=1e-4,
+    traj = solve_linearized(grid, problem, bg, dt=1e-4,
                             scheme="imex2", cadence=500, keep_states=True)
     A = np.array([[-4.0, 1.0], [4.0 / 0.1, -1.0 / 0.1]])
     b = np.array([0.0, 1.0 / 0.1])
@@ -139,7 +140,7 @@ def test_check_estimate_refuses_an_overflowing_right_side():
 
 def test_solution_map_is_additive():
     grid = SpectralGrid(dim=2, points_per_axis=16)
-    params = PhysParams(delta=0.1)
+    bg = Background.of(PhysParams(delta=0.1), EOS)
     rng = np.random.default_rng(2)
     def rnd():
         return grid.mask(1e-2 * rng.standard_normal(grid.shape))
@@ -153,9 +154,9 @@ def test_solution_map_is_additive():
                        init_dtheta=p1.init_dtheta, init_drad=p2.init_drad,
                        forcing_temp=p1.forcing_temp)
     kw = dict(dt=1e-3, cadence=10 ** 6, keep_states=True)
-    s1 = solve_linearized(grid, p1, params, EOS, **kw).states[-1]
-    s2 = solve_linearized(grid, p2, params, EOS, **kw).states[-1]
-    s12 = solve_linearized(grid, p12, params, EOS, **kw).states[-1]
+    s1 = solve_linearized(grid, p1, bg, **kw).states[-1]
+    s2 = solve_linearized(grid, p2, bg, **kw).states[-1]
+    s12 = solve_linearized(grid, p12, bg, **kw).states[-1]
     for a, b, ab in zip(s1, s2, s12):
         scale = max(np.max(np.abs(ab)), 1e-30)
         assert np.max(np.abs(a + b - ab)) < 1e-10 * scale
@@ -163,26 +164,26 @@ def test_solution_map_is_additive():
 
 def test_forcing_scaling_leaves_constant_invariant():
     grid = SpectralGrid(dim=2, points_per_axis=16)
-    params = PhysParams(delta=0.1)
+    bg = Background.of(PhysParams(delta=0.1), EOS)
     consts = []
     for scale in (1.0, 2.0):
         problem = make_problem(
             grid, constant_coefficient(), 0.1,
             forcing_mom=lambda g, t, s=scale: s * np.stack(
                 [np.sin(g.grid_points()[0]), np.zeros(g.shape)]))
-        traj = solve_linearized(grid, problem, params, EOS, dt=1e-3)
+        traj = solve_linearized(grid, problem, bg, dt=1e-3)
         consts.append(check_estimate(traj).constant)
     assert consts[1] == pytest.approx(consts[0], rel=1e-10)
 
 
 def test_coefficient_bounds_enforced():
     grid = SpectralGrid(dim=2, points_per_axis=16)
-    params = PhysParams(delta=0.1)
+    bg = Background.of(PhysParams(delta=0.1), EOS)
     lying = CoefficientField(0.9, 1.1, lambda g, t: 1.0 + 0.5 * np.sin(
         g.grid_points()[0]), label="lying")
     problem = make_problem(grid, lying, 0.05)
     with pytest.raises(DomainError):
-        solve_linearized(grid, problem, params, EOS, dt=1e-2)
+        solve_linearized(grid, problem, bg, dt=1e-2)
     with pytest.raises(DomainError):
         standing_wave(amplitude=1.5)
     with pytest.raises(DomainError):
@@ -196,14 +197,14 @@ def test_constant_uniformity_small_grid():
     shapes = [grid.mask(rng.standard_normal(grid.shape)) for _ in range(5)]
     consts = {}
     for delta in (0.2, 0.05):
-        params = PhysParams(delta=delta)
+        bg = Background.of(PhysParams(delta=delta), EOS)
         problem = make_problem(
             grid, standing_wave(0.5), 0.2,
             init_nrel=delta * 0.02 * shapes[0],
             init_mom=0.02 * np.stack(shapes[1:3]),
             init_dtheta=delta * 0.02 * shapes[3],
             init_drad=np.sqrt(delta) * 0.02 * shapes[4])
-        traj = solve_linearized(grid, problem, params, EOS, dt=1e-3)
+        traj = solve_linearized(grid, problem, bg, dt=1e-3)
         consts[delta] = check_estimate(traj).constant
     vals = list(consts.values())
     assert max(vals) / min(vals) < 4.0
@@ -224,7 +225,7 @@ def test_standing_wave_builds_nodes_once(monkeypatch):
     monkeypatch.setattr(SpectralGrid, "grid_points", counted)
     coeff = standing_wave(0.5)
     solve_linearized(grid, make_problem(grid, coeff, 0.01),
-                     PhysParams(delta=0.1), EOS, dt=1e-3)
+                     Background.of(PhysParams(delta=0.1), EOS), dt=1e-3)
     assert calls[0] <= 1
     for t in (0.0, 0.3):
         np.testing.assert_array_equal(

@@ -101,18 +101,15 @@ def test_coefficient_gap_values():
     z, zv, zj = zero_fields((3, 3))
     bg = Background.of(UNIT, IdealGasEOS())
     out = model.velocity_form_remainders(z + 1.0, zv, z, z, zv, zj,
-                                         zv + UNIT.mu, z, zv, z, bg,
-                                         IdealGasEOS())
+                                         zv + UNIT.mu, z, zv, z, bg)
     assert np.all(out[1] == -0.5 * UNIT.mu)
 
 
-def assert_remainders_vanish(bg, eos):
+def assert_remainders_vanish(bg):
     z, zv, zj = zero_fields((4, 4))
-    out = model.velocity_form_remainders(z, zv, z, z, zv, zj, zv, z, zv, z,
-                                         bg, eos)
+    out = model.velocity_form_remainders(z, zv, z, z, zv, zj, zv, z, zv, z, bg)
     assert all(np.all(o == 0.0) for o in out)
-    out = model.momentum_form_remainders(z, zv, z, z, zv, zj, zj, z, zv, z,
-                                         bg, eos)
+    out = model.momentum_form_remainders(z, zv, z, z, zv, zj, zj, z, zv, z, bg)
     assert all(np.all(o == 0.0) for o in out)
 
 
@@ -133,13 +130,13 @@ def test_all_gaps_vanish_at_background():
             - theta * p_theta / (rho * e_theta),
             bg.emission - 4.0 * p.sigma_tilde * theta ** 3)
     assert max(abs(float(gv)) for gv in gaps) == 0.0
-    assert_remainders_vanish(bg, eos)
+    assert_remainders_vanish(bg)
 
 
 def test_remainders_vanish_at_background():
     eos = IdealGasEOS()
     bg = Background.of(PhysParams.equilibrium(rho_bar=1.2, theta_bar=1.1), eos)
-    assert_remainders_vanish(bg, eos)
+    assert_remainders_vanish(bg)
 
 
 class CountingEOS(IdealGasEOS):
@@ -174,12 +171,10 @@ def test_remainders_evaluate_gas_law_once_at_state():
     pert = 0.01 * np.ones(shape)
     expected = sorted((name, shape) for name in ("p_rho", "p_theta", "e_theta"))
     eos.calls.clear()
-    model.velocity_form_remainders(pert, zv, pert, z, zv, zj, zv, z, zv, z,
-                                   bg, eos)
+    model.velocity_form_remainders(pert, zv, pert, z, zv, zj, zv, z, zv, z, bg)
     assert sorted(eos.calls) == expected
     eos.calls.clear()
-    model.momentum_form_remainders(pert, zv, pert, z, zv, zj, zj, z, zv, z,
-                                   bg, eos)
+    model.momentum_form_remainders(pert, zv, pert, z, zv, zj, zj, z, zv, z, bg)
     assert sorted(eos.calls) == expected
 
 
@@ -246,7 +241,7 @@ def test_velocity_remainders_match_term_by_term_oracle(shape, eos, delta, amp):
                                theta_bar=0.9, sigma_tilde=1.2)
     bg = Background.of(p, eos)
     args = random_remainder_args(np.random.default_rng(len(shape)), shape, amp)
-    got = model.velocity_form_remainders(*args, bg, eos)
+    got = model.velocity_form_remainders(*args, bg)
     want = _velocity_remainders_oracle(*args, bg, eos)
     for g, w in zip(got, want):
         assert g.shape == w.shape
@@ -269,11 +264,11 @@ def test_velocity_remainder_point_values():
     ones = np.ones(shape)
     bg = Background.of(UNIT, IdealGasEOS())
     out = model.velocity_form_remainders(z, zv, ones, z, zv, zj, zv, z, zv,
-                                         z, bg, IdealGasEOS())
+                                         z, bg)
     assert np.allclose(out[3], 11.0)
     # constant u, constant drho: mass remainder vanishes (all derivatives zero)
     out = model.velocity_form_remainders(0.1 * ones, 0.2 + zv, z, z, zv, zj,
-                                         zv, z, zv, z, bg, IdealGasEOS())
+                                         zv, z, zv, z, bg)
     assert np.all(out[0] == 0.0)
 
 
@@ -292,10 +287,10 @@ def test_domain_errors_on_nonpositive_state():
             pair[which][1, 0] = bad - 1.0
             with pytest.raises(DomainError):
                 model.velocity_form_remainders(pair[0], zv, pair[1], z, zv, zj,
-                                               zv, z, zv, z, bg, eos)
+                                               zv, z, zv, z, bg)
             with pytest.raises(DomainError):
                 model.momentum_form_remainders(pair[0], zv, pair[1], z, zv, zj,
-                                               zj, z, zv, z, bg, eos)
+                                               zj, z, zv, z, bg)
     with pytest.raises(DomainError):
         model.thermo_consistency_residual(eos, 1.0, 0.0)
 

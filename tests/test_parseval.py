@@ -184,7 +184,7 @@ def test_norm_sq_counts_the_half_spectrum(grid):
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
 def test_cross_matches_point_value_oracle(grid, order):
     p = random_state(grid, 50 + order)
-    coll = diag.Collector(grid, PARAMS, EOS, order=order)
+    coll = diag.Collector(grid, Background.of(PARAMS, EOS), order=order)
     got = coll.observe(packed(grid, p), p.time).extras["cross"]
     want = ref_cross(grid, p.u, p.drho, order)
     scale = np.sqrt(ref_sobolev_sq(grid, np.stack(list(p.u)), order)
@@ -197,7 +197,8 @@ def test_cross_matches_point_value_oracle(grid, order):
 @pytest.mark.parametrize("order", [0, 1, 2, 3])
 def test_collector_matches_reference(grid, order):
     pr, beta = PARAMS, 0.3
-    coll = diag.Collector(grid, pr, EOS, order=order, beta=beta)
+    coll = diag.Collector(grid, Background.of(pr, EOS), order=order,
+                          beta=beta)
     states = [random_state(grid, 20 + i, time=0.1 * i) for i in range(2)]
     recs = [coll.observe(packed(grid, p), p.time) for p in states]
     for p, rec in zip(states, recs):
@@ -229,7 +230,7 @@ def test_collector_matches_reference(grid, order):
 
 def test_observe_transforms_each_field_once(grid, transforms):
     # the observer reads the solver's coefficients and transforms nothing
-    coll = diag.Collector(grid, PARAMS, EOS)
+    coll = diag.Collector(grid, Background.of(PARAMS, EOS))
     p = random_state(grid, 30)
     X = packed(grid, p)
     transforms[0] = 0
@@ -299,9 +300,9 @@ def test_linearized_integrals_match_kept_states():
     pr, dt = PARAMS, 2e-3
     problem = linearized_problem(g, standing_wave(0.5), horizon=10 * dt)
     no = problem.norm_order
-    traj = solve_linearized(g, problem, pr, EOS, dt=dt, keep_states=True)
-    assert len(traj.states) == 11
     bg, d2 = Background.of(pr, EOS), pr.delta ** 2
+    traj = solve_linearized(g, problem, bg, dt=dt, keep_states=True)
+    assert len(traj.states) == 11
 
     def diss(state):
         nrel, mom, dth, dG = state
@@ -331,7 +332,7 @@ def test_linearized_constant_step_transforms(transforms):
                                      horizon=nsteps * 1e-3)
         problem.forcing_temp = None
         transforms[0] = 0
-        solve_linearized(g, problem, PARAMS, EOS, dt=1e-3)
+        solve_linearized(g, problem, Background.of(PARAMS, EOS), dt=1e-3)
         counts.append(transforms[0])
     assert counts[1] - counts[0] == 0
 
@@ -344,7 +345,7 @@ def test_sobolev_norm_takes_modes_outside_the_box():
     from rhdlab.initial import InitSpec, make_well_prepared
     g = SpectralGrid(dim=2, points_per_axis=16)
     st, _ = make_well_prepared(InitSpec(delta=PARAMS.delta, mode="local-thm"),
-                               g, PARAMS, EOS)
+                               g, Background.of(PARAMS, EOS))
     m = st.rho * st.u
     want = np.sqrt(ref_sobolev_sq(g, m, 3))
     assert abs(g.sobolev_norm(m, 3) - want) <= 1e-13 * want

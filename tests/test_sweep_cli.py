@@ -101,12 +101,13 @@ def test_summary_sups_match_point_value_oracle():
     from rhdlab.initial import InitSpec, make_well_prepared
     from rhdlab.sweep import _traj_summary
 
-    grid, params, eos = SpectralGrid(2, 16), PhysParams(delta=0.1), IdealGasEOS()
+    grid = SpectralGrid(2, 16)
+    bg = Background.of(PhysParams(delta=0.1), IdealGasEOS())
     d = grid.dim
     st, _ = make_well_prepared(InitSpec(budget=0.5, delta=0.1, seed=3),
-                               grid, params, eos)
+                               grid, bg)
     cfg = SolverConfig(dt=2e-3, t_end=0.012)
-    coll, norms = Collector(grid, params, eos), []
+    coll, norms = Collector(grid, bg), []
 
     def observer(X, t):
         x = grid.ifft(X)
@@ -114,7 +115,7 @@ def test_summary_sups_match_point_value_oracle():
         norms.append((l2(x[0]) + l2(x[d + 1]), l2(x[d + 2]), l2(x[1:1 + d])))
         return coll.observe(X, t)
 
-    traj = CompressibleSolver(grid, params, eos, cfg).run(
+    traj = CompressibleSolver(grid, bg, cfg).run(
         st, cadence=1, observer=observer)
     assert traj.status == "ok" and len(traj.records) >= 5
     summary = _traj_summary(traj, None, cfg)
@@ -200,22 +201,22 @@ snapshots = true
 
 def test_identity_suite_fault_injection():
     grid = SpectralGrid(dim=2, points_per_axis=32)
-    params, eos = PhysParams(), IdealGasEOS()
-    clean = run_identity_suite(grid, params, eos, seed=0, n_fields=2)
+    bg = Background.of(PhysParams(), IdealGasEOS())
+    clean = run_identity_suite(grid, bg, seed=0, n_fields=2)
     assert all(r.passed for r in clean)
-    faulty = run_identity_suite(grid, params, eos, seed=0, n_fields=2,
+    faulty = run_identity_suite(grid, bg, seed=0, n_fields=2,
                                 fault="planck-cubic-coeff")
     failed = {r.name for r in faulty if not r.passed}
     assert "planck-split" in failed and "quartic-factor" in failed
-    faulty = run_identity_suite(grid, params, eos, seed=0, n_fields=2,
+    faulty = run_identity_suite(grid, bg, seed=0, n_fields=2,
                                 fault="exchange-gap-sign")
     failed = {r.name for r in faulty if not r.passed}
     assert "velocity-form-rhs" in failed
-    faulty = run_identity_suite(grid, params, eos, seed=0, n_fields=2,
+    faulty = run_identity_suite(grid, bg, seed=0, n_fields=2,
                                 fault="background-coefficient")
     assert {r.name for r in faulty if not r.passed} == {"remainders-quadratic"}
     with pytest.raises(ValueError):
-        run_identity_suite(grid, params, eos, fault="no-such-fault")
+        run_identity_suite(grid, bg, fault="no-such-fault")
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -224,14 +225,14 @@ def test_identity_suite_passes_at_16_points(dim):
     # reformulations hold at the 1e-10 tolerance there, and every injected
     # fault still fails its identities
     grid = SpectralGrid(dim=dim, points_per_axis=16)
-    params, eos = PhysParams(), IdealGasEOS()
-    assert all(r.passed for r in run_identity_suite(grid, params, eos))
+    bg = Background.of(PhysParams(), IdealGasEOS())
+    assert all(r.passed for r in run_identity_suite(grid, bg))
     for fault, names in (("planck-cubic-coeff", {"planck-split",
                                                  "quartic-factor"}),
                          ("exchange-gap-sign", {"velocity-form-rhs"}),
                          ("background-coefficient",
                           {"remainders-quadratic"})):
-        faulty = run_identity_suite(grid, params, eos, fault=fault)
+        faulty = run_identity_suite(grid, bg, fault=fault)
         assert names <= {r.name for r in faulty if not r.passed}, fault
 
 
@@ -246,12 +247,11 @@ def test_remainders_quadratic_catches_wrong_background(changes):
     grid = SpectralGrid(dim=2, points_per_axis=16)
     params, eos = PhysParams.equilibrium(delta=0.1, lam=0.05), IdealGasEOS()
     bg = Background.of(params, eos)
-    zero, quadratic = _remainder_checks(grid, bg, eos,
-                                        np.random.default_rng(0))
+    zero, quadratic = _remainder_checks(grid, bg, np.random.default_rng(0))
     assert zero.passed and quadratic.passed
     if isinstance(changes, str):
         changes = {changes: 1.01 * getattr(bg, changes)}
-    zero, quadratic = _remainder_checks(grid, replace(bg, **changes), eos,
+    zero, quadratic = _remainder_checks(grid, replace(bg, **changes),
                                         np.random.default_rng(0))
     assert zero.max_rel_err == 0.0
     assert not quadratic.passed
@@ -259,7 +259,6 @@ def test_remainders_quadratic_catches_wrong_background(changes):
 
 def test_identity_suite_catches_broken_eos():
     grid = SpectralGrid(dim=2, points_per_axis=32)
-    params = PhysParams()
     # P = rho*theta with e = theta + 1/rho: analytic partials, and the
     # thermodynamic relation fails by exactly 1
     broken = SimpleNamespace(p=lambda r, t: r * t, e=lambda r, t: t + 1.0 / r,
@@ -267,7 +266,8 @@ def test_identity_suite_catches_broken_eos():
                              p_theta=lambda r, t: r + 0.0 * t,
                              e_rho=lambda r, t: -1.0 / r ** 2 + 0.0 * t,
                              e_theta=lambda r, t: 1.0 + 0.0 * r)
-    results = run_identity_suite(grid, params, broken, seed=0, n_fields=1)
+    results = run_identity_suite(grid, Background.of(PhysParams(), broken),
+                                 seed=0, n_fields=1)
     failed = {r.name for r in results if not r.passed}
     assert "thermo-relation" in failed
 
@@ -401,6 +401,13 @@ def test_cli_exit_codes_and_commands(tmp_path, capsys):
         assert "--seed" in capsys.readouterr().err
     assert not (tmp_path / "neg").exists()
 
+    # so is a --threads below 1
+    for threads in ("0", "-1"):
+        assert cli_main(["sweep", "--threads", threads,
+                         "--out", str(tmp_path / "neg")]) == 2, threads
+        assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "neg").exists()
+
     # sweep without sweep.deltas is a usage error naming the key
     empty = write_config(tmp_path / "empty.ini", "[output]\ncadence = 5\n")
     assert cli_main(["sweep", "--config", empty]) == 2
@@ -419,6 +426,22 @@ def test_cli_exit_codes_and_commands(tmp_path, capsys):
     assert cli_main(["fit", str(pts)]) == 0
     fit = json.loads(capsys.readouterr().out)
     assert fit["slope"] == pytest.approx(1.0, abs=1e-12)
+
+    # a points file the fit cannot use exits 1 naming the cause, with
+    # nothing on stdout and no warning
+    for text, cause in [
+            ("1,1\n0.5,0.5\n", ">= 3 points"),
+            ("0.1\n1,1\n0.5,0.5\n0.25,0.25\n", "row 1 has one column"),
+            ("1,nan\n0.5,0.5\n0.25,0.25\n", "(1.0, nan)"),
+            ("0.5,0.5\n0.25,0.25\n1,inf\n", "(1.0, inf)"),
+            ("0.1,1\n0.1,2\n0.1,3\n", "distinct deltas")]:
+        pts.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli_main(["fit", str(pts)]) == 1, cause
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and cause in err, err
+        assert not caught, (cause, [str(w.message) for w in caught])
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
@@ -683,3 +706,42 @@ def test_local_thm_reference_builds_its_own_datum(tmp_path, monkeypatch):
         tmp_path, monkeypatch, "local-thm")
     assert run_calls == 2
     assert sweep_calls == 1 + members
+
+
+BACKGROUND_RUNS = {
+    "run": ("run", {}, 1),
+    "run-reference": ("run", {"solver": {"with_reference": "true"}}, 1),
+    "run-reference-local-thm": ("run", {"solver": {"with_reference": "true"},
+                                        "init": {"mode": "local-thm"}}, 1),
+    "reference": ("reference", {}, 1),
+    "sweep": ("sweep", {"sweep": {"deltas": "0.2,0.1,0.05"}}, 3),
+    "linearized": ("linearized", {}, 3),
+    "verify-identities": ("verify-identities", {}, 1)}
+
+
+@pytest.mark.parametrize("case", BACKGROUND_RUNS)
+def test_one_background_per_parameter_set(tmp_path, monkeypatch, case):
+    # every command builds one Background per parameter set and hands it
+    # to the datum, the solver, the observer and the probe: a sweep one
+    # per member, the linearized probe one per delta for all its families
+    command, settings, expected = BACKGROUND_RUNS[case]
+    calls = []
+    real = Background.of.__func__
+
+    def counted(cls, params, eos):
+        calls.append(params.delta)
+        return real(cls, params, eos)
+
+    monkeypatch.setattr(Background, "of", classmethod(counted))
+    config = {"grid": {"points_per_axis": "16"},
+              "solver": {"dt": "0.002", "t_end": "0.004"},
+              "linearized": {"dt": "0.002", "t_end": "0.004"}}
+    for section, keys in settings.items():
+        config.setdefault(section, {}).update(keys)
+    cfg = write_config(tmp_path / "c.ini", "".join(
+        f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for section, keys in config.items()))
+    assert cli_main([command, "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == expected, calls
+    assert len(set(calls)) == expected
