@@ -69,7 +69,7 @@ def _load(args):
 
 
 def _cmd_fit(args) -> int:
-    points = []
+    points, header = [], False
     with open(args.points_csv, newline="") as fh:
         for i, row in enumerate(csv.reader(fh), 1):
             if not row or row[0].strip().startswith("#"):
@@ -79,7 +79,10 @@ def _cmd_fit(args) -> int:
             try:
                 points.append((float(row[0]), float(row[1])))
             except ValueError:
-                continue  # header row
+                if points or header:
+                    raise RunError(f"row {i} is not two numbers: "
+                                   f"{','.join(row)}") from None
+                header = True  # only the first row may be a header
     fit = fit_rate(points)
     print(json.dumps(fit.to_dict(), indent=2))
     return 0

@@ -243,14 +243,11 @@ class ExperimentConfig:
         except ParameterError as exc:
             raise ConfigError(f"params: {exc}") from None
 
-    def build_init_spec(self, delta: Optional[float] = None,
-                        seed: Optional[int] = None) -> InitSpec:
+    def build_init_spec(self, seed: Optional[int] = None) -> InitSpec:
         values = {key: self.get("init", key) for key in _SCHEMA["init"]}
         if seed is not None:
             values["seed"] = seed
-        return InitSpec(
-            delta=delta if delta is not None else self.get("params", "delta"),
-            **values)
+        return InitSpec(**values)
 
 
 def default_config() -> ExperimentConfig:

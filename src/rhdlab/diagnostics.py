@@ -21,7 +21,7 @@ from .model import Background, DomainError, PhysParams, planck_linear
 
 __all__ = [
     "DiagnosticsRecord", "Collector", "CadenceMismatchError", "bundle_factors",
-    "energy_dissipation_probe", "cross_term_probe", "ProbeResult",
+    "energy_dissipation_probe", "cross_term_probe",
 ]
 
 CSV_COLUMNS = ["time", "bundle_sup", "energy_E", "diss_u", "diss_theta",
@@ -218,39 +218,29 @@ class Collector:
 
 # -- dissipation-inequality probes -------------------------------------------
 
-@dataclass
-class ProbeResult:
-    """Measured inequality constant: ``constant`` is the sup of the
-    positive-part ratio (0 when the left side never goes positive, i.e.
-    the inequality holds with slack); ``signed_sup`` keeps the sign."""
-    constant: float
-    signed_sup: float
-    times: list
-    numerators: list
-    denominators: list
-
-
 def _centered_ratios(times, nums_at, dens_at):
-    ts, nums, dens = [], [], []
-    for i in range(1, len(times) - 1):
-        ts.append(times[i])
-        nums.append(nums_at(i))
-        dens.append(dens_at(i))
-    if not ts:
-        return ProbeResult(0.0, 0.0, ts, nums, dens)
+    """Largest positive ratio ``nums_at(i) / dens_at(i)`` over the interior
+    records, 0 when no ratio is positive (the inequality holds with slack)
+    or there is no interior record; a denominator is floored at 1e-12 times
+    the largest one."""
+    inner = range(1, len(times) - 1)
+    nums = [nums_at(i) for i in inner]
+    dens = [dens_at(i) for i in inner]
+    if not nums:
+        return 0.0
     floor = 1e-12 * max(max(dens), 1e-300)
-    ratios = [n / max(d, floor) for n, d in zip(nums, dens)]
-    return ProbeResult(max(0.0, max(ratios)), max(ratios), ts, nums, dens)
+    return max(0.0, max(n / max(d, floor) for n, d in zip(nums, dens)))
 
 
-def energy_dissipation_probe(records, params: PhysParams) -> ProbeResult:
+def energy_dissipation_probe(records, params: PhysParams) -> float:
     """Measured constant in the energy-dissipation inequality.
 
     Checks, at cadence resolution, that d/dt of the energy functional plus
     the weighted dissipation (velocity, temperature, radiation gradients and
     the squared exchange residual) is bounded by
     ``C * smallness * (1/delta^2) * |grad drho|^2_{H^{l-1}}`` and returns
-    the largest measured C.
+    the largest measured C, 0 when the left side never goes positive (the
+    inequality holds with slack).
     """
     d2 = params.delta ** 2
     factors = _dissipation_factors(params)
@@ -270,12 +260,13 @@ def energy_dissipation_probe(records, params: PhysParams) -> ProbeResult:
     return _centered_ratios(times, num, den)
 
 
-def cross_term_probe(records, bg: Background) -> ProbeResult:
+def cross_term_probe(records, bg: Background) -> float:
     """Measured constant in the cross-term inequality.
 
     d/dt of the velocity/density-gradient cross term plus
     ``P_rho(bar)/(2 rho_bar delta^2) |grad drho|^2_{H^{l-1}}`` against
-    ``|grad u|^2_{H^l} + (1/delta^2) |grad dtheta|^2_{H^{l-1}}``.
+    ``|grad u|^2_{H^l} + (1/delta^2) |grad dtheta|^2_{H^{l-1}}``; returns
+    the largest measured ratio, 0 as in :func:`energy_dissipation_probe`.
     """
     pr = bg.params
     d2 = pr.delta ** 2

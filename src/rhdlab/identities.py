@@ -23,6 +23,11 @@ __all__ = ["IdentityResult", "run_identity_suite", "FAULTS"]
 
 FAULTS = ("planck-cubic-coeff", "exchange-gap-sign", "background-coefficient")
 
+# sample points of the closed-form checks, and the size of the random
+# fields of the reformulation checks
+_N_POINTS = 10000
+_AMPLITUDE = 1e-3
+
 
 @dataclass
 class IdentityResult:
@@ -76,7 +81,6 @@ def _remainder_checks(grid, bg: Background, noise):
 
 def run_identity_suite(grid: SpectralGrid, bg: Background,
                        seed: int = 0, n_fields: int = 5,
-                       amplitude: float = 1e-3, n_points: int = 10000,
                        fault: str | None = None):
     """Run every identity; returns a list of :class:`IdentityResult`.
 
@@ -98,8 +102,8 @@ def run_identity_suite(grid: SpectralGrid, bg: Background,
                 + 4.0 * st * tb * z ** 2 + st * z ** 3)
 
     # emission split against direct quartic evaluation
-    z = 0.5 * pr.theta_bar * (2.0 * rng.random(n_points) - 1.0)
-    gg = pr.n_bar * (2.0 * rng.random(n_points) - 1.0)
+    z = 0.5 * pr.theta_bar * (2.0 * rng.random(_N_POINTS) - 1.0)
+    gg = pr.n_bar * (2.0 * rng.random(_N_POINTS) - 1.0)
     linear = 4.0 * pr.sigma_tilde * pr.theta_bar ** 3 * z - pr.sigma_a * gg
     split_sum = linear + planck_cubic(z) * z
     direct = (pr.sigma_tilde * (pr.theta_bar + z) ** 4
@@ -118,8 +122,8 @@ def run_identity_suite(grid: SpectralGrid, bg: Background,
                                scale=pr.sigma_tilde * pr.theta_bar ** 4), 1e-13))
 
     # thermodynamic consistency of the shipped gas law
-    rho = pr.rho_bar * (0.5 + 1.5 * rng.random(n_points))
-    th = pr.theta_bar * (0.5 + 1.5 * rng.random(n_points))
+    rho = pr.rho_bar * (0.5 + 1.5 * rng.random(_N_POINTS))
+    th = pr.theta_bar * (0.5 + 1.5 * rng.random(_N_POINTS))
     res = model.thermo_consistency_residual(eos, rho, th)
     scale = np.max(np.abs(eos.p(rho, th)))
     results.append(IdentityResult(
@@ -157,7 +161,7 @@ def run_identity_suite(grid: SpectralGrid, bg: Background,
     whole = grid.whole()
     worst_v, worst_m = 0.0, 0.0
     for _ in range(n_fields):
-        f = lambda: amplitude * random_band_scalar(whole, rng, peak)
+        f = lambda: _AMPLITUDE * random_band_scalar(whole, rng, peak)
         drho = pr.rho_bar * f()
         dth = pr.theta_bar * f()
         drad = f()

@@ -55,7 +55,6 @@ class InitSpec:
     bound; zero gives the exact equilibrium state.
     """
     budget: float = 0.5
-    delta: float = 0.1
     seed: int = 0
     spectrum_peak: float = 2.0
     mode: str = "global-thm"
@@ -66,8 +65,6 @@ class InitSpec:
     def __post_init__(self):
         if self.budget < 0:
             raise InitError(f"budget must be >= 0, got {self.budget}")
-        if not 0.0 < self.delta <= 1.0:
-            raise InitError(f"delta must lie in (0, 1], got {self.delta}")
         if self.mode not in _MODES:
             raise InitError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if self.spectrum_peak <= 0:
@@ -116,14 +113,12 @@ def make_well_prepared(spec: InitSpec, grid: SpectralGrid, bg: Background):
     # the data are point values: every filter and norm here is over the
     # whole half spectrum
     grid, params = grid.whole(), bg.params
-    if abs(spec.delta - params.delta) > 1e-14:
-        raise InitError(f"spec.delta={spec.delta} != params.delta={params.delta}")
     if spec.spectrum_peak + 3.0 > grid.n // 3:
         raise InitError(
             f"spectrum_peak={spec.spectrum_peak} too close to the dealias "
             f"cut {grid.n // 3} at n={grid.n}", key="spectrum_peak")
     N = spec.norm_order
-    delta = spec.delta
+    delta = bg.delta
     rng = np.random.default_rng(spec.seed)
 
     if spec.budget == 0.0:
@@ -132,7 +127,7 @@ def make_well_prepared(spec: InitSpec, grid: SpectralGrid, bg: Background):
             np.zeros((grid.dim,) + grid.shape),
             np.full(grid.shape, params.theta_bar),
             np.full(grid.shape, params.n_bar))
-        return state, _report(grid, state, params, spec)
+        return state, _report(grid, state, bg, spec)
 
     share = _SHARE * spec.budget
     # the norm each component is scaled to; a slaved radiation follows
@@ -184,7 +179,7 @@ def make_well_prepared(spec: InitSpec, grid: SpectralGrid, bg: Background):
     u0 = (share / norm) * u_dir
 
     state = CompressibleState(rho0, u0, theta0, params.n_bar + drad)
-    report = _report(grid, state, params, spec)
+    report = _report(grid, state, bg, spec)
     got = report["weighted_norms"]
     missed = [name for name, want in shares.items()
               if not abs(got[name] - want) <= _BUNDLE_RTOL * want]
@@ -217,9 +212,8 @@ def _drowned(grid, pert, bar, N):
             > _BUNDLE_RTOL * np.max(np.abs(big)))
 
 
-def _report(grid, state, params, spec):
-    N = spec.norm_order
-    delta = spec.delta
+def _report(grid, state, bg, spec):
+    N, params, delta = spec.norm_order, bg.params, bg.delta
     drho = state.rho - params.rho_bar
     dtheta = state.theta - params.theta_bar
     drad = state.rad - params.n_bar

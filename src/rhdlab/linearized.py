@@ -2,8 +2,7 @@
 
 The linearized dynamics evolve (relative density, scaled momentum,
 temperature perturbation, radiation perturbation) with a bounded scalar
-coefficient ``A(x, t)`` weighting the viscosity and prescribed forcings on
-the momentum, temperature, and radiation equations.  The solver treats the
+coefficient ``A(x, t)`` weighting the viscosity.  The solver treats the
 ``A``-averaged stiff linear part implicitly per Fourier mode and the bounded
 fluctuation ``A - A_mean`` explicitly, so the admissible step is set by the
 fluctuation amplitude and never by the Mach parameter.  The implicit part is
@@ -13,16 +12,16 @@ the momentum-form symbol of :func:`rhdlab.steppers.split_symbol`
 and one 4x4 longitudinal block per ``|k|^2`` shell.
 
 :func:`check_estimate` accumulates both sides of the a priori bound (scaled
-norms plus dissipation integrals against initial data plus forcing load,
-times an exponential of the coefficient size) and reports the ratio
-constant; the constants are existential, so only their stability across a
-Mach sweep is meaningful.
+norms plus dissipation integrals against the initial data, times an
+exponential of the coefficient size) and reports the ratio constant; the
+constants are existential, so only their stability across a Mach sweep is
+meaningful.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -94,9 +93,6 @@ class LinearizedProblem:
     init_dtheta: np.ndarray
     init_drad: np.ndarray
     horizon: float
-    forcing_mom: Optional[Callable] = None     # (grid, t) -> vector field
-    forcing_temp: Optional[Callable] = None    # (grid, t) -> scalar field
-    forcing_rad: Optional[Callable] = None
     norm_order: int = 2
 
 
@@ -105,12 +101,8 @@ class LinearizedTrajectory:
     times: list = field(default_factory=list)
     bundles: list = field(default_factory=list)
     cum_dissipation: list = field(default_factory=list)
-    cum_forcing: list = field(default_factory=list)
     cum_coeff_load: list = field(default_factory=list)
     states: list = field(default_factory=list)   # (nrel, mom, dtheta, drad)
-    dt: float = 0.0
-    norm_order: int = 2
-    delta: float = 0.0
 
 
 def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
@@ -119,8 +111,8 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
                      keep_states: bool = False) -> LinearizedTrajectory:
     """Integrate the linearized system and accumulate estimate ingredients.
 
-    Dissipation, forcing, and coefficient-load integrals are accumulated by
-    the trapezoid rule at every step regardless of ``cadence``.  Dissipation
+    The dissipation and coefficient-load integrals are accumulated by the
+    trapezoid rule at every step regardless of ``cadence``.  Dissipation
     weights of ``H^norm_order`` that overflow raise
     :class:`rhdlab.model.DomainError`.
     """
@@ -133,8 +125,7 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
     d2 = pr.delta ** 2
     no = problem.norm_order
 
-    # the coefficient and the forcings are point values, normed on the
-    # whole half spectrum
+    # the coefficient is point values, normed on the whole half spectrum
     whole = grid.whole()
     a_mid = problem.coeff.midpoint
     stepper = ImexStepper(scheme, split_symbol(grid, bg, viscosity=a_mid,
@@ -148,18 +139,9 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
         A = problem.coeff.sample(grid, t)
         return A - a_mid, 1.0 + whole.sobolev_norm(A, no) ** 2
 
-    # (forcing, first slot of X it drives, tendency divisor, load divisor)
-    forced = [row for row in (
-        (problem.forcing_mom, 1, 1.0, 1.0),
-        (problem.forcing_temp, d + 1, 1.0, d2),
-        (problem.forcing_rad, d + 2, pr.delta, d2)) if row[0] is not None]
-
-    def explicit_at(t, ap):
+    def explicit_at(ap):
         def explicit(X):
-            # point values of the forcings, then of the momentum flux,
-            # forward-transformed in one call
-            terms = [np.reshape(f(grid, t) / c, (-1,) + grid.shape)
-                     for f, _, c, _ in forced]
+            N = np.zeros_like(X)
             if not a_constant:
                 # ap * (mu_bar d_j m_i + (lam+mu)_bar div(m) delta_ij), whose
                 # divergence over j is the momentum tendency
@@ -167,22 +149,10 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
                 flux = pr.mu_bar * jac
                 flux[range(d), range(d)] += ((pr.mu_bar + pr.lam_bar)
                                              * np.trace(jac, axis1=0, axis2=1))
-                terms.append((ap * flux).reshape((d * d,) + grid.shape))
-            N = np.zeros_like(X)
-            if terms:
-                F = np.split(grid.fft(np.concatenate(terms)),
-                             np.cumsum([len(v) for v in terms])[:-1])
-                for (_, slot, _, _), Fs in zip(forced, F):
-                    N[slot:slot + len(Fs)] += Fs
-                if not a_constant:
-                    N[1:1 + d] += np.sum(grid.ik * F[-1].reshape(
-                        (d, d) + grid.spectral_shape), axis=1)
+                F = grid.fft(ap * flux)
+                N[1:1 + d] += np.sum(grid.ik * F, axis=1)
             return N
         return explicit
-
-    def forcing_load(t):
-        return sum((whole.sobolev_norm(f(grid, t), max(no - 1, 0)) ** 2 / c
-                    for f, _, _, c in forced), 0.0)
 
     # Parseval weights per slot of X: the dissipation rate takes gradients
     # of nrel in H^(no-1), of the rest in H^no, and the exchange term in H^no;
@@ -203,33 +173,29 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
     X = pack_state(grid, problem.init_nrel, problem.init_mom,
                    problem.init_dtheta, problem.init_drad)
 
-    traj = LinearizedTrajectory(dt=dt, norm_order=problem.norm_order,
-                                delta=pr.delta)
+    traj = LinearizedTrajectory()
     nsteps = max(0, int(np.ceil(problem.horizon / dt - 1e-12)))
-    cum_d = cum_f = cum_a = 0.0
+    cum_d = cum_a = 0.0
     ap, load = level(0.0)
-    prev = (diss_rate(X), forcing_load(0.0), load)
+    prev = (diss_rate(X), load)
 
     def observe(t):
         traj.times.append(t)
         traj.bundles.append(float(bundle @ grid.norm_sq(X, w_no)))
         traj.cum_dissipation.append(cum_d)
-        traj.cum_forcing.append(cum_f)
         traj.cum_coeff_load.append(cum_a)
         if keep_states:
             traj.states.append(unpack_state(grid, X))
 
     observe(0.0)
     for istep in range(1, nsteps + 1):
-        t0 = (istep - 1) * dt
         t1 = istep * dt
-        X = stepper.step(X, explicit_at(t0, ap))
+        X = stepper.step(X, explicit_at(ap))
         if not a_constant:  # a constant family keeps its level-0 load
             ap, load = level(t1)
-        cur = (diss_rate(X), forcing_load(t1), load)
+        cur = (diss_rate(X), load)
         cum_d += 0.5 * dt * (prev[0] + cur[0])
-        cum_f += 0.5 * dt * (prev[1] + cur[1])
-        cum_a += 0.5 * dt * (prev[2] + cur[2])
+        cum_a += 0.5 * dt * (prev[1] + cur[1])
         prev = cur
         if istep % max(1, cadence) == 0 or istep == nsteps:
             observe(t1)
@@ -239,35 +205,29 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
 @dataclass
 class EstimateReport:
     constant: float            # fitted leading constant
-    c0: float                  # exponent constant used (reported, not fitted)
     lhs_sup: float
     rhs: float
     bundle0: float
-    forcing_integral: float
     coeff_integral: float
-    times: list
     lhs_series: list
 
 
 def check_estimate(traj: LinearizedTrajectory, c0: float = 1.0) -> EstimateReport:
     """Ratio of the accumulated left side to the constant-free right side.
 
-    LHS(t) = bundle(t) + cumulative dissipation; RHS = [bundle(0) +
-    forcing integral] * [1 + exp(c0 * L) * L] with L the integral of
-    ``1 + |A|^2``.  The returned ``constant`` estimates the leading
-    constant; with zero data and forcing it is defined as 0.  A right side
-    that is not finite raises :class:`rhdlab.model.DomainError`.
+    LHS(t) = bundle(t) + cumulative dissipation; RHS = bundle(0) * [1 +
+    exp(c0 * L) * L] with L the integral of ``1 + |A|^2``.  The returned
+    ``constant`` estimates the leading constant; with zero data it is
+    defined as 0.  A right side that is not finite raises
+    :class:`rhdlab.model.DomainError`.
     """
     lhs = [b + cd for b, cd in zip(traj.bundles, traj.cum_dissipation)]
     bundle0 = traj.bundles[0]
-    forcing = traj.cum_forcing[-1]
     load = traj.cum_coeff_load[-1]
-    base = bundle0 + forcing
     with np.errstate(over="ignore"):
-        rhs = base * (1.0 + np.exp(min(c0 * load, 700.0)) * load)
+        rhs = bundle0 * (1.0 + np.exp(min(c0 * load, 700.0)) * load)
     if not np.isfinite(rhs):
-        raise DomainError(f"the right side {base:.6g} * (1 + exp({c0:g} * "
+        raise DomainError(f"the right side {bundle0:.6g} * (1 + exp({c0:g} * "
                           f"{load:.6g}) * {load:.6g}) is not finite")
     constant = 0.0 if rhs == 0.0 else max(lhs) / rhs
-    return EstimateReport(constant, c0, max(lhs), rhs, bundle0, forcing,
-                          load, list(traj.times), lhs)
+    return EstimateReport(constant, max(lhs), rhs, bundle0, load, lhs)

@@ -181,8 +181,7 @@ def _prepare(s: _Setup, bg, **changes):
 
     ``changes`` replace fields of the configured :class:`InitSpec`.  Data
     the ``init`` settings cannot produce is a configuration error."""
-    spec = replace(s.cfg.build_init_spec(delta=bg.delta, seed=s.seed),
-                   **changes)
+    spec = replace(s.cfg.build_init_spec(seed=s.seed), **changes)
     try:
         return make_well_prepared(spec, s.grid, bg)
     except InitError as exc:

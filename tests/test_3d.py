@@ -49,7 +49,7 @@ def test_reformulation_equivalence_3d(grid3):
 
 def test_well_prepared_run_3d(grid3):
     bg = Background.of(PhysParams(delta=0.1), EOS)
-    st, rep = make_well_prepared(InitSpec(budget=0.3, delta=0.1, seed=1),
+    st, rep = make_well_prepared(InitSpec(budget=0.3, seed=1),
                                  grid3, bg)
     assert rep["div_u"] < 1e-12
     solver = CompressibleSolver(grid3, bg,

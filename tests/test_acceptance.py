@@ -180,7 +180,7 @@ def test_criterion_09_dissipation_probes():
     consts = {}
     for n in (64, 128):
         grid = SpectralGrid(dim=2, points_per_axis=n)
-        st, _ = make_well_prepared(InitSpec(budget=0.5, delta=0.1, seed=3),
+        st, _ = make_well_prepared(InitSpec(budget=0.5, seed=3),
                                    grid, bg)
         solver = CompressibleSolver(grid, bg,
                                     SolverConfig(dt=1e-3, t_end=0.25))
@@ -189,7 +189,7 @@ def test_criterion_09_dissipation_probes():
         assert traj.status == "ok"
         p1 = diag.energy_dissipation_probe(traj.records, params)
         p2 = diag.cross_term_probe(traj.records, bg)
-        consts[n] = (p1.constant, p2.constant)
+        consts[n] = (p1, p2)
 
     def stable(a, b):
         if not (np.isfinite(a) and np.isfinite(b)):

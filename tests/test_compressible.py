@@ -141,7 +141,7 @@ def test_equilibrium_fixed_point(grid, scheme):
 def test_mass_conservation(grid):
     params = PhysParams(delta=0.1)
     bg = Background.of(params, EOS)
-    st, _ = make_well_prepared(InitSpec(budget=0.5, delta=0.1, seed=5),
+    st, _ = make_well_prepared(InitSpec(budget=0.5, seed=5),
                                grid, bg)
     mass0 = np.mean(st.rho) * grid.volume
     solver = CompressibleSolver(grid, bg,
@@ -156,7 +156,7 @@ def test_delta_uniform_stability(grid):
     st_cache = {}
     for delta in (0.2, 0.1, 0.05, 0.025):
         bg = Background.of(PhysParams(delta=delta), EOS)
-        st, _ = make_well_prepared(InitSpec(budget=0.5, delta=delta, seed=7),
+        st, _ = make_well_prepared(InitSpec(budget=0.5, seed=7),
                                    grid, bg)
         solver = CompressibleSolver(grid, bg,
                                     SolverConfig(dt=1e-3, t_end=0.05))
@@ -296,7 +296,7 @@ def test_transforms_per_step(dim, scheme, limit, transforms):
     # field transforms through SpectralGrid.fft/ifft in one perturbation step
     g = SpectralGrid(dim=dim, points_per_axis=16)
     bg = Background.of(PhysParams(delta=0.1), EOS)
-    st, _ = make_well_prepared(InitSpec(budget=0.5, delta=0.1, seed=3),
+    st, _ = make_well_prepared(InitSpec(budget=0.5, seed=3),
                                g, bg)
     solver = CompressibleSolver(g, bg,
                                 SolverConfig(dt=1e-3, t_end=1e-3,
@@ -318,7 +318,7 @@ def test_one_transform_each_way_per_explicit_evaluation(dim, scheme, fields,
     # one transform
     g = SpectralGrid(dim=dim, points_per_axis=16)
     bg = Background.of(PhysParams(delta=0.1), EOS)
-    st, _ = make_well_prepared(InitSpec(budget=0.5, delta=0.1, seed=3),
+    st, _ = make_well_prepared(InitSpec(budget=0.5, seed=3),
                                g, bg)
     solver = CompressibleSolver(g, bg,
                                 SolverConfig(dt=1e-3, t_end=1e-3,
@@ -385,7 +385,7 @@ def test_explicit_evaluation_traced_peak_3d():
     # values (the stacked transform held 2.17 times)
     g = SpectralGrid(dim=3, points_per_axis=16)
     bg = Background.of(PhysParams(delta=0.1), EOS)
-    st, _ = make_well_prepared(InitSpec(budget=0.5, delta=0.1, seed=3),
+    st, _ = make_well_prepared(InitSpec(budget=0.5, seed=3),
                                g, bg)
     solver = CompressibleSolver(g, bg,
                                 SolverConfig(dt=1e-3, t_end=1e-3))
@@ -478,7 +478,7 @@ def test_run_unpacks_each_state_once(grid, monkeypatch):
     # checking and observing the same step share one unpacked state, and the
     # final state reuses the last one
     bg = Background.of(PhysParams(delta=0.1), EOS)
-    st, _ = make_well_prepared(InitSpec(budget=0.5, delta=0.1, seed=2),
+    st, _ = make_well_prepared(InitSpec(budget=0.5, seed=2),
                                grid, bg)
     nsteps = 5
     solver = CompressibleSolver(grid, bg,
@@ -503,7 +503,7 @@ def test_run_validates_once_on_entry_and_once_per_check(monkeypatch):
     # every positivity_interval steps and after the last step
     g = SpectralGrid(dim=2, points_per_axis=16)
     bg = Background.of(PhysParams(delta=0.1), EOS)
-    st, _ = make_well_prepared(InitSpec(budget=0.5, delta=0.1, seed=2),
+    st, _ = make_well_prepared(InitSpec(budget=0.5, seed=2),
                                g, bg)
     calls = [0]
     validate = CompressibleState.validate
@@ -531,7 +531,7 @@ def test_final_state_is_the_unpacked_stepped_state(monkeypatch, fail_at):
     # before it
     g = SpectralGrid(dim=2, points_per_axis=16)
     bg = Background.of(PhysParams(delta=0.1), EOS)
-    st, _ = make_well_prepared(InitSpec(budget=0.5, delta=0.1, seed=2),
+    st, _ = make_well_prepared(InitSpec(budget=0.5, seed=2),
                                g, bg)
     nsteps, interval = 6, 2
     solver = CompressibleSolver(g, bg,
@@ -574,7 +574,7 @@ def test_non_finite_coefficient_aborts_on_the_failed_state(monkeypatch, at,
     from rhdlab.diagnostics import Collector
     g = SpectralGrid(dim=2, points_per_axis=16)
     bg = Background.of(PhysParams(delta=0.1), EOS)
-    st, _ = make_well_prepared(InitSpec(budget=0.5, delta=0.1, seed=2),
+    st, _ = make_well_prepared(InitSpec(budget=0.5, seed=2),
                                g, bg)
     dt, interval = 1e-3, 5
     solver = CompressibleSolver(g, bg,
@@ -607,7 +607,7 @@ def test_run_observes_checked_state_without_transforms(grid, transforms):
     # state: outside the steps, run transforms only to pack the datum and
     # to unpack each state once
     bg = Background.of(PhysParams(delta=0.1), EOS)
-    st, _ = make_well_prepared(InitSpec(budget=0.5, delta=0.1, seed=2),
+    st, _ = make_well_prepared(InitSpec(budget=0.5, seed=2),
                                grid, bg)
     nsteps, fields = 4, grid.dim + 3
     solver = CompressibleSolver(grid, bg,
@@ -640,7 +640,7 @@ def test_run_takes_no_parseval_sum(grid, monkeypatch):
             return _method(self, *args, **kwargs)
         monkeypatch.setattr(SpectralGrid, name, counted)
     bg = Background.of(PhysParams(delta=0.1), EOS)
-    st, _ = make_well_prepared(InitSpec(budget=0.5, delta=0.1, seed=2),
+    st, _ = make_well_prepared(InitSpec(budget=0.5, seed=2),
                                grid, bg)
     solver = CompressibleSolver(grid, bg,
                                 SolverConfig(dt=1e-3, t_end=4e-3))
@@ -660,7 +660,7 @@ def test_bundle_stays_bounded_by_initial(grid):
     cs = {}
     for n in (32, 64):
         g = SpectralGrid(dim=2, points_per_axis=n)
-        st, _ = make_well_prepared(InitSpec(budget=0.5, delta=0.1, seed=13),
+        st, _ = make_well_prepared(InitSpec(budget=0.5, seed=13),
                                    g, bg)
         solver = CompressibleSolver(g, bg,
                                     SolverConfig(dt=1e-3, t_end=1.0))

@@ -58,7 +58,7 @@ def test_bundle_invariant_under_generator_rescaling(grid):
     for delta in (0.2, 0.1):
         params = PhysParams(delta=delta)
         bg = Background.of(params, EOS)
-        st, _ = make_well_prepared(InitSpec(budget=0.5, delta=delta, seed=8),
+        st, _ = make_well_prepared(InitSpec(budget=0.5, seed=8),
                                    grid, bg)
         drho, u, dtheta, drad = deviations(st, params)
         vals.append(observe(grid, params, u, drho, dtheta, drad).bundle_sup)
@@ -138,7 +138,7 @@ def test_energy_bundle_sandwich_on_random_states(grid):
         delta = float(np.random.default_rng(seed + 10 ** 6).choice([0.2, 0.1, 0.05]))
         params = PhysParams(delta=delta)
         bg = Background.of(params, eos)
-        st, _ = make_well_prepared(InitSpec(budget=0.5, delta=delta, seed=seed),
+        st, _ = make_well_prepared(InitSpec(budget=0.5, seed=seed),
                                    grid, bg)
         if delta not in collectors:
             collectors[delta] = diag.Collector(grid, bg, order=3, beta=0.05)
@@ -152,7 +152,7 @@ def test_energy_bundle_sandwich_on_random_states(grid):
 def test_collector_and_probe_shapes(grid):
     params = PhysParams(delta=0.1)
     bg = Background.of(params, EOS)
-    st, _ = make_well_prepared(InitSpec(budget=0.5, delta=0.1, seed=5),
+    st, _ = make_well_prepared(InitSpec(budget=0.5, seed=5),
                                grid, bg)
     solver = CompressibleSolver(grid, bg,
                                 SolverConfig(dt=1e-3, t_end=0.05))
@@ -168,7 +168,7 @@ def test_collector_and_probe_shapes(grid):
         assert b.diss_u >= a.diss_u
     p1 = diag.energy_dissipation_probe(recs, params)
     p2 = diag.cross_term_probe(recs, bg)
-    assert np.isfinite(p1.constant) and np.isfinite(p2.constant)
+    assert np.isfinite(p1) and np.isfinite(p2)
 
 
 def test_collector_reference_errors_and_mismatch(grid):
@@ -178,7 +178,7 @@ def test_collector_reference_errors_and_mismatch(grid):
     # cadence the reference does not share raises
     params = PhysParams(delta=0.1)
     bg = Background.of(params, EOS)
-    st, _ = make_well_prepared(InitSpec(budget=0.5, delta=0.1, seed=4),
+    st, _ = make_well_prepared(InitSpec(budget=0.5, seed=4),
                                grid, bg)
     ns = IncompressibleSolver(grid, mu_bar=params.mu_bar)
     ref = ns.run(st.u, 1e-3, 0.02, cadence=5)
@@ -225,7 +225,7 @@ def test_collector_reference_errors_and_mismatch(grid):
 def test_bundle_and_energy_positive_off_equilibrium(grid):
     params = PhysParams(delta=0.1)
     bg = Background.of(params, EOS)
-    st, _ = make_well_prepared(InitSpec(budget=0.5, delta=0.1, seed=21),
+    st, _ = make_well_prepared(InitSpec(budget=0.5, seed=21),
                                grid, bg)
     drho, u, dtheta, drad = deviations(st, params)
     rec = observe(grid, params, u, drho, dtheta, drad)

@@ -20,15 +20,13 @@ def test_spec_validation():
     with pytest.raises(InitError):
         InitSpec(budget=-1.0)
     with pytest.raises(InitError):
-        InitSpec(delta=0.0)
-    with pytest.raises(InitError):
         InitSpec(mode="both")
 
 
 def test_budget_zero_gives_equilibrium(grid):
     params = PhysParams(delta=0.1)
     bg = Background.of(params, EOS)
-    state, rep = make_well_prepared(InitSpec(budget=0.0, delta=0.1), grid, bg)
+    state, rep = make_well_prepared(InitSpec(budget=0.0), grid, bg)
     assert np.all(state.rho == params.rho_bar)
     assert np.all(state.u == 0.0)
     assert np.all(state.theta == params.theta_bar)
@@ -38,7 +36,7 @@ def test_budget_zero_gives_equilibrium(grid):
 
 def test_determinism(grid):
     bg = Background.of(PhysParams(delta=0.1), EOS)
-    spec = InitSpec(budget=0.5, delta=0.1, seed=42)
+    spec = InitSpec(budget=0.5, seed=42)
     a, _ = make_well_prepared(spec, grid, bg)
     b, _ = make_well_prepared(spec, grid, bg)
     np.testing.assert_array_equal(a.rho, b.rho)
@@ -51,7 +49,7 @@ def test_determinism(grid):
 def test_bundle_within_budget_window(grid, mode):
     for delta in (0.2, 0.1):
         bg = Background.of(PhysParams(delta=delta), EOS)
-        spec = InitSpec(budget=0.5, delta=delta, seed=1, mode=mode)
+        spec = InitSpec(budget=0.5, seed=1, mode=mode)
         state, rep = make_well_prepared(spec, grid, bg)
         assert 0.5 * 0.5 <= rep["bundle"] <= 1.0 * 0.5
         assert rep["div_u"] < 1e-12
@@ -63,7 +61,7 @@ def test_density_scaling_is_delta_independent(grid):
     for delta in (0.2, 0.1, 0.05, 0.025):
         params = PhysParams(delta=delta)
         bg = Background.of(params, EOS)
-        state, _ = make_well_prepared(InitSpec(budget=0.5, delta=delta, seed=9),
+        state, _ = make_well_prepared(InitSpec(budget=0.5, seed=9),
                                       grid, bg)
         vals.append(grid.sobolev_norm(state.rho - params.rho_bar, 3) / delta)
     for v in vals[1:]:
@@ -73,7 +71,7 @@ def test_density_scaling_is_delta_independent(grid):
 def test_positivity_margins(grid):
     params = PhysParams(delta=0.2)
     bg = Background.of(params, EOS)
-    state, rep = make_well_prepared(InitSpec(budget=1.0, delta=0.2, seed=2),
+    state, rep = make_well_prepared(InitSpec(budget=1.0, seed=2),
                                     grid, bg)
     assert rep["min_rho"] >= 0.5 * params.rho_bar
     assert rep["min_theta"] >= 0.5 * params.theta_bar
@@ -82,7 +80,7 @@ def test_positivity_margins(grid):
 def test_unreachable_budget_raises(grid):
     bg = Background.of(PhysParams(delta=1.0), EOS)
     with pytest.raises(InitError):
-        make_well_prepared(InitSpec(budget=500.0, delta=1.0, seed=0),
+        make_well_prepared(InitSpec(budget=500.0, seed=0),
                            grid, bg)
 
 
@@ -93,26 +91,26 @@ def test_missed_share_blames_its_cause():
     # order: the parameters are
     grid = SpectralGrid(dim=2, points_per_axis=16)
     with pytest.raises(InitError, match="density .* for 0.1") as exc:
-        make_well_prepared(InitSpec(budget=0.5, delta=0.1, norm_order=20),
+        make_well_prepared(InitSpec(budget=0.5, norm_order=20),
                            grid, Background.of(PhysParams(delta=0.1), EOS))
     assert exc.value.key == "norm_order"
     bg = Background.of(PhysParams.equilibrium(delta=0.1, theta_bar=1e10), EOS)
     with pytest.raises(ParameterError, match="radiation perturbation is "
                                              "below the round-off of n_bar"):
-        make_well_prepared(InitSpec(budget=0.5, delta=0.1), grid, bg)
+        make_well_prepared(InitSpec(budget=0.5), grid, bg)
 
 
 def test_spectrum_peak_must_fit_dealiased_band(grid):
     bg = Background.of(PhysParams(delta=0.1), EOS)
     with pytest.raises(InitError):
-        make_well_prepared(InitSpec(budget=0.5, delta=0.1, spectrum_peak=20.0),
+        make_well_prepared(InitSpec(budget=0.5, spectrum_peak=20.0),
                            grid, bg)
 
 
 def test_slaved_radiation(grid):
     params = PhysParams(delta=0.1)
     bg = Background.of(params, EOS)
-    spec = InitSpec(budget=0.5, delta=0.1, seed=3, slaved_radiation=True)
+    spec = InitSpec(budget=0.5, seed=3, slaved_radiation=True)
     state, _ = make_well_prepared(spec, grid, bg)
     drad = state.rad - params.n_bar
     slaved = (4.0 * params.sigma_tilde * params.theta_bar ** 3
@@ -124,7 +122,7 @@ def test_balanced_pressure_kills_linearized_pressure(grid):
     params = PhysParams(delta=0.1)
     eos = IdealGasEOS(R=1.4, c_v=0.9)
     bg = Background.of(params, eos)
-    state, _ = make_well_prepared(InitSpec(budget=0.5, delta=0.1, seed=4),
+    state, _ = make_well_prepared(InitSpec(budget=0.5, seed=4),
                                   grid, bg)
     p_lin = (float(eos.p_rho(params.rho_bar, params.theta_bar))
              * (state.rho - params.rho_bar)
@@ -132,19 +130,13 @@ def test_balanced_pressure_kills_linearized_pressure(grid):
              * (state.theta - params.theta_bar))
     assert np.max(np.abs(p_lin)) < 1e-15
     # the unbalanced variant draws temperature independently
-    spec = InitSpec(budget=0.5, delta=0.1, seed=4, balanced_pressure=False)
+    spec = InitSpec(budget=0.5, seed=4, balanced_pressure=False)
     state2, _ = make_well_prepared(spec, grid, bg)
     p_lin2 = (float(eos.p_rho(params.rho_bar, params.theta_bar))
               * (state2.rho - params.rho_bar)
               + float(eos.p_theta(params.rho_bar, params.theta_bar))
               * (state2.theta - params.theta_bar))
     assert np.max(np.abs(p_lin2)) > 1e-6
-
-
-def test_mismatched_delta_raises(grid):
-    bg = Background.of(PhysParams(delta=0.2), EOS)
-    with pytest.raises(InitError):
-        make_well_prepared(InitSpec(budget=0.5, delta=0.1), grid, bg)
 
 
 def test_random_band_scalar_keeps_modes_outside_the_box():

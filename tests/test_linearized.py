@@ -83,47 +83,39 @@ def test_single_mode_matches_matrix_exponential_oracle():
     assert np.max(np.abs(got - c_exact)) < 1e-8
 
 
-def test_constant_forcing_tracks_mean_mode_ode():
-    # spatially constant radiation forcing: the k=0 temperature/radiation
-    # pair obeys an affine 2x2 ODE integrated exactly via an augmented
-    # matrix exponential
+def test_mean_mode_relaxes_as_matrix_exponential():
+    # spatially constant temperature and radiation data: the k=0
+    # temperature/radiation pair relaxes by a 2x2 linear ODE, integrated
+    # exactly by its matrix exponential
     grid = SpectralGrid(dim=2, points_per_axis=16)
     bg = Background.of(PhysParams(delta=0.1), EOS)
+    z0, g0 = 1.0, -2.0
     problem = make_problem(
         grid, constant_coefficient(1.0), horizon=0.2,
-        forcing_rad=lambda g, t: np.ones(g.shape))
+        init_dtheta=np.full(grid.shape, z0), init_drad=np.full(grid.shape, g0))
     traj = solve_linearized(grid, problem, bg, dt=1e-4,
                             scheme="imex2", cadence=500, keep_states=True)
     A = np.array([[-4.0, 1.0], [4.0 / 0.1, -1.0 / 0.1]])
-    b = np.array([0.0, 1.0 / 0.1])
-    aug = np.zeros((3, 3))
-    aug[:2, :2] = A
-    aug[:2, 2] = b
     for t, (nrel, mom, dth, drad) in zip(traj.times, traj.states):
-        state = expm(aug * t) @ np.array([0.0, 0.0, 1.0])
+        state = expm(A * t) @ np.array([z0, g0])
         assert abs(np.mean(dth) - state[0]) < 2e-6
         assert abs(np.mean(drad) - state[1]) < 2e-6
         assert np.max(np.abs(nrel)) < 1e-12 and np.max(np.abs(mom)) < 1e-12
-    # the load of a unit radiation forcing is |1|^2/delta^2 = (2 pi)^2/0.01
-    # per unit time; the trapezoid rule integrates the constant exactly
-    assert traj.cum_forcing[-1] == pytest.approx(0.2 * (2 * np.pi) ** 2 / 0.1 ** 2,
-                                                 rel=1e-12)
 
 
 def test_check_estimate_hand_arithmetic():
     traj = LinearizedTrajectory(times=[0.0, 0.5, 1.0], bundles=[2.0, 3.0, 1.0],
                                 cum_dissipation=[0.0, 1.0, 4.0],
-                                cum_forcing=[0.0, 0.5, 1.5],
                                 cum_coeff_load=[0.0, 0.25, 0.5])
     rep = check_estimate(traj, c0=2.0)
-    # LHS = bundle + dissipation = 2, 4, 5; RHS = (2 + 1.5)*(1 + e^(2*0.5)*0.5)
-    rhs = 3.5 * (1.0 + 0.5 * np.e)
+    # LHS = bundle + dissipation = 2, 4, 5; RHS = 2*(1 + e^(2*0.5)*0.5)
+    rhs = 2.0 * (1.0 + 0.5 * np.e)
     assert rep.lhs_series == [2.0, 4.0, 5.0] and rep.lhs_sup == 5.0
-    assert (rep.bundle0, rep.forcing_integral, rep.coeff_integral) == (2.0, 1.5, 0.5)
+    assert (rep.bundle0, rep.coeff_integral) == (2.0, 0.5)
     assert rep.rhs == pytest.approx(rhs, rel=1e-15)
     assert rep.constant == pytest.approx(5.0 / rhs, rel=1e-15)
     zero = LinearizedTrajectory(times=[0.0], bundles=[0.0], cum_dissipation=[0.0],
-                                cum_forcing=[0.0], cum_coeff_load=[0.0])
+                                cum_coeff_load=[0.0])
     assert check_estimate(zero).constant == 0.0
 
 
@@ -132,7 +124,6 @@ def test_check_estimate_refuses_an_overflowing_right_side():
     # an error, not a constant of 0 against an infinite right side
     traj = LinearizedTrajectory(times=[0.0, 1.0], bundles=[1e10, 1e10],
                                 cum_dissipation=[0.0, 1.0],
-                                cum_forcing=[0.0, 0.0],
                                 cum_coeff_load=[0.0, 1e3])
     with pytest.raises(DomainError, match="not finite"):
         check_estimate(traj)
@@ -145,14 +136,12 @@ def test_solution_map_is_additive():
     def rnd():
         return grid.mask(1e-2 * rng.standard_normal(grid.shape))
     p1 = make_problem(grid, constant_coefficient(), 0.05,
-                      init_nrel=rnd(), init_dtheta=rnd(),
-                      forcing_temp=lambda g, t: np.cos(t) * np.ones(g.shape))
+                      init_nrel=rnd(), init_dtheta=rnd())
     p2 = make_problem(grid, constant_coefficient(), 0.05,
                       init_mom=np.stack([rnd(), rnd()]), init_drad=rnd())
     p12 = make_problem(grid, constant_coefficient(), 0.05,
                        init_nrel=p1.init_nrel, init_mom=p2.init_mom,
-                       init_dtheta=p1.init_dtheta, init_drad=p2.init_drad,
-                       forcing_temp=p1.forcing_temp)
+                       init_dtheta=p1.init_dtheta, init_drad=p2.init_drad)
     kw = dict(dt=1e-3, cadence=10 ** 6, keep_states=True)
     s1 = solve_linearized(grid, p1, bg, **kw).states[-1]
     s2 = solve_linearized(grid, p2, bg, **kw).states[-1]
@@ -162,15 +151,18 @@ def test_solution_map_is_additive():
         assert np.max(np.abs(a + b - ab)) < 1e-10 * scale
 
 
-def test_forcing_scaling_leaves_constant_invariant():
+def test_data_scaling_leaves_constant_invariant():
+    # the solution map is linear: doubling every datum quadruples both sides
     grid = SpectralGrid(dim=2, points_per_axis=16)
     bg = Background.of(PhysParams(delta=0.1), EOS)
+    rng = np.random.default_rng(3)
+    data = [grid.mask(1e-2 * rng.standard_normal(grid.shape)) for _ in range(5)]
     consts = []
     for scale in (1.0, 2.0):
         problem = make_problem(
-            grid, constant_coefficient(), 0.1,
-            forcing_mom=lambda g, t, s=scale: s * np.stack(
-                [np.sin(g.grid_points()[0]), np.zeros(g.shape)]))
+            grid, constant_coefficient(), 0.1, init_nrel=scale * data[0],
+            init_mom=scale * np.stack(data[1:3]), init_dtheta=scale * data[3],
+            init_drad=scale * data[4])
         traj = solve_linearized(grid, problem, bg, dt=1e-3)
         consts.append(check_estimate(traj).constant)
     assert consts[1] == pytest.approx(consts[0], rel=1e-10)

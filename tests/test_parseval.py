@@ -289,8 +289,7 @@ def linearized_problem(g, coeff, horizon, seed=0):
     return LinearizedProblem(
         coeff=coeff, init_nrel=f(),
         init_mom=np.stack([f() for _ in range(g.dim)]), init_dtheta=f(),
-        init_drad=f(), horizon=horizon,
-        forcing_temp=lambda grid, t: np.cos(t) * np.sin(grid.grid_points()[0]))
+        init_drad=f(), horizon=horizon)
 
 
 def test_linearized_integrals_match_kept_states():
@@ -323,14 +322,13 @@ def test_linearized_integrals_match_kept_states():
 
 
 def test_linearized_constant_step_transforms(transforms):
-    # a constant-coefficient step without forcing transforms nothing: the
-    # coefficient load of a constant family is computed once
+    # a constant-coefficient step transforms nothing: the coefficient load
+    # of a constant family is computed once
     g = SpectralGrid(dim=2, points_per_axis=16)
     counts = []
     for nsteps in (2, 5):
         problem = linearized_problem(g, constant_coefficient(1.0),
                                      horizon=nsteps * 1e-3)
-        problem.forcing_temp = None
         transforms[0] = 0
         solve_linearized(g, problem, Background.of(PARAMS, EOS), dt=1e-3)
         counts.append(transforms[0])
@@ -344,7 +342,7 @@ def test_sobolev_norm_takes_modes_outside_the_box():
     # misses a share of it far above the tolerance
     from rhdlab.initial import InitSpec, make_well_prepared
     g = SpectralGrid(dim=2, points_per_axis=16)
-    st, _ = make_well_prepared(InitSpec(delta=PARAMS.delta, mode="local-thm"),
+    st, _ = make_well_prepared(InitSpec(mode="local-thm"),
                                g, Background.of(PARAMS, EOS))
     m = st.rho * st.u
     want = np.sqrt(ref_sobolev_sq(g, m, 3))

@@ -104,7 +104,7 @@ def test_summary_sups_match_point_value_oracle():
     grid = SpectralGrid(2, 16)
     bg = Background.of(PhysParams(delta=0.1), IdealGasEOS())
     d = grid.dim
-    st, _ = make_well_prepared(InitSpec(budget=0.5, delta=0.1, seed=3),
+    st, _ = make_well_prepared(InitSpec(budget=0.5, seed=3),
                                grid, bg)
     cfg = SolverConfig(dt=2e-3, t_end=0.012)
     coll, norms = Collector(grid, bg), []
@@ -434,7 +434,12 @@ def test_cli_exit_codes_and_commands(tmp_path, capsys):
             ("0.1\n1,1\n0.5,0.5\n0.25,0.25\n", "row 1 has one column"),
             ("1,nan\n0.5,0.5\n0.25,0.25\n", "(1.0, nan)"),
             ("0.5,0.5\n0.25,0.25\n1,inf\n", "(1.0, inf)"),
-            ("0.1,1\n0.1,2\n0.1,3\n", "distinct deltas")]:
+            ("0.1,1\n0.1,2\n0.1,3\n", "distinct deltas"),
+            # only the first row may be a header
+            ("delta,value\n1,1\n0.5,oops\n0.25,0.25\n0.125,0.125\n",
+             "row 3 is not two numbers: 0.5,oops"),
+            ("1,1\n0.5,0.5\n0.25,0.25\ndelta,value\n",
+             "row 4 is not two numbers: delta,value")]:
         pts.write_text(text)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -672,7 +677,7 @@ def count_initial_states(tmp_path, monkeypatch, mode):
     real = sweep.make_well_prepared
 
     def counted(*args, **kwargs):
-        calls.append(args[0].delta)
+        calls.append(args[2].delta)  # the Background
         return real(*args, **kwargs)
 
     monkeypatch.setattr(sweep, "make_well_prepared", counted)
