@@ -48,7 +48,7 @@ from . import model
 from .fields import SpectralGrid
 from .model import Background, PhysParams, DomainError
 from .steppers import (SCHEMES, ImexStepper, SolverError, pack_state,
-                       split_symbol, unpack_state)
+                       schedule, split_symbol, unpack_state)
 
 __all__ = [
     "SolverConfig", "CompressibleState", "Trajectory",
@@ -117,8 +117,6 @@ class Trajectory:
     status: str = "ok"
     abort_reason: Optional[str] = None
     abort_time: Optional[float] = None
-    dt: float = 0.0
-    delta: float = 0.0
     negative_radiation_points: int = 0
 
 
@@ -314,7 +312,9 @@ class CompressibleSolver:
     def run(self, state0: CompressibleState, cadence: int = 10,
             observer: Optional[Callable] = None) -> Trajectory:
         """Advance ``state0``, validated on entry, to ``t_end``, observing
-        every ``cadence`` steps.
+        it at 0 and wherever :func:`rhdlab.steppers.schedule` says (every
+        ``cadence`` steps and at the end); a step count the schedule
+        refuses raises its :class:`ValueError` before any work.
 
         ``observer(X, t)`` is called at observation points with the packed
         spectral state (:func:`rhdlab.steppers.pack_state` layout) and its
@@ -328,9 +328,9 @@ class CompressibleSolver:
         failed.  The run starts at time 0.
         """
         cfg, grid, pr = self.config, self.grid, self.bg.params
+        steps = schedule(cfg.t_end, cfg.dt, cadence)
         state0.validate(grid)
-        traj = Trajectory(dt=cfg.dt, delta=pr.delta)
-        nsteps = max(0, int(np.ceil(cfg.t_end / cfg.dt - 1e-12)))
+        traj = Trajectory()
         X = self.pack(state0)
         t = last_valid = 0.0
 
@@ -361,12 +361,10 @@ class CompressibleSolver:
             with np.errstate(over="raise", divide="raise", invalid="raise"):
                 check_invariants(p)
                 observe(X, t, p)
-                for istep in range(1, nsteps + 1):
+                for i, (t_next, seen, last) in enumerate(steps, 1):
                     X = self.step_spectral(X)
-                    last_valid, t = t, istep * cfg.dt
-                    last = istep == nsteps
-                    check = istep % cfg.positivity_interval == 0 or last
-                    seen = istep % max(1, cadence) == 0 or last
+                    last_valid, t = t, t_next
+                    check = i % cfg.positivity_interval == 0 or last
                     p = unpack_state(grid, X) if check else None
                     if check:
                         check_invariants(p)

@@ -183,8 +183,8 @@ _SCHEMA = {
                        _NONNEGATIVE_INT),
         "c0": ("1.0", "exponent constant reported with the estimate",
                _FINITE),
-        "forcing": ("0.05", "amplitude of the random probe data, > 0",
-                    _POSITIVE),
+        "amplitude": ("0.05", "amplitude of the random probe data, > 0",
+                      _POSITIVE),
     },
     "output": {
         "dir": ("out", "output directory", str),
@@ -198,6 +198,10 @@ _SCHEMA = {
                       _boolean),
     },
 }
+
+# Keys renamed since: a file with the old key fails to load with this
+# note, which names the new key.
+_RENAMED = {"linearized.forcing": "; it is now linearized.amplitude"}
 
 
 @dataclass
@@ -271,7 +275,8 @@ def load_config(path) -> ExperimentConfig:
             raise ConfigError(f"{path}: unknown section [{section}]")
         for key, value in parser.items(section):
             if key not in _SCHEMA[section]:
-                raise ConfigError(f"{path}: unknown key {section}.{key}")
+                raise ConfigError(f"{path}: unknown key {section}.{key}"
+                                  + _RENAMED.get(f"{section}.{key}", ""))
             cfg.raw[section][key] = value
     for section, keys in cfg.raw.items():
         for key in keys:

@@ -94,32 +94,24 @@ def run_identity_suite(grid: SpectralGrid, bg: Background,
     pr, eos = bg.params, bg.eos
     results = []
 
-    cubic_factor = 1.0 + (1e-6 if fault == "planck-cubic-coeff" else 0.0)
-
-    def planck_cubic(z):
-        st, tb = pr.sigma_tilde, pr.theta_bar
-        return (cubic_factor * 6.0 * st * tb ** 2 * z
-                + 4.0 * st * tb * z ** 2 + st * z ** 3)
-
-    # emission split against direct quartic evaluation
-    z = 0.5 * pr.theta_bar * (2.0 * rng.random(_N_POINTS) - 1.0)
+    # the model's emission split against direct quartic evaluation; the
+    # "planck-cubic-coeff" fault scales the z^2 coefficient of its
+    # remainder by 1 + 1e-6
+    st, tb = pr.sigma_tilde, pr.theta_bar
+    z = 0.5 * tb * (2.0 * rng.random(_N_POINTS) - 1.0)
     gg = pr.n_bar * (2.0 * rng.random(_N_POINTS) - 1.0)
-    linear = 4.0 * pr.sigma_tilde * pr.theta_bar ** 3 * z - pr.sigma_a * gg
-    split_sum = linear + planck_cubic(z) * z
-    direct = (pr.sigma_tilde * (pr.theta_bar + z) ** 4
-              - pr.sigma_a * (pr.n_bar + gg))
+    linear, remainder = model.planck_split(z, gg, pr)
+    if fault == "planck-cubic-coeff":
+        remainder = remainder + 1e-6 * 6.0 * st * tb ** 2 * z ** 2
+    direct = st * (tb + z) ** 4 - pr.sigma_a * (pr.n_bar + gg)
     results.append(IdentityResult(
-        "planck-split", _rel(direct, split_sum,
-                             scale=pr.sigma_tilde * pr.theta_bar ** 4), 1e-13))
+        "planck-split", _rel(direct, linear + remainder, scale=st * tb ** 4),
+        1e-13))
 
     # quartic factorization of the emission remainder
-    lhs = planck_cubic(z) * z
-    rhs = (pr.sigma_tilde * (pr.theta_bar + z) ** 4
-           - pr.sigma_tilde * pr.theta_bar ** 4
-           - 4.0 * pr.sigma_tilde * pr.theta_bar ** 3 * z)
+    quartic = st * (tb + z) ** 4 - st * tb ** 4 - 4.0 * st * tb ** 3 * z
     results.append(IdentityResult(
-        "quartic-factor", _rel(lhs, rhs,
-                               scale=pr.sigma_tilde * pr.theta_bar ** 4), 1e-13))
+        "quartic-factor", _rel(remainder, quartic, scale=st * tb ** 4), 1e-13))
 
     # thermodynamic consistency of the shipped gas law
     rho = pr.rho_bar * (0.5 + 1.5 * rng.random(_N_POINTS))

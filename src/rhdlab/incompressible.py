@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import SpectralGrid
+from .steppers import schedule
 
 __all__ = ["IncompressibleSolver", "IncompressibleTrajectory",
            "taylor_green_velocity", "taylor_green_pressure"]
@@ -27,7 +28,6 @@ class IncompressibleTrajectory:
     """Observation times and, at each, the stepped velocity coefficients."""
     times: list = field(default_factory=list)
     uhats: list = field(default_factory=list)
-    dt: float = 0.0
 
 
 class IncompressibleSolver:
@@ -68,17 +68,16 @@ class IncompressibleSolver:
             cadence: int = 10) -> IncompressibleTrajectory:
         """Advance the point values ``u0`` to ``t_end``.
 
-        The datum is transformed once.  At 0, every ``cadence`` steps and
-        at the end, the trajectory keeps the stepped coefficients, on the
-        dealias box and Leray-projected."""
+        The datum is transformed once.  At 0 and at the steps
+        :func:`rhdlab.steppers.schedule` observes, the trajectory keeps the
+        stepped coefficients, on the dealias box and Leray-projected."""
         g = self.grid
         uhat = g.leray(g.fft(np.asarray(u0, dtype=float)))
-        traj = IncompressibleTrajectory(times=[0.0], uhats=[uhat], dt=dt)
-        nsteps = max(0, int(np.ceil(t_end / dt - 1e-12)))
-        for istep in range(1, nsteps + 1):
+        traj = IncompressibleTrajectory(times=[0.0], uhats=[uhat])
+        for t, seen, _ in schedule(t_end, dt, cadence):
             uhat = self.step(uhat, dt)
-            if istep % max(1, cadence) == 0 or istep == nsteps:
-                traj.times.append(istep * dt)
+            if seen:
+                traj.times.append(t)
                 traj.uhats.append(uhat)
         return traj
 

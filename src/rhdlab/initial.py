@@ -103,10 +103,12 @@ def make_well_prepared(spec: InitSpec, grid: SpectralGrid, bg: Background):
     norms, both bundle variants, ``div u0``, and the positivity margins.
     Raises :class:`InitError` when the budget cannot be met without
     violating ``rho >= rho_bar/2`` or ``theta >= theta_bar/2`` (the
-    positivity clamp), when the spectrum peak is not inside the
-    dealiased band, or when a component's achieved norm misses its share
-    of 0.8 times the budget by more than 1e-6 relative (``norm_order``
-    too high for the grid; the caller checks that its weight is finite).
+    positivity clamp), when it is so small that the squares of its shares
+    are below the normal float range, when the spectrum peak is not inside
+    the dealiased band, or when a component's achieved norm misses its
+    share of 0.8 times the budget by more than 1e-6 relative
+    (``norm_order`` too high for the grid; the caller checks that its
+    weight is finite).
     Raises :class:`rhdlab.model.ParameterError` instead when the missed
     component's perturbation is below the round-off of its background.
     """
@@ -130,6 +132,9 @@ def make_well_prepared(spec: InitSpec, grid: SpectralGrid, bg: Background):
         return state, _report(grid, state, bg, spec)
 
     share = _SHARE * spec.budget
+    if share * share < np.finfo(float).tiny:
+        raise InitError(f"budget {spec.budget} is too small: the squares of "
+                        f"its norms underflow", key="budget")
     # the norm each component is scaled to; a slaved radiation follows
     # dtheta and has none of its own
     lead = "momentum" if spec.mode == "local-thm" else "velocity"
@@ -175,11 +180,14 @@ def make_well_prepared(spec: InitSpec, grid: SpectralGrid, bg: Background):
             key="budget")
 
     u_dir = grid.ifft(grid.leray(grid.fft(w_u)))
-    norm = grid.sobolev_norm(rho0 * u_dir if lead == "momentum" else u_dir, N)
-    u0 = (share / norm) * u_dir
-
-    state = CompressibleState(rho0, u0, theta0, params.n_bar + drad)
-    report = _report(grid, state, bg, spec)
+    # the norms of rho*u may square past float range, but only where rho_bar
+    # is so large that drho drowns in it, and that datum is refused below
+    with np.errstate(over="ignore"):
+        norm = grid.sobolev_norm(rho0 * u_dir if lead == "momentum"
+                                 else u_dir, N)
+        u0 = (share / norm) * u_dir
+        state = CompressibleState(rho0, u0, theta0, params.n_bar + drad)
+        report = _report(grid, state, bg, spec)
     got = report["weighted_norms"]
     missed = [name for name, want in shares.items()
               if not abs(got[name] - want) <= _BUNDLE_RTOL * want]
@@ -190,8 +198,8 @@ def make_well_prepared(spec: InitSpec, grid: SpectralGrid, bg: Background):
     # drowns there even at the L2 size its H^N norm stands for
     fields = {"density": (drho, "rho_bar"), "radiation": (drad, "n_bar"),
               "temperature": (dtheta, "theta_bar")}
-    lost = [f"the {name} perturbation is below the round-off of {bar} = "
-            f"{getattr(params, bar):.6g}"
+    lost = [f"the {name} perturbation is below the round-off of params."
+            f"{bar} = {getattr(params, bar):.6g}"
             for name, (pert, bar) in fields.items() if name in missed
             and _drowned(grid, pert, getattr(params, bar), N)]
     if lost:
@@ -206,8 +214,12 @@ def make_well_prepared(spec: InitSpec, grid: SpectralGrid, bg: Background):
 def _drowned(grid, pert, bar, N):
     """Whether adding ``pert``, rescaled to the L2 norm that equals its
     ``H^N`` norm, to the constant ``bar`` loses more than ``_BUNDLE_RTOL``
-    of it to round-off."""
-    big = pert * (grid.sobolev_norm(pert, N) / grid.sobolev_norm(pert, 0))
+    of it to round-off; not if the squares of its L2 norm underflow, since
+    then no rescaling can tell."""
+    l2 = grid.sobolev_norm(pert, 0)
+    if l2 == 0.0:
+        return False
+    big = pert * (grid.sobolev_norm(pert, N) / l2)
     return (np.max(np.abs(bar + big - bar - big))
             > _BUNDLE_RTOL * np.max(np.abs(big)))
 

@@ -28,8 +28,8 @@ import numpy as np
 from .diagnostics import bundle_factors
 from .fields import SpectralGrid
 from .model import Background, DomainError, planck_linear
-from .steppers import (SCHEMES, ImexStepper, pack_state, split_symbol,
-                       unpack_state)
+from .steppers import (SCHEMES, ImexStepper, pack_state, schedule,
+                       split_symbol, unpack_state)
 
 __all__ = ["CoefficientField", "constant_coefficient", "standing_wave",
            "LinearizedProblem", "LinearizedTrajectory", "solve_linearized",
@@ -111,13 +111,14 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
                      keep_states: bool = False) -> LinearizedTrajectory:
     """Integrate the linearized system and accumulate estimate ingredients.
 
-    The dissipation and coefficient-load integrals are accumulated by the
-    trapezoid rule at every step regardless of ``cadence``.  Dissipation
-    weights of ``H^norm_order`` that overflow raise
-    :class:`rhdlab.model.DomainError`.
+    The steps and the observed states (at 0, every ``cadence`` steps and at
+    the horizon) come from :func:`rhdlab.steppers.schedule`, which raises
+    :class:`ValueError` first for a step count it refuses.  The dissipation and
+    coefficient-load integrals are accumulated by the trapezoid rule at
+    every step regardless of ``cadence``.  Dissipation weights of
+    ``H^norm_order`` that overflow raise :class:`rhdlab.model.DomainError`.
     """
-    if dt <= 0:
-        raise DomainError("dt must be positive")
+    steps = schedule(problem.horizon, dt, cadence)
     if scheme not in SCHEMES:
         raise DomainError(f"unknown scheme {scheme!r}")
     pr = bg.params
@@ -174,7 +175,6 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
                    problem.init_dtheta, problem.init_drad)
 
     traj = LinearizedTrajectory()
-    nsteps = max(0, int(np.ceil(problem.horizon / dt - 1e-12)))
     cum_d = cum_a = 0.0
     ap, load = level(0.0)
     prev = (diss_rate(X), load)
@@ -188,8 +188,7 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
             traj.states.append(unpack_state(grid, X))
 
     observe(0.0)
-    for istep in range(1, nsteps + 1):
-        t1 = istep * dt
+    for t1, seen, _ in steps:
         X = stepper.step(X, explicit_at(ap))
         if not a_constant:  # a constant family keeps its level-0 load
             ap, load = level(t1)
@@ -197,19 +196,16 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
         cum_d += 0.5 * dt * (prev[0] + cur[0])
         cum_a += 0.5 * dt * (prev[1] + cur[1])
         prev = cur
-        if istep % max(1, cadence) == 0 or istep == nsteps:
+        if seen:
             observe(t1)
     return traj
 
 
 @dataclass
 class EstimateReport:
-    constant: float            # fitted leading constant
+    """The fitted leading constant and the sup in time of the left side."""
+    constant: float
     lhs_sup: float
-    rhs: float
-    bundle0: float
-    coeff_integral: float
-    lhs_series: list
 
 
 def check_estimate(traj: LinearizedTrajectory, c0: float = 1.0) -> EstimateReport:
@@ -221,7 +217,7 @@ def check_estimate(traj: LinearizedTrajectory, c0: float = 1.0) -> EstimateRepor
     defined as 0.  A right side that is not finite raises
     :class:`rhdlab.model.DomainError`.
     """
-    lhs = [b + cd for b, cd in zip(traj.bundles, traj.cum_dissipation)]
+    lhs = max(b + cd for b, cd in zip(traj.bundles, traj.cum_dissipation))
     bundle0 = traj.bundles[0]
     load = traj.cum_coeff_load[-1]
     with np.errstate(over="ignore"):
@@ -229,5 +225,4 @@ def check_estimate(traj: LinearizedTrajectory, c0: float = 1.0) -> EstimateRepor
     if not np.isfinite(rhs):
         raise DomainError(f"the right side {bundle0:.6g} * (1 + exp({c0:g} * "
                           f"{load:.6g}) * {load:.6g}) is not finite")
-    constant = 0.0 if rhs == 0.0 else max(lhs) / rhs
-    return EstimateReport(constant, max(lhs), rhs, bundle0, load, lhs)
+    return EstimateReport(0.0 if rhs == 0.0 else lhs / rhs, lhs)

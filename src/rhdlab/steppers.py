@@ -24,6 +24,13 @@ factored inverse and the stage sums are all as small as the box.  The solvers on
 symbol; only the verification right-hand sides apply it.
 :data:`SCHEMES` is the single table of time schemes, and :class:`ImexStepper`
 factors a symbol for the scheme it is given.
+
+:func:`schedule` is the one step schedule of every time loop (the
+compressible run, the incompressible reference and the linearized probe):
+the step count, the time of each step and the steps that are observed.  A
+run and its reference observed at the same ``dt`` and cadence therefore
+share their observation times, and a step count no run can finish is
+refused before any step.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ import numpy as np
 __all__ = ["SolverError", "SplitSymbol", "split_symbol", "pack_state",
            "unpack_state", "ImexOperator", "ImexStepper",
            "SCHEMES", "imex_euler_step", "ars222_step", "ARS_GAMMA",
-           "ARS_DHAT"]
+           "ARS_DHAT", "schedule"]
 
 # Two-stage, second-order, L-stable IMEX pair (stiff part SDIRK).
 ARS_GAMMA = 1.0 - np.sqrt(0.5)
@@ -45,6 +52,12 @@ ARS_DHAT = 1.0 - 1.0 / (2.0 * ARS_GAMMA)
 class SolverError(Exception):
     """Implicit factorization or stepping failure."""
 
+
+# The most steps one run may take.  The cheapest step here, a linearized
+# probe step on the smallest (8²) grid, takes about 70 µs on one x86 core,
+# so 10**9 steps are most of a day of stepping alone: a count above it
+# comes from a mistyped dt, and stepping it would hang without a word.
+MAX_STEPS = 10 ** 9
 
 # Modes per pass of _contract: a pass's temporaries stay in cache.
 _CHUNK = 4096
@@ -269,3 +282,26 @@ class ImexStepper:
 
     def step(self, X: np.ndarray, explicit_fn) -> np.ndarray:
         return self._step(self.op, X, self.dt, explicit_fn)
+
+
+def schedule(t_end: float, dt: float, cadence: int = 1):
+    """The steps from time 0 to ``t_end`` at ``dt``: an iterator of
+    ``(t, seen, last)`` per step, with ``t = i*dt`` the time the ``i``-th
+    step ends at, ``seen`` whether that state is observed (every
+    ``cadence`` steps and at the last step) and ``last`` whether it is the
+    last step.
+
+    The count is ``ceil(t_end/dt - 1e-12)``, so a ``t_end`` that is a whole
+    number of steps up to round-off takes exactly that many; ``t_end = 0``
+    takes none.  Raises :class:`ValueError` on the call, before any step,
+    for ``dt <= 0``, ``cadence < 1`` or more than :data:`MAX_STEPS` steps.
+    """
+    if not (dt > 0.0 and cadence >= 1):
+        raise ValueError(f"need dt > 0 and cadence >= 1: {dt!r}, {cadence!r}")
+    steps = t_end / dt - 1e-12
+    if not steps <= MAX_STEPS:
+        raise ValueError(f"t_end / dt = {t_end!r} / {dt!r} asks for more "
+                         f"than {MAX_STEPS:.0e} steps")
+    n = max(0, int(np.ceil(steps)))
+    return ((i * dt, i % cadence == 0 or i == n, i == n)
+            for i in range(1, n + 1))

@@ -27,6 +27,7 @@ from .initial import InitError, make_well_prepared, random_band_scalar
 from .linearized import (LinearizedProblem, check_estimate,
                          constant_coefficient, solve_linearized, standing_wave)
 from .model import Background, DomainError, ParameterError
+from .steppers import schedule
 
 __all__ = ["RateFit", "fit_rate", "run_single", "run_reference", "run_sweep",
            "run_linearized_probe", "write_diagnostics_csv", "RunError"]
@@ -157,9 +158,17 @@ def _setup(cfg: ExperimentConfig, out_dir, seed) -> _Setup:
     return setup
 
 
-def _resolve_dt(s: _Setup, u0) -> float:
-    dt = s.cfg.get("solver", "dt")
-    return default_dt(s.grid, u0) if dt == "auto" else dt
+def _dt(s: _Setup, section, u0=None) -> float:
+    """``section.dt``, with ``solver.dt = auto`` the default step at the
+    datum ``u0``; a ``section.t_end`` that takes more steps of it than
+    :func:`rhdlab.steppers.schedule` admits is a configuration error."""
+    dt = s.cfg.get(section, "dt")
+    dt = default_dt(s.grid, u0) if dt == "auto" else dt
+    try:
+        schedule(s.cfg.get(section, "t_end"), dt)
+    except ValueError as exc:
+        raise ConfigError(f"{section}.t_end / {section}.dt: {exc}") from None
+    return dt
 
 
 def _reference_velocity(s: _Setup, bg, prepared=None):
@@ -191,18 +200,6 @@ def _prepare(s: _Setup, bg, **changes):
         raise ConfigError(f"params: {exc}") from None
 
 
-def _run_one_compressible(s: _Setup, bg, dt, prepared, reference):
-    state0, init_report = prepared
-    solver_cfg = SolverConfig(
-        dt=dt,
-        t_end=s.cfg.get("solver", "t_end"),
-        scheme=s.cfg.get("solver", "scheme"))
-    solver = CompressibleSolver(s.grid, bg, solver_cfg)
-    traj = solver.run(state0, cadence=s.cfg.get("output", "cadence"),
-                      observer=s.collector(bg, "run", reference).observe)
-    return traj, init_report, solver_cfg
-
-
 def _run_reference_traj(s: _Setup, bg, u0, dt):
     ns = IncompressibleSolver(s.grid, bg.params.mu_bar, bg.params.rho_bar,
                               scheme=s.cfg.get("solver", "ns_scheme"))
@@ -210,20 +207,13 @@ def _run_reference_traj(s: _Setup, bg, u0, dt):
                   cadence=s.cfg.get("output", "cadence"))
 
 
-def _ref_error(traj: Trajectory):
-    """Sup in time of the limit errors in the rows of a run observed
-    against a reference."""
-    return {"sup_L2": max(r.ref_error_L2 for r in traj.records),
-            "sup_H1": max(r.ref_error_H1 for r in traj.records)}
-
-
-def _traj_summary(traj: Trajectory, init_report, solver_cfg):
+def _traj_summary(traj: Trajectory, init_report, solver_cfg, delta):
     return {
         "status": traj.status,
         "abort_reason": traj.abort_reason,
         "abort_time": traj.abort_time,
-        "dt": traj.dt,
-        "delta": traj.delta,
+        "dt": solver_cfg.dt,
+        "delta": delta,
         "final_time": traj.times[-1] if traj.times else 0.0,
         "negative_radiation_points": traj.negative_radiation_points,
         # sups in time over the rows, from 0.0: a NaN row never replaces one
@@ -239,26 +229,60 @@ def _traj_summary(traj: Trajectory, init_report, solver_cfg):
     }
 
 
-def run_single(cfg: ExperimentConfig, out_dir, seed=None):
-    """One experiment: init, compressible run, optional reference, reports.
+def _members(s: _Setup, deltas, reference: bool, threads: int = 1):
+    """The compressible runs of ``run`` (one delta) and ``sweep``.
 
-    Writes ``diagnostics.csv`` and ``summary.json`` into ``out_dir``;
-    returns the summary dict.  Raises :class:`RunError` if the run aborts.
+    Resolves the first member's background and datum and, from them, the
+    one ``dt`` of every member: the split must absorb the 1/delta^2
+    stiffness, so no member may need a smaller step.  With ``reference``,
+    the incompressible reference runs from that datum first, and every
+    member is observed against it.  Each member then runs its own
+    background and datum (the first reuses the first ones).  Returns
+    ``dt`` and, per delta in order, ``(trajectory, summary)``; a summary
+    holds ``ref_error``, the sups in time of the limit errors, when its
+    run finished against a reference.  With ``threads > 1`` the members
+    run on a thread pool.  One thread keeps them on the calling thread, so
+    that Ctrl-C stops a ``run`` at once instead of waiting for its member.
+    """
+    bg0 = s.background(deltas[0])
+    prepared0 = _prepare(s, bg0)
+    dt = _dt(s, "solver", prepared0[0].u)
+    ref = (_run_reference_traj(s, bg0, _reference_velocity(s, bg0, prepared0),
+                               dt) if reference else None)
+    solver_cfg = SolverConfig(dt=dt, t_end=s.cfg.get("solver", "t_end"),
+                              scheme=s.cfg.get("solver", "scheme"))
+
+    def member(delta):
+        bg = bg0 if delta == deltas[0] else s.background(delta)
+        state0, init_report = prepared0 if bg is bg0 else _prepare(s, bg)
+        traj = CompressibleSolver(s.grid, bg, solver_cfg).run(
+            state0, cadence=s.cfg.get("output", "cadence"),
+            observer=s.collector(bg, "run", ref).observe)
+        summary = _traj_summary(traj, init_report, solver_cfg, delta)
+        if ref is not None and traj.status == "ok":
+            summary["ref_error"] = {
+                "sup_L2": max(r.ref_error_L2 for r in traj.records),
+                "sup_H1": max(r.ref_error_H1 for r in traj.records)}
+        return traj, summary
+
+    if threads == 1:
+        return dt, [member(delta) for delta in deltas]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return dt, list(pool.map(member, deltas))
+
+
+def run_single(cfg: ExperimentConfig, out_dir, seed=None):
+    """One experiment: the one-member :func:`_members` pipeline at
+    ``params.delta``, with the reference if ``solver.with_reference``.
+
+    Writes ``diagnostics.csv`` and ``summary.json`` into ``out_dir`` (and
+    the final fields if ``output.snapshots``); returns the summary dict.
+    Raises :class:`RunError` if the run aborts.
     """
     s = _setup(cfg, out_dir, seed)
-    bg = s.background()
-    prepared = _prepare(s, bg)
-    dt = _resolve_dt(s, prepared[0].u)
-
-    ref = (_run_reference_traj(s, bg, _reference_velocity(s, bg, prepared), dt)
-           if cfg.get("solver", "with_reference") else None)
-    traj, init_report, solver_cfg = _run_one_compressible(s, bg, dt,
-                                                          prepared, ref)
-    summary = {"kind": "run", "seed": s.seed}
-    if ref is not None and traj.status == "ok":
-        summary["ref_error"] = _ref_error(traj)
-    summary.update(_traj_summary(traj, init_report, solver_cfg))
-
+    _, [(traj, member)] = _members(s, [s.cfg.get("params", "delta")],
+                                   s.cfg.get("solver", "with_reference"))
+    summary = {"kind": "run", "seed": s.seed, **member}
     s.write("diagnostics.csv", traj.records, "summary.json", summary)
     if cfg.get("output", "snapshots") and traj.final_state is not None:
         drho, u = traj.final_state[:2]
@@ -280,7 +304,7 @@ def run_reference(cfg: ExperimentConfig, out_dir, seed=None):
     s = _setup(cfg, out_dir, seed)
     bg = s.background()
     u0 = _reference_velocity(s, bg)
-    dt = _resolve_dt(s, u0)
+    dt = _dt(s, "solver", u0)
     ref = _run_reference_traj(s, bg, u0, dt)
 
     collector = s.collector(bg, "reference")
@@ -290,7 +314,7 @@ def run_reference(cfg: ExperimentConfig, out_dir, seed=None):
     for t, uhat in zip(ref.times, ref.uhats):
         X[1:1 + d] = uhat
         records.append(collector.observe(X, t))
-    summary = {"kind": "reference", "seed": s.seed, "dt": ref.dt,
+    summary = {"kind": "reference", "seed": s.seed, "dt": dt,
                "final_time": ref.times[-1],
                "final_kinetic_energy": float(np.sum(
                    s.grid.norm_sq(ref.uhats[-1])))}
@@ -312,55 +336,26 @@ def run_sweep(cfg: ExperimentConfig, out_dir, seed=None, threads: int = 1):
     if not budget > 0.0:  # zero data leave nothing to fit
         raise ConfigError(f"init.budget must be positive, got {budget}")
     s = _setup(cfg, out_dir, seed)
-
-    # One dt for every member: the split must absorb the 1/delta^2
-    # stiffness, so no member may need a smaller step.  The first member
-    # runs on the model and the datum that dt and the reference came from.
-    bg0 = s.background(deltas[0])
-    prepared0 = _prepare(s, bg0)
-    dt = _resolve_dt(s, prepared0[0].u)
-
-    ref = _run_reference_traj(s, bg0, _reference_velocity(s, bg0, prepared0),
-                              dt)
-
-    def member(delta):
-        bg = bg0 if delta == deltas[0] else s.background(delta)
-        prepared = prepared0 if bg is bg0 else _prepare(s, bg)
-        return _run_one_compressible(s, bg, dt, prepared, ref)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(member, deltas))
-    else:
-        results = [member(d) for d in deltas]
-
-    members = []
-    all_records = []
-    incomplete = False
-    for delta, (traj, init_report, solver_cfg) in zip(deltas, results):
-        entry = {"delta": delta}
-        entry.update(_traj_summary(traj, init_report, solver_cfg))
+    dt, results = _members(s, deltas, True, threads)
+    members = [summary for _, summary in results]
+    for traj, entry in results:
         ratios = [r.energy_E / r.bundle_sup for r in traj.records
                   if r.bundle_sup > 0.0]
         if ratios:
             entry["energy_bundle_ratio"] = {"min": min(ratios),
                                             "max": max(ratios)}
-        if traj.status == "ok":
-            entry["ref_error"] = _ref_error(traj)
-        else:
-            incomplete = True
-        members.append(entry)
-        all_records.extend(traj.records)
+    all_records = [r for traj, _ in results for r in traj.records]
 
+    ok = [m for m in members if m["status"] == "ok"]
+    incomplete = len(ok) < len(members)
     report = {"kind": "sweep", "seed": s.seed, "dt": dt, "deltas": deltas,
               "incomplete": incomplete, "members": members}
-    ok = [m for m in members if m["status"] == "ok"]
     if len(ok) >= 3:
         report["fit_density_temperature"] = fit_rate(
             [(m["delta"], m["sup_l2_density_temperature"]) for m in ok]).to_dict()
         report["fit_radiation"] = fit_rate(
             [(m["delta"], m["sup_l2_radiation"]) for m in ok]).to_dict()
-    if len(ok) == len(members):
+    if not incomplete:
         sups = [m["ref_error"]["sup_L2"] for m in members]
         report["ref_error_sup_L2"] = sups
         report["ref_error_ratios"] = [b / a for a, b in zip(sups, sups[1:])]
@@ -377,9 +372,9 @@ def run_linearized_probe(cfg: ExperimentConfig, out_dir, seed=None):
     s = _setup(cfg, out_dir, seed)
     grid = s.grid
     deltas = cfg.get("linearized", "deltas")
-    amp = cfg.get("linearized", "forcing")
+    amp = cfg.get("linearized", "amplitude")
     c0 = cfg.get("linearized", "c0")
-    dt = cfg.get("linearized", "dt")
+    dt = _dt(s, "linearized")
     wave = cfg.get("linearized", "wave_amplitude")
     families = [(name, standing_wave(wave) if name == "standing-wave"
                  else constant_coefficient(1.0))

@@ -96,7 +96,8 @@ def test_missed_share_blames_its_cause():
     assert exc.value.key == "norm_order"
     bg = Background.of(PhysParams.equilibrium(delta=0.1, theta_bar=1e10), EOS)
     with pytest.raises(ParameterError, match="radiation perturbation is "
-                                             "below the round-off of n_bar"):
+                                             "below the round-off of "
+                                             "params.n_bar"):
         make_well_prepared(InitSpec(budget=0.5), grid, bg)
 
 

@@ -4,8 +4,8 @@ from scipy.linalg import expm
 
 from rhdlab.fields import SpectralGrid
 from rhdlab.model import Background, IdealGasEOS, PhysParams
-from rhdlab.steppers import (ARS_GAMMA, ImexOperator, ars222_step,
-                             split_symbol)
+from rhdlab.steppers import (ARS_GAMMA, MAX_STEPS, ImexOperator,
+                             ars222_step, schedule, split_symbol)
 
 # A background away from rho_bar = 1, where a misplaced rho_bar factor shows.
 OFF_UNIT = dict(rho_bar=1.37, theta_bar=0.9, sigma_a=1.3, sigma_tilde=0.8,
@@ -68,3 +68,34 @@ def test_ars222_is_second_order_with_explicit_part(dense_symbol):
         errs.append(np.linalg.norm(X[(...,) + mode] - want))
     orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(orders[-2:] >= 1.9), orders
+
+
+def test_schedule_times_and_observations():
+    # 7 steps of 0.1 to 0.7 (round-off in 0.7/0.1 does not add an eighth),
+    # observed every 3 steps and at the last
+    steps = list(schedule(0.7, 0.1, 3))
+    assert [t for t, _, _ in steps] == [i * 0.1 for i in range(1, 8)]
+    assert [i for i, (_, seen, _) in enumerate(steps, 1) if seen] == [3, 6, 7]
+    assert [last for _, _, last in steps] == [False] * 6 + [True]
+    # a cadence that divides the count observes the last step once
+    assert [seen for _, seen, _ in schedule(0.4, 0.1, 2)] == [
+        False, True, False, True]
+    assert all(seen for _, seen, _ in schedule(0.3, 0.1))
+    assert list(schedule(0.0, 0.1, 5)) == []
+
+
+@pytest.mark.parametrize("t_end, dt, cadence, match", [
+    (1.0, 0.0, 1, "dt"), (1.0, -1e-3, 1, "dt"), (1.0, float("nan"), 1, "dt"),
+    (1.0, 0.1, 0, "cadence"),
+    (1.0, 1e-30, 1, "steps"), (1e300, 1e-300, 1, "steps"),
+    (float("nan"), 0.1, 1, "steps")])
+def test_schedule_refuses_before_any_step(t_end, dt, cadence, match):
+    with pytest.raises(ValueError, match=match):
+        schedule(t_end, dt, cadence)
+
+
+def test_schedule_admits_its_ceiling():
+    # exactly MAX_STEPS steps pass; one more is refused (neither is iterated)
+    schedule(MAX_STEPS * 1e-3, 1e-3)
+    with pytest.raises(ValueError, match="steps"):
+        schedule((MAX_STEPS + 1) * 1e-3, 1e-3)

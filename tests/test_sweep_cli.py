@@ -1,4 +1,5 @@
 import json
+import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -118,7 +119,7 @@ def test_summary_sups_match_point_value_oracle():
     traj = CompressibleSolver(grid, bg, cfg).run(
         st, cadence=1, observer=observer)
     assert traj.status == "ok" and len(traj.records) >= 5
-    summary = _traj_summary(traj, None, cfg)
+    summary = _traj_summary(traj, None, cfg, bg.delta)
     want = np.max(norms, axis=0)
     for key, value in zip(("density_temperature", "radiation", "velocity"),
                           want):
@@ -312,8 +313,11 @@ def test_cli_exit_codes_and_commands(tmp_path, capsys):
             ("linearized", "[linearized]\nt_end = -1\n", "linearized.t_end"),
             # keys a command does not read are checked all the same
             ("linearized", "[output]\ncadence = 0\n", "output.cadence"),
-            ("linearized", "[linearized]\nforcing = 0\n",
-             "linearized.forcing"),
+            ("linearized", "[linearized]\namplitude = 0\n",
+             "linearized.amplitude"),
+            # the renamed key fails to load, naming its new name
+            ("linearized", "[linearized]\nforcing = 0.05\n",
+             "linearized.amplitude"),
             ("linearized", "[linearized]\ndeltas = 2\n", "linearized.deltas"),
             ("linearized", "[linearized]\ndeltas = 0.1,0.1\n",
              "linearized.deltas"),
@@ -339,6 +343,12 @@ def test_cli_exit_codes_and_commands(tmp_path, capsys):
                       "[sweep]\ndeltas = 0.1,0.05,0.025\n", "init.budget"),
             ("run", "[grid]\npoints_per_axis = 16\n[params]\n"
                     "delta = 1e-300\n", "params:"),
+            # the squares of the budget's shares underflow
+            ("run", "[grid]\npoints_per_axis = 16\n[init]\n"
+                    "budget = 1e-300\n", "init.budget"),
+            # drho drowns in rho_bar, and rho_bar*u squares past float range
+            ("run", "[grid]\npoints_per_axis = 16\n[params]\n"
+                    "rho_bar = 1e300\n", "params.rho_bar"),
             # the equilibrium radiation theta_bar**4 overflows
             ("run", "[grid]\npoints_per_axis = 16\n[params]\n"
                     "theta_bar = 1e100\n", "params.theta_bar"),
@@ -463,6 +473,48 @@ def test_failed_factorization_is_a_clean_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error: implicit operator"), err
         assert "no finite inverse" in err
+
+
+@pytest.mark.parametrize("command, body, key", [
+    ("run", "[solver]\ndt = 1e-30\n", "solver.dt"),
+    ("run", "[solver]\ndt = 1e-30\nwith_reference = true\n", "solver.dt"),
+    ("reference", "[solver]\ndt = 1e-30\n", "solver.dt"),
+    ("sweep", "[solver]\ndt = 1e-30\n[sweep]\ndeltas = 0.1,0.05\n",
+     "solver.dt"),
+    ("linearized", "[linearized]\ndt = 1e-30\n", "linearized.dt")])
+def test_unfinishable_step_count_is_refused(tmp_path, capsys, command, body,
+                                            key):
+    # 0.5 / 1e-30 steps would never end: exit 2 naming the key, at once
+    cfg = write_config(tmp_path / "dt.ini",
+                       "[grid]\npoints_per_axis = 16\n" + body)
+    start = time.perf_counter()
+    assert cli_main([command, "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert key in err and "steps" in err, err
+
+
+def test_run_is_the_one_member_sweep(tmp_path):
+    # run and a one-delta sweep go through the same member pipeline: the
+    # run's summary is the sweep's member entry, plus the run's kind and
+    # seed and minus the sweep's energy/bundle ratio
+    from rhdlab.sweep import run_sweep
+    cfg = load_config(write_config(tmp_path / "one.ini", (
+        "[grid]\npoints_per_axis = 16\n[solver]\ndt = 0.002\nt_end = 0.02\n"
+        "scheme = imex2\nwith_reference = true\n[sweep]\ndeltas = 0.1\n"
+        "[output]\ncadence = 2\n")))
+    run_single(cfg, tmp_path / "run")
+    run_sweep(cfg, tmp_path / "sweep")
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    report = json.loads(
+        (tmp_path / "sweep" / "sweep_report.json").read_text())
+    [member] = report["members"]
+    assert "ref_error" in member and "energy_bundle_ratio" in member
+    assert summary.pop("kind") == "run" and summary.pop("seed") == 0
+    del member["energy_bundle_ratio"]
+    assert summary == member
+    assert report["dt"] == summary["dt"]
 
 
 def test_output_formats_entries_are_stripped_and_checked(tmp_path, capsys):
