@@ -140,34 +140,23 @@ def _derivatives(grid, X, a, b):
     for the slots ``(n, v, z, g)`` of ``X``, with ``jac[i, j] = d v_i /
     d x_j`` and the viscous term ``visc_v = a lap(v) + b grad(div v)``
     formed on the coefficients.  Every field but ``div_v`` is a view into
-    one point-value array, filled by one inverse transform per group: the
-    state itself, ``grad n``, each row of the Jacobian, the viscous term,
-    and ``(grad z, lap z)``.  The derivative groups take turns in one
-    coefficient buffer of ``d + 1`` fields, so no group is larger than the
-    state and no coefficient copy of the whole set is made.
+    one point-value array, ``[state, grad(n, v, z), visc, lap z]``, filled
+    by one inverse transform of the state, the gradients of ``(n, v, z)``
+    through :meth:`rhdlab.fields.SpectralGrid.jacobian` (``d`` fields per
+    transform) and one transform of ``(visc, lap z)``, so no transform is
+    larger than the state.
     """
-    g, d, s = grid, grid.dim, len(X)
-    ik, vhat, zhat = g.ik, X[1:1 + d], X[d + 1]
-    x = np.empty((s + d * d + 3 * d + 1,) + g.shape)
-    n, v, z, gg, grad_n, jac, visc, grad_z, lap_z = np.split(
-        x, np.cumsum([1, d, 1, 1, d, d * d, d, d]))
-    jac = jac.reshape((d, d) + g.shape)
-    x[:s] = g.ifft(X)
-    c = np.empty((d + 1,) + g.spectral_shape, dtype=X.dtype)
-    grad_n[:] = g.ifft(np.multiply(ik, X[0], out=c[:d]))
-    for i in range(d):
-        jac[i] = g.ifft(np.multiply(ik, vhat[i], out=c[:d]))
-    # the Jacobian's diagonal summed from 0 in index order, as np.trace
-    # sums it, so div v and the viscous term keep their last bit
-    div = sum(ik[i] * vhat[i] for i in range(d))
-    np.multiply(b * ik, div, out=c[:d])
-    c[:d] -= a * g.ksq * vhat
-    visc[:] = g.ifft(c[:d])
-    np.multiply(ik, zhat, out=c[:d])
-    np.multiply(-g.ksq, zhat, out=c[d])
-    x[-(d + 1):] = g.ifft(c)
-    return (n[0], v, z[0], gg[0], grad_n, jac, visc,
-            np.trace(jac, axis1=0, axis2=1), grad_z, lap_z[0])
+    g, d, vhat = grid, grid.dim, X[1:1 + grid.dim]
+    x = np.empty(((d + 2) ** 2,) + g.shape)  # d + 3 + (d + 2) d + d + 1
+    x[:d + 3] = g.ifft(X)
+    grads = g.jacobian(X[:d + 2], out=x[d + 3:-(d + 1)].reshape(
+        (d + 2, d) + g.shape))
+    visc_hat = b * g.ik * g.divergence(vhat) - a * g.ksq * vhat
+    x[-(d + 1):] = g.ifft(np.concatenate([visc_hat, [-g.ksq * X[d + 1]]]))
+    jac = grads[1:1 + d]
+    return (x[0], x[1:1 + d], x[d + 1], x[d + 2], grads[0], jac,
+            x[-(d + 1):-1], np.trace(jac, axis1=0, axis2=1), grads[d + 1],
+            x[-1])
 
 
 def _velocity_form_remainders(grid, X, bg: Background):
@@ -254,8 +243,7 @@ def rhs_momentum_form(grid: SpectralGrid, nrel, mom, dtheta, drad,
     X = pack_state(grid, nrel, mom, dtheta, drad)
     grad_nrel, jac_m, visc_m, div_m, grad_dtheta, lap_dtheta = _derivatives(
         grid, X, pr.mu_bar, pr.mu_bar + pr.lam_bar)[4:]
-    hess_nrel = grid.ifft(grid.ik[:, np.newaxis] * grid.ik[np.newaxis, :]
-                          * X[0])
+    hess_nrel = grid.jacobian(grid.ik * X[0])
 
     r_mom, r_temp, r_rad = model.momentum_form_remainders(
         nrel, mom, dtheta, drad, grad_nrel, hess_nrel, jac_m, div_m,
@@ -282,8 +270,10 @@ class CompressibleSolver:
     Construction factors the implicit operator once, per ``|k|^2`` shell,
     and spreads it onto the box modes; each explicit evaluation then
     costs ``d + 4`` inverse transforms of at most ``d + 3`` fields each
-    (see ``_derivatives``) and one forward transform, and each stage one
-    transverse scale plus one 4x4 contraction per mode.
+    (``_derivatives``: the state, the gradient of each of ``n``, ``v_i``
+    and ``z``, and the viscous term with ``lap z``) and one forward
+    transform, and each stage one transverse scale plus one 4x4
+    contraction per mode.
     """
 
     def __init__(self, grid: SpectralGrid, bg: Background,

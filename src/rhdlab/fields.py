@@ -18,11 +18,13 @@ rule allows.  Each mode left out with ``k_last < 0`` is the complex
 conjugate of a kept one, so a Parseval sum counts a kept mode twice
 (``grid.multiplicity``), except on the ``k_last = 0`` and ``k_last = n/2``
 planes, which hold their own conjugates and count once.
-Methods take coefficients unless they say otherwise: derivatives are
+Methods take coefficients unless they say otherwise.  Derivatives are
 multiplications by ``grid.ik`` (``grid.ksq`` for ``-laplacian``), exact
-derivatives of the trigonometric interpolant.  The Nyquist mode is dropped
-from ``ik`` and ``ksq`` alike, so ``div(grad(f))`` and ``laplacian(f)``
-agree bit-for-bit.
+derivatives of the trigonometric interpolant.  Two methods take first
+derivatives: :meth:`SpectralGrid.jacobian` gives the point values of the
+gradients of a stack of fields, and :meth:`SpectralGrid.divergence` the
+coefficients of a divergence.  The Nyquist mode is dropped from ``ik`` and
+``ksq`` alike, so ``div(grad(f))`` and ``laplacian(f)`` agree bit-for-bit.
 
 Point values may hold modes outside the box.  What takes their norm or
 filters them without dealiasing them works on ``grid.whole()``, the same
@@ -154,10 +156,32 @@ class SpectralGrid:
 
     # -- calculus on coefficients ----------------------------------------
 
-    def jacobian(self, vhat: np.ndarray) -> np.ndarray:
-        """Point values of all first derivatives of a vector field given by
-        its coefficients; ``jac[i, j] = d v_i / d x_j``."""
-        return self.ifft(self.ik[np.newaxis, :] * vhat[:, np.newaxis])
+    def jacobian(self, fhat: np.ndarray, out=None) -> np.ndarray:
+        """Point values of the gradients of a stack of fields given by their
+        coefficients, shape ``(m, dim, *shape)``: ``jac[i, j] = d f_i /
+        d x_j``.
+
+        Each field takes one inverse transform of its ``dim`` derivatives,
+        formed in one ``dim``-field coefficient buffer, so no call is larger
+        than a vector field.  The result is written into ``out`` when given.
+        """
+        if out is None:
+            out = np.empty((len(fhat), self.dim) + self.shape)
+        c = np.empty_like(self.ik)
+        for f, grad in zip(fhat, out):
+            grad[:] = self.ifft(np.multiply(self.ik, f, out=c))
+        return out
+
+    def divergence(self, fhat: np.ndarray) -> np.ndarray:
+        """Coefficients of the divergence ``sum_i ik[i] * f_i`` of
+        coefficients ``fhat``, whose components ``f_i`` run along the axis
+        just before the spatial axes; leading axes pass through.
+
+        The terms are summed in index order from the first, as ``np.trace``
+        sums a diagonal; another order would move the last bit of every
+        field formed from a divergence, the viscous term among them."""
+        f = np.moveaxis(fhat, -self.dim - 1, 0)
+        return sum(self.ik[i] * f[i] for i in range(self.dim))
 
     def leray(self, vhat: np.ndarray) -> np.ndarray:
         """Coefficients of the divergence-free part of a vector field.
@@ -167,9 +191,9 @@ class SpectralGrid:
         if vhat.shape[0] != self.dim:
             raise ValueError("leray expects a vector field")
         ksq = np.where(self.ksq == 0.0, 1.0, self.ksq)
-        k = self.ik.imag  # zeroed-Nyquist wavenumbers
-        proj = np.sum(k * vhat, axis=0) / ksq
-        return vhat - k * proj[np.newaxis]
+        # k.v is -i div(v) exactly: the factor -1j only moves the parts
+        proj = -1j * self.divergence(vhat) / ksq
+        return vhat - self.ik.imag * proj
 
     # -- norms and the filter ---------------------------------------------
 

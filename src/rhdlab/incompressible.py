@@ -85,7 +85,7 @@ class IncompressibleSolver:
         """Zero-mean pressure from ``lap(P) = -rho_bar * div((u.grad)u)``
         for the point values ``u``."""
         g = self.grid
-        dhat = -np.sum(g.ik * self._advection(g.fft(u)), axis=0)
+        dhat = -g.divergence(self._advection(g.fft(u)))
         ksq = np.where(g.ksq == 0.0, 1.0, g.ksq)
         phat = self.rho_bar * dhat / ksq
         phat[(0,) * g.dim] = 0.0

@@ -244,7 +244,7 @@ def _report(grid, state, bg, spec):
         "budget": spec.budget,
         "mode": spec.mode,
         "div_u": float(np.max(np.abs(
-            grid.ifft(np.sum(grid.ik * grid.fft(state.u), axis=0))))),
+            grid.ifft(grid.divergence(grid.fft(state.u)))))),
         "min_rho": float(np.min(state.rho)),
         "min_theta": float(np.min(state.theta)),
         "seed": spec.seed,

@@ -121,10 +121,8 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
     steps = schedule(problem.horizon, dt, cadence)
     if scheme not in SCHEMES:
         raise DomainError(f"unknown scheme {scheme!r}")
-    pr = bg.params
-    d = grid.dim
+    pr, d, no = bg.params, grid.dim, problem.norm_order
     d2 = pr.delta ** 2
-    no = problem.norm_order
 
     # the coefficient is point values, normed on the whole half spectrum
     whole = grid.whole()
@@ -150,8 +148,7 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
                 flux = pr.mu_bar * jac
                 flux[range(d), range(d)] += ((pr.mu_bar + pr.lam_bar)
                                              * np.trace(jac, axis1=0, axis2=1))
-                F = grid.fft(ap * flux)
-                N[1:1 + d] += np.sum(grid.ik * F, axis=1)
+                N[1:1 + d] += grid.divergence(grid.fft(ap * flux))
             return N
         return explicit
 

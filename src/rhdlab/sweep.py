@@ -382,22 +382,30 @@ def run_linearized_probe(cfg: ExperimentConfig, out_dir, seed=None):
     rng = np.random.default_rng(s.seed)
     shapes = [random_band_scalar(grid, rng, 2.0) for _ in range(3 + grid.dim)]
     backgrounds = [s.background(delta) for delta in deltas]
-    records = []
-    results = {}
+    records, results = [], {}
     for name, coeff in families:
         constants = {}
         for delta, bg in zip(deltas, backgrounds):
-            problem = LinearizedProblem(
-                coeff=coeff,
-                init_nrel=delta * amp * shapes[0],
-                init_mom=amp * np.stack(shapes[1:1 + grid.dim]),
-                init_dtheta=delta * amp * shapes[1 + grid.dim],
-                init_drad=np.sqrt(delta) * amp * shapes[2 + grid.dim],
-                horizon=cfg.get("linearized", "t_end"),
-                norm_order=cfg.get("linearized", "norm_order"))
+            # the probe is linear: its squared norms scale with amp**2, and
+            # an amplitude that takes them out of the normal float range is
+            # refused (weights that overflow are refused as norm_order's)
             try:
-                traj = solve_linearized(grid, problem, bg, dt=dt)
+                with np.errstate(over="raise", invalid="raise"):
+                    problem = LinearizedProblem(
+                        coeff=coeff,
+                        init_nrel=delta * amp * shapes[0],
+                        init_mom=amp * np.stack(shapes[1:1 + grid.dim]),
+                        init_dtheta=delta * amp * shapes[1 + grid.dim],
+                        init_drad=np.sqrt(delta) * amp * shapes[2 + grid.dim],
+                        horizon=cfg.get("linearized", "t_end"),
+                        norm_order=cfg.get("linearized", "norm_order"))
+                    traj = solve_linearized(grid, problem, bg, dt=dt)
+                    if not traj.bundles[0] >= np.finfo(float).tiny:
+                        raise FloatingPointError("underflow in the bundle")
                 rep = check_estimate(traj, c0=c0)
+            except FloatingPointError as exc:
+                raise ConfigError(f"linearized.amplitude = {amp}: the probe's "
+                                  f"norms leave float range ({exc})") from None
             except DomainError as exc:
                 raise ConfigError(f"linearized.norm_order = "
                                   f"{problem.norm_order}: {exc}") from None

@@ -210,23 +210,55 @@ def test_operations_do_not_mutate(grid):
     np.testing.assert_array_equal(f, f0)
     vhat = grid.fft(np.stack([f, band_limited(grid, 19)]))
     vhat0 = vhat.copy()
-    grid.ifft(vhat); grid.jacobian(vhat); grid.leray(vhat)
+    grid.ifft(vhat); grid.jacobian(vhat); grid.divergence(vhat)
+    grid.leray(vhat)
     grid.norm_sq(vhat, grid.ksq)
     np.testing.assert_array_equal(vhat, vhat0)
 
 
-def test_jacobian_from_coefficients(grid):
+def test_jacobian_from_coefficients():
+    for dim, n, dealias in [(2, 64, True), (2, 16, False), (3, 16, True),
+                            (3, 16, False)]:
+        _check_jacobian_and_divergence(
+            SpectralGrid(dim=dim, points_per_axis=n, dealias=dealias))
+
+
+def _check_jacobian_and_divergence(g):
     # jac[i, j] = d v_i / d x_j, from the coefficients of v
-    x = grid.grid_points()
+    dim, x = g.dim, g.grid_points()
     v = np.stack([np.sin(x[0]) * np.cos(2 * x[1]), np.cos(3 * x[0])])
-    jac = grid.jacobian(grid.fft(v))
-    assert jac.shape == (2, 2) + grid.shape
+    jac = g.jacobian(g.fft(v))
+    assert jac.shape == (2, dim) + g.shape
+    zero = np.zeros(g.shape)
     exact = [[np.cos(x[0]) * np.cos(2 * x[1]),
-              -2 * np.sin(x[0]) * np.sin(2 * x[1])],
-             [-3 * np.sin(3 * x[0]), np.zeros(grid.shape)]]
+              -2 * np.sin(x[0]) * np.sin(2 * x[1])] + [zero] * (dim - 2),
+             [-3 * np.sin(3 * x[0])] + [zero] * (dim - 1)]
     for i in range(2):
-        for j in range(2):
-            assert np.max(np.abs(jac[i, j] - exact[i][j])) < 1e-12
+        for j in range(dim):
+            assert np.max(np.abs(jac[i, j] - exact[i][j])) < 1e-12, g
+
+    # one transform per field changes no bit against the one-call
+    # transform of the whole stack, into a fresh array or into ``out``
+    rng = np.random.default_rng(dim)
+    for m in (1, dim, dim + 2):
+        fhat = g.fft(rng.standard_normal((m,) + g.shape))
+        want = g.ifft(g.ik[np.newaxis] * fhat[:, np.newaxis])
+        assert np.array_equal(g.jacobian(fhat), want), (g, m)
+        out = np.full((m, dim) + g.shape, np.nan)
+        assert g.jacobian(fhat, out=out) is out
+        assert np.array_equal(out, want), (g, m)
+
+    # the divergence sums its terms in index order, over the component
+    # axis just before the spatial axes
+    vhat = g.fft(rng.standard_normal((dim,) + g.shape))
+    assert np.array_equal(g.divergence(vhat),
+                          sum(g.ik[i] * vhat[i] for i in range(dim))), g
+    flux = g.fft(rng.standard_normal((dim + 1, dim) + g.shape))
+    div = g.divergence(flux)
+    assert div.shape == (dim + 1,) + g.spectral_shape
+    for i in range(dim + 1):
+        assert np.array_equal(div[i], sum(g.ik[j] * flux[i, j]
+                                          for j in range(dim))), g
 
 
 def test_3d_grid_basics():

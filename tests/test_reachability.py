@@ -1,10 +1,18 @@
-"""Every dataclass field under ``src/rhdlab`` is read somewhere.
+"""Every dataclass field under ``src/rhdlab`` is read somewhere, and every
+derivative the package transforms comes from ``SpectralGrid``.
 
 A field that no code reads by name, as an attribute, in ``src/`` or
 ``tests/`` is a result nothing consumes (or an input nothing sets and
 nothing checks); it should be deleted, not carried.  The scan is by name
 only: a field counts as read when any ``<expr>.<name>`` load of the same
 name exists, whatever the type of ``<expr>``.
+
+Spectral derivatives have one path: ``SpectralGrid.jacobian`` transforms
+gradients and ``SpectralGrid.divergence`` forms divergences, so the
+fields the solvers step and the ones the checks compare come from one
+formula.  Outside ``fields.py`` no ``ifft`` call may read the derivative
+multipliers ``ik`` in its arguments, as ``<expr>.ik`` or through a local
+name bound to it.
 """
 
 import ast
@@ -55,3 +63,58 @@ def test_every_dataclass_field_is_read():
     unread = [f"{mod}.{cls}.{name}" for mod, cls, name in fields
               if name not in reads]
     assert not unread, f"dataclass fields nothing reads: {unread}"
+
+
+def _reads(node, names):
+    """Whether expression ``node`` reads ``<expr>.ik`` or one of ``names``."""
+    return any((isinstance(n, ast.Attribute) and n.attr == "ik")
+               or (isinstance(n, ast.Name) and n.id in names)
+               for n in ast.walk(node))
+
+
+def _aliases_of_ik(func):
+    """Names that ``func`` binds to ``<expr>.ik`` itself; a tuple
+    assignment pairs its elements."""
+    names = set()
+    for node in ast.walk(func):
+        if not isinstance(node, ast.Assign):
+            continue
+        for target in node.targets:
+            value = node.value
+            if (isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple)
+                    and len(target.elts) == len(value.elts)):
+                pairs = zip(target.elts, value.elts)
+            else:
+                pairs = [(target, value)]
+            names.update(t.id for t, v in pairs if isinstance(t, ast.Name)
+                         and isinstance(v, ast.Attribute) and v.attr == "ik")
+    return names
+
+
+def ik_transforms():
+    """``module.function:line`` of every ``ifft`` call outside ``fields.py``
+    whose arguments read ``ik``, and the number of ``ifft`` calls scanned."""
+    found, scanned = set(), 0
+    for path, tree in _trees(PACKAGE):
+        if path.name == "fields.py":
+            continue
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            names = _aliases_of_ik(func)
+            for call in ast.walk(func):
+                if (isinstance(call, ast.Call)
+                        and isinstance(call.func, ast.Attribute)
+                        and call.func.attr == "ifft"):
+                    scanned += 1
+                    if any(_reads(arg, names) for arg in
+                           call.args + [kw.value for kw in call.keywords]):
+                        found.add(f"{path.stem}.{func.name}:{call.lineno}")
+    return sorted(found), scanned
+
+
+def test_derivatives_are_transformed_by_the_grid_only():
+    found, scanned = ik_transforms()
+    assert scanned > 5  # the scan sees the package's inverse transforms
+    assert not found, (f"derivatives transformed outside SpectralGrid "
+                       f"(use jacobian or divergence): {found}")

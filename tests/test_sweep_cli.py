@@ -373,6 +373,13 @@ def test_cli_exit_codes_and_commands(tmp_path, capsys):
             ("linearized", "[grid]\npoints_per_axis = 16\n[linearized]\n"
                            "t_end = 0.002\nnorm_order = 146\n",
              "linearized.norm_order"),
+            # the probe's squared norms overflow, or underflow to zero
+            ("linearized", "[grid]\npoints_per_axis = 16\n[linearized]\n"
+                           "t_end = 0.004\ndt = 0.002\namplitude = 1e300\n",
+             "linearized.amplitude"),
+            ("linearized", "[grid]\npoints_per_axis = 16\n[linearized]\n"
+                           "t_end = 0.004\ndt = 0.002\namplitude = 1e-300\n",
+             "linearized.amplitude"),
             # the box volume overflows, or the largest |k|^2 does
             ("run", "[grid]\npoints_per_axis = 16\nextent = 1e308\n"
                     "[solver]\nt_end = 0.01\n", "grid.extent"),
