@@ -1,5 +1,10 @@
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy import fft as sfft
 
 from rhdlab.fields import SpectralGrid, load_field, save_field
 
@@ -344,3 +349,95 @@ def test_box_sizes():
         whole = g.whole()
         assert np.prod(whole.spectral_shape) == half
         assert whole.whole() is whole and not whole.dealias
+
+
+def _stack_oracles(g, f, fhat):
+    # one rfftn over the whole stack, cropped through the box blocks, and
+    # one irfftn of the whole stack zero-padded into the half spectrum
+    axes = tuple(range(-g.dim, 0))
+    half = sfft.rfftn(f, axes=axes)
+    box = np.empty(half.shape[:-g.dim] + g.spectral_shape, complex)
+    padded = np.zeros(fhat.shape[:-g.dim] + half.shape[-g.dim:], complex)
+    for block in g._blocks:
+        box[block] = half[block]
+        padded[block] = fhat[block]
+    return box, sfft.irfftn(padded, s=g.shape, axes=axes)
+
+
+@pytest.mark.parametrize("n,group", [(256, 1), (128, 7)])
+@pytest.mark.parametrize("dealias", [True, False])
+def test_grouped_transforms_match_one_call_over_the_stack(n, group, dealias):
+    # fft and ifft split a stack into groups of at most 1 MiB of half
+    # spectrum; every value is bit for bit the one of one call over the
+    # stack, neither transform touches its input, and a result is not a
+    # buffer that the next call rewrites
+    g = SpectralGrid(dim=2, points_per_axis=n, dealias=dealias)
+    assert g._group == group
+    rng = np.random.default_rng(n)
+    kept = []
+    for lead in [(), (1,), (6,), (7,), (8,), (2, 3), (5, 3)]:
+        f = rng.standard_normal(lead + g.shape)
+        fhat = (rng.standard_normal(lead + g.spectral_shape)
+                + 1j * rng.standard_normal(lead + g.spectral_shape))
+        f0, fhat0 = f.copy(), fhat.copy()
+        box, back = _stack_oracles(g, f, fhat)
+        got_box, got_back = g.fft(f), g.ifft(fhat)
+        assert got_box.shape == box.shape and np.array_equal(got_box, box), lead
+        assert got_back.shape == back.shape and np.array_equal(got_back, back), lead
+        assert np.array_equal(f, f0) and np.array_equal(fhat, fhat0), lead
+        kept.append((got_box, box, got_back, back))
+    for got_box, box, got_back, back in kept:
+        assert np.array_equal(got_box, box) and np.array_equal(got_back, back)
+
+
+def test_grouped_transforms_hold_one_group_of_half_spectrum():
+    # a 6-field stack at 256^2 is 6 groups of one field: each transform
+    # peaks below its output plus 3 one-field half spectra (one call over
+    # the stack held 6)
+    g = SpectralGrid(dim=2, points_per_axis=256)
+    half_bytes = 16 * g.n * (g.n // 2 + 1)
+    f = np.random.default_rng(6).standard_normal((6,) + g.shape)
+    fhat = g.fft(f)
+    for transform, arg in ((g.ifft, fhat), (g.fft, f)):
+        tracemalloc.start()
+        try:
+            out = transform(arg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes + 3 * half_bytes, transform.__name__
+
+
+def test_shared_grid_transforms_concurrently():
+    # the grid keeps no scratch buffer between calls: two threads that
+    # transform different stacks on one grid at once get the serial results
+    g = SpectralGrid(dim=2, points_per_axis=256)
+    rng = np.random.default_rng(2)
+    stacks = [rng.standard_normal((3,) + g.shape),
+              rng.standard_normal((2, 2) + g.shape)]
+    serial = [(g.fft(f), g.ifft(g.fft(f))) for f in stacks]
+    results = [[], []]
+    start = threading.Barrier(2)
+
+    def work(i):
+        start.wait(timeout=30)
+        for _ in range(5):
+            fhat = g.fft(stacks[i])
+            results[i].append((fhat, g.ifft(fhat)))
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for (fhat, back), got in zip(serial, results):
+        assert len(got) == 5
+        for got_fhat, got_back in got:
+            assert np.array_equal(got_fhat, fhat)
+            assert np.array_equal(got_back, back)

@@ -237,6 +237,20 @@ def test_identity_suite_passes_at_16_points(dim):
         assert names <= {r.name for r in faulty if not r.passed}, fault
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "velocity-form-rhs and momentum-form-rhs read 1.81e-10 at 128^2 "
+    "against their 1e-10 tolerance (1.87e-11 at the default grid)"))
+def test_identity_suite_passes_at_128_points():
+    # the command's own set-up (the default config's physics, its seed and
+    # the suite's default n_fields) on the sweep-2d grid; the two
+    # reformulation identities fail here and on finer grids
+    cfg = default_config()
+    bg = Background.of(cfg.build_params(), cfg.build_eos())
+    results = run_identity_suite(SpectralGrid(dim=2, points_per_axis=128), bg,
+                                 seed=cfg.get("init", "seed"))
+    assert [r.name for r in results if not r.passed] == []
+
+
 @pytest.mark.parametrize("changes", [
     {"p_rho": 5.0, "recip": 3.0, "e_theta": 9.0},
     "p_rho", "p_theta", "e_theta", "recip"])
