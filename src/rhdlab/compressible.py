@@ -171,6 +171,18 @@ def _velocity_form_remainders(grid, X, bg: Background):
     return pack_state(grid, r_mass, r_vel, r_temp, r_rad / bg.delta)
 
 
+def _momentum_form_remainders(grid, X, bg: Background):
+    """Spectral nonlinear remainders of the momentum form at packed state
+    ``X``, as :func:`_velocity_form_remainders`; the continuity row is
+    exact and its remainder zero."""
+    pr = bg.params
+    r_mom, r_temp, r_rad = model.momentum_form_remainders(
+        *_derivatives(grid, X, pr.mu_bar, pr.mu_bar + pr.lam_bar),
+        grid.jacobian(grid.ik * X[0]), bg)
+    return pack_state(grid, np.zeros_like(r_temp), r_mom, r_temp,
+                      r_rad / bg.delta)
+
+
 def rhs_primitive(grid: SpectralGrid, state: CompressibleState,
                   params: PhysParams, eos):
     """Tendencies ``(rho_t, u_t, theta_t, rad_t)`` of the primitive system.
@@ -234,31 +246,15 @@ def rhs_momentum_form(grid: SpectralGrid, nrel, mom, dtheta, drad,
     """Tendencies ``(nrel_t, mom_t, dtheta_t, drad_t)`` of the momentum
     perturbation form (relative density, scaled momentum).
 
-    Assembled for verification only: the linear part is the
-    relative-density symbol the linearized probe factors, and derivatives
-    of the composite ``1/(1 + nrel)`` are chain-expanded so the result
-    equals the mapped primitive right-hand side exactly on resolved fields.
+    Assembled for verification only, as :func:`rhs_perturbation` is: the
+    relative-density symbol the linearized probe factors, applied to the
+    state, plus the remainders; derivatives of the composite
+    ``1/(1 + nrel)`` are chain-expanded so the result equals the mapped
+    primitive right-hand side exactly on resolved fields.
     """
-    pr = bg.params
     X = pack_state(grid, nrel, mom, dtheta, drad)
-    grad_nrel, jac_m, visc_m, div_m, grad_dtheta, lap_dtheta = _derivatives(
-        grid, X, pr.mu_bar, pr.mu_bar + pr.lam_bar)[4:]
-    hess_nrel = grid.jacobian(grid.ik * X[0])
-
-    r_mom, r_temp, r_rad = model.momentum_form_remainders(
-        nrel, mom, dtheta, drad, grad_nrel, hess_nrel, jac_m, div_m,
-        grad_dtheta, lap_dtheta, bg)
-
-    # Viscosity acts on u = f*m; the symbol carries its constant part on m.
-    f = 1.0 / (1.0 + np.asarray(nrel))
-    grad_f = -(f ** 2) * grad_nrel
-    r_mom = (r_mom - np.asarray(nrel) * f * visc_m
-             + pr.mu_bar * np.einsum("ij...,j...->i...", jac_m, grad_f)
-             + (pr.lam_bar + pr.mu_bar) * grad_f * div_m)
-
-    F = split_symbol(grid, bg, relative_density=True).apply(X)
-    F += pack_state(grid, np.zeros_like(r_temp), r_mom, r_temp,
-                    r_rad / pr.delta)
+    F = (split_symbol(grid, bg, relative_density=True).apply(X)
+         + _momentum_form_remainders(grid, X, bg))
     return unpack_state(grid, F)
 
 

@@ -325,7 +325,9 @@ def load_field(path):
         meta = {key: float(val) if key == "extent" else int(val)
                 for key, val in (item.split("=") for item in header.split())}
         _checked(meta["dim"], meta["n"], meta["extent"])
-        # a vector field leads with its components; an ncomp < 1 holds none
+        if meta["ncomp"] < 1:
+            raise ValueError(f"ncomp must be >= 1, got {meta['ncomp']}")
+        # a vector field leads with its components
         shape = (meta["ncomp"],) * (meta["ncomp"] != 1) + (meta["n"],) * meta["dim"]
     except (ValueError, KeyError) as exc:
         raise ValueError(f"{path}: malformed header {header!r}: "

@@ -56,7 +56,7 @@ def _remainder_checks(grid, bg: Background, noise):
     s, v = grid.shape, (grid.dim,) + grid.shape
     j = (grid.dim,) + v
     shapes = ((s, v, s, s, v, j, v, s, v, s)            # velocity form
-              + (s, v, s, s, v, j, j, s, v, s))         # momentum form
+              + (s, v, s, s, v, j, v, s, v, s, j))      # momentum form
 
     def remainders(fields):
         return (model.velocity_form_remainders(*fields[:10], bg)

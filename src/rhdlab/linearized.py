@@ -2,14 +2,15 @@
 
 The linearized dynamics evolve (relative density, scaled momentum,
 temperature perturbation, radiation perturbation) with a bounded scalar
-coefficient ``A(x, t)`` weighting the viscosity.  The solver treats the
-``A``-averaged stiff linear part implicitly per Fourier mode and the bounded
-fluctuation ``A - A_mean`` explicitly, so the admissible step is set by the
-fluctuation amplitude and never by the Mach parameter.  The implicit part is
-the momentum-form symbol of :func:`rhdlab.steppers.split_symbol`
-(relative-density slot, viscosity scaled by ``A_mean``), the linear part of
-:func:`rhdlab.compressible.rhs_momentum_form`: a transverse diffusion rate
-and one 4x4 longitudinal block per ``|k|^2`` shell.
+coefficient ``A(x, t)`` weighting the viscosity.  The coefficient is the
+standing wave ``A = 1 + a sin(x_0) sin(t)`` with ``|a| < 1``; ``a = 0`` is
+the constant family ``A = 1``.  The solver treats the stiff linear part at
+``A = 1`` implicitly per Fourier mode and the bounded fluctuation ``A - 1``
+explicitly, so the admissible step is set by the fluctuation amplitude and
+never by the Mach parameter.  The implicit part is the momentum-form symbol
+of :func:`rhdlab.steppers.split_symbol` (relative-density slot), the linear
+part of :func:`rhdlab.compressible.rhs_momentum_form`: a transverse
+diffusion rate and one 4x4 longitudinal block per ``|k|^2`` shell.
 
 :func:`check_estimate` accumulates both sides of the a priori bound (scaled
 norms plus dissipation integrals against the initial data, times an
@@ -21,7 +22,6 @@ meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -31,69 +31,27 @@ from .model import Background, DomainError, planck_linear
 from .steppers import (SCHEMES, ImexStepper, pack_state, schedule,
                        split_symbol, unpack_state)
 
-__all__ = ["CoefficientField", "constant_coefficient", "standing_wave",
-           "LinearizedProblem", "LinearizedTrajectory", "solve_linearized",
+__all__ = ["LinearizedProblem", "LinearizedTrajectory", "solve_linearized",
            "EstimateReport", "check_estimate"]
 
 
 @dataclass
-class CoefficientField:
-    """Scalar coefficient family with declared uniform bounds."""
-    lower: float
-    upper: float
-    fn: Callable[[SpectralGrid, float], np.ndarray]
-    label: str = "coefficient"
-
-    def __post_init__(self):
-        if not 0.0 < self.lower <= self.upper:
-            raise DomainError(
-                f"bounds must satisfy 0 < lower <= upper, got "
-                f"({self.lower}, {self.upper})")
-
-    @property
-    def midpoint(self) -> float:
-        return 0.5 * (self.lower + self.upper)
-
-    def sample(self, grid: SpectralGrid, t: float) -> np.ndarray:
-        A = self.fn(grid, t)
-        lo, hi = float(np.min(A)), float(np.max(A))
-        tol = 1e-9 * max(1.0, self.upper)
-        if lo < self.lower - tol or hi > self.upper + tol:
-            raise DomainError(
-                f"{self.label}: sampled range [{lo:.6g}, {hi:.6g}] leaves "
-                f"declared bounds [{self.lower}, {self.upper}] at t={t}")
-        return A
-
-
-def constant_coefficient(value: float = 1.0) -> CoefficientField:
-    def fn(grid, t):
-        return np.full(grid.shape, value)
-    return CoefficientField(value, value, fn, label=f"constant({value})")
-
-
-def standing_wave(amplitude: float = 0.5, base: float = 1.0) -> CoefficientField:
-    """``base + amplitude*sin(x_0)*sin(t)``; requires ``|amplitude| < base``."""
-    if not abs(amplitude) < base:
-        raise DomainError("standing wave needs |amplitude| < base for positivity")
-    shapes = {}  # spatial factor per grid, built on first use
-
-    def fn(grid, t):
-        if grid not in shapes:
-            shapes[grid] = amplitude * np.sin(grid.grid_points()[0])
-        return base + shapes[grid] * np.sin(t)
-    return CoefficientField(base - abs(amplitude), base + abs(amplitude), fn,
-                            label=f"standing-wave({amplitude})")
-
-
-@dataclass
 class LinearizedProblem:
-    coeff: CoefficientField
+    """Initial data and horizon of one probe; ``wave`` is the amplitude
+    ``a`` of the coefficient ``A = 1 + a sin(x_0) sin(t)``, ``|a| < 1``
+    so that ``A`` stays positive."""
+    wave: float
     init_nrel: np.ndarray
     init_mom: np.ndarray
     init_dtheta: np.ndarray
     init_drad: np.ndarray
     horizon: float
     norm_order: int = 2
+
+    def __post_init__(self):
+        if not abs(self.wave) < 1.0:
+            raise DomainError(f"the standing wave needs |wave| < 1 for a "
+                              f"positive coefficient, got {self.wave}")
 
 
 @dataclass
@@ -126,22 +84,22 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
 
     # the coefficient is point values, normed on the whole half spectrum
     whole = grid.whole()
-    a_mid = problem.coeff.midpoint
-    stepper = ImexStepper(scheme, split_symbol(grid, bg, viscosity=a_mid,
-                                               relative_density=True), dt)
-    a_constant = problem.coeff.upper == problem.coeff.lower
+    stepper = ImexStepper(scheme, split_symbol(grid, bg, relative_density=True),
+                          dt)
+    constant = problem.wave == 0.0
+    shape = problem.wave * np.sin(grid.grid_points()[0])
 
     def level(t):
-        """Fluctuation ``A - A_mean`` and load ``1 + |A|^2_{H^no}`` of the
+        """Fluctuation ``A - 1`` and load ``1 + |A|^2_{H^no}`` of the
         coefficient sampled once at time level ``t``: the load closes the
         step ending at ``t`` and the fluctuation drives the next one."""
-        A = problem.coeff.sample(grid, t)
-        return A - a_mid, 1.0 + whole.sobolev_norm(A, no) ** 2
+        A = 1.0 + shape * np.sin(t)
+        return A - 1.0, 1.0 + whole.sobolev_norm(A, no) ** 2
 
     def explicit_at(ap):
         def explicit(X):
             N = np.zeros_like(X)
-            if not a_constant:
+            if not constant:
                 # ap * (mu_bar d_j m_i + (lam+mu)_bar div(m) delta_ij), whose
                 # divergence over j is the momentum tendency
                 jac = grid.jacobian(X[1:1 + d])
@@ -187,7 +145,7 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
     observe(0.0)
     for t1, seen, _ in steps:
         X = stepper.step(X, explicit_at(ap))
-        if not a_constant:  # a constant family keeps its level-0 load
+        if not constant:  # a constant family keeps its level-0 load
             ap, load = level(t1)
         cur = (diss_rate(X), load)
         cum_d += 0.5 * dt * (prev[0] + cur[0])

@@ -161,9 +161,9 @@ class Background:
 class IdealGasEOS:
     """Ideal polytropic gas: ``P = R*rho*theta``, ``e = c_v*theta``.
 
-    The one gas law the configuration offers.  Any object with ``p``,
-    ``e`` and the analytic partials ``p_rho``, ``p_theta``, ``e_rho``,
-    ``e_theta``, each a function of ``(rho, theta)``, serves as a gas law:
+    The one gas law the configuration offers.  Any object with ``p`` and
+    the analytic partials ``p_rho``, ``p_theta``, ``e_rho``, ``e_theta``,
+    each a function of ``(rho, theta)``, serves as a gas law:
     :meth:`Background.of` evaluates it at the background and keeps it as
     ``Background.eos``, where the remainders find it; they, the reference
     right-hand side and the identity suite read nothing else.
@@ -178,20 +178,17 @@ class IdealGasEOS:
     def p(self, rho, theta):
         return self.R * rho * theta
 
-    def e(self, rho, theta):
-        return self.c_v * theta * np.ones_like(np.asarray(rho, dtype=float))
-
     def p_rho(self, rho, theta):
-        return self.R * theta * np.ones_like(np.asarray(rho, dtype=float))
+        return self.R * theta
 
     def p_theta(self, rho, theta):
-        return self.R * rho * np.ones_like(np.asarray(theta, dtype=float))
+        return self.R * rho
 
     def e_rho(self, rho, theta):
-        return np.zeros_like(np.asarray(rho, dtype=float))
+        return 0.0
 
     def e_theta(self, rho, theta):
-        return self.c_v * np.ones_like(np.asarray(rho, dtype=float))
+        return self.c_v
 
     def __repr__(self):
         return f"IdealGasEOS(R={self.R}, c_v={self.c_v})"
@@ -386,13 +383,18 @@ def velocity_form_remainders(drho, u, dtheta, drad,
 
 
 def momentum_form_remainders(nrel, mom, dtheta, drad,
-                             grad_nrel, hess_nrel, jac_m, div_m,
-                             grad_dtheta, lap_dtheta, bg: Background):
+                             grad_nrel, jac_m, visc_m, div_m,
+                             grad_dtheta, lap_dtheta, hess_nrel,
+                             bg: Background):
     """Nonlinear remainder terms of the momentum perturbation form.
 
     ``nrel = (rho - rho_bar)/rho_bar`` and ``mom = rho*u/rho_bar``; the
-    required derivatives go up to second order in ``nrel`` (its Hessian
-    feeds the gradient of ``m . grad(1/(1+nrel))``).  Returns
+    arguments follow :func:`velocity_form_remainders`, with ``visc_m =
+    mu_bar lap(m) + (mu_bar + lam_bar) grad(div m)`` the viscous term the
+    symbol applies to ``m`` and the Hessian of ``nrel`` last (it feeds the
+    gradient of ``m . grad(1/(1+nrel))``).  Viscosity acts on ``u = f m``
+    with ``f = 1/(1 + nrel)``, so ``r_momentum`` holds everything of it
+    but ``visc_m``.  Returns
     ``(r_momentum, r_temperature, r_radiation)``; the continuity equation
     of this form is exact and has no remainder.  As in
     :func:`velocity_form_remainders`, the gaps read ``bg`` and the gas law
@@ -430,7 +432,10 @@ def momentum_form_remainders(nrel, mom, dtheta, drad,
     h2 = bg.p_theta - p_theta
     r_momentum = (-adv + mu_b * visc_shear + (lam_b + mu_b) * visc_bulk
                   + (h1 / d2) * grad_nrel
-                  + (h2 / (params.rho_bar * d2)) * grad_dtheta)
+                  + (h2 / (params.rho_bar * d2)) * grad_dtheta
+                  - nrel * f * visc_m
+                  + mu_b * np.einsum("ij...,j...->i...", jac_m, grad_f)
+                  + (lam_b + mu_b) * grad_f * div_m)
 
     # temperature equation remainder, written with the actual velocity u = f*m
     u = f * mom

@@ -130,7 +130,7 @@ class SplitSymbol:
                          self.transverse[self.shell], self.khat, X)
 
 
-def split_symbol(grid, bg, viscosity=1.0, relative_density=False):
+def split_symbol(grid, bg, relative_density=False):
     """Linear symbol of the coupled system, one block per ``|k|^2`` shell.
 
     ``bg`` is the :class:`rhdlab.model.Background` the coefficients come from.
@@ -142,20 +142,20 @@ def split_symbol(grid, bg, viscosity=1.0, relative_density=False):
         n_t   = -rho_bar * i k . v
         v_t   = -P_rho/(rho_bar delta^2) * i k n
                 - P_theta/(rho_bar delta^2) * i k z
-                - a mu_bar |k|^2 v - a (mu_bar + lam_bar) k (k . v)
+                - mu_bar |k|^2 v - (mu_bar + lam_bar) k (k . v)
         z_t   = -theta_bar P_theta recip * i k . v - kappa recip |k|^2 z
                 - emission recip z + sigma_a recip g
         g_t   = (emission z - nu |k|^2 g - sigma_a g) / delta
 
-    with ``a = viscosity`` and ``recip``, ``emission`` from ``bg``.  With
+    with ``recip`` and ``emission`` from ``bg``.  With
     ``relative_density`` the slot holds ``nrel = drho/rho_bar`` (the
     momentum form), and the symbol is the one above conjugated by
     ``diag(1/rho_bar, 1, ..., 1)``.
 
     With ``k = |k| k^`` and ``v = vL k^ + vT`` (``vT . k^ = 0``), ``vT``
-    only decays at the rate ``-a mu_bar |k|^2``, and ``(n, vL, z, g)``
+    only decays at the rate ``-mu_bar |k|^2``, and ``(n, vL, z, g)``
     follow one 4x4 block in which ``i k`` becomes ``i |k|`` and the
-    viscosity ``-a (2 mu_bar + lam_bar) |k|^2``.  ``|k|^2`` and ``k^`` come
+    viscosity ``-(2 mu_bar + lam_bar) |k|^2``.  ``|k|^2`` and ``k^`` come
     from the Nyquist-zeroed wavenumbers of ``grid.ik``, so the split is
     exact on every mode; at ``|k| = 0`` every component decouples.
     Returns a :class:`SplitSymbol`.
@@ -168,8 +168,6 @@ def split_symbol(grid, bg, viscosity=1.0, relative_density=False):
         cont = cont / pr.rho_bar
         grad_n = grad_n * pr.rho_bar
     grad_t = bg.p_theta / (pr.rho_bar * d2)
-    visc_shear = pr.mu_bar * viscosity
-    visc_bulk = (pr.mu_bar + pr.lam_bar) * viscosity
     div_t = pr.theta_bar * bg.p_theta * bg.recip
 
     ksq, shell = np.unique(grid.ksq, return_inverse=True)
@@ -180,14 +178,14 @@ def split_symbol(grid, bg, viscosity=1.0, relative_density=False):
     B = np.zeros((len(ksq), 4, 4), dtype=np.complex128)
     B[:, 0, 1] = -cont * ik
     B[:, 1, 0] = -grad_n * ik
-    B[:, 1, 1] = -(visc_shear + visc_bulk) * ksq
+    B[:, 1, 1] = -(pr.mu_bar + (pr.mu_bar + pr.lam_bar)) * ksq
     B[:, 1, 2] = -grad_t * ik
     B[:, 2, 1] = -div_t * ik
     B[:, 2, 2] = -pr.kappa * bg.recip * ksq - bg.emission * bg.recip
     B[:, 2, 3] = pr.sigma_a * bg.recip
     B[:, 3, 2] = bg.emission / bg.delta
     B[:, 3, 3] = -pr.nu / bg.delta * ksq - pr.sigma_a / bg.delta
-    return SplitSymbol(B, -visc_shear * ksq,
+    return SplitSymbol(B, -pr.mu_bar * ksq,
                        shell.reshape(grid.spectral_shape).astype(np.int32),
                        khat)
 

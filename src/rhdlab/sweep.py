@@ -24,8 +24,7 @@ from .config import ConfigError, ExperimentConfig, dump_config_text
 from .fields import SpectralGrid, save_field
 from .incompressible import IncompressibleSolver
 from .initial import InitError, make_well_prepared, random_band_scalar
-from .linearized import (LinearizedProblem, check_estimate,
-                         constant_coefficient, solve_linearized, standing_wave)
+from .linearized import LinearizedProblem, check_estimate, solve_linearized
 from .model import Background, DomainError, ParameterError
 from .steppers import schedule
 
@@ -376,14 +375,12 @@ def run_linearized_probe(cfg: ExperimentConfig, out_dir, seed=None):
     c0 = cfg.get("linearized", "c0")
     dt = _dt(s, "linearized")
     wave = cfg.get("linearized", "wave_amplitude")
-    families = [(name, standing_wave(wave) if name == "standing-wave"
-                 else constant_coefficient(1.0))
-                for name in cfg.get("linearized", "families")]
     rng = np.random.default_rng(s.seed)
     shapes = [random_band_scalar(grid, rng, 2.0) for _ in range(3 + grid.dim)]
     backgrounds = [s.background(delta) for delta in deltas]
     records, results = [], {}
-    for name, coeff in families:
+    for name in cfg.get("linearized", "families"):
+        a = wave if name == "standing-wave" else 0.0  # constant: A = 1
         constants = {}
         for delta, bg in zip(deltas, backgrounds):
             # the probe is linear: its squared norms scale with amp**2, and
@@ -392,7 +389,7 @@ def run_linearized_probe(cfg: ExperimentConfig, out_dir, seed=None):
             try:
                 with np.errstate(over="raise", invalid="raise"):
                     problem = LinearizedProblem(
-                        coeff=coeff,
+                        wave=a,
                         init_nrel=delta * amp * shapes[0],
                         init_mom=amp * np.stack(shapes[1:1 + grid.dim]),
                         init_dtheta=delta * amp * shapes[1 + grid.dim],

@@ -27,7 +27,7 @@ def transforms(monkeypatch):
     return count
 
 
-def _dense_symbol(grid, bg, viscosity=1.0, relative_density=False):
+def _dense_symbol(grid, bg, relative_density=False):
     """The linear symbol at every mode as one dense ``(s, s,
     *grid.spectral_shape)`` array, written row by row from the equations
     in the docstring of ``rhdlab.steppers.split_symbol``."""
@@ -40,8 +40,8 @@ def _dense_symbol(grid, bg, viscosity=1.0, relative_density=False):
         M[1 + i, 0] = -bg.p_rho / (rho * d2) * 1j * k[i]
         M[1 + i, d + 1] = -bg.p_theta / (rho * d2) * 1j * k[i]
         for j in range(d):
-            M[1 + i, 1 + j] = -viscosity * (pr.mu_bar + pr.lam_bar) * k[i] * k[j]
-        M[1 + i, 1 + i] -= viscosity * pr.mu_bar * ksq
+            M[1 + i, 1 + j] = -(pr.mu_bar + pr.lam_bar) * k[i] * k[j]
+        M[1 + i, 1 + i] -= pr.mu_bar * ksq
         M[d + 1, 1 + i] = -pr.theta_bar * bg.p_theta * bg.recip * 1j * k[i]
     M[d + 1, d + 1] = -pr.kappa * bg.recip * ksq - bg.emission * bg.recip
     M[d + 1, d + 2] = pr.sigma_a * bg.recip
@@ -55,6 +55,6 @@ def _dense_symbol(grid, bg, viscosity=1.0, relative_density=False):
 
 @pytest.fixture
 def dense_symbol():
-    """``dense_symbol(grid, bg, viscosity=1.0, relative_density=False)``:
+    """``dense_symbol(grid, bg, relative_density=False)``:
     the dense per-mode oracle of ``rhdlab.steppers.split_symbol``."""
     return _dense_symbol

@@ -20,8 +20,7 @@ from rhdlab.incompressible import (IncompressibleSolver,
                                    taylor_green_velocity)
 from rhdlab.initial import InitSpec, make_well_prepared, random_band_scalar
 from rhdlab.linearized import (LinearizedProblem, check_estimate,
-                               constant_coefficient, solve_linearized,
-                               standing_wave)
+                               solve_linearized)
 from rhdlab.model import Background, IdealGasEOS, PhysParams
 
 EOS = IdealGasEOS()
@@ -214,13 +213,12 @@ def test_criterion_10_linearized_uniformity(grid64):
     shapes = [random_band_scalar(grid64, rng, 2.0) for _ in range(5)]
     ok = True
     detail = []
-    for label, coeff in (("constant", constant_coefficient(1.0)),
-                         ("standing-wave", standing_wave(0.5))):
+    for label, wave in (("constant", 0.0), ("standing-wave", 0.5)):
         consts = []
         for delta in (0.2, 0.1, 0.05):
             bg = Background.of(PhysParams(delta=delta), EOS)
             problem = LinearizedProblem(
-                coeff=coeff,
+                wave=wave,
                 init_nrel=delta * 0.05 * shapes[0],
                 init_mom=0.05 * np.stack(shapes[1:3]),
                 init_dtheta=delta * 0.05 * shapes[3],

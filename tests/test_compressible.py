@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rhdlab import compressible
+from rhdlab import compressible, model
 from rhdlab.compressible import (CompressibleSolver, CompressibleState,
                                  SolverConfig, StateInvalidError, _derivatives,
                                  default_dt, rhs_momentum_form,
@@ -11,7 +11,7 @@ from rhdlab.compressible import (CompressibleSolver, CompressibleState,
 from rhdlab.fields import SpectralGrid
 from rhdlab.initial import InitSpec, make_well_prepared, random_band_scalar
 from rhdlab.model import Background, IdealGasEOS, PhysParams
-from rhdlab.steppers import unpack_state
+from rhdlab.steppers import pack_state, split_symbol, unpack_state
 
 
 @pytest.fixture(scope="module")
@@ -122,6 +122,33 @@ def test_reformulation_equivalences(grid, background):
                     grid.mask(th_t), grid.mask(n_t)]
         assembled_m = rhs_momentum_form(grid, nrel, mom, dtheta, drad, bg)
         for a, b in zip(mapped_m, assembled_m):
+            assert np.max(np.abs(a - b)) < 1e-10 * np.max(np.abs(a))
+
+
+def test_momentum_form_remainders_complete_the_symbol():
+    # the relative-density symbol plus model.momentum_form_remainders, and
+    # nothing else, is the momentum form: every viscous term on u = m/(1 +
+    # nrel) beyond the symbol's is in the remainders
+    g = SpectralGrid(dim=2, points_per_axis=32)
+    params = PhysParams.equilibrium(delta=0.1, **OFF_UNIT)
+    bg = Background.of(params, OFF_UNIT_EOS)
+    for seed in range(3):
+        st = smooth_state(g, params, seed)
+        nrel = (st.rho - params.rho_bar) / params.rho_bar
+        mom = st.rho * st.u / params.rho_bar
+        X = pack_state(g, nrel, mom, st.theta - params.theta_bar,
+                       st.rad - params.n_bar)
+        r_mom, r_temp, r_rad = model.momentum_form_remainders(
+            *_derivatives(g, X, params.mu_bar, params.mu_bar + params.lam_bar),
+            g.jacobian(g.ik * X[0]), bg)
+        assembled = unpack_state(g, split_symbol(
+            g, bg, relative_density=True).apply(X) + pack_state(
+            g, np.zeros_like(r_temp), r_mom, r_temp, r_rad / params.delta))
+        rho_t, u_t, th_t, n_t = rhs_primitive(g, st, params, OFF_UNIT_EOS)
+        mapped = (rho_t / params.rho_bar,
+                  (rho_t * st.u + st.rho * u_t) / params.rho_bar, th_t, n_t)
+        for a, b in zip(mapped, assembled):
+            a = g.mask(a)
             assert np.max(np.abs(a - b)) < 1e-10 * np.max(np.abs(a))
 
 
@@ -275,7 +302,7 @@ def test_linearized_operator_matches_momentum_form(grid, monkeypatch):
     mom = st.rho * st.u / params.rho_bar
     dth, drad = st.theta - params.theta_bar, st.rad - params.n_bar
     problem = linearized.LinearizedProblem(
-        linearized.constant_coefficient(1.0), nrel, mom, dth, drad,
+        0.0, nrel, mom, dth, drad,
         horizon=0.0)
     linearized.solve_linearized(grid, problem, bg, dt=1e-3)
 

@@ -177,6 +177,18 @@ def test_snapshot_header_missing_key_names_file(tmp_path, grid):
     assert str(path) in str(err.value)
 
 
+@pytest.mark.parametrize("header", [b"dim=2 n=8 ncomp=0 extent=6.25",
+                                    b"dim=2 n=8 ncomp=-2 extent=6.25"])
+def test_snapshot_header_without_components_is_malformed(tmp_path, header):
+    # save_field writes ncomp >= 1: a header with fewer is refused as
+    # malformed, naming the file, before the payload size is checked
+    path = tmp_path / "bad.dat"
+    path.write_bytes(b"SPECF1\n" + header + b"\n")
+    with pytest.raises(ValueError, match="malformed header") as err:
+        load_field(path)
+    assert str(path) in str(err.value)
+
+
 def test_snapshot_header_flips_and_truncations(tmp_path):
     # every single-byte change of the magic and the header line, and every
     # 7th truncation: each loads the original values with a header a grid

@@ -109,7 +109,8 @@ def assert_remainders_vanish(bg):
     z, zv, zj = zero_fields((4, 4))
     out = model.velocity_form_remainders(z, zv, z, z, zv, zj, zv, z, zv, z, bg)
     assert all(np.all(o == 0.0) for o in out)
-    out = model.momentum_form_remainders(z, zv, z, z, zv, zj, zj, z, zv, z, bg)
+    out = model.momentum_form_remainders(z, zv, z, z, zv, zj, zv, z, zv, z, zj,
+                                         bg)
     assert all(np.all(o == 0.0) for o in out)
 
 
@@ -174,7 +175,8 @@ def test_remainders_evaluate_gas_law_once_at_state():
     model.velocity_form_remainders(pert, zv, pert, z, zv, zj, zv, z, zv, z, bg)
     assert sorted(eos.calls) == expected
     eos.calls.clear()
-    model.momentum_form_remainders(pert, zv, pert, z, zv, zj, zj, z, zv, z, bg)
+    model.momentum_form_remainders(pert, zv, pert, z, zv, zj, zv, z, zv, z,
+                                   zj, bg)
     assert sorted(eos.calls) == expected
 
 
@@ -290,7 +292,7 @@ def test_domain_errors_on_nonpositive_state():
                                                zv, z, zv, z, bg)
             with pytest.raises(DomainError):
                 model.momentum_form_remainders(pair[0], zv, pair[1], z, zv, zj,
-                                               zj, z, zv, z, bg)
+                                               zv, z, zv, z, zj, bg)
     with pytest.raises(DomainError):
         model.thermo_consistency_residual(eos, 1.0, 0.0)
 

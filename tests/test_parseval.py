@@ -15,8 +15,7 @@ import pytest
 
 from rhdlab import diagnostics as diag
 from rhdlab.fields import SpectralGrid
-from rhdlab.linearized import (LinearizedProblem, constant_coefficient,
-                               solve_linearized, standing_wave)
+from rhdlab.linearized import LinearizedProblem, solve_linearized
 from rhdlab.model import Background, IdealGasEOS, PhysParams
 from rhdlab.steppers import pack_state
 
@@ -283,11 +282,11 @@ def test_reference_rows_match_point_value_oracle(tmp_path, monkeypatch):
 
 # -- linearized probe -----------------------------------------------------------
 
-def linearized_problem(g, coeff, horizon, seed=0):
+def linearized_problem(g, wave, horizon, seed=0):
     rng = np.random.default_rng(seed)
     f = lambda: g.mask(rng.standard_normal(g.shape)) * 1e-2
     return LinearizedProblem(
-        coeff=coeff, init_nrel=f(),
+        wave=wave, init_nrel=f(),
         init_mom=np.stack([f() for _ in range(g.dim)]), init_dtheta=f(),
         init_drad=f(), horizon=horizon)
 
@@ -297,7 +296,7 @@ def test_linearized_integrals_match_kept_states():
     # definitions evaluated on the kept states
     g = SpectralGrid(dim=2, points_per_axis=16)
     pr, dt = PARAMS, 2e-3
-    problem = linearized_problem(g, standing_wave(0.5), horizon=10 * dt)
+    problem = linearized_problem(g, 0.5, horizon=10 * dt)
     no = problem.norm_order
     bg, d2 = Background.of(pr, EOS), pr.delta ** 2
     traj = solve_linearized(g, problem, bg, dt=dt, keep_states=True)
@@ -327,8 +326,7 @@ def test_linearized_constant_step_transforms(transforms):
     g = SpectralGrid(dim=2, points_per_axis=16)
     counts = []
     for nsteps in (2, 5):
-        problem = linearized_problem(g, constant_coefficient(1.0),
-                                     horizon=nsteps * 1e-3)
+        problem = linearized_problem(g, 0.0, horizon=nsteps * 1e-3)
         transforms[0] = 0
         solve_linearized(g, problem, Background.of(PARAMS, EOS), dt=1e-3)
         counts.append(transforms[0])

@@ -23,11 +23,9 @@ def test_split_symbol_matches_dense_oracle(dim, n, relative_density,
     g = SpectralGrid(dim=dim, points_per_axis=n, dealias=False)
     bg = Background.of(PhysParams.equilibrium(delta=0.05, **OFF_UNIT),
                        OFF_UNIT_EOS)
-    a, dt, s = 0.7, 1e-2, dim + 3
-    symbol = split_symbol(g, bg, viscosity=a,
-                          relative_density=relative_density)
-    M = np.moveaxis(dense_symbol(g, bg, viscosity=a,
-                                 relative_density=relative_density),
+    dt, s = 1e-2, dim + 3
+    symbol = split_symbol(g, bg, relative_density=relative_density)
+    M = np.moveaxis(dense_symbol(g, bg, relative_density=relative_density),
                     (0, 1), (-2, -1))
     rng = np.random.default_rng(11)
     X = (rng.standard_normal((s,) + g.spectral_shape)

@@ -683,6 +683,26 @@ dt = 0.002
     assert all(row.split(",")[-1] == "linearized" for row in lin_csv[2:])
 
 
+def test_standing_wave_at_zero_amplitude_is_the_constant_family(tmp_path,
+                                                                capsys):
+    # the constant family is the standing wave at a = 0: the two report
+    # the same constants bit for bit
+    body = """
+[grid]
+points_per_axis = 16
+
+[linearized]
+wave_amplitude = 0
+t_end = 0.05
+dt = 0.005
+"""
+    cfgfile = write_config(tmp_path / "lin.ini", body)
+    assert cli_main(["linearized", "--config", cfgfile,
+                     "--out", str(tmp_path / "lin")]) == 0
+    spread = json.loads(capsys.readouterr().out)
+    assert spread["constant"] == spread["standing-wave"]
+
+
 def test_slaved_radiation_moves_the_scaling(tmp_path):
     # with radiation data slaved to temperature the radiation perturbation
     # scales like delta instead of sqrt(delta); the fitted slope follows
