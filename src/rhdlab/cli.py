@@ -15,7 +15,6 @@ from pathlib import Path
 from .config import (ConfigError, config_reference_text, default_config,
                      load_config)
 from .identities import run_identity_suite
-from .model import Background
 from .steppers import SolverError
 from .sweep import (RunError, fit_rate, run_linearized_probe, run_reference,
                     run_single, run_sweep)
@@ -91,7 +90,7 @@ def _cmd_fit(args) -> int:
 def _cmd_verify(args) -> int:
     cfg, _ = _load(args)
     grid = cfg.build_grid()
-    bg = Background.of(cfg.build_params(), cfg.build_eos())
+    bg = cfg.build_background()
     seed = args.seed if args.seed is not None else cfg.get("init", "seed")
     results = run_identity_suite(grid, bg, seed=seed)
     failed = [r for r in results if not r.passed]

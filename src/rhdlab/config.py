@@ -3,11 +3,11 @@
 Every key has a default except ``sweep.deltas``, which the sweep command
 requires.  Every key's schema entry holds a parser that declares its type
 and domain, and :func:`load_config` parses and range-checks every value
-before any work, so an unknown section or key, or a value outside its
-domain, fails with exit code 2 and the key's name whichever command reads
-it.  Checks that span keys or depend on the grid stay with the objects
-built from the values.  ``rhdlab config-reference`` prints the annotated
-defaults.
+before any work, so an unknown section or key, a retired key, or a value
+outside its domain, fails with exit code 2 and the key's name whichever
+command reads it.  Checks that span keys or depend on the grid stay with
+the objects built from the values.  ``rhdlab config-reference`` prints the
+annotated defaults.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Optional
 from . import incompressible, steppers
 from .fields import SpectralGrid
 from .initial import _MODES, InitSpec
-from .model import IdealGasEOS, ParameterError, PhysParams
+from .model import Background, IdealGasEOS, ParameterError, PhysParams
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config", "default_config",
            "config_reference_text"]
@@ -123,12 +123,8 @@ _SCHEMA = {
         "theta_bar": ("1.0", "background temperature > 0, theta_bar**4 finite",
                       _number("a finite number > 0 with a finite fourth power",
                               lambda x: x > 0.0 and math.isfinite(x ** 4))),
-        "n_bar": ("auto", "background radiation > 0; 'auto' derives the "
-                          "radiative-equilibrium value", _auto_or(_POSITIVE)),
     },
     "eos": {
-        "kind": ("ideal", "equation of state family ('ideal')",
-                 _choice("ideal")),
         "gas_constant": ("1.0", "R in P = R*rho*theta, > 0", _POSITIVE),
         "heat_capacity": ("1.0", "c_v in e = c_v*theta, > 0", _POSITIVE),
     },
@@ -199,9 +195,13 @@ _SCHEMA = {
     },
 }
 
-# Keys renamed since: a file with the old key fails to load with this
-# note, which names the new key.
-_RENAMED = {"linearized.forcing": "; it is now linearized.amplitude"}
+# Keys retired since: a file that still sets one fails to load with its
+# note, which says where the value went.
+_RETIRED = {
+    "linearized.forcing": "it is now linearized.amplitude",
+    "params.n_bar": "n_bar is derived: sigma_tilde*theta_bar^4/sigma_a",
+    "eos.kind": "the gas law is the ideal gas P = R*rho*theta, e = c_v*theta",
+}
 
 
 @dataclass
@@ -232,26 +232,24 @@ class ExperimentConfig:
             # can put the volume or the largest |k|^2 out of float range
             raise ConfigError(f"grid.extent: {exc}") from None
 
-    def build_eos(self):
-        return IdealGasEOS(R=self.get("eos", "gas_constant"),
-                           c_v=self.get("eos", "heat_capacity"))
-
-    def build_params(self, delta: Optional[float] = None) -> PhysParams:
+    def build_background(self, delta: Optional[float] = None) -> Background:
+        """The model at the configured parameters and ideal gas, with
+        ``delta`` in place of ``params.delta`` when given.  Each command
+        builds one per parameter set and hands it to every consumer."""
         values = {key: self.get("params", key) for key in _SCHEMA["params"]}
         if delta is not None:
             values["delta"] = delta
         try:
-            if values["n_bar"] == "auto":
-                return PhysParams.equilibrium(**values)
-            return PhysParams(**values)
+            params = PhysParams(**values)
         except ParameterError as exc:
             raise ConfigError(f"params: {exc}") from None
+        return Background.of(params, IdealGasEOS(
+            R=self.get("eos", "gas_constant"),
+            c_v=self.get("eos", "heat_capacity")))
 
-    def build_init_spec(self, seed: Optional[int] = None) -> InitSpec:
-        values = {key: self.get("init", key) for key in _SCHEMA["init"]}
-        if seed is not None:
-            values["seed"] = seed
-        return InitSpec(**values)
+    def build_init_spec(self) -> InitSpec:
+        return InitSpec(**{key: self.get("init", key)
+                           for key in _SCHEMA["init"]})
 
 
 def default_config() -> ExperimentConfig:
@@ -274,9 +272,12 @@ def load_config(path) -> ExperimentConfig:
         if section not in _SCHEMA:
             raise ConfigError(f"{path}: unknown section [{section}]")
         for key, value in parser.items(section):
+            name = f"{section}.{key}"
+            if name in _RETIRED:
+                raise ConfigError(f"{path}: {name} is no longer a key: "
+                                  f"{_RETIRED[name]}")
             if key not in _SCHEMA[section]:
-                raise ConfigError(f"{path}: unknown key {section}.{key}"
-                                  + _RENAMED.get(f"{section}.{key}", ""))
+                raise ConfigError(f"{path}: unknown key {name}")
             cfg.raw[section][key] = value
     for section, keys in cfg.raw.items():
         for key in keys:

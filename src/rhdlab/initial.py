@@ -196,12 +196,13 @@ def make_well_prepared(spec: InitSpec, grid: SpectralGrid, bg: Background):
     # the H^N weight shrinks a rough shape until the round-off of its
     # background swamps it; blame the background only if the perturbation
     # drowns there even at the L2 size its H^N norm stands for
-    fields = {"density": (drho, "rho_bar"), "radiation": (drad, "n_bar"),
-              "temperature": (dtheta, "theta_bar")}
-    lost = [f"the {name} perturbation is below the round-off of params."
-            f"{bar} = {getattr(params, bar):.6g}"
-            for name, (pert, bar) in fields.items() if name in missed
-            and _drowned(grid, pert, getattr(params, bar), N)]
+    fields = {"density": (drho, params.rho_bar, "params.rho_bar"),
+              "radiation": (drad, params.n_bar, "the background radiation "
+                            "sigma_tilde*theta_bar^4/sigma_a"),
+              "temperature": (dtheta, params.theta_bar, "params.theta_bar")}
+    lost = [f"the {name} perturbation is below the round-off of {label} = "
+            f"{bar:.6g}" for name, (pert, bar, label) in fields.items()
+            if name in missed and _drowned(grid, pert, bar, N)]
     if lost:
         raise ParameterError("; ".join(lost))
     misses = ", ".join(f"{name} {got[name]:.6g} for {shares[name]:.6g}"

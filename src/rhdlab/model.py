@@ -12,10 +12,13 @@ sigma_a*n``; the Mach parameter ``delta`` weights the pressure gradient by
 perturbation forms around the constant state ``(rho_bar, 0, theta_bar,
 n_bar)`` are provided: the velocity form in ``(rho-rho_bar, u,
 theta-theta_bar, n-n_bar)`` and the momentum form in the relative density
-``(rho-rho_bar)/rho_bar`` and scaled momentum ``rho*u/rho_bar``.
+``(rho-rho_bar)/rho_bar`` and scaled momentum ``rho*u/rho_bar``.  That
+state is a radiative equilibrium, so ``n_bar = sigma_tilde*theta_bar^4/
+sigma_a`` is derived from the other parameters, not set.
 
 One :class:`Background` is the model a run works with: it holds the
-parameters, the gas law and the gas-law and emission coefficients at the
+parameters, the gas law (an :class:`IdealGasEOS` in every run the
+configuration describes) and the gas-law and emission coefficients at the
 background, and it is built once per parameter set.  :meth:`Background.of`
 is the only code that evaluates the gas law there.  Every solver,
 right-hand side and diagnostic takes that one object, and so do the
@@ -25,21 +28,19 @@ value minus the value of ``bg.eos`` at the current state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "ModelError", "ParameterError", "DomainError",
     "PhysParams", "Background", "IdealGasEOS",
-    "equilibrium_radiation", "radiation_source",
+    "radiation_source",
     "planck_cubic", "planck_split", "planck_linear",
     "thermo_consistency_residual",
     "velocity_form_remainders", "momentum_form_remainders",
     "deformation_contraction",
 ]
-
-_COMPAT_RTOL = 1e-12
 
 
 class ModelError(Exception):
@@ -65,11 +66,11 @@ def _check_positive(name, value):
 class PhysParams:
     """Scaling constants and constant background state.
 
-    ``delta`` is the Mach parameter (0 < delta <= 1).  The background must
-    be a radiative equilibrium: ``sigma_a * n_bar == sigma_tilde *
-    theta_bar**4`` within relative 1e-12; use :meth:`equilibrium` to build a
-    compatible set from the temperature.  Every constant that must be
-    positive must also be finite, and so must ``sigma_tilde*theta_bar**4``.
+    ``delta`` is the Mach parameter (0 < delta <= 1).  The background is
+    a radiative equilibrium, so its radiation is no parameter of its own:
+    :attr:`n_bar` is ``sigma_tilde*theta_bar**4/sigma_a``.  Every constant
+    that must be positive must also be finite, and so must the emission
+    ``sigma_tilde*theta_bar**4`` and ``n_bar``.
     """
 
     mu: float = 0.1            # shear viscosity, > 0
@@ -81,7 +82,6 @@ class PhysParams:
     delta: float = 0.1         # Mach parameter, in (0, 1]
     rho_bar: float = 1.0
     theta_bar: float = 1.0
-    n_bar: float = 1.0
 
     def __post_init__(self):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -90,30 +90,26 @@ class PhysParams:
         # sigma_tilde*theta_bar^4 is blamed on its cause
         values = dict(vars(self), **{"sigma_tilde*theta_bar^4": target})
         for name in ("mu", "kappa", "nu", "sigma_a", "sigma_tilde", "rho_bar",
-                     "theta_bar", "sigma_tilde*theta_bar^4", "n_bar"):
+                     "theta_bar", "sigma_tilde*theta_bar^4"):
             if not 0.0 < values[name] < np.inf:
                 raise ParameterError(
                     f"{name} must be finite and > 0, got {values[name]}")
+        if not 0.0 < self.n_bar < np.inf:
+            raise ParameterError(
+                f"sigma_a = {self.sigma_a} leaves the background radiation "
+                f"n_bar = sigma_tilde*theta_bar^4/sigma_a = {self.n_bar}, "
+                f"not finite and > 0")
         if 3.0 * self.lam + 2.0 * self.mu < 0.0:
             raise ParameterError("viscosities must satisfy 3*lam + 2*mu >= 0")
         if not (0.0 < self.delta <= 1.0 and self.delta ** 2 > 0.0):
             raise ParameterError(f"delta must lie in (0, 1] and have a "
                                  f"nonzero square, got {self.delta}")
-        if abs(self.sigma_a * self.n_bar - target) > _COMPAT_RTOL * target:
-            raise ParameterError(
-                "background is not a radiative equilibrium: "
-                f"sigma_a*n_bar={self.sigma_a * self.n_bar!r} vs "
-                f"sigma_tilde*theta_bar^4={target!r}")
 
-    @classmethod
-    def equilibrium(cls, **kwargs) -> "PhysParams":
-        """Build parameters with ``n_bar`` derived from the compatibility relation."""
-        kwargs.pop("n_bar", None)
-        theta_bar = kwargs.get("theta_bar", 1.0)
-        sigma_a = kwargs.get("sigma_a", 1.0)
-        sigma_tilde = kwargs.get("sigma_tilde", 1.0)
-        n_bar = equilibrium_radiation(theta_bar, sigma_a, sigma_tilde)
-        return cls(n_bar=n_bar, **kwargs)
+    @property
+    def n_bar(self) -> float:
+        """Background radiation, the level that balances emission at
+        ``theta_bar``."""
+        return self.sigma_tilde * self.theta_bar ** 4 / self.sigma_a
 
     @property
     def mu_bar(self) -> float:
@@ -207,14 +203,6 @@ def thermo_consistency_residual(eos, rho, theta):
 
 
 # -- radiation source and its decomposition --------------------------------
-
-def equilibrium_radiation(theta_bar, sigma_a, sigma_tilde):
-    """Radiation level that balances emission at the background temperature."""
-    for name, val in (("theta_bar", theta_bar), ("sigma_a", sigma_a),
-                      ("sigma_tilde", sigma_tilde)):
-        _check_positive(name, val)
-    return sigma_tilde * theta_bar ** 4 / sigma_a
-
 
 def radiation_source(theta, rad, params: PhysParams):
     """Pointwise emission-minus-absorption source ``sigma_tilde*theta^4 - sigma_a*rad``."""

@@ -25,7 +25,7 @@ from .fields import SpectralGrid, save_field
 from .incompressible import IncompressibleSolver
 from .initial import InitError, make_well_prepared, random_band_scalar
 from .linearized import LinearizedProblem, check_estimate, solve_linearized
-from .model import Background, DomainError, ParameterError
+from .model import DomainError, ParameterError
 from .steppers import schedule
 
 __all__ = ["RateFit", "fit_rate", "run_single", "run_reference", "run_sweep",
@@ -98,18 +98,11 @@ def _write_json(path, payload):
 @dataclass
 class _Setup:
     """What every command resolves before any work: the configuration, the
-    output directory, the grid, the gas law and the seed."""
+    output directory, the grid and the seed."""
     cfg: ExperimentConfig
     out: Path
     grid: SpectralGrid
-    eos: object
     seed: int
-
-    def background(self, delta=None) -> Background:
-        """The model at the configured parameters, with ``delta`` in place
-        of ``params.delta`` when given.  Each command builds one per
-        parameter set and hands it to every consumer."""
-        return Background.of(self.cfg.build_params(delta), self.eos)
 
     def collector(self, bg, kind, reference=None):
         """The observer of one run at ``bg``; its rows carry ``kind``
@@ -132,10 +125,9 @@ class _Setup:
 
 
 def _setup(cfg: ExperimentConfig, out_dir, seed) -> _Setup:
-    """Build the grid and the gas law, check that every Sobolev weight the
-    configuration asks for is finite on the whole half spectrum of the
-    grid (point values hold every mode), resolve the seed, and
-    create the output directory.
+    """Build the grid, check that every Sobolev weight the configuration
+    asks for is finite on the whole half spectrum of the grid (point values
+    hold every mode), resolve the seed, and create the output directory.
 
     A ``seed`` given here replaces ``init.seed`` in the set-up's copy of the
     configuration, so ``effective_config.ini`` reproduces the run."""
@@ -151,8 +143,7 @@ def _setup(cfg: ExperimentConfig, out_dir, seed) -> _Setup:
             if not np.all(np.isfinite(whole.sobolev_weight(order))):
                 raise ConfigError(f"{key} = {order}: the weight (1 + |k|^2)"
                                   f"^{order} overflows on this grid")
-    setup = _Setup(cfg, Path(out_dir), grid, cfg.build_eos(),
-                   cfg.get("init", "seed"))
+    setup = _Setup(cfg, Path(out_dir), grid, cfg.get("init", "seed"))
     setup.out.mkdir(parents=True, exist_ok=True)
     return setup
 
@@ -189,7 +180,7 @@ def _prepare(s: _Setup, bg, **changes):
 
     ``changes`` replace fields of the configured :class:`InitSpec`.  Data
     the ``init`` settings cannot produce is a configuration error."""
-    spec = replace(s.cfg.build_init_spec(seed=s.seed), **changes)
+    spec = replace(s.cfg.build_init_spec(), **changes)
     try:
         return make_well_prepared(spec, s.grid, bg)
     except InitError as exc:
@@ -243,7 +234,7 @@ def _members(s: _Setup, deltas, reference: bool, threads: int = 1):
     run on a thread pool.  One thread keeps them on the calling thread, so
     that Ctrl-C stops a ``run`` at once instead of waiting for its member.
     """
-    bg0 = s.background(deltas[0])
+    bg0 = s.cfg.build_background(deltas[0])
     prepared0 = _prepare(s, bg0)
     dt = _dt(s, "solver", prepared0[0].u)
     ref = (_run_reference_traj(s, bg0, _reference_velocity(s, bg0, prepared0),
@@ -252,7 +243,7 @@ def _members(s: _Setup, deltas, reference: bool, threads: int = 1):
                               scheme=s.cfg.get("solver", "scheme"))
 
     def member(delta):
-        bg = bg0 if delta == deltas[0] else s.background(delta)
+        bg = bg0 if delta == deltas[0] else s.cfg.build_background(delta)
         state0, init_report = prepared0 if bg is bg0 else _prepare(s, bg)
         traj = CompressibleSolver(s.grid, bg, solver_cfg).run(
             state0, cadence=s.cfg.get("output", "cadence"),
@@ -301,7 +292,7 @@ def run_reference(cfg: ExperimentConfig, out_dir, seed=None):
     ``mu_bar |grad u|^2`` in ``H^order``, and the other fields' columns 0.
     """
     s = _setup(cfg, out_dir, seed)
-    bg = s.background()
+    bg = s.cfg.build_background()
     u0 = _reference_velocity(s, bg)
     dt = _dt(s, "solver", u0)
     ref = _run_reference_traj(s, bg, u0, dt)
@@ -377,7 +368,7 @@ def run_linearized_probe(cfg: ExperimentConfig, out_dir, seed=None):
     wave = cfg.get("linearized", "wave_amplitude")
     rng = np.random.default_rng(s.seed)
     shapes = [random_band_scalar(grid, rng, 2.0) for _ in range(3 + grid.dim)]
-    backgrounds = [s.background(delta) for delta in deltas]
+    backgrounds = [s.cfg.build_background(delta) for delta in deltas]
     records, results = [], {}
     for name in cfg.get("linearized", "families"):
         a = wave if name == "standing-wave" else 0.0  # constant: A = 1

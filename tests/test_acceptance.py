@@ -88,7 +88,7 @@ def test_criterion_01_reformulation_equivalence(grid64):
 def test_criterion_02_planck_identities():
     start = time.time()
     from rhdlab.model import planck_cubic, planck_split
-    params = PhysParams.equilibrium(theta_bar=1.3, sigma_a=0.7,
+    params = PhysParams(theta_bar=1.3, sigma_a=0.7,
                                     sigma_tilde=1.1)
     rng = np.random.default_rng(0)
     z = 0.9 * params.theta_bar * (2 * rng.random(10000) - 1)

@@ -103,7 +103,7 @@ def test_rhs_perturbation_zero_and_uniform(grid):
 
 @pytest.mark.parametrize("background", [dict(), OFF_UNIT])
 def test_reformulation_equivalences(grid, background):
-    params = PhysParams.equilibrium(delta=0.1, **background)
+    params = PhysParams(delta=0.1, **background)
     eos = OFF_UNIT_EOS if background else EOS
     bg = Background.of(params, eos)
     for seed in range(3):
@@ -130,7 +130,7 @@ def test_momentum_form_remainders_complete_the_symbol():
     # nothing else, is the momentum form: every viscous term on u = m/(1 +
     # nrel) beyond the symbol's is in the remainders
     g = SpectralGrid(dim=2, points_per_axis=32)
-    params = PhysParams.equilibrium(delta=0.1, **OFF_UNIT)
+    params = PhysParams(delta=0.1, **OFF_UNIT)
     bg = Background.of(params, OFF_UNIT_EOS)
     for seed in range(3):
         st = smooth_state(g, params, seed)
@@ -258,7 +258,7 @@ def test_ars222_implicit_update_against_dense_solve(delta, dense_symbol):
     from rhdlab.steppers import ARS_GAMMA, ImexStepper, split_symbol
 
     g = SpectralGrid(dim=2, points_per_axis=16)
-    params = PhysParams.equilibrium(delta=delta, **OFF_UNIT)
+    params = PhysParams(delta=delta, **OFF_UNIT)
     bg = Background.of(params, OFF_UNIT_EOS)
     dt = 1e-2
     stepper = ImexStepper("imex2", split_symbol(g, bg), dt)
@@ -286,7 +286,7 @@ def test_linearized_operator_matches_momentum_form(grid, monkeypatch):
     # momentum form: on data of size 1e-7 the remainders are 1e-7 relative
     from rhdlab import linearized, steppers
 
-    params = PhysParams.equilibrium(delta=0.1, **OFF_UNIT)
+    params = PhysParams(delta=0.1, **OFF_UNIT)
     bg = Background.of(params, OFF_UNIT_EOS)
     ops = []
 
@@ -394,7 +394,7 @@ def test_grouped_derivatives_match_stacked_transform(dim, n, dealias, form):
     # transforming the derivative fields group by group changes no bit of
     # any returned field
     g = SpectralGrid(dim=dim, points_per_axis=n, dealias=dealias)
-    pr = PhysParams.equilibrium(delta=0.1, **OFF_UNIT)
+    pr = PhysParams(delta=0.1, **OFF_UNIT)
     a, b = ((pr.mu, pr.mu + pr.lam) if form == "velocity"
             else (pr.mu_bar, pr.mu_bar + pr.lam_bar))
     rng = np.random.default_rng(dim)

@@ -94,10 +94,12 @@ def test_missed_share_blames_its_cause():
         make_well_prepared(InitSpec(budget=0.5, norm_order=20),
                            grid, Background.of(PhysParams(delta=0.1), EOS))
     assert exc.value.key == "norm_order"
-    bg = Background.of(PhysParams.equilibrium(delta=0.1, theta_bar=1e10), EOS)
-    with pytest.raises(ParameterError, match="radiation perturbation is "
-                                             "below the round-off of "
-                                             "params.n_bar"):
+    bg = Background.of(PhysParams(delta=0.1, theta_bar=1e10), EOS)
+    with pytest.raises(ParameterError, match=r"radiation perturbation is "
+                                             "below the round-off of the "
+                                             "background radiation "
+                                             r"sigma_tilde\*theta_bar\^4/"
+                                             r"sigma_a = 1e\+40"):
         make_well_prepared(InitSpec(budget=0.5), grid, bg)
 
 

@@ -21,30 +21,33 @@ def test_params_validation():
         PhysParams(delta=1.5)
     with pytest.raises(ParameterError, match="nonzero square"):
         PhysParams(delta=1e-300)  # delta**2 underflows to 0
-    with pytest.raises(ParameterError):
-        PhysParams(n_bar=2.0)  # breaks radiative equilibrium
-    for name in ("mu", "sigma_tilde", "theta_bar", "n_bar"):
+    for name in ("mu", "sigma_tilde", "theta_bar"):
         with pytest.raises(ParameterError, match=f"{name} must be finite"):
             PhysParams(**{name: np.inf})
     # sigma_tilde*theta_bar^4 overflows, so the derived n_bar is inf: the
     # emission is named, and not a NaN comparison let through
     with pytest.raises(ParameterError, match=r"sigma_tilde\*theta_bar\^4 "
                                              "must be finite"):
-        PhysParams.equilibrium(sigma_tilde=1e300, theta_bar=1e10)
-    p = PhysParams.equilibrium(theta_bar=2.0, sigma_a=2.0, sigma_tilde=1.0)
+        PhysParams(sigma_tilde=1e300, theta_bar=1e10)
+    # a finite emission over a subnormal absorption overflows n_bar: the
+    # absorption is named
+    with pytest.raises(ParameterError, match=r"sigma_a = 1e-310 leaves the "
+                                             "background radiation"):
+        PhysParams(sigma_a=1e-310)
+    p = PhysParams(theta_bar=2.0, sigma_a=2.0, sigma_tilde=1.0)
     assert p.n_bar == pytest.approx(8.0)
 
 
 def test_equilibrium_radiation_examples():
-    assert model.equilibrium_radiation(1.0, 1.0, 1.0) == 1.0
-    assert model.equilibrium_radiation(2.0, 2.0, 1.0) == 8.0
+    assert PhysParams(theta_bar=1.0, sigma_a=1.0, sigma_tilde=1.0).n_bar == 1.0
+    assert PhysParams(theta_bar=2.0, sigma_a=2.0, sigma_tilde=1.0).n_bar == 8.0
     rng = np.random.default_rng(0)
     for _ in range(50):
         tb, sa, st = rng.random(3) + 0.1
-        nb = model.equilibrium_radiation(tb, sa, st)
+        nb = PhysParams(theta_bar=tb, sigma_a=sa, sigma_tilde=st).n_bar
         assert sa * nb - st * tb ** 4 == pytest.approx(0.0, abs=1e-13 * st * tb ** 4)
-    with pytest.raises(DomainError):
-        model.equilibrium_radiation(-1.0, 1.0, 1.0)
+    with pytest.raises(ParameterError):
+        PhysParams(theta_bar=-1.0)
 
 
 def test_radiation_source_examples():
@@ -64,7 +67,7 @@ def test_planck_split_examples():
 
 
 def test_planck_split_matches_direct_quartic():
-    p = PhysParams.equilibrium(theta_bar=1.7, sigma_a=0.6, sigma_tilde=1.3)
+    p = PhysParams(theta_bar=1.7, sigma_a=0.6, sigma_tilde=1.3)
     rng = np.random.default_rng(1)
     z = 0.8 * p.theta_bar * (2 * rng.random(10000) - 1)
     gg = 2.0 * (2 * rng.random(10000) - 1)
@@ -76,7 +79,7 @@ def test_planck_split_matches_direct_quartic():
 
 
 def test_quartic_factor_identity():
-    p = PhysParams.equilibrium(theta_bar=0.9, sigma_tilde=2.0)
+    p = PhysParams(theta_bar=0.9, sigma_tilde=2.0)
     rng = np.random.default_rng(2)
     z = 2.0 * rng.standard_normal(10000)
     lhs = model.planck_cubic(z, p) * z
@@ -117,7 +120,7 @@ def assert_remainders_vanish(bg):
 def test_all_gaps_vanish_at_background():
     # every coefficient gap is a Background value minus the gas law at the
     # state; at the background state each one is exactly zero
-    p = PhysParams.equilibrium(rho_bar=1.4, theta_bar=0.8)
+    p = PhysParams(rho_bar=1.4, theta_bar=0.8)
     eos = IdealGasEOS(R=1.1, c_v=0.7)
     bg = Background.of(p, eos)
     rho, theta = p.rho_bar, p.theta_bar
@@ -136,7 +139,7 @@ def test_all_gaps_vanish_at_background():
 
 def test_remainders_vanish_at_background():
     eos = IdealGasEOS()
-    bg = Background.of(PhysParams.equilibrium(rho_bar=1.2, theta_bar=1.1), eos)
+    bg = Background.of(PhysParams(rho_bar=1.2, theta_bar=1.1), eos)
     assert_remainders_vanish(bg)
 
 
@@ -164,7 +167,7 @@ class CountingEOS(IdealGasEOS):
 def test_remainders_evaluate_gas_law_once_at_state():
     # the background coefficients come from the Background alone: no call
     # at the scalar (rho_bar, theta_bar), one call of each at the state
-    p = PhysParams.equilibrium(rho_bar=1.4, theta_bar=0.8)
+    p = PhysParams(rho_bar=1.4, theta_bar=0.8)
     eos = CountingEOS()
     bg = Background.of(p, eos)
     shape = (4, 4)
@@ -239,7 +242,7 @@ def random_remainder_args(rng, shape, amp):
 def test_velocity_remainders_match_term_by_term_oracle(shape, eos, delta, amp):
     # at amp = 1e-4 the pressure gaps, weighted by 1/delta^2, lead the
     # velocity row, so their cancellation has to round as in the oracle
-    p = PhysParams.equilibrium(delta=delta, lam=0.05, rho_bar=1.3,
+    p = PhysParams(delta=delta, lam=0.05, rho_bar=1.3,
                                theta_bar=0.9, sigma_tilde=1.2)
     bg = Background.of(p, eos)
     args = random_remainder_args(np.random.default_rng(len(shape)), shape, amp)

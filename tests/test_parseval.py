@@ -20,7 +20,7 @@ from rhdlab.model import Background, IdealGasEOS, PhysParams
 from rhdlab.steppers import pack_state
 
 EOS = IdealGasEOS(R=1.2, c_v=0.8)
-PARAMS = PhysParams.equilibrium(delta=0.07, rho_bar=1.37, theta_bar=0.9, sigma_a=1.3,
+PARAMS = PhysParams(delta=0.07, rho_bar=1.37, theta_bar=0.9, sigma_a=1.3,
                                 sigma_tilde=0.8, mu=0.13, lam=0.05,
                                 kappa=0.17, nu=0.11)
 RTOL = 1e-12
@@ -257,7 +257,7 @@ def test_reference_rows_match_point_value_oracle(tmp_path, monkeypatch):
     cfg.raw["diagnostics"]["order"] = "2"
     sweep.run_reference(cfg, tmp_path)
     (traj,) = runs
-    g, params = cfg.build_grid(), cfg.build_params()
+    g, params = cfg.build_grid(), cfg.build_background().params
     lines = (tmp_path / "reference.csv").read_text().splitlines()
     rows = [dict(zip(lines[1].split(","), line.split(",")))
             for line in lines[2:]]

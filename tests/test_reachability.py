@@ -13,10 +13,17 @@ fields the solvers step and the ones the checks compare come from one
 formula.  Outside ``fields.py`` no ``ifft`` call may read the derivative
 multipliers ``ik`` in its arguments, as ``<expr>.ik`` or through a local
 name bound to it.
+
+Every configuration key is read: a key that no command asks for once the
+file is loaded (and checked) is a setting that changes nothing, and
+should be retired, not offered.
 """
 
 import ast
 from pathlib import Path
+
+import rhdlab.cli as cli
+from rhdlab.config import _SCHEMA, ExperimentConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "rhdlab"
@@ -118,3 +125,40 @@ def test_derivatives_are_transformed_by_the_grid_only():
     assert scanned > 5  # the scan sees the package's inverse transforms
     assert not found, (f"derivatives transformed outside SpectralGrid "
                        f"(use jacobian or divergence): {found}")
+
+
+# each command at 16^2 with a horizon of two steps; the run also writes
+# its reference and snapshots, so every key some command reads is read
+KEY_WALK = ("[grid]\npoints_per_axis = 16\n"
+            "[solver]\ndt = 0.002\nt_end = 0.004\nwith_reference = true\n"
+            "[linearized]\ndt = 0.002\nt_end = 0.004\n"
+            "[sweep]\ndeltas = 0.2,0.1,0.05\n"
+            "[output]\nsnapshots = true\ndir = {out}\n")
+
+
+def test_every_config_key_is_read(tmp_path, monkeypatch):
+    reads, loaded = set(), []
+    real_get, real_load = ExperimentConfig.get, cli.load_config
+
+    def get(self, section, key):
+        if loaded and loaded[-1] is self:
+            reads.add(f"{section}.{key}")
+        return real_get(self, section, key)
+
+    def load(path):
+        cfg = real_load(path)  # the load itself checks every key
+        loaded.append(cfg)
+        return cfg
+
+    monkeypatch.setattr(ExperimentConfig, "get", get)
+    monkeypatch.setattr(cli, "load_config", load)
+    for command in ("run", "sweep", "reference", "linearized",
+                    "verify-identities"):
+        config = tmp_path / f"{command}.ini"
+        # no --out: the output directory comes from output.dir
+        config.write_text(KEY_WALK.format(out=tmp_path / command))
+        assert cli.main([command, "--config", str(config)]) == 0, command
+    assert len(loaded) == 5
+    unread = [f"{section}.{key}" for section, keys in _SCHEMA.items()
+              for key in keys if f"{section}.{key}" not in reads]
+    assert not unread, f"config keys no command reads: {unread}"

@@ -21,7 +21,7 @@ def test_split_symbol_matches_dense_oracle(dim, n, relative_density,
     # dealias band included) the split apply is M @ X and the split solve
     # is the dense solve with I - c M, at both implicit coefficients
     g = SpectralGrid(dim=dim, points_per_axis=n, dealias=False)
-    bg = Background.of(PhysParams.equilibrium(delta=0.05, **OFF_UNIT),
+    bg = Background.of(PhysParams(delta=0.05, **OFF_UNIT),
                        OFF_UNIT_EOS)
     dt, s = 1e-2, dim + 3
     symbol = split_symbol(g, bg, relative_density=relative_density)
@@ -47,7 +47,7 @@ def test_ars222_is_second_order_with_explicit_part(dense_symbol):
     # order to expm((M_k + b I) T) X; a wrong explicit weight (ARS_DHAT off
     # by 1e-3) reads 1.90 and 1.73 over the last two halvings
     g = SpectralGrid(dim=2, points_per_axis=8)
-    bg = Background.of(PhysParams.equilibrium(delta=1.0, **OFF_UNIT),
+    bg = Background.of(PhysParams(delta=1.0, **OFF_UNIT),
                        OFF_UNIT_EOS)
     symbol = split_symbol(g, bg)
     mode, b, T, s = (1, 1), 1.5j, 1.0, g.dim + 3

@@ -245,7 +245,7 @@ def test_identity_suite_passes_at_128_points():
     # the suite's default n_fields) on the sweep-2d grid; the two
     # reformulation identities fail here and on finer grids
     cfg = default_config()
-    bg = Background.of(cfg.build_params(), cfg.build_eos())
+    bg = cfg.build_background()
     results = run_identity_suite(SpectralGrid(dim=2, points_per_axis=128), bg,
                                  seed=cfg.get("init", "seed"))
     assert [r.name for r in results if not r.passed] == []
@@ -260,7 +260,7 @@ def test_remainders_quadratic_catches_wrong_background(changes):
     # inputs a wrong coefficient leaves a part linear in eps, which
     # remainders-quadratic sees (a string names a coefficient off by 1 %)
     grid = SpectralGrid(dim=2, points_per_axis=16)
-    params, eos = PhysParams.equilibrium(delta=0.1, lam=0.05), IdealGasEOS()
+    params, eos = PhysParams(delta=0.1, lam=0.05), IdealGasEOS()
     bg = Background.of(params, eos)
     zero, quadratic = _remainder_checks(grid, bg, np.random.default_rng(0))
     assert zero.passed and quadratic.passed
@@ -329,9 +329,15 @@ def test_cli_exit_codes_and_commands(tmp_path, capsys):
             ("linearized", "[output]\ncadence = 0\n", "output.cadence"),
             ("linearized", "[linearized]\namplitude = 0\n",
              "linearized.amplitude"),
-            # the renamed key fails to load, naming its new name
+            # a retired key fails to load, naming where its value went
             ("linearized", "[linearized]\nforcing = 0.05\n",
              "linearized.amplitude"),
+            ("run", "[params]\nn_bar = auto\n",
+             "params.n_bar is no longer a key: n_bar is derived"),
+            ("run", "[params]\nn_bar = 1.0\n",
+             "params.n_bar is no longer a key: n_bar is derived"),
+            ("run", "[eos]\nkind = ideal\n",
+             "eos.kind is no longer a key: the gas law is the ideal gas"),
             ("linearized", "[linearized]\ndeltas = 2\n", "linearized.deltas"),
             ("linearized", "[linearized]\ndeltas = 0.1,0.1\n",
              "linearized.deltas"),
@@ -369,6 +375,9 @@ def test_cli_exit_codes_and_commands(tmp_path, capsys):
             # sigma_tilde*theta_bar**4, and with it n_bar, overflows
             ("run", "[grid]\npoints_per_axis = 16\n[params]\n"
                     "sigma_tilde = 1e300\ntheta_bar = 1e10\n", "sigma_tilde"),
+            # the emission over a subnormal absorption, n_bar, overflows
+            ("run", "[grid]\npoints_per_axis = 16\n[params]\n"
+                    "sigma_a = 1e-310\n", "params: sigma_a = 1e-310"),
             # the radiation perturbation is below the round-off of n_bar = 1e40
             ("run", "[grid]\npoints_per_axis = 16\n[params]\n"
                     "theta_bar = 1e10\n", "params: the"),

@@ -1,10 +1,10 @@
 """Count the code lines of ``src/rhdlab``: lines that hold code, not counting
-docstrings, comments or blank lines; and the public names each module
-lists in ``__all__``.
+docstrings, comments or blank lines; the public names each module lists
+in ``__all__``; and the configuration keys of ``config._SCHEMA``.
 
 Usage: ``python3 tools/code_lines.py [PACKAGE_DIR]`` from the repository
-root.  Prints a header, one ``<lines>  <names>  <module>`` row per module
-and the totals last.
+root.  Prints a header, one ``<lines>  <names>  <module>`` row per module,
+the totals, and last the number of configuration keys.
 """
 
 from __future__ import annotations
@@ -55,6 +55,19 @@ def public_names(source: str) -> int:
     return 0
 
 
+def config_keys(source: str) -> int:
+    """Keys of the module-level ``_SCHEMA`` dict of dicts of ``source``
+    (0 if none)."""
+    for node in ast.parse(source).body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "_SCHEMA"
+                        for t in node.targets)
+                and isinstance(node.value, ast.Dict)):
+            return sum(len(section.keys) for section in node.value.values
+                       if isinstance(section, ast.Dict))
+    return 0
+
+
 def main(argv) -> int:
     package = Path(argv[1]) if len(argv) > 1 else ROOT / "src" / "rhdlab"
     total = total_names = 0
@@ -66,6 +79,9 @@ def main(argv) -> int:
         total_names += names
         print(f"{count:6d}  {names:7d}  {path.name}")
     print(f"{total:6d}  {total_names:7d}  total")
+    config = package / "config.py"
+    keys = config_keys(config.read_text()) if config.is_file() else 0
+    print(f"{keys:6d}  config keys")
     return 0
 
 
