@@ -29,6 +29,7 @@ value minus the value of ``bg.eos`` at the current state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -41,6 +42,11 @@ __all__ = [
     "velocity_form_remainders", "momentum_form_remainders",
     "deformation_contraction",
 ]
+
+
+# Points per pass of velocity_form_remainders, about: its scratch fields
+# are the size of one pass and stay in cache.
+_CHUNK = 8192
 
 
 class ModelError(Exception):
@@ -210,17 +216,20 @@ def radiation_source(theta, rad, params: PhysParams):
     return params.sigma_tilde * np.asarray(theta) ** 4 - params.sigma_a * np.asarray(rad)
 
 
-def planck_cubic(dtheta, params: PhysParams):
+def planck_cubic(dtheta, params: PhysParams, out=None):
     """Cubic factor of the quartic emission remainder.
 
     ``planck_cubic(z) * z`` equals ``sigma_tilde*((theta_bar + z)^4 -
     theta_bar^4) - 4*sigma_tilde*theta_bar^3*z`` for every ``z``.
     Evaluated in Horner form, ``z*(6 st tb^2 + z*(4 st tb + st*z))``: no
-    ``pow`` call, five passes over ``z``.
+    ``pow`` call, five passes over ``z``.  With ``out`` (an array of the
+    shape of ``dtheta`` that does not overlap it) the passes run in
+    ``out`` and it is returned: the same operations in the same order, so
+    the result is bit-identical to a fresh one.
     """
     z = np.asarray(dtheta)
     st, tb = params.sigma_tilde, params.theta_bar
-    c = st * z
+    c = np.multiply(st, z, out=out)
     c += 4.0 * st * tb
     c *= z
     c += 6.0 * st * tb ** 2
@@ -284,7 +293,8 @@ def _dot(a, b, out, tmp):
 
 def velocity_form_remainders(drho, u, dtheta, drad,
                              grad_drho, jac_u, visc_u, div_u,
-                             grad_dtheta, lap_dtheta, bg: Background):
+                             grad_dtheta, lap_dtheta, bg: Background,
+                             out=None):
     """Nonlinear remainder terms of the velocity perturbation form.
 
     Arguments are point values of the perturbations ``(drho, u, dtheta,
@@ -293,32 +303,64 @@ def velocity_form_remainders(drho, u, dtheta, drad,
     Scalar fields share the shape of ``drho``; vector fields add a leading
     axis of length d.  Returns ``(r_mass, r_velocity, r_temperature,
     r_radiation)``; all four vanish at the background state with zero
-    derivatives.
+    derivatives.  They are the rows of one ``(d + 3, *shape)`` block in the
+    :func:`rhdlab.steppers.pack_state` layout: ``out`` when given (it must
+    not overlap the arguments), else a fresh one, and the four results are
+    views of its rows.
 
     Each coefficient gap is the value in ``bg`` minus the value at the
-    state; the gas law ``bg.eos`` is evaluated once, at the state.  The
+    state; the gas law ``bg.eos`` is evaluated at the state.  The
     exchange-gap term enters ``r_temperature`` with a plus sign: that is
     the sign produced by expanding ``1/(rho*e_theta)`` around the
     background, and the one under which the assembled form reproduces the
     primitive equations exactly.
 
-    Every term is written with in-place ufuncs into the outputs and a few
-    scratch fields.  The gaps ``P_rho/rho`` and ``P_theta/rho`` divide by
-    ``rho`` as written: a reciprocal multiply would change their rounding,
-    which the ``1/delta^2`` weight amplifies.
+    ``rho`` and ``theta`` are checked on the whole fields first, so a bad
+    point raises :class:`DomainError` before any arithmetic can overflow.
+    The algebra then runs over the leading spatial axis in equal passes of
+    about ``_CHUNK`` points, each into its slab of the block: the gas law
+    is evaluated once per pass (once, on the fields as they are, when one
+    pass holds them all), and the scratch fields are the size of one pass.
+    Every term is pointwise, written with in-place ufuncs, so the block is
+    bit-identical whatever the passes.  The gaps ``P_rho/rho`` and
+    ``P_theta/rho`` divide by ``rho`` as written: a reciprocal multiply
+    would change their rounding, which the ``1/delta^2`` weight amplifies.
     """
-    params, eos = bg.params, bg.eos
-    shape = np.shape(drho)
-    rho = np.add(drho, params.rho_bar, out=np.empty(shape))
-    theta = np.add(dtheta, params.theta_bar, out=np.empty(shape))
+    params = bg.params
+    args = [np.asarray(a) for a in (drho, u, dtheta, drad, grad_drho, jac_u,
+                                    visc_u, div_u, grad_dtheta, lap_dtheta)]
+    shape, d = args[0].shape, len(args[1])
+    # rounding is monotone: the extremes of drho + rho_bar are those of drho
+    # shifted, so the whole fields are checked without forming them
+    rho = np.array([np.min(drho), np.max(drho)]) + params.rho_bar
+    theta = np.array([np.min(dtheta), np.max(dtheta)]) + params.theta_bar
     _check_positive("rho", rho)
     _check_positive("theta", theta)
+    out = np.empty((d + 3,) + shape) if out is None else out
+    rows = shape[0] if shape else 1
+    step = -(-rows // -(-rows // max(1, _CHUNK // prod(shape[1:]))))
+    for lo in range(0, rows, step):
+        at = ((..., slice(lo, lo + step)) + (slice(None),) * (len(shape) - 1)
+              if shape else ...)
+        _velocity_pass(*(a[at] for a in args), bg, out[at])
+    return out[0, ...], out[1:1 + d], out[d + 1, ...], out[d + 2, ...]
+
+
+def _velocity_pass(drho, u, dtheta, drad, grad_drho, jac_u, visc_u, div_u,
+                   grad_dtheta, lap_dtheta, bg: Background, out):
+    """One pass of :func:`velocity_form_remainders` into its slab ``out``."""
+    params, eos = bg.params, bg.eos
+    shape, d = np.shape(drho), len(u)
+    r_mass, r_velocity = out[0, ...], out[1:1 + d]
+    r_temperature = out[d + 1, ...]
+    rho = np.add(drho, params.rho_bar, out=np.empty(shape))
+    theta = np.add(dtheta, params.theta_bar, out=np.empty(shape))
     d2 = params.delta ** 2
     p_theta = eos.p_theta(rho, theta)
     e_theta = eos.e_theta(rho, theta)
     tmp = np.empty(shape)
 
-    r_mass = _dot(u, grad_drho, np.empty(shape), tmp)
+    _dot(u, grad_drho, r_mass, tmp)
     r_mass += np.multiply(drho, div_u, out=tmp)
     np.negative(r_mass, out=r_mass)
 
@@ -330,8 +372,7 @@ def velocity_form_remainders(drho, u, dtheta, drad,
     h7 /= d2
     h8 = np.divide(1.0, rho, out=np.empty(shape))
     np.subtract(1.0 / params.rho_bar, h8, out=h8)
-    r_velocity = np.empty((len(u),) + shape)
-    for i in range(len(u)):
+    for i in range(d):
         r = r_velocity[i, ...]
         np.negative(_dot(u, jac_u[i], r, tmp), out=r)
         r += np.multiply(h6, grad_drho[i], out=tmp)
@@ -349,10 +390,9 @@ def velocity_form_remainders(drho, u, dtheta, drad,
     # a gas law may hand back rho or theta itself, so these two become
     # scratch only after the last read of p_theta and e_theta
     linear_exchange, dissipation = rho, theta
-    quartic_rem = planck_cubic(dtheta, params)
+    quartic_rem = planck_cubic(dtheta, params, out=out[d + 2, ...])
     quartic_rem *= dtheta
-    r_temperature = _dot(u, grad_dtheta, np.empty(shape), tmp)
-    np.negative(r_temperature, out=r_temperature)
+    np.negative(_dot(u, grad_dtheta, r_temperature, tmp), out=r_temperature)
     np.multiply(params.kappa, h9, out=tmp)
     r_temperature -= np.multiply(tmp, lap_dtheta, out=tmp)
     _contract_deformation(jac_u, dissipation, tmp)
@@ -365,9 +405,6 @@ def velocity_form_remainders(drho, u, dtheta, drad,
     linear_exchange -= np.multiply(params.sigma_a, drad, out=tmp)
     r_temperature += np.multiply(h9, linear_exchange, out=tmp)
     r_temperature -= np.multiply(quartic_rem, recip, out=tmp)
-
-    r_radiation = quartic_rem
-    return r_mass, r_velocity, r_temperature, r_radiation
 
 
 def momentum_form_remainders(nrel, mom, dtheta, drad,

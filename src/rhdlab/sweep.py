@@ -113,8 +113,11 @@ class _Setup:
                               seed=self.seed, kind=kind, reference=reference)
 
     def write(self, csv_name, records, json_name, payload):
-        """``effective_config.ini``, then the CSV of ``records`` and the JSON
-        of ``payload`` as ``output.formats`` selects them."""
+        """Create the output directory, so that a command refused before
+        its outputs leaves none, then write ``effective_config.ini``, the
+        CSV of ``records`` and the JSON of ``payload`` as
+        ``output.formats`` selects them."""
+        self.out.mkdir(parents=True, exist_ok=True)
         (self.out / "effective_config.ini").write_text(
             dump_config_text(self.cfg))
         formats = self.cfg.get("output", "formats")
@@ -127,7 +130,8 @@ class _Setup:
 def _setup(cfg: ExperimentConfig, out_dir, seed) -> _Setup:
     """Build the grid, check that every Sobolev weight the configuration
     asks for is finite on the whole half spectrum of the grid (point values
-    hold every mode), resolve the seed, and create the output directory.
+    hold every mode) and resolve the seed.  The output directory is made
+    by :meth:`_Setup.write`.
 
     A ``seed`` given here replaces ``init.seed`` in the set-up's copy of the
     configuration, so ``effective_config.ini`` reproduces the run."""
@@ -143,9 +147,7 @@ def _setup(cfg: ExperimentConfig, out_dir, seed) -> _Setup:
             if not np.all(np.isfinite(whole.sobolev_weight(order))):
                 raise ConfigError(f"{key} = {order}: the weight (1 + |k|^2)"
                                   f"^{order} overflows on this grid")
-    setup = _Setup(cfg, Path(out_dir), grid, cfg.get("init", "seed"))
-    setup.out.mkdir(parents=True, exist_ok=True)
-    return setup
+    return _Setup(cfg, Path(out_dir), grid, cfg.get("init", "seed"))
 
 
 def _dt(s: _Setup, section, u0=None) -> float:

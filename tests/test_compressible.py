@@ -408,24 +408,53 @@ def test_grouped_derivatives_match_stacked_transform(dim, n, dealias, form):
 
 
 def test_explicit_evaluation_traced_peak_3d():
-    # one explicit evaluation at 16^3 holds at most 1.8 times its point
-    # values (the stacked transform held 2.17 times)
+    # one explicit evaluation holds at most 1.65 times its point values at
+    # 16^3, where the remainders take one pass (the stacked transform held
+    # 2.17 times), and 1.4 times at 48^3, where their scratch is one pass
+    # of many and no output is copied (1.56 times before)
+    bg = Background.of(PhysParams(delta=0.1), EOS)
+    for n, bound in ((16, 1.65), (48, 1.4)):
+        g = SpectralGrid(dim=3, points_per_axis=n)
+        st, _ = make_well_prepared(InitSpec(budget=0.5, seed=3), g, bg)
+        solver = CompressibleSolver(g, bg,
+                                    SolverConfig(dt=1e-3, t_end=1e-3))
+        X = solver.pack(st)
+        d = g.dim
+        point_bytes = (d + 3 + d * d + 3 * d + 1) * np.zeros(g.shape).nbytes
+        tracemalloc.start()
+        try:
+            solver._explicit(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * point_bytes, n
+
+
+def test_run_holds_no_point_values_across_a_step():
+    # the point values of an invariant check are dropped before the next
+    # step: at each step's entry the run holds less than one (d + 3)-field
+    # stack of them above its start
     g = SpectralGrid(dim=3, points_per_axis=16)
     bg = Background.of(PhysParams(delta=0.1), EOS)
-    st, _ = make_well_prepared(InitSpec(budget=0.5, seed=3),
-                               g, bg)
-    solver = CompressibleSolver(g, bg,
-                                SolverConfig(dt=1e-3, t_end=1e-3))
-    X = solver.pack(st)
-    d = g.dim
-    point_bytes = (d + 3 + d * d + 3 * d + 1) * np.zeros(g.shape).nbytes
+    st, _ = make_well_prepared(InitSpec(budget=0.5, seed=3), g, bg)
+    solver = CompressibleSolver(g, bg, SolverConfig(
+        dt=1e-3, t_end=3e-3, positivity_interval=1))
+    stack = (g.dim + 3) * np.zeros(g.shape).nbytes
+    held, step = [], solver.step_spectral
+
+    def traced_step(X):
+        held.append(tracemalloc.get_traced_memory()[0] - start)
+        return step(X)
+
+    solver.step_spectral = traced_step
     tracemalloc.start()
     try:
-        solver._explicit(X)
-        peak = tracemalloc.get_traced_memory()[1]
+        start = tracemalloc.get_traced_memory()[0]
+        traj = solver.run(st)
     finally:
         tracemalloc.stop()
-    assert peak < 1.8 * point_bytes
+    assert traj.status == "ok" and len(held) == 3
+    assert max(held) < stack, (held, stack)
 
 
 def test_radiation_relaxation_against_ode_oracle(grid):

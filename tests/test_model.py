@@ -300,6 +300,59 @@ def test_domain_errors_on_nonpositive_state():
         model.thermo_consistency_residual(eos, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("shape, chunk", [((16, 12), 40), ((7, 6, 5), 70)])
+def test_velocity_remainders_bit_identical_over_passes_and_out(
+        monkeypatch, shape, chunk):
+    # a ragged split into passes, and writing into a caller's block, change
+    # no bit of the remainders; the results are views of the block's rows
+    bg = Background.of(PhysParams(delta=0.05, lam=0.05), CountingEOS())
+    args = random_remainder_args(np.random.default_rng(7), shape, 0.1)
+    d = len(shape)
+    monkeypatch.setattr(model, "_CHUNK", 10 ** 9)
+    want = model.velocity_form_remainders(*args, bg)
+    bg.eos.calls.clear()
+    monkeypatch.setattr(model, "_CHUNK", chunk)
+    fresh = model.velocity_form_remainders(*args, bg)
+    passes = [s for name, s in bg.eos.calls if name == "p_rho"]
+    assert len(passes) > 2 and passes[-1][0] < passes[0][0]   # ragged
+    for size in (chunk, 10 ** 9):
+        monkeypatch.setattr(model, "_CHUNK", size)
+        out = np.full((d + 3,) + shape, np.nan)
+        got = model.velocity_form_remainders(*args, bg, out=out)
+        rows = (out[0], out[1:1 + d], out[d + 1], out[d + 2])
+        for g, r, f, w in zip(got, rows, fresh, want):
+            assert g.shape == r.shape and g.ctypes.data == r.ctypes.data
+            assert g.tobytes() == f.tobytes() == w.tobytes()
+
+
+def test_planck_cubic_into_out_is_bit_identical():
+    p = PhysParams(theta_bar=0.9, sigma_tilde=1.2)
+    z = np.random.default_rng(4).standard_normal((5, 6))
+    out = np.empty_like(z)
+    assert model.planck_cubic(z, p, out=out) is out
+    assert out.tobytes() == model.planck_cubic(z, p).tobytes()
+
+
+def test_domain_error_before_the_first_pass(monkeypatch):
+    # rho and theta are checked on the whole fields before any pass: a
+    # non-positive theta in the last pass is a DomainError even when the
+    # first pass overflows under errstate(raise)
+    monkeypatch.setattr(model, "_CHUNK", 8)   # six rows of 4: three passes
+    bg = Background.of(UNIT, IdealGasEOS())
+    z, zv, zj = zero_fields((6, 4))
+    big = zv.copy()
+    big[0, 0, 0] = 1e200                      # u . grad(drho) overflows
+    bad = z.copy()
+    bad[-1, -1] = -2.0                        # theta = -1
+    with np.errstate(all="raise"):
+        with pytest.raises(FloatingPointError):
+            model.velocity_form_remainders(z, big, z, z, big, zj, zv, z, zv,
+                                           z, bg)
+        with pytest.raises(DomainError, match="theta must be positive"):
+            model.velocity_form_remainders(z, big, bad, z, big, zj, zv, z,
+                                           zv, z, bg)
+
+
 def test_thermo_relation_ideal_gas():
     eos = IdealGasEOS(R=1.3, c_v=0.9)
     rng = np.random.default_rng(3)

@@ -424,6 +424,9 @@ def test_cli_exit_codes_and_commands(tmp_path, capsys):
                              "--out", str(tmp_path / "range")]) == 2, key
         assert key in capsys.readouterr().err
         assert not caught, (key, [str(w.message) for w in caught])
+        # a refused configuration leaves no output directory, also when the
+        # parameters are refused by the background or the initial data
+        assert not (tmp_path / "range").exists(), key
 
     # a diagnostics order whose weight overflows is refused before any output
     cfg = write_config(tmp_path / "order.ini",
