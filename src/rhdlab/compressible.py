@@ -14,7 +14,12 @@ The IMEX split integrates the constant-coefficient acoustic subsystem
 the linear matter-radiation exchange implicitly with a cached per-mode
 factorization, so the stable time step does not shrink as delta does;
 advection and every nonlinear remainder stay explicit.  The time schemes
-come from :data:`rhdlab.steppers.SCHEMES`.
+come from :data:`rhdlab.steppers.SCHEMES`.  The solver takes its step and
+scheme, and its run the horizon, as plain arguments, as the incompressible
+reference and the linearized probe do, and each is refused where every
+time loop uses it: the scheme and the step by
+:class:`rhdlab.steppers.ImexStepper`, the horizon, the cadence and the
+step count by :func:`rhdlab.steppers.schedule`.
 
 The perturbation forms and the solver take one
 :class:`rhdlab.model.Background`, the model at one parameter set: its
@@ -47,36 +52,21 @@ import numpy as np
 from . import model
 from .fields import SpectralGrid
 from .model import Background, PhysParams, DomainError
-from .steppers import (SCHEMES, ImexStepper, SolverError, pack_state,
-                       schedule, split_symbol, unpack_state)
+from .steppers import (ImexStepper, pack_state, schedule, split_symbol,
+                       unpack_state)
 
 __all__ = [
-    "SolverConfig", "CompressibleState", "Trajectory",
-    "StateInvalidError", "CompressibleSolver", "default_dt",
-    "rhs_primitive", "rhs_perturbation", "rhs_momentum_form",
+    "CompressibleState", "Trajectory", "StateInvalidError",
+    "CompressibleSolver", "default_dt", "rhs_primitive", "rhs_perturbation",
+    "rhs_momentum_form",
 ]
+
+# Steps between the invariant checks of a run; the last step is checked too.
+CHECK_EVERY = 10
+
 
 class StateInvalidError(Exception):
     """A state violated positivity or finiteness invariants."""
-
-
-@dataclass
-class SolverConfig:
-    dt: float
-    t_end: float
-    scheme: str = "imex1"               # "imex2" enables the 2nd-order pair
-    positivity_interval: int = 10       # steps between invariant checks
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.t_end < 0:
-            raise ValueError(f"t_end must be >= 0, got {self.t_end}")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {tuple(SCHEMES)}")
-        if self.positivity_interval < 1:
-            raise ValueError(f"positivity_interval must be >= 1, got "
-                             f"{self.positivity_interval}")
 
 
 @dataclass
@@ -266,7 +256,9 @@ def rhs_momentum_form(grid: SpectralGrid, nrel, mom, dtheta, drad,
 # -- the IMEX solver ---------------------------------------------------------
 
 class CompressibleSolver:
-    """IMEX integrator with delta-uniform stability.
+    """IMEX integrator with delta-uniform stability: the scheme ``scheme``
+    of :data:`rhdlab.steppers.SCHEMES` at step ``dt``, both kept as
+    attributes.
 
     Construction factors the implicit operator once, per ``|k|^2`` shell,
     and spreads it onto the box modes; each explicit evaluation then
@@ -286,13 +278,13 @@ class CompressibleSolver:
     before each step.
     """
 
-    def __init__(self, grid: SpectralGrid, bg: Background,
-                 config: SolverConfig):
+    def __init__(self, grid: SpectralGrid, bg: Background, dt: float,
+                 scheme: str = "imex1"):
         self.grid = grid
         self.bg = bg
-        self.config = config
-        self._stepper = ImexStepper(config.scheme, split_symbol(grid, bg),
-                                    config.dt)
+        self.dt = dt
+        self.scheme = scheme
+        self._stepper = ImexStepper(scheme, split_symbol(grid, bg), dt)
 
     def pack(self, state: CompressibleState) -> np.ndarray:
         """Coefficients of the deviation of ``state`` from the background,
@@ -309,12 +301,15 @@ class CompressibleSolver:
     def step_spectral(self, X: np.ndarray) -> np.ndarray:
         return self._stepper.step(X, self._explicit)
 
-    def run(self, state0: CompressibleState, cadence: int = 10,
+    def run(self, state0: CompressibleState, t_end: float, cadence: int = 10,
             observer: Optional[Callable] = None) -> Trajectory:
         """Advance ``state0``, validated on entry, to ``t_end``, observing
         it at 0 and wherever :func:`rhdlab.steppers.schedule` says (every
-        ``cadence`` steps and at the end); a step count the schedule
-        refuses raises its :class:`ValueError` before any work.
+        ``cadence`` steps and at the end).  The schedule raises its
+        :class:`ValueError` before any work for a negative or NaN
+        ``t_end``, a ``cadence`` below 1 or a step count no run can finish.
+        The invariants are checked on entry, every :data:`CHECK_EVERY`
+        steps and after the last step.
 
         ``observer(X, t)`` is called at observation points with the packed
         spectral state (:func:`rhdlab.steppers.pack_state` layout) and its
@@ -327,8 +322,8 @@ class CompressibleSolver:
         raised; ``abort_time`` is the time of the state before the one that
         failed.  The run starts at time 0.
         """
-        cfg, grid, pr = self.config, self.grid, self.bg.params
-        steps = schedule(cfg.t_end, cfg.dt, cadence)
+        grid, pr = self.grid, self.bg.params
+        steps = schedule(t_end, self.dt, cadence)
         state0.validate(grid)
         traj = Trajectory()
         X = self.pack(state0)
@@ -348,9 +343,9 @@ class CompressibleSolver:
             CompressibleState(pr.rho_bar + drho, u, pr.theta_bar + dtheta,
                               pr.n_bar + drad).validate(grid)
             bound = default_dt(grid, u)
-            if cfg.dt > 4.0 * bound:
+            if self.dt > 4.0 * bound:
                 raise StateInvalidError(
-                    f"dt={cfg.dt} exceeds 4x advective bound {bound:.3e}")
+                    f"dt={self.dt} exceeds 4x advective bound {bound:.3e}")
 
         # point values of X, unpacked only for the invariant checks and
         # before each one, and dropped before each step, so no step holds
@@ -367,13 +362,12 @@ class CompressibleSolver:
                     p = None
                     X = self.step_spectral(X)
                     last_valid, t = t, t_next
-                    if i % cfg.positivity_interval == 0 or last:
+                    if i % CHECK_EVERY == 0 or last:
                         p = unpack_state(grid, X)
                         check_invariants(p)
                     if seen:
                         observe(X, t, p)
-        except (StateInvalidError, SolverError, DomainError,
-                FloatingPointError) as exc:
+        except (StateInvalidError, DomainError, FloatingPointError) as exc:
             traj.status, traj.abort_time = "aborted", last_valid
             traj.abort_reason = str(exc)
             if isinstance(exc, FloatingPointError):

@@ -28,8 +28,8 @@ import numpy as np
 from .diagnostics import bundle_factors
 from .fields import SpectralGrid
 from .model import Background, DomainError, planck_linear
-from .steppers import (SCHEMES, ImexStepper, pack_state, schedule,
-                       split_symbol, unpack_state)
+from .steppers import (ImexStepper, pack_state, schedule, split_symbol,
+                       unpack_state)
 
 __all__ = ["LinearizedProblem", "LinearizedTrajectory", "solve_linearized",
            "EstimateReport", "check_estimate"]
@@ -71,14 +71,14 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
 
     The steps and the observed states (at 0, every ``cadence`` steps and at
     the horizon) come from :func:`rhdlab.steppers.schedule`, which raises
-    :class:`ValueError` first for a step count it refuses.  The dissipation and
-    coefficient-load integrals are accumulated by the trapezoid rule at
-    every step regardless of ``cadence``.  Dissipation weights of
-    ``H^norm_order`` that overflow raise :class:`rhdlab.model.DomainError`.
+    :class:`ValueError` first for a horizon or a step count it refuses;
+    :class:`rhdlab.steppers.ImexStepper` raises it next for an unknown
+    ``scheme``.  The dissipation and coefficient-load integrals are
+    accumulated by the trapezoid rule at every step regardless of
+    ``cadence``.  Dissipation weights of ``H^norm_order`` that overflow
+    raise :class:`rhdlab.model.DomainError`.
     """
     steps = schedule(problem.horizon, dt, cadence)
-    if scheme not in SCHEMES:
-        raise DomainError(f"unknown scheme {scheme!r}")
     pr, d, no = bg.params, grid.dim, problem.norm_order
     d2 = pr.delta ** 2
 

@@ -30,7 +30,9 @@ compressible run, the incompressible reference and the linearized probe):
 the step count, the time of each step and the steps that are observed.  A
 run and its reference observed at the same ``dt`` and cadence therefore
 share their observation times, and a step count no run can finish is
-refused before any step.
+refused before any step.  :class:`ImexStepper` is the one check of a
+scheme and a step, and :func:`schedule` the one of a horizon, a cadence and
+a step count.
 """
 
 from __future__ import annotations
@@ -271,9 +273,16 @@ SCHEMES = {
 
 class ImexStepper:
     """The scheme ``SCHEMES[scheme]`` at ``dt`` for a :class:`SplitSymbol`;
-    ``op`` is the symbol factored at the scheme's implicit coefficient."""
+    ``op`` is the symbol factored at the scheme's implicit coefficient.
+
+    The one check of the scheme and the step of every IMEX loop: a scheme
+    not in :data:`SCHEMES`, or a ``dt`` that is not positive (NaN
+    included), raises :class:`ValueError` before anything is factored."""
 
     def __init__(self, scheme: str, symbol: SplitSymbol, dt: float):
+        if scheme not in SCHEMES or not dt > 0.0:
+            raise ValueError(f"need a scheme of {tuple(SCHEMES)} and dt > 0: "
+                             f"{scheme!r}, {dt!r}")
         gamma, self._step = SCHEMES[scheme]
         self.dt = dt
         self.op = ImexOperator(symbol, gamma * dt)
@@ -292,10 +301,13 @@ def schedule(t_end: float, dt: float, cadence: int = 1):
     The count is ``ceil(t_end/dt - 1e-12)``, so a ``t_end`` that is a whole
     number of steps up to round-off takes exactly that many; ``t_end = 0``
     takes none.  Raises :class:`ValueError` on the call, before any step,
-    for ``dt <= 0``, ``cadence < 1`` or more than :data:`MAX_STEPS` steps.
+    for a ``t_end`` that is negative or NaN, a ``dt`` that is not positive
+    (NaN included), ``cadence < 1`` or more than :data:`MAX_STEPS` steps.
     """
     if not (dt > 0.0 and cadence >= 1):
         raise ValueError(f"need dt > 0 and cadence >= 1: {dt!r}, {cadence!r}")
+    if not t_end >= 0.0:
+        raise ValueError(f"need t_end >= 0 to count the steps: {t_end!r}")
     steps = t_end / dt - 1e-12
     if not steps <= MAX_STEPS:
         raise ValueError(f"t_end / dt = {t_end!r} / {dt!r} asks for more "

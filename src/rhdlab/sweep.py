@@ -18,8 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import diagnostics as diag
-from .compressible import (CompressibleSolver, SolverConfig, Trajectory,
-                           default_dt)
+from .compressible import CompressibleSolver, Trajectory, default_dt
 from .config import ConfigError, ExperimentConfig, dump_config_text
 from .fields import SpectralGrid, save_field
 from .incompressible import IncompressibleSolver
@@ -199,12 +198,12 @@ def _run_reference_traj(s: _Setup, bg, u0, dt):
                   cadence=s.cfg.get("output", "cadence"))
 
 
-def _traj_summary(traj: Trajectory, init_report, solver_cfg, delta):
+def _traj_summary(traj: Trajectory, init_report, solver, delta):
     return {
         "status": traj.status,
         "abort_reason": traj.abort_reason,
         "abort_time": traj.abort_time,
-        "dt": solver_cfg.dt,
+        "dt": solver.dt,
         "delta": delta,
         "final_time": traj.times[-1] if traj.times else 0.0,
         "negative_radiation_points": traj.negative_radiation_points,
@@ -216,7 +215,7 @@ def _traj_summary(traj: Trajectory, init_report, solver_cfg, delta):
         "init": init_report,
         # fixed values, kept because they describe the method that ran
         "solver": {"formulation": "perturbation",
-                   "scheme": solver_cfg.scheme,
+                   "scheme": solver.scheme,
                    "imex_split": "acoustic+diffusion+exchange"},
     }
 
@@ -241,16 +240,16 @@ def _members(s: _Setup, deltas, reference: bool, threads: int = 1):
     dt = _dt(s, "solver", prepared0[0].u)
     ref = (_run_reference_traj(s, bg0, _reference_velocity(s, bg0, prepared0),
                                dt) if reference else None)
-    solver_cfg = SolverConfig(dt=dt, t_end=s.cfg.get("solver", "t_end"),
-                              scheme=s.cfg.get("solver", "scheme"))
 
     def member(delta):
         bg = bg0 if delta == deltas[0] else s.cfg.build_background(delta)
         state0, init_report = prepared0 if bg is bg0 else _prepare(s, bg)
-        traj = CompressibleSolver(s.grid, bg, solver_cfg).run(
-            state0, cadence=s.cfg.get("output", "cadence"),
-            observer=s.collector(bg, "run", ref).observe)
-        summary = _traj_summary(traj, init_report, solver_cfg, delta)
+        solver = CompressibleSolver(s.grid, bg, dt,
+                                    s.cfg.get("solver", "scheme"))
+        traj = solver.run(state0, s.cfg.get("solver", "t_end"),
+                          cadence=s.cfg.get("output", "cadence"),
+                          observer=s.collector(bg, "run", ref).observe)
+        summary = _traj_summary(traj, init_report, solver, delta)
         if ref is not None and traj.status == "ok":
             summary["ref_error"] = {
                 "sup_L2": max(r.ref_error_L2 for r in traj.records),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from rhdlab.compressible import (CompressibleSolver, CompressibleState,
-                                 SolverConfig, rhs_perturbation, rhs_primitive)
+                                 rhs_perturbation, rhs_primitive)
 from rhdlab.fields import SpectralGrid
 from rhdlab.initial import InitSpec, make_well_prepared, random_band_scalar
 from rhdlab.model import Background, IdealGasEOS, PhysParams
@@ -19,13 +19,12 @@ def grid3():
 
 def test_equilibrium_fixed_point_3d(grid3):
     params = PhysParams(delta=0.1)
-    solver = CompressibleSolver(grid3, Background.of(params, EOS),
-                                SolverConfig(dt=5e-3, t_end=0.05))
+    solver = CompressibleSolver(grid3, Background.of(params, EOS), 5e-3)
     state = CompressibleState(np.full(grid3.shape, params.rho_bar),
                               np.zeros((3,) + grid3.shape),
                               np.full(grid3.shape, params.theta_bar),
                               np.full(grid3.shape, params.n_bar))
-    traj = solver.run(state, cadence=5)
+    traj = solver.run(state, 0.05, cadence=5)
     assert traj.status == "ok"
     assert np.max(np.abs(traj.final_state[1])) < 1e-12
 
@@ -52,7 +51,6 @@ def test_well_prepared_run_3d(grid3):
     st, rep = make_well_prepared(InitSpec(budget=0.3, seed=1),
                                  grid3, bg)
     assert rep["div_u"] < 1e-12
-    solver = CompressibleSolver(grid3, bg,
-                                SolverConfig(dt=2e-3, t_end=0.02))
-    traj = solver.run(st, cadence=5)
+    solver = CompressibleSolver(grid3, bg, 2e-3)
+    traj = solver.run(st, 0.02, cadence=5)
     assert traj.status == "ok"

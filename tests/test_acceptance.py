@@ -11,8 +11,8 @@ import pytest
 
 from rhdlab import diagnostics as diag
 from rhdlab.compressible import (CompressibleSolver, CompressibleState,
-                                 SolverConfig, rhs_momentum_form,
-                                 rhs_perturbation, rhs_primitive)
+                                 rhs_momentum_form, rhs_perturbation,
+                                 rhs_primitive)
 from rhdlab.config import default_config
 from rhdlab.fields import SpectralGrid
 from rhdlab.incompressible import (IncompressibleSolver,
@@ -111,13 +111,12 @@ def test_criterion_02_planck_identities():
 def test_criterion_03_equilibrium_fixed_point(grid64):
     start = time.time()
     params = PhysParams(delta=0.1)
-    solver = CompressibleSolver(grid64, Background.of(params, EOS),
-                                SolverConfig(dt=1e-3, t_end=1.0))
+    solver = CompressibleSolver(grid64, Background.of(params, EOS), 1e-3)
     state = CompressibleState(np.full(grid64.shape, params.rho_bar),
                               np.zeros((2,) + grid64.shape),
                               np.full(grid64.shape, params.theta_bar),
                               np.full(grid64.shape, params.n_bar))
-    traj = solver.run(state, cadence=200)  # 1000 steps
+    traj = solver.run(state, 1.0, cadence=200)  # 1000 steps
     worst = max(np.max(np.abs(f)) for f in traj.final_state)
     wall = time.time() - start
     report(3, "equilibrium-fixed-point",
@@ -181,10 +180,9 @@ def test_criterion_09_dissipation_probes():
         grid = SpectralGrid(dim=2, points_per_axis=n)
         st, _ = make_well_prepared(InitSpec(budget=0.5, seed=3),
                                    grid, bg)
-        solver = CompressibleSolver(grid, bg,
-                                    SolverConfig(dt=1e-3, t_end=0.25))
+        solver = CompressibleSolver(grid, bg, 1e-3)
         coll = diag.Collector(grid, bg)
-        traj = solver.run(st, cadence=5, observer=coll.observe)
+        traj = solver.run(st, 0.25, cadence=5, observer=coll.observe)
         assert traj.status == "ok"
         p1 = diag.energy_dissipation_probe(traj.records, params)
         p2 = diag.cross_term_probe(traj.records, bg)

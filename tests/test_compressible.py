@@ -5,9 +5,9 @@ import pytest
 
 from rhdlab import compressible, model
 from rhdlab.compressible import (CompressibleSolver, CompressibleState,
-                                 SolverConfig, StateInvalidError, _derivatives,
-                                 default_dt, rhs_momentum_form,
-                                 rhs_perturbation, rhs_primitive)
+                                 StateInvalidError, _derivatives, default_dt,
+                                 rhs_momentum_form, rhs_perturbation,
+                                 rhs_primitive)
 from rhdlab.fields import SpectralGrid
 from rhdlab.initial import InitSpec, make_well_prepared, random_band_scalar
 from rhdlab.model import Background, IdealGasEOS, PhysParams
@@ -50,13 +50,14 @@ def smooth_state(grid, params, seed, amp=1e-3):
 
 
 def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(dt=-1.0, t_end=1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(dt=0.1, t_end=1.0, scheme="rk4")
-    for interval in (0, -3):
-        with pytest.raises(ValueError, match="positivity_interval"):
-            SolverConfig(dt=0.1, t_end=1.0, positivity_interval=interval)
+    # the step and the scheme are refused by the stepper the solver builds,
+    # with the one error that lists the schemes
+    g = SpectralGrid(dim=2, points_per_axis=8)
+    bg = Background.of(PhysParams(delta=0.1), EOS)
+    with pytest.raises(ValueError, match="imex1"):
+        CompressibleSolver(g, bg, -1.0)
+    with pytest.raises(ValueError, match="imex1"):
+        CompressibleSolver(g, bg, 0.1, scheme="rk4")
 
 
 def test_state_validation(grid):
@@ -156,10 +157,8 @@ def test_momentum_form_remainders_complete_the_symbol():
 def test_equilibrium_fixed_point(grid, scheme):
     params = PhysParams(delta=0.05)
     bg = Background.of(params, EOS)
-    solver = CompressibleSolver(grid, bg,
-                                SolverConfig(dt=0.01, t_end=1.0,
-                                             scheme=scheme))
-    traj = solver.run(equilibrium_state(grid, params), cadence=100)
+    solver = CompressibleSolver(grid, bg, 0.01, scheme)
+    traj = solver.run(equilibrium_state(grid, params), 1.0, cadence=100)
     assert traj.status == "ok"
     worst = max(np.max(np.abs(f)) for f in traj.final_state)
     assert worst < 1e-12
@@ -171,9 +170,8 @@ def test_mass_conservation(grid):
     st, _ = make_well_prepared(InitSpec(budget=0.5, seed=5),
                                grid, bg)
     mass0 = np.mean(st.rho) * grid.volume
-    solver = CompressibleSolver(grid, bg,
-                                SolverConfig(dt=1e-3, t_end=0.05))
-    traj = solver.run(st, cadence=10)
+    solver = CompressibleSolver(grid, bg, 1e-3)
+    traj = solver.run(st, 0.05, cadence=10)
     mass1 = np.mean(params.rho_bar + traj.final_state[0]) * grid.volume
     assert abs(mass1 - mass0) < 1e-12 * mass0
 
@@ -185,9 +183,8 @@ def test_delta_uniform_stability(grid):
         bg = Background.of(PhysParams(delta=delta), EOS)
         st, _ = make_well_prepared(InitSpec(budget=0.5, seed=7),
                                    grid, bg)
-        solver = CompressibleSolver(grid, bg,
-                                    SolverConfig(dt=1e-3, t_end=0.05))
-        traj = solver.run(st, cadence=50)
+        solver = CompressibleSolver(grid, bg, 1e-3)
+        traj = solver.run(st, 0.05, cadence=50)
         assert traj.status == "ok", traj.abort_reason
         st_cache[delta] = traj
 
@@ -226,9 +223,7 @@ def test_operator_amplification_all_modes(grid):
     params = PhysParams(delta=0.05)
     bg = Background.of(params, EOS)
     dt = 10.0 * params.delta * grid.dx
-    solver = CompressibleSolver(grid, bg,
-                                SolverConfig(dt=dt, t_end=dt))
-    op = solver._stepper.op
+    op = CompressibleSolver(grid, bg, dt)._stepper.op
     eigs = np.linalg.eigvals(np.moveaxis(op._inv, (0, 1), (-2, -1)))
     assert np.max(np.abs(eigs)) <= 1.0 + 1e-12
     assert np.max(np.abs(op._scale)) <= 1.0 + 1e-12
@@ -325,9 +320,7 @@ def test_transforms_per_step(dim, scheme, limit, transforms):
     bg = Background.of(PhysParams(delta=0.1), EOS)
     st, _ = make_well_prepared(InitSpec(budget=0.5, seed=3),
                                g, bg)
-    solver = CompressibleSolver(g, bg,
-                                SolverConfig(dt=1e-3, t_end=1e-3,
-                                             scheme=scheme))
+    solver = CompressibleSolver(g, bg, 1e-3, scheme)
     X = solver.pack(st)
     transforms[0] = 0
     solver.step_spectral(X)
@@ -347,9 +340,7 @@ def test_one_transform_each_way_per_explicit_evaluation(dim, scheme, fields,
     bg = Background.of(PhysParams(delta=0.1), EOS)
     st, _ = make_well_prepared(InitSpec(budget=0.5, seed=3),
                                g, bg)
-    solver = CompressibleSolver(g, bg,
-                                SolverConfig(dt=1e-3, t_end=1e-3,
-                                             scheme=scheme))
+    solver = CompressibleSolver(g, bg, 1e-3, scheme)
     X = solver.pack(st)
     transforms[0] = 0
     transforms[1].clear()
@@ -416,8 +407,7 @@ def test_explicit_evaluation_traced_peak_3d():
     for n, bound in ((16, 1.65), (48, 1.4)):
         g = SpectralGrid(dim=3, points_per_axis=n)
         st, _ = make_well_prepared(InitSpec(budget=0.5, seed=3), g, bg)
-        solver = CompressibleSolver(g, bg,
-                                    SolverConfig(dt=1e-3, t_end=1e-3))
+        solver = CompressibleSolver(g, bg, 1e-3)
         X = solver.pack(st)
         d = g.dim
         point_bytes = (d + 3 + d * d + 3 * d + 1) * np.zeros(g.shape).nbytes
@@ -430,15 +420,15 @@ def test_explicit_evaluation_traced_peak_3d():
         assert peak < bound * point_bytes, n
 
 
-def test_run_holds_no_point_values_across_a_step():
+def test_run_holds_no_point_values_across_a_step(monkeypatch):
     # the point values of an invariant check are dropped before the next
     # step: at each step's entry the run holds less than one (d + 3)-field
     # stack of them above its start
     g = SpectralGrid(dim=3, points_per_axis=16)
     bg = Background.of(PhysParams(delta=0.1), EOS)
     st, _ = make_well_prepared(InitSpec(budget=0.5, seed=3), g, bg)
-    solver = CompressibleSolver(g, bg, SolverConfig(
-        dt=1e-3, t_end=3e-3, positivity_interval=1))
+    monkeypatch.setattr(compressible, "CHECK_EVERY", 1)
+    solver = CompressibleSolver(g, bg, 1e-3)
     stack = (g.dim + 3) * np.zeros(g.shape).nbytes
     held, step = [], solver.step_spectral
 
@@ -450,7 +440,7 @@ def test_run_holds_no_point_values_across_a_step():
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        traj = solver.run(st)
+        traj = solver.run(st, 3e-3)
     finally:
         tracemalloc.stop()
     assert traj.status == "ok" and len(held) == 3
@@ -469,9 +459,8 @@ def test_radiation_relaxation_against_ode_oracle(grid):
     st = primitive(params, np.zeros(grid.shape), np.zeros((2,) + grid.shape),
                    np.full(grid.shape, z0), np.full(grid.shape, g0))
     dt, t_end = 1e-3, 0.3
-    solver = CompressibleSolver(grid, bg,
-                                SolverConfig(dt=dt, t_end=t_end, scheme="imex2"))
-    traj = solver.run(st, cadence=20,
+    solver = CompressibleSolver(grid, bg, dt, "imex2")
+    traj = solver.run(st, t_end, cadence=20,
                       observer=lambda X, t: (t, float(grid.ifft(X[3])[0, 0]),
                                              float(grid.ifft(X[4])[0, 0])))
     e_theta = 1.0
@@ -490,7 +479,7 @@ def test_radiation_relaxation_against_ode_oracle(grid):
         resid_prev = resid
 
 
-def test_run_aborts_and_reports_last_valid_time(grid):
+def test_run_aborts_and_reports_last_valid_time(grid, monkeypatch):
     # invariant violations end the run with an aborted report carrying the
     # last valid time instead of raising
     params = PhysParams(delta=0.5)
@@ -499,10 +488,9 @@ def test_run_aborts_and_reports_last_valid_time(grid):
     u = np.stack([50.0 + 0.1 * np.sin(x[0]), np.zeros(grid.shape)])
     zero = np.zeros(grid.shape)
     st = primitive(params, zero, u, zero, zero)
-    solver = CompressibleSolver(grid, bg,
-                                SolverConfig(dt=0.05, t_end=1.0,
-                                             positivity_interval=1))
-    traj = solver.run(st, cadence=1)
+    monkeypatch.setattr(compressible, "CHECK_EVERY", 1)
+    solver = CompressibleSolver(grid, bg, 0.05)
+    traj = solver.run(st, 1.0, cadence=1)
     assert traj.status == "aborted"
     assert traj.abort_time is not None
     assert "advective" in traj.abort_reason
@@ -520,9 +508,8 @@ def test_negative_radiation_points_counts_observations_below_zero():
     zero = np.zeros(grid.shape)
     st = primitive(params, zero, np.zeros((2,) + grid.shape), zero,
                    -1.3 * bump)
-    solver = CompressibleSolver(grid, bg,
-                                SolverConfig(dt=1e-3, t_end=0.3))
-    traj = solver.run(st, cadence=1,
+    solver = CompressibleSolver(grid, bg, 1e-3)
+    traj = solver.run(st, 0.3, cadence=1,
                       observer=lambda X, t: bool(np.min(
                           params.n_bar + grid.ifft(X[grid.dim + 2])) < 0.0))
     assert traj.status == "ok" and len(traj.records) == 301
@@ -537,9 +524,8 @@ def test_run_unpacks_each_state_once(grid, monkeypatch):
     st, _ = make_well_prepared(InitSpec(budget=0.5, seed=2),
                                grid, bg)
     nsteps = 5
-    solver = CompressibleSolver(grid, bg,
-                                SolverConfig(dt=1e-3, t_end=nsteps * 1e-3,
-                                             positivity_interval=1))
+    monkeypatch.setattr(compressible, "CHECK_EVERY", 1)
+    solver = CompressibleSolver(grid, bg, 1e-3)
     calls = [0]
 
     def counted(grid, X):
@@ -547,7 +533,7 @@ def test_run_unpacks_each_state_once(grid, monkeypatch):
         return unpack_state(grid, X)
 
     monkeypatch.setattr(compressible, "unpack_state", counted)
-    traj = solver.run(st, cadence=1)
+    traj = solver.run(st, nsteps * 1e-3, cadence=1)
     assert traj.status == "ok"
     assert len(traj.times) == nsteps + 1
     assert calls[0] == nsteps + 1
@@ -556,7 +542,7 @@ def test_run_unpacks_each_state_once(grid, monkeypatch):
 
 def test_run_validates_once_on_entry_and_once_per_check(monkeypatch):
     # the entry check of state0, then one per invariant check: at t = 0,
-    # every positivity_interval steps and after the last step
+    # every CHECK_EVERY steps and after the last step
     g = SpectralGrid(dim=2, points_per_axis=16)
     bg = Background.of(PhysParams(delta=0.1), EOS)
     st, _ = make_well_prepared(InitSpec(budget=0.5, seed=2),
@@ -571,11 +557,10 @@ def test_run_validates_once_on_entry_and_once_per_check(monkeypatch):
     monkeypatch.setattr(CompressibleState, "validate", counted)
     for nsteps, interval, checks in ((10, 3, 5), (9, 3, 4), (4, 1, 5),
                                      (3, 10, 2), (0, 2, 1)):
-        solver = CompressibleSolver(g, bg,
-                                    SolverConfig(dt=1e-3, t_end=nsteps * 1e-3,
-                                                 positivity_interval=interval))
+        monkeypatch.setattr(compressible, "CHECK_EVERY", interval)
+        solver = CompressibleSolver(g, bg, 1e-3)
         calls[0] = 0
-        traj = solver.run(st, cadence=2)
+        traj = solver.run(st, nsteps * 1e-3, cadence=2)
         assert traj.status == "ok"
         assert calls[0] == 1 + checks, (nsteps, interval)
 
@@ -590,9 +575,8 @@ def test_final_state_is_the_unpacked_stepped_state(monkeypatch, fail_at):
     st, _ = make_well_prepared(InitSpec(budget=0.5, seed=2),
                                g, bg)
     nsteps, interval = 6, 2
-    solver = CompressibleSolver(g, bg,
-                                SolverConfig(dt=1e-3, t_end=nsteps * 1e-3,
-                                             positivity_interval=interval))
+    monkeypatch.setattr(compressible, "CHECK_EVERY", interval)
+    solver = CompressibleSolver(g, bg, 1e-3)
     # validate runs on entry, at t = 0 and then at steps 2, 4, 6
     calls = [0]
     validate = CompressibleState.validate
@@ -604,7 +588,7 @@ def test_final_state_is_the_unpacked_stepped_state(monkeypatch, fail_at):
         validate(self, grid)
 
     monkeypatch.setattr(CompressibleState, "validate", failing)
-    traj = solver.run(st, cadence=1)
+    traj = solver.run(st, nsteps * 1e-3, cadence=1)
     stepped = fail_at if fail_at is not None else nsteps
     if fail_at is None:
         assert traj.status == "ok"
@@ -633,9 +617,8 @@ def test_non_finite_coefficient_aborts_on_the_failed_state(monkeypatch, at,
     st, _ = make_well_prepared(InitSpec(budget=0.5, seed=2),
                                g, bg)
     dt, interval = 1e-3, 5
-    solver = CompressibleSolver(g, bg,
-                                SolverConfig(dt=dt, t_end=12 * dt,
-                                             positivity_interval=interval))
+    monkeypatch.setattr(compressible, "CHECK_EVERY", interval)
+    solver = CompressibleSolver(g, bg, dt)
     step, steps = solver.step_spectral, []
 
     def poisoning(X):
@@ -647,7 +630,7 @@ def test_non_finite_coefficient_aborts_on_the_failed_state(monkeypatch, at,
     monkeypatch.setattr(solver, "step_spectral", poisoning)
     for cadence in (1, 100):
         steps.clear()
-        traj = solver.run(st, cadence=cadence,
+        traj = solver.run(st, 12 * dt, cadence=cadence,
                           observer=Collector(g, bg).observe)
         assert traj.status == "aborted", cadence
         assert "finite" in traj.abort_reason, traj.abort_reason
@@ -658,7 +641,8 @@ def test_non_finite_coefficient_aborts_on_the_failed_state(monkeypatch, at,
         assert not np.all(np.isfinite(traj.final_state[0]))
 
 
-def test_run_observes_checked_state_without_transforms(grid, transforms):
+def test_run_observes_checked_state_without_transforms(grid, transforms,
+                                                        monkeypatch):
     # at cadence 1 with a check every step, observing reuses the checked
     # state: outside the steps, run transforms only to pack the datum and
     # to unpack each state once
@@ -666,9 +650,8 @@ def test_run_observes_checked_state_without_transforms(grid, transforms):
     st, _ = make_well_prepared(InitSpec(budget=0.5, seed=2),
                                grid, bg)
     nsteps, fields = 4, grid.dim + 3
-    solver = CompressibleSolver(grid, bg,
-                                SolverConfig(dt=1e-3, t_end=nsteps * 1e-3,
-                                             positivity_interval=1))
+    monkeypatch.setattr(compressible, "CHECK_EVERY", 1)
+    solver = CompressibleSolver(grid, bg, 1e-3)
     in_steps = [0]
     step = solver.step_spectral
 
@@ -680,7 +663,7 @@ def test_run_observes_checked_state_without_transforms(grid, transforms):
 
     solver.step_spectral = counted_step
     transforms[0] = 0
-    traj = solver.run(st, cadence=1)
+    traj = solver.run(st, nsteps * 1e-3, cadence=1)
     assert traj.status == "ok" and len(traj.times) == nsteps + 1
     assert transforms[0] - in_steps[0] == fields * (nsteps + 2)
 
@@ -698,10 +681,9 @@ def test_run_takes_no_parseval_sum(grid, monkeypatch):
     bg = Background.of(PhysParams(delta=0.1), EOS)
     st, _ = make_well_prepared(InitSpec(budget=0.5, seed=2),
                                grid, bg)
-    solver = CompressibleSolver(grid, bg,
-                                SolverConfig(dt=1e-3, t_end=4e-3))
+    solver = CompressibleSolver(grid, bg, 1e-3)
     calls.clear()
-    traj = solver.run(st, cadence=1, observer=None)
+    traj = solver.run(st, 4e-3, cadence=1, observer=None)
     assert traj.status == "ok" and len(traj.times) == 5
     assert calls == []
 
@@ -718,10 +700,9 @@ def test_bundle_stays_bounded_by_initial(grid):
         g = SpectralGrid(dim=2, points_per_axis=n)
         st, _ = make_well_prepared(InitSpec(budget=0.5, seed=13),
                                    g, bg)
-        solver = CompressibleSolver(g, bg,
-                                    SolverConfig(dt=1e-3, t_end=1.0))
+        solver = CompressibleSolver(g, bg, 1e-3)
         coll = Collector(g, bg)
-        traj = solver.run(st, cadence=20, observer=coll.observe)
+        traj = solver.run(st, 1.0, cadence=20, observer=coll.observe)
         assert traj.status == "ok"
         cs[n] = (max(r.bundle_sup for r in traj.records)
                  / traj.records[0].bundle_sup)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rhdlab import diagnostics as diag
-from rhdlab.compressible import CompressibleSolver, SolverConfig
+from rhdlab.compressible import CompressibleSolver
 from rhdlab.fields import SpectralGrid
 from rhdlab.incompressible import IncompressibleSolver
 from rhdlab.initial import InitSpec, make_well_prepared
@@ -154,10 +154,9 @@ def test_collector_and_probe_shapes(grid):
     bg = Background.of(params, EOS)
     st, _ = make_well_prepared(InitSpec(budget=0.5, seed=5),
                                grid, bg)
-    solver = CompressibleSolver(grid, bg,
-                                SolverConfig(dt=1e-3, t_end=0.05))
+    solver = CompressibleSolver(grid, bg, 1e-3)
     coll = diag.Collector(grid, bg, seed=5)
-    traj = solver.run(st, cadence=5, observer=coll.observe)
+    traj = solver.run(st, 0.05, cadence=5, observer=coll.observe)
     recs = traj.records
     assert all(r.diss_u >= 0 and r.diss_theta >= 0 and r.diss_G >= 0
                for r in recs)
@@ -200,9 +199,8 @@ def test_collector_reference_errors_and_mismatch(grid):
         return coll.observe(X, t)
 
     coll = diag.Collector(grid, bg, reference=ref)
-    solver = CompressibleSolver(grid, bg,
-                                SolverConfig(dt=1e-3, t_end=0.02))
-    traj = solver.run(st, cadence=5, observer=observer)
+    solver = CompressibleSolver(grid, bg, 1e-3)
+    traj = solver.run(st, 0.02, cadence=5, observer=observer)
     assert traj.status == "ok" and len(traj.records) == 5
     w1 = grid.sobolev_weight(1)
     want = []

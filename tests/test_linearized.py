@@ -173,6 +173,16 @@ def test_coefficient_bounds_enforced():
             make_problem(grid, wave, 0.05)
 
 
+def test_unknown_scheme_is_refused_by_the_stepper():
+    # the probe has no scheme check of its own: the stepper's ValueError,
+    # which lists the schemes, is raised before anything is factored
+    grid = SpectralGrid(dim=2, points_per_axis=8)
+    bg = Background.of(PhysParams(delta=0.1), EOS)
+    with pytest.raises(ValueError, match="imex1"):
+        solve_linearized(grid, make_problem(grid, 0.0, 0.05), bg, dt=1e-2,
+                         scheme="rk4")
+
+
 def test_constant_uniformity_small_grid():
     # quick two-point Mach check of the estimate constant's stability
     grid = SpectralGrid(dim=2, points_per_axis=32)

@@ -86,7 +86,8 @@ def test_schedule_times_and_observations():
     (1.0, 0.0, 1, "dt"), (1.0, -1e-3, 1, "dt"), (1.0, float("nan"), 1, "dt"),
     (1.0, 0.1, 0, "cadence"),
     (1.0, 1e-30, 1, "steps"), (1e300, 1e-300, 1, "steps"),
-    (float("nan"), 0.1, 1, "steps")])
+    (float("nan"), 0.1, 1, "steps"),
+    (-1.0, 0.1, 1, "t_end"), (float("nan"), 0.1, 1, "t_end")])
 def test_schedule_refuses_before_any_step(t_end, dt, cadence, match):
     with pytest.raises(ValueError, match=match):
         schedule(t_end, dt, cadence)

@@ -97,7 +97,7 @@ def test_budget_zero_run(tmp_path):
 def test_summary_sups_match_point_value_oracle():
     # the summary's sups in time against the L2 norms of the point values
     # of every observed state, and against the rows' bundles
-    from rhdlab.compressible import CompressibleSolver, SolverConfig
+    from rhdlab.compressible import CompressibleSolver
     from rhdlab.diagnostics import Collector
     from rhdlab.initial import InitSpec, make_well_prepared
     from rhdlab.sweep import _traj_summary
@@ -107,7 +107,7 @@ def test_summary_sups_match_point_value_oracle():
     d = grid.dim
     st, _ = make_well_prepared(InitSpec(budget=0.5, seed=3),
                                grid, bg)
-    cfg = SolverConfig(dt=2e-3, t_end=0.012)
+    solver = CompressibleSolver(grid, bg, 2e-3)
     coll, norms = Collector(grid, bg), []
 
     def observer(X, t):
@@ -116,10 +116,9 @@ def test_summary_sups_match_point_value_oracle():
         norms.append((l2(x[0]) + l2(x[d + 1]), l2(x[d + 2]), l2(x[1:1 + d])))
         return coll.observe(X, t)
 
-    traj = CompressibleSolver(grid, bg, cfg).run(
-        st, cadence=1, observer=observer)
+    traj = solver.run(st, 0.012, cadence=1, observer=observer)
     assert traj.status == "ok" and len(traj.records) >= 5
-    summary = _traj_summary(traj, None, cfg, bg.delta)
+    summary = _traj_summary(traj, None, solver, bg.delta)
     want = np.max(norms, axis=0)
     for key, value in zip(("density_temperature", "radiation", "velocity"),
                           want):
@@ -248,6 +247,21 @@ def test_identity_suite_passes_at_128_points():
     bg = cfg.build_background()
     results = run_identity_suite(SpectralGrid(dim=2, points_per_axis=128), bg,
                                  seed=cfg.get("init", "seed"))
+    assert [r.name for r in results if not r.passed] == []
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "undealiased, momentum-form-rhs reads 1.022e-07 at 16^2 and 2.209e-08 "
+    "at 16^3 against its 1e-10 tolerance (2.5e-12 at 24^2, 7.7e-12 at 24^3)"))
+@pytest.mark.parametrize("dim", [2, 3])
+def test_undealiased_identity_suite_passes_at_16_points(dim):
+    # the command's own set-up with dealias = false: on the whole half
+    # spectrum the momentum form's products of the random fields alias at
+    # 16 points per axis
+    cfg = default_config()
+    bg = cfg.build_background()
+    grid = SpectralGrid(dim=dim, points_per_axis=16, dealias=False)
+    results = run_identity_suite(grid, bg, seed=cfg.get("init", "seed"))
     assert [r.name for r in results if not r.passed] == []
 
 
@@ -693,6 +707,48 @@ dt = 0.002
     assert set(spread) == {"constant", "standing-wave"}
     lin_csv = (tmp_path / "lin" / "linearized.csv").read_text().splitlines()
     assert all(row.split(",")[-1] == "linearized" for row in lin_csv[2:])
+
+
+GRID16X3 = """
+[grid]
+dim = 3
+points_per_axis = 16
+
+[solver]
+dt = 0.002
+t_end = 0.01
+
+[linearized]
+deltas = 0.2,0.1
+t_end = 0.01
+dt = 0.002
+
+[output]
+cadence = 1
+"""
+
+
+@pytest.mark.parametrize("command, rows", [("reference", 6),
+                                           ("linearized", 4)])
+def test_3d_command_writes_finite_rows(tmp_path, capsys, command, rows):
+    # 5 steps at 16^3 with seed 0: the reference observes each of its 6
+    # states, the probe reports one row per delta and family.  Neither
+    # command has a reference to compare with, so only its error columns
+    # are NaN
+    cfgfile = write_config(tmp_path / "d3.ini", GRID16X3)
+    out = tmp_path / "out"
+    assert cli_main([command, "--config", cfgfile, "--out", str(out),
+                     "--seed", "0"]) == 0
+    capsys.readouterr()
+    lines = (out / OUTPUTS[command][0]).read_text().splitlines()
+    header, body = lines[1].split(","), [r.split(",") for r in lines[2:]]
+    assert len(body) == rows
+    for row in body:
+        assert row[-1] == command
+        values = dict(zip(header[:-1], map(float, row[:-1])))
+        assert all(np.isnan(values.pop(k))
+                   for k in ("ref_error_L2", "ref_error_H1"))
+        assert all(np.isfinite(v) for v in values.values()), values
 
 
 def test_standing_wave_at_zero_amplitude_is_the_constant_family(tmp_path,
