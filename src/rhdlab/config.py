@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from . import incompressible, steppers
+from . import steppers
 from .fields import SpectralGrid
 from .initial import _MODES, InitSpec
 from .model import Background, IdealGasEOS, ParameterError, PhysParams
@@ -152,8 +152,6 @@ _SCHEMA = {
                    _choice(*steppers.SCHEMES)),
         "with_reference": ("false", "also run the incompressible reference",
                            _boolean),
-        "ns_scheme": ("cn", "reference diffusion: 'cn' or 'be'",
-                      _choice(*incompressible.SCHEMES)),
     },
     "diagnostics": {
         "order": ("3", "Sobolev order of the norm bundle", _NONNEGATIVE_INT),
@@ -177,10 +175,6 @@ _SCHEMA = {
         "dt": ("0.001", "probe time step, > 0", _POSITIVE),
         "norm_order": ("2", "Sobolev order of the probe norms",
                        _NONNEGATIVE_INT),
-        "c0": ("1.0", "exponent constant reported with the estimate",
-               _FINITE),
-        "amplitude": ("0.05", "amplitude of the random probe data, > 0",
-                      _POSITIVE),
     },
     "output": {
         "dir": ("out", "output directory", str),
@@ -196,11 +190,18 @@ _SCHEMA = {
 }
 
 # Keys retired since: a file that still sets one fails to load with its
-# note, which says where the value went.
+# note, which says where the value went or why it has none.
 _RETIRED = {
-    "linearized.forcing": "it is now linearized.amplitude",
+    "linearized.forcing": "it became linearized.amplitude, since retired: "
+                          "the probe is linear",
+    "linearized.amplitude": "the probe is linear: its constants do not depend "
+                            "on the size of its data",
+    "linearized.c0": "exp(c0*L) entered the right side alike at every delta, "
+                     "so max_over_min cancels it; the exponent's constant is 1",
     "params.n_bar": "n_bar is derived: sigma_tilde*theta_bar^4/sigma_a",
     "eos.kind": "the gas law is the ideal gas P = R*rho*theta, e = c_v*theta",
+    "solver.ns_scheme": "the incompressible reference has one diffusion "
+                        "scheme, Crank-Nicolson",
 }
 
 

@@ -13,8 +13,8 @@ part of :func:`rhdlab.compressible.rhs_momentum_form`: a transverse
 diffusion rate and one 4x4 longitudinal block per ``|k|^2`` shell.
 
 :func:`check_estimate` accumulates both sides of the a priori bound (scaled
-norms plus dissipation integrals against the initial data, times an
-exponential of the coefficient size) and reports the ratio constant; the
+norms plus dissipation integrals against the initial data, times the
+exponential of the coefficient's load) and reports the ratio constant; the
 constants are existential, so only their stability across a Mach sweep is
 meaningful.
 """
@@ -163,21 +163,23 @@ class EstimateReport:
     lhs_sup: float
 
 
-def check_estimate(traj: LinearizedTrajectory, c0: float = 1.0) -> EstimateReport:
+def check_estimate(traj: LinearizedTrajectory) -> EstimateReport:
     """Ratio of the accumulated left side to the constant-free right side.
 
     LHS(t) = bundle(t) + cumulative dissipation; RHS = bundle(0) * [1 +
-    exp(c0 * L) * L] with L the integral of ``1 + |A|^2``.  The returned
-    ``constant`` estimates the leading constant; with zero data it is
-    defined as 0.  A right side that is not finite raises
+    exp(L) * L] with the load L the integral of ``1 + |A|^2``.  The
+    returned ``constant`` estimates the leading constant; with zero data it
+    is defined as 0.  A right side that is not finite raises
     :class:`rhdlab.model.DomainError`.
     """
     lhs = max(b + cd for b, cd in zip(traj.bundles, traj.cum_dissipation))
     bundle0 = traj.bundles[0]
     load = traj.cum_coeff_load[-1]
+    if bundle0 == 0.0:  # zero data, also under a load past the range of exp
+        return EstimateReport(0.0, lhs)
     with np.errstate(over="ignore"):
-        rhs = bundle0 * (1.0 + np.exp(min(c0 * load, 700.0)) * load)
+        rhs = bundle0 * (1.0 + np.exp(load) * load)
     if not np.isfinite(rhs):
-        raise DomainError(f"the right side {bundle0:.6g} * (1 + exp({c0:g} * "
-                          f"{load:.6g}) * {load:.6g}) is not finite")
-    return EstimateReport(0.0 if rhs == 0.0 else lhs / rhs, lhs)
+        raise DomainError(f"the right side {bundle0:.6g} * (1 + exp(L) * L) "
+                          f"at the load L = {load:.6g} is not finite")
+    return EstimateReport(lhs / rhs, lhs)

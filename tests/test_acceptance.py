@@ -126,7 +126,7 @@ def test_criterion_03_equilibrium_fixed_point(grid64):
 
 def test_criterion_04_taylor_green(grid64):
     start = time.time()
-    ns = IncompressibleSolver(grid64, mu_bar=0.1, rho_bar=1.0, scheme="cn")
+    ns = IncompressibleSolver(grid64, mu_bar=0.1, rho_bar=1.0)
     traj = ns.run(taylor_green_velocity(grid64, 0.1, 0.0), dt=1e-3, t_end=1.0,
                   cadence=1000)
     u = grid64.ifft(traj.uhats[-1])
@@ -223,7 +223,7 @@ def test_criterion_10_linearized_uniformity(grid64):
                 init_drad=np.sqrt(delta) * 0.05 * shapes[4],
                 horizon=0.5, norm_order=2)
             traj = solve_linearized(grid64, problem, bg, dt=1e-3)
-            consts.append(check_estimate(traj, c0=1.0).constant)
+            consts.append(check_estimate(traj).constant)
         spread = max(consts) / min(consts)
         ok = ok and spread < 4.0
         detail.append(f"{label} {spread:.2f}")

@@ -105,24 +105,40 @@ def test_check_estimate_hand_arithmetic():
     traj = LinearizedTrajectory(times=[0.0, 0.5, 1.0], bundles=[2.0, 3.0, 1.0],
                                 cum_dissipation=[0.0, 1.0, 4.0],
                                 cum_coeff_load=[0.0, 0.25, 0.5])
-    rep = check_estimate(traj, c0=2.0)
-    # LHS = bundle + dissipation = 2, 4, 5; RHS = 2*(1 + e^(2*0.5)*0.5)
+    rep = check_estimate(traj)
+    # LHS = bundle + dissipation = 2, 4, 5; RHS = 2*(1 + e^0.5*0.5)
     assert rep.lhs_sup == pytest.approx(5.0, rel=1e-15)
-    assert rep.constant == pytest.approx(5.0 / (2.0 * (1.0 + 0.5 * np.e)),
-                                         rel=1e-15)
+    assert rep.constant == pytest.approx(
+        5.0 / (2.0 * (1.0 + 0.5 * np.exp(0.5))), rel=1e-15)
     zero = LinearizedTrajectory(times=[0.0], bundles=[0.0], cum_dissipation=[0.0],
                                 cum_coeff_load=[0.0])
     assert check_estimate(zero).constant == 0.0
 
 
 def test_check_estimate_refuses_an_overflowing_right_side():
-    # a finite bundle times the capped exponential e^700 ~ 1e304 overflows:
-    # an error, not a constant of 0 against an infinite right side
+    # e^1000 overflows: an error, not a constant of 0 against an infinite
+    # right side
     traj = LinearizedTrajectory(times=[0.0, 1.0], bundles=[1e10, 1e10],
                                 cum_dissipation=[0.0, 1.0],
                                 cum_coeff_load=[0.0, 1e3])
     with pytest.raises(DomainError, match="not finite"):
         check_estimate(traj)
+
+
+def test_check_estimate_takes_the_exponential_of_the_whole_load():
+    # a load of 702 is within exp's range: the right side is
+    # 1 + e^702 * 702, not an exponential clamped below it; and zero data
+    # give the constant 0 under a load past exp's range
+    traj = LinearizedTrajectory(times=[0.0, 1.0], bundles=[1.0, 1.0],
+                                cum_dissipation=[0.0, 1e300],
+                                cum_coeff_load=[0.0, 702.0])
+    rep = check_estimate(traj)
+    assert rep.constant == pytest.approx(
+        (1.0 + 1e300) / (1.0 + np.exp(702.0) * 702.0), rel=1e-14, abs=0.0)
+    zero = LinearizedTrajectory(times=[0.0, 1.0], bundles=[0.0, 0.0],
+                                cum_dissipation=[0.0, 0.0],
+                                cum_coeff_load=[0.0, 1e3])
+    assert check_estimate(zero).constant == 0.0
 
 
 def test_solution_map_is_additive():

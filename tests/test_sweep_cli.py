@@ -343,6 +343,8 @@ def test_cli_exit_codes_and_commands(tmp_path, capsys):
             ("linearized", "[output]\ncadence = 0\n", "output.cadence"),
             ("linearized", "[linearized]\namplitude = 0\n",
              "linearized.amplitude"),
+            ("linearized", "[linearized]\nc0 = 2\n",
+             "linearized.c0 is no longer a key"),
             # a retired key fails to load, naming where its value went
             ("linearized", "[linearized]\nforcing = 0.05\n",
              "linearized.amplitude"),
@@ -410,6 +412,15 @@ def test_cli_exit_codes_and_commands(tmp_path, capsys):
             ("linearized", "[grid]\npoints_per_axis = 16\n[linearized]\n"
                            "t_end = 0.002\nnorm_order = 146\n",
              "linearized.norm_order"),
+            # the dissipation weights overflow through the extent's |k|^2
+            ("linearized", "[grid]\npoints_per_axis = 16\nextent = 8e-153\n"
+                           "[diagnostics]\norder = 0\n[init]\nnorm_order = 0\n"
+                           "[linearized]\nt_end = 0.002\nnorm_order = 0\n",
+             "grid.extent"),
+            # the load, the integral of 1 + |A|^2, grows with the box volume
+            ("linearized", "[grid]\npoints_per_axis = 16\nextent = 1e100\n"
+                           "[linearized]\nt_end = 0.002\nnorm_order = 0\n",
+             "grid.extent"),
             # the probe's squared norms overflow, or underflow to zero
             ("linearized", "[grid]\npoints_per_axis = 16\n[linearized]\n"
                            "t_end = 0.004\ndt = 0.002\namplitude = 1e300\n",
