@@ -131,18 +131,19 @@ def _derivatives(grid, X, a, b):
     d x_j`` and the viscous term ``visc_v = a lap(v) + b grad(div v)``
     formed on the coefficients.  Every field but ``div_v`` is a view into
     one point-value array, ``[state, grad(n, v, z), visc, lap z]``, filled
-    by one inverse transform of the state, the gradients of ``(n, v, z)``
+    by the inverse transform of the state, the gradients of ``(n, v, z)``
     through :meth:`rhdlab.fields.SpectralGrid.jacobian` (``d`` fields per
-    transform) and one transform of ``(visc, lap z)``, so no transform is
-    larger than the state.
+    transform) and the transform of ``(visc, lap z)``, so no transform is
+    larger than the state.  Each group of fields a transform call takes is
+    written straight into the array, copied once.
     """
     g, d, vhat = grid, grid.dim, X[1:1 + grid.dim]
     x = np.empty(((d + 2) ** 2,) + g.shape)  # d + 3 + (d + 2) d + d + 1
-    x[:d + 3] = g.ifft(X)
+    g._ifft_into(X, x[:d + 3])
     grads = g.jacobian(X[:d + 2], out=x[d + 3:-(d + 1)].reshape(
         (d + 2, d) + g.shape))
     visc_hat = b * g.ik * g.divergence(vhat) - a * g.ksq * vhat
-    x[-(d + 1):] = g.ifft(np.concatenate([visc_hat, [-g.ksq * X[d + 1]]]))
+    g._ifft_into(np.concatenate([visc_hat, [-g.ksq * X[d + 1]]]), x[-(d + 1):])
     jac = grads[1:1 + d]
     return (x[0], x[1:1 + d], x[d + 1], x[d + 2], grads[0], jac,
             x[-(d + 1):-1], np.trace(jac, axis1=0, axis2=1), grads[d + 1],

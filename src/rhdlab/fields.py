@@ -112,6 +112,7 @@ class SpectralGrid:
         cut = n // 3 if self.dealias else n // 2
         ints = np.fft.fftfreq(n, d=1.0 / n)
         lead, last = ints[np.abs(ints) <= cut], np.arange(cut + 1)
+        self.lead_modes = lead.astype(int)  # the box rows of a leading axis
         self.spectral_shape = (len(lead),) * (dim - 1) + (cut + 1,)
         axes = np.meshgrid(*([lead] * (dim - 1)), last, indexing="ij")
         self.k = (2.0 * np.pi / self.extent) * np.stack(axes)  # (dim, *spectral_shape)
@@ -177,6 +178,14 @@ class SpectralGrid:
             return _fft.irfftn(half[:len(g)], s=self.shape, axes=self._fft_axes)
         return self._grouped(fhat, self.shape, float, pad)
 
+    def _ifft_into(self, fhat: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """:meth:`ifft` of a stack with one leading axis written into
+        ``out``, one call per group of at most ``_group`` fields, so each
+        group's transform is copied once, straight into ``out``."""
+        for i in range(0, len(fhat), self._group):
+            out[i:i + self._group] = self.ifft(fhat[i:i + self._group])
+        return out
+
     def _grouped(self, x, shape, dtype, transform):
         """``transform`` of the stack ``x``, flattened to ``(fields,
         *spatial)``, in calls of at most ``_group`` fields: the fields whose
@@ -206,13 +215,14 @@ class SpectralGrid:
 
         Each field takes one inverse transform of its ``dim`` derivatives,
         formed in one ``dim``-field coefficient buffer, so no call is larger
-        than a vector field.  The result is written into ``out`` when given.
+        than a vector field, and written group by group into the result
+        (:meth:`_ifft_into`), or into ``out`` when given.
         """
         if out is None:
             out = np.empty((len(fhat), self.dim) + self.shape)
         c = np.empty_like(self.ik)
         for f, grad in zip(fhat, out):
-            grad[:] = self.ifft(np.multiply(self.ik, f, out=c))
+            self._ifft_into(np.multiply(self.ik, f, out=c), grad)
         return out
 
     def divergence(self, fhat: np.ndarray) -> np.ndarray:

@@ -12,6 +12,17 @@ of :func:`rhdlab.steppers.split_symbol` (relative-density slot), the linear
 part of :func:`rhdlab.compressible.rhs_momentum_form`: a transverse
 diffusion rate and one 4x4 longitudinal block per ``|k|^2`` shell.
 
+A step makes no transform.  The fluctuation ``A - 1`` is a profile of
+``x_0`` alone, and the DFT of a sampled product is the circular convolution
+of the two DFTs, so the fluctuation times the viscous flux, taken on point
+values and transformed back to the dealias box, is one small matrix along
+the box rows of ``x_0`` applied to the flux's coefficients: the same term,
+aliasing included, at every extent, dealiased or not.  The coefficient's
+load ``1 + |A|^2_{H^no}`` is the quadratic ``1 + q0 + 2 s q1 + s^2 q2`` in
+``s = sin(t)``, its three Parseval sums taken once from one transform of
+the profile.  The dissipation rate and the observed bundle come from one
+Parseval density of the state and its exchange term per step.
+
 :func:`check_estimate` accumulates both sides of the a priori bound (scaled
 norms plus dissipation integrals against the initial data, times the
 exponential of the coefficient's load) and reports the ratio constant; the
@@ -22,12 +33,13 @@ meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .diagnostics import bundle_factors
 from .fields import SpectralGrid
-from .model import Background, DomainError, planck_linear
+from .model import Background, DomainError, PhysParams, planck_linear
 from .steppers import (ImexStepper, pack_state, schedule, split_symbol,
                        unpack_state)
 
@@ -63,6 +75,60 @@ class LinearizedTrajectory:
     states: list = field(default_factory=list)   # (nrel, mom, dtheta, drad)
 
 
+def _standing_wave(grid: SpectralGrid, params: PhysParams, wave: float,
+                   norm_order: int):
+    """The coefficient ``A = 1 + wave sin(x_0) sin(t)`` in spectral form,
+    built once: ``(tendency, load)`` with ``tendency(s, X)`` the momentum
+    tendency of the fluctuation ``A - 1`` on packed coefficients ``X`` and
+    ``load(s)`` the load ``1 + |A|^2_{H^norm_order}``, both at ``s =
+    sin(t)``.  Neither transforms a field.
+
+    ``A - 1 = s * shape`` with ``shape = wave sin(x_0)`` a profile of
+    ``x_0`` alone: on the whole half spectrum its coefficients vanish off
+    the line ``k_1 = ... = 0``, where they are ``n**(dim - 1)`` times its
+    DFT ``S`` along ``x_0``.  The DFT of a sampled product is the circular
+    convolution of the two DFTs, so the product with ``shape``, taken on
+    point values and transformed back to the box, is the ``(rows, rows)``
+    matrix ``K[r, r'] = S((k_0(r) - k_0(r')) mod n) / n`` along the box
+    rows of ``x_0``: exact, aliasing included, for every extent.  The load
+    is ``1 + q0 + 2 s q1 + s^2 q2``, with ``q0``, ``q1`` and ``q2`` the
+    Parseval sums of ``|1|^2``, ``1 * shape`` and ``|shape|^2`` on the whole
+    half spectrum.
+    """
+    d, n = grid.dim, grid.n
+    whole = grid.whole()
+    shape_hat = whole.fft(wave * np.sin(grid.grid_points()[0]))
+    rows = grid.lead_modes
+    K = shape_hat[(slice(None),) + (0,) * (d - 1)][
+        np.subtract.outer(rows, rows) % n] / n ** d
+
+    # the mean 1 is the coefficient n**d at k = 0, where the weight is 1
+    q0 = whole.volume
+    q1 = float(whole.volume * shape_hat[(0,) * d].real / n ** d)
+    w = whole.sobolev_weight(norm_order)
+    q2 = float(np.sum(whole.norm_sq(shape_hat, w)))
+
+    def load(s):
+        return 1.0 + q0 + 2.0 * s * q1 + s * s * q2
+
+    mu_ik, mu_lam = params.mu_bar * grid.ik, params.mu_bar + params.lam_bar
+
+    def tendency(s, X):
+        # the divergence over j of (A - 1) (mu_bar d_j m_i
+        # + (lam + mu)_bar div(m) delta_ij), the flux taken along x_0 by K
+        N = np.zeros_like(X)
+        if wave != 0.0:
+            m = X[1:1 + d]
+            flux = mu_ik * m[:, None]
+            flux[range(d), range(d)] += mu_lam * grid.divergence(m)
+            flux = np.matmul(K, flux.reshape(d * d, len(rows), -1))
+            N[1:1 + d] = s * grid.divergence(
+                flux.reshape((d, d) + grid.spectral_shape))
+        return N
+
+    return tendency, load
+
+
 def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
                      bg: Background, dt: float,
                      scheme: str = "imex1", cadence: int = 1,
@@ -82,61 +148,45 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
     pr, d, no = bg.params, grid.dim, problem.norm_order
     d2 = pr.delta ** 2
 
-    # the coefficient is point values, normed on the whole half spectrum
-    whole = grid.whole()
     stepper = ImexStepper(scheme, split_symbol(grid, bg, relative_density=True),
                           dt)
-    constant = problem.wave == 0.0
-    shape = problem.wave * np.sin(grid.grid_points()[0])
+    tendency, load = _standing_wave(grid, pr, problem.wave, no)
 
-    def level(t):
-        """Fluctuation ``A - 1`` and load ``1 + |A|^2_{H^no}`` of the
-        coefficient sampled once at time level ``t``: the load closes the
-        step ending at ``t`` and the fluctuation drives the next one."""
-        A = 1.0 + shape * np.sin(t)
-        return A - 1.0, 1.0 + whole.sobolev_norm(A, no) ** 2
-
-    def explicit_at(ap):
-        def explicit(X):
-            N = np.zeros_like(X)
-            if not constant:
-                # ap * (mu_bar d_j m_i + (lam+mu)_bar div(m) delta_ij), whose
-                # divergence over j is the momentum tendency
-                jac = grid.jacobian(X[1:1 + d])
-                flux = pr.mu_bar * jac
-                flux[range(d), range(d)] += ((pr.mu_bar + pr.lam_bar)
-                                             * np.trace(jac, axis1=0, axis2=1))
-                N[1:1 + d] += grid.divergence(grid.fft(ap * flux))
-            return N
-        return explicit
-
-    # Parseval weights per slot of X: the dissipation rate takes gradients
-    # of nrel in H^(no-1), of the rest in H^no, and the exchange term in H^no;
-    # a finite H^no weight can still overflow once divided by delta^2
+    # Parseval weights per slot of [X, exchange]: the dissipation rate takes
+    # gradients of nrel in H^(no-1), of the rest of X in H^no, and the
+    # exchange term in H^no; the bundle takes X in H^no.  A finite H^no
+    # weight can still overflow once divided by delta^2
     w_no = grid.sobolev_weight(no)
     with np.errstate(over="ignore", invalid="ignore"):
-        w_diss = grid.ksq * np.stack([grid.sobolev_weight(max(no - 1, 0)) / d2]
-                                     + [w_no] * d + [w_no / d2] * 2)
+        w_diss = np.concatenate([
+            grid.ksq * np.stack([grid.sobolev_weight(max(no - 1, 0)) / d2]
+                                + [w_no] * d + [w_no / d2] * 2),
+            [w_no / d2]])
     if not np.all(np.isfinite(w_diss)):
         raise DomainError(f"the H^{no} dissipation weights overflow")
     bundle = bundle_factors(d, pr.delta)
+    spatial = tuple(range(1, d + 1))
 
-    def diss_rate(X):
+    def density(X):
+        """The Parseval density of ``[X, exchange]``, every slot unweighted."""
         exch = planck_linear(X[d + 1], X[d + 2], pr)
-        return float(np.sum(grid.norm_sq(X, w_diss))
-                     + grid.norm_sq(exch, w_no) / d2)
+        sq = np.abs(np.concatenate([X, [exch]]))
+        sq *= sq
+        return grid.parseval_density(sq)
 
     X = pack_state(grid, problem.init_nrel, problem.init_mom,
                    problem.init_dtheta, problem.init_drad)
 
     traj = LinearizedTrajectory()
     cum_d = cum_a = 0.0
-    ap, load = level(0.0)
-    prev = (diss_rate(X), load)
+    s = 0.0
+    dens = density(X)
+    prev = (float(np.sum(dens * w_diss)), load(s))
 
     def observe(t):
         traj.times.append(t)
-        traj.bundles.append(float(bundle @ grid.norm_sq(X, w_no)))
+        traj.bundles.append(float(bundle @ np.sum(dens[:-1] * w_no,
+                                                  axis=spatial)))
         traj.cum_dissipation.append(cum_d)
         traj.cum_coeff_load.append(cum_a)
         if keep_states:
@@ -144,10 +194,12 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
 
     observe(0.0)
     for t1, seen, _ in steps:
-        X = stepper.step(X, explicit_at(ap))
-        if not constant:  # a constant family keeps its level-0 load
-            ap, load = level(t1)
-        cur = (diss_rate(X), load)
+        # the fluctuation at the step's start drives it; the load at its
+        # end closes it
+        X = stepper.step(X, partial(tendency, s))
+        s = float(np.sin(t1))
+        dens = density(X)
+        cur = (float(np.sum(dens * w_diss)), load(s))
         cum_d += 0.5 * dt * (prev[0] + cur[0])
         cum_a += 0.5 * dt * (prev[1] + cur[1])
         prev = cur

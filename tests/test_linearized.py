@@ -4,7 +4,8 @@ from scipy.linalg import expm
 
 from rhdlab.fields import SpectralGrid
 from rhdlab.linearized import (LinearizedProblem, LinearizedTrajectory,
-                               check_estimate, solve_linearized)
+                               _standing_wave, check_estimate,
+                               solve_linearized)
 from rhdlab.model import Background, DomainError, IdealGasEOS, PhysParams
 
 EOS = IdealGasEOS()
@@ -234,3 +235,77 @@ def test_standing_wave_builds_nodes_once(monkeypatch):
     solve_linearized(grid, make_problem(grid, 0.5, 0.01),
                      Background.of(PhysParams(delta=0.1), EOS), dt=1e-3)
     assert calls[0] <= 1
+
+
+def point_value_tendency(grid, params, wave, t, X):
+    # the fluctuation's momentum tendency the long way: the flux's point
+    # values times A - 1 = wave sin(x_0) sin(t), transformed back to the box
+    d = grid.dim
+    jac = grid.jacobian(X[1:1 + d])
+    flux = params.mu_bar * jac
+    flux[range(d), range(d)] += ((params.mu_bar + params.lam_bar)
+                                 * np.trace(jac, axis1=0, axis2=1))
+    ap = wave * np.sin(grid.grid_points()[0]) * np.sin(t)
+    N = np.zeros_like(X)
+    N[1:1 + d] = grid.divergence(grid.fft(ap * flux))
+    return N
+
+
+@pytest.mark.parametrize("dim,n", [(2, 16), (2, 24), (3, 12), (3, 16)])
+@pytest.mark.parametrize("extent", [2.0 * np.pi, 3.0])
+@pytest.mark.parametrize("dealias", [True, False])
+def test_fluctuation_convolution_matches_point_values(dim, n, extent, dealias):
+    # the product with a profile of x_0 is a circular convolution along k_0:
+    # exact, aliasing included, also where sin(x_0) is not periodic
+    grid = SpectralGrid(dim=dim, points_per_axis=n, extent=extent,
+                        dealias=dealias)
+    params = PhysParams(delta=0.1, mu=0.13, lam=0.07)
+    rng = np.random.default_rng(11)
+    X = grid.fft(rng.standard_normal((dim + 3,) + grid.shape))
+    tendency, _ = _standing_wave(grid, params, 0.7, 2)
+    for t in (0.3, 2.0):
+        want = point_value_tendency(grid, params, 0.7, t, X)
+        got = tendency(np.sin(t), X)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("extent", [2.0 * np.pi, 3.0])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_closed_form_load_matches_the_coefficient_norm(extent, order):
+    # 1 + |A|^2 in H^order from three sums taken once, against the norm of
+    # the sampled coefficient on the whole half spectrum
+    grid = SpectralGrid(dim=2, points_per_axis=16, extent=extent)
+    _, load = _standing_wave(grid, PhysParams(delta=0.1), 0.5, order)
+    shape = 0.5 * np.sin(grid.grid_points()[0])
+    whole = grid.whole()
+    for t in (0.0, 0.4, 1.3, 2.9, -0.8):
+        want = 1.0 + whole.sobolev_norm(1.0 + shape * np.sin(t), order) ** 2
+        assert load(np.sin(t)) == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+def test_standing_wave_steps_make_no_transform(monkeypatch):
+    # every transform is set-up: a solve of ten steps makes as many
+    # fft/ifft calls as one of none
+    grid = SpectralGrid(dim=2, points_per_axis=16)
+    bg = Background.of(PhysParams(delta=0.1), EOS)
+    rng = np.random.default_rng(4)
+    data = [grid.mask(rng.standard_normal(grid.shape)) for _ in range(5)]
+    calls = [0]
+
+    def counted(method):
+        def call(self, f):
+            calls[0] += 1
+            return method(self, f)
+        return call
+
+    monkeypatch.setattr(SpectralGrid, "fft", counted(SpectralGrid.fft))
+    monkeypatch.setattr(SpectralGrid, "ifft", counted(SpectralGrid.ifft))
+    counts = []
+    for horizon in (0.0, 0.01):
+        calls[0] = 0
+        problem = make_problem(grid, 0.5, horizon, init_nrel=data[0],
+                               init_mom=np.stack(data[1:3]),
+                               init_dtheta=data[3], init_drad=data[4])
+        traj = solve_linearized(grid, problem, bg, dt=1e-3)
+        counts.append(calls[0])
+    assert len(traj.times) == 11 and counts[1] == counts[0]
