@@ -11,13 +11,19 @@ on the dealias box of shape ``grid.spectral_shape``.  With ``c = n // 3``
 the box holds the modes with every ``|k_i| <= c`` and ``k_last >= 0``,
 ``(2c + 1,) * (dim - 1) + (c + 1,)``, in ``rfftn`` order with the negative
 frequencies wrapped; without dealiasing it is the whole ``rfftn`` half
-spectrum, ``(n,) * (dim - 1) + (n // 2 + 1,)``.  ``fft`` crops the
-``rfftn`` output to the box and ``ifft`` zero-pads the box back, so the
-crop is the 2/3-rule filter and every coefficient array is as small as the
-rule allows.  Each mode left out with ``k_last < 0`` is the complex
-conjugate of a kept one, so a Parseval sum counts a kept mode twice
-(``grid.multiplicity``), except on the ``k_last = 0`` and ``k_last = n/2``
-planes, which hold their own conjugates and count once.
+spectrum, ``(n,) * (dim - 1) + (n // 2 + 1,)``.  The transforms are
+``numpy.fft`` 1-D passes pruned to the box: ``fft`` runs ``rfft`` along the
+last axis and keeps ``c + 1`` columns, then ``fft`` along each leading axis
+in turn, from the last, over the box rows of the axes already transformed
+only; ``ifft`` runs the same passes backwards, each leading axis zero-padded
+from its box rows in one reused pad buffer, and ``irfft`` pads the last
+axis itself.  The crop is the 2/3-rule filter, every coefficient array is
+as small as the rule allows, and every value is bit for bit the cropped
+``numpy.fft.rfftn``, or the ``irfftn`` of the zero-padded half spectrum.
+Each mode left out with ``k_last < 0`` is the complex conjugate of a kept
+one, so a Parseval sum counts a kept mode twice (``grid.multiplicity``),
+except on the ``k_last = 0`` and ``k_last = n/2`` planes, which hold their
+own conjugates and count once.
 Methods take coefficients unless they say otherwise.  Derivatives are
 multiplications by ``grid.ik`` (``grid.ksq`` for ``-laplacian``), exact
 derivatives of the trigonometric interpolant.  Two methods take first
@@ -36,7 +42,8 @@ flatten the leading axes and transform them in groups of fields whose
 field when a field alone is larger: 1 field per call at 48^3 and 256^2, 3
 at 32^3, 7 at 128^2 and 31 at 64^2.  One call over several fields that
 large falls out of cache.  Every value is bit for bit the one a single call
-over the whole stack gives.
+over the whole stack gives.  A non-finite value passes through both
+silently, as ``inf`` or ``nan``, for the caller's own checks to find.
 
 Every public operation returns a fresh array and never mutates its inputs,
 so grids and fields are safe to share across worker threads: a grid
@@ -51,7 +58,7 @@ from itertools import product
 from math import prod
 
 import numpy as np
-from scipy import fft as _fft
+from numpy import fft as _fft
 
 __all__ = ["SpectralGrid", "save_field", "load_field"]
 
@@ -110,7 +117,7 @@ class SpectralGrid:
         # (0, 1, ..., -1) on the leading axes, 0, ..., cut on the last one;
         # scaled to wavenumbers.
         cut = n // 3 if self.dealias else n // 2
-        ints = np.fft.fftfreq(n, d=1.0 / n)
+        ints = _fft.fftfreq(n, d=1.0 / n)
         lead, last = ints[np.abs(ints) <= cut], np.arange(cut + 1)
         self.lead_modes = lead.astype(int)  # the box rows of a leading axis
         self.spectral_shape = (len(lead),) * (dim - 1) + (cut + 1,)
@@ -118,12 +125,16 @@ class SpectralGrid:
         self.k = (2.0 * np.pi / self.extent) * np.stack(axes)  # (dim, *spectral_shape)
         self.multiplicity = np.where(last % (n // 2) == 0, 1.0, 2.0)
 
-        # The box within the rfftn half spectrum: along each leading axis
-        # the non-negative modes lead and the negative ones end both, so the
-        # same 2**(dim - 1) blocks of slices index the box and the half.
+        # The box rows of a leading axis: the non-negative modes lead and
+        # the negative ones end both the box and the whole axis, so the same
+        # slices index either, and their blocks over the leading axes index
+        # the box within the half spectrum.  Without dealiasing the box rows
+        # are the whole axis, one slice.
         neg = np.count_nonzero(lead < 0)
-        self._blocks = [(Ellipsis, *b, slice(0, cut + 1)) for b in product(
-            (slice(0, len(lead) - neg), slice(-neg, None)), repeat=dim - 1)]
+        self._rows = ((slice(0, len(lead) - neg), slice(-neg, None))
+                      if self.dealias else (slice(None),))
+        self._blocks = [(Ellipsis, *b, slice(0, cut + 1))
+                        for b in product(self._rows, repeat=dim - 1)]
         self._half_shape = (n,) * (dim - 1) + (n // 2 + 1,)
         self._group = max(1, _GROUP_BYTES // (16 * prod(self._half_shape)))
 
@@ -151,32 +162,63 @@ class SpectralGrid:
     def fft(self, f: np.ndarray) -> np.ndarray:
         """Coefficients on the box of point values, over the spatial axes
         (component axes pass through): the ``rfftn`` half spectrum cropped
-        to ``spectral_shape``, the 2/3-rule filter.  A stack is transformed
-        in groups of at most ``_GROUP_BYTES`` of half spectrum
-        (:meth:`_grouped`)."""
-        def crop(g):
-            half = _fft.rfftn(g, axes=self._fft_axes)
-            out = np.empty(half.shape[:-self.dim] + self.spectral_shape, half.dtype)
-            for block in self._blocks:
-                out[block] = half[block]
-            return out
-        return self._grouped(f, self.spectral_shape, complex, crop)
+        to ``spectral_shape``, the 2/3-rule filter.
 
-    def ifft(self, fhat: np.ndarray) -> np.ndarray:
-        """Real point values of box coefficients, zero-padded into the
-        ``rfftn`` half spectrum.  A stack is transformed in groups of at
-        most ``_GROUP_BYTES`` of half spectrum (:meth:`_grouped`), through
-        one fresh zeroed half spectrum of one group; each group rewrites
-        only its box, and ``irfftn`` leaves its input, so the pad stays
-        zero."""
-        half = np.zeros((min(prod(fhat.shape[:-self.dim]), self._group),)
+        ``rfft`` along the last axis writes each group into one half
+        spectrum reused by every group of the call; the ``fft`` of each
+        leading axis then runs in place on its ``c + 1`` columns, over the
+        box rows of the axes already transformed, and the box is copied
+        out.  A stack is transformed in groups of at most ``_GROUP_BYTES``
+        of half spectrum (:meth:`_grouped`)."""
+        half = np.empty((min(prod(f.shape[:-self.dim]), self._group),)
                         + self._half_shape, complex)
 
-        def pad(g):
+        def crop(g):
+            h = _fft.rfft(g, axis=-1, out=half[:len(g)])
+            h = h[..., :self.spectral_shape[-1]]
+            for axis, lines in self._passes(h):
+                _fft.fft(lines, axis=axis, out=lines)
+            out = np.empty((len(g),) + self.spectral_shape, complex)
             for block in self._blocks:
-                half[:len(g)][block] = g[block]
-            return _fft.irfftn(half[:len(g)], s=self.shape, axes=self._fft_axes)
-        return self._grouped(fhat, self.shape, float, pad)
+                out[block] = h[block]
+            return out
+        with np.errstate(invalid="ignore", over="ignore"):
+            return self._grouped(f, self.spectral_shape, complex, crop)
+
+    def ifft(self, fhat: np.ndarray) -> np.ndarray:
+        """Real point values of box coefficients: the ``irfftn`` of the box
+        zero-padded into the ``rfftn`` half spectrum.
+
+        Each group is written into one pad buffer of ``c + 1`` columns,
+        reused by every group of the call and zeroed before each; the
+        ``ifft`` of each leading axis runs in place, the first over the
+        box rows of the others only, and ``irfft`` pads the columns itself.
+        A stack is transformed in groups of at most ``_GROUP_BYTES`` of
+        half spectrum (:meth:`_grouped`)."""
+        buf = np.empty((min(prod(fhat.shape[:-self.dim]), self._group),)
+                       + self.shape[:-1] + self.spectral_shape[-1:], complex)
+
+        def pad(g):
+            p = buf[:len(g)]
+            p.fill(0.0)
+            for block in self._blocks:
+                p[block] = g[block]
+            for axis, lines in reversed(self._passes(p)):
+                _fft.ifft(lines, axis=axis, out=lines)
+            return _fft.irfft(p, n=self.n, axis=-1)
+        with np.errstate(invalid="ignore", over="ignore"):
+            return self._grouped(fhat, self.shape, float, pad)
+
+    def _passes(self, h):
+        """``(axis, lines)`` of each leading-axis pass of :meth:`fft` over
+        ``h``, a group cropped to ``c + 1`` columns, in the order of
+        ``rfftn``: the last leading axis over all its lines, then in 3D
+        the first over the box rows of the second only, one view per block
+        of rows.  :meth:`ifft` runs them in reverse, as ``irfftn`` does."""
+        passes = [(-2, h)]
+        if self.dim == 3:
+            passes += [(-3, h[..., rows, :]) for rows in self._rows]
+        return passes
 
     def _ifft_into(self, fhat: np.ndarray, out: np.ndarray) -> np.ndarray:
         """:meth:`ifft` of a stack with one leading axis written into

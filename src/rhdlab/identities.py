@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import model
 from .compressible import (CompressibleState, rhs_momentum_form,
@@ -90,7 +91,7 @@ def run_identity_suite(grid: SpectralGrid, bg: Background,
     """
     if fault is not None and fault not in FAULTS:
         raise ValueError(f"unknown fault {fault!r}; known: {FAULTS}")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     pr, eos = bg.params, bg.eos
     results = []
 
@@ -126,7 +127,7 @@ def run_identity_suite(grid: SpectralGrid, bg: Background,
     bg_rem = (replace(bg, p_rho=1.01 * bg.p_rho)
               if fault == "background-coefficient" else bg)
     results.extend(_remainder_checks(grid, bg_rem,
-                                     np.random.default_rng([seed, 1])))
+                                     default_rng([seed, 1])))
 
     # exchange antisymmetry: on a uniform state the linear exchange cancels
     # between delta * (radiation eq) and rho_bar*e_theta * (temperature eq),

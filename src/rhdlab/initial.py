@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from .compressible import CompressibleState
 from .fields import SpectralGrid
@@ -121,7 +122,7 @@ def make_well_prepared(spec: InitSpec, grid: SpectralGrid, bg: Background):
             f"cut {grid.n // 3} at n={grid.n}", key="spectrum_peak")
     N = spec.norm_order
     delta = bg.delta
-    rng = np.random.default_rng(spec.seed)
+    rng = default_rng(spec.seed)
 
     if spec.budget == 0.0:
         state = CompressibleState(

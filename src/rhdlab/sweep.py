@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+from numpy.random import default_rng
 
 from . import diagnostics as diag
 from .compressible import CompressibleSolver, Trajectory, default_dt
@@ -370,7 +371,7 @@ def run_linearized_probe(cfg: ExperimentConfig, out_dir, seed=None):
     amp = _PROBE_AMPLITUDE
     dt = _dt(s, "linearized")
     wave = cfg.get("linearized", "wave_amplitude")
-    rng = np.random.default_rng(s.seed)
+    rng = default_rng(s.seed)
     shapes = [random_band_scalar(grid, rng, 2.0) for _ in range(3 + grid.dim)]
     backgrounds = [s.cfg.build_background(delta) for delta in deltas]
     records, results = [], {}

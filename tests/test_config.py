@@ -31,3 +31,17 @@ def test_every_key_is_checked_at_load(tmp_path, section):
             assert (section, key) in FREE_TEXT or value not in (
                 "nan", "inf", "-inf"), (key, value)
             assert cfg.raw[section][key] == value
+
+
+def test_malformed_ini_exits_2_naming_the_file(tmp_path, capsys):
+    # a file the INI parser refuses (here an unclosed section header on its
+    # first line) is a configuration error, not a traceback
+    path = tmp_path / "broken.ini"
+    path.write_text("[grid\npoints_per_axis = 16\n")
+    with pytest.raises(ConfigError, match="no section headers"):
+        load_config(path)
+    assert cli_main(["run", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {path}: " in err and "no section headers" in err
+    assert not (tmp_path / "out").exists()

@@ -321,13 +321,19 @@ def test_half_spectrum_layout(dim):
         np.testing.assert_array_equal(g.multiplicity, mult)
 
 
+def _near_scipy(got, oracle, tol=1e-15):
+    # scipy.fft is an independent implementation: it agrees with numpy.fft
+    # to round-off only (its bits differ at 18^2 and in 3D)
+    return np.max(np.abs(got - oracle)) <= tol * np.max(np.abs(oracle))
+
+
 @pytest.mark.parametrize("dim,n", [(2, 16), (3, 16), (2, 18)])
 @pytest.mark.parametrize("dealias", [True, False])
 def test_box_transforms_against_masked_rfftn(dim, n, dealias):
-    # the box coefficients are the masked rfftn half spectrum gathered onto
-    # the box, bit for bit, and the round trip is the masked inverse of
-    # the whole half spectrum; neither transform touches its input
-    from scipy import fft as sfft
+    # the box coefficients are numpy's masked rfftn half spectrum gathered
+    # onto the box, bit for bit, and the round trip is the masked irfftn of
+    # the whole half spectrum; both agree with scipy.fft to round-off, and
+    # neither transform touches its input
     g = SpectralGrid(dim=dim, points_per_axis=n, dealias=dealias)
     axes = tuple(range(-dim, 0))
     v = np.random.default_rng(n + dim).standard_normal((2,) + g.shape)
@@ -336,13 +342,16 @@ def test_box_transforms_against_masked_rfftn(dim, n, dealias):
                         indexing="ij")
     cut = n // 3 if dealias else n // 2
     keep = np.all(np.abs(modes) <= cut, axis=0)
-    masked = sfft.rfftn(v, axes=axes) * keep
+    masked = np.fft.rfftn(v, axes=axes) * keep
+    box = (slice(None),) + box_index(n, dim, cut)
     v0 = v.copy()
     vhat = g.fft(v)
-    assert np.array_equal(vhat, masked[(slice(None),) + box_index(n, dim, cut)])
+    assert np.array_equal(vhat, masked[box])
+    assert _near_scipy(vhat, (sfft.rfftn(v, axes=axes) * keep)[box])
     vhat0 = vhat.copy()
     back = g.ifft(vhat)
-    assert np.array_equal(back, sfft.irfftn(masked, s=g.shape, axes=axes))
+    assert np.array_equal(back, np.fft.irfftn(masked, s=g.shape, axes=axes))
+    assert _near_scipy(back, sfft.irfftn(masked, s=g.shape, axes=axes))
     assert np.array_equal(g.mask(v), back)
     assert np.array_equal(v, v0) and np.array_equal(vhat, vhat0)
     for out, arg in ((vhat, v), (back, vhat), (g.fft(v), vhat),
@@ -363,31 +372,26 @@ def test_box_sizes():
         assert whole.whole() is whole and not whole.dealias
 
 
-def _stack_oracles(g, f, fhat):
+def _stack_oracles(g, f, fhat, fft=np.fft):
     # one rfftn over the whole stack, cropped through the box blocks, and
     # one irfftn of the whole stack zero-padded into the half spectrum
     axes = tuple(range(-g.dim, 0))
-    half = sfft.rfftn(f, axes=axes)
+    half = fft.rfftn(f, axes=axes)
     box = np.empty(half.shape[:-g.dim] + g.spectral_shape, complex)
     padded = np.zeros(fhat.shape[:-g.dim] + half.shape[-g.dim:], complex)
     for block in g._blocks:
         box[block] = half[block]
         padded[block] = fhat[block]
-    return box, sfft.irfftn(padded, s=g.shape, axes=axes)
+    return box, fft.irfftn(padded, s=g.shape, axes=axes)
 
 
-@pytest.mark.parametrize("n,group", [(256, 1), (128, 7)])
-@pytest.mark.parametrize("dealias", [True, False])
-def test_grouped_transforms_match_one_call_over_the_stack(n, group, dealias):
-    # fft and ifft split a stack into groups of at most 1 MiB of half
-    # spectrum; every value is bit for bit the one of one call over the
-    # stack, neither transform touches its input, and a result is not a
-    # buffer that the next call rewrites
-    g = SpectralGrid(dim=2, points_per_axis=n, dealias=dealias)
-    assert g._group == group
-    rng = np.random.default_rng(n)
+def _check_grouped_stacks(g, leads, seed):
+    # every value of fft and ifft is bit for bit numpy's one call over the
+    # stack, and scipy's to round-off; neither transform touches its input,
+    # and a result is not a buffer that the next call rewrites
+    rng = np.random.default_rng(seed)
     kept = []
-    for lead in [(), (1,), (6,), (7,), (8,), (2, 3), (5, 3)]:
+    for lead in leads:
         f = rng.standard_normal(lead + g.shape)
         fhat = (rng.standard_normal(lead + g.spectral_shape)
                 + 1j * rng.standard_normal(lead + g.spectral_shape))
@@ -396,10 +400,33 @@ def test_grouped_transforms_match_one_call_over_the_stack(n, group, dealias):
         got_box, got_back = g.fft(f), g.ifft(fhat)
         assert got_box.shape == box.shape and np.array_equal(got_box, box), lead
         assert got_back.shape == back.shape and np.array_equal(got_back, back), lead
+        scipy_box, scipy_back = _stack_oracles(g, f, fhat, sfft)
+        assert _near_scipy(got_box, scipy_box), lead
+        assert _near_scipy(got_back, scipy_back), lead
         assert np.array_equal(f, f0) and np.array_equal(fhat, fhat0), lead
         kept.append((got_box, box, got_back, back))
     for got_box, box, got_back, back in kept:
         assert np.array_equal(got_box, box) and np.array_equal(got_back, back)
+
+
+@pytest.mark.parametrize("n,group", [(256, 1), (128, 7)])
+@pytest.mark.parametrize("dealias", [True, False])
+def test_grouped_transforms_match_one_call_over_the_stack(n, group, dealias):
+    # fft and ifft split a stack into groups of at most 1 MiB of half
+    # spectrum
+    g = SpectralGrid(dim=2, points_per_axis=n, dealias=dealias)
+    assert g._group == group
+    _check_grouped_stacks(g, [(), (1,), (6,), (7,), (8,), (2, 3), (5, 3)], n)
+
+
+@pytest.mark.parametrize("n,group", [(32, 3), (48, 1)])
+@pytest.mark.parametrize("dealias", [True, False])
+def test_grouped_3d_transforms_match_one_call_over_the_stack(n, group, dealias):
+    # in 3D the first axis's pass runs over the box rows of the second, one
+    # block at a time, in each group of a stack
+    g = SpectralGrid(dim=3, points_per_axis=n, dealias=dealias)
+    assert g._group == group
+    _check_grouped_stacks(g, [(), (1,), (3,), (4,), (2, 3)], n)
 
 
 def test_grouped_transforms_hold_one_group_of_half_spectrum():

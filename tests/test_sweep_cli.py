@@ -13,7 +13,7 @@ from rhdlab.config import ConfigError, default_config, load_config
 from rhdlab.identities import _remainder_checks, run_identity_suite
 from rhdlab.model import Background, IdealGasEOS, PhysParams
 from rhdlab.fields import SpectralGrid
-from rhdlab.sweep import RunError, fit_rate, run_single
+from rhdlab.sweep import RunError, _write_json, fit_rate, run_single
 
 
 def write_config(path, body):
@@ -573,6 +573,22 @@ def test_run_is_the_one_member_sweep(tmp_path):
     del member["energy_bundle_ratio"]
     assert summary == member
     assert report["dt"] == summary["dt"]
+
+
+def test_json_writer_takes_numpy_scalars_and_refuses_other_objects(tmp_path):
+    # numpy scalars that are not Python numbers (np.float64 is a float) are
+    # written as their values; any other object raises before the file is
+    # written
+    path = tmp_path / "out.json"
+    _write_json(path, {"count": np.int64(3), "ratio": np.float32(0.5),
+                       "value": np.float64(0.25)})
+    assert json.loads(path.read_text()) == {"count": 3, "ratio": 0.5,
+                                            "value": 0.25}
+    bad = tmp_path / "bad.json"
+    for obj in (np.zeros(2), 1j, object()):
+        with pytest.raises(TypeError, match="not serializable"):
+            _write_json(bad, {"x": obj})
+        assert not bad.exists()
 
 
 def test_output_formats_entries_are_stripped_and_checked(tmp_path, capsys):
