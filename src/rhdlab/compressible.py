@@ -122,6 +122,38 @@ def default_dt(grid: SpectralGrid, u0: np.ndarray) -> float:
 
 # -- right-hand sides -------------------------------------------------------
 
+def _slab_rows(grid):
+    """x_0 rows per slab of an explicit evaluation: at most
+    ``model._CHUNK`` points, so the remainders take one pass per slab, and
+    at least ``d + 1`` slabs, the fewest with which an evaluation holds
+    less than over whole fields on every grid (1.39 times its point values
+    at 128^2 in 3 slabs, 1.79 in 2, against 1.60)."""
+    plane = grid.n ** (grid.dim - 1)
+    return max(1, min(model._CHUNK // plane, -(-grid.n // (grid.dim + 1))))
+
+
+def _derivative_coefficients(grid, X, a, b):
+    """The coefficients of the fields of :func:`_derivatives`, in that
+    order, as groups of at most ``d + 3`` fields: the state, the gradient
+    of each of ``(n, v, z)`` and ``(visc, lap z)``."""
+    g, d, vhat = grid, grid.dim, X[1:1 + grid.dim]
+    yield X
+    yield from g._gradients(X[:d + 2])
+    visc_hat = b * g.ik * g.divergence(vhat) - a * g.ksq * vhat
+    yield np.concatenate([visc_hat, [-g.ksq * X[d + 1]]])
+
+
+def _split(x, d):
+    """``(n, v, z, g, grad_n, jac_v, visc_v, div_v, grad_z, lap_z)``: views
+    of the point values ``x`` of :func:`_derivative_coefficients`, and the
+    trace ``div_v`` of ``jac_v``."""
+    grads = x[d + 3:-(d + 1)].reshape((d + 2, d) + x.shape[1:])
+    jac = grads[1:1 + d]
+    return (x[0], x[1:1 + d], x[d + 1], x[d + 2], grads[0], jac,
+            x[-(d + 1):-1], np.trace(jac, axis1=0, axis2=1), grads[d + 1],
+            x[-1])
+
+
 def _derivatives(grid, X, a, b):
     """Point values of a packed spectral state and of the derivative fields
     every assembly shares.
@@ -130,41 +162,41 @@ def _derivatives(grid, X, a, b):
     for the slots ``(n, v, z, g)`` of ``X``, with ``jac[i, j] = d v_i /
     d x_j`` and the viscous term ``visc_v = a lap(v) + b grad(div v)``
     formed on the coefficients.  Every field but ``div_v`` is a view into
-    one point-value array, ``[state, grad(n, v, z), visc, lap z]``, filled
-    by the inverse transform of the state, the gradients of ``(n, v, z)``
-    through :meth:`rhdlab.fields.SpectralGrid.jacobian` (``d`` fields per
-    transform) and the transform of ``(visc, lap z)``, so no transform is
-    larger than the state.  Each group of fields a transform call takes is
-    written straight into the array, copied once.
+    one point-value array, ``[state, grad(n, v, z), visc, lap z]``, written
+    slab by slab from the slabs of an explicit evaluation
+    (:meth:`rhdlab.fields.SpectralGrid._slabs`), so no transform is larger
+    than the state.
     """
-    g, d, vhat = grid, grid.dim, X[1:1 + grid.dim]
-    x = np.empty(((d + 2) ** 2,) + g.shape)  # d + 3 + (d + 2) d + d + 1
-    g._ifft_into(X, x[:d + 3])
-    grads = g.jacobian(X[:d + 2], out=x[d + 3:-(d + 1)].reshape(
-        (d + 2, d) + g.shape))
-    visc_hat = b * g.ik * g.divergence(vhat) - a * g.ksq * vhat
-    g._ifft_into(np.concatenate([visc_hat, [-g.ksq * X[d + 1]]]), x[-(d + 1):])
-    jac = grads[1:1 + d]
-    return (x[0], x[1:1 + d], x[d + 1], x[d + 2], grads[0], jac,
-            x[-(d + 1):-1], np.trace(jac, axis1=0, axis2=1), grads[d + 1],
-            x[-1])
+    d = grid.dim
+    x = np.empty(((d + 2) ** 2,) + grid.shape)  # d + 3 + (d + 2) d + d + 1
+
+    def keep(at, slab, _):
+        x[:, at] = slab
+    grid._slabs(_derivative_coefficients(grid, X, a, b), len(x),
+                _slab_rows(grid), keep)
+    return _split(x, d)
 
 
 def _velocity_form_remainders(grid, X, bg: Background):
     """Spectral nonlinear remainders of the velocity form at packed state ``X``.
 
-    The remainders are written into one block in the
-    :func:`rhdlab.steppers.pack_state` layout, its radiation row is given
-    its ``1/delta`` weight in place, and the derivative point values are
-    freed before the block's forward transform, which dealiases it.
+    The derivative fields of :func:`_derivatives` are formed slab by slab
+    (:meth:`rhdlab.fields.SpectralGrid._slabs`), and each slab's remainders
+    are written into its slab of one block in the
+    :func:`rhdlab.steppers.pack_state` layout, their radiation row given
+    its ``1/delta`` weight, and transformed as far as the last pass; the
+    block's forward transform, which dealiases it, ends with that pass.
+    ``rho`` and ``theta`` are checked slab by slab, so a bad point raises
+    :class:`rhdlab.model.DomainError` once its slab is reached.
     """
-    pr = bg.params
-    fields = _derivatives(grid, X, pr.mu, pr.mu + pr.lam)
-    block = np.empty((grid.dim + 3,) + grid.shape)
-    model.velocity_form_remainders(*fields, bg, out=block)
-    del fields
-    block[-1] /= bg.delta
-    return grid.fft(block)
+    pr, d = bg.params, grid.dim
+
+    def remainders(_, x, block):
+        model.velocity_form_remainders(*_split(x, d), bg, out=block)
+        block[-1] /= bg.delta
+    return grid._slabs(
+        _derivative_coefficients(grid, X, pr.mu, pr.mu + pr.lam),
+        (d + 2) ** 2, _slab_rows(grid), remainders, d + 3)
 
 
 def _momentum_form_remainders(grid, X, bg: Background):
@@ -263,20 +295,21 @@ class CompressibleSolver:
 
     Construction factors the implicit operator once, per ``|k|^2`` shell,
     and spreads it onto the box modes; each explicit evaluation then
-    costs ``d + 4`` inverse transforms of at most ``d + 3`` fields each
-    (``_derivatives``: the state, the gradient of each of ``n``, ``v_i``
-    and ``z``, and the viscous term with ``lap z``) and one forward
-    transform, and each stage one transverse scale plus one 4x4
-    contraction per mode.
+    transforms ``d + 4`` groups of at most ``d + 3`` fields back (the
+    state, the gradient of each of ``n``, ``v_i`` and ``z``, and the
+    viscous term with ``lap z``) and one block of remainders forward, and
+    each stage costs one transverse scale plus one 4x4 contraction per
+    mode.
 
-    At its peak an evaluation holds the ``(d + 2)^2`` derivative point
-    values, the ``div v`` trace and one ``(d + 3)``-field block of
-    remainders, which :func:`rhdlab.model.velocity_form_remainders` fills
-    in passes with scratch the size of one pass: 1.34 times the derivative
-    fields at 48³ (16 passes), 1.57 times at 16³, where one pass takes the
-    whole grid.  The block itself is transformed, after the derivatives
-    are freed.  A run drops the point values of its invariant checks
-    before each step.
+    An evaluation runs slab by slab between the transforms' passes along
+    x_0 (:meth:`rhdlab.fields.SpectralGrid._slabs`).  At its peak it holds
+    the x_0 partials of the ``(d + 2)^2`` derivative fields, which the
+    block of remainders takes over row by row, and one slab of their
+    point values, of the ``div v`` trace and of the scratch of
+    :func:`rhdlab.model.velocity_form_remainders`: 0.65 times the
+    derivative point values at 48³ (16 slabs), 1.17 times at 16³ (4
+    slabs) and 1.39 times at 128² (3 slabs).  A run drops the point values
+    of its invariant checks before each step.
     """
 
     def __init__(self, grid: SpectralGrid, bg: Background, dt: float,

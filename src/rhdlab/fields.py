@@ -16,10 +16,10 @@ spectrum, ``(n,) * (dim - 1) + (n // 2 + 1,)``.  The transforms are
 last axis and keeps ``c + 1`` columns, then ``fft`` along each leading axis
 in turn, from the last, over the box rows of the axes already transformed
 only; ``ifft`` runs the same passes backwards, each leading axis zero-padded
-from its box rows in one reused pad buffer, and ``irfft`` pads the last
-axis itself.  The crop is the 2/3-rule filter, every coefficient array is
-as small as the rule allows, and every value is bit for bit the cropped
-``numpy.fft.rfftn``, or the ``irfftn`` of the zero-padded half spectrum.
+from its box rows, and ``irfft`` pads the last axis itself.  The crop is
+the 2/3-rule filter, every coefficient array is as small as the rule
+allows, and every value is bit for bit the cropped ``numpy.fft.rfftn``, or
+the ``irfftn`` of the zero-padded half spectrum.
 Each mode left out with ``k_last < 0`` is the complex conjugate of a kept
 one, so a Parseval sum counts a kept mode twice (``grid.multiplicity``),
 except on the ``k_last = 0`` and ``k_last = n/2`` planes, which hold their
@@ -45,6 +45,15 @@ large falls out of cache.  Every value is bit for bit the one a single call
 over the whole stack gives.  A non-finite value passes through both
 silently, as ``inf`` or ``nan``, for the caller's own checks to find.
 
+Each transform is two halves: the one pass along the first axis x_0 (the
+first of ``ifft``, the last of ``fft``), and the passes that act on each
+x_0 row (2D) or plane (3D) alone.  Between the halves a stack is held as
+partials, ``(n, *box rows, c + 1)`` per field, about half the size of its
+point values when dealiased.  ``fft`` and ``ifft`` run both halves over
+all rows; :meth:`SpectralGrid._slabs` runs a pointwise step slab by slab
+between them, so the point values of a whole stack never exist at once.
+The compressible solver's explicit evaluation is such a step.
+
 Every public operation returns a fresh array and never mutates its inputs,
 so grids and fields are safe to share across worker threads: a grid
 keeps no scratch buffer from one call to the next.  Every norm
@@ -68,6 +77,12 @@ _MAGIC = b"SPECF1\n"
 # and none, 1 MiB was best or tied on a step's transforms at 48^3, 256^2,
 # 128^2 and 64^2 (one thread, 2-core VM).
 _GROUP_BYTES = 1 << 20
+
+
+def _quiet():
+    """The floating-point state of every transform pass: an overflow or a
+    non-finite value passes through silently, for the caller's checks."""
+    return np.errstate(invalid="ignore", over="ignore")
 
 
 def _checked(dim, points_per_axis, extent):
@@ -135,6 +150,9 @@ class SpectralGrid:
                       if self.dealias else (slice(None),))
         self._blocks = [(Ellipsis, *b, slice(0, cut + 1))
                         for b in product(self._rows, repeat=dim - 1)]
+        # the lines of the x_0 pass, on the axis after x_0 in a stack: the
+        # box rows of the middle axis in 3D, every column in 2D
+        self._mid_rows = self._rows if dim == 3 else (slice(None),)
         self._half_shape = (n,) * (dim - 1) + (n // 2 + 1,)
         self._group = max(1, _GROUP_BYTES // (16 * prod(self._half_shape)))
 
@@ -164,84 +182,173 @@ class SpectralGrid:
         (component axes pass through): the ``rfftn`` half spectrum cropped
         to ``spectral_shape``, the 2/3-rule filter.
 
-        ``rfft`` along the last axis writes each group into one half
-        spectrum reused by every group of the call; the ``fft`` of each
-        leading axis then runs in place on its ``c + 1`` columns, over the
-        box rows of the axes already transformed, and the box is copied
-        out.  A stack is transformed in groups of at most ``_GROUP_BYTES``
-        of half spectrum (:meth:`_grouped`)."""
+        Each group runs :meth:`_fft_slab` over all its rows, into one half
+        spectrum reused by every group of the call, then :meth:`_fft_x0`,
+        which copies the box out.  A stack is transformed in groups of at
+        most ``_GROUP_BYTES`` of half spectrum (:meth:`_grouped`)."""
         half = np.empty((min(prod(f.shape[:-self.dim]), self._group),)
                         + self._half_shape, complex)
 
-        def crop(g):
-            h = _fft.rfft(g, axis=-1, out=half[:len(g)])
-            h = h[..., :self.spectral_shape[-1]]
-            for axis, lines in self._passes(h):
-                _fft.fft(lines, axis=axis, out=lines)
-            out = np.empty((len(g),) + self.spectral_shape, complex)
-            for block in self._blocks:
-                out[block] = h[block]
-            return out
-        with np.errstate(invalid="ignore", over="ignore"):
-            return self._grouped(f, self.spectral_shape, complex, crop)
+        def forward(g, out):
+            self._fft_x0(self._fft_slab(g, half[:len(g)]), out)
+        with _quiet():
+            return self._grouped(f, self.spectral_shape, complex, forward)
 
     def ifft(self, fhat: np.ndarray) -> np.ndarray:
         """Real point values of box coefficients: the ``irfftn`` of the box
         zero-padded into the ``rfftn`` half spectrum.
 
         Each group is written into one pad buffer of ``c + 1`` columns,
-        reused by every group of the call and zeroed before each; the
-        ``ifft`` of each leading axis runs in place, the first over the
-        box rows of the others only, and ``irfft`` pads the columns itself.
-        A stack is transformed in groups of at most ``_GROUP_BYTES`` of
-        half spectrum (:meth:`_grouped`)."""
+        reused by every group of the call, by :meth:`_ifft_x0`, and
+        :meth:`_ifft_slab` finishes it over all its rows.  A stack is
+        transformed in groups of at most ``_GROUP_BYTES`` of half spectrum
+        (:meth:`_grouped`)."""
+        return self._ifft_into(fhat, None)
+
+    def _ifft_into(self, fhat, out):
+        """:meth:`ifft` of ``fhat`` written into ``out`` (a fresh array
+        when None), each group's point values straight into its place."""
         buf = np.empty((min(prod(fhat.shape[:-self.dim]), self._group),)
                        + self.shape[:-1] + self.spectral_shape[-1:], complex)
 
-        def pad(g):
+        def inverse(g, out):
             p = buf[:len(g)]
-            p.fill(0.0)
-            for block in self._blocks:
-                p[block] = g[block]
-            for axis, lines in reversed(self._passes(p)):
-                _fft.ifft(lines, axis=axis, out=lines)
-            return _fft.irfft(p, n=self.n, axis=-1)
-        with np.errstate(invalid="ignore", over="ignore"):
-            return self._grouped(fhat, self.shape, float, pad)
+            self._ifft_x0(g, p)
+            self._ifft_slab(p, out)
+        with _quiet():
+            return self._grouped(fhat, self.shape, float, inverse, out)
 
-    def _passes(self, h):
-        """``(axis, lines)`` of each leading-axis pass of :meth:`fft` over
-        ``h``, a group cropped to ``c + 1`` columns, in the order of
-        ``rfftn``: the last leading axis over all its lines, then in 3D
-        the first over the box rows of the second only, one view per block
-        of rows.  :meth:`ifft` runs them in reverse, as ``irfftn`` does."""
-        passes = [(-2, h)]
+    # Partials, a stack between the x_0 pass and the others, are
+    # ``(fields, n, *box rows, c + 1)``, with the box rows of the middle
+    # axis in 3D.  A pad buffer may hold the whole middle axis instead,
+    # zero outside the box rows; the row slices ``_mid_rows`` index either.
+
+    def _ifft_x0(self, fhat, p):
+        """The x_0 pass of :meth:`ifft`: the box ``fhat`` zero-padded into
+        the partials ``p`` and transformed along x_0 in place, over the box
+        rows of the middle axis only."""
+        p.fill(0.0)
+        for block in self._blocks:
+            p[block] = fhat[block]
+        for rows in self._mid_rows:
+            lines = p[:, :, rows]
+            _fft.ifft(lines, axis=1, out=lines)
+
+    def _ifft_slab(self, p, out, pad=None):
+        """The passes of :meth:`ifft` after the x_0 pass, over a slab of x_0
+        rows of the partials ``p``, into the real ``out``: in 3D the
+        ``ifft`` of the middle axis, in place, then the ``irfft`` of the
+        last axis, which pads the columns itself.  Partials with the box
+        rows of the middle axis only are first zero-padded into ``pad``,
+        which holds the whole axis; partials with the whole axis are
+        overwritten."""
+        if pad is not None:
+            pad.fill(0.0)
+            for rows in self._mid_rows:
+                pad[:, :, rows] = p[:, :, rows]
+            p = pad
         if self.dim == 3:
-            passes += [(-3, h[..., rows, :]) for rows in self._rows]
-        return passes
+            _fft.ifft(p, axis=2, out=p)
+        _fft.irfft(p, n=self.n, axis=-1, out=out)
 
-    def _ifft_into(self, fhat: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """:meth:`ifft` of a stack with one leading axis written into
-        ``out``, one call per group of at most ``_group`` fields, so each
-        group's transform is copied once, straight into ``out``."""
-        for i in range(0, len(fhat), self._group):
-            out[i:i + self._group] = self.ifft(fhat[i:i + self._group])
+    def _fft_slab(self, f, half):
+        """The passes of :meth:`fft` before the x_0 pass, over a slab of x_0
+        rows of the point values ``f``: the ``rfft`` of the last axis into
+        the half spectrum ``half``, cropped to ``c + 1`` columns, and in 3D
+        the ``fft`` of the middle axis in place.  Returns the cropped view
+        of ``half``, partials with the whole middle axis."""
+        h = _fft.rfft(f, axis=-1, out=half)[..., :self.spectral_shape[-1]]
+        if self.dim == 3:
+            _fft.fft(h, axis=2, out=h)
+        return h
+
+    def _fft_x0(self, p, out):
+        """The x_0 pass of :meth:`fft`: the partials ``p`` transformed along
+        x_0 in place, over the box rows of the middle axis only, and the
+        box copied out into ``out``."""
+        for rows in self._mid_rows:
+            lines = p[:, :, rows]
+            _fft.fft(lines, axis=1, out=lines)
+        for block in self._blocks:
+            out[block] = p[block]
+
+    def _slabs(self, groups, fields, rows, kernel, block=0):
+        """A pointwise ``kernel`` run slab by slab on the point values of
+        coefficient stacks, and the coefficients of what it writes.
+
+        ``groups`` yields coefficient stacks ``(k, *spectral_shape)`` of
+        ``fields`` fields in all, each taken as it comes (a group may reuse
+        the buffer of the one before).  Their x_0 passes fill one stack of
+        partials.  Then, for each slab of at most ``rows`` x_0 rows,
+        ``kernel(at, x, y)`` is called with ``at`` the slice of those rows,
+        ``x`` their point values ``(fields, s, ...)`` and ``y`` an empty
+        ``(block, s, ...)`` block for it to fill, whose forward passes up to
+        x_0 follow.  With ``block`` zero, ``y`` is empty and None is
+        returned; else the coefficients ``(block, *spectral_shape)`` of the
+        filled block, after one x_0 pass.  The block's partials are written
+        over the first ``block <= fields`` partials, row by row once each
+        slab has read them, so the call holds one stack of partials.  Every
+        value is bit for bit the one :meth:`ifft` and :meth:`fft` give over
+        the whole stack and the whole block.  The buffers are the call's
+        own, and only the kernel and ``groups`` run in the caller's
+        floating-point state."""
+        n, part = self.n, (self.n,) + self.spectral_shape[1:]
+        p = self._partials(groups, fields)
+        x = np.empty((fields, rows) + self.shape[1:])
+        # the whole middle axis, when the partials hold its box rows only
+        pad = (np.empty((fields, rows) + self.shape[1:-1] + part[-1:], complex)
+               if part[1:-1] != self.shape[1:-1] else None)
+        y = np.empty((block, rows) + self.shape[1:])
+        half = np.empty((block, rows) + self._half_shape[1:], complex)
+        q = p[:block]
+        for lo in range(0, n, rows):
+            at = slice(lo, min(lo + rows, n))
+            s = at.stop - lo
+            with _quiet():
+                self._ifft_slab(p[:, at], x[:, :s],
+                                None if pad is None else pad[:, :s])
+            kernel(at, x[:, :s], y[:, :s])
+            if block:
+                with _quiet():
+                    h = self._fft_slab(y[:, :s], half[:, :s])
+                for r in self._mid_rows:
+                    q[:, at, r] = h[:, :, r]
+        if not block:
+            return None
+        del x, pad, y, half
+        out = np.empty((block,) + self.spectral_shape, complex)
+        with _quiet():
+            for j in range(0, block, self._group):
+                self._fft_x0(q[j:j + self._group], out[j:j + self._group])
         return out
 
-    def _grouped(self, x, shape, dtype, transform):
-        """``transform`` of the stack ``x``, flattened to ``(fields,
-        *spatial)``, in calls of at most ``_group`` fields: the fields whose
-        half spectra take at most ``_GROUP_BYTES`` together, or one.  A
-        stack of one group is one call, whose result is returned as it is
-        (reshaped); a larger one is written group by group into one
-        ``dtype`` array of field shape ``shape``."""
+    def _partials(self, groups, fields):
+        """The x_0 passes of :meth:`ifft` of the coefficient stacks that
+        ``groups`` yields, ``fields`` fields in all, into one stack of
+        partials, each group as it comes, in calls of at most ``_group``
+        fields."""
+        p = np.empty((fields, self.n) + self.spectral_shape[1:], complex)
+        i = 0
+        for g in groups:
+            for j in range(0, len(g), self._group):
+                k = min(self._group, len(g) - j)
+                with _quiet():
+                    self._ifft_x0(g[j:j + k], p[i:i + k])
+                i += k
+        return p
+
+    def _grouped(self, x, shape, dtype, transform, out=None):
+        """The stack ``x``, flattened to ``(fields, *spatial)``, transformed
+        by ``transform(g, out)`` in calls of at most ``_group`` fields (the
+        fields whose half spectra take at most ``_GROUP_BYTES`` together, or
+        one), each writing its ``dtype`` values of field shape ``shape``
+        into its rows of ``out``: a ``(fields, *shape)`` array, or a fresh
+        one, returned with the leading axes of ``x``, when None."""
         lead, x = x.shape[:-self.dim], x.reshape((-1,) + x.shape[-self.dim:])
-        if len(x) <= self._group:
-            return transform(x).reshape(lead + shape)
-        out = np.empty((len(x),) + shape, dtype)
+        flat = np.empty((len(x),) + shape, dtype) if out is None else out
         for i in range(0, len(x), self._group):
-            out[i:i + self._group] = transform(x[i:i + self._group])
-        return out.reshape(lead + shape)
+            transform(x[i:i + self._group], flat[i:i + self._group])
+        return flat.reshape(lead + shape) if out is None else out
 
     def grid_points(self) -> np.ndarray:
         """Node coordinates, shape ``(dim, *shape)``."""
@@ -262,10 +369,17 @@ class SpectralGrid:
         """
         if out is None:
             out = np.empty((len(fhat), self.dim) + self.shape)
-        c = np.empty_like(self.ik)
-        for f, grad in zip(fhat, out):
-            self._ifft_into(np.multiply(self.ik, f, out=c), grad)
+        for grad, c in zip(out, self._gradients(fhat)):
+            self._ifft_into(c, grad)
         return out
+
+    def _gradients(self, fhat):
+        """The coefficients ``ik * f`` of the gradient of each field ``f``
+        of ``fhat`` in turn, each in one ``dim``-field buffer that the next
+        overwrites."""
+        c = np.empty_like(self.ik)
+        for f in fhat:
+            yield np.multiply(self.ik, f, out=c)
 
     def divergence(self, fhat: np.ndarray) -> np.ndarray:
         """Coefficients of the divergence ``sum_i ik[i] * f_i`` of

@@ -1,4 +1,3 @@
-import math
 from collections import Counter
 
 import numpy as np
@@ -9,21 +8,22 @@ from rhdlab.fields import SpectralGrid
 
 @pytest.fixture
 def transforms(monkeypatch):
-    """Running count, in ``transforms[0]``, of the fields transformed by
-    ``SpectralGrid.fft`` (point values in) and ``SpectralGrid.ifft``
-    (half-spectrum coefficients in); ``transforms[1]`` counts the calls
-    and ``transforms[2]`` holds the most fields of one call, by method
-    name."""
+    """Running count, in ``transforms[0]``, of the fields transformed, as
+    the fields that pass the one pass along the first axis every transform
+    has: ``SpectralGrid._fft_x0`` (forward, named ``fft``) and
+    ``SpectralGrid._ifft_x0`` (inverse, named ``ifft``).  ``fft``,
+    ``ifft`` and the slabs of an explicit evaluation all go through it.
+    ``transforms[1]`` counts the calls and ``transforms[2]`` holds the most
+    fields of one call, by direction."""
     count = [0, Counter(), Counter()]
-    for name, shape in (("fft", "shape"), ("ifft", "spectral_shape")):
-        def counted(self, f, _name=name, _shape=shape,
-                    _transform=getattr(SpectralGrid, name)):
-            fields = np.asarray(f).size // math.prod(getattr(self, _shape))
-            count[0] += fields
+    for name, method in (("fft", "_fft_x0"), ("ifft", "_ifft_x0")):
+        def counted(self, x, out, _name=name,
+                    _transform=getattr(SpectralGrid, method)):
+            count[0] += len(x)
             count[1][_name] += 1
-            count[2][_name] = max(count[2][_name], fields)
-            return _transform(self, f)
-        monkeypatch.setattr(SpectralGrid, name, counted)
+            count[2][_name] = max(count[2][_name], len(x))
+            return _transform(self, x, out)
+        monkeypatch.setattr(SpectralGrid, method, counted)
     return count
 
 

@@ -10,7 +10,7 @@ from rhdlab.compressible import (CompressibleSolver, CompressibleState,
                                  rhs_primitive)
 from rhdlab.fields import SpectralGrid
 from rhdlab.initial import InitSpec, make_well_prepared, random_band_scalar
-from rhdlab.model import Background, IdealGasEOS, PhysParams
+from rhdlab.model import Background, DomainError, IdealGasEOS, PhysParams
 from rhdlab.steppers import pack_state, split_symbol, unpack_state
 
 
@@ -67,6 +67,23 @@ def test_state_validation(grid):
     bad = CompressibleState(st.rho * 0.0, st.u, st.theta, st.rad)
     with pytest.raises(StateInvalidError):
         bad.validate(grid)
+
+
+@pytest.mark.parametrize("field, bad, reason", [
+    ("rho", lambda f: f[:-1], r"^rho has shape \(63, 64\), expected \(64, 64\)$"),
+    ("u", lambda f: f[:1], r"^u has wrong shape$"),
+    ("u", lambda f: np.where(f == f[0, 3, 5], np.inf, f),
+     r"^u contains non-finite values$"),
+    ("theta", lambda f: np.where(f == f[7, 2], -0.5, f),
+     r"^min theta = -0\.5 <= 0$"),
+], ids=["rho-shape", "u-shape", "u-inf", "theta-negative"])
+def test_state_validation_refuses_each_bad_field(grid, field, bad, reason):
+    # each refusal names its field, the others being valid
+    st = smooth_state(grid, PhysParams(), seed=5)
+    st.validate(grid)
+    broken = CompressibleState(**{**vars(st), field: bad(getattr(st, field))})
+    with pytest.raises(StateInvalidError, match=reason):
+        broken.validate(grid)
 
 
 def test_rhs_primitive_equilibrium_is_zero(grid):
@@ -331,11 +348,11 @@ def test_transforms_per_step(dim, scheme, limit, transforms):
     (2, "imex1", 21), (2, "imex2", 42), (3, "imex1", 31), (3, "imex2", 62)])
 def test_one_transform_each_way_per_explicit_evaluation(dim, scheme, fields,
                                                          transforms):
-    # every explicit evaluation transforms the state and its derivative
-    # fields (with the viscous term formed on the coefficients) back in
-    # d + 4 groups, none larger than the state (grad n, each Jacobian row,
-    # the viscous term, grad z with lap z), and the remainders forward in
-    # one transform
+    # every explicit evaluation runs the x_0 pass of the state and of its
+    # derivative fields (with the viscous term formed on the coefficients)
+    # in d + 4 groups, none larger than the state (grad n, each Jacobian
+    # row, the viscous term, grad z with lap z), and the x_0 pass of the
+    # remainders in one; the other passes run slab by slab
     g = SpectralGrid(dim=dim, points_per_axis=16)
     bg = Background.of(PhysParams(delta=0.1), EOS)
     st, _ = make_well_prepared(InitSpec(budget=0.5, seed=3),
@@ -398,26 +415,109 @@ def test_grouped_derivatives_match_stacked_transform(dim, n, dealias, form):
         assert np.array_equal(f, f0)
 
 
-def test_explicit_evaluation_traced_peak_3d():
-    # one explicit evaluation holds at most 1.65 times its point values at
-    # 16^3, where the remainders take one pass (the stacked transform held
-    # 2.17 times), and 1.4 times at 48^3, where their scratch is one pass
-    # of many and no output is copied (1.56 times before)
+def _full_array_evaluation(grid, X, bg):
+    """The explicit evaluation over whole fields, the oracle of the slab
+    one: every derivative point value at once, from one stacked inverse
+    transform (:func:`_stacked_derivatives`, which
+    :func:`_derivatives` matches bit for bit), the remainders of the whole
+    grid, the radiation row given its weight, and one forward transform of
+    the block."""
+    pr, d = bg.params, grid.dim
+    block = np.empty((d + 3,) + grid.shape)
+    model.velocity_form_remainders(
+        *_stacked_derivatives(grid, X, pr.mu, pr.mu + pr.lam), bg, out=block)
+    block[-1] /= bg.delta
+    return grid.fft(block)
+
+
+@pytest.mark.parametrize("dim,n,dealias,extent,ragged", [
+    (2, 16, True, 2 * np.pi, False), (2, 16, False, 2 * np.pi, False),
+    (2, 16, True, 3.0, False), (2, 16, True, 2 * np.pi, True),
+    (3, 16, True, 2 * np.pi, False), (3, 16, False, 2 * np.pi, False),
+    (3, 16, True, 3.0, False), (3, 16, True, 2 * np.pi, True)])
+def test_slab_evaluation_matches_full_array_oracle(monkeypatch, dim, n,
+                                                   dealias, extent, ragged):
+    # the evaluation slab by slab between the transforms' passes along x_0
+    # changes no bit of the remainders' coefficients: in d + 1 slabs, and
+    # ragged, in slabs of 3 rows and a last one of 1
+    if ragged:
+        monkeypatch.setattr(model, "_CHUNK", 3 * n ** (dim - 1))
+    g = SpectralGrid(dim=dim, points_per_axis=n, extent=extent,
+                     dealias=dealias)
+    rows = compressible._slab_rows(g)
+    assert (rows, n % rows) == (3, 1) if ragged else -(-n // rows) == dim + 1
+    bg = Background.of(PhysParams(delta=0.1, **OFF_UNIT), OFF_UNIT_EOS)
+    st, _ = make_well_prepared(InitSpec(budget=0.5, seed=3), g, bg)
+    solver = CompressibleSolver(g, bg, 1e-3)
+    X = solver.pack(st)
+    got = solver._explicit(X)
+    assert np.array_equal(got, _full_array_evaluation(g, X, bg))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("field", ["rho", "theta"])
+def test_slab_evaluation_refuses_a_nonpositive_point_in_the_last_slab(dim,
+                                                                      field):
+    # one nonpositive point of rho or theta, on the last row along x_0 and
+    # so in the last slab, raises the full-array evaluation's DomainError
+    g = SpectralGrid(dim=dim, points_per_axis=16)
+    bg = Background.of(PhysParams(delta=0.1, **OFF_UNIT), OFF_UNIT_EOS)
+    pr, d, n = bg.params, dim, g.n
+    # a smooth well, 1 at the node (n - 1, 0, ...) and at most 0.962 at
+    # every other node, sunk to 1.01 times the background value
+    well = np.prod([0.5 * (1.0 + np.cos(x - c)) for x, c in
+                    zip(g.grid_points(), [(n - 1) * g.dx] + [0.0] * (d - 1))],
+                   axis=0)
+    zero = np.zeros(g.shape)
+    deviation = {"rho": (-1.01 * pr.rho_bar * well, zero),
+                 "theta": (zero, -1.01 * pr.theta_bar * well)}[field]
+    X = pack_state(g, deviation[0], np.zeros((d,) + g.shape), deviation[1],
+                   zero)
+    p = unpack_state(g, X)
+    value = {"rho": pr.rho_bar + p[0], "theta": pr.theta_bar + p[2]}[field]
+    bad = np.argwhere(value <= 0.0)
+    assert len(bad) == 1 and bad[0][0] == n - 1
+    with pytest.raises(DomainError) as want:
+        _full_array_evaluation(g, X, bg)
+    with pytest.raises(DomainError) as got:
+        CompressibleSolver(g, bg, 1e-3)._explicit(X)
+    assert str(got.value) == str(want.value)
+    assert str(got.value) == f"{field} must be positive and finite"
+
+
+def _evaluation_peak(dim, n):
+    """Traced peak of one explicit evaluation, in units of its ``(d +
+    2)^2`` fields of point values."""
     bg = Background.of(PhysParams(delta=0.1), EOS)
-    for n, bound in ((16, 1.65), (48, 1.4)):
-        g = SpectralGrid(dim=3, points_per_axis=n)
-        st, _ = make_well_prepared(InitSpec(budget=0.5, seed=3), g, bg)
-        solver = CompressibleSolver(g, bg, 1e-3)
-        X = solver.pack(st)
-        d = g.dim
-        point_bytes = (d + 3 + d * d + 3 * d + 1) * np.zeros(g.shape).nbytes
-        tracemalloc.start()
-        try:
-            solver._explicit(X)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < bound * point_bytes, n
+    g = SpectralGrid(dim=dim, points_per_axis=n)
+    st, _ = make_well_prepared(InitSpec(budget=0.5, seed=3), g, bg)
+    solver = CompressibleSolver(g, bg, 1e-3)
+    X = solver.pack(st)
+    point_bytes = (dim + 2) ** 2 * np.zeros(g.shape).nbytes
+    tracemalloc.start()
+    try:
+        solver._explicit(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / point_bytes
+
+
+def test_explicit_evaluation_traced_peak_3d():
+    # one explicit evaluation holds the x_0 partials of its (d + 2)^2
+    # derivative fields (0.49 times their point values at 48^3), which the
+    # remainders' partials take over row by row, and one slab of the rest:
+    # 1.17 times the point values at 16^3 (4 slabs; 1.57 over whole
+    # fields) and 0.65 times at 48^3 (16 slabs; 1.30 over whole fields),
+    # bounded at 1.65 and at 0.75, the 48^3 peak plus 0.1
+    for n, bound in ((16, 1.65), (48, 0.75)):
+        assert _evaluation_peak(3, n) < bound, n
+
+
+def test_explicit_evaluation_traced_peak_2d():
+    # at 128^2 (3 slabs) the evaluation holds 1.39 times its point values,
+    # 1.60 over whole fields
+    assert _evaluation_peak(2, 128) < 1.60
 
 
 def test_run_holds_no_point_values_across_a_step(monkeypatch):

@@ -4,8 +4,8 @@ from scipy.linalg import expm
 
 from rhdlab.fields import SpectralGrid
 from rhdlab.model import Background, IdealGasEOS, PhysParams
-from rhdlab.steppers import (ARS_GAMMA, MAX_STEPS, ImexOperator,
-                             ars222_step, schedule, split_symbol)
+from rhdlab.steppers import (ARS_GAMMA, MAX_STEPS, ImexOperator, SolverError,
+                             SplitSymbol, ars222_step, schedule, split_symbol)
 
 # A background away from rho_bar = 1, where a misplaced rho_bar factor shows.
 OFF_UNIT = dict(rho_bar=1.37, theta_bar=0.9, sigma_a=1.3, sigma_tilde=0.8,
@@ -98,3 +98,16 @@ def test_schedule_admits_its_ceiling():
     schedule(MAX_STEPS * 1e-3, 1e-3)
     with pytest.raises(ValueError, match="steps"):
         schedule((MAX_STEPS + 1) * 1e-3, 1e-3)
+
+
+def test_singular_implicit_operator_is_refused():
+    # a shell whose block is I / c, factored at the coefficient c, leaves
+    # I - c*M exactly zero: the inversion fails and the error names c
+    c = 0.25
+    symbol = SplitSymbol(blocks=np.eye(4)[np.newaxis] / c,
+                         transverse=np.zeros(1),
+                         shell=np.zeros((3, 2), dtype=np.int32),
+                         khat=np.zeros((2, 3, 2)))
+    with pytest.raises(SolverError,
+                       match=r"^implicit operator I - 0\.25\*M is singular$"):
+        ImexOperator(symbol, c)
