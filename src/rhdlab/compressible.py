@@ -122,16 +122,6 @@ def default_dt(grid: SpectralGrid, u0: np.ndarray) -> float:
 
 # -- right-hand sides -------------------------------------------------------
 
-def _slab_rows(grid):
-    """x_0 rows per slab of an explicit evaluation: at most
-    ``model._CHUNK`` points, so the remainders take one pass per slab, and
-    at least ``d + 1`` slabs, the fewest with which an evaluation holds
-    less than over whole fields on every grid (1.39 times its point values
-    at 128^2 in 3 slabs, 1.79 in 2, against 1.60)."""
-    plane = grid.n ** (grid.dim - 1)
-    return max(1, min(model._CHUNK // plane, -(-grid.n // (grid.dim + 1))))
-
-
 def _derivative_coefficients(grid, X, a, b):
     """The coefficients of the fields of :func:`_derivatives`, in that
     order, as groups of at most ``d + 3`` fields: the state, the gradient
@@ -172,8 +162,7 @@ def _derivatives(grid, X, a, b):
 
     def keep(at, slab, _):
         x[:, at] = slab
-    grid._slabs(_derivative_coefficients(grid, X, a, b), len(x),
-                _slab_rows(grid), keep)
+    grid._slabs(_derivative_coefficients(grid, X, a, b), len(x), keep)
     return _split(x, d)
 
 
@@ -181,13 +170,15 @@ def _velocity_form_remainders(grid, X, bg: Background):
     """Spectral nonlinear remainders of the velocity form at packed state ``X``.
 
     The derivative fields of :func:`_derivatives` are formed slab by slab
-    (:meth:`rhdlab.fields.SpectralGrid._slabs`), and each slab's remainders
-    are written into its slab of one block in the
-    :func:`rhdlab.steppers.pack_state` layout, their radiation row given
-    its ``1/delta`` weight, and transformed as far as the last pass; the
-    block's forward transform, which dealiases it, ends with that pass.
-    ``rho`` and ``theta`` are checked slab by slab, so a bad point raises
-    :class:`rhdlab.model.DomainError` once its slab is reached.
+    (:meth:`rhdlab.fields.SpectralGrid._slabs`, in slabs of the grid's
+    size), and each slab's remainders are one call of
+    :func:`rhdlab.model.velocity_form_remainders` into its slab of one
+    block in the :func:`rhdlab.steppers.pack_state` layout, their radiation
+    row given its ``1/delta`` weight, and transformed as far as the last
+    pass; the block's forward transform, which dealiases it, ends with
+    that pass.  ``rho`` and ``theta`` are checked slab by slab, so a bad
+    point raises :class:`rhdlab.model.DomainError` once its slab is
+    reached.
     """
     pr, d = bg.params, grid.dim
 
@@ -196,7 +187,7 @@ def _velocity_form_remainders(grid, X, bg: Background):
         block[-1] /= bg.delta
     return grid._slabs(
         _derivative_coefficients(grid, X, pr.mu, pr.mu + pr.lam),
-        (d + 2) ** 2, _slab_rows(grid), remainders, d + 3)
+        (d + 2) ** 2, remainders, d + 3)
 
 
 def _momentum_form_remainders(grid, X, bg: Background):
@@ -302,7 +293,9 @@ class CompressibleSolver:
     mode.
 
     An evaluation runs slab by slab between the transforms' passes along
-    x_0 (:meth:`rhdlab.fields.SpectralGrid._slabs`).  At its peak it holds
+    x_0 (:meth:`rhdlab.fields.SpectralGrid._slabs`), and the slab, whose
+    size the grid sets, is its one cut: each x_0 pass takes a whole group
+    of fields, and the remainders one call per slab.  At its peak it holds
     the x_0 partials of the ``(d + 2)^2`` derivative fields, which the
     block of remainders takes over row by row, and one slab of their
     point values, of the ``div v`` trace and of the scratch of

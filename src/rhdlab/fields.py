@@ -52,7 +52,10 @@ partials, ``(n, *box rows, c + 1)`` per field, about half the size of its
 point values when dealiased.  ``fft`` and ``ifft`` run both halves over
 all rows; :meth:`SpectralGrid._slabs` runs a pointwise step slab by slab
 between them, so the point values of a whole stack never exist at once.
-The compressible solver's explicit evaluation is such a step.
+The compressible solver's explicit evaluation is such a step, and the
+slab is its one cut: the grid sets the slab size, at most
+``_SLAB_POINTS`` (8192) points and at least ``dim + 1`` slabs, and each
+x_0 pass of ``_slabs`` runs over a whole group or block in one call.
 
 Every public operation returns a fresh array and never mutates its inputs,
 so grids and fields are safe to share across worker threads: a grid
@@ -77,6 +80,9 @@ _MAGIC = b"SPECF1\n"
 # and none, 1 MiB was best or tied on a step's transforms at 48^3, 256^2,
 # 128^2 and 64^2 (one thread, 2-core VM).
 _GROUP_BYTES = 1 << 20
+# Points of one slab of SpectralGrid._slabs, at most: a pointwise kernel's
+# scratch fields are the size of one slab and stay in cache.
+_SLAB_POINTS = 8192
 
 
 def _quiet():
@@ -155,6 +161,13 @@ class SpectralGrid:
         self._mid_rows = self._rows if dim == 3 else (slice(None),)
         self._half_shape = (n,) * (dim - 1) + (n // 2 + 1,)
         self._group = max(1, _GROUP_BYTES // (16 * prod(self._half_shape)))
+        # x_0 rows per slab: at most _SLAB_POINTS points, one row when a
+        # row alone holds more, and at least dim + 1 slabs, the fewest with
+        # which an explicit evaluation holds less than over whole fields on
+        # every grid (1.39 times its point values at 128^2 in 3 slabs, 1.79
+        # in 2, against 1.60)
+        self._slab = max(1, min(_SLAB_POINTS // n ** (dim - 1),
+                                -(-n // (dim + 1))))
 
         # First-derivative multipliers zero the Nyquist mode (odd derivative
         # of the symmetric interpolant); |k|^2 is built from the same vectors
@@ -272,14 +285,14 @@ class SpectralGrid:
         for block in self._blocks:
             out[block] = p[block]
 
-    def _slabs(self, groups, fields, rows, kernel, block=0):
+    def _slabs(self, groups, fields, kernel, block=0):
         """A pointwise ``kernel`` run slab by slab on the point values of
         coefficient stacks, and the coefficients of what it writes.
 
         ``groups`` yields coefficient stacks ``(k, *spectral_shape)`` of
         ``fields`` fields in all, each taken as it comes (a group may reuse
         the buffer of the one before).  Their x_0 passes fill one stack of
-        partials.  Then, for each slab of at most ``rows`` x_0 rows,
+        partials.  Then, for each slab of at most ``_slab`` x_0 rows,
         ``kernel(at, x, y)`` is called with ``at`` the slice of those rows,
         ``x`` their point values ``(fields, s, ...)`` and ``y`` an empty
         ``(block, s, ...)`` block for it to fill, whose forward passes up to
@@ -292,7 +305,7 @@ class SpectralGrid:
         the whole stack and the whole block.  The buffers are the call's
         own, and only the kernel and ``groups`` run in the caller's
         floating-point state."""
-        n, part = self.n, (self.n,) + self.spectral_shape[1:]
+        n, rows, part = self.n, self._slab, (self.n,) + self.spectral_shape[1:]
         p = self._partials(groups, fields)
         x = np.empty((fields, rows) + self.shape[1:])
         # the whole middle axis, when the partials hold its box rows only
@@ -318,23 +331,19 @@ class SpectralGrid:
         del x, pad, y, half
         out = np.empty((block,) + self.spectral_shape, complex)
         with _quiet():
-            for j in range(0, block, self._group):
-                self._fft_x0(q[j:j + self._group], out[j:j + self._group])
+            self._fft_x0(q, out)
         return out
 
     def _partials(self, groups, fields):
         """The x_0 passes of :meth:`ifft` of the coefficient stacks that
         ``groups`` yields, ``fields`` fields in all, into one stack of
-        partials, each group as it comes, in calls of at most ``_group``
-        fields."""
+        partials, each group in one call as it comes."""
         p = np.empty((fields, self.n) + self.spectral_shape[1:], complex)
         i = 0
         for g in groups:
-            for j in range(0, len(g), self._group):
-                k = min(self._group, len(g) - j)
-                with _quiet():
-                    self._ifft_x0(g[j:j + k], p[i:i + k])
-                i += k
+            with _quiet():
+                self._ifft_x0(g, p[i:i + len(g)])
+            i += len(g)
         return p
 
     def _grouped(self, x, shape, dtype, transform, out=None):
@@ -357,7 +366,7 @@ class SpectralGrid:
 
     # -- calculus on coefficients ----------------------------------------
 
-    def jacobian(self, fhat: np.ndarray, out=None) -> np.ndarray:
+    def jacobian(self, fhat: np.ndarray) -> np.ndarray:
         """Point values of the gradients of a stack of fields given by their
         coefficients, shape ``(m, dim, *shape)``: ``jac[i, j] = d f_i /
         d x_j``.
@@ -365,10 +374,9 @@ class SpectralGrid:
         Each field takes one inverse transform of its ``dim`` derivatives,
         formed in one ``dim``-field coefficient buffer, so no call is larger
         than a vector field, and written group by group into the result
-        (:meth:`_ifft_into`), or into ``out`` when given.
+        (:meth:`_ifft_into`).
         """
-        if out is None:
-            out = np.empty((len(fhat), self.dim) + self.shape)
+        out = np.empty((len(fhat), self.dim) + self.shape)
         for grad, c in zip(out, self._gradients(fhat)):
             self._ifft_into(c, grad)
         return out

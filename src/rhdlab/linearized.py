@@ -40,8 +40,8 @@ import numpy as np
 from .diagnostics import bundle_factors
 from .fields import SpectralGrid
 from .model import Background, DomainError, PhysParams, planck_linear
-from .steppers import (ImexStepper, pack_state, schedule, split_symbol,
-                       unpack_state)
+from .steppers import (ImexStepper, SolverError, pack_state, schedule,
+                       split_symbol, unpack_state)
 
 __all__ = ["LinearizedProblem", "LinearizedTrajectory", "solve_linearized",
            "EstimateReport", "check_estimate"]
@@ -142,7 +142,10 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
     ``scheme``.  The dissipation and coefficient-load integrals are
     accumulated by the trapezoid rule at every step regardless of
     ``cadence``.  Dissipation weights of ``H^norm_order`` that overflow
-    raise :class:`rhdlab.model.DomainError`.
+    raise :class:`rhdlab.model.DomainError`.  Under ``np.errstate`` that
+    raises, arithmetic of the steps that leaves float range raises
+    :class:`rhdlab.steppers.SolverError`: the norms of the initial state
+    were in range, so the state diverged.
     """
     steps = schedule(problem.horizon, dt, cadence)
     pr, d, no = bg.params, grid.dim, problem.norm_order
@@ -193,18 +196,24 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
             traj.states.append(unpack_state(grid, X))
 
     observe(0.0)
-    for t1, seen, _ in steps:
-        # the fluctuation at the step's start drives it; the load at its
-        # end closes it
-        X = stepper.step(X, partial(tendency, s))
-        s = float(np.sin(t1))
-        dens = density(X)
-        cur = (float(np.sum(dens * w_diss)), load(s))
-        cum_d += 0.5 * dt * (prev[0] + cur[0])
-        cum_a += 0.5 * dt * (prev[1] + cur[1])
-        prev = cur
-        if seen:
-            observe(t1)
+    t = 0.0
+    try:
+        for t1, seen, _ in steps:
+            # the fluctuation at the step's start drives it; the load at its
+            # end closes it
+            X = stepper.step(X, partial(tendency, s))
+            s = float(np.sin(t1))
+            dens = density(X)
+            cur = (float(np.sum(dens * w_diss)), load(s))
+            cum_d += 0.5 * dt * (prev[0] + cur[0])
+            cum_a += 0.5 * dt * (prev[1] + cur[1])
+            prev, t = cur, t1
+            if seen:
+                observe(t1)
+    except FloatingPointError as exc:
+        raise SolverError(f"the linearized probe at delta={pr.delta}, "
+                          f"wave={problem.wave} diverged after t={t}: "
+                          f"{exc}") from None
     return traj
 
 

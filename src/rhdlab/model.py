@@ -29,7 +29,6 @@ value minus the value of ``bg.eos`` at the current state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 
 import numpy as np
 
@@ -42,11 +41,6 @@ __all__ = [
     "velocity_form_remainders", "momentum_form_remainders",
     "deformation_contraction",
 ]
-
-
-# Points per pass of velocity_form_remainders, about: its scratch fields
-# are the size of one pass and stay in cache.
-_CHUNK = 8192
 
 
 class ModelError(Exception):
@@ -315,46 +309,26 @@ def velocity_form_remainders(drho, u, dtheta, drad,
     background, and the one under which the assembled form reproduces the
     primitive equations exactly.
 
-    ``rho`` and ``theta`` are checked on the whole fields first, so a bad
-    point raises :class:`DomainError` before any arithmetic can overflow.
-    The algebra then runs over the leading spatial axis in equal passes of
-    about ``_CHUNK`` points, each into its slab of the block: the gas law
-    is evaluated once per pass (once, on the fields as they are, when one
-    pass holds them all), and the scratch fields are the size of one pass.
-    Every term is pointwise, written with in-place ufuncs, so the block is
-    bit-identical whatever the passes.  The gaps ``P_rho/rho`` and
-    ``P_theta/rho`` divide by ``rho`` as written: a reciprocal multiply
-    would change their rounding, which the ``1/delta^2`` weight amplifies.
+    ``rho`` and ``theta`` are formed and checked first, so a bad point
+    raises :class:`DomainError` before any other arithmetic can overflow.
+    Every term is pointwise, written with in-place ufuncs into the block
+    and into scratch fields of the arguments' shape, and the gas law is
+    evaluated once, on ``rho`` and ``theta`` as they are: remainders of
+    some rows of the arguments are those rows of the remainders of all of
+    them, bit for bit, so a caller may evaluate a field slab by slab.  The
+    gaps ``P_rho/rho`` and ``P_theta/rho`` divide by ``rho`` as written: a
+    reciprocal multiply would change their rounding, which the
+    ``1/delta^2`` weight amplifies.
     """
-    params = bg.params
-    args = [np.asarray(a) for a in (drho, u, dtheta, drad, grad_drho, jac_u,
-                                    visc_u, div_u, grad_dtheta, lap_dtheta)]
-    shape, d = args[0].shape, len(args[1])
-    # rounding is monotone: the extremes of drho + rho_bar are those of drho
-    # shifted, so the whole fields are checked without forming them
-    rho = np.array([np.min(drho), np.max(drho)]) + params.rho_bar
-    theta = np.array([np.min(dtheta), np.max(dtheta)]) + params.theta_bar
+    params, eos = bg.params, bg.eos
+    shape, d = np.shape(drho), len(u)
+    rho = np.add(drho, params.rho_bar, out=np.empty(shape))
+    theta = np.add(dtheta, params.theta_bar, out=np.empty(shape))
     _check_positive("rho", rho)
     _check_positive("theta", theta)
     out = np.empty((d + 3,) + shape) if out is None else out
-    rows = shape[0] if shape else 1
-    step = -(-rows // -(-rows // max(1, _CHUNK // prod(shape[1:]))))
-    for lo in range(0, rows, step):
-        at = ((..., slice(lo, lo + step)) + (slice(None),) * (len(shape) - 1)
-              if shape else ...)
-        _velocity_pass(*(a[at] for a in args), bg, out[at])
-    return out[0, ...], out[1:1 + d], out[d + 1, ...], out[d + 2, ...]
-
-
-def _velocity_pass(drho, u, dtheta, drad, grad_drho, jac_u, visc_u, div_u,
-                   grad_dtheta, lap_dtheta, bg: Background, out):
-    """One pass of :func:`velocity_form_remainders` into its slab ``out``."""
-    params, eos = bg.params, bg.eos
-    shape, d = np.shape(drho), len(u)
     r_mass, r_velocity = out[0, ...], out[1:1 + d]
     r_temperature = out[d + 1, ...]
-    rho = np.add(drho, params.rho_bar, out=np.empty(shape))
-    theta = np.add(dtheta, params.theta_bar, out=np.empty(shape))
     d2 = params.delta ** 2
     p_theta = eos.p_theta(rho, theta)
     e_theta = eos.e_theta(rho, theta)
@@ -405,6 +379,7 @@ def _velocity_pass(drho, u, dtheta, drad, grad_drho, jac_u, visc_u, div_u,
     linear_exchange -= np.multiply(params.sigma_a, drad, out=tmp)
     r_temperature += np.multiply(h9, linear_exchange, out=tmp)
     r_temperature -= np.multiply(quartic_rem, recip, out=tmp)
+    return r_mass, r_velocity, r_temperature, quartic_rem
 
 
 def momentum_form_remainders(nrel, mom, dtheta, drad,

@@ -379,9 +379,11 @@ def run_linearized_probe(cfg: ExperimentConfig, out_dir, seed=None):
         a = wave if name == "standing-wave" else 0.0  # constant: A = 1
         constants = {}
         for delta, bg in zip(deltas, backgrounds):
-            # the squared norms grow with the weights and the box volume:
-            # norms out of the normal float range are refused, and so are
-            # dissipation weights that overflow
+            # the squared norms grow with the weights, the box volume and
+            # the exchange rate sigma_a: initial norms out of the normal
+            # float range are refused, and so are dissipation weights that
+            # overflow; norms that leave it during the steps are a diverged
+            # probe, a SolverError
             try:
                 with np.errstate(over="raise", invalid="raise"):
                     problem = LinearizedProblem(
@@ -396,9 +398,9 @@ def run_linearized_probe(cfg: ExperimentConfig, out_dir, seed=None):
                     if not traj.bundles[0] >= np.finfo(float).tiny:
                         raise FloatingPointError("underflow in the bundle")
             except FloatingPointError as exc:
-                raise ConfigError(f"linearized.norm_order / grid.extent: the "
-                                  f"probe's norms leave float range ({exc})"
-                                  ) from None
+                raise ConfigError(f"params / linearized.norm_order / "
+                                  f"grid.extent: the probe's norms leave "
+                                  f"float range ({exc})") from None
             except DomainError as exc:
                 # the weights are |k|^2 (1 + |k|^2)^norm_order / delta^2
                 raise ConfigError(f"linearized.norm_order / linearized.deltas"

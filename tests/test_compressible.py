@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rhdlab import compressible, model
+from rhdlab import compressible, fields, model
 from rhdlab.compressible import (CompressibleSolver, CompressibleState,
                                  StateInvalidError, _derivatives, default_dt,
                                  rhs_momentum_form, rhs_perturbation,
@@ -441,10 +441,10 @@ def test_slab_evaluation_matches_full_array_oracle(monkeypatch, dim, n,
     # changes no bit of the remainders' coefficients: in d + 1 slabs, and
     # ragged, in slabs of 3 rows and a last one of 1
     if ragged:
-        monkeypatch.setattr(model, "_CHUNK", 3 * n ** (dim - 1))
+        monkeypatch.setattr(fields, "_SLAB_POINTS", 3 * n ** (dim - 1))
     g = SpectralGrid(dim=dim, points_per_axis=n, extent=extent,
                      dealias=dealias)
-    rows = compressible._slab_rows(g)
+    rows = g._slab
     assert (rows, n % rows) == (3, 1) if ragged else -(-n // rows) == dim + 1
     bg = Background.of(PhysParams(delta=0.1, **OFF_UNIT), OFF_UNIT_EOS)
     st, _ = make_well_prepared(InitSpec(budget=0.5, seed=3), g, bg)

@@ -300,29 +300,33 @@ def test_domain_errors_on_nonpositive_state():
         model.thermo_consistency_residual(eos, 1.0, 0.0)
 
 
-@pytest.mark.parametrize("shape, chunk", [((16, 12), 40), ((7, 6, 5), 70)])
-def test_velocity_remainders_bit_identical_over_passes_and_out(
-        monkeypatch, shape, chunk):
-    # a ragged split into passes, and writing into a caller's block, change
-    # no bit of the remainders; the results are views of the block's rows
+@pytest.mark.parametrize("shape, rows", [((16, 12), 5), ((7, 6, 5), 3)])
+def test_velocity_remainders_bit_identical_over_row_ranges_and_out(shape,
+                                                                   rows):
+    # the remainders of ragged ranges of rows of the arguments, each with
+    # one gas-law call, are those rows of the whole-field remainders, bit
+    # for bit; writing into a caller's block changes no bit either, and the
+    # results are views of the block's rows
     bg = Background.of(PhysParams(delta=0.05, lam=0.05), CountingEOS())
     args = random_remainder_args(np.random.default_rng(7), shape, 0.1)
     d = len(shape)
-    monkeypatch.setattr(model, "_CHUNK", 10 ** 9)
     want = model.velocity_form_remainders(*args, bg)
-    bg.eos.calls.clear()
-    monkeypatch.setattr(model, "_CHUNK", chunk)
-    fresh = model.velocity_form_remainders(*args, bg)
-    passes = [s for name, s in bg.eos.calls if name == "p_rho"]
-    assert len(passes) > 2 and passes[-1][0] < passes[0][0]   # ragged
-    for size in (chunk, 10 ** 9):
-        monkeypatch.setattr(model, "_CHUNK", size)
-        out = np.full((d + 3,) + shape, np.nan)
-        got = model.velocity_form_remainders(*args, bg, out=out)
-        rows = (out[0], out[1:1 + d], out[d + 1], out[d + 2])
-        for g, r, f, w in zip(got, rows, fresh, want):
-            assert g.shape == r.shape and g.ctypes.data == r.ctypes.data
-            assert g.tobytes() == f.tobytes() == w.tobytes()
+    assert shape[0] % rows  # ragged: the last range is shorter
+    for lo in range(0, shape[0], rows):
+        at = (..., slice(lo, lo + rows)) + (slice(None),) * (d - 1)
+        bg.eos.calls.clear()
+        got = model.velocity_form_remainders(*(a[at] for a in args), bg)
+        assert sorted(bg.eos.calls) == sorted(
+            (name, args[0][at].shape) for name in ("p_rho", "p_theta",
+                                                   "e_theta"))
+        for g, w in zip(got, want):
+            assert g.tobytes() == w[at].tobytes()
+    out = np.full((d + 3,) + shape, np.nan)
+    got = model.velocity_form_remainders(*args, bg, out=out)
+    block_rows = (out[0], out[1:1 + d], out[d + 1], out[d + 2])
+    for g, r, w in zip(got, block_rows, want):
+        assert g.shape == r.shape and g.ctypes.data == r.ctypes.data
+        assert g.tobytes() == w.tobytes()
 
 
 def test_planck_cubic_into_out_is_bit_identical():
@@ -333,11 +337,10 @@ def test_planck_cubic_into_out_is_bit_identical():
     assert out.tobytes() == model.planck_cubic(z, p).tobytes()
 
 
-def test_domain_error_before_the_first_pass(monkeypatch):
-    # rho and theta are checked on the whole fields before any pass: a
-    # non-positive theta in the last pass is a DomainError even when the
-    # first pass overflows under errstate(raise)
-    monkeypatch.setattr(model, "_CHUNK", 8)   # six rows of 4: three passes
+def test_domain_error_before_the_first_pass():
+    # rho and theta are checked before any other arithmetic: a non-positive
+    # theta on the last row is a DomainError even when the first row
+    # overflows under errstate(raise)
     bg = Background.of(UNIT, IdealGasEOS())
     z, zv, zj = zero_fields((6, 4))
     big = zv.copy()

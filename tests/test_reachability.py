@@ -17,6 +17,13 @@ name bound to it.
 Every configuration key is read: a key that no command asks for once the
 file is loaded (and checked) is a setting that changes nothing, and
 should be retired, not offered.
+
+Every defaulted parameter of a function or method under ``src/rhdlab``
+is passed, by keyword or by position, by some call in ``src/``, or is on
+a short list with its reason.  A default nothing overrides is a knob
+nothing turns.  Calls are matched by the name of the function (of the
+class, for ``__init__``), whatever they are called on; a method's
+positions are counted without ``self``.
 """
 
 import ast
@@ -162,3 +169,81 @@ def test_every_config_key_is_read(tmp_path, monkeypatch):
     unread = [f"{section}.{key}" for section, keys in _SCHEMA.items()
               for key in keys if f"{section}.{key}" not in reads]
     assert not unread, f"config keys no command reads: {unread}"
+
+
+# The defaulted parameters no call in src/ passes, each with its reason
+ONLY_OUTSIDE_SRC = {
+    "cli.main(argv)": "the entry point, which perfbench and the tests drive",
+    "linearized.solve_linearized(scheme)":
+        "test-only knob: the matrix-exponential oracles step with imex2",
+    "linearized.solve_linearized(cadence)":
+        "test-only knob: the oracle tests observe a few states of long runs",
+    "linearized.solve_linearized(keep_states)":
+        "test-only knob: the oracle tests compare the stepped states",
+    "identities.run_identity_suite(n_fields)":
+        "test-only knob: the fault tests run the suite on fewer fields",
+    "identities.run_identity_suite(fault)":
+        "fault injection: the tests check that the suite catches each fault",
+}
+
+
+def defaulted_parameters():
+    """``(label, callee, name, position)`` of every defaulted parameter in
+    the package: ``callee`` is the name a call uses, ``position`` the
+    index of a positional parameter in a call (None if keyword-only)."""
+    found = []
+    for path, tree in _trees(PACKAGE):
+        for owner in ast.walk(tree):
+            for func in ast.iter_child_nodes(owner):
+                if not isinstance(func, ast.FunctionDef):
+                    continue
+                in_class = isinstance(owner, ast.ClassDef)
+                method = in_class and "staticmethod" not in [
+                    ast.unparse(dec) for dec in func.decorator_list]
+                callee = owner.name if func.name == "__init__" else func.name
+                qual = (f"{owner.name}." if in_class else "") + func.name
+                a = func.args
+                positional = a.posonlyargs + a.args
+                first = len(positional) - len(a.defaults)
+                for i, arg in enumerate(positional[first:], first):
+                    found.append((f"{path.stem}.{qual}({arg.arg})", callee,
+                                  arg.arg, i - method))
+                for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                    if default is not None:
+                        found.append((f"{path.stem}.{qual}({arg.arg})",
+                                      callee, arg.arg, None))
+    return found
+
+
+def passed_arguments():
+    """``(callee, name or position)`` of every argument some call in
+    ``src/`` passes; a starred argument passes every position from its
+    own, and a ``**`` mapping every keyword (``"**"``)."""
+    passed = set()
+    for _, tree in _trees(ROOT / "src"):
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            f = call.func
+            callee = (f.id if isinstance(f, ast.Name)
+                      else f.attr if isinstance(f, ast.Attribute) else None)
+            count = len(call.args)
+            if any(isinstance(x, ast.Starred) for x in call.args):
+                count = 64  # more positions than any signature here
+            passed.update((callee, i) for i in range(count))
+            passed.update((callee, "**" if kw.arg is None else kw.arg)
+                          for kw in call.keywords)
+    return passed
+
+
+def test_every_defaulted_parameter_is_passed():
+    found = defaulted_parameters()
+    assert len(found) > 20  # the scan sees the package's defaults
+    passed = passed_arguments()
+    unpassed = sorted(
+        label for label, callee, name, position in found
+        if not {(callee, name), (callee, "**"), (callee, position)} & passed)
+    assert unpassed == sorted(ONLY_OUTSIDE_SRC), (
+        f"defaulted parameters no call in src/ passes: "
+        f"{sorted(set(unpassed) - set(ONLY_OUTSIDE_SRC))}; listed but "
+        f"passed or gone: {sorted(set(ONLY_OUTSIDE_SRC) - set(unpassed))}")

@@ -421,6 +421,11 @@ def test_cli_exit_codes_and_commands(tmp_path, capsys):
             ("linearized", "[grid]\npoints_per_axis = 16\nextent = 1e100\n"
                            "[linearized]\nt_end = 0.002\nnorm_order = 0\n",
              "grid.extent"),
+            # the exchange term sigma_a*drad of the initial Parseval density
+            # overflows, before any step
+            ("linearized", "[grid]\npoints_per_axis = 16\n[linearized]\n"
+                           "t_end = 0.01\n[params]\nsigma_a = 1e300\n",
+             "params / linearized.norm_order / grid.extent"),
             # the probe's squared norms overflow, or underflow to zero
             ("linearized", "[grid]\npoints_per_axis = 16\n[linearized]\n"
                            "t_end = 0.004\ndt = 0.002\namplitude = 1e300\n",
@@ -515,6 +520,29 @@ def test_cli_exit_codes_and_commands(tmp_path, capsys):
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: ") and cause in err, err
         assert not caught, (cause, [str(w.message) for w in caught])
+
+
+def test_diverged_probe_is_a_clean_error(tmp_path, capsys):
+    # a second viscosity of 1e300 passes every check of the parameters and
+    # of the initial norms, and the standing wave's state leaves float range
+    # after some steps: exit 1 naming the diverged probe, with no warning
+    # and no output, as the run exits 1 on the same value
+    body = ("[grid]\npoints_per_axis = 16\n[params]\nlam = 1e300\n"
+            "[linearized]\nt_end = 0.01\n")
+    cfg = write_config(tmp_path / "lam.ini", body)
+    errs = {}
+    for command in ("linearized", "run"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli_main([command, "--config", cfg,
+                             "--out", str(tmp_path / command)]) == 1
+        errs[command] = capsys.readouterr().err
+        assert not caught, [str(w.message) for w in caught]
+    assert not (tmp_path / "linearized").exists()
+    assert errs["run"].startswith("error: run aborted at t=0.0"), errs
+    probe = errs["linearized"]
+    assert probe.startswith("error: the linearized probe at delta="), probe
+    assert float(probe.split("diverged after t=")[1].split(":")[0]) > 0.0
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
