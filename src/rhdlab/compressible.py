@@ -315,10 +315,15 @@ class CompressibleSolver:
 
     def pack(self, state: CompressibleState) -> np.ndarray:
         """Coefficients of the deviation of ``state`` from the background,
-        in the :func:`rhdlab.steppers.pack_state` layout."""
-        pr = self.bg.params
-        return pack_state(self.grid, state.rho - pr.rho_bar, state.u,
-                          state.theta - pr.theta_bar, state.rad - pr.n_bar)
+        in the :func:`rhdlab.steppers.pack_state` layout, from one forward
+        transform of one stack of point values."""
+        pr, d = self.bg.params, self.grid.dim
+        x = np.empty((d + 3,) + self.grid.shape)
+        np.subtract(state.rho, pr.rho_bar, out=x[0])
+        x[1:1 + d] = state.u
+        np.subtract(state.theta, pr.theta_bar, out=x[d + 1])
+        np.subtract(state.rad, pr.n_bar, out=x[d + 2])
+        return self.grid.fft(x)
 
     # stepping -------------------------------------------------------------
 

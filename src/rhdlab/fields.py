@@ -108,6 +108,13 @@ def _checked(dim, points_per_axis, extent):
     return n, volume
 
 
+def _axis_modes(n, cut):
+    """Integer mode numbers ``|m| <= cut`` of a leading axis in fft order
+    (0, 1, ..., -1) and ``0, ..., cut`` of the last one."""
+    ints = _fft.fftfreq(n, d=1.0 / n)
+    return ints[np.abs(ints) <= cut], np.arange(cut + 1)
+
+
 class SpectralGrid:
     """Uniform periodic grid with Fourier transforms, wavenumbers and norms.
 
@@ -134,12 +141,9 @@ class SpectralGrid:
         self.shape, self.dx = (n,) * dim, self.extent / n
         self._fft_axes = tuple(range(-dim, 0))
 
-        # Integer mode numbers of the box per axis: |m| <= cut in fft order
-        # (0, 1, ..., -1) on the leading axes, 0, ..., cut on the last one;
-        # scaled to wavenumbers.
+        # Integer mode numbers of the box per axis, scaled to wavenumbers.
         cut = n // 3 if self.dealias else n // 2
-        ints = _fft.fftfreq(n, d=1.0 / n)
-        lead, last = ints[np.abs(ints) <= cut], np.arange(cut + 1)
+        lead, last = _axis_modes(n, cut)
         self.lead_modes = lead.astype(int)  # the box rows of a leading axis
         self.spectral_shape = (len(lead),) * (dim - 1) + (cut + 1,)
         axes = np.meshgrid(*([lead] * (dim - 1)), last, indexing="ij")
@@ -410,7 +414,8 @@ class SpectralGrid:
         ksq = np.where(self.ksq == 0.0, 1.0, self.ksq)
         # k.v is -i div(v) exactly: the factor -1j only moves the parts
         proj = -1j * self.divergence(vhat) / ksq
-        return vhat - self.ik.imag * proj
+        out = self.ik.imag * proj
+        return np.subtract(vhat, out, out=out)
 
     # -- norms and the filter ---------------------------------------------
 
@@ -440,15 +445,28 @@ class SpectralGrid:
             raise ValueError(f"order must be >= 0, got {order}")
         return (1.0 + self.ksq_full) ** order
 
+    def largest_sobolev_weight(self, order: int) -> float:
+        """The largest :meth:`sobolev_weight` of :meth:`whole`, without
+        building it: the weight increases with ``|k|^2``, which is largest
+        at the corner mode, ``|k_i| = pi n / extent`` on every axis."""
+        if order < 0:
+            raise ValueError(f"order must be >= 0, got {order}")
+        lead, last = _axis_modes(self.n, self.n // 2)
+        k = (2.0 * np.pi / self.extent) * np.array(
+            [np.max(np.abs(lead))] * (self.dim - 1) + [last[-1]])
+        return float((1.0 + np.sum(k * k)) ** order)
+
     def sobolev_norm(self, f: np.ndarray, order: int = 0) -> float:
         """Discrete Sobolev norm of point values ``f`` via the
         ``(1 + |k|^2)^order`` multiplier, over the whole half spectrum of
         ``f`` (:meth:`whole`), dealiased or not.
 
         Matches the continuum L2 norm at ``order=0`` (Parseval); vector
-        fields contribute the sum of squared component norms.  On a
-        dealiased grid each call builds :meth:`whole`; a caller in a loop
-        takes its norms on ``grid.whole()``.
+        fields contribute the sum of squared component norms.  Each call
+        transforms ``f`` and builds the weight, and on a dealiased grid
+        :meth:`whole` too.  A caller that holds the coefficients on
+        ``grid.whole()`` takes the Parseval sum :meth:`norm_sq` with one
+        :meth:`sobolev_weight` instead, as the initial data do.
         """
         g = self.whole()
         w = g.sobolev_weight(order)

@@ -10,13 +10,22 @@ the weighted norm bundle
 lands at 0.8 times the requested budget (0.2 per component).  Velocity data
 are Leray-projected before scaling, so ``div u0`` vanishes to round-off.
 
+The datum is built on its coefficients, over the whole half spectrum
+(:meth:`rhdlab.fields.SpectralGrid.whole`): each drawn white noise is
+transformed forward once and filtered by the envelope, its unit norm is a
+Parseval sum of those coefficients, the velocity is projected there, and
+each state field takes one inverse transform.  The envelope and the
+``H^N`` weight are built once per datum.  The report takes its norms of
+the state's point values, as the budget check needs them.
+
 By default the temperature perturbation is slaved to the density one so the
 linearized pressure ``P_rho*drho + P_theta*dtheta`` vanishes: on a periodic
 box there is no dispersion to carry acoustic energy away, and independently
 drawn O(delta) density/temperature data would ring at O(1) velocity
 amplitude forever, defeating the point of well-prepared data ("no large
 acoustic waves").  Set ``balanced_pressure=False`` to get fully independent
-fields.
+fields.  Every field is drawn either way, in a fixed order, so a seed gives
+the same shapes under every flag.
 """
 
 from __future__ import annotations
@@ -74,6 +83,23 @@ class InitSpec:
             raise InitError("norm_order must be >= 0")
 
 
+def _envelope(grid, peak):
+    """``exp(-(|k| - peak)^2)`` in integer mode magnitudes on the layout of
+    ``grid``, zero at ``k = 0``."""
+    kmag = np.sqrt(grid.ksq_full) * (grid.extent / (2.0 * np.pi))
+    env = np.exp(-((kmag - peak) ** 2))
+    env[(0,) * grid.dim] = 0.0
+    return env
+
+
+def _band(grid, rng, env):
+    """Coefficients of one drawn white noise, transformed once and filtered
+    by ``env``."""
+    c = grid.fft(rng.standard_normal(grid.shape))
+    c *= env
+    return c
+
+
 def random_band_scalar(grid: SpectralGrid, rng: np.random.Generator,
                        peak: float) -> np.ndarray:
     """Zero-mean random field with envelope ``exp(-(|k| - peak)^2)``.
@@ -82,19 +108,18 @@ def random_band_scalar(grid: SpectralGrid, rng: np.random.Generator,
     (:meth:`rhdlab.fields.SpectralGrid.whole`), so Hermitian symmetry
     (realness) is automatic; the spectrum decays super-exponentially away
     from ``peak``, keeping nonlinear products of these fields fully
-    resolved.
+    resolved.  On a dealiased grid each call builds the whole grid; a
+    caller that draws several fields passes ``grid.whole()``.
     """
     grid = grid.whole()
-    white = rng.standard_normal(grid.shape)
-    kmag = np.sqrt(grid.ksq_full) * (grid.extent / (2.0 * np.pi))  # integer mode magnitude
-    env = np.exp(-((kmag - peak) ** 2))
-    env[(0,) * grid.dim] = 0.0
-    return grid.ifft(grid.fft(white) * env)
+    return grid.ifft(_band(grid, rng, _envelope(grid, peak)))
 
 
-def _unit_shape(grid, rng, peak, order):
-    f = random_band_scalar(grid, rng, peak)
-    return f / grid.sobolev_norm(f, order)
+def _norm(grid, fhats, w):
+    """The ``H^N`` norm, weight ``w``, of the fields whose coefficients
+    ``fhats`` yields: the root of the sum of their Parseval sums, taken one
+    field at a time."""
+    return float(np.sqrt(sum(np.sum(grid.norm_sq(f, w)) for f in fhats)))
 
 
 def make_well_prepared(spec: InitSpec, grid: SpectralGrid, bg: Background):
@@ -121,6 +146,7 @@ def make_well_prepared(spec: InitSpec, grid: SpectralGrid, bg: Background):
             f"spectrum_peak={spec.spectrum_peak} too close to the dealias "
             f"cut {grid.n // 3} at n={grid.n}", key="spectrum_peak")
     N = spec.norm_order
+    w = grid.sobolev_weight(N)
     delta = bg.delta
     rng = default_rng(spec.seed)
 
@@ -130,7 +156,7 @@ def make_well_prepared(spec: InitSpec, grid: SpectralGrid, bg: Background):
             np.zeros((grid.dim,) + grid.shape),
             np.full(grid.shape, params.theta_bar),
             np.full(grid.shape, params.n_bar))
-        return state, _report(grid, state, bg, spec)
+        return state, _report(grid, state, bg, spec, w)
 
     share = _SHARE * spec.budget
     if share * share < np.finfo(float).tiny:
@@ -140,32 +166,38 @@ def make_well_prepared(spec: InitSpec, grid: SpectralGrid, bg: Background):
     # dtheta and has none of its own
     lead = "momentum" if spec.mode == "local-thm" else "velocity"
     shares = {lead: share, "density": share, "temperature": share}
+    env = _envelope(grid, spec.spectrum_peak)
 
-    # Fixed draw order keeps a given seed comparable across flag settings.
-    w_rho = _unit_shape(grid, rng, spec.spectrum_peak, N)
-    w_theta = _unit_shape(grid, rng, spec.spectrum_peak, N)
-    w_rad = _unit_shape(grid, rng, spec.spectrum_peak, N)
-    w_u = np.stack([random_band_scalar(grid, rng, spec.spectrum_peak)
-                    for _ in range(grid.dim)])
+    def scaled(amp):
+        """Point values of the next drawn shape at the ``H^N`` norm
+        ``amp``."""
+        c = _band(grid, rng, env)
+        c *= amp / _norm(grid, [c], w)
+        return grid.ifft(c)
 
+    # Fixed draw order (density, temperature, radiation, velocity) keeps a
+    # given seed comparable across flag settings: a shape the flags do not
+    # use is drawn all the same.
     balanced = spec.balanced_pressure and abs(bg.p_theta) > 1e-14
     if balanced:
         # Slave dtheta to drho so the linearized pressure vanishes
         # (entropy-mode data); budget the pair jointly.
         ratio = bg.p_rho / bg.p_theta
         amp_rho = 2.0 * share * delta / (1.0 + abs(ratio))
-        drho = amp_rho * w_rho
+        drho = scaled(amp_rho)
+        rng.standard_normal(grid.shape)
         dtheta = -ratio * drho
         shares["density"] = amp_rho / delta
         shares["temperature"] = abs(ratio) * amp_rho / delta
     else:
-        drho = share * delta * w_rho
-        dtheta = share * delta * w_theta
+        drho = scaled(share * delta)
+        dtheta = scaled(share * delta)
 
     if spec.slaved_radiation:
+        rng.standard_normal(grid.shape)
         drad = (bg.emission / params.sigma_a) * dtheta
     else:
-        drad = share * np.sqrt(delta) * w_rad
+        drad = scaled(share * np.sqrt(delta))
         shares["radiation"] = share
 
     rho0 = params.rho_bar + drho
@@ -180,15 +212,22 @@ def make_well_prepared(spec: InitSpec, grid: SpectralGrid, bg: Background):
             f"would push min theta to {np.min(theta0):.4g} < theta_bar/2",
             key="budget")
 
-    u_dir = grid.ifft(grid.leray(grid.fft(w_u)))
+    u_hat = np.empty((grid.dim,) + grid.spectral_shape, complex)
+    for i in range(grid.dim):
+        u_hat[i] = _band(grid, rng, env)
+    del env
+    u_hat = grid.leray(u_hat)
     # the norms of rho*u may square past float range, but only where rho_bar
     # is so large that drho drowns in it, and that datum is refused below
     with np.errstate(over="ignore"):
-        norm = grid.sobolev_norm(rho0 * u_dir if lead == "momentum"
-                                 else u_dir, N)
-        u0 = (share / norm) * u_dir
+        if lead == "velocity":
+            u_hat *= share / _norm(grid, u_hat, w)
+        u0 = grid.ifft(u_hat)
+        del u_hat
+        if lead == "momentum":
+            u0 *= share / _norm(grid, (grid.fft(rho0 * u) for u in u0), w)
         state = CompressibleState(rho0, u0, theta0, params.n_bar + drad)
-        report = _report(grid, state, bg, spec)
+        report = _report(grid, state, bg, spec, w)
     got = report["weighted_norms"]
     missed = [name for name, want in shares.items()
               if not abs(got[name] - want) <= _BUNDLE_RTOL * want]
@@ -226,17 +265,27 @@ def _drowned(grid, pert, bar, N):
             > _BUNDLE_RTOL * np.max(np.abs(big)))
 
 
-def _report(grid, state, bg, spec):
-    N, params, delta = spec.norm_order, bg.params, bg.delta
-    drho = state.rho - params.rho_bar
-    dtheta = state.theta - params.theta_bar
-    drad = state.rad - params.n_bar
+def _report(grid, state, bg, spec, w):
+    """The achieved norms of the point values of ``state``, on the whole
+    grid ``grid`` with the ``H^N`` weight ``w``, and its margins; the
+    velocity norm and ``div u`` share one transform of ``u``."""
+    params, delta = bg.params, bg.delta
+
+    def norm(f):
+        return _norm(grid, [grid.fft(f)], w)
+
+    u_hat = grid.fft(state.u)
+    div_hat = grid.divergence(u_hat)
+    velocity = _norm(grid, u_hat, w)
+    del u_hat
+    div_u = float(np.max(np.abs(grid.ifft(div_hat))))
     comp = {
-        "momentum": grid.sobolev_norm(state.rho * state.u, N),
-        "velocity": grid.sobolev_norm(state.u, N),
-        "density": grid.sobolev_norm(drho, N) / delta,
-        "temperature": grid.sobolev_norm(dtheta, N) / delta,
-        "radiation": grid.sobolev_norm(drad, N) / np.sqrt(delta),
+        "momentum": _norm(grid, (grid.fft(state.rho * u) for u in state.u),
+                          w),
+        "velocity": velocity,
+        "density": norm(state.rho - params.rho_bar) / delta,
+        "temperature": norm(state.theta - params.theta_bar) / delta,
+        "radiation": norm(state.rad - params.n_bar) / np.sqrt(delta),
     }
     lead = comp["momentum"] if spec.mode == "local-thm" else comp["velocity"]
     bundle = lead + comp["density"] + comp["temperature"] + comp["radiation"]
@@ -245,8 +294,7 @@ def _report(grid, state, bg, spec):
         "bundle": bundle,
         "budget": spec.budget,
         "mode": spec.mode,
-        "div_u": float(np.max(np.abs(
-            grid.ifft(grid.divergence(grid.fft(state.u)))))),
+        "div_u": div_u,
         "min_rho": float(np.min(state.rho)),
         "min_theta": float(np.min(state.theta)),
         "seed": spec.seed,

@@ -75,13 +75,13 @@ class LinearizedTrajectory:
     states: list = field(default_factory=list)   # (nrel, mom, dtheta, drad)
 
 
-def _standing_wave(grid: SpectralGrid, params: PhysParams, wave: float,
+def _standing_wave(grid: SpectralGrid, whole: SpectralGrid, wave: float,
                    norm_order: int):
-    """The coefficient ``A = 1 + wave sin(x_0) sin(t)`` in spectral form,
-    built once: ``(tendency, load)`` with ``tendency(s, X)`` the momentum
-    tendency of the fluctuation ``A - 1`` on packed coefficients ``X`` and
-    ``load(s)`` the load ``1 + |A|^2_{H^norm_order}``, both at ``s =
-    sin(t)``.  Neither transforms a field.
+    """The coefficient ``A = 1 + wave sin(x_0) sin(t)`` on ``grid`` in
+    spectral form, built once per family from one transform on ``whole``,
+    ``grid.whole()``: ``(K, load)`` with ``K`` the convolution of the
+    fluctuation along the box rows of ``x_0`` (:func:`_fluctuation`) and
+    ``load(s)`` the load ``1 + |A|^2_{H^norm_order}`` at ``s = sin(t)``.
 
     ``A - 1 = s * shape`` with ``shape = wave sin(x_0)`` a profile of
     ``x_0`` alone: on the whole half spectrum its coefficients vanish off
@@ -93,17 +93,19 @@ def _standing_wave(grid: SpectralGrid, params: PhysParams, wave: float,
     rows of ``x_0``: exact, aliasing included, for every extent.  The load
     is ``1 + q0 + 2 s q1 + s^2 q2``, with ``q0``, ``q1`` and ``q2`` the
     Parseval sums of ``|1|^2``, ``1 * shape`` and ``|shape|^2`` on the whole
-    half spectrum.
+    half spectrum.  At ``wave = 0`` the fluctuation vanishes and so do
+    ``q1`` and ``q2``: the load is ``1 + q0`` to the bit, and nothing
+    spectral is built.
     """
+    # the mean 1 is the coefficient n**d at k = 0, where the weight is 1
+    q0 = whole.volume
+    if wave == 0.0:
+        return None, lambda s: 1.0 + q0
     d, n = grid.dim, grid.n
-    whole = grid.whole()
     shape_hat = whole.fft(wave * np.sin(grid.grid_points()[0]))
     rows = grid.lead_modes
     K = shape_hat[(slice(None),) + (0,) * (d - 1)][
         np.subtract.outer(rows, rows) % n] / n ** d
-
-    # the mean 1 is the coefficient n**d at k = 0, where the weight is 1
-    q0 = whole.volume
     q1 = float(whole.volume * shape_hat[(0,) * d].real / n ** d)
     w = whole.sobolev_weight(norm_order)
     q2 = float(np.sum(whole.norm_sq(shape_hat, w)))
@@ -111,28 +113,67 @@ def _standing_wave(grid: SpectralGrid, params: PhysParams, wave: float,
     def load(s):
         return 1.0 + q0 + 2.0 * s * q1 + s * s * q2
 
+    return K, load
+
+
+def _fluctuation(grid: SpectralGrid, params: PhysParams, K):
+    """``tendency(s, X)``: the momentum tendency of the fluctuation ``A -
+    1`` at ``s = sin(t)`` on packed coefficients ``X``, with ``K`` of
+    :func:`_standing_wave`; zero when ``K`` is None.  It transforms no
+    field."""
+    d, rows = grid.dim, len(grid.lead_modes)
     mu_ik, mu_lam = params.mu_bar * grid.ik, params.mu_bar + params.lam_bar
 
     def tendency(s, X):
         # the divergence over j of (A - 1) (mu_bar d_j m_i
         # + (lam + mu)_bar div(m) delta_ij), the flux taken along x_0 by K
         N = np.zeros_like(X)
-        if wave != 0.0:
+        if K is not None:
             m = X[1:1 + d]
             flux = mu_ik * m[:, None]
             flux[range(d), range(d)] += mu_lam * grid.divergence(m)
-            flux = np.matmul(K, flux.reshape(d * d, len(rows), -1))
+            flux = np.matmul(K, flux.reshape(d * d, rows, -1))
             N[1:1 + d] = s * grid.divergence(
                 flux.reshape((d, d) + grid.spectral_shape))
         return N
 
-    return tendency, load
+    return tendency
+
+
+def _shared(grid: SpectralGrid, problem: LinearizedProblem,
+            bg: Background, dt: float, scheme: str = "imex1"):
+    """What the solves of every coefficient family share at one background,
+    step and scheme, for the initial data and norm order of ``problem``,
+    whatever its ``wave``: ``(stepper, w_no, w_diss, X0)``, the factored
+    stepper, the ``H^norm_order`` weight, the dissipation weights and the
+    packed initial state.  An unknown ``scheme`` raises
+    :class:`ValueError`, dissipation weights that overflow
+    :class:`rhdlab.model.DomainError`."""
+    d, no, d2 = grid.dim, problem.norm_order, bg.params.delta ** 2
+    stepper = ImexStepper(scheme, split_symbol(grid, bg, relative_density=True),
+                          dt)
+    # Parseval weights per slot of [X, exchange]: the dissipation rate takes
+    # gradients of nrel in H^(no-1), of the rest of X in H^no, and the
+    # exchange term in H^no; the bundle takes X in H^no.  A finite H^no
+    # weight can still overflow once divided by delta^2
+    w_no = grid.sobolev_weight(no)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w_diss = np.concatenate([
+            grid.ksq * np.stack([grid.sobolev_weight(max(no - 1, 0)) / d2]
+                                + [w_no] * d + [w_no / d2] * 2),
+            [w_no / d2]])
+    if not np.all(np.isfinite(w_diss)):
+        raise DomainError(f"the H^{no} dissipation weights overflow")
+    X0 = pack_state(grid, problem.init_nrel, problem.init_mom,
+                    problem.init_dtheta, problem.init_drad)
+    return stepper, w_no, w_diss, X0
 
 
 def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
                      bg: Background, dt: float,
                      scheme: str = "imex1", cadence: int = 1,
-                     keep_states: bool = False) -> LinearizedTrajectory:
+                     keep_states: bool = False, *, shared=None, wave=None
+                     ) -> LinearizedTrajectory:
     """Integrate the linearized system and accumulate estimate ingredients.
 
     The steps and the observed states (at 0, every ``cadence`` steps and at
@@ -146,27 +187,23 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
     raises, arithmetic of the steps that leaves float range raises
     :class:`rhdlab.steppers.SolverError`: the norms of the initial state
     were in range, so the state diverged.
+
+    A caller that solves several problems builds their common pieces once
+    and passes them: ``shared``, :func:`_shared` of a problem with the same
+    initial data and norm order at the same ``bg``, ``dt`` and ``scheme``,
+    and ``wave``, :func:`_standing_wave` of ``problem.wave`` at its norm
+    order.  Each one left out is built here, the same bits.
     """
     steps = schedule(problem.horizon, dt, cadence)
-    pr, d, no = bg.params, grid.dim, problem.norm_order
-    d2 = pr.delta ** 2
-
-    stepper = ImexStepper(scheme, split_symbol(grid, bg, relative_density=True),
-                          dt)
-    tendency, load = _standing_wave(grid, pr, problem.wave, no)
-
-    # Parseval weights per slot of [X, exchange]: the dissipation rate takes
-    # gradients of nrel in H^(no-1), of the rest of X in H^no, and the
-    # exchange term in H^no; the bundle takes X in H^no.  A finite H^no
-    # weight can still overflow once divided by delta^2
-    w_no = grid.sobolev_weight(no)
-    with np.errstate(over="ignore", invalid="ignore"):
-        w_diss = np.concatenate([
-            grid.ksq * np.stack([grid.sobolev_weight(max(no - 1, 0)) / d2]
-                                + [w_no] * d + [w_no / d2] * 2),
-            [w_no / d2]])
-    if not np.all(np.isfinite(w_diss)):
-        raise DomainError(f"the H^{no} dissipation weights overflow")
+    pr, d = bg.params, grid.dim
+    if shared is None:
+        shared = _shared(grid, problem, bg, dt, scheme)
+    if wave is None:
+        wave = _standing_wave(grid, grid.whole(), problem.wave,
+                              problem.norm_order)
+    stepper, w_no, w_diss, X = shared
+    K, load = wave
+    tendency = _fluctuation(grid, pr, K)
     bundle = bundle_factors(d, pr.delta)
     spatial = tuple(range(1, d + 1))
 
@@ -176,9 +213,6 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
         sq = np.abs(np.concatenate([X, [exch]]))
         sq *= sq
         return grid.parseval_density(sq)
-
-    X = pack_state(grid, problem.init_nrel, problem.init_mom,
-                   problem.init_dtheta, problem.init_drad)
 
     traj = LinearizedTrajectory()
     cum_d = cum_a = 0.0

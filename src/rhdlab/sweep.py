@@ -12,6 +12,7 @@ import json
 import math
 import time as _time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -24,7 +25,8 @@ from .config import ConfigError, ExperimentConfig, dump_config_text
 from .fields import SpectralGrid, save_field
 from .incompressible import IncompressibleSolver
 from .initial import InitError, make_well_prepared, random_band_scalar
-from .linearized import LinearizedProblem, check_estimate, solve_linearized
+from .linearized import (LinearizedProblem, _shared, _standing_wave,
+                         check_estimate, solve_linearized)
 from .model import DomainError, ParameterError
 from .steppers import schedule
 
@@ -130,8 +132,9 @@ class _Setup:
 def _setup(cfg: ExperimentConfig, out_dir, seed) -> _Setup:
     """Build the grid, check that every Sobolev weight the configuration
     asks for is finite on the whole half spectrum of the grid (point values
-    hold every mode) and resolve the seed.  The output directory is made
-    by :meth:`_Setup.write`.
+    hold every mode; :meth:`rhdlab.fields.SpectralGrid.largest_sobolev_weight`,
+    which builds no grid) and resolve the seed.  The output directory is
+    made by :meth:`_Setup.write`.
 
     A ``seed`` given here replaces ``init.seed`` in the set-up's copy of the
     configuration, so ``effective_config.ini`` reproduces the run."""
@@ -139,12 +142,11 @@ def _setup(cfg: ExperimentConfig, out_dir, seed) -> _Setup:
         cfg = ExperimentConfig({sec: dict(keys) for sec, keys in cfg.raw.items()})
         cfg.raw["init"]["seed"] = str(seed)
     grid = cfg.build_grid()
-    whole = grid.whole()
     with np.errstate(over="ignore"):
         for key in ("diagnostics.order", "init.norm_order",
                     "linearized.norm_order"):
             order = cfg.get(*key.split("."))
-            if not np.all(np.isfinite(whole.sobolev_weight(order))):
+            if not np.isfinite(grid.largest_sobolev_weight(order)):
                 raise ConfigError(f"{key} = {order}: the weight (1 + |k|^2)"
                                   f"^{order} overflows on this grid")
     return _Setup(cfg, Path(out_dir), grid, cfg.get("init", "seed"))
@@ -231,7 +233,9 @@ def _members(s: _Setup, deltas, reference: bool, threads: int = 1):
     background and datum (the first reuses the first ones).  Returns
     ``dt`` and, per delta in order, ``(trajectory, summary)``; a summary
     holds ``ref_error``, the sups in time of the limit errors, when its
-    run finished against a reference.  With ``threads > 1`` the members
+    run finished against a reference.  A member whose observation at t = 0
+    leaves float range is a configuration error
+    (:func:`_refusing_at_entry`).  With ``threads > 1`` the members
     run on a thread pool.  One thread keeps them on the calling thread, so
     that Ctrl-C stops a ``run`` at once instead of waiting for its member.
     """
@@ -248,7 +252,8 @@ def _members(s: _Setup, deltas, reference: bool, threads: int = 1):
                                     s.cfg.get("solver", "scheme"))
         traj = solver.run(state0, s.cfg.get("solver", "t_end"),
                           cadence=s.cfg.get("output", "cadence"),
-                          observer=s.collector(bg, "run", ref).observe)
+                          observer=_refusing_at_entry(
+                              s.collector(bg, "run", ref).observe))
         summary = _traj_summary(traj, init_report, solver, delta)
         if ref is not None and traj.status == "ok":
             summary["ref_error"] = {
@@ -260,6 +265,26 @@ def _members(s: _Setup, deltas, reference: bool, threads: int = 1):
         return dt, [member(delta) for delta in deltas]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return dt, list(pool.map(member, deltas))
+
+
+def _refusing_at_entry(observe):
+    """``observe`` for a run whose observation at t = 0, the last of its
+    set-up, refuses norms out of float range as a configuration error
+    instead of aborting the run: the run raises it before any step, and
+    no output is written.  A later observation that overflows aborts the
+    run as any arithmetic of its steps does."""
+    def checked(X, t):
+        try:
+            return observe(X, t)
+        except FloatingPointError as exc:
+            if t != 0.0:
+                raise
+            # the exchange rate sigma_a weighs the radiation, the weights
+            # grow with the order and the norms with the box volume
+            raise ConfigError(f"params / diagnostics.order / grid.extent: "
+                              f"the initial state's norms leave float range "
+                              f"({exc})") from None
+    return checked
 
 
 def run_single(cfg: ExperimentConfig, out_dir, seed=None):
@@ -364,61 +389,38 @@ _PROBE_AMPLITUDE = 0.05
 
 
 def run_linearized_probe(cfg: ExperimentConfig, out_dir, seed=None):
-    """Uniform-estimate probe over coefficient families and Mach values."""
+    """Uniform-estimate probe over coefficient families and Mach values.
+
+    Set-up builds one whole grid, which the data shapes and the standing
+    wave share, and one coefficient per family.  The solves run delta by
+    delta, both families of a delta on one factored operator and one
+    packed datum (:func:`_probe_delta`), so one delta's operator is held
+    at a time; the rows are written family by family, in the order of
+    ``linearized.deltas``."""
     s = _setup(cfg, out_dir, seed)
     grid = s.grid
     deltas = cfg.get("linearized", "deltas")
-    amp = _PROBE_AMPLITUDE
+    families = cfg.get("linearized", "families")
+    norm_order = cfg.get("linearized", "norm_order")
     dt = _dt(s, "linearized")
     wave = cfg.get("linearized", "wave_amplitude")
+    whole = grid.whole()
     rng = default_rng(s.seed)
-    shapes = [random_band_scalar(grid, rng, 2.0) for _ in range(3 + grid.dim)]
+    shapes = [random_band_scalar(whole, rng, 2.0) for _ in range(3 + grid.dim)]
     backgrounds = [s.cfg.build_background(delta) for delta in deltas]
+    waves = {}
+    with _probe_float_range():
+        for name in families:
+            a = wave if name == "standing-wave" else 0.0  # constant: A = 1
+            waves[name] = a, _standing_wave(grid, whole, a, norm_order)
+    del whole
+    by_delta = [_probe_delta(s, shapes, bg, dt, waves) for bg in backgrounds]
     records, results = [], {}
-    for name in cfg.get("linearized", "families"):
-        a = wave if name == "standing-wave" else 0.0  # constant: A = 1
+    for name in families:
         constants = {}
-        for delta, bg in zip(deltas, backgrounds):
-            # the squared norms grow with the weights, the box volume and
-            # the exchange rate sigma_a: initial norms out of the normal
-            # float range are refused, and so are dissipation weights that
-            # overflow; norms that leave it during the steps are a diverged
-            # probe, a SolverError
-            try:
-                with np.errstate(over="raise", invalid="raise"):
-                    problem = LinearizedProblem(
-                        wave=a,
-                        init_nrel=delta * amp * shapes[0],
-                        init_mom=amp * np.stack(shapes[1:1 + grid.dim]),
-                        init_dtheta=delta * amp * shapes[1 + grid.dim],
-                        init_drad=np.sqrt(delta) * amp * shapes[2 + grid.dim],
-                        horizon=cfg.get("linearized", "t_end"),
-                        norm_order=cfg.get("linearized", "norm_order"))
-                    traj = solve_linearized(grid, problem, bg, dt=dt)
-                    if not traj.bundles[0] >= np.finfo(float).tiny:
-                        raise FloatingPointError("underflow in the bundle")
-            except FloatingPointError as exc:
-                raise ConfigError(f"params / linearized.norm_order / "
-                                  f"grid.extent: the probe's norms leave "
-                                  f"float range ({exc})") from None
-            except DomainError as exc:
-                # the weights are |k|^2 (1 + |k|^2)^norm_order / delta^2
-                raise ConfigError(f"linearized.norm_order / linearized.deltas"
-                                  f" / grid.extent: {exc}") from None
-            try:
-                rep = check_estimate(traj)
-            except DomainError as exc:
-                # the load grows with the horizon, the norm order and the
-                # box volume
-                raise ConfigError(f"linearized.t_end / linearized.norm_order "
-                                  f"/ grid.extent: {exc}") from None
-            constants[delta] = rep.constant
-            records.append(diag.DiagnosticsRecord(
-                time=traj.times[-1], bundle_sup=max(traj.bundles),
-                energy_E=rep.lhs_sup, diss_u=traj.cum_dissipation[-1],
-                diss_theta=0.0, diss_G=0.0,
-                exchange_residual=rep.constant, delta=delta, seed=s.seed,
-                kind="linearized"))
+        for delta, solved in zip(deltas, by_delta):
+            constants[delta], record = solved[name]
+            records.append(record)
         vals = list(constants.values())
         results[name] = {
             "constants": {str(d): c for d, c in constants.items()},
@@ -429,3 +431,62 @@ def run_linearized_probe(cfg: ExperimentConfig, out_dir, seed=None):
     s.write("linearized.csv", records, "linearized_report.json",
             {"kind": "linearized", "seed": s.seed, "families": results})
     return results
+
+
+@contextmanager
+def _probe_float_range():
+    """The probe's float-range guard: the squared norms grow with the
+    weights, the box volume and the exchange rate sigma_a, so initial norms
+    out of the normal float range are refused, and so are dissipation
+    weights that overflow; norms that leave it during the steps are a
+    diverged probe, a SolverError."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ConfigError(f"params / linearized.norm_order / "
+                          f"grid.extent: the probe's norms leave "
+                          f"float range ({exc})") from None
+    except DomainError as exc:
+        # the weights are |k|^2 (1 + |k|^2)^norm_order / delta^2
+        raise ConfigError(f"linearized.norm_order / linearized.deltas"
+                          f" / grid.extent: {exc}") from None
+
+
+def _probe_delta(s: _Setup, shapes, bg, dt, waves):
+    """The probe at one background: ``{family: (constant, record)}`` for
+    the coefficients ``waves``, ``{family: (amplitude, standing wave)}``,
+    every family solved from one datum of the ``shapes`` on the pieces of
+    :func:`rhdlab.linearized._shared`, which are dropped on return."""
+    grid, delta, amp = s.grid, bg.delta, _PROBE_AMPLITUDE
+    out = {}
+    with _probe_float_range():
+        problem = LinearizedProblem(
+            wave=0.0,
+            init_nrel=delta * amp * shapes[0],
+            init_mom=amp * np.stack(shapes[1:1 + grid.dim]),
+            init_dtheta=delta * amp * shapes[1 + grid.dim],
+            init_drad=np.sqrt(delta) * amp * shapes[2 + grid.dim],
+            horizon=s.cfg.get("linearized", "t_end"),
+            norm_order=s.cfg.get("linearized", "norm_order"))
+        shared = _shared(grid, problem, bg, dt)
+    for name, (a, wave) in waves.items():
+        with _probe_float_range():
+            traj = solve_linearized(grid, replace(problem, wave=a), bg, dt,
+                                    shared=shared, wave=wave)
+            if not traj.bundles[0] >= np.finfo(float).tiny:
+                raise FloatingPointError("underflow in the bundle")
+        try:
+            rep = check_estimate(traj)
+        except DomainError as exc:
+            # the load grows with the horizon, the norm order and the box
+            # volume
+            raise ConfigError(f"linearized.t_end / linearized.norm_order "
+                              f"/ grid.extent: {exc}") from None
+        out[name] = rep.constant, diag.DiagnosticsRecord(
+            time=traj.times[-1], bundle_sup=max(traj.bundles),
+            energy_E=rep.lhs_sup, diss_u=traj.cum_dissipation[-1],
+            diss_theta=0.0, diss_G=0.0,
+            exchange_residual=rep.constant, delta=delta, seed=s.seed,
+            kind="linearized")
+    return out

@@ -13,15 +13,17 @@ def transforms(monkeypatch):
     has: ``SpectralGrid._fft_x0`` (forward, named ``fft``) and
     ``SpectralGrid._ifft_x0`` (inverse, named ``ifft``).  ``fft``,
     ``ifft`` and the slabs of an explicit evaluation all go through it.
-    ``transforms[1]`` counts the calls and ``transforms[2]`` holds the most
-    fields of one call, by direction."""
-    count = [0, Counter(), Counter()]
+    ``transforms[1]`` counts the calls, ``transforms[2]`` holds the most
+    fields of one call and ``transforms[3]`` counts the fields, by
+    direction."""
+    count = [0, Counter(), Counter(), Counter()]
     for name, method in (("fft", "_fft_x0"), ("ifft", "_ifft_x0")):
         def counted(self, x, out, _name=name,
                     _transform=getattr(SpectralGrid, method)):
             count[0] += len(x)
             count[1][_name] += 1
             count[2][_name] = max(count[2][_name], len(x))
+            count[3][_name] += len(x)
             return _transform(self, x, out)
         monkeypatch.setattr(SpectralGrid, method, counted)
     return count

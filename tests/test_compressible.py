@@ -617,6 +617,19 @@ def test_negative_radiation_points_counts_observations_below_zero():
     assert 0 < traj.negative_radiation_points < len(traj.records)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_pack_transforms_the_deviations_in_one_stack(dim):
+    # the deviations are written into one stack and transformed once, bit
+    # for bit the packed differences from the background
+    g = SpectralGrid(dim=dim, points_per_axis=16)
+    bg = Background.of(PhysParams(delta=0.1), EOS)
+    st, _ = make_well_prepared(InitSpec(budget=0.5, seed=2), g, bg)
+    pr = bg.params
+    want = pack_state(g, st.rho - pr.rho_bar, st.u, st.theta - pr.theta_bar,
+                      st.rad - pr.n_bar)
+    assert np.array_equal(CompressibleSolver(g, bg, 1e-3).pack(st), want)
+
+
 def test_run_unpacks_each_state_once(grid, monkeypatch):
     # checking and observing the same step share one unpacked state, and the
     # final state reuses the last one

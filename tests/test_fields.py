@@ -89,6 +89,31 @@ def test_sobolev_norm_analytic_values(grid):
         grid.sobolev_norm(f, -1)
 
 
+@pytest.mark.parametrize("dim,n,extent", [(2, 16, 2.0 * np.pi), (3, 16, 3.0),
+                                          (2, 18, 1e-3), (3, 48, 2.0 * np.pi)])
+@pytest.mark.parametrize("dealias", [True, False])
+def test_largest_sobolev_weight_without_the_whole_grid(dim, n, extent,
+                                                        dealias):
+    # the weight of the corner mode, taken without building whole(): the
+    # largest |k|^2 to the bit (order 1), the largest weight at every
+    # order, and finite exactly where every weight of whole() is
+    g = SpectralGrid(dim=dim, points_per_axis=n, extent=extent,
+                     dealias=dealias)
+    whole = g.whole()
+    assert g.largest_sobolev_weight(1) == np.max(whole.sobolev_weight(1))
+    # the first order whose weights overflow lies next to this one
+    top = int(np.log(np.finfo(float).max)
+              / np.log(np.max(whole.sobolev_weight(1))))
+    with np.errstate(over="ignore"):
+        for order in (0, 2, 3, top - 1, top, top + 1, top + 2):
+            want = whole.sobolev_weight(order)
+            got = g.largest_sobolev_weight(order)
+            assert np.isfinite(got) == np.all(np.isfinite(want)), order
+            assert got == pytest.approx(np.max(want), rel=1e-14), order
+    with pytest.raises(ValueError):
+        g.largest_sobolev_weight(-1)
+
+
 def test_parseval(grid):
     f = band_limited(grid, 2)
     quad = inner(grid, f, f)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,11 @@ def test_spec_validation():
         InitSpec(budget=-1.0)
     with pytest.raises(InitError):
         InitSpec(mode="both")
+    # the spec's own refusals, which the configuration schema shadows
+    with pytest.raises(InitError, match="spectrum_peak must be positive"):
+        InitSpec(spectrum_peak=0.0)
+    with pytest.raises(InitError, match="norm_order must be >= 0"):
+        InitSpec(norm_order=-1)
 
 
 def test_budget_zero_gives_equilibrium(grid):
@@ -82,6 +89,14 @@ def test_unreachable_budget_raises(grid):
     with pytest.raises(InitError):
         make_well_prepared(InitSpec(budget=500.0, seed=0),
                            grid, bg)
+    # an independent temperature on a cold background reaches the clamp
+    # while the density stays clear of it
+    bg = Background.of(PhysParams(delta=1.0, theta_bar=0.2), EOS)
+    with pytest.raises(InitError, match="temperature perturbation would push "
+                                        "min theta") as exc:
+        make_well_prepared(InitSpec(budget=20.0, balanced_pressure=False),
+                           SpectralGrid(dim=2, points_per_axis=16), bg)
+    assert exc.value.key == "budget"
 
 
 def test_missed_share_blames_its_cause():
@@ -150,3 +165,33 @@ def test_random_band_scalar_keeps_modes_outside_the_box():
     whole = random_band_scalar(g.whole(), np.random.default_rng(3), 2.0)
     assert np.array_equal(f, whole)
     assert np.max(np.abs(g.mask(f) - f)) > 1e-9 * np.max(np.abs(f))
+
+
+def test_datum_transforms_each_field_once(transforms):
+    # each drawn shape is transformed forward once and each state field
+    # back once; the report transforms the state's point values and takes
+    # the velocity norm and div u from one transform of u: at 16^3 14
+    # forward and 6 inverse field transforms (27 and 10 when the shapes
+    # were point values)
+    bg = Background.of(PhysParams(delta=0.1), EOS)
+    make_well_prepared(InitSpec(budget=0.5, seed=3),
+                       SpectralGrid(dim=3, points_per_axis=16), bg)
+    assert transforms[3]["fft"] <= 15 and transforms[3]["ifft"] <= 7, \
+        transforms[3]
+
+
+def test_datum_traced_peak_3d():
+    # the datum holds the whole grid, its weight, the state and the
+    # perturbations, and one stack of velocity coefficients at a time:
+    # 3.42 times the state's point values at 48^3 (6.10 when every shape
+    # was drawn as point values), bounded at 3.8
+    bg = Background.of(PhysParams(delta=0.1), EOS)
+    g = SpectralGrid(dim=3, points_per_axis=48)
+    tracemalloc.start()
+    try:
+        st, _ = make_well_prepared(InitSpec(budget=0.5, seed=3), g, bg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    state = sum(f.nbytes for f in (st.rho, st.u, st.theta, st.rad))
+    assert peak < 3.8 * state, peak / state

@@ -4,7 +4,7 @@ from scipy.linalg import expm
 
 from rhdlab.fields import SpectralGrid
 from rhdlab.linearized import (LinearizedProblem, LinearizedTrajectory,
-                               _standing_wave, check_estimate,
+                               _fluctuation, _standing_wave, check_estimate,
                                solve_linearized)
 from rhdlab.model import Background, DomainError, IdealGasEOS, PhysParams
 
@@ -262,7 +262,8 @@ def test_fluctuation_convolution_matches_point_values(dim, n, extent, dealias):
     params = PhysParams(delta=0.1, mu=0.13, lam=0.07)
     rng = np.random.default_rng(11)
     X = grid.fft(rng.standard_normal((dim + 3,) + grid.shape))
-    tendency, _ = _standing_wave(grid, params, 0.7, 2)
+    K, _ = _standing_wave(grid, grid.whole(), 0.7, 2)
+    tendency = _fluctuation(grid, params, K)
     for t in (0.3, 2.0):
         want = point_value_tendency(grid, params, 0.7, t, X)
         got = tendency(np.sin(t), X)
@@ -275,7 +276,7 @@ def test_closed_form_load_matches_the_coefficient_norm(extent, order):
     # 1 + |A|^2 in H^order from three sums taken once, against the norm of
     # the sampled coefficient on the whole half spectrum
     grid = SpectralGrid(dim=2, points_per_axis=16, extent=extent)
-    _, load = _standing_wave(grid, PhysParams(delta=0.1), 0.5, order)
+    _, load = _standing_wave(grid, grid.whole(), 0.5, order)
     shape = 0.5 * np.sin(grid.grid_points()[0])
     whole = grid.whole()
     for t in (0.0, 0.4, 1.3, 2.9, -0.8):

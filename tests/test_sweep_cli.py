@@ -422,10 +422,17 @@ def test_cli_exit_codes_and_commands(tmp_path, capsys):
                            "[linearized]\nt_end = 0.002\nnorm_order = 0\n",
              "grid.extent"),
             # the exchange term sigma_a*drad of the initial Parseval density
-            # overflows, before any step
+            # overflows, before any step: in the probe, and in the first
+            # observation of a run or of a sweep's member
             ("linearized", "[grid]\npoints_per_axis = 16\n[linearized]\n"
                            "t_end = 0.01\n[params]\nsigma_a = 1e300\n",
              "params / linearized.norm_order / grid.extent"),
+            ("run", "[grid]\npoints_per_axis = 16\n[params]\n"
+                    "sigma_a = 1e300\n",
+             "params / diagnostics.order / grid.extent"),
+            ("sweep", "[grid]\npoints_per_axis = 16\n[params]\n"
+                      "sigma_a = 1e300\n[sweep]\ndeltas = 0.1,0.05\n",
+             "params / diagnostics.order / grid.extent"),
             # the probe's squared norms overflow, or underflow to zero
             ("linearized", "[grid]\npoints_per_axis = 16\n[linearized]\n"
                            "t_end = 0.004\ndt = 0.002\namplitude = 1e300\n",
@@ -804,6 +811,73 @@ def test_3d_command_writes_finite_rows(tmp_path, capsys, command, rows):
         assert all(np.isnan(values.pop(k))
                    for k in ("ref_error_L2", "ref_error_H1"))
         assert all(np.isfinite(v) for v in values.values()), values
+
+
+def test_probe_setup_builds_each_piece_once(tmp_path, capsys, monkeypatch):
+    # a zero-horizon probe at 16^2 builds the configured grid and one whole
+    # grid, which the data shapes and the standing wave share, and factors
+    # one operator per delta, which both families share (13 grids and 6
+    # operators when each solve built its own)
+    from rhdlab import steppers
+    built = {"grid": 0, "operator": 0}
+    for key, cls in (("grid", SpectralGrid), ("operator", steppers.ImexOperator)):
+        def counted(self, *args, _init=cls.__init__, _key=key, **kwargs):
+            built[_key] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    cfg = write_config(tmp_path / "lin.ini", "[grid]\npoints_per_axis = 16\n"
+                                             "[linearized]\nt_end = 0\n")
+    assert cli_main(["linearized", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 0
+    capsys.readouterr()
+    deltas = default_config().get("linearized", "deltas")
+    assert built == {"grid": 2, "operator": len(deltas)}, built
+
+
+@pytest.mark.parametrize("grid_body", [
+    "dim = 3\npoints_per_axis = 16\n", "points_per_axis = 16\nextent = 3\n",
+    "points_per_axis = 16\ndealias = false\n"])
+def test_probe_rows_equal_single_problem_solves(tmp_path, capsys, grid_body):
+    # the probe shares its grid, operators, data and coefficients across
+    # the solves; each row equals, bit for bit, one solve_linearized call
+    # that builds every piece itself, in the order family by family
+    from numpy.random import default_rng
+    from rhdlab.diagnostics import DiagnosticsRecord
+    from rhdlab.initial import random_band_scalar
+    from rhdlab.linearized import (LinearizedProblem, check_estimate,
+                                   solve_linearized)
+    from rhdlab.sweep import _PROBE_AMPLITUDE as amp
+    cfgfile = write_config(tmp_path / "lin.ini",
+                           "[grid]\n" + grid_body + "[linearized]\n"
+                           "t_end = 0.02\ndt = 0.004\n")
+    out = tmp_path / "out"
+    assert cli_main(["linearized", "--config", cfgfile, "--out", str(out),
+                     "--seed", "5"]) == 0
+    capsys.readouterr()
+    cfg = load_config(cfgfile)
+    grid = cfg.build_grid()
+    rng = default_rng(5)
+    shapes = [random_band_scalar(grid, rng, 2.0) for _ in range(3 + grid.dim)]
+    rows = []
+    for name in cfg.get("linearized", "families"):
+        wave = (cfg.get("linearized", "wave_amplitude")
+                if name == "standing-wave" else 0.0)
+        for delta in cfg.get("linearized", "deltas"):
+            problem = LinearizedProblem(
+                wave=wave, init_nrel=delta * amp * shapes[0],
+                init_mom=amp * np.stack(shapes[1:1 + grid.dim]),
+                init_dtheta=delta * amp * shapes[1 + grid.dim],
+                init_drad=np.sqrt(delta) * amp * shapes[2 + grid.dim],
+                horizon=0.02, norm_order=cfg.get("linearized", "norm_order"))
+            traj = solve_linearized(grid, problem,
+                                    cfg.build_background(delta), dt=0.004)
+            rep = check_estimate(traj)
+            rows.append(",".join(DiagnosticsRecord(
+                time=traj.times[-1], bundle_sup=max(traj.bundles),
+                energy_E=rep.lhs_sup, diss_u=traj.cum_dissipation[-1],
+                diss_theta=0.0, diss_G=0.0, exchange_residual=rep.constant,
+                delta=delta, seed=5, kind="linearized").csv_row()))
+    assert (out / "linearized.csv").read_text().splitlines()[2:] == rows
 
 
 def test_standing_wave_at_zero_amplitude_is_the_constant_family(tmp_path,
