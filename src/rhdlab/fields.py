@@ -147,7 +147,7 @@ class SpectralGrid:
         self.lead_modes = lead.astype(int)  # the box rows of a leading axis
         self.spectral_shape = (len(lead),) * (dim - 1) + (cut + 1,)
         axes = np.meshgrid(*([lead] * (dim - 1)), last, indexing="ij")
-        self.k = (2.0 * np.pi / self.extent) * np.stack(axes)  # (dim, *spectral_shape)
+        k = (2.0 * np.pi / self.extent) * np.stack(axes)  # (dim, *spectral_shape)
         self.multiplicity = np.where(last % (n // 2) == 0, 1.0, 2.0)
 
         # The box rows of a leading axis: the non-negative modes lead and
@@ -176,12 +176,12 @@ class SpectralGrid:
         # First-derivative multipliers zero the Nyquist mode (odd derivative
         # of the symmetric interpolant); |k|^2 is built from the same vectors
         # so operator identities hold exactly.
-        kd = np.where(np.abs(axes) == n // 2, 0.0, self.k)
+        kd = np.where(np.abs(axes) == n // 2, 0.0, k)
         self.ik = 1j * kd
         self.ksq = np.sum(kd * kd, axis=0)
         # True |k|^2 including the Nyquist mode: used for norms and spectral
         # envelopes, where Nyquist content must count as high-frequency.
-        self.ksq_full = np.sum(self.k * self.k, axis=0)
+        self.ksq_full = np.sum(k * k, axis=0)
 
     def whole(self) -> "SpectralGrid":
         """This grid without the 2/3 rule, whose layout is the whole

@@ -19,9 +19,11 @@ values and transformed back to the dealias box, is one small matrix along
 the box rows of ``x_0`` applied to the flux's coefficients: the same term,
 aliasing included, at every extent, dealiased or not.  The coefficient's
 load ``1 + |A|^2_{H^no}`` is the quadratic ``1 + q0 + 2 s q1 + s^2 q2`` in
-``s = sin(t)``, its three Parseval sums taken once from one transform of
-the profile.  The dissipation rate and the observed bundle come from one
-Parseval density of the state and its exchange term per step.
+``s = sin(t)``, its three Parseval sums taken once from one length-``n``
+DFT of the profile along ``x_0``.  The dissipation rate and the observed
+bundle come from one Parseval density of the state and its exchange term
+per step.  One solve steps each amplitude of a problem in turn from one
+packed datum on one factored operator.
 
 :func:`check_estimate` accumulates both sides of the a priori bound (scaled
 norms plus dissipation integrals against the initial data, times the
@@ -49,10 +51,10 @@ __all__ = ["LinearizedProblem", "LinearizedTrajectory", "solve_linearized",
 
 @dataclass
 class LinearizedProblem:
-    """Initial data and horizon of one probe; ``wave`` is the amplitude
-    ``a`` of the coefficient ``A = 1 + a sin(x_0) sin(t)``, ``|a| < 1``
-    so that ``A`` stays positive."""
-    wave: float
+    """Initial data and horizon of one probe; ``waves`` are the amplitudes
+    ``a`` of the coefficients ``A = 1 + a sin(x_0) sin(t)`` it is solved
+    for, each ``|a| < 1`` so that ``A`` stays positive."""
+    waves: tuple
     init_nrel: np.ndarray
     init_mom: np.ndarray
     init_dtheta: np.ndarray
@@ -61,9 +63,10 @@ class LinearizedProblem:
     norm_order: int = 2
 
     def __post_init__(self):
-        if not abs(self.wave) < 1.0:
-            raise DomainError(f"the standing wave needs |wave| < 1 for a "
-                              f"positive coefficient, got {self.wave}")
+        for wave in self.waves:
+            if not abs(wave) < 1.0:
+                raise DomainError(f"the standing wave needs |wave| < 1 for "
+                                  f"a positive coefficient, got {wave}")
 
 
 @dataclass
@@ -75,40 +78,37 @@ class LinearizedTrajectory:
     states: list = field(default_factory=list)   # (nrel, mom, dtheta, drad)
 
 
-def _standing_wave(grid: SpectralGrid, whole: SpectralGrid, wave: float,
-                   norm_order: int):
+def _standing_wave(grid: SpectralGrid, wave: float, norm_order: int):
     """The coefficient ``A = 1 + wave sin(x_0) sin(t)`` on ``grid`` in
-    spectral form, built once per family from one transform on ``whole``,
-    ``grid.whole()``: ``(K, load)`` with ``K`` the convolution of the
-    fluctuation along the box rows of ``x_0`` (:func:`_fluctuation`) and
-    ``load(s)`` the load ``1 + |A|^2_{H^norm_order}`` at ``s = sin(t)``.
+    spectral form, from one length-``n`` DFT along ``x_0``: ``(K, load)``
+    with ``K`` the convolution of the fluctuation along the box rows of
+    ``x_0`` (:func:`_fluctuation`) and ``load(s)`` the load ``1 +
+    |A|^2_{H^norm_order}`` at ``s = sin(t)``.
 
     ``A - 1 = s * shape`` with ``shape = wave sin(x_0)`` a profile of
     ``x_0`` alone: on the whole half spectrum its coefficients vanish off
     the line ``k_1 = ... = 0``, where they are ``n**(dim - 1)`` times its
-    DFT ``S`` along ``x_0``.  The DFT of a sampled product is the circular
-    convolution of the two DFTs, so the product with ``shape``, taken on
-    point values and transformed back to the box, is the ``(rows, rows)``
-    matrix ``K[r, r'] = S((k_0(r) - k_0(r')) mod n) / n`` along the box
-    rows of ``x_0``: exact, aliasing included, for every extent.  The load
-    is ``1 + q0 + 2 s q1 + s^2 q2``, with ``q0``, ``q1`` and ``q2`` the
-    Parseval sums of ``|1|^2``, ``1 * shape`` and ``|shape|^2`` on the whole
-    half spectrum.  At ``wave = 0`` the fluctuation vanishes and so do
-    ``q1`` and ``q2``: the load is ``1 + q0`` to the bit, and nothing
-    spectral is built.
+    DFT ``S`` along ``x_0``, so no whole grid is transformed.  The DFT of a
+    sampled product is the circular convolution of the two DFTs, so the
+    product with ``shape``, taken on point values and transformed back to
+    the box, is the ``(rows, rows)`` matrix ``K[r, r'] = S((k_0(r) -
+    k_0(r')) mod n) / n`` along the box rows of ``x_0``: exact, aliasing
+    included, for every extent.  The load is ``1 + q0 + 2 s q1 + s^2 q2``,
+    with ``q0``, ``q1`` and ``q2`` the Parseval sums of ``|1|^2``, ``1 *
+    shape`` and ``|shape|^2``, the last two on that line.  At ``wave = 0``
+    the fluctuation vanishes and so do ``q1`` and ``q2``: the load is ``1 +
+    q0`` to the bit, and nothing spectral is built.
     """
     # the mean 1 is the coefficient n**d at k = 0, where the weight is 1
-    q0 = whole.volume
+    q0 = grid.volume
     if wave == 0.0:
         return None, lambda s: 1.0 + q0
-    d, n = grid.dim, grid.n
-    shape_hat = whole.fft(wave * np.sin(grid.grid_points()[0]))
-    rows = grid.lead_modes
-    K = shape_hat[(slice(None),) + (0,) * (d - 1)][
-        np.subtract.outer(rows, rows) % n] / n ** d
-    q1 = float(whole.volume * shape_hat[(0,) * d].real / n ** d)
-    w = whole.sobolev_weight(norm_order)
-    q2 = float(np.sum(whole.norm_sq(shape_hat, w)))
+    n, rows = grid.n, grid.lead_modes
+    S = np.fft.fft(wave * np.sin(np.arange(n) * grid.dx)) / n
+    K = S[np.subtract.outer(rows, rows) % n]
+    k0 = (2.0 * np.pi / grid.extent) * np.fft.fftfreq(n, d=1.0 / n)
+    q1 = float(q0 * S[0].real)
+    q2 = float(q0 * np.sum((1.0 + k0 * k0) ** norm_order * np.abs(S) ** 2))
 
     def load(s):
         return 1.0 + q0 + 2.0 * s * q1 + s * s * q2
@@ -140,16 +140,34 @@ def _fluctuation(grid: SpectralGrid, params: PhysParams, K):
     return tendency
 
 
-def _shared(grid: SpectralGrid, problem: LinearizedProblem,
-            bg: Background, dt: float, scheme: str = "imex1"):
-    """What the solves of every coefficient family share at one background,
-    step and scheme, for the initial data and norm order of ``problem``,
-    whatever its ``wave``: ``(stepper, w_no, w_diss, X0)``, the factored
-    stepper, the ``H^norm_order`` weight, the dissipation weights and the
-    packed initial state.  An unknown ``scheme`` raises
-    :class:`ValueError`, dissipation weights that overflow
-    :class:`rhdlab.model.DomainError`."""
-    d, no, d2 = grid.dim, problem.norm_order, bg.params.delta ** 2
+def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
+                     bg: Background, dt: float,
+                     scheme: str = "imex1", cadence: int = 1,
+                     keep_states: bool = False) -> list:
+    """Integrate the linearized system once per amplitude of
+    ``problem.waves`` and accumulate estimate ingredients: one
+    :class:`LinearizedTrajectory` per amplitude, in order.
+
+    Every amplitude steps from one packed datum on one factored stepper,
+    with the same dissipation weights; only its coefficient
+    (:func:`_standing_wave`) is its own.  The steps and the observed states
+    (at 0, every ``cadence`` steps and at the horizon) come from
+    :func:`rhdlab.steppers.schedule`, which raises :class:`ValueError`
+    first for a horizon or a step count it refuses;
+    :class:`rhdlab.steppers.ImexStepper` raises it next for an unknown
+    ``scheme``.  The dissipation and coefficient-load integrals are
+    accumulated by the trapezoid rule at every step regardless of
+    ``cadence``.  Dissipation weights of ``H^norm_order`` that overflow
+    raise :class:`rhdlab.model.DomainError`, before any step.  Under
+    ``np.errstate`` that raises, arithmetic of the set-up that leaves
+    float range raises :class:`FloatingPointError` before any step, and
+    arithmetic of the steps that does raises
+    :class:`rhdlab.steppers.SolverError`: the norms of the initial state
+    were in range, so the state diverged.
+    """
+    schedule(problem.horizon, dt, cadence)  # refuses before any set-up
+    pr, d, no = bg.params, grid.dim, problem.norm_order
+    d2 = pr.delta ** 2
     stepper = ImexStepper(scheme, split_symbol(grid, bg, relative_density=True),
                           dt)
     # Parseval weights per slot of [X, exchange]: the dissipation rate takes
@@ -166,44 +184,7 @@ def _shared(grid: SpectralGrid, problem: LinearizedProblem,
         raise DomainError(f"the H^{no} dissipation weights overflow")
     X0 = pack_state(grid, problem.init_nrel, problem.init_mom,
                     problem.init_dtheta, problem.init_drad)
-    return stepper, w_no, w_diss, X0
-
-
-def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
-                     bg: Background, dt: float,
-                     scheme: str = "imex1", cadence: int = 1,
-                     keep_states: bool = False, *, shared=None, wave=None
-                     ) -> LinearizedTrajectory:
-    """Integrate the linearized system and accumulate estimate ingredients.
-
-    The steps and the observed states (at 0, every ``cadence`` steps and at
-    the horizon) come from :func:`rhdlab.steppers.schedule`, which raises
-    :class:`ValueError` first for a horizon or a step count it refuses;
-    :class:`rhdlab.steppers.ImexStepper` raises it next for an unknown
-    ``scheme``.  The dissipation and coefficient-load integrals are
-    accumulated by the trapezoid rule at every step regardless of
-    ``cadence``.  Dissipation weights of ``H^norm_order`` that overflow
-    raise :class:`rhdlab.model.DomainError`.  Under ``np.errstate`` that
-    raises, arithmetic of the steps that leaves float range raises
-    :class:`rhdlab.steppers.SolverError`: the norms of the initial state
-    were in range, so the state diverged.
-
-    A caller that solves several problems builds their common pieces once
-    and passes them: ``shared``, :func:`_shared` of a problem with the same
-    initial data and norm order at the same ``bg``, ``dt`` and ``scheme``,
-    and ``wave``, :func:`_standing_wave` of ``problem.wave`` at its norm
-    order.  Each one left out is built here, the same bits.
-    """
-    steps = schedule(problem.horizon, dt, cadence)
-    pr, d = bg.params, grid.dim
-    if shared is None:
-        shared = _shared(grid, problem, bg, dt, scheme)
-    if wave is None:
-        wave = _standing_wave(grid, grid.whole(), problem.wave,
-                              problem.norm_order)
-    stepper, w_no, w_diss, X = shared
-    K, load = wave
-    tendency = _fluctuation(grid, pr, K)
+    waves = [_standing_wave(grid, a, no) for a in problem.waves]
     bundle = bundle_factors(d, pr.delta)
     spatial = tuple(range(1, d + 1))
 
@@ -214,41 +195,45 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
         sq *= sq
         return grid.parseval_density(sq)
 
-    traj = LinearizedTrajectory()
-    cum_d = cum_a = 0.0
-    s = 0.0
-    dens = density(X)
-    prev = (float(np.sum(dens * w_diss)), load(s))
+    dens0 = density(X0)
 
-    def observe(t):
-        traj.times.append(t)
-        traj.bundles.append(float(bundle @ np.sum(dens[:-1] * w_no,
-                                                  axis=spatial)))
-        traj.cum_dissipation.append(cum_d)
-        traj.cum_coeff_load.append(cum_a)
-        if keep_states:
-            traj.states.append(unpack_state(grid, X))
+    def solve(a, K, load):
+        tendency = _fluctuation(grid, pr, K)
+        traj = LinearizedTrajectory()
+        X, dens, cum_d, cum_a, s = X0, dens0, 0.0, 0.0, 0.0
+        prev = (float(np.sum(dens * w_diss)), load(s))
 
-    observe(0.0)
-    t = 0.0
-    try:
-        for t1, seen, _ in steps:
-            # the fluctuation at the step's start drives it; the load at its
-            # end closes it
-            X = stepper.step(X, partial(tendency, s))
-            s = float(np.sin(t1))
-            dens = density(X)
-            cur = (float(np.sum(dens * w_diss)), load(s))
-            cum_d += 0.5 * dt * (prev[0] + cur[0])
-            cum_a += 0.5 * dt * (prev[1] + cur[1])
-            prev, t = cur, t1
-            if seen:
-                observe(t1)
-    except FloatingPointError as exc:
-        raise SolverError(f"the linearized probe at delta={pr.delta}, "
-                          f"wave={problem.wave} diverged after t={t}: "
-                          f"{exc}") from None
-    return traj
+        def observe(t):
+            traj.times.append(t)
+            traj.bundles.append(float(bundle @ np.sum(dens[:-1] * w_no,
+                                                      axis=spatial)))
+            traj.cum_dissipation.append(cum_d)
+            traj.cum_coeff_load.append(cum_a)
+            if keep_states:
+                traj.states.append(unpack_state(grid, X))
+
+        observe(0.0)
+        t = 0.0
+        try:
+            for t1, seen, _ in schedule(problem.horizon, dt, cadence):
+                # the fluctuation at the step's start drives it; the load at
+                # its end closes it
+                X = stepper.step(X, partial(tendency, s))
+                s = float(np.sin(t1))
+                dens = density(X)
+                cur = (float(np.sum(dens * w_diss)), load(s))
+                cum_d += 0.5 * dt * (prev[0] + cur[0])
+                cum_a += 0.5 * dt * (prev[1] + cur[1])
+                prev, t = cur, t1
+                if seen:
+                    observe(t1)
+        except FloatingPointError as exc:
+            raise SolverError(f"the linearized probe at delta={pr.delta}, "
+                              f"wave={a} diverged after t={t}: "
+                              f"{exc}") from None
+        return traj
+
+    return [solve(a, *wave) for a, wave in zip(problem.waves, waves)]
 
 
 @dataclass

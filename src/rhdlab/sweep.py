@@ -12,7 +12,6 @@ import json
 import math
 import time as _time
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -25,8 +24,7 @@ from .config import ConfigError, ExperimentConfig, dump_config_text
 from .fields import SpectralGrid, save_field
 from .incompressible import IncompressibleSolver
 from .initial import InitError, make_well_prepared, random_band_scalar
-from .linearized import (LinearizedProblem, _shared, _standing_wave,
-                         check_estimate, solve_linearized)
+from .linearized import LinearizedProblem, check_estimate, solve_linearized
 from .model import DomainError, ParameterError
 from .steppers import schedule
 
@@ -391,35 +389,31 @@ _PROBE_AMPLITUDE = 0.05
 def run_linearized_probe(cfg: ExperimentConfig, out_dir, seed=None):
     """Uniform-estimate probe over coefficient families and Mach values.
 
-    Set-up builds one whole grid, which the data shapes and the standing
-    wave share, and one coefficient per family.  The solves run delta by
-    delta, both families of a delta on one factored operator and one
-    packed datum (:func:`_probe_delta`), so one delta's operator is held
-    at a time; the rows are written family by family, in the order of
-    ``linearized.deltas``."""
+    Set-up builds one whole grid, for the data shapes.  The solves run
+    delta by delta, one :func:`rhdlab.linearized.solve_linearized` call
+    per delta for every family (:func:`_probe_delta`), so one delta's
+    operator is held at a time; the rows are written family by family, in
+    the order of ``linearized.deltas``."""
     s = _setup(cfg, out_dir, seed)
     grid = s.grid
     deltas = cfg.get("linearized", "deltas")
     families = cfg.get("linearized", "families")
-    norm_order = cfg.get("linearized", "norm_order")
     dt = _dt(s, "linearized")
     wave = cfg.get("linearized", "wave_amplitude")
+    # the constant family is A = 1
+    waves = tuple(wave if name == "standing-wave" else 0.0
+                  for name in families)
     whole = grid.whole()
     rng = default_rng(s.seed)
     shapes = [random_band_scalar(whole, rng, 2.0) for _ in range(3 + grid.dim)]
     backgrounds = [s.cfg.build_background(delta) for delta in deltas]
-    waves = {}
-    with _probe_float_range():
-        for name in families:
-            a = wave if name == "standing-wave" else 0.0  # constant: A = 1
-            waves[name] = a, _standing_wave(grid, whole, a, norm_order)
     del whole
     by_delta = [_probe_delta(s, shapes, bg, dt, waves) for bg in backgrounds]
     records, results = [], {}
-    for name in families:
+    for i, name in enumerate(families):
         constants = {}
         for delta, solved in zip(deltas, by_delta):
-            constants[delta], record = solved[name]
+            constants[delta], record = solved[i]
             records.append(record)
         vals = list(constants.values())
         results[name] = {
@@ -433,16 +427,29 @@ def run_linearized_probe(cfg: ExperimentConfig, out_dir, seed=None):
     return results
 
 
-@contextmanager
-def _probe_float_range():
-    """The probe's float-range guard: the squared norms grow with the
-    weights, the box volume and the exchange rate sigma_a, so initial norms
-    out of the normal float range are refused, and so are dissipation
-    weights that overflow; norms that leave it during the steps are a
-    diverged probe, a SolverError."""
+def _probe_delta(s: _Setup, shapes, bg, dt, waves):
+    """The probe at one background: ``(constant, record)`` per amplitude of
+    ``waves``, in order, from one datum of the ``shapes`` and one
+    :func:`rhdlab.linearized.solve_linearized` call.
+
+    The squared norms grow with the weights, the box volume and the
+    exchange rate sigma_a, so initial norms out of the normal float range
+    are refused, and so are dissipation weights that overflow; norms that
+    leave it during the steps are a diverged probe, a SolverError."""
+    grid, delta, amp = s.grid, bg.delta, _PROBE_AMPLITUDE
     try:
         with np.errstate(over="raise", invalid="raise"):
-            yield
+            problem = LinearizedProblem(
+                waves=waves,
+                init_nrel=delta * amp * shapes[0],
+                init_mom=amp * np.stack(shapes[1:1 + grid.dim]),
+                init_dtheta=delta * amp * shapes[1 + grid.dim],
+                init_drad=np.sqrt(delta) * amp * shapes[2 + grid.dim],
+                horizon=s.cfg.get("linearized", "t_end"),
+                norm_order=s.cfg.get("linearized", "norm_order"))
+            trajs = solve_linearized(grid, problem, bg, dt)
+            if not trajs[0].bundles[0] >= np.finfo(float).tiny:
+                raise FloatingPointError("underflow in the bundle")
     except FloatingPointError as exc:
         raise ConfigError(f"params / linearized.norm_order / "
                           f"grid.extent: the probe's norms leave "
@@ -451,31 +458,8 @@ def _probe_float_range():
         # the weights are |k|^2 (1 + |k|^2)^norm_order / delta^2
         raise ConfigError(f"linearized.norm_order / linearized.deltas"
                           f" / grid.extent: {exc}") from None
-
-
-def _probe_delta(s: _Setup, shapes, bg, dt, waves):
-    """The probe at one background: ``{family: (constant, record)}`` for
-    the coefficients ``waves``, ``{family: (amplitude, standing wave)}``,
-    every family solved from one datum of the ``shapes`` on the pieces of
-    :func:`rhdlab.linearized._shared`, which are dropped on return."""
-    grid, delta, amp = s.grid, bg.delta, _PROBE_AMPLITUDE
-    out = {}
-    with _probe_float_range():
-        problem = LinearizedProblem(
-            wave=0.0,
-            init_nrel=delta * amp * shapes[0],
-            init_mom=amp * np.stack(shapes[1:1 + grid.dim]),
-            init_dtheta=delta * amp * shapes[1 + grid.dim],
-            init_drad=np.sqrt(delta) * amp * shapes[2 + grid.dim],
-            horizon=s.cfg.get("linearized", "t_end"),
-            norm_order=s.cfg.get("linearized", "norm_order"))
-        shared = _shared(grid, problem, bg, dt)
-    for name, (a, wave) in waves.items():
-        with _probe_float_range():
-            traj = solve_linearized(grid, replace(problem, wave=a), bg, dt,
-                                    shared=shared, wave=wave)
-            if not traj.bundles[0] >= np.finfo(float).tiny:
-                raise FloatingPointError("underflow in the bundle")
+    out = []
+    for traj in trajs:
         try:
             rep = check_estimate(traj)
         except DomainError as exc:
@@ -483,10 +467,10 @@ def _probe_delta(s: _Setup, shapes, bg, dt, waves):
             # volume
             raise ConfigError(f"linearized.t_end / linearized.norm_order "
                               f"/ grid.extent: {exc}") from None
-        out[name] = rep.constant, diag.DiagnosticsRecord(
+        out.append((rep.constant, diag.DiagnosticsRecord(
             time=traj.times[-1], bundle_sup=max(traj.bundles),
             energy_E=rep.lhs_sup, diss_u=traj.cum_dissipation[-1],
             diss_theta=0.0, diss_G=0.0,
             exchange_residual=rep.constant, delta=delta, seed=s.seed,
-            kind="linearized")
+            kind="linearized")))
     return out

@@ -216,13 +216,13 @@ def test_criterion_10_linearized_uniformity(grid64):
         for delta in (0.2, 0.1, 0.05):
             bg = Background.of(PhysParams(delta=delta), EOS)
             problem = LinearizedProblem(
-                wave=wave,
+                waves=(wave,),
                 init_nrel=delta * 0.05 * shapes[0],
                 init_mom=0.05 * np.stack(shapes[1:3]),
                 init_dtheta=delta * 0.05 * shapes[3],
                 init_drad=np.sqrt(delta) * 0.05 * shapes[4],
                 horizon=0.5, norm_order=2)
-            traj = solve_linearized(grid64, problem, bg, dt=1e-3)
+            [traj] = solve_linearized(grid64, problem, bg, dt=1e-3)
             consts.append(check_estimate(traj).constant)
         spread = max(consts) / min(consts)
         ok = ok and spread < 4.0

@@ -314,7 +314,7 @@ def test_linearized_operator_matches_momentum_form(grid, monkeypatch):
     mom = st.rho * st.u / params.rho_bar
     dth, drad = st.theta - params.theta_bar, st.rad - params.n_bar
     problem = linearized.LinearizedProblem(
-        0.0, nrel, mom, dth, drad,
+        (0.0,), nrel, mom, dth, drad,
         horizon=0.0)
     linearized.solve_linearized(grid, problem, bg, dt=1e-3)
 

@@ -18,7 +18,7 @@ def zero_fields(grid):
 
 def make_problem(grid, wave, horizon, **kw):
     n0, m0, z0, g0 = zero_fields(grid)
-    defaults = dict(wave=wave, init_nrel=n0, init_mom=m0, init_dtheta=z0,
+    defaults = dict(waves=(wave,), init_nrel=n0, init_mom=m0, init_dtheta=z0,
                     init_drad=g0, horizon=horizon)
     defaults.update(kw)
     return LinearizedProblem(**defaults)
@@ -27,8 +27,8 @@ def make_problem(grid, wave, horizon, **kw):
 def test_zero_problem_stays_zero():
     grid = SpectralGrid(dim=2, points_per_axis=16)
     bg = Background.of(PhysParams(delta=0.1), EOS)
-    traj = solve_linearized(grid, make_problem(grid, 0.0, 0.1),
-                            bg, dt=1e-2, keep_states=True)
+    [traj] = solve_linearized(grid, make_problem(grid, 0.0, 0.1),
+                              bg, dt=1e-2, keep_states=True)
     for state in traj.states:
         for f in state:
             assert np.max(np.abs(f)) == 0.0
@@ -55,8 +55,8 @@ def test_single_mode_matches_matrix_exponential_oracle():
         init_nrel=mode_field(c0[0]),
         init_mom=np.stack([mode_field(c0[1]), mode_field(c0[2])]),
         init_dtheta=mode_field(c0[3]), init_drad=mode_field(c0[4]))
-    traj = solve_linearized(grid, problem, bg, dt=1e-4, scheme="imex2",
-                            cadence=10 ** 6, keep_states=True)
+    [traj] = solve_linearized(grid, problem, bg, dt=1e-4, scheme="imex2",
+                              cadence=10 ** 6, keep_states=True)
 
     rb, tb = pr.rho_bar, pr.theta_bar
     p_rho = float(EOS.p_rho(rb, tb))
@@ -92,8 +92,8 @@ def test_mean_mode_relaxes_as_matrix_exponential():
     problem = make_problem(
         grid, 0.0, horizon=0.2,
         init_dtheta=np.full(grid.shape, z0), init_drad=np.full(grid.shape, g0))
-    traj = solve_linearized(grid, problem, bg, dt=1e-4,
-                            scheme="imex2", cadence=500, keep_states=True)
+    [traj] = solve_linearized(grid, problem, bg, dt=1e-4,
+                              scheme="imex2", cadence=500, keep_states=True)
     A = np.array([[-4.0, 1.0], [4.0 / 0.1, -1.0 / 0.1]])
     for t, (nrel, mom, dth, drad) in zip(traj.times, traj.states):
         state = expm(A * t) @ np.array([z0, g0])
@@ -156,9 +156,9 @@ def test_solution_map_is_additive():
                        init_nrel=p1.init_nrel, init_mom=p2.init_mom,
                        init_dtheta=p1.init_dtheta, init_drad=p2.init_drad)
     kw = dict(dt=1e-3, cadence=10 ** 6, keep_states=True)
-    s1 = solve_linearized(grid, p1, bg, **kw).states[-1]
-    s2 = solve_linearized(grid, p2, bg, **kw).states[-1]
-    s12 = solve_linearized(grid, p12, bg, **kw).states[-1]
+    s1 = solve_linearized(grid, p1, bg, **kw)[0].states[-1]
+    s2 = solve_linearized(grid, p2, bg, **kw)[0].states[-1]
+    s12 = solve_linearized(grid, p12, bg, **kw)[0].states[-1]
     for a, b, ab in zip(s1, s2, s12):
         scale = max(np.max(np.abs(ab)), 1e-30)
         assert np.max(np.abs(a + b - ab)) < 1e-10 * scale
@@ -176,7 +176,7 @@ def test_data_scaling_leaves_constant_invariant():
             grid, 0.0, 0.1, init_nrel=scale * data[0],
             init_mom=scale * np.stack(data[1:3]), init_dtheta=scale * data[3],
             init_drad=scale * data[4])
-        traj = solve_linearized(grid, problem, bg, dt=1e-3)
+        [traj] = solve_linearized(grid, problem, bg, dt=1e-3)
         consts.append(check_estimate(traj).constant)
     assert consts[1] == pytest.approx(consts[0], rel=1e-10)
 
@@ -214,7 +214,7 @@ def test_constant_uniformity_small_grid():
             init_mom=0.02 * np.stack(shapes[1:3]),
             init_dtheta=delta * 0.02 * shapes[3],
             init_drad=np.sqrt(delta) * 0.02 * shapes[4])
-        traj = solve_linearized(grid, problem, bg, dt=1e-3)
+        [traj] = solve_linearized(grid, problem, bg, dt=1e-3)
         consts[delta] = check_estimate(traj).constant
     vals = list(consts.values())
     assert max(vals) / min(vals) < 4.0
@@ -262,7 +262,7 @@ def test_fluctuation_convolution_matches_point_values(dim, n, extent, dealias):
     params = PhysParams(delta=0.1, mu=0.13, lam=0.07)
     rng = np.random.default_rng(11)
     X = grid.fft(rng.standard_normal((dim + 3,) + grid.shape))
-    K, _ = _standing_wave(grid, grid.whole(), 0.7, 2)
+    K, _ = _standing_wave(grid, 0.7, 2)
     tendency = _fluctuation(grid, params, K)
     for t in (0.3, 2.0):
         want = point_value_tendency(grid, params, 0.7, t, X)
@@ -276,7 +276,7 @@ def test_closed_form_load_matches_the_coefficient_norm(extent, order):
     # 1 + |A|^2 in H^order from three sums taken once, against the norm of
     # the sampled coefficient on the whole half spectrum
     grid = SpectralGrid(dim=2, points_per_axis=16, extent=extent)
-    _, load = _standing_wave(grid, grid.whole(), 0.5, order)
+    _, load = _standing_wave(grid, 0.5, order)
     shape = 0.5 * np.sin(grid.grid_points()[0])
     whole = grid.whole()
     for t in (0.0, 0.4, 1.3, 2.9, -0.8):
@@ -307,6 +307,6 @@ def test_standing_wave_steps_make_no_transform(monkeypatch):
         problem = make_problem(grid, 0.5, horizon, init_nrel=data[0],
                                init_mom=np.stack(data[1:3]),
                                init_dtheta=data[3], init_drad=data[4])
-        traj = solve_linearized(grid, problem, bg, dt=1e-3)
+        [traj] = solve_linearized(grid, problem, bg, dt=1e-3)
         counts.append(calls[0])
     assert len(traj.times) == 11 and counts[1] == counts[0]

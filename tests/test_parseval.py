@@ -286,7 +286,7 @@ def linearized_problem(g, wave, horizon, seed=0):
     rng = np.random.default_rng(seed)
     f = lambda: g.mask(rng.standard_normal(g.shape)) * 1e-2
     return LinearizedProblem(
-        wave=wave, init_nrel=f(),
+        waves=(wave,), init_nrel=f(),
         init_mom=np.stack([f() for _ in range(g.dim)]), init_dtheta=f(),
         init_drad=f(), horizon=horizon)
 
@@ -299,7 +299,7 @@ def test_linearized_integrals_match_kept_states():
     problem = linearized_problem(g, 0.5, horizon=10 * dt)
     no = problem.norm_order
     bg, d2 = Background.of(pr, EOS), pr.delta ** 2
-    traj = solve_linearized(g, problem, bg, dt=dt, keep_states=True)
+    [traj] = solve_linearized(g, problem, bg, dt=dt, keep_states=True)
     assert len(traj.states) == 11
 
     def diss(state):

@@ -236,6 +236,23 @@ def test_identity_suite_passes_at_16_points(dim):
         assert names <= {r.name for r in faulty if not r.passed}, fault
 
 
+def test_verify_identities_exits_1_naming_a_failed_identity(tmp_path, capsys,
+                                                           monkeypatch):
+    # a failed identity is exit 1, with a last line that counts and names
+    # the failures; the suite is replaced, so no identity of the real one
+    # is pinned as failing
+    from rhdlab import cli
+    from rhdlab.identities import IdentityResult
+    results = [IdentityResult("holds", 1e-14, 1e-10),
+               IdentityResult("breaks", 1e-3, 1e-10)]
+    monkeypatch.setattr(cli, "run_identity_suite",
+                        lambda grid, bg, seed: results)
+    cfg = write_config(tmp_path / "id.ini", "[grid]\npoints_per_axis = 16\n")
+    assert cli_main(["verify-identities", "--config", cfg]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        r.line() for r in results] + ["1 identity failed: breaks"]
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "velocity-form-rhs and momentum-form-rhs read 1.81e-10 at 128^2 "
     "against their 1e-10 tolerance (1.87e-11 at the default grid)"))
@@ -433,13 +450,18 @@ def test_cli_exit_codes_and_commands(tmp_path, capsys):
             ("sweep", "[grid]\npoints_per_axis = 16\n[params]\n"
                       "sigma_a = 1e300\n[sweep]\ndeltas = 0.1,0.05\n",
              "params / diagnostics.order / grid.extent"),
-            # the probe's squared norms overflow, or underflow to zero
+            # the probe's squared norms overflow, through the exchange term
+            # of sigma_tilde, or underflow to zero, the bundle's at a box
+            # volume of 1e-306
             ("linearized", "[grid]\npoints_per_axis = 16\n[linearized]\n"
-                           "t_end = 0.004\ndt = 0.002\namplitude = 1e300\n",
-             "linearized.amplitude"),
-            ("linearized", "[grid]\npoints_per_axis = 16\n[linearized]\n"
-                           "t_end = 0.004\ndt = 0.002\namplitude = 1e-300\n",
-             "linearized.amplitude"),
+                           "t_end = 0.004\ndt = 0.002\n[params]\n"
+                           "sigma_tilde = 1e160\n",
+             "params / linearized.norm_order / grid.extent"),
+            ("linearized", "[grid]\ndim = 3\npoints_per_axis = 16\n"
+                           "extent = 1e-102\n[diagnostics]\norder = 0\n"
+                           "[init]\nnorm_order = 0\n[linearized]\n"
+                           "t_end = 0.004\ndt = 0.002\nnorm_order = 0\n",
+             "underflow in the bundle"),
             # the box volume overflows, or the largest |k|^2 does
             ("run", "[grid]\npoints_per_axis = 16\nextent = 1e308\n"
                     "[solver]\nt_end = 0.01\n", "grid.extent"),
@@ -815,9 +837,9 @@ def test_3d_command_writes_finite_rows(tmp_path, capsys, command, rows):
 
 def test_probe_setup_builds_each_piece_once(tmp_path, capsys, monkeypatch):
     # a zero-horizon probe at 16^2 builds the configured grid and one whole
-    # grid, which the data shapes and the standing wave share, and factors
-    # one operator per delta, which both families share (13 grids and 6
-    # operators when each solve built its own)
+    # grid, for the data shapes, and factors one operator per delta, which
+    # both families share (13 grids and 6 operators when each solve built
+    # its own)
     from rhdlab import steppers
     built = {"grid": 0, "operator": 0}
     for key, cls in (("grid", SpectralGrid), ("operator", steppers.ImexOperator)):
@@ -838,9 +860,9 @@ def test_probe_setup_builds_each_piece_once(tmp_path, capsys, monkeypatch):
     "dim = 3\npoints_per_axis = 16\n", "points_per_axis = 16\nextent = 3\n",
     "points_per_axis = 16\ndealias = false\n"])
 def test_probe_rows_equal_single_problem_solves(tmp_path, capsys, grid_body):
-    # the probe shares its grid, operators, data and coefficients across
-    # the solves; each row equals, bit for bit, one solve_linearized call
-    # that builds every piece itself, in the order family by family
+    # the probe solves both families of a delta in one call; each row
+    # equals, bit for bit, a solve_linearized call of its family alone, in
+    # the order family by family
     from numpy.random import default_rng
     from rhdlab.diagnostics import DiagnosticsRecord
     from rhdlab.initial import random_band_scalar
@@ -864,13 +886,13 @@ def test_probe_rows_equal_single_problem_solves(tmp_path, capsys, grid_body):
                 if name == "standing-wave" else 0.0)
         for delta in cfg.get("linearized", "deltas"):
             problem = LinearizedProblem(
-                wave=wave, init_nrel=delta * amp * shapes[0],
+                waves=(wave,), init_nrel=delta * amp * shapes[0],
                 init_mom=amp * np.stack(shapes[1:1 + grid.dim]),
                 init_dtheta=delta * amp * shapes[1 + grid.dim],
                 init_drad=np.sqrt(delta) * amp * shapes[2 + grid.dim],
                 horizon=0.02, norm_order=cfg.get("linearized", "norm_order"))
-            traj = solve_linearized(grid, problem,
-                                    cfg.build_background(delta), dt=0.004)
+            [traj] = solve_linearized(grid, problem,
+                                      cfg.build_background(delta), dt=0.004)
             rep = check_estimate(traj)
             rows.append(",".join(DiagnosticsRecord(
                 time=traj.times[-1], bundle_sup=max(traj.bundles),
