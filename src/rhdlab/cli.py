@@ -82,8 +82,7 @@ def _cmd_fit(args) -> int:
                     raise RunError(f"row {i} is not two numbers: "
                                    f"{','.join(row)}") from None
                 header = True  # only the first row may be a header
-    fit = fit_rate(points)
-    print(json.dumps(fit.to_dict(), indent=2))
+    print(json.dumps(fit_rate(points), indent=2))
     return 0
 
 

@@ -51,10 +51,10 @@ class DiagnosticsRecord:
     extras: dict = field(default_factory=dict, repr=False, compare=False)
 
     def csv_row(self):
-        vals = [self.time, self.bundle_sup, self.energy_E, self.diss_u,
-                self.diss_theta, self.diss_G, self.exchange_residual,
-                self.ref_error_L2, self.ref_error_H1, self.delta]
-        return ["%.17g" % v for v in vals] + [str(self.seed), self.kind]
+        """The values in :data:`CSV_COLUMNS` order: the floats to 17
+        significant digits, then the seed and the kind as they are."""
+        vals = [getattr(self, name) for name in CSV_COLUMNS]
+        return ["%.17g" % v for v in vals[:-2]] + [str(v) for v in vals[-2:]]
 
 
 # -- functionals of the packed state (Parseval sums) --------------------------
@@ -181,7 +181,7 @@ class Collector:
         bundle = float(self._bundle @ h)
         energy = float(self._energy @ h) + self.beta * cross
         exch_sq = float(w[0] @ self._density(
-            planck_linear(X[d + 1], X[d + 2], pr))[0])
+            planck_linear(X[d + 1], X[d + 2], self.bg))[0])
         n3, u3, th3, rad3 = np.sqrt(_field_sums(h3, d))
         smallness = u3 + (n3 + th3) / delta + rad3 / np.sqrt(delta)
         n, v, z, rad = np.sqrt(_field_sums(np.sum(sq, axis=1), d))

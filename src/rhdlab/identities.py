@@ -101,7 +101,8 @@ def run_identity_suite(grid: SpectralGrid, bg: Background,
     st, tb = pr.sigma_tilde, pr.theta_bar
     z = 0.5 * tb * (2.0 * rng.random(_N_POINTS) - 1.0)
     gg = pr.n_bar * (2.0 * rng.random(_N_POINTS) - 1.0)
-    linear, remainder = model.planck_split(z, gg, pr)
+    linear = model.planck_linear(z, gg, bg)
+    remainder = model.planck_cubic(z, pr) * z
     if fault == "planck-cubic-coeff":
         remainder = remainder + 1e-6 * 6.0 * st * tb ** 2 * z ** 2
     direct = st * (tb + z) ** 4 - pr.sigma_a * (pr.n_bar + gg)
@@ -139,7 +140,7 @@ def run_identity_suite(grid: SpectralGrid, bg: Background,
         grid, np.zeros(grid.shape), np.zeros((grid.dim,) + grid.shape),
         dtheta, drad, bg)
     balance = pr.delta * g_t + pr.rho_bar * bg.e_theta * zeta_t
-    lin_scale = np.max(np.abs(model.planck_linear(dtheta, drad, pr)))
+    lin_scale = np.max(np.abs(model.planck_linear(dtheta, drad, bg)))
     results.append(IdentityResult(
         "exchange-antisymmetry",
         float(np.max(np.abs(balance)) / lin_scale), 100.0 * eps))
@@ -167,7 +168,7 @@ def run_identity_suite(grid: SpectralGrid, bg: Background,
             # assembly would
             h9 = bg.recip - 1.0 / (state.rho * eos.e_theta(state.rho,
                                                            state.theta))
-            th_t = th_t - 2.0 * h9 * model.planck_linear(dth, drad, pr)
+            th_t = th_t - 2.0 * h9 * model.planck_linear(dth, drad, bg)
 
         per = rhs_perturbation(whole, drho, u, dth, drad, bg)
         for a, b in zip((rho_t, u_t, th_t, n_t), per):

@@ -158,7 +158,9 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
     ``scheme``.  The dissipation and coefficient-load integrals are
     accumulated by the trapezoid rule at every step regardless of
     ``cadence``.  Dissipation weights of ``H^norm_order`` that overflow
-    raise :class:`rhdlab.model.DomainError`, before any step.  Under
+    raise :class:`rhdlab.model.DomainError`, before any step.  Data that
+    are not zero but whose bundle underflows below the smallest normal
+    float raise :class:`FloatingPointError` before any step.  Under
     ``np.errstate`` that raises, arithmetic of the set-up that leaves
     float range raises :class:`FloatingPointError` before any step, and
     arithmetic of the steps that does raises
@@ -190,12 +192,19 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
 
     def density(X):
         """The Parseval density of ``[X, exchange]``, every slot unweighted."""
-        exch = planck_linear(X[d + 1], X[d + 2], pr)
+        exch = planck_linear(X[d + 1], X[d + 2], bg)
         sq = np.abs(np.concatenate([X, [exch]]))
         sq *= sq
         return grid.parseval_density(sq)
 
+    def bundle_of(dens):
+        """The scaled bundle of ``X`` in ``H^no`` from its :func:`density`."""
+        return float(bundle @ np.sum(dens[:-1] * w_no, axis=spatial))
+
     dens0 = density(X0)
+    # one t = 0 bundle for every amplitude; zero data keep their bundle 0
+    if np.any(X0) and not bundle_of(dens0) >= np.finfo(float).tiny:
+        raise FloatingPointError("underflow in the bundle")
 
     def solve(a, K, load):
         tendency = _fluctuation(grid, pr, K)
@@ -205,8 +214,7 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
 
         def observe(t):
             traj.times.append(t)
-            traj.bundles.append(float(bundle @ np.sum(dens[:-1] * w_no,
-                                                      axis=spatial)))
+            traj.bundles.append(bundle_of(dens))
             traj.cum_dissipation.append(cum_d)
             traj.cum_coeff_load.append(cum_a)
             if keep_states:

@@ -33,25 +33,21 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "ModelError", "ParameterError", "DomainError",
+    "ParameterError", "DomainError",
     "PhysParams", "Background", "IdealGasEOS",
     "radiation_source",
-    "planck_cubic", "planck_split", "planck_linear",
+    "planck_cubic", "planck_linear",
     "thermo_consistency_residual",
     "velocity_form_remainders", "momentum_form_remainders",
     "deformation_contraction",
 ]
 
 
-class ModelError(Exception):
-    """Base class for model-layer failures."""
-
-
-class ParameterError(ModelError):
+class ParameterError(Exception):
     """Invalid physical parameters."""
 
 
-class DomainError(ModelError):
+class DomainError(Exception):
     """Evaluation outside the admissible state region."""
 
 
@@ -231,23 +227,15 @@ def planck_cubic(dtheta, params: PhysParams, out=None):
     return c
 
 
-def planck_split(dtheta, drad, params: PhysParams):
-    """Split the exchange source at a perturbed state into linear + remainder.
-
-    Returns ``(linear, remainder)`` with ``linear = 4*sigma_tilde*
-    theta_bar^3*dtheta - sigma_a*drad`` and ``remainder = planck_cubic
-    (dtheta)*dtheta``; their sum reproduces ``radiation_source`` exactly
-    because the background is a radiative equilibrium.
-    """
-    z = np.asarray(dtheta)
-    return planck_linear(z, drad, params), planck_cubic(z, params) * z
-
-
-def planck_linear(dtheta, drad, params: PhysParams):
-    """Linear part ``4*sigma_tilde*theta_bar^3*dtheta - sigma_a*drad`` of the
-    exchange source; being linear, it applies to Fourier coefficients too."""
-    return (4.0 * params.sigma_tilde * params.theta_bar ** 3
-            * np.asarray(dtheta) - params.sigma_a * np.asarray(drad))
+def planck_linear(dtheta, drad, bg: Background):
+    """Linear part ``bg.emission*dtheta - sigma_a*drad`` of the exchange
+    source, the slope ``bg.emission = 4*sigma_tilde*theta_bar^3`` read from
+    the background; being linear, it applies to Fourier coefficients too.
+    Its sum with ``planck_cubic(dtheta)*dtheta`` reproduces
+    :func:`radiation_source` because the background is a radiative
+    equilibrium."""
+    return (bg.emission * np.asarray(dtheta)
+            - bg.params.sigma_a * np.asarray(drad))
 
 
 # -- nonlinear remainders of the two perturbation forms ---------------------
@@ -445,7 +433,8 @@ def momentum_form_remainders(nrel, mom, dtheta, drad,
     h3 = bg.recip - recip
     adiab_bar = params.theta_bar * bg.p_theta / (params.rho_bar * bg.e_theta)
     h4 = adiab_bar - theta * p_theta / (rho * e_theta)
-    linear_exchange, quartic_rem = planck_split(dtheta, drad, params)
+    linear_exchange = planck_linear(dtheta, drad, bg)
+    quartic_rem = planck_cubic(dtheta, params) * dtheta
     dd = deformation_contraction(jac_u)
     r_temperature = (-np.sum(u * grad_dtheta, axis=0)
                      - params.kappa * h3 * lap_dtheta

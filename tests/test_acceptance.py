@@ -87,13 +87,14 @@ def test_criterion_01_reformulation_equivalence(grid64):
 
 def test_criterion_02_planck_identities():
     start = time.time()
-    from rhdlab.model import planck_cubic, planck_split
+    from rhdlab.model import planck_cubic, planck_linear
     params = PhysParams(theta_bar=1.3, sigma_a=0.7,
                                     sigma_tilde=1.1)
     rng = np.random.default_rng(0)
     z = 0.9 * params.theta_bar * (2 * rng.random(10000) - 1)
     gg = 3.0 * (2 * rng.random(10000) - 1)
-    lin, rem = planck_split(z, gg, params)
+    lin = planck_linear(z, gg, Background.of(params, EOS))
+    rem = planck_cubic(z, params) * z
     direct = (params.sigma_tilde * (params.theta_bar + z) ** 4
               - params.sigma_a * (params.n_bar + gg))
     scale = params.sigma_tilde * params.theta_bar ** 4

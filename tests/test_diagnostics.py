@@ -170,6 +170,19 @@ def test_collector_and_probe_shapes(grid):
     assert np.isfinite(p1) and np.isfinite(p2)
 
 
+def test_probes_are_zero_without_an_interior_record(grid):
+    # a centred difference needs a record on each side: two records have
+    # no interior one, and both probes measure 0
+    params = PhysParams(delta=0.1)
+    bg = Background.of(params, EOS)
+    st, _ = make_well_prepared(InitSpec(budget=0.5, seed=5), grid, bg)
+    coll = diag.Collector(grid, bg)
+    X = CompressibleSolver(grid, bg, 1e-3).pack(st)
+    recs = [coll.observe(X, 0.0), coll.observe(X, 0.1)]
+    assert diag.energy_dissipation_probe(recs, params) == 0.0
+    assert diag.cross_term_probe(recs, bg) == 0.0
+
+
 def test_collector_reference_errors_and_mismatch(grid):
     # with a reference, each row carries the L2 and H1 norms of the
     # velocity minus the reference's: 0 against itself, the point-value

@@ -214,3 +214,11 @@ def test_scheme_validation(grid):
     for dt in (-1e-3, np.nan):
         with pytest.raises(ValueError):
             ns.step(np.zeros((2,) + grid.shape, dtype=complex), dt)
+
+
+def test_taylor_green_helpers_refuse_3d():
+    grid3 = SpectralGrid(dim=3, points_per_axis=8)
+    with pytest.raises(ValueError, match="Taylor-Green reference solution is 2D"):
+        taylor_green_velocity(grid3, 0.1, 0.0)
+    with pytest.raises(ValueError, match="Taylor-Green reference solution is 2D"):
+        taylor_green_pressure(grid3, 1.0, 0.1, 0.0)

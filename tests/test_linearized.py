@@ -221,20 +221,24 @@ def test_constant_uniformity_small_grid():
 
 
 def test_standing_wave_builds_nodes_once(monkeypatch):
-    # the spatial factor is built once per solve, not at every step; the
-    # golden check of the linearized workload pins the sampled values
+    # the spatial factor is built once per amplitude of a solve, not at
+    # every step; the golden check of the linearized workload pins the
+    # sampled values
+    from rhdlab import linearized
     grid = SpectralGrid(dim=2, points_per_axis=16)
-    calls = [0]
-    grid_points = SpectralGrid.grid_points
+    calls = []
 
-    def counted(self):
-        calls[0] += 1
-        return grid_points(self)
+    def counted(grid, wave, norm_order, _built=linearized._standing_wave):
+        calls.append(wave)
+        return _built(grid, wave, norm_order)
 
-    monkeypatch.setattr(SpectralGrid, "grid_points", counted)
-    solve_linearized(grid, make_problem(grid, 0.5, 0.01),
-                     Background.of(PhysParams(delta=0.1), EOS), dt=1e-3)
-    assert calls[0] <= 1
+    monkeypatch.setattr(linearized, "_standing_wave", counted)
+    trajs = solve_linearized(grid, make_problem(grid, 0.5, 0.01,
+                                                waves=(0.5, 0.0)),
+                             Background.of(PhysParams(delta=0.1), EOS),
+                             dt=1e-3)
+    assert [len(traj.times) for traj in trajs] == [11, 11]
+    assert calls == [0.5, 0.0]
 
 
 def point_value_tendency(grid, params, wave, t, X):

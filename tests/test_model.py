@@ -59,10 +59,20 @@ def test_radiation_source_examples():
         model.radiation_source(-1.0, 0.0, p)
 
 
+@pytest.mark.parametrize("constants", [dict(R=0.0), dict(c_v=-1.0)])
+def test_ideal_gas_refuses_nonpositive_constants(constants):
+    # the schema refuses these values first; the gas law refuses them too
+    with pytest.raises(ParameterError, match="R and c_v must be positive"):
+        IdealGasEOS(**constants)
+
+
 def test_planck_split_examples():
-    lin, rem = model.planck_split(0.0, 0.0, UNIT)
+    bg = Background.of(UNIT, IdealGasEOS())
+    lin = model.planck_linear(0.0, 0.0, bg)
+    rem = model.planck_cubic(0.0, UNIT) * 0.0
     assert lin == 0.0 and rem == 0.0
-    lin, rem = model.planck_split(1.0, 0.0, UNIT)
+    lin = model.planck_linear(1.0, 0.0, bg)
+    rem = model.planck_cubic(1.0, UNIT) * 1.0
     assert lin == 4.0 and rem == 11.0 and lin + rem == 2 ** 4 - 1
 
 
@@ -71,7 +81,8 @@ def test_planck_split_matches_direct_quartic():
     rng = np.random.default_rng(1)
     z = 0.8 * p.theta_bar * (2 * rng.random(10000) - 1)
     gg = 2.0 * (2 * rng.random(10000) - 1)
-    lin, rem = model.planck_split(z, gg, p)
+    lin = model.planck_linear(z, gg, Background.of(p, IdealGasEOS()))
+    rem = model.planck_cubic(z, p) * z
     direct = (p.sigma_tilde * (p.theta_bar + z) ** 4
               - p.sigma_a * (p.n_bar + gg))
     scale = p.sigma_tilde * p.theta_bar ** 4

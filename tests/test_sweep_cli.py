@@ -33,16 +33,27 @@ cadence = 2
 
 def test_fit_rate_examples():
     fit = fit_rate([(1, 1), (0.5, 0.5), (0.25, 0.25)])
-    assert fit.slope == pytest.approx(1.0, abs=1e-12)
-    assert fit.r2 == pytest.approx(1.0, abs=1e-12)
+    assert fit["slope"] == pytest.approx(1.0, abs=1e-12)
+    assert fit["r2"] == pytest.approx(1.0, abs=1e-12)
     fit = fit_rate([(1, 1), (0.5, 0.25), (0.25, 0.0625)])
-    assert fit.slope == pytest.approx(2.0, abs=1e-12)
+    assert fit["slope"] == pytest.approx(2.0, abs=1e-12)
     scaled = fit_rate([(1, 3), (0.5, 1.5), (0.25, 0.75)])
-    assert scaled.slope == pytest.approx(1.0, abs=1e-12)
+    assert scaled["slope"] == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(RunError):
         fit_rate([(1, 1), (0.5, 0.5)])
     with pytest.raises(RunError):
         fit_rate([(1, 1), (0.5, -0.5), (0.25, 0.25)])
+
+
+def test_fit_skips_comment_rows(tmp_path, capsys):
+    # a diagnostics CSV starts with a "# generated" line: fit skips it as it
+    # skips any row whose first cell starts with "#"
+    pts = tmp_path / "pts.csv"
+    pts.write_text("# generated 2025-01-01T00:00:00\ndelta,value\n"
+                   "1,1\n #,note\n0.5,0.25\n0.25,0.0625\n")
+    assert cli_main(["fit", str(pts)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out == fit_rate([(1, 1), (0.5, 0.25), (0.25, 0.0625)])
 
 
 def test_config_defaults_and_errors(tmp_path):
@@ -750,6 +761,90 @@ deltas = 0.2,0.1,0.05
 [output]
 cadence = 5
 """
+
+
+def test_sweep_with_an_aborted_member_writes_incomplete_outputs(
+        tmp_path, capsys, monkeypatch):
+    # one member's steps fail: the sweep still writes its CSV and report,
+    # flagged incomplete and without the limit-error ratios, and exits 1;
+    # serial and threaded members write the same files
+    from rhdlab.compressible import CompressibleSolver, StateInvalidError
+    step = CompressibleSolver.step_spectral
+
+    def failing(self, X):
+        if self.bg.delta == 0.1:
+            raise StateInvalidError("injected failure")
+        return step(self, X)
+
+    monkeypatch.setattr(CompressibleSolver, "step_spectral", failing)
+    cfg = write_config(tmp_path / "sw.ini", SMALL_SWEEP.replace(
+        "points_per_axis = 32", "points_per_axis = 16"))
+    files = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        assert cli_main(["sweep", "--config", cfg, "--out", str(out),
+                         "--threads", threads]) == 1
+        assert "error: sweep incomplete" in capsys.readouterr().err
+        report = json.loads((out / "sweep_report.json").read_text())
+        assert report["incomplete"] is True
+        assert "ref_error_sup_L2" not in report
+        assert [m["status"] for m in report["members"]] == [
+            "ok", "aborted", "ok"]
+        assert report["members"][1]["abort_reason"] == "injected failure"
+        files[threads] = (
+            (out / "sweep_diagnostics.csv").read_text().splitlines()[1:],
+            (out / "sweep_report.json").read_text())
+    assert files["1"] == files["2"]
+
+
+def test_observation_overflow_after_entry_aborts_the_run(tmp_path, capsys,
+                                                         monkeypatch):
+    # an observation that leaves float range after t = 0 aborts the run,
+    # exit 1 with its outputs, and is not refused as a configuration
+    from rhdlab import diagnostics
+    observe = diagnostics.Collector.observe
+
+    def overflowing(self, X, time):
+        if time > 0.0:
+            raise FloatingPointError("overflow encountered in observe")
+        return observe(self, X, time)
+
+    monkeypatch.setattr(diagnostics.Collector, "observe", overflowing)
+    cfg = write_config(tmp_path / "run.ini",
+                       "[grid]\npoints_per_axis = 16\n" + SMALL_RUN)
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: run aborted at t=0.0"), err
+    assert "overflow encountered in observe" in err
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["status"] == "aborted"
+
+
+def test_underflowing_probe_bundle_is_refused_before_any_step(
+        tmp_path, capsys, monkeypatch):
+    # every family of a delta starts from one datum, so a bundle that
+    # underflows at t = 0 is refused before any family steps
+    from rhdlab.steppers import ImexStepper
+    steps = [0]
+    step = ImexStepper.step
+
+    def counted(self, *args, **kwargs):
+        steps[0] += 1
+        return step(self, *args, **kwargs)
+
+    monkeypatch.setattr(ImexStepper, "step", counted)
+    cfg = write_config(tmp_path / "lin.ini",
+                       "[grid]\ndim = 3\npoints_per_axis = 16\n"
+                       "extent = 1e-102\n[diagnostics]\norder = 0\n"
+                       "[init]\nnorm_order = 0\n[linearized]\n"
+                       "norm_order = 0\n")
+    assert cli_main(["linearized", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "underflow in the bundle" in err, err
+    assert steps[0] == 0
+    assert not (tmp_path / "out").exists()
 
 
 def test_sweep_isolation_under_concurrency(tmp_path):
