@@ -123,25 +123,38 @@ def default_dt(grid: SpectralGrid, u0: np.ndarray) -> float:
 # -- right-hand sides -------------------------------------------------------
 
 def _derivative_coefficients(grid, X, a, b):
-    """The coefficients of the fields of :func:`_derivatives`, in that
-    order, as groups of at most ``d + 3`` fields: the state, the gradient
-    of each of ``(n, v, z)`` and ``(visc, lap z)``."""
+    """The coefficients of the fields of :func:`_derivatives` that are
+    transformed, in that order, as three groups of at most ``d + 3``
+    fields: the state, ``(visc, lap z)`` and the derivative along x_0 of
+    each of ``(n, v, z)``.  :meth:`rhdlab.fields.SpectralGrid._slabs`
+    forms the derivatives along the other axes on the partials of the
+    first ``d + 2`` fields, ``(n, v, z)``."""
     g, d, vhat = grid, grid.dim, X[1:1 + grid.dim]
     yield X
-    yield from g._gradients(X[:d + 2])
     visc_hat = b * g.ik * g.divergence(vhat) - a * g.ksq * vhat
     yield np.concatenate([visc_hat, [-g.ksq * X[d + 1]]])
+    yield g.ik[0] * X[:d + 2]
 
 
 def _split(x, d):
     """``(n, v, z, g, grad_n, jac_v, visc_v, div_v, grad_z, lap_z)``: views
-    of the point values ``x`` of :func:`_derivative_coefficients`, and the
-    trace ``div_v`` of ``jac_v``."""
-    grads = x[d + 3:-(d + 1)].reshape((d + 2, d) + x.shape[1:])
+    of the point values ``x``, laid out ``[state, visc, lap z, d_0 (n, v,
+    z), ..., d_{d-1} (n, v, z)]``, and the trace ``div_v`` of ``jac_v``."""
+    grads = x[2 * d + 4:].reshape((d, d + 2) + x.shape[1:]).swapaxes(0, 1)
     jac = grads[1:1 + d]
     return (x[0], x[1:1 + d], x[d + 1], x[d + 2], grads[0], jac,
-            x[-(d + 1):-1], np.trace(jac, axis1=0, axis2=1), grads[d + 1],
-            x[-1])
+            x[d + 3:2 * d + 3], np.trace(jac, axis1=0, axis2=1),
+            grads[d + 1], x[2 * d + 3])
+
+
+def _slabs(grid, X, a, b, kernel, block=0):
+    """:meth:`rhdlab.fields.SpectralGrid._slabs` of the ``(d + 2)^2``
+    derivative fields at packed state ``X``: ``3 d + 6`` of them
+    transformed (:func:`_derivative_coefficients`) and the derivatives
+    along x_1, ..., x_{d-1} of ``(n, v, z)`` formed on their partials."""
+    d = grid.dim
+    return grid._slabs(_derivative_coefficients(grid, X, a, b), 3 * d + 6,
+                       d + 2, kernel, block)
 
 
 def _derivatives(grid, X, a, b):
@@ -152,17 +165,17 @@ def _derivatives(grid, X, a, b):
     for the slots ``(n, v, z, g)`` of ``X``, with ``jac[i, j] = d v_i /
     d x_j`` and the viscous term ``visc_v = a lap(v) + b grad(div v)``
     formed on the coefficients.  Every field but ``div_v`` is a view into
-    one point-value array, ``[state, grad(n, v, z), visc, lap z]``, written
-    slab by slab from the slabs of an explicit evaluation
-    (:meth:`rhdlab.fields.SpectralGrid._slabs`), so no transform is larger
-    than the state.
+    one point-value array, ``[state, visc, lap z, d_0 (n, v, z), ...,
+    d_{d-1} (n, v, z)]``, written slab by slab from the slabs of an
+    explicit evaluation (:func:`_slabs`), so no transform is larger than
+    the state.
     """
     d = grid.dim
-    x = np.empty(((d + 2) ** 2,) + grid.shape)  # d + 3 + (d + 2) d + d + 1
+    x = np.empty(((d + 2) ** 2,) + grid.shape)
 
     def keep(at, slab, _):
         x[:, at] = slab
-    grid._slabs(_derivative_coefficients(grid, X, a, b), len(x), keep)
+    _slabs(grid, X, a, b, keep)
     return _split(x, d)
 
 
@@ -185,9 +198,7 @@ def _velocity_form_remainders(grid, X, bg: Background):
     def remainders(_, x, block):
         model.velocity_form_remainders(*_split(x, d), bg, out=block)
         block[-1] /= bg.delta
-    return grid._slabs(
-        _derivative_coefficients(grid, X, pr.mu, pr.mu + pr.lam),
-        (d + 2) ** 2, remainders, d + 3)
+    return _slabs(grid, X, pr.mu, pr.mu + pr.lam, remainders, d + 3)
 
 
 def _momentum_form_remainders(grid, X, bg: Background):
@@ -286,23 +297,25 @@ class CompressibleSolver:
 
     Construction factors the implicit operator once, per ``|k|^2`` shell,
     and spreads it onto the box modes; each explicit evaluation then
-    transforms ``d + 4`` groups of at most ``d + 3`` fields back (the
-    state, the gradient of each of ``n``, ``v_i`` and ``z``, and the
-    viscous term with ``lap z``) and one block of remainders forward, and
-    each stage costs one transverse scale plus one 4x4 contraction per
-    mode.
+    transforms 3 groups of at most ``d + 3`` fields back (the state, the
+    viscous term with ``lap z``, and the derivative along x_0 of each of
+    ``n``, ``v_i`` and ``z``), ``3 d + 6`` fields, forms the derivatives
+    of ``n``, ``v`` and ``z`` along the other axes on their partials, and
+    transforms one block of remainders forward; each stage costs one
+    transverse scale plus one 4x4 contraction per mode.
 
     An evaluation runs slab by slab between the transforms' passes along
     x_0 (:meth:`rhdlab.fields.SpectralGrid._slabs`), and the slab, whose
     size the grid sets, is its one cut: each x_0 pass takes a whole group
     of fields, and the remainders one call per slab.  At its peak it holds
-    the x_0 partials of the ``(d + 2)^2`` derivative fields, which the
-    block of remainders takes over row by row, and one slab of their
-    point values, of the ``div v`` trace and of the scratch of
-    :func:`rhdlab.model.velocity_form_remainders`: 0.65 times the
-    derivative point values at 48³ (16 slabs), 1.17 times at 16³ (4
-    slabs) and 1.39 times at 128² (3 slabs).  A run drops the point values
-    of its invariant checks before each step.
+    the x_0 partials of the ``3 d + 6`` transformed fields, which the
+    block of remainders takes over row by row, and one slab of the point
+    values of the ``(d + 2)^2`` derivative fields, of the ``div v`` trace
+    and of the scratch of :func:`rhdlab.model.velocity_form_remainders`:
+    0.45 times the derivative point values at 48³ (16 slabs), 0.86 times
+    at 32³ and 0.93 times at 16³ (4 slabs) and 1.22 times at 128² (3
+    slabs).  A run drops the point values of its invariant checks before
+    each step.
     """
 
     def __init__(self, grid: SpectralGrid, bg: Background, dt: float,

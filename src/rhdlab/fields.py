@@ -53,10 +53,17 @@ partials, ``(n, *box rows, c + 1)`` per field, about half the size of its
 point values when dealiased.  ``fft`` and ``ifft`` run both halves over
 all rows; :meth:`SpectralGrid._slabs` runs a pointwise step slab by slab
 between them, so the point values of a whole stack never exist at once.
-The compressible solver's explicit evaluation is such a step, and the
-slab is its one cut: the grid sets the slab size, at most
-``_SLAB_POINTS`` (8192) points and at least ``dim + 1`` slabs, and each
-x_0 pass of ``_slabs`` runs over a whole group or block in one call.
+No ``ik_j`` with ``j >= 1`` varies along x_0, so ``_slabs`` forms the
+derivatives along x_1, ..., x_{d-1} of the fields it is asked for on
+their partials, with no x_0 pass or partials of their own: ``ik_1``
+times the x_0 partial before the x_1 pass in 3D, and ``ik_last`` times
+the partial after it (after the x_0 pass in 2D), which skips the x_1
+pass too.  Such a derivative differs from the transform of its
+``ik``-multiplied coefficients by round-off.  The compressible solver's
+explicit evaluation is such a step, and the slab is its one cut: the
+grid sets the slab size, at most ``_SLAB_POINTS`` (8192) points and at
+least ``dim + 1`` slabs, and each x_0 pass of ``_slabs`` runs over a
+whole group or block in one call.
 
 Every public operation returns a fresh array and never mutates its inputs,
 so grids and fields are safe to share across worker threads: a grid
@@ -80,8 +87,8 @@ _MAGIC = b"SPECF1\n"
 # field when a field alone is larger).  On small grids it saves calls: a
 # 5-field 2D ifft one field per call is 1.13x slower at 128^2, 1.5x at 64^2
 # and about 3x at 16^2.  On large grids it bounds the call's buffer: without
-# it a zero-horizon 48^3 run peaks at 70.6 MB of RSS against 63.0 MB, and a
-# two-step 96^3 run at 282.1 against 274.5 MB (one thread, 2-core VM).
+# it a zero-horizon 48^3 run peaks at 70.9 MB of RSS against 63.1 MB, and a
+# two-step 96^3 run at 280.6 against 243.9 MB (one thread, 2-core VM).
 _GROUP_BYTES = 1 << 20
 # Points of one slab of SpectralGrid._slabs, at most: a pointwise kernel's
 # scratch fields are the size of one slab and stay in cache.
@@ -170,9 +177,11 @@ class SpectralGrid:
         self._group = max(1, _GROUP_BYTES // (16 * prod(self._half_shape)))
         # x_0 rows per slab: at most _SLAB_POINTS points, one row when a
         # row alone holds more, and at least dim + 1 slabs, the fewest with
-        # which an explicit evaluation holds less than over whole fields on
-        # every grid (1.39 times its point values at 128^2 in 3 slabs, 1.79
-        # in 2, against 1.60)
+        # which an explicit evaluation holds less than it did over whole
+        # fields on every grid: 1.40 times its point values at 16^3
+        # undealiased in 4 slabs and 1.75 in 3, against 1.66; 1.22 at
+        # 128^2 in 3 slabs and 1.57 in 2, against 1.60 (the whole-field
+        # figures are those of the evaluation before it ran in slabs)
         self._slab = max(1, min(_SLAB_POINTS // n ** (dim - 1),
                                 -(-n // (dim + 1))))
 
@@ -181,6 +190,11 @@ class SpectralGrid:
         # so operator identities hold exactly.
         kd = np.where(np.abs(axes) == n // 2, 0.0, k)
         self.ik = 1j * kd
+        # ik of the last axis on its columns and, in 3D, of the middle axis
+        # on its box rows: the multipliers of a derivative formed on
+        # partials (_ifft_slab)
+        self._ik_last = self.ik[-1][(0,) * (dim - 1)]
+        self._ik_mid = self.ik[1][0, :, :1] if dim == 3 else None
         self.ksq = np.sum(kd * kd, axis=0)
         # True |k|^2 including the Nyquist mode: used for norms and spectral
         # envelopes, where Nyquist content must count as high-frequency.
@@ -254,22 +268,40 @@ class SpectralGrid:
             lines = p[:, :, rows]
             _fft.ifft(lines, axis=1, out=lines)
 
-    def _ifft_slab(self, p, out, pad=None):
+    def _ifft_slab(self, p, out, pad=None, derive=0):
         """The passes of :meth:`ifft` after the x_0 pass, over a slab of x_0
         rows of the partials ``p``, into the real ``out``: in 3D the
         ``ifft`` of the middle axis, in place, then the ``irfft`` of the
         last axis, which pads the columns itself.  Partials with the box
         rows of the middle axis only are first zero-padded into ``pad``,
         which holds the whole axis; partials with the whole axis are
-        overwritten."""
+        overwritten.
+
+        With ``derive``, ``out`` holds after the fields of ``p`` the
+        derivatives along x_1, ..., x_{d-1} of the first ``derive`` of
+        them, each formed on a partial, since no ``ik_j`` with ``j >= 1``
+        varies along x_0: along the middle axis ``ik_1`` times the x_0
+        partial, zero-padded after the fields of ``p`` into ``pad`` (which
+        3D needs then), and along the last axis ``ik_last`` times the
+        field's partial after the middle pass (its x_0 partial in 2D),
+        written over it, which skips that pass too.  ``out`` holds the
+        fields, then the derivatives along x_1 and, in 3D, along x_2."""
+        f = len(p)
         if pad is not None:
             pad.fill(0.0)
             for rows in self._mid_rows:
-                pad[:, :, rows] = p[:, :, rows]
+                pad[:f, :, rows] = p[:, :, rows]
+                if derive:
+                    np.multiply(self._ik_mid[rows], p[:derive, :, rows],
+                                out=pad[f:, :, rows])
             p = pad
         if self.dim == 3:
             _fft.ifft(p, axis=2, out=p)
-        _fft.irfft(p, n=self.n, axis=-1, out=out)
+        _fft.irfft(p, n=self.n, axis=-1, out=out[:len(p)])
+        if derive:
+            last = p[:derive]
+            last *= self._ik_last
+            _fft.irfft(last, n=self.n, axis=-1, out=out[len(p):])
 
     def _fft_slab(self, f, half):
         """The passes of :meth:`fft` before the x_0 pass, over a slab of x_0
@@ -292,32 +324,41 @@ class SpectralGrid:
         for block in self._blocks:
             out[block] = p[block]
 
-    def _slabs(self, groups, fields, kernel, block=0):
+    def _slabs(self, groups, fields, derive, kernel, block=0):
         """A pointwise ``kernel`` run slab by slab on the point values of
-        coefficient stacks, and the coefficients of what it writes.
+        coefficient stacks and of derivatives of their first ``derive``
+        fields, and the coefficients of what it writes.
 
         ``groups`` yields coefficient stacks ``(k, *spectral_shape)`` of
         ``fields`` fields in all, each taken as it comes (a group may reuse
         the buffer of the one before).  Their x_0 passes fill one stack of
         partials.  Then, for each slab of at most ``_slab`` x_0 rows,
         ``kernel(at, x, y)`` is called with ``at`` the slice of those rows,
-        ``x`` their point values ``(fields, s, ...)`` and ``y`` an empty
-        ``(block, s, ...)`` block for it to fill, whose forward passes up to
-        x_0 follow.  With ``block`` zero, ``y`` is empty and None is
-        returned; else the coefficients ``(block, *spectral_shape)`` of the
-        filled block, after one x_0 pass.  The block's partials are written
-        over the first ``block <= fields`` partials, row by row once each
-        slab has read them, so the call holds one stack of partials.  Every
-        value is bit for bit the one :meth:`ifft` and :meth:`fft` give over
-        the whole stack and the whole block.  The buffers are the call's
-        own, and only the kernel and ``groups`` run in the caller's
-        floating-point state."""
-        n, rows, part = self.n, self._slab, (self.n,) + self.spectral_shape[1:]
+        ``x`` their point values ``(fields + (dim - 1) derive, s, ...)``
+        and ``y`` an empty ``(block, s, ...)`` block for it to fill, whose
+        forward passes up to x_0 follow.  ``x`` holds the fields, then the
+        derivatives along x_1 of the first ``derive`` of them and, in 3D,
+        along x_2, formed on their partials (:meth:`_ifft_slab`), so a
+        derivative along x_0 alone is a field of ``groups``.  With
+        ``block`` zero, ``y`` is empty and None is returned; else the
+        coefficients ``(block, *spectral_shape)`` of the filled block,
+        after one x_0 pass.  The block's partials are written over the
+        first ``block <= fields`` partials, row by row once each slab has
+        read them, so the call holds one stack of partials.  The fields
+        are bit for bit the ones :meth:`ifft` gives over the whole stack,
+        the block's coefficients the ones :meth:`fft` gives over the whole
+        block, and a derivative differs from the :meth:`ifft` of its
+        ``ik``-multiplied coefficients by round-off; no value depends on
+        the slab size.  The buffers are the call's own, and only the
+        kernel and ``groups`` run in the caller's floating-point state."""
+        n, rows, d = self.n, self._slab, self.dim
         p = self._partials(groups, fields)
-        x = np.empty((fields, rows) + self.shape[1:])
-        # the whole middle axis, when the partials hold its box rows only
-        pad = (np.empty((fields, rows) + self.shape[1:-1] + part[-1:], complex)
-               if part[1:-1] != self.shape[1:-1] else None)
+        x = np.empty((fields + (d - 1) * derive, rows) + self.shape[1:])
+        # the whole middle axis, for the fields and their derivatives
+        # along it
+        pad = (np.empty((fields + derive, rows) + self.shape[1:-1]
+                        + self.spectral_shape[-1:], complex)
+               if d == 3 else None)
         y = np.empty((block, rows) + self.shape[1:])
         half = np.empty((block, rows) + self._half_shape[1:], complex)
         q = p[:block]
@@ -326,7 +367,7 @@ class SpectralGrid:
             s = at.stop - lo
             with _quiet():
                 self._ifft_slab(p[:, at], x[:, :s],
-                                None if pad is None else pad[:, :s])
+                                None if pad is None else pad[:, :s], derive)
             kernel(at, x[:, :s], y[:, :s])
             if block:
                 with _quiet():

@@ -1,11 +1,13 @@
 """Reference solver for the incompressible Navier-Stokes limit system.
 
 Projection method on the same spectral grid as the compressible runs,
-stepping Fourier coefficients: dealiased explicit advection,
+stepping Fourier coefficients: dealiased explicit Euler advection,
 Crank-Nicolson diffusion, and an exact Leray projection in place of the
-pressure gradient.  Only the advection leaves spectral space.  Pressure
-is recovered diagnostically from its Poisson equation rather than
-evolved.
+pressure gradient.  The diffusion half is second order in ``dt``, and so
+is the step where the projection removes the advection (a Taylor-Green
+vortex); with advection the step is first order.  Only the advection
+leaves spectral space.  Pressure is recovered diagnostically from its
+Poisson equation rather than evolved.
 """
 
 from __future__ import annotations
@@ -29,7 +31,10 @@ class IncompressibleTrajectory:
 
 
 class IncompressibleSolver:
-    """Semi-implicit projection integrator for divergence-free velocity."""
+    """Semi-implicit projection integrator for divergence-free velocity:
+    explicit Euler advection and Crank-Nicolson diffusion, so a step is
+    first order in ``dt`` on data whose advection is not a gradient, and
+    second order only where the projection removes the advection."""
 
     def __init__(self, grid: SpectralGrid, mu_bar: float, rho_bar: float = 1.0):
         if not mu_bar >= 0:  # a NaN fails the comparison

@@ -4,6 +4,7 @@ import pytest
 from rhdlab.fields import SpectralGrid
 from rhdlab.incompressible import (IncompressibleSolver, taylor_green_pressure,
                                    taylor_green_velocity)
+from rhdlab.initial import random_band_scalar
 
 
 @pytest.fixture(scope="module")
@@ -191,7 +192,8 @@ def test_mean_velocity_conserved(grid):
 def test_reference_is_second_order():
     # Crank-Nicolson diffusion: the Taylor-Green error at t_end falls
     # fourfold per halving of dt (the vortex's advection is a gradient,
-    # which the projection removes, so the diffusion sets the error)
+    # which the projection removes, so the diffusion sets the error; with
+    # advection the step is first order, as the next test pins)
     grid = SpectralGrid(dim=2, points_per_axis=32)
     exact = taylor_green_velocity(grid, 0.1, 0.4)
     errors = []
@@ -203,6 +205,28 @@ def test_reference_is_second_order():
         errors.append(np.max(np.abs(grid.ifft(traj.uhats[-1]) - exact)))
     slope = np.polyfit(np.log(dts), np.log(errors), 1)[0]
     assert slope >= 1.9
+
+
+def test_reference_is_first_order_with_advection():
+    # the advection is explicit Euler: on a band-limited, Leray-projected
+    # field, whose advection the projection does not remove, the error at
+    # t_end against a T/640 run halves per halving of dt (0.488, 0.482 and
+    # 0.466 from T/10 to T/80)
+    grid = SpectralGrid(dim=2, points_per_axis=32)
+    rng = np.random.default_rng(0)
+    u = np.stack([random_band_scalar(grid, rng, 2.0) for _ in range(2)])
+    u = grid.ifft(grid.leray(grid.fft(u)))
+    u /= np.max(np.abs(u))
+    ns = IncompressibleSolver(grid, mu_bar=0.1)
+
+    def final(steps):
+        return ns.run(u, dt=0.4 / steps, t_end=0.4,
+                      cadence=10 ** 6).uhats[-1]
+    ref = final(640)
+    errors = [np.max(np.abs(grid.ifft(final(s) - ref)))
+              for s in (10, 20, 40, 80)]
+    ratios = np.array(errors[1:]) / errors[:-1]
+    assert np.all((0.4 <= ratios) & (ratios <= 0.6)), ratios
 
 
 def test_scheme_validation(grid):
