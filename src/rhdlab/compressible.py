@@ -2,12 +2,14 @@
 
 The solver steps the perturbation form: the deviations
 ``(rho - rho_bar, u, theta - theta_bar, n - n_bar)`` from the radiative
-equilibrium.  A run holds the state in one shape only: it takes a primitive
-:class:`CompressibleState`, packs its deviation into spectral
-coefficients on the dealias box once (the crop of the forward transform is
-the 2/3-rule filter), and steps those.  Each invariant check rebuilds the
-primitive state from the coefficients' point values to validate it, and
-the run ends with those point values as its final state.
+equilibrium.  A run holds the state in one shape only: the spectral
+coefficients on the dealias box (the crop of the forward transform is the
+2/3-rule filter).  :meth:`CompressibleSolver.pack` validates a primitive
+:class:`CompressibleState` and packs its deviation into them, one field at
+a time, and :meth:`CompressibleSolver.run` steps the packed datum, so the
+caller can drop the datum's point values before any step.  Each invariant
+check rebuilds the primitive state from the coefficients' point values to
+validate it, and the run ends with those point values as its final state.
 
 The IMEX split integrates the constant-coefficient acoustic subsystem
 (whose pressure gradients carry the 1/delta^2 weight), all diffusion, and
@@ -314,8 +316,9 @@ class CompressibleSolver:
     and of the scratch of :func:`rhdlab.model.velocity_form_remainders`:
     0.45 times the derivative point values at 48³ (16 slabs), 0.86 times
     at 32³ and 0.93 times at 16³ (4 slabs) and 1.22 times at 128² (3
-    slabs).  A run drops the point values of its invariant checks before
-    each step.
+    slabs).  A run takes its datum packed (:meth:`pack`), so it need hold
+    no point values of it, and drops the point values of its invariant
+    checks before each step.
     """
 
     def __init__(self, grid: SpectralGrid, bg: Background, dt: float,
@@ -328,15 +331,22 @@ class CompressibleSolver:
 
     def pack(self, state: CompressibleState) -> np.ndarray:
         """Coefficients of the deviation of ``state`` from the background,
-        in the :func:`rhdlab.steppers.pack_state` layout, from one forward
-        transform of one stack of point values."""
-        pr, d = self.bg.params, self.grid.dim
-        x = np.empty((d + 3,) + self.grid.shape)
-        np.subtract(state.rho, pr.rho_bar, out=x[0])
-        x[1:1 + d] = state.u
-        np.subtract(state.theta, pr.theta_bar, out=x[d + 1])
-        np.subtract(state.rad, pr.n_bar, out=x[d + 2])
-        return self.grid.fft(x)
+        in the :func:`rhdlab.steppers.pack_state` layout: the datum
+        :meth:`run` steps.  ``state`` is validated first
+        (:class:`StateInvalidError`).  Each deviation is formed in one
+        field of scratch and transformed into its rows of the result, so
+        no stack of point values is built; every value is bit for bit the
+        stacked transform of :func:`rhdlab.steppers.pack_state`."""
+        state.validate(self.grid)
+        g, pr, d = self.grid, self.bg.params, self.grid.dim
+        X = np.empty((d + 3,) + g.spectral_shape, complex)
+        g._fft_into(state.u, X[1:1 + d])
+        dev = np.empty(g.shape)
+        for i, f, bar in ((0, state.rho, pr.rho_bar),
+                          (d + 1, state.theta, pr.theta_bar),
+                          (d + 2, state.rad, pr.n_bar)):
+            g._fft_into(np.subtract(f, bar, out=dev), X[i:i + 1])
+        return X
 
     # stepping -------------------------------------------------------------
 
@@ -346,15 +356,19 @@ class CompressibleSolver:
     def step_spectral(self, X: np.ndarray) -> np.ndarray:
         return self._stepper.step(X, self._explicit)
 
-    def run(self, state0: CompressibleState, t_end: float, cadence: int = 10,
+    def run(self, X: np.ndarray, t_end: float, cadence: int = 10,
             observer: Optional[Callable] = None) -> Trajectory:
-        """Advance ``state0``, validated on entry, to ``t_end``, observing
-        it at 0 and wherever :func:`rhdlab.steppers.schedule` says (every
-        ``cadence`` steps and at the end).  The schedule raises its
-        :class:`ValueError` before any work for a negative or NaN
-        ``t_end``, a ``cadence`` below 1 or a step count no run can finish.
-        The invariants are checked on entry, every :data:`CHECK_EVERY`
-        steps and after the last step.
+        """Advance the coefficients ``X`` of a datum, as :meth:`pack`
+        returns them, to ``t_end``, observing it at 0 and wherever
+        :func:`rhdlab.steppers.schedule` says (every ``cadence`` steps and
+        at the end).  The schedule raises its :class:`ValueError` before
+        any work for a negative or NaN ``t_end``, a ``cadence`` below 1 or
+        a step count no run can finish.  The invariants are checked on the
+        point values of ``X`` on entry, every :data:`CHECK_EVERY` steps
+        and after the last step.  The run drops ``X`` once it has stepped
+        from it, so a caller that keeps no reference to ``X``, nor to the
+        datum it packed, holds neither while the run steps (on Python 3.10
+        the caller's frame holds ``X`` until the call returns).
 
         ``observer(X, t)`` is called at observation points with the packed
         spectral state (:func:`rhdlab.steppers.pack_state` layout) and its
@@ -369,9 +383,7 @@ class CompressibleSolver:
         """
         grid, pr = self.grid, self.bg.params
         steps = schedule(t_end, self.dt, cadence)
-        state0.validate(grid)
         traj = Trajectory()
-        X = self.pack(state0)
         t = last_valid = 0.0
 
         def observe(X, t, p):

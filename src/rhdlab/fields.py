@@ -88,7 +88,8 @@ _MAGIC = b"SPECF1\n"
 # 5-field 2D ifft one field per call is 1.13x slower at 128^2, 1.5x at 64^2
 # and about 3x at 16^2.  On large grids it bounds the call's buffer: without
 # it a zero-horizon 48^3 run peaks at 70.9 MB of RSS against 63.1 MB, and a
-# two-step 96^3 run at 280.6 against 243.9 MB (one thread, 2-core VM).
+# two-step 96^3 run at 280.6 against 243.9 MB (one thread, 2-core VM, while
+# a run held its datum).
 _GROUP_BYTES = 1 << 20
 # Points of one slab of SpectralGrid._slabs, at most: a pointwise kernel's
 # scratch fields are the size of one slab and stay in cache.
@@ -220,13 +221,18 @@ class SpectralGrid:
         spectrum reused by every group of the call, then :meth:`_fft_x0`,
         which copies the box out.  A stack is transformed in groups of at
         most ``_GROUP_BYTES`` of half spectrum (:meth:`_grouped`)."""
+        return self._fft_into(f, None)
+
+    def _fft_into(self, f, out):
+        """:meth:`fft` of ``f`` written into ``out`` (a fresh array when
+        None), each group's coefficients straight into their place."""
         half = np.empty((min(prod(f.shape[:-self.dim]), self._group),)
                         + self._half_shape, complex)
 
         def forward(g, out):
             self._fft_x0(self._fft_slab(g, half[:len(g)]), out)
         with _quiet():
-            return self._grouped(f, self.spectral_shape, complex, forward)
+            return self._grouped(f, self.spectral_shape, complex, forward, out)
 
     def ifft(self, fhat: np.ndarray) -> np.ndarray:
         """Real point values of box coefficients: the ``irfftn`` of the box

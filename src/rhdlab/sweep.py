@@ -176,6 +176,10 @@ def _prepare(s: _Setup, bg, **changes):
         return make_well_prepared(spec, s.grid, bg)
     except InitError as exc:
         key = f"init.{exc.key}" if exc.key else "init"
+        if exc.key == "norm_order":
+            # the H^N weight is (1 + |k|^2)^N, and |k| grows as the
+            # extent shrinks
+            key += " / grid.extent"
         raise ConfigError(f"{key}: {exc}") from None
     except ParameterError as exc:
         raise ConfigError(f"params: {exc}") from None
@@ -217,31 +221,39 @@ def _members(s: _Setup, deltas, reference: bool, threads: int = 1):
     stiffness, so no member may need a smaller step.  With ``reference``,
     the incompressible reference runs from that datum first, and every
     member is observed against it.  Each member then runs its own
-    background and datum (the first reuses the first ones).  Returns
-    ``dt`` and, per delta in order, ``(trajectory, summary)``; a summary
-    holds ``ref_error``, the sups in time of the limit errors, when its
-    run finished against a reference.  A member whose observation at t = 0
-    leaves float range is a configuration error
-    (:func:`_refusing_at_entry`).  With ``threads > 1`` the members
-    run on a thread pool.  One thread keeps them on the calling thread, so
-    that Ctrl-C stops a ``run`` at once instead of waiting for its member.
+    background and datum (the first takes the first ones over), and packs
+    its datum before it steps, so no run holds its datum's point values
+    while it steps.  Returns ``dt`` and, per delta in order, ``(trajectory,
+    summary)``; a summary holds ``ref_error``, the sups in time of the
+    limit errors, when its run finished against a reference.  A member
+    whose observation at t = 0 leaves float range is a configuration error
+    (:func:`_refusing_at_entry`).  With ``threads > 1`` the members run on
+    a thread pool.  One thread keeps them on the calling thread, so that
+    Ctrl-C stops a ``run`` at once instead of waiting for its member.
     """
     bg0 = s.cfg.build_background(deltas[0])
-    prepared0 = _prepare(s, bg0)
-    dt = _dt(s, "solver", prepared0[0].u)
-    ref = (_run_reference_traj(s, bg0, _reference_velocity(s, bg0, prepared0),
+    # member 0's datum, which member 0 takes out: nothing else keeps it
+    first = [_prepare(s, bg0)]
+    dt = _dt(s, "solver", first[0][0].u)
+    ref = (_run_reference_traj(s, bg0, _reference_velocity(s, bg0, first[0]),
                                dt) if reference else None)
 
-    def member(delta):
-        bg = bg0 if delta == deltas[0] else s.cfg.build_background(delta)
-        state0, init_report = prepared0 if bg is bg0 else _prepare(s, bg)
+    def member(i):
+        bg = bg0 if i == 0 else s.cfg.build_background(deltas[i])
+        state0, init_report = first.pop() if i == 0 else _prepare(s, bg)
         solver = CompressibleSolver(s.grid, bg, dt,
                                     s.cfg.get("solver", "scheme"))
-        traj = solver.run(state0, s.cfg.get("solver", "t_end"),
+        # the datum's point values go once packed, and the run alone holds
+        # the packed datum, which it drops once stepped (from Python 3.11
+        # on; before it the caller's frame holds a call's arguments)
+        packed = [solver.pack(state0)]
+        del state0
+        traj = solver.run(packed.pop(),
+                          s.cfg.get("solver", "t_end"),
                           cadence=s.cfg.get("output", "cadence"),
                           observer=_refusing_at_entry(
                               s.collector(bg, "run", ref).observe))
-        summary = _traj_summary(traj, init_report, solver, delta)
+        summary = _traj_summary(traj, init_report, solver, deltas[i])
         if ref is not None and traj.status == "ok":
             summary["ref_error"] = {
                 "sup_L2": max(r.ref_error_L2 for r in traj.records),
@@ -249,9 +261,9 @@ def _members(s: _Setup, deltas, reference: bool, threads: int = 1):
         return traj, summary
 
     if threads == 1:
-        return dt, [member(delta) for delta in deltas]
+        return dt, [member(i) for i in range(len(deltas))]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return dt, list(pool.map(member, deltas))
+        return dt, list(pool.map(member, range(len(deltas))))
 
 
 def _refusing_at_entry(observe):

@@ -24,7 +24,7 @@ def test_equilibrium_fixed_point_3d(grid3):
                               np.zeros((3,) + grid3.shape),
                               np.full(grid3.shape, params.theta_bar),
                               np.full(grid3.shape, params.n_bar))
-    traj = solver.run(state, 0.05, cadence=5)
+    traj = solver.run(solver.pack(state), 0.05, cadence=5)
     assert traj.status == "ok"
     assert np.max(np.abs(traj.final_state[1])) < 1e-12
 
@@ -52,5 +52,5 @@ def test_well_prepared_run_3d(grid3):
                                  grid3, bg)
     assert rep["div_u"] < 1e-12
     solver = CompressibleSolver(grid3, bg, 2e-3)
-    traj = solver.run(st, 0.02, cadence=5)
+    traj = solver.run(solver.pack(st), 0.02, cadence=5)
     assert traj.status == "ok"

@@ -117,7 +117,7 @@ def test_criterion_03_equilibrium_fixed_point(grid64):
                               np.zeros((2,) + grid64.shape),
                               np.full(grid64.shape, params.theta_bar),
                               np.full(grid64.shape, params.n_bar))
-    traj = solver.run(state, 1.0, cadence=200)  # 1000 steps
+    traj = solver.run(solver.pack(state), 1.0, cadence=200)  # 1000 steps
     worst = max(np.max(np.abs(f)) for f in traj.final_state)
     wall = time.time() - start
     report(3, "equilibrium-fixed-point",
@@ -183,7 +183,8 @@ def test_criterion_09_dissipation_probes():
                                    grid, bg)
         solver = CompressibleSolver(grid, bg, 1e-3)
         coll = diag.Collector(grid, bg)
-        traj = solver.run(st, 0.25, cadence=5, observer=coll.observe)
+        traj = solver.run(solver.pack(st), 0.25, cadence=5,
+                          observer=coll.observe)
         assert traj.status == "ok"
         p1 = diag.energy_dissipation_probe(traj.records, params)
         p2 = diag.cross_term_probe(traj.records, bg)

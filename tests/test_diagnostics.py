@@ -156,7 +156,7 @@ def test_collector_and_probe_shapes(grid):
                                grid, bg)
     solver = CompressibleSolver(grid, bg, 1e-3)
     coll = diag.Collector(grid, bg, seed=5)
-    traj = solver.run(st, 0.05, cadence=5, observer=coll.observe)
+    traj = solver.run(solver.pack(st), 0.05, cadence=5, observer=coll.observe)
     recs = traj.records
     assert all(r.diss_u >= 0 and r.diss_theta >= 0 and r.diss_G >= 0
                for r in recs)
@@ -213,7 +213,7 @@ def test_collector_reference_errors_and_mismatch(grid):
 
     coll = diag.Collector(grid, bg, reference=ref)
     solver = CompressibleSolver(grid, bg, 1e-3)
-    traj = solver.run(st, 0.02, cadence=5, observer=observer)
+    traj = solver.run(solver.pack(st), 0.02, cadence=5, observer=observer)
     assert traj.status == "ok" and len(traj.records) == 5
     w1 = grid.sobolev_weight(1)
     want = []

@@ -1,6 +1,8 @@
 import json
+import sys
 import time
 import warnings
+import weakref
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 from rhdlab.cli import main as cli_main
+from rhdlab.compressible import CompressibleSolver
 from rhdlab.config import ConfigError, default_config, load_config
 from rhdlab.identities import _remainder_checks, run_identity_suite
 from rhdlab.model import Background, IdealGasEOS, PhysParams
@@ -127,7 +130,7 @@ def test_summary_sups_match_point_value_oracle():
         norms.append((l2(x[0]) + l2(x[d + 1]), l2(x[d + 2]), l2(x[1:1 + d])))
         return coll.observe(X, t)
 
-    traj = solver.run(st, 0.012, cadence=1, observer=observer)
+    traj = solver.run(solver.pack(st), 0.012, cadence=1, observer=observer)
     assert traj.status == "ok" and len(traj.records) >= 5
     summary = _traj_summary(traj, None, solver, bg.delta)
     want = np.max(norms, axis=0)
@@ -486,7 +489,11 @@ def test_cli_exit_codes_and_commands(tmp_path, capsys):
             ("run", "[grid]\npoints_per_axis = 16\n[init]\nnorm_order = 150\n",
              "init.norm_order"),
             ("run", "[grid]\npoints_per_axis = 16\n[init]\nnorm_order = 200\n",
-             "init.norm_order")]:
+             "init.norm_order"),
+            # the H^3 weight shrinks the data below the round-off of the
+            # background through the |k|^2 of a tiny extent
+            ("run", "[grid]\npoints_per_axis = 16\nextent = 1e-30\n",
+             "init.norm_order / grid.extent")]:
         cfg = write_config(tmp_path / "range.ini", body)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -641,6 +648,49 @@ def test_run_is_the_one_member_sweep(tmp_path):
     del member["energy_bundle_ratio"]
     assert summary == member
     assert report["dt"] == summary["dt"]
+
+
+@pytest.mark.parametrize("command,deltas", [("run", "0.1"),
+                                            ("sweep", "0.1,0.05")])
+def test_run_holds_no_array_of_its_datum_while_it_steps(tmp_path,
+                                                        monkeypatch,
+                                                        command, deltas):
+    # each member packs its datum before it steps and keeps no array of
+    # it: when a step begins, every datum made so far is gone, the first
+    # member's too, though dt and the reference were resolved from it; and
+    # the packed datum is gone once the first step from it is done (from
+    # Python 3.11 on: before it, the caller's frame holds the arguments of
+    # a call until it returns)
+    from rhdlab import sweep
+    datums, steps = [], []
+    make, step = sweep.make_well_prepared, CompressibleSolver.step_spectral
+
+    def made(*args):
+        state, report = make(*args)
+        datums.extend(weakref.ref(f)
+                      for f in (state.rho, state.u, state.theta, state.rad))
+        return state, report
+
+    def stepped(self, X):
+        assert all(ref() is None for ref in datums)
+        if sys.version_info >= (3, 11):
+            assert all(ref() is None for ref, _ in steps)
+        if not steps or self is not steps[-1][1]:
+            # the first step of a member: X is its packed datum
+            steps.append((weakref.ref(X), self))
+        return step(self, X)
+
+    monkeypatch.setattr(sweep, "make_well_prepared", made)
+    monkeypatch.setattr(CompressibleSolver, "step_spectral", stepped)
+    cfg = load_config(write_config(tmp_path / "c.ini", (
+        "[grid]\npoints_per_axis = 16\n[solver]\ndt = 0.002\nt_end = 0.006\n"
+        f"with_reference = true\n[sweep]\ndeltas = {deltas}\n")))
+    if command == "run":
+        run_single(cfg, tmp_path / "out")
+    else:
+        sweep.run_sweep(cfg, tmp_path / "out")
+    assert len(steps) == len(deltas.split(","))
+    assert len(datums) == 4 * len(steps)
 
 
 def test_json_writer_takes_numpy_scalars_and_refuses_other_objects(tmp_path):
