@@ -133,8 +133,9 @@ def _derivative_coefficients(grid, X, a, b):
     first ``d + 2`` fields, ``(n, v, z)``."""
     g, d, vhat = grid, grid.dim, X[1:1 + grid.dim]
     yield X
-    visc_hat = b * g.ik * g.divergence(vhat) - a * g.ksq * vhat
-    yield np.concatenate([visc_hat, [-g.ksq * X[d + 1]]])
+    # no local holds a yielded group, or the viscous term, past its yield
+    yield np.concatenate([b * g.ik * g.divergence(vhat) - a * g.ksq * vhat,
+                          [-g.ksq * X[d + 1]]])
     yield g.ik[0] * X[:d + 2]
 
 
@@ -303,8 +304,8 @@ class CompressibleSolver:
     viscous term with ``lap z``, and the derivative along x_0 of each of
     ``n``, ``v_i`` and ``z``), ``3 d + 6`` fields, forms the derivatives
     of ``n``, ``v`` and ``z`` along the other axes on their partials, and
-    transforms one block of remainders forward; each stage costs one
-    transverse scale plus one 4x4 contraction per mode.
+    transforms one block of remainders forward; each stage's solve is one
+    tridiagonal elimination and one transverse scale per mode.
 
     An evaluation runs slab by slab between the transforms' passes along
     x_0 (:meth:`rhdlab.fields.SpectralGrid._slabs`), and the slab, whose

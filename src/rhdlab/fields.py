@@ -398,6 +398,8 @@ class SpectralGrid:
             with _quiet():
                 self._ifft_x0(g, p[i:i + len(g)])
             i += len(g)
+            # a group is dead once passed: not held while the next is formed
+            del g
         return p
 
     def _grouped(self, x, shape, dtype, transform, out=None):

@@ -147,8 +147,6 @@ def make_well_prepared(spec: InitSpec, grid: SpectralGrid, bg: Background):
             f"cut {grid.n // 3} at n={grid.n}", key="spectrum_peak")
     N = spec.norm_order
     w = grid.sobolev_weight(N)
-    delta = bg.delta
-    rng = default_rng(spec.seed)
 
     if spec.budget == 0.0:
         state = CompressibleState(
@@ -162,46 +160,19 @@ def make_well_prepared(spec: InitSpec, grid: SpectralGrid, bg: Background):
     if share * share < np.finfo(float).tiny:
         raise InitError(f"budget {spec.budget} is too small: the squares of "
                         f"its norms underflow", key="budget")
+    env = _envelope(grid, spec.spectrum_peak)
+    rng = default_rng(spec.seed)
+    (drho, dtheta, drad), norms = _deviations(spec, grid, bg, w, env, rng)
     # the norm each component is scaled to; a slaved radiation follows
     # dtheta and has none of its own
     lead = "momentum" if spec.mode == "local-thm" else "velocity"
-    shares = {lead: share, "density": share, "temperature": share}
-    env = _envelope(grid, spec.spectrum_peak)
-
-    def scaled(amp):
-        """Point values of the next drawn shape at the ``H^N`` norm
-        ``amp``."""
-        c = _band(grid, rng, env)
-        c *= amp / _norm(grid, [c], w)
-        return grid.ifft(c)
-
-    # Fixed draw order (density, temperature, radiation, velocity) keeps a
-    # given seed comparable across flag settings: a shape the flags do not
-    # use is drawn all the same.
-    balanced = spec.balanced_pressure and abs(bg.p_theta) > 1e-14
-    if balanced:
-        # Slave dtheta to drho so the linearized pressure vanishes
-        # (entropy-mode data); budget the pair jointly.
-        ratio = bg.p_rho / bg.p_theta
-        amp_rho = 2.0 * share * delta / (1.0 + abs(ratio))
-        drho = scaled(amp_rho)
-        rng.standard_normal(grid.shape)
-        dtheta = -ratio * drho
-        shares["density"] = amp_rho / delta
-        shares["temperature"] = abs(ratio) * amp_rho / delta
-    else:
-        drho = scaled(share * delta)
-        dtheta = scaled(share * delta)
-
-    if spec.slaved_radiation:
-        rng.standard_normal(grid.shape)
-        drad = (bg.emission / params.sigma_a) * dtheta
-    else:
-        drad = scaled(share * np.sqrt(delta))
-        shares["radiation"] = share
-
+    shares = {lead: share, **norms}
     rho0 = params.rho_bar + drho
     theta0 = params.theta_bar + dtheta
+    rad0 = params.n_bar + drad
+    # the deviations go before the velocity is drawn; a missed share draws
+    # them again from the seed
+    del drho, dtheta, drad
     if np.min(rho0) < 0.5 * params.rho_bar:
         raise InitError(
             f"budget {spec.budget} unreachable: density perturbation would "
@@ -226,7 +197,7 @@ def make_well_prepared(spec: InitSpec, grid: SpectralGrid, bg: Background):
         del u_hat
         if lead == "momentum":
             u0 *= share / _norm(grid, (grid.fft(rho0 * u) for u in u0), w)
-        state = CompressibleState(rho0, u0, theta0, params.n_bar + drad)
+        state = CompressibleState(rho0, u0, theta0, rad0)
         report = _report(grid, state, bg, spec, w)
     got = report["weighted_norms"]
     missed = [name for name, want in shares.items()
@@ -235,7 +206,11 @@ def make_well_prepared(spec: InitSpec, grid: SpectralGrid, bg: Background):
         return state, report
     # the H^N weight shrinks a rough shape until the round-off of its
     # background swamps it; blame the background only if the perturbation
-    # drowns there even at the L2 size its H^N norm stands for
+    # drowns there even at the L2 size its H^N norm stands for.  The
+    # deviations are drawn again: state - bar is not them to the bit
+    (drho, dtheta, drad), _ = _deviations(
+        spec, grid, bg, w, _envelope(grid, spec.spectrum_peak),
+        default_rng(spec.seed))
     fields = {"density": (drho, params.rho_bar, "params.rho_bar"),
               "radiation": (drad, params.n_bar, "the background radiation "
                             "sigma_tilde*theta_bar^4/sigma_a"),
@@ -250,6 +225,51 @@ def make_well_prepared(spec: InitSpec, grid: SpectralGrid, bg: Background):
     raise InitError(f"norm_order={N}: achieved norms miss their shares by "
                     f"more than {_BUNDLE_RTOL:g} relative ({misses}): the "
                     f"H^{N} weight is too steep for the grid", key="norm_order")
+
+
+def _deviations(spec, grid, bg, w, env, rng):
+    """``((drho, dtheta, drad), norms)``: the point values of the
+    deviations, the first draws of the fresh generator ``rng`` of
+    ``spec.seed``, under the envelope ``env`` and scaled with the ``H^N``
+    weight ``w``, and the density, temperature and radiation norms they
+    are scaled to (a slaved radiation has none).
+
+    Fixed draw order (density, temperature, radiation) keeps a given seed
+    comparable across flag settings: a shape the flags do not use is drawn
+    all the same."""
+    params, delta = bg.params, bg.delta
+    share = _SHARE * spec.budget
+    norms = {}
+
+    def scaled(amp):
+        """Point values of the next drawn shape at the ``H^N`` norm
+        ``amp``."""
+        c = _band(grid, rng, env)
+        c *= amp / _norm(grid, [c], w)
+        return grid.ifft(c)
+
+    if spec.balanced_pressure and abs(bg.p_theta) > 1e-14:
+        # Slave dtheta to drho so the linearized pressure vanishes
+        # (entropy-mode data); budget the pair jointly.
+        ratio = bg.p_rho / bg.p_theta
+        amp_rho = 2.0 * share * delta / (1.0 + abs(ratio))
+        drho = scaled(amp_rho)
+        rng.standard_normal(grid.shape)
+        dtheta = -ratio * drho
+        norms["density"] = amp_rho / delta
+        norms["temperature"] = abs(ratio) * amp_rho / delta
+    else:
+        drho = scaled(share * delta)
+        dtheta = scaled(share * delta)
+        norms["density"] = norms["temperature"] = share
+
+    if spec.slaved_radiation:
+        rng.standard_normal(grid.shape)
+        drad = (bg.emission / params.sigma_a) * dtheta
+    else:
+        drad = scaled(share * np.sqrt(delta))
+        norms["radiation"] = share
+    return (drho, dtheta, drad), norms
 
 
 def _drowned(grid, pert, bar, N):

@@ -10,9 +10,12 @@ only through ``|k|^2``, so :func:`split_symbol`, the single builder of that
 linear part, stores one block and one transverse rate per distinct
 ``|k|^2`` (a *shell*) with a map from mode to shell; the IMEX solver, the
 linearized probe and the verification right-hand sides all take their
-symbol from it.  :class:`ImexOperator` inverts the per-shell blocks once,
-spreads the inverse onto the modes, and solves with a transverse scale plus
-one 4x4 contraction per mode.
+symbol from it.  The block is tridiagonal, so :class:`ImexOperator`
+factors each shell's ``I - c*B`` once by tridiagonal elimination, spreads
+the factors onto the modes, and solves with forward elimination, back
+substitution and a transverse scale per mode; :meth:`SplitSymbol.apply`
+keeps the dense 4x4 contraction, an independent product of the same
+symbol.
 
 Every field is real, so a spectral state holds only the modes of
 :attr:`rhdlab.fields.SpectralGrid.spectral_shape`, the half spectrum with
@@ -20,8 +23,8 @@ Every field is real, so a spectral state holds only the modes of
 without dealiasing): the symbol at ``-k`` is the complex conjugate of the
 one at ``k``, so the modes left out of the half follow from the kept ones,
 and the modes outside the box are zero.  The symbol, its shells, the
-factored inverse and the stage sums are all as small as the box.  The solvers only factor the
-symbol; only the verification right-hand sides apply it.
+factors and the stage sums are all as small as the box.  The solvers only
+factor the symbol; only the verification right-hand sides apply it.
 :data:`SCHEMES` is the single table of time schemes, and :class:`ImexStepper`
 factors a symbol for the scheme it is given.
 
@@ -61,7 +64,7 @@ class SolverError(Exception):
 # comes from a mistyped dt, and stepping it would hang without a word.
 MAX_STEPS = 10 ** 9
 
-# Modes per pass of _contract: a pass's temporaries stay in cache.
+# Modes per pass of _per_mode: a pass's temporaries stay in cache.
 _CHUNK = 4096
 
 
@@ -71,44 +74,54 @@ def _planar(per_shell, shell):
     return np.take(np.moveaxis(per_shell, 0, -1), shell, axis=-1)
 
 
-def _contract(P, t, khat, X):
-    """Per mode, ``P @ (n, k^ . v, z, g)`` on the longitudinal part of ``X``
-    and ``t * v`` on its transverse velocity.
+def _per_mode(t, khat, X, longitudinal):
+    """Per mode, ``longitudinal`` on the longitudinal part of ``X`` and
+    ``t * v`` on its transverse velocity.
 
-    ``P`` is planar ``(4, 4, *spectral_shape)``, ``t`` has the spectral
-    shape and ``khat`` is ``(dim, *spectral_shape)``; the new velocity is
-    ``t*v + k^ (zL - t*vL)`` with ``vL = k^ . v`` and ``zL`` the second row
-    of the product.  The modes go in equal chunks of at most ``_CHUNK``, so
-    the temporaries of the 16 multiply-adds stay in cache.
+    ``t`` has the spectral shape and ``khat`` is ``(dim,
+    *spectral_shape)``.  The modes go, flattened, in equal chunks of at
+    most ``_CHUNK``, so the temporaries stay in cache: for the chunk ``c``,
+    ``longitudinal(c, y, x, tmp)`` writes the new ``x = (n, xL, z, g)`` of
+    the old ``y = (n, vL, z, g)``, with ``vL = k^ . v``, and may use the
+    scratch ``tmp``.  The new velocity is ``t*v + k^ (xL - t*vL)``.
     """
     d, m, shape = len(khat), t.size, X.shape
-    P, t, khat = P.reshape(4, 4, m), t.reshape(m), khat.reshape(d, m)
-    X = X.reshape(len(X), m)
+    t, khat, X = t.reshape(m), khat.reshape(d, m), X.reshape(len(X), m)
     out = np.empty_like(X)
     step = -(-m // -(-m // _CHUNK))
-    vL, zL, tmp = np.empty((3, step), dtype=X.dtype)
+    vL, xL, tmp = np.empty((3, step), dtype=X.dtype)
     for lo in range(0, m, step):
         c = slice(lo, lo + step)
-        x, o, k, tc, pc = X[:, c], out[:, c], khat[:, c], t[c], P[..., c]
+        x, o, k, tc = X[:, c], out[:, c], khat[:, c], t[c]
         w = x.shape[1]
-        vl, zl, tp = vL[:w], zL[:w], tmp[:w]
+        vl, xl, tp = vL[:w], xL[:w], tmp[:w]
         np.multiply(k[0], x[1], out=vl)
         for i in range(1, d):
             np.multiply(k[i], x[1 + i], out=tp)
             vl += tp
-        y = (x[0], vl, x[d + 1], x[d + 2])
-        for row, dst in zip(pc, (o[0], zl, o[d + 1], o[d + 2])):
-            np.multiply(row[0], y[0], out=dst)
-            for p, yj in zip(row[1:], y[1:]):
-                np.multiply(p, yj, out=tp)
-                dst += tp
+        longitudinal(c, (x[0], vl, x[d + 1], x[d + 2]),
+                     (o[0], xl, o[d + 1], o[d + 2]), tp)
         np.multiply(tc, vl, out=tp)
-        zl -= tp
+        xl -= tp
         for i in range(d):
             np.multiply(tc, x[1 + i], out=o[1 + i])
-            np.multiply(k[i], zl, out=tp)
+            np.multiply(k[i], xl, out=tp)
             o[1 + i] += tp
     return out.reshape(shape)
+
+
+def _contract(P, t, khat, X):
+    """:func:`_per_mode` with the dense ``P @ (n, k^ . v, z, g)``, 16
+    multiply-adds, for a planar ``(4, 4, *spectral_shape)`` ``P``."""
+    P = P.reshape(4, 4, t.size)
+
+    def product(c, y, x, tmp):
+        for row, xi in zip(P[..., c], x):
+            np.multiply(row[0], y[0], out=xi)
+            for p, yj in zip(row[1:], y[1:]):
+                np.multiply(p, yj, out=tmp)
+                xi += tmp
+    return _per_mode(t, khat, X, product)
 
 
 @dataclass(frozen=True)
@@ -178,16 +191,20 @@ def split_symbol(grid, bg, relative_density=False):
     khat = np.divide(kvec, kmag, out=np.zeros_like(kvec), where=kmag > 0.0)
     ik = 1j * np.sqrt(ksq)  # i|k| of each shell
     B = np.zeros((len(ksq), 4, 4), dtype=np.complex128)
-    B[:, 0, 1] = -cont * ik
-    B[:, 1, 0] = -grad_n * ik
-    B[:, 1, 1] = -(pr.mu_bar + (pr.mu_bar + pr.lam_bar)) * ksq
-    B[:, 1, 2] = -grad_t * ik
-    B[:, 2, 1] = -div_t * ik
-    B[:, 2, 2] = -pr.kappa * bg.recip * ksq - bg.emission * bg.recip
-    B[:, 2, 3] = pr.sigma_a * bg.recip
-    B[:, 3, 2] = bg.emission / bg.delta
-    B[:, 3, 3] = -pr.nu / bg.delta * ksq - pr.sigma_a / bg.delta
-    return SplitSymbol(B, -pr.mu_bar * ksq,
+    # an overflowing coefficient leaves inf or nan (inf * 0 at k = 0), which
+    # the factorization refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        B[:, 0, 1] = -cont * ik
+        B[:, 1, 0] = -grad_n * ik
+        B[:, 1, 1] = -(pr.mu_bar + (pr.mu_bar + pr.lam_bar)) * ksq
+        B[:, 1, 2] = -grad_t * ik
+        B[:, 2, 1] = -div_t * ik
+        B[:, 2, 2] = -pr.kappa * bg.recip * ksq - bg.emission * bg.recip
+        B[:, 2, 3] = pr.sigma_a * bg.recip
+        B[:, 3, 2] = bg.emission / bg.delta
+        B[:, 3, 3] = -pr.nu / bg.delta * ksq - pr.sigma_a / bg.delta
+        transverse = -pr.mu_bar * ksq
+    return SplitSymbol(B, transverse,
                        shell.reshape(grid.spectral_shape).astype(np.int32),
                        khat)
 
@@ -214,31 +231,76 @@ class ImexOperator:
     """Per-mode solve with ``(I - c*M)``, factored once at construction and
     reused every step.
 
-    Construction inverts the ``I - c*B`` of each shell's longitudinal block
-    ``B`` and the scalar ``1 - c*rate`` of its transverse rate, then spreads
-    both onto the modes: the operator holds a planar ``(4, 4,
-    *spectral_shape)`` inverse, one transverse factor per mode and the
-    symbol's ``khat``, never the symbol's blocks.  Spectral states have
+    The longitudinal block ``B`` of :func:`split_symbol` is tridiagonal over
+    ``(n, k^ . v, z, g)``, so construction factors each shell's ``I - c*B``
+    by tridiagonal (Thomas) elimination, without pivoting: per shell the
+    multipliers ``l1, l2, l3`` below the diagonal, the reciprocal pivots
+    ``1/d0 .. 1/d3`` and the couplings ``A01, A12, A23`` above it.  On the
+    physical symbol every pivot is real and at least 1.  A factor that is
+    the same on every shell (``1/d0 = 1`` and ``A23 = c*sigma_a*recip``
+    there) stays a scalar; the others are spread onto the modes, so the
+    operator holds eight complex values per mode, with one transverse
+    factor ``1/(1 - c*rate)`` per mode and the symbol's ``khat``, never the
+    symbol's blocks.  A solve is forward elimination, back substitution and
+    the transverse scale.  A block that is not finite or not tridiagonal,
+    and a zero pivot, raise :class:`SolverError`.  Spectral states have
     shape ``(s, *grid.spectral_shape)``.
     """
 
     def __init__(self, symbol: SplitSymbol, solve_coeff: float):
-        try:
-            inv = np.linalg.inv(np.eye(4) - solve_coeff * symbol.blocks)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(
-                f"implicit operator I - {solve_coeff!r}*M is singular") from exc
-        scale = 1.0 / (1.0 - solve_coeff * symbol.transverse)
-        if not (np.isfinite(inv).all() and np.isfinite(scale).all()):
-            raise SolverError(f"implicit operator I - {solve_coeff!r}*M has "
-                              f"no finite inverse")
-        self._inv = _planar(inv, symbol.shell)
+        name = f"implicit operator I - {solve_coeff!r}*M"
+        with np.errstate(all="ignore"):
+            A = np.eye(4) - solve_coeff * symbol.blocks
+            scale = 1.0 / (1.0 - solve_coeff * symbol.transverse)
+        if not (np.isfinite(A).all() and np.isfinite(scale).all()):
+            raise SolverError(f"{name} has no finite inverse")
+        if np.any(np.triu(A, 2)) or np.any(np.tril(A, -2)):
+            raise SolverError(f"{name} is not tridiagonal over "
+                              f"(n, k^ . v, z, g)")
+        lower, pivots = [], [A[:, 0, 0]]
+        with np.errstate(all="ignore"):
+            for i in range(1, 4):
+                lower.append(A[:, i, i - 1] / pivots[-1])
+                pivots.append(A[:, i, i] - lower[-1] * A[:, i - 1, i])
+            if not all(p.all() for p in pivots):
+                raise SolverError(f"{name} is singular")
+            recips = [1.0 / p for p in pivots]
+        if not np.isfinite(lower + pivots + recips).all():
+            raise SolverError(f"{name} has no finite inverse")
+
+        def spread(f):
+            return f[0] if (f == f[0]).all() else f[symbol.shell]
+        # (l1, l2, l3, 1/d0, ..., 1/d3, A01, A12, A23)
+        self._factors = tuple(map(spread, lower + recips + [
+            A[:, i, i + 1] for i in range(3)]))
         self._scale = scale[symbol.shell]
         self._khat = symbol.khat
 
     def solve(self, X: np.ndarray) -> np.ndarray:
-        """``(I - c*M)^{-1} @ X`` per mode."""
-        return _contract(self._inv, self._scale, self._khat, X)
+        """``(I - c*M)^{-1} @ X`` per mode (:func:`_per_mode`): on the
+        longitudinal part ``y``, forward elimination ``x_i = y_i - l_i
+        x_{i-1}`` (``x0 = y0``), then back substitution ``x_i = (x_i -
+        A_{i,i+1} x_{i+1}) / d_i``."""
+        m = self._scale.size
+        factors = [f.reshape(m) if np.ndim(f) else f for f in self._factors]
+
+        def eliminate(c, y, x, tmp):
+            l1, l2, l3, r0, r1, r2, r3, a01, a12, a23 = (
+                f[c] if np.ndim(f) else f for f in factors)
+            x0, x1, x2, x3 = x
+            for li, below, yi, xi in ((l1, y[0], y[1], x1), (l2, x1, y[2], x2),
+                                      (l3, x2, y[3], x3)):
+                np.multiply(li, below, out=tmp)
+                np.subtract(yi, tmp, out=xi)
+            x3 *= r3
+            for a, above, ri, xi in ((a23, x3, r2, x2), (a12, x2, r1, x1)):
+                np.multiply(a, above, out=tmp)
+                xi -= tmp
+                xi *= ri
+            np.multiply(a01, x1, out=tmp)
+            np.subtract(y[0], tmp, out=x0)
+            x0 *= r0
+        return _per_mode(self._scale, self._khat, X, eliminate)
 
 
 def imex_euler_step(op: ImexOperator, X, dt, explicit_fn):

@@ -237,13 +237,25 @@ def test_single_mode_amplification_oracle(grid):
 
 def test_operator_amplification_all_modes(grid):
     # the factored implicit update never amplifies any mode: neither the
-    # inverse 4x4 longitudinal block nor the transverse factor of any shell,
-    # read where the operator spreads them onto the modes
+    # 4x4 longitudinal update of any mode, read column by column off the
+    # solves of the four longitudinal unit states (n, k^, z, g), nor the
+    # transverse factor the operator spreads onto the modes
     params = PhysParams(delta=0.05)
     bg = Background.of(params, EOS)
     dt = 10.0 * params.delta * grid.dx
     op = CompressibleSolver(grid, bg, dt)._stepper.op
-    eigs = np.linalg.eigvals(np.moveaxis(op._inv, (0, 1), (-2, -1)))
+    d, khat = grid.dim, split_symbol(grid, bg).khat
+    update = np.empty((4, 4) + grid.spectral_shape, complex)
+    for j in range(4):
+        X = np.zeros((d + 3,) + grid.spectral_shape, complex)
+        if j == 1:
+            X[1:1 + d] = khat
+        else:
+            X[(0, None, d + 1, d + 2)[j]] = 1.0
+        Y = op.solve(X)
+        update[:, j] = (Y[0], np.sum(khat * Y[1:1 + d], axis=0), Y[d + 1],
+                        Y[d + 2])
+    eigs = np.linalg.eigvals(np.moveaxis(update, (0, 1), (-2, -1)))
     assert np.max(np.abs(eigs)) <= 1.0 + 1e-12
     assert np.max(np.abs(op._scale)) <= 1.0 + 1e-12
 
@@ -376,7 +388,8 @@ def test_one_transform_each_way_per_explicit_evaluation(dim, scheme, fields,
     transforms[0] = 0
     solver.step_spectral(X)
     assert transforms[0] == fields
-    assert solver._stepper.op._inv.shape == (4, 4) + g.spectral_shape
+    assert all(np.shape(f) in ((), g.spectral_shape)
+               for f in solver._stepper.op._factors)
 
 
 def _stacked_derivatives(grid, X, a, b):
@@ -570,6 +583,28 @@ def test_explicit_evaluation_holds_no_partials_of_derivatives_along_x1():
     # the whole half spectrum (1.71)
     assert _evaluation_peak(3, 32) < 1.0
     assert _evaluation_peak(3, 16, dealias=False) < 1.6
+
+
+@pytest.mark.parametrize("dim,n", [(2, 64), (3, 24)])
+def test_partials_phase_holds_one_coefficient_group(dim, n):
+    # while the x_0 passes fill the partials, a coefficient group is dropped
+    # once passed and the viscous term once its group is formed: above the
+    # partials the phase holds at most two state-sized stacks, one group and
+    # the temporaries that form the next (8.1 at 64^2, 10.0 at 24^3 fields
+    # of coefficients; 13.2 and 15.1 when the last group and the viscous
+    # term lived on)
+    g = SpectralGrid(dim=dim, points_per_axis=n)
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((dim + 3,) + g.spectral_shape) + 0j
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        p = g._partials(compressible._derivative_coefficients(g, X, 0.1, 0.2),
+                        3 * dim + 6)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak - p.nbytes <= 2 * X.nbytes
 
 
 def test_explicit_evaluation_traced_peak_2d():

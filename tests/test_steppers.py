@@ -111,3 +111,87 @@ def test_singular_implicit_operator_is_refused():
     with pytest.raises(SolverError,
                        match=r"^implicit operator I - 0\.25\*M is singular$"):
         ImexOperator(symbol, c)
+
+
+def _held_arrays(op):
+    """Every array or scalar an operator holds, tuples unpacked."""
+    for value in vars(op).values():
+        yield from value if isinstance(value, tuple) else (value,)
+
+
+@pytest.mark.parametrize("dim,n", [(2, 16), (3, 8)])
+def test_operator_holds_at_most_nine_complex_values_per_mode(dim, n):
+    # the tridiagonal factors of each shell spread onto the modes, not a
+    # dense 4x4 inverse (16 complex values per mode)
+    g = SpectralGrid(dim=dim, points_per_axis=n)
+    bg = Background.of(PhysParams(delta=0.05, **OFF_UNIT), OFF_UNIT_EOS)
+    op = ImexOperator(split_symbol(g, bg), 1e-2)
+    held = sum(np.size(a) for a in _held_arrays(op) if np.iscomplexobj(a))
+    assert held <= 9 * np.prod(g.spectral_shape)
+
+
+def test_general_tridiagonal_blocks_solve_as_dense():
+    # complex tridiagonal blocks that differ on every shell, the diagonal
+    # of n included, solve as the dense 4x4 solve of each mode
+    rng = np.random.default_rng(5)
+    shells, c = 6, 0.3
+    B = (rng.standard_normal((shells, 4, 4))
+         + 1j * rng.standard_normal((shells, 4, 4)))
+    B = np.triu(np.tril(B, 1), -1)
+    khat = rng.standard_normal((2, 3, 4))
+    khat /= np.linalg.norm(khat, axis=0)
+    symbol = SplitSymbol(blocks=B, transverse=-rng.random(shells),
+                         shell=rng.integers(0, shells, (3, 4), np.int32),
+                         khat=khat)
+    X = rng.standard_normal((5, 3, 4)) + 1j * rng.standard_normal((5, 3, 4))
+    A = np.eye(4) - c * B[symbol.shell]
+    vL = np.sum(khat * X[1:3], axis=0)
+    want = np.linalg.solve(A, np.stack([X[0], vL, X[3], X[4]], -1)[..., None])
+    got = ImexOperator(symbol, c).solve(X)
+    t = 1.0 / (1.0 - c * symbol.transverse[symbol.shell])
+    np.testing.assert_allclose(got[[0, 3, 4]],
+                               np.moveaxis(want[..., [0, 2, 3], 0], -1, 0),
+                               rtol=1e-13, atol=1e-13)
+    np.testing.assert_allclose(
+        got[1:3], t * X[1:3] + khat * (want[..., 1, 0] - t * vL),
+        rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("entry", [(0, 2), (1, 3), (3, 0), (3, 1)])
+def test_non_tridiagonal_block_is_refused(entry):
+    # the elimination assumes the coupling pattern of split_symbol: an entry
+    # outside the three diagonals is refused, not dropped
+    B = np.zeros((2, 4, 4))
+    B[(1,) + entry] = 1.0
+    symbol = SplitSymbol(blocks=B, transverse=np.zeros(2),
+                         shell=np.array([[0, 1]], dtype=np.int32),
+                         khat=np.zeros((2, 1, 2)))
+    with pytest.raises(SolverError, match=r"I - 0\.5\*M is not tridiagonal"):
+        ImexOperator(symbol, 0.5)
+
+
+def test_zero_pivot_is_refused():
+    # rows n and k^ . v of I - c*M equal on one shell: the second pivot is
+    # zero and the operator is singular there
+    c = 0.5
+    A = np.eye(4)
+    A[0, 1] = A[1, 0] = 1.0
+    B = np.stack([np.zeros((4, 4)), (np.eye(4) - A) / c])
+    symbol = SplitSymbol(blocks=B,
+                         transverse=np.zeros(2),
+                         shell=np.array([[0, 1]], dtype=np.int32),
+                         khat=np.zeros((2, 1, 2)))
+    with pytest.raises(SolverError,
+                       match=r"^implicit operator I - 0\.5\*M is singular$"):
+        ImexOperator(symbol, c)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_block_is_refused(bad):
+    B = np.zeros((2, 4, 4))
+    B[1, 1, 1] = bad
+    symbol = SplitSymbol(blocks=B, transverse=np.zeros(2),
+                         shell=np.array([[0, 1]], dtype=np.int32),
+                         khat=np.zeros((2, 1, 2)))
+    with pytest.raises(SolverError, match="has no finite inverse$"):
+        ImexOperator(symbol, 0.5)

@@ -608,6 +608,23 @@ def test_failed_factorization_is_a_clean_error(tmp_path, capsys):
         assert "no finite inverse" in err
 
 
+def test_overflowing_symbol_is_refused_without_a_warning(tmp_path, capsys):
+    # the symbol of that viscosity holds inf * 0 = nan at k = 0; it is
+    # built quietly and the factorization refuses it, so a run with no
+    # reference exits 1 with the reason and no RuntimeWarning
+    body = ("[grid]\npoints_per_axis = 16\n[params]\nmu = 1e308\n"
+            "[solver]\nt_end = 0.01\n")
+    cfg = write_config(tmp_path / "mu.ini", body)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli_main(["run", "--config", cfg,
+                         "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert not caught, [str(w.message) for w in caught]
+    assert err.startswith("error: implicit operator"), err
+    assert "no finite inverse" in err
+
+
 @pytest.mark.parametrize("command, body, key", [
     ("run", "[solver]\ndt = 1e-30\n", "solver.dt"),
     ("run", "[solver]\ndt = 1e-30\nwith_reference = true\n", "solver.dt"),
