@@ -142,7 +142,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (RunError, SolverError, OSError) as exc:
+    # a FloatingPointError is arithmetic that left float range where no
+    # run aborts on it (the identity suite names its check in it)
+    except (RunError, SolverError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import SpectralGrid
-from .steppers import schedule
+from .steppers import SolverError, schedule
 
 __all__ = ["IncompressibleSolver", "IncompressibleTrajectory",
            "taylor_green_velocity", "taylor_green_pressure"]
@@ -51,13 +51,23 @@ class IncompressibleSolver:
 
     def step(self, uhat: np.ndarray, dt: float) -> np.ndarray:
         """One step on velocity coefficients; the new coefficients are
-        divergence-free to spectral round-off."""
+        divergence-free to spectral round-off.
+
+        A diffusion ``dt*mu_bar*|k|^2/2`` out of float range leaves the
+        Crank-Nicolson operator without a finite inverse: it raises
+        :class:`rhdlab.steppers.SolverError` before the step's arithmetic,
+        so a run refuses it at its first step."""
         if not dt > 0:  # a NaN fails the comparison
             raise ValueError("dt must be positive")
         g = self.grid
         half = 0.5 * dt * self.mu_bar
+        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 at k = 0
+            half_ksq = half * g.ksq
+        if not np.isfinite(half_ksq).all():
+            raise SolverError(f"Crank-Nicolson operator 1 + {half!r}*|k|^2 of "
+                              f"the reference has no finite inverse")
         unew = (uhat + dt * g.leray(self._advection(uhat))
-                - half * g.ksq * uhat) / (1.0 + half * g.ksq)
+                - half_ksq * uhat) / (1.0 + half_ksq)
         return g.leray(unew)
 
     def run(self, u0: np.ndarray, dt: float, t_end: float,

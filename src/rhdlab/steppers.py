@@ -10,12 +10,14 @@ only through ``|k|^2``, so :func:`split_symbol`, the single builder of that
 linear part, stores one block and one transverse rate per distinct
 ``|k|^2`` (a *shell*) with a map from mode to shell; the IMEX solver, the
 linearized probe and the verification right-hand sides all take their
-symbol from it.  The block is tridiagonal, so :class:`ImexOperator`
-factors each shell's ``I - c*B`` once by tridiagonal elimination, spreads
-the factors onto the modes, and solves with forward elimination, back
-substitution and a transverse scale per mode; :meth:`SplitSymbol.apply`
-keeps the dense 4x4 contraction, an independent product of the same
-symbol.
+symbol from it.  The block is tridiagonal (density couples to ``k^ . v``
+only, and radiation to the temperature only), so the symbol holds it as
+its three diagonals, and that one representation serves the builder, the
+factorization and the product: :class:`ImexOperator` factors each shell's
+``I - c*B`` once by tridiagonal elimination, spreads the factors onto the
+modes, and solves with forward elimination, back substitution and a
+transverse scale per mode; :meth:`SplitSymbol.apply` is the banded product
+per mode.
 
 Every field is real, so a spectral state holds only the modes of
 :attr:`rhdlab.fields.SpectralGrid.spectral_shape`, the half spectrum with
@@ -68,12 +70,6 @@ MAX_STEPS = 10 ** 9
 _CHUNK = 4096
 
 
-def _planar(per_shell, shell):
-    """Per-shell ``(n_shells, 4, 4)`` entries spread onto the modes as one
-    contiguous ``(4, 4, *shell.shape)`` array."""
-    return np.take(np.moveaxis(per_shell, 0, -1), shell, axis=-1)
-
-
 def _per_mode(t, khat, X, longitudinal):
     """Per mode, ``longitudinal`` on the longitudinal part of ``X`` and
     ``t * v`` on its transverse velocity.
@@ -110,39 +106,40 @@ def _per_mode(t, khat, X, longitudinal):
     return out.reshape(shape)
 
 
-def _contract(P, t, khat, X):
-    """:func:`_per_mode` with the dense ``P @ (n, k^ . v, z, g)``, 16
-    multiply-adds, for a planar ``(4, 4, *spectral_shape)`` ``P``."""
-    P = P.reshape(4, 4, t.size)
-
-    def product(c, y, x, tmp):
-        for row, xi in zip(P[..., c], x):
-            np.multiply(row[0], y[0], out=xi)
-            for p, yj in zip(row[1:], y[1:]):
-                np.multiply(p, yj, out=tmp)
-                xi += tmp
-    return _per_mode(t, khat, X, product)
-
-
 @dataclass(frozen=True)
 class SplitSymbol:
     """The linear symbol per ``|k|^2`` shell (see :func:`split_symbol`).
 
-    ``blocks`` is ``(n_shells, 4, 4)`` complex in the basis
-    ``(n, k^ . v, z, g)``, ``transverse`` the ``(n_shells,)`` rate of each
-    transverse velocity component, ``shell`` the int32 shell of every mode
-    (``grid.spectral_shape``), and ``khat`` the ``(dim, *spectral_shape)``
-    unit wavevectors, zero where ``|k| = 0``.
+    ``bands`` is the ``(3, 4, n_shells)`` complex tridiagonal block over
+    ``(n, k^ . v, z, g)`` of each shell, by its diagonals: ``bands[0, i]``
+    is the entry ``B[i, i-1]`` below the diagonal, ``bands[1, i]`` the
+    diagonal ``B[i, i]`` and ``bands[2, i]`` the entry ``B[i, i+1]`` above
+    it, so ``bands[0, 0]`` and ``bands[2, 3]`` are zero.  ``transverse``
+    is the ``(n_shells,)`` rate of each transverse velocity component,
+    ``shell`` the int32 shell of every mode (``grid.spectral_shape``), and
+    ``khat`` the ``(dim, *spectral_shape)`` unit wavevectors, zero where
+    ``|k| = 0``.
     """
-    blocks: np.ndarray
+    bands: np.ndarray
     transverse: np.ndarray
     shell: np.ndarray
     khat: np.ndarray
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        """``M @ X`` per mode for a state ``(s, *spectral_shape)``."""
-        return _contract(_planar(self.blocks, self.shell),
-                         self.transverse[self.shell], self.khat, X)
+        """``M @ X`` per mode for a state ``(s, *spectral_shape)``
+        (:func:`_per_mode`): row ``i`` of the block sums its terms below,
+        on and above the diagonal, in that order."""
+        shell = self.shell.reshape(-1)
+
+        def product(c, y, x, tmp):
+            bands = self.bands[..., shell[c]]
+            for i, xi in enumerate(x):
+                lo = max(0, i - 1)
+                np.multiply(bands[1 + lo - i, i], y[lo], out=xi)
+                for j in range(lo + 1, min(4, i + 2)):
+                    np.multiply(bands[1 + j - i, i], y[j], out=tmp)
+                    xi += tmp
+        return _per_mode(self.transverse[self.shell], self.khat, X, product)
 
 
 def split_symbol(grid, bg, relative_density=False):
@@ -190,21 +187,21 @@ def split_symbol(grid, bg, relative_density=False):
     kvec = grid.ik.imag  # Nyquist-zeroed wavenumbers
     khat = np.divide(kvec, kmag, out=np.zeros_like(kvec), where=kmag > 0.0)
     ik = 1j * np.sqrt(ksq)  # i|k| of each shell
-    B = np.zeros((len(ksq), 4, 4), dtype=np.complex128)
+    sub, diag, sup = bands = np.zeros((3, 4, len(ksq)), dtype=np.complex128)
     # an overflowing coefficient leaves inf or nan (inf * 0 at k = 0), which
     # the factorization refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        B[:, 0, 1] = -cont * ik
-        B[:, 1, 0] = -grad_n * ik
-        B[:, 1, 1] = -(pr.mu_bar + (pr.mu_bar + pr.lam_bar)) * ksq
-        B[:, 1, 2] = -grad_t * ik
-        B[:, 2, 1] = -div_t * ik
-        B[:, 2, 2] = -pr.kappa * bg.recip * ksq - bg.emission * bg.recip
-        B[:, 2, 3] = pr.sigma_a * bg.recip
-        B[:, 3, 2] = bg.emission / bg.delta
-        B[:, 3, 3] = -pr.nu / bg.delta * ksq - pr.sigma_a / bg.delta
+        sup[0] = -cont * ik
+        sub[1] = -grad_n * ik
+        diag[1] = -(pr.mu_bar + (pr.mu_bar + pr.lam_bar)) * ksq
+        sup[1] = -grad_t * ik
+        sub[2] = -div_t * ik
+        diag[2] = -pr.kappa * bg.recip * ksq - bg.emission * bg.recip
+        sup[2] = pr.sigma_a * bg.recip
+        sub[3] = bg.emission / bg.delta
+        diag[3] = -pr.nu / bg.delta * ksq - pr.sigma_a / bg.delta
         transverse = -pr.mu_bar * ksq
-    return SplitSymbol(B, transverse,
+    return SplitSymbol(bands, transverse,
                        shell.reshape(grid.spectral_shape).astype(np.int32),
                        khat)
 
@@ -231,37 +228,37 @@ class ImexOperator:
     """Per-mode solve with ``(I - c*M)``, factored once at construction and
     reused every step.
 
-    The longitudinal block ``B`` of :func:`split_symbol` is tridiagonal over
-    ``(n, k^ . v, z, g)``, so construction factors each shell's ``I - c*B``
-    by tridiagonal (Thomas) elimination, without pivoting: per shell the
-    multipliers ``l1, l2, l3`` below the diagonal, the reciprocal pivots
-    ``1/d0 .. 1/d3`` and the couplings ``A01, A12, A23`` above it.  On the
-    physical symbol every pivot is real and at least 1.  A factor that is
-    the same on every shell (``1/d0 = 1`` and ``A23 = c*sigma_a*recip``
-    there) stays a scalar; the others are spread onto the modes, so the
-    operator holds eight complex values per mode, with one transverse
-    factor ``1/(1 - c*rate)`` per mode and the symbol's ``khat``, never the
-    symbol's blocks.  A solve is forward elimination, back substitution and
-    the transverse scale.  A block that is not finite or not tridiagonal,
-    and a zero pivot, raise :class:`SolverError`.  Spectral states have
-    shape ``(s, *grid.spectral_shape)``.
+    The symbol holds its longitudinal block ``B`` over ``(n, k^ . v, z,
+    g)`` by its three diagonals, so construction factors each shell's
+    ``I - c*B`` from them by tridiagonal (Thomas) elimination, without
+    pivoting: per shell the multipliers ``l1, l2, l3`` below the diagonal,
+    the reciprocal pivots ``1/d0 .. 1/d3`` and the couplings ``A01, A12,
+    A23`` above it.  On the physical symbol every pivot is real and at
+    least 1.  A factor that is the same on every shell (``1/d0 = 1`` and
+    ``A23 = -c*sigma_a*recip`` there) stays a scalar; the others are spread
+    onto the modes, so the operator holds eight complex values per mode,
+    with one transverse factor ``1/(1 - c*rate)`` per mode and the
+    symbol's ``khat``, never the symbol's bands.  A solve is forward
+    elimination, back substitution and the transverse scale.  A block that
+    is not finite and a zero pivot raise :class:`SolverError`.  Spectral
+    states have shape ``(s, *grid.spectral_shape)``.
     """
 
     def __init__(self, symbol: SplitSymbol, solve_coeff: float):
         name = f"implicit operator I - {solve_coeff!r}*M"
         with np.errstate(all="ignore"):
-            A = np.eye(4) - solve_coeff * symbol.blocks
+            # 0.0 - x, not -x: the sign of a zero real or imaginary part is
+            # the one I - c*B has
+            cb = solve_coeff * symbol.bands
+            sub, diag, sup = 0.0 - cb[0], 1.0 - cb[1], 0.0 - cb[2]
             scale = 1.0 / (1.0 - solve_coeff * symbol.transverse)
-        if not (np.isfinite(A).all() and np.isfinite(scale).all()):
+        if not (np.isfinite(cb).all() and np.isfinite(scale).all()):
             raise SolverError(f"{name} has no finite inverse")
-        if np.any(np.triu(A, 2)) or np.any(np.tril(A, -2)):
-            raise SolverError(f"{name} is not tridiagonal over "
-                              f"(n, k^ . v, z, g)")
-        lower, pivots = [], [A[:, 0, 0]]
+        lower, pivots = [], [diag[0]]
         with np.errstate(all="ignore"):
             for i in range(1, 4):
-                lower.append(A[:, i, i - 1] / pivots[-1])
-                pivots.append(A[:, i, i] - lower[-1] * A[:, i - 1, i])
+                lower.append(sub[i] / pivots[-1])
+                pivots.append(diag[i] - lower[-1] * sup[i - 1])
             if not all(p.all() for p in pivots):
                 raise SolverError(f"{name} is singular")
             recips = [1.0 / p for p in pivots]
@@ -271,8 +268,7 @@ class ImexOperator:
         def spread(f):
             return f[0] if (f == f[0]).all() else f[symbol.shell]
         # (l1, l2, l3, 1/d0, ..., 1/d3, A01, A12, A23)
-        self._factors = tuple(map(spread, lower + recips + [
-            A[:, i, i + 1] for i in range(3)]))
+        self._factors = tuple(map(spread, lower + recips + list(sup[:3])))
         self._scale = scale[symbol.shell]
         self._khat = symbol.khat
 
@@ -361,8 +357,8 @@ def schedule(t_end: float, dt: float, cadence: int = 1):
     last step.
 
     The count is ``ceil(t_end/dt - 1e-12)``, so a ``t_end`` that is a whole
-    number of steps up to round-off takes exactly that many; ``t_end = 0``
-    takes none.  Raises :class:`ValueError` on the call, before any step,
+    number of steps up to round-off takes exactly that many, and at least
+    one if ``t_end`` is positive; ``t_end = 0`` takes none.  Raises :class:`ValueError` on the call, before any step,
     for a ``t_end`` that is negative or NaN, a ``dt`` that is not positive
     (NaN included), ``cadence < 1`` or more than :data:`MAX_STEPS` steps.
     """
@@ -374,6 +370,6 @@ def schedule(t_end: float, dt: float, cadence: int = 1):
     if not steps <= MAX_STEPS:
         raise ValueError(f"t_end / dt = {t_end!r} / {dt!r} asks for more "
                          f"than {MAX_STEPS:.0e} steps")
-    n = max(0, int(np.ceil(steps)))
+    n = max(int(t_end > 0.0), int(np.ceil(steps)))
     return ((i * dt, i % cadence == 0 or i == n, i == n)
             for i in range(1, n + 1))

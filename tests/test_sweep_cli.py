@@ -592,20 +592,24 @@ def test_diverged_probe_is_a_clean_error(tmp_path, capsys):
     assert float(probe.split("diverged after t=")[1].split(":")[0]) > 0.0
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 def test_failed_factorization_is_a_clean_error(tmp_path, capsys):
-    # a viscosity whose symbol overflows leaves the implicit operator without
-    # a finite inverse: exit 1 with the reason, in run and sweep alike
+    # a viscosity whose symbol overflows leaves the implicit operator, and
+    # the Crank-Nicolson operator of the incompressible reference, without
+    # a finite inverse: exit 1 with the reason and no output, in run,
+    # sweep and reference alike.  The sweep and the reference step the
+    # reference first, so the reference's operator is the one refused
     body = ("[grid]\npoints_per_axis = 16\n[params]\nmu = 1e308\n"
             "[solver]\nt_end = 0.01\n[sweep]\ndeltas = 0.1,0.05\n")
     cfg = write_config(tmp_path / "mu.ini", body)
-    for command in ("run", "sweep"):
+    for command, operator in (("run", "implicit operator"),
+                              ("sweep", "Crank-Nicolson operator"),
+                              ("reference", "Crank-Nicolson operator")):
         assert cli_main([command, "--config", cfg,
                          "--out", str(tmp_path / command)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: implicit operator"), err
-        assert "no finite inverse" in err
+        assert err.startswith(f"error: {operator}"), err
+        assert err.rstrip().endswith("has no finite inverse"), err
+        assert not (tmp_path / command).exists()
 
 
 def test_overflowing_symbol_is_refused_without_a_warning(tmp_path, capsys):
@@ -623,6 +627,23 @@ def test_overflowing_symbol_is_refused_without_a_warning(tmp_path, capsys):
     assert not caught, [str(w.message) for w in caught]
     assert err.startswith("error: implicit operator"), err
     assert "no finite inverse" in err
+
+
+def test_verify_identities_refuses_arithmetic_out_of_float_range(tmp_path,
+                                                                 capsys):
+    # that viscosity makes 0 * inf in the remainders at the background: the
+    # suite stops at the check that was running, exit 1 with one error line
+    # naming it, no identity printed and no RuntimeWarning
+    cfg = write_config(tmp_path / "mu.ini", "[grid]\npoints_per_axis = 16\n"
+                                            "[params]\nmu = 1e308\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli_main(["verify-identities", "--config", cfg]) == 1
+    out, err = capsys.readouterr()
+    assert not caught, [str(w.message) for w in caught]
+    assert out == ""
+    assert err.splitlines() == ["error: identity background-zero: invalid "
+                                "value encountered in multiply"], err
 
 
 @pytest.mark.parametrize("command, body, key", [
