@@ -58,22 +58,19 @@ from .steppers import (ImexStepper, pack_state, schedule, split_symbol,
                        unpack_state)
 
 __all__ = [
-    "CompressibleState", "Trajectory", "StateInvalidError",
-    "CompressibleSolver", "default_dt", "rhs_primitive", "rhs_perturbation",
-    "rhs_momentum_form",
+    "CompressibleState", "Trajectory", "CompressibleSolver", "default_dt",
+    "check_dt", "rhs_primitive", "rhs_perturbation", "rhs_momentum_form",
 ]
 
 # Steps between the invariant checks of a run; the last step is checked too.
 CHECK_EVERY = 10
 
 
-class StateInvalidError(Exception):
-    """A state violated positivity or finiteness invariants."""
-
-
 @dataclass
 class CompressibleState:
-    """Primitive fields; density and temperature must stay positive."""
+    """Primitive fields; density and temperature must stay positive.
+    :meth:`validate` raises :class:`rhdlab.model.DomainError` for a state
+    that breaks this or holds a non-finite value."""
     rho: np.ndarray
     u: np.ndarray
     theta: np.ndarray
@@ -82,17 +79,17 @@ class CompressibleState:
     def validate(self, grid: SpectralGrid) -> None:
         for name, f in (("rho", self.rho), ("theta", self.theta), ("rad", self.rad)):
             if f.shape != grid.shape:
-                raise StateInvalidError(f"{name} has shape {f.shape}, expected {grid.shape}")
+                raise DomainError(f"{name} has shape {f.shape}, expected {grid.shape}")
         if self.u.shape != (grid.dim,) + grid.shape:
-            raise StateInvalidError("u has wrong shape")
+            raise DomainError("u has wrong shape")
         for name, f in (("rho", self.rho), ("u", self.u),
                         ("theta", self.theta), ("rad", self.rad)):
             if not np.all(np.isfinite(f)):
-                raise StateInvalidError(f"{name} contains non-finite values")
+                raise DomainError(f"{name} contains non-finite values")
         if np.min(self.rho) <= 0.0:
-            raise StateInvalidError(f"min rho = {np.min(self.rho)} <= 0")
+            raise DomainError(f"min rho = {np.min(self.rho)} <= 0")
         if np.min(self.theta) <= 0.0:
-            raise StateInvalidError(f"min theta = {np.min(self.theta)} <= 0")
+            raise DomainError(f"min theta = {np.min(self.theta)} <= 0")
 
 
 @dataclass
@@ -120,6 +117,15 @@ def default_dt(grid: SpectralGrid, u0: np.ndarray) -> float:
     """
     umax = float(np.max(np.abs(u0))) if u0.size else 0.0
     return 0.25 * grid.dx / max(1.0, umax)
+
+
+def check_dt(grid: SpectralGrid, dt: float, u: np.ndarray) -> None:
+    """Refuse a step ``dt`` above 4 times the advective bound
+    :func:`default_dt` at velocity ``u`` with
+    :class:`rhdlab.model.DomainError`."""
+    bound = default_dt(grid, u)
+    if dt > 4.0 * bound:
+        raise DomainError(f"dt={dt} exceeds 4x advective bound {bound:.3e}")
 
 
 # -- right-hand sides -------------------------------------------------------
@@ -334,7 +340,7 @@ class CompressibleSolver:
         """Coefficients of the deviation of ``state`` from the background,
         in the :func:`rhdlab.steppers.pack_state` layout: the datum
         :meth:`run` steps.  ``state`` is validated first
-        (:class:`StateInvalidError`).  Each deviation is formed in one
+        (:class:`rhdlab.model.DomainError`).  Each deviation is formed in one
         field of scratch and transformed into its rows of the result, so
         no stack of point values is built; every value is bit for bit the
         stacked transform of :func:`rhdlab.steppers.pack_state`."""
@@ -400,10 +406,7 @@ class CompressibleSolver:
             drho, u, dtheta, drad = p
             CompressibleState(pr.rho_bar + drho, u, pr.theta_bar + dtheta,
                               pr.n_bar + drad).validate(grid)
-            bound = default_dt(grid, u)
-            if self.dt > 4.0 * bound:
-                raise StateInvalidError(
-                    f"dt={self.dt} exceeds 4x advective bound {bound:.3e}")
+            check_dt(grid, self.dt, u)
 
         # point values of X, unpacked only for the invariant checks and
         # before each one, and dropped before each step, so no step holds
@@ -425,7 +428,7 @@ class CompressibleSolver:
                         check_invariants(p)
                     if seen:
                         observe(X, t, p)
-        except (StateInvalidError, DomainError, FloatingPointError) as exc:
+        except (DomainError, FloatingPointError) as exc:
             traj.status, traj.abort_time = "aborted", last_valid
             traj.abort_reason = str(exc)
             if isinstance(exc, FloatingPointError):

@@ -100,7 +100,7 @@ class Collector:
     the perturbation fields, packed as :func:`rhdlab.steppers.pack_state`
     lays them out (the solver's own state); it transforms nothing.  It
     forms the Parseval density of ``|X|^2``
-    (:meth:`rhdlab.fields.SpectralGrid.parseval_density`) once, and takes
+    (:meth:`rhdlab.fields.SpectralGrid.power_density`) once, and takes
     every weighted norm of the state as one product with a stack of
     weights built here: ``H^order``, ``|k|^2 H^order``, ``|k|^2
     H^(order-1)``, ``H^3``, ``sum_{k<order} |k|^(2k)`` (the cross term) and
@@ -156,9 +156,7 @@ class Collector:
 
     def _density(self, fhat):
         """Parseval density of ``|fhat|^2``, one row per field."""
-        sq = np.abs(fhat)
-        sq *= sq
-        return self.grid.parseval_density(sq).reshape(-1, self._weights.shape[1])
+        return self.grid.power_density(fhat).reshape(-1, self._weights.shape[1])
 
     def observe(self, X: np.ndarray, time: float) -> DiagnosticsRecord:
         """Record of the packed spectral state ``X`` at ``time``."""
@@ -218,14 +216,18 @@ class Collector:
 
 # -- dissipation-inequality probes -------------------------------------------
 
-def _centered_ratios(times, nums_at, dens_at):
-    """Largest positive ratio ``nums_at(i) / dens_at(i)`` over the interior
-    records, 0 when no ratio is positive (the inequality holds with slack)
-    or there is no interior record; a denominator is floored at 1e-12 times
-    the largest one."""
-    inner = range(1, len(times) - 1)
-    nums = [nums_at(i) for i in inner]
-    dens = [dens_at(i) for i in inner]
+def _centered_ratios(records, value, rest, den):
+    """Largest positive ratio ``(d/dt value + rest) / den`` over the
+    interior records, each of ``value``, ``rest`` and ``den`` a function of
+    one record and ``d/dt value`` the centered difference of ``value``
+    over the neighbours; 0 when no ratio is positive (the inequality holds
+    with slack) or there is no interior record.  A denominator is floored
+    at 1e-12 times the largest one."""
+    nums, dens = [], []
+    for prev, r, after in zip(records, records[1:], records[2:]):
+        dt2 = after.time - prev.time
+        nums.append((value(after) - value(prev)) / dt2 + rest(r))
+        dens.append(den(r))
     if not nums:
         return 0.0
     floor = 1e-12 * max(max(dens), 1e-300)
@@ -244,20 +246,16 @@ def energy_dissipation_probe(records, params: PhysParams) -> float:
     """
     d2 = params.delta ** 2
     factors = _dissipation_factors(params)
-    times = [r.time for r in records]
     smallness = max(r.extras["smallness"] for r in records)
 
-    def num(i):
-        dt2 = times[i + 1] - times[i - 1]
-        dE = (records[i + 1].energy_E - records[i - 1].energy_E) / dt2
-        x = records[i].extras
-        return dE + float(factors @ [x["grad_u_sq"], x["grad_dtheta_sq"],
-                                     x["grad_drad_sq"], x["exchange_sq"]])
+    def dissipation(r):
+        x = r.extras
+        return float(factors @ [x["grad_u_sq"], x["grad_dtheta_sq"],
+                                x["grad_drad_sq"], x["exchange_sq"]])
 
-    def den(i):
-        return smallness * records[i].extras["grad_drho_sq_lm1"] / d2
-
-    return _centered_ratios(times, num, den)
+    return _centered_ratios(
+        records, lambda r: r.energy_E, dissipation,
+        lambda r: smallness * r.extras["grad_drho_sq_lm1"] / d2)
 
 
 def cross_term_probe(records, bg: Background) -> float:
@@ -270,16 +268,8 @@ def cross_term_probe(records, bg: Background) -> float:
     """
     pr = bg.params
     d2 = pr.delta ** 2
-    times = [r.time for r in records]
-
-    def num(i):
-        dt2 = times[i + 1] - times[i - 1]
-        dX = (records[i + 1].extras["cross"] - records[i - 1].extras["cross"]) / dt2
-        return dX + (bg.p_rho / (2.0 * pr.rho_bar * d2)
-                     * records[i].extras["grad_drho_sq_lm1"])
-
-    def den(i):
-        r = records[i]
-        return r.extras["grad_u_sq"] + r.extras["grad_dtheta_sq_lm1"] / d2
-
-    return _centered_ratios(times, num, den)
+    return _centered_ratios(
+        records, lambda r: r.extras["cross"],
+        lambda r: (bg.p_rho / (2.0 * pr.rho_bar * d2)
+                   * r.extras["grad_drho_sq_lm1"]),
+        lambda r: r.extras["grad_u_sq"] + r.extras["grad_dtheta_sq_lm1"] / d2)

@@ -26,10 +26,16 @@ except on the ``k_last = 0`` and ``k_last = n/2`` planes, which hold their
 own conjugates and count once.
 Methods take coefficients unless they say otherwise.  Derivatives are
 multiplications by ``grid.ik`` (``grid.ksq`` for ``-laplacian``), exact
-derivatives of the trigonometric interpolant.  Two methods take first
-derivatives: :meth:`SpectralGrid.jacobian` gives the point values of the
-gradients of a stack of fields, and :meth:`SpectralGrid.divergence` the
-coefficients of a divergence.  The Nyquist mode is dropped from ``ik`` and
+derivatives of the trigonometric interpolant.  Three methods take first
+derivatives: :meth:`SpectralGrid.divergence` gives the coefficients of a
+divergence; :meth:`SpectralGrid._slabs` forms the point values of the
+derivatives along x_1, ..., x_{d-1} of the fields it is asked for on
+their x_0 partials (the caller hands it those along x_0 as fields), for
+the compressible solver's explicit evaluation and the verification
+right-hand sides; and
+:meth:`SpectralGrid.jacobian` gives the point values of the gradients of
+a stack of fields, for the incompressible reference's advection and the
+momentum form's Hessian.  The Nyquist mode is dropped from ``ik`` and
 ``ksq`` alike, so ``div(grad(f))`` and ``laplacian(f)`` agree bit-for-bit.
 
 Point values may hold modes outside the box.  What takes their norm or
@@ -479,17 +485,21 @@ class SpectralGrid:
         return density * (self.volume / float(self.n ** self.dim) ** 2
                           * self.multiplicity)
 
-    def norm_sq(self, fhat: np.ndarray, weight=1.0):
-        """Parseval sum ``volume * sum(weight * |fhat / n**dim|^2)`` of
-        transformed fields over the spatial axes; component axes are kept.
-
-        ``weight`` must broadcast to the shape of ``fhat`` and be even in
-        ``k``.
-        """
+    def power_density(self, fhat: np.ndarray, weight=1.0) -> np.ndarray:
+        """:meth:`parseval_density` of ``weight * |fhat|^2``, per mode and
+        field: summed over the spatial axes, the squared norm of the fields
+        of ``fhat`` that ``weight`` selects.  ``weight`` must broadcast to
+        the shape of ``fhat`` and be even in ``k``."""
         sq = np.abs(fhat)
         sq *= sq
         sq *= weight
-        return np.sum(self.parseval_density(sq), axis=self._fft_axes)
+        return self.parseval_density(sq)
+
+    def norm_sq(self, fhat: np.ndarray, weight=1.0):
+        """Parseval sum ``volume * sum(weight * |fhat / n**dim|^2)`` of
+        transformed fields over the spatial axes, the sum of
+        :meth:`power_density`; component axes are kept."""
+        return np.sum(self.power_density(fhat, weight), axis=self._fft_axes)
 
     def sobolev_weight(self, order: int) -> np.ndarray:
         """The ``(1 + |k|^2)^order`` multiplier of :meth:`sobolev_norm`."""

@@ -173,15 +173,14 @@ def make_well_prepared(spec: InitSpec, grid: SpectralGrid, bg: Background):
     # the deviations go before the velocity is drawn; a missed share draws
     # them again from the seed
     del drho, dtheta, drad
-    if np.min(rho0) < 0.5 * params.rho_bar:
-        raise InitError(
-            f"budget {spec.budget} unreachable: density perturbation would "
-            f"push min rho to {np.min(rho0):.4g} < rho_bar/2", key="budget")
-    if np.min(theta0) < 0.5 * params.theta_bar:
-        raise InitError(
-            f"budget {spec.budget} unreachable: temperature perturbation "
-            f"would push min theta to {np.min(theta0):.4g} < theta_bar/2",
-            key="budget")
+    for name, field, f0, bar in (("density", "rho", rho0, params.rho_bar),
+                                 ("temperature", "theta", theta0,
+                                  params.theta_bar)):
+        if np.min(f0) < 0.5 * bar:
+            raise InitError(
+                f"budget {spec.budget} unreachable: {name} perturbation "
+                f"would push min {field} to {np.min(f0):.4g} < {field}_bar/2",
+                key="budget")
 
     u_hat = np.empty((grid.dim,) + grid.spectral_shape, complex)
     for i in range(grid.dim):

@@ -193,9 +193,7 @@ def solve_linearized(grid: SpectralGrid, problem: LinearizedProblem,
     def density(X):
         """The Parseval density of ``[X, exchange]``, every slot unweighted."""
         exch = planck_linear(X[d + 1], X[d + 2], bg)
-        sq = np.abs(np.concatenate([X, [exch]]))
-        sq *= sq
-        return grid.parseval_density(sq)
+        return grid.power_density(np.concatenate([X, [exch]]))
 
     def bundle_of(dens):
         """The scaled bundle of ``X`` in ``H^no`` from its :func:`density`."""

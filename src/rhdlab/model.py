@@ -240,18 +240,17 @@ def planck_linear(dtheta, drad, bg: Background):
 
 # -- nonlinear remainders of the two perturbation forms ---------------------
 
-def deformation_contraction(jac_u):
+def deformation_contraction(jac_u, out=None, tmp=None):
     """``D(u):D(u)`` from the velocity Jacobian ``jac[i, j] = d u_i / d x_j``.
 
     Summed over the distinct index pairs, ``sum_i J_ii^2 + 1/2 sum_{i<j}
-    (J_ij + J_ji)^2``, without forming the symmetric part.
+    (J_ij + J_ji)^2``, without forming the symmetric part.  ``out`` and the
+    scratch ``tmp``, fields of the shape of ``jac_u[0, 0]`` that do not
+    overlap it, are fresh when not given; the result is ``out``.
     """
     shape = np.shape(jac_u[0, 0])
-    return _contract_deformation(jac_u, np.empty(shape), np.empty(shape))
-
-
-def _contract_deformation(jac_u, out, tmp):
-    """:func:`deformation_contraction` into ``out``, with scratch ``tmp``."""
+    out = np.empty(shape) if out is None else out
+    tmp = np.empty(shape) if tmp is None else tmp
     d = len(jac_u)
     np.square(jac_u[0, 0], out=out)
     for i in range(1, d):
@@ -357,7 +356,7 @@ def velocity_form_remainders(drho, u, dtheta, drad,
     np.negative(_dot(u, grad_dtheta, r_temperature, tmp), out=r_temperature)
     np.multiply(params.kappa, h9, out=tmp)
     r_temperature -= np.multiply(tmp, lap_dtheta, out=tmp)
-    _contract_deformation(jac_u, dissipation, tmp)
+    deformation_contraction(jac_u, dissipation, tmp)
     dissipation *= 2.0 * params.mu
     dissipation += np.multiply(params.lam, np.square(div_u, out=tmp), out=tmp)
     dissipation *= d2
@@ -385,8 +384,16 @@ def momentum_form_remainders(nrel, mom, dtheta, drad,
     but ``visc_m``.  Returns
     ``(r_momentum, r_temperature, r_radiation)``; the continuity equation
     of this form is exact and has no remainder.  As in
-    :func:`velocity_form_remainders`, the gaps read ``bg`` and the gas law
-    is evaluated once, at the state.
+    :func:`velocity_form_remainders`, the gaps read ``bg``.
+
+    The temperature and radiation equations are those of the velocity
+    form: their remainders are the ones :func:`velocity_form_remainders`
+    gives at the actual velocity ``u = f m`` and ``drho = rho_bar nrel``,
+    plus the change-of-variables term ``adiab_bar (nrel f div m - m .
+    grad f)``, the linear adiabatic term of the velocity form's symbol on
+    ``div u`` less that of this form's on ``div m``.  The gas law is
+    evaluated at the state twice for ``P_rho`` and ``P_theta``, here and
+    there, and once for ``e_theta``, there.
 
     Derivatives of the composite ``1/(1 + nrel)`` are expanded through the
     chain rule on the supplied derivatives of ``nrel``, so all outputs are
@@ -400,8 +407,6 @@ def momentum_form_remainders(nrel, mom, dtheta, drad,
     _check_positive("theta", theta)
     d2 = params.delta ** 2
     mu_b, lam_b = params.mu_bar, params.lam_bar
-    p_theta = eos.p_theta(rho, theta)
-    e_theta = eos.e_theta(rho, theta)
 
     f = 1.0 / (1.0 + nrel)
     grad_f = -(f ** 2) * grad_nrel
@@ -417,7 +422,7 @@ def momentum_form_remainders(nrel, mom, dtheta, drad,
     visc_bulk = (np.einsum("ji...,j...->i...", jac_m, grad_f)
                  + np.einsum("j...,ji...->i...", mom, hess_f))
     h1 = bg.p_rho - eos.p_rho(rho, theta)
-    h2 = bg.p_theta - p_theta
+    h2 = bg.p_theta - eos.p_theta(rho, theta)
     r_momentum = (-adv + mu_b * visc_shear + (lam_b + mu_b) * visc_bulk
                   + (h1 / d2) * grad_nrel
                   + (h2 / (params.rho_bar * d2)) * grad_dtheta
@@ -425,24 +430,13 @@ def momentum_form_remainders(nrel, mom, dtheta, drad,
                   + mu_b * np.einsum("ij...,j...->i...", jac_m, grad_f)
                   + (lam_b + mu_b) * grad_f * div_m)
 
-    # temperature equation remainder, written with the actual velocity u = f*m
+    # the velocity form's rows at u = f*m; its mass and velocity rows,
+    # which read the viscous term, are dropped
     u = f * mom
-    div_u = f * div_m + m_dot_gf
-    jac_u = f * jac_m + np.einsum("i...,j...->ij...", mom, grad_f)
-    recip = 1.0 / (rho * e_theta)
-    h3 = bg.recip - recip
+    _, _, r_temperature, r_radiation = velocity_form_remainders(
+        params.rho_bar * nrel, u, dtheta, drad, params.rho_bar * grad_nrel,
+        f * jac_m + np.einsum("i...,j...->ij...", mom, grad_f),
+        np.zeros_like(u), f * div_m + m_dot_gf, grad_dtheta, lap_dtheta, bg)
     adiab_bar = params.theta_bar * bg.p_theta / (params.rho_bar * bg.e_theta)
-    h4 = adiab_bar - theta * p_theta / (rho * e_theta)
-    linear_exchange = planck_linear(dtheta, drad, bg)
-    quartic_rem = planck_cubic(dtheta, params) * dtheta
-    dd = deformation_contraction(jac_u)
-    r_temperature = (-np.sum(u * grad_dtheta, axis=0)
-                     - params.kappa * h3 * lap_dtheta
-                     + h3 * linear_exchange
-                     + d2 * (2.0 * params.mu * dd + params.lam * div_u ** 2) * recip
-                     + h4 * div_u
-                     - quartic_rem * recip
-                     + adiab_bar * (nrel * f * div_m - m_dot_gf))
-
-    r_radiation = quartic_rem
+    r_temperature += adiab_bar * (nrel * f * div_m - m_dot_gf)
     return r_momentum, r_temperature, r_radiation

@@ -19,7 +19,7 @@ import numpy as np
 from numpy.random import default_rng
 
 from . import diagnostics as diag
-from .compressible import CompressibleSolver, Trajectory, default_dt
+from .compressible import CompressibleSolver, Trajectory, check_dt, default_dt
 from .config import ConfigError, ExperimentConfig, dump_config_text
 from .fields import SpectralGrid, save_field
 from .incompressible import IncompressibleSolver
@@ -218,7 +218,10 @@ def _members(s: _Setup, deltas, reference: bool, threads: int = 1):
 
     Resolves the first member's background and datum and, from them, the
     one ``dt`` of every member: the split must absorb the 1/delta^2
-    stiffness, so no member may need a smaller step.  With ``reference``,
+    stiffness, so no member may need a smaller step.  A ``solver.dt``
+    above the bound of :func:`rhdlab.compressible.check_dt` at that datum,
+    which every run would abort on at once, is a configuration error,
+    raised before the reference takes a step.  With ``reference``,
     the incompressible reference runs from that datum first, and every
     member is observed against it.  Each member then runs its own
     background and datum (the first takes the first ones over), and packs
@@ -235,6 +238,10 @@ def _members(s: _Setup, deltas, reference: bool, threads: int = 1):
     # member 0's datum, which member 0 takes out: nothing else keeps it
     first = [_prepare(s, bg0)]
     dt = _dt(s, "solver", first[0][0].u)
+    try:
+        check_dt(s.grid, dt, first[0][0].u)
+    except DomainError as exc:
+        raise ConfigError(f"solver.dt: {exc}") from None
     ref = (_run_reference_traj(s, bg0, _reference_velocity(s, bg0, first[0]),
                                dt) if reference else None)
 

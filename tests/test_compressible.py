@@ -6,9 +6,8 @@ import pytest
 
 from rhdlab import compressible, fields, model
 from rhdlab.compressible import (CompressibleSolver, CompressibleState,
-                                 StateInvalidError, _derivatives, default_dt,
-                                 rhs_momentum_form, rhs_perturbation,
-                                 rhs_primitive)
+                                 _derivatives, default_dt, rhs_momentum_form,
+                                 rhs_perturbation, rhs_primitive)
 from rhdlab.fields import SpectralGrid
 from rhdlab.initial import InitSpec, make_well_prepared, random_band_scalar
 from rhdlab.model import Background, DomainError, IdealGasEOS, PhysParams
@@ -66,7 +65,7 @@ def test_state_validation(grid):
     st = equilibrium_state(grid, params)
     st.validate(grid)
     bad = CompressibleState(st.rho * 0.0, st.u, st.theta, st.rad)
-    with pytest.raises(StateInvalidError):
+    with pytest.raises(DomainError):
         bad.validate(grid)
 
 
@@ -83,7 +82,7 @@ def test_state_validation_refuses_each_bad_field(grid, field, bad, reason):
     st = smooth_state(grid, PhysParams(), seed=5)
     st.validate(grid)
     broken = CompressibleState(**{**vars(st), field: bad(getattr(st, field))})
-    with pytest.raises(StateInvalidError, match=reason):
+    with pytest.raises(DomainError, match=reason):
         broken.validate(grid)
 
 
@@ -796,7 +795,7 @@ def test_final_state_is_the_unpacked_stepped_state(monkeypatch, fail_at):
     def failing(self, grid):
         calls[0] += 1
         if fail_at is not None and calls[0] == 2 + fail_at // interval:
-            raise StateInvalidError("injected")
+            raise DomainError("injected")
         validate(self, grid)
 
     monkeypatch.setattr(CompressibleState, "validate", failing)

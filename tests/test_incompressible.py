@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from rhdlab.compressible import CompressibleSolver
+from rhdlab.config import default_config
 from rhdlab.fields import SpectralGrid
 from rhdlab.incompressible import (IncompressibleSolver, taylor_green_pressure,
                                    taylor_green_velocity)
-from rhdlab.initial import random_band_scalar
+from rhdlab.initial import make_well_prepared, random_band_scalar
 
 
 @pytest.fixture(scope="module")
@@ -227,6 +231,39 @@ def test_reference_is_first_order_with_advection():
               for s in (10, 20, 40, 80)]
     ratios = np.array(errors[1:]) / errors[:-1]
     assert np.all((0.4 <= ratios) & (ratios <= 0.6)), ratios
+
+
+@pytest.mark.parametrize("budget, ns_distance", [(0.5, 1.726e-10),
+                                                 (50.0, 8.763e-7)])
+def test_discrete_limit_is_navier_stokes_not_stokes(budget, ns_distance,
+                                                    monkeypatch):
+    # at delta = 1e-6 the projected imex2 velocity at T = 0.5 lies within a
+    # factor 2 either way of its measured L2 distance from the Navier-Stokes
+    # reference (1.726e-10 at budget 0.5, 8.763e-7 at 50; the factor is the
+    # margin for a changed platform or FFT library, far above their
+    # round-off), and at least 100x farther from a Stokes reference, the
+    # same solver with its advection zeroed (1.375e-6 and 1.375e-2).  The
+    # references step the datum's velocity at dt/16
+    cfg = default_config()
+    grid = SpectralGrid(dim=2, points_per_axis=32)
+    bg = cfg.build_background(1e-6)
+    st, _ = make_well_prepared(replace(cfg.build_init_spec(), budget=budget),
+                               grid, bg)
+    dt, t_end = 0.0025, 0.5
+    solver = CompressibleSolver(grid, bg, dt, "imex2")
+    traj = solver.run(solver.pack(st), t_end, cadence=10 ** 6)
+    assert traj.status == "ok" and traj.times[-1] == t_end
+    pu = grid.leray(grid.fft(traj.final_state[1]))
+    ns = IncompressibleSolver(grid, bg.params.mu_bar, bg.params.rho_bar)
+
+    def distance():
+        ref = ns.run(st.u, dt / 16, t_end, cadence=10 ** 6)
+        return float(np.sqrt(np.sum(grid.norm_sq(pu - ref.uhats[-1]))))
+    to_ns = distance()
+    monkeypatch.setattr(ns, "_advection", np.zeros_like)
+    to_stokes = distance()
+    assert 0.5 * ns_distance <= to_ns <= 2.0 * ns_distance, to_ns
+    assert to_stokes >= 100.0 * to_ns, (to_ns, to_stokes)
 
 
 def test_scheme_validation(grid):

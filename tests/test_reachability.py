@@ -7,12 +7,16 @@ nothing checks); it should be deleted, not carried.  The scan is by name
 only: a field counts as read when any ``<expr>.<name>`` load of the same
 name exists, whatever the type of ``<expr>``.
 
-Spectral derivatives have one path: ``SpectralGrid.jacobian`` transforms
-gradients and ``SpectralGrid.divergence`` forms divergences, so the
-fields the solvers step and the ones the checks compare come from one
-formula.  Outside ``fields.py`` no ``ifft`` call may read the derivative
-multipliers ``ik`` in its arguments, as ``<expr>.ik`` or through a local
-name bound to it.
+Spectral derivatives reach point values through ``SpectralGrid``:
+``SpectralGrid._slabs`` transforms the derivatives along x_0 that the
+compressible solver and the right-hand sides sharing its derivative
+fields hand it, and forms those along x_1, ..., x_{d-1} on their x_0
+partials; ``SpectralGrid.jacobian`` transforms the gradients of the
+reference's advection and the momentum form's Hessian; and
+``SpectralGrid.divergence`` forms divergences.  So the fields the solvers
+step and the ones the checks compare come from one formula.  Outside
+``fields.py`` no ``ifft`` call may read the derivative multipliers ``ik``
+in its arguments, as ``<expr>.ik`` or through a local name bound to it.
 
 Every configuration key is read: a key that no command asks for once the
 file is loaded (and checked) is a setting that changes nothing, and

@@ -14,7 +14,7 @@ from rhdlab.cli import main as cli_main
 from rhdlab.compressible import CompressibleSolver
 from rhdlab.config import ConfigError, default_config, load_config
 from rhdlab.identities import _remainder_checks, run_identity_suite
-from rhdlab.model import Background, IdealGasEOS, PhysParams
+from rhdlab.model import Background, DomainError, IdealGasEOS, PhysParams
 from rhdlab.fields import SpectralGrid
 from rhdlab.sweep import RunError, _write_json, fit_rate, run_single
 
@@ -176,24 +176,41 @@ cadence = 2
     assert np.isfinite(float(last[7])) and np.isfinite(float(last[8]))
 
 
-def test_aborted_run_with_reference_writes_outputs(tmp_path, capsys):
+def test_aborted_run_with_reference_writes_outputs(tmp_path, capsys,
+                                                   monkeypatch):
     # the reference is observed with the run, so an abort keeps its rows
-    # and reports cleanly instead of failing to compare cadences
+    # and reports cleanly instead of failing to compare cadences; the third
+    # step fails
+    step, steps = CompressibleSolver.step_spectral, []
+
+    def failing(self, X):
+        steps.append(None)
+        if len(steps) == 3:
+            raise DomainError("injected failure")
+        return step(self, X)
+
+    monkeypatch.setattr(CompressibleSolver, "step_spectral", failing)
     cfgfile = write_config(tmp_path / "abort.ini", """
 [grid]
 points_per_axis = 16
 
 [solver]
-dt = 5
+dt = 0.05
 t_end = 10
 with_reference = true
+
+[output]
+cadence = 1
 """)
     out = tmp_path / "out"
     assert cli_main(["run", "--config", cfgfile, "--out", str(out)]) == 1
     assert "error: run aborted" in capsys.readouterr().err
     summary = json.loads((out / "summary.json").read_text())
     assert summary["status"] == "aborted" and "ref_error" not in summary
-    assert (out / "diagnostics.csv").exists()
+    rows = (out / "diagnostics.csv").read_text().splitlines()[2:]
+    # t = 0, 0.05 and 0.1, each compared with the reference
+    assert len(rows) == 3
+    assert all(np.isfinite(float(row.split(",")[7])) for row in rows)
 
 
 def test_snapshots_flag(tmp_path):
@@ -835,6 +852,38 @@ def test_removed_solver_keys_are_rejected(tmp_path, capsys, key, value):
     assert f"solver.{key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_explicit_dt_above_advective_bound_is_refused_at_setup(
+        tmp_path, capsys, monkeypatch, command):
+    # dt = 1 is above 4x the datum's advective bound at 16^2, which every
+    # run would abort on at t = 0: both commands refuse it as a
+    # configuration error before the reference takes a step, and write
+    # nothing
+    from rhdlab.incompressible import IncompressibleSolver
+    steps = []
+    step = IncompressibleSolver.step
+    monkeypatch.setattr(IncompressibleSolver, "step",
+                        lambda *args: steps.append(None) or step(*args))
+    cfg = write_config(tmp_path / "dt.ini", """
+[grid]
+points_per_axis = 16
+
+[solver]
+dt = 1.0
+t_end = 2
+with_reference = true
+
+[sweep]
+deltas = 0.1,0.05,0.025
+""")
+    out = tmp_path / "out"
+    assert cli_main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: solver.dt: dt=1.0 exceeds 4x "
+                          "advective bound 9.817e-02")
+    assert steps == [] and not out.exists()
+
+
 SMALL_SWEEP = """
 [grid]
 points_per_axis = 32
@@ -856,12 +905,11 @@ def test_sweep_with_an_aborted_member_writes_incomplete_outputs(
     # one member's steps fail: the sweep still writes its CSV and report,
     # flagged incomplete and without the limit-error ratios, and exits 1;
     # serial and threaded members write the same files
-    from rhdlab.compressible import CompressibleSolver, StateInvalidError
     step = CompressibleSolver.step_spectral
 
     def failing(self, X):
         if self.bg.delta == 0.1:
-            raise StateInvalidError("injected failure")
+            raise DomainError("injected failure")
         return step(self, X)
 
     monkeypatch.setattr(CompressibleSolver, "step_spectral", failing)
